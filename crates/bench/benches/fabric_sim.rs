@@ -1,5 +1,6 @@
-//! Criterion bench of the multistage fabric simulator: simulated slots
-//! per second for radix-8 and radix-16 fat trees.
+//! Criterion bench of the fabric simulators: simulated slots per second
+//! for radix-8 and radix-16 two-level fat trees (multistage) and two
+//! 16-host m-ary folded Clos shapes (compiled).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use osmosis_fabric::multistage::{FabricConfig, FatTreeFabric};
@@ -25,9 +26,9 @@ fn bench_fabric(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_multilevel(c: &mut Criterion) {
-    use osmosis_fabric::multilevel::{MultiLevelClos, MultiLevelConfig, MultiLevelFabric};
-    let mut g = c.benchmark_group("multilevel_sim");
+fn bench_compiled_m_ary(c: &mut Criterion) {
+    use osmosis_fabric::{CompiledFabric, TopologySpec};
+    let mut g = c.benchmark_group("compiled_m_ary_sim");
     let slots = 1_000u64;
     g.throughput(Throughput::Elements(slots));
     for (radix, levels) in [(8usize, 2u32), (4, 4)] {
@@ -38,9 +39,10 @@ fn bench_multilevel(c: &mut Criterion) {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed += 1;
-                    let topo = MultiLevelClos::new(radix, levels);
-                    let mut fab = MultiLevelFabric::new(MultiLevelConfig::standard(topo, 2));
-                    let mut tr = BernoulliUniform::new(topo.hosts(), 0.5, &SeedSequence::new(seed));
+                    let spec = TopologySpec::m_ary_fat_tree(radix, levels);
+                    let mut fab = CompiledFabric::new(spec);
+                    let hosts = spec.hosts() as usize;
+                    let mut tr = BernoulliUniform::new(hosts, 0.5, &SeedSequence::new(seed));
                     fab.run(&mut tr, &EngineConfig::new(0, slots))
                 })
             },
@@ -49,5 +51,5 @@ fn bench_multilevel(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_fabric, bench_multilevel);
+criterion_group!(benches, bench_fabric, bench_compiled_m_ary);
 criterion_main!(benches);

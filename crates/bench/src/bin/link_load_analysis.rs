@@ -2,25 +2,20 @@
 //! Clos fabrics under uniform traffic, cross-checked against simulation.
 
 use osmosis_bench::print_table;
-use osmosis_fabric::loadmap::uniform_load_map;
-use osmosis_fabric::multilevel::MultiLevelClos;
+use osmosis_fabric::{expanded_uniform_load_map, ExpandedFabric, TopologySpec};
 
 fn main() {
-    let cases = [
-        MultiLevelClos::new(8, 2),
-        MultiLevelClos::new(16, 2),
-        MultiLevelClos::new(4, 4),
-        MultiLevelClos::new(4, 6),
-        MultiLevelClos::new(6, 3),
-    ];
+    let cases = [(8usize, 2u32), (16, 2), (4, 4), (4, 6), (6, 3)];
     let rows: Vec<Vec<String>> = cases
         .iter()
-        .map(|t| {
-            let m = uniform_load_map(t, 1.0);
+        .map(|&(radix, levels)| {
+            let spec = TopologySpec::m_ary_fat_tree(radix, levels);
+            let fab = ExpandedFabric::expand(spec).expect("valid m-ary fat-tree spec");
+            let m = expanded_uniform_load_map(&fab, 1.0);
             vec![
-                format!("radix-{} x {} levels", t.radix, t.levels),
-                t.hosts().to_string(),
-                t.stages().to_string(),
+                format!("radix-{radix} x {levels} levels"),
+                spec.hosts().to_string(),
+                spec.stages().to_string(),
                 format!("{:.3}", m.mean),
                 format!("{:.3}", m.max),
                 format!("{:.2}", m.imbalance()),

@@ -2,7 +2,7 @@
 //! SAME host count and measure what each extra stage costs in latency.
 
 use osmosis_bench::print_table;
-use osmosis_fabric::multilevel::{MultiLevelClos, MultiLevelConfig, MultiLevelFabric};
+use osmosis_fabric::{CompiledFabric, TopologySpec};
 use osmosis_sim::SeedSequence;
 use osmosis_traffic::BernoulliUniform;
 
@@ -11,19 +11,24 @@ fn main() {
     // radix-4 x 4 levels (7 stages, "commodity-like"). 64 hosts two ways:
     // radix-16 x 2 (3 stages) vs radix-4 x 6 (11 stages).
     let cases = [
-        ("radix-8, 2 levels", MultiLevelClos::new(8, 2), 0.3),
-        ("radix-4, 4 levels", MultiLevelClos::new(4, 4), 0.3),
-        ("radix-16, 2 levels", MultiLevelClos::new(16, 2), 0.3),
-        ("radix-4, 6 levels", MultiLevelClos::new(4, 6), 0.3),
+        ("radix-8, 2 levels", TopologySpec::m_ary_fat_tree(8, 2), 0.3),
+        ("radix-4, 4 levels", TopologySpec::m_ary_fat_tree(4, 4), 0.3),
+        (
+            "radix-16, 2 levels",
+            TopologySpec::m_ary_fat_tree(16, 2),
+            0.3,
+        ),
+        ("radix-4, 6 levels", TopologySpec::m_ary_fat_tree(4, 6), 0.3),
     ];
     let mut rows = Vec::new();
-    for (name, topo, load) in cases {
-        let mut fab = MultiLevelFabric::new(MultiLevelConfig::standard(topo, 2));
-        let mut tr = BernoulliUniform::new(topo.hosts(), load, &SeedSequence::new(0x6C));
+    for (name, spec, load) in cases {
+        let mut fab = CompiledFabric::new(spec.with_link_delay(2));
+        let hosts = spec.hosts() as usize;
+        let mut tr = BernoulliUniform::new(hosts, load, &SeedSequence::new(0x6C));
         let r = fab.run(&mut tr, &osmosis_fabric::EngineConfig::new(1_000, 10_000));
         rows.push(vec![
             name.to_string(),
-            topo.hosts().to_string(),
+            hosts.to_string(),
             format!("{}", r.extra("stages").unwrap_or(0.0) as u32),
             format!("{:.2}", r.mean_delay),
             format!("{:.3}", r.throughput),

@@ -1,22 +1,23 @@
 //! A slotted cell simulator for *any* expanded topology.
 //!
 //! [`CompiledFabric`] consumes an [`ExpandedFabric`] — fat tree,
-//! dragonfly or full mesh — and runs it on the shared engine with the
-//! same mechanics as the hand-built simulators: input-buffered crossbars
-//! (buffer-placement option 3), iterative round-robin matching per
-//! switch per slot, credit flow control on every switch-to-switch link
-//! with a deterministic RTT, per-flow stable minimal routing
-//! ([`ExpandedFabric::route`]), and losslessness asserted rather than
-//! measured.
+//! dragonfly or full mesh — and runs it on the shared engine:
+//! input-buffered crossbars (buffer-placement option 3), iterative
+//! round-robin matching per switch per slot, credit flow control on
+//! every switch-to-switch link with a deterministic RTT, per-flow stable
+//! minimal routing ([`ExpandedFabric::route`]), and losslessness
+//! asserted rather than measured. The stage and switch counts of the
+//! simulated topology ride along as `extra("stages")` and
+//! `extra("switches")`, so fabrics of different radix can be compared at
+//! the same host count, hop for hop (the §VI.C argument in motion).
 //!
-//! Unlike [`crate::multilevel`], whose per-switch VOQ array is dense
-//! (ports² queues per switch — about a gigabyte of empty `VecDeque`s at
-//! 32768 ports), the compiled fabric keys VOQs sparsely by
-//! (input, output) and skips idle switches entirely, so the 32K-port
-//! acceptance instances simulate in bounded memory. The scheduling
-//! order (switches by id, outputs ascending, iterative grant/accept) is
-//! identical, and the per-switch matchings agree with the dense
-//! implementation because absent VOQs contribute no requests.
+//! VOQs are keyed sparsely by (input, output) — a dense ports² array of
+//! queues per switch would be about a gigabyte of empty `VecDeque`s at
+//! 32768 ports — and idle switches are skipped entirely, so the 32K-port
+//! acceptance instances simulate in bounded memory. Switches are matched
+//! in id order, outputs ascending within each grant/accept iteration; an
+//! absent VOQ contributes no request, so the matchings are those of a
+//! dense VOQ array.
 //!
 //! Dragonfly minimal routes traverse local→global→local hops whose
 //! credit loops are cyclic; at the moderate loads used for latency
@@ -191,9 +192,8 @@ impl CompiledFabric {
     }
 
     /// Match one switch for one slot: iterative round-robin grant/accept
-    /// over the sparsely occupied VOQs, mirroring the dense simulators'
-    /// order (outputs ascending per iteration).
-    fn match_switch(&mut self, sw: usize, slot: u64) -> Vec<(u32, u32)> {
+    /// over the sparsely occupied VOQs, outputs ascending per iteration.
+    fn match_switch(&mut self, sw: usize) -> Vec<(u32, u32)> {
         let radix = self.spec.radix;
         let iterations = self.spec.iterations;
         let node = &mut self.nodes[sw];
@@ -246,7 +246,6 @@ impl CompiledFabric {
                 }
             }
         }
-        let _ = slot;
         matched
     }
 }
@@ -337,7 +336,7 @@ impl CellSwitch for CompiledFabric {
             if self.nodes[sw].total == 0 {
                 continue;
             }
-            let matched = self.match_switch(sw, slot);
+            let matched = self.match_switch(sw);
             for (i, o) in matched {
                 let (cell, down, credit_to) = {
                     let node = &mut self.nodes[sw];
@@ -431,8 +430,59 @@ mod tests {
         fab.run(&mut tr, &EngineConfig::new(300, 3_000))
     }
 
+    /// The m-ary folded Clos of `levels` radix-`radix` switch levels.
+    fn run_clos(radix: usize, levels: u32, load: f64, seed: u64) -> EngineReport {
+        let spec = TopologySpec::m_ary_fat_tree(radix, levels);
+        let mut fab = CompiledFabric::new(spec);
+        let mut tr = BernoulliUniform::new(fab.ports(), load, &SeedSequence::new(seed));
+        fab.run(&mut tr, &EngineConfig::new(1_000, 8_000))
+    }
+
+    fn stages(r: &EngineReport) -> u32 {
+        r.extra("stages").unwrap() as u32
+    }
+
     #[test]
-    fn compiled_two_level_matches_multilevel_semantics() {
+    fn single_level_is_one_switch() {
+        let r = run_clos(8, 1, 0.5, 1);
+        assert_eq!(stages(&r), 1);
+        assert!((r.throughput - 0.5).abs() < 0.03);
+        assert_eq!(r.reordered, 0);
+    }
+
+    #[test]
+    fn two_level_carries_load_lossless_in_order() {
+        let r = run_clos(8, 2, 0.5, 2);
+        assert!((r.throughput - 0.5).abs() < 0.04, "thr {}", r.throughput);
+        assert_eq!(r.reordered, 0);
+    }
+
+    #[test]
+    fn four_level_radix4_works_too() {
+        // 16 hosts through a 7-stage fabric of radix-4 switches.
+        let r = run_clos(4, 4, 0.3, 3);
+        assert_eq!(stages(&r), 7);
+        assert!((r.throughput - 0.3).abs() < 0.04, "thr {}", r.throughput);
+        assert_eq!(r.reordered, 0);
+    }
+
+    #[test]
+    fn section_6c_in_motion_fewer_stages_less_latency() {
+        // Same 16 hosts, same load, same links: the 3-stage radix-8
+        // fabric beats the 7-stage radix-4 fabric on latency — §VI.C's
+        // "each stage contributes to latency", simulated.
+        let big_radix = run_clos(8, 2, 0.2, 4);
+        let small_radix = run_clos(4, 4, 0.2, 4);
+        assert!(
+            small_radix.mean_delay > big_radix.mean_delay + 4.0,
+            "7-stage {} vs 3-stage {}",
+            small_radix.mean_delay,
+            big_radix.mean_delay
+        );
+    }
+
+    #[test]
+    fn compiled_fat_trees_are_lossless_and_in_order() {
         // Lossless, in order, throughput tracks offered load.
         for spec in [
             TopologySpec::two_level(8),
@@ -467,8 +517,13 @@ mod tests {
 
     #[test]
     fn compiled_runs_are_deterministic() {
-        let a = run_spec(TopologySpec::dragonfly(8, 4), 0.25, 42);
-        let b = run_spec(TopologySpec::dragonfly(8, 4), 0.25, 42);
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        for spec in [
+            TopologySpec::dragonfly(8, 4),
+            TopologySpec::m_ary_fat_tree(8, 2),
+        ] {
+            let a = run_spec(spec, 0.25, 42);
+            let b = run_spec(spec, 0.25, 42);
+            assert_eq!(a.fingerprint(), b.fingerprint(), "{spec}");
+        }
     }
 }

@@ -16,12 +16,14 @@
 //! one merged top level of `m^(L−1)` switches. Within a plane, switches
 //! are addressed by (L−1)-digit base-m numbers; the up-edge from a
 //! level-l switch w via up-port m+p lands on the level-(l+1) switch
-//! w[digit l := p] at input digit_l(w) — exactly the rule of
-//! [`crate::multilevel`]. At the top step the two planes merge: plane π
-//! switch w reaches top switch w[digit L−2 := p] at input π·m +
-//! digit_{L−2}(w). With planes = 2 and L = 2 this reproduces the
-//! hand-built §V leaf–spine wiring bit for bit (leaf π·m+w ↔ spine p);
-//! with planes = 1 it reproduces [`crate::multilevel::MultiLevelClos`].
+//! w[digit l := p] at input digit_l(w), and conversely down-port q of a
+//! level-(l+1) switch y reaches y[digit l := q] at input m + digit_l(y).
+//! At the top step the two planes merge: plane π switch w reaches top
+//! switch w[digit L−2 := p] at input π·m + digit_{L−2}(w). With
+//! planes = 2 and L = 2 this reproduces the hand-built §V leaf–spine
+//! wiring bit for bit (leaf π·m+w ↔ spine p); with planes = 1 it is the
+//! m-ary Clos whose paths [`crate::multilevel::MultiLevelClos`] gives in
+//! closed form (the unit tests check both, port for port).
 //!
 //! ## Dragonfly
 //!
@@ -305,7 +307,7 @@ impl ExpandedFabric {
                     for p in 0..m {
                         let from_port = self.port_id(from, (m + p) as u32);
                         let (to, to_local) = if l + 1 < levels - 1 {
-                            // Within-plane edge: the multilevel rule.
+                            // Within-plane edge: the digit rule.
                             let above = pi * width + with_digit(w, l, p, m);
                             (
                                 self.stage_switch(stage_ids[l as usize + 1], above),
@@ -430,7 +432,7 @@ impl ExpandedFabric {
 
     /// Ascent height of a fat-tree route: up-hops before turning. Hosts
     /// in different planes meet at the top (L−1 up-hops); within a plane
-    /// the multilevel common-ancestor rule applies.
+    /// the highest differing leaf digit sets the common ancestor.
     fn fat_tree_ascent(
         &self,
         src: HostId,
@@ -487,8 +489,7 @@ impl ExpandedFabric {
                     // Ascending. The top step uses the two-operand spine
                     // hash of §V when the planes merge (bit-identical to
                     // the hand-built leaf–spine instance at L = 2); the
-                    // within-plane steps use the per-level multilevel
-                    // hash.
+                    // within-plane steps use the per-level ascent hash.
                     let p = if planes == 2 && level == levels - 2 {
                         top_choice(src.index(), dst.index(), m)
                     } else {
@@ -681,10 +682,62 @@ mod tests {
         }
     }
 
+    /// Closed-form peer of `port` on the m-ary Clos switch at (`level`,
+    /// `pos`). Down-port q of a level-l switch selects digit l−1 of the
+    /// switch below and lands on the up-port that switch ascended by;
+    /// up-port m+p replaces digit l and lands on the down-port named by
+    /// the old digit; the top level's up-side is unused.
+    fn m_ary_peer(radix: usize, levels: u32, level: u32, pos: usize, port: usize) -> Peer {
+        let m = radix / 2;
+        let width = m.pow(levels - 1);
+        let far = |level: u32, pos: usize, local: usize| {
+            Peer::Port(PortId::from_index(
+                (level as usize * width + pos) * radix + local,
+            ))
+        };
+        if port < m {
+            if level == 0 {
+                Peer::Host(HostId::from_index(pos * m + port))
+            } else {
+                let below = with_digit(pos, level - 1, port, m);
+                far(level - 1, below, m + digit(pos, level - 1, m))
+            }
+        } else if level == levels - 1 {
+            Peer::Unconnected
+        } else {
+            let above = with_digit(pos, level, port - m, m);
+            far(level + 1, above, digit(pos, level, m))
+        }
+    }
+
+    #[test]
+    fn expansion_tables_match_digit_formulas() {
+        // The port table of a 1-plane expansion must equal the closed-form
+        // digit rules — port for port, switch for switch. Cells follow
+        // `peer` downstream and credits follow it back upstream, so this
+        // one table is the whole wiring of the compiled simulator.
+        for (radix, levels) in [(4usize, 1u32), (4, 3), (6, 2), (8, 2)] {
+            let fab = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(radix, levels)).unwrap();
+            let width = (radix / 2).pow(levels - 1);
+            for level in 0..levels {
+                for pos in 0..width {
+                    let sw = SwitchId::from_index(level as usize * width + pos);
+                    for port in 0..radix {
+                        assert_eq!(
+                            fab.ports[fab.port_id(sw, port as u32)].peer,
+                            m_ary_peer(radix, levels, level, pos, port),
+                            "r{radix} L{levels} ({level},{pos},{port})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn one_plane_expansion_matches_multilevel_paths() {
-        // planes = 1 is the multilevel m-ary Clos: same switch counts,
-        // same paths (per level, per position).
+        // planes = 1 is the m-ary Clos of MultiLevelClos: same switch
+        // counts, same paths (per level, per position).
         let (radix, levels) = (6usize, 3u32);
         let fab = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(radix, levels)).unwrap();
         let clos = crate::multilevel::MultiLevelClos::new(radix, levels);

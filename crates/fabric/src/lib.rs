@@ -13,7 +13,8 @@
 //!   high-end electronic vs. 9 commodity stages at 2048 ports.
 
 //! ```
-//! use osmosis_fabric::{stages_for_ports, uniform_load_map, MultiLevelClos};
+//! use osmosis_fabric::{expanded_uniform_load_map, stages_for_ports};
+//! use osmosis_fabric::{ExpandedFabric, TopologySpec};
 //!
 //! // §VI.C: 2048 ports need 3 / 5 / 9 stages by switch radix.
 //! assert_eq!(stages_for_ports(64, 2048), 3);
@@ -21,8 +22,8 @@
 //! assert_eq!(stages_for_ports(8, 2048), 9);
 //!
 //! // Static link-load analysis predicts a fabric's saturation ceiling.
-//! let topo = MultiLevelClos::new(8, 2);
-//! let map = uniform_load_map(&topo, 1.0);
+//! let fab = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(8, 2)).unwrap();
+//! let map = expanded_uniform_load_map(&fab, 1.0);
 //! assert!(map.saturation_load(1.0) > 0.7);
 //! ```
 
@@ -45,10 +46,8 @@ pub use compiled::CompiledFabric;
 pub use expand::{ExpandedFabric, Peer};
 pub use flow_control::{required_buffer_cells, run_relay_loop, RelayConfig, RelayReport};
 pub use ids::{EntityId, EntityVec, HostId, LinkId, PortId, StageId, SwitchId};
-pub use loadmap::{
-    expanded_uniform_load_map, load_map, uniform_load_map, ExpandedLoadMap, LoadMap,
-};
-pub use multilevel::{MultiLevelClos, MultiLevelConfig, MultiLevelFabric};
+pub use loadmap::{expanded_uniform_load_map, ExpandedLoadMap};
+pub use multilevel::MultiLevelClos;
 pub use multistage::{BufferTech, FabricConfig, FatTreeFabric, Placement};
 pub use spec::{BufferSizing, DragonflyShape, TopologyError, TopologyFamily, TopologySpec};
 

@@ -1,10 +1,10 @@
-//! Static link-load analysis for folded-Clos fabrics.
+//! Static link-load analysis for expanded fabrics.
 //!
 //! Per-flow routing is deterministic (that is what preserves packet
-//! order), so the expected load on every link under a given traffic
-//! matrix can be computed *without simulation* by walking each flow's
-//! [`MultiLevelClos::path`]. The worst link bounds the fabric's
-//! saturation load: carried throughput cannot exceed
+//! order), so the expected load on every link under uniform traffic can
+//! be computed *without simulation* by walking each flow's
+//! [`ExpandedFabric::route`] over the graph. The worst link bounds the
+//! fabric's saturation load: carried throughput cannot exceed
 //! `1 / max_link_load` per unit of offered load.
 //!
 //! This analysis is how the repository found (and fixed) a real routing
@@ -14,109 +14,7 @@
 
 use crate::expand::{ExpandedFabric, Peer};
 use crate::ids::{EntityId as _, HostId, PortId};
-use crate::multilevel::MultiLevelClos;
 use std::collections::BTreeMap;
-
-/// A directed link in the fabric: between (level, switch) pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Link {
-    /// Source (level, switch).
-    pub from: (u32, usize),
-    /// Destination (level, switch).
-    pub to: (u32, usize),
-}
-
-/// The computed load map.
-#[derive(Debug, Clone)]
-pub struct LoadMap {
-    /// Expected load per link, in cells/slot at the given traffic matrix.
-    pub loads: BTreeMap<Link, f64>,
-    /// Mean over links that carry anything.
-    pub mean: f64,
-    /// The hottest link's load.
-    pub max: f64,
-    /// The hottest link.
-    pub argmax: Option<Link>,
-}
-
-impl LoadMap {
-    /// Max-to-mean imbalance ratio (1.0 = perfectly balanced).
-    pub fn imbalance(&self) -> f64 {
-        // lint:allow(float-eq): exact zero sentinel — an empty load map
-        // divides by mean below, and 0.0 is the only value to guard
-        if self.mean == 0.0 {
-            1.0
-        } else {
-            self.max / self.mean
-        }
-    }
-
-    /// Saturation offered-load estimate: the per-host load at which the
-    /// hottest link reaches 1 cell/slot, given the map was computed at
-    /// `offered` per host.
-    pub fn saturation_load(&self, offered: f64) -> f64 {
-        // lint:allow(float-eq): exact zero sentinel guarding the division
-        if self.max == 0.0 {
-            1.0
-        } else {
-            (offered / self.max).min(1.0)
-        }
-    }
-}
-
-/// Compute the load map for a uniform traffic matrix at `offered`
-/// cells/slot per host (each host spreads its load evenly over all other
-/// hosts).
-pub fn uniform_load_map(topo: &MultiLevelClos, offered: f64) -> LoadMap {
-    let hosts = topo.hosts();
-    let per_flow = offered / (hosts - 1).max(1) as f64;
-    let mut loads: BTreeMap<Link, f64> = BTreeMap::new();
-    for src in 0..hosts {
-        for dst in 0..hosts {
-            if src == dst {
-                continue;
-            }
-            let path = topo.path(src, dst);
-            for w in path.windows(2) {
-                *loads
-                    .entry(Link {
-                        from: w[0],
-                        to: w[1],
-                    })
-                    .or_insert(0.0) += per_flow;
-            }
-        }
-    }
-    summarize(loads)
-}
-
-/// Compute the load map for an arbitrary traffic matrix
-/// `rate[src][dst]` (cells/slot).
-pub fn load_map(topo: &MultiLevelClos, rate: &[Vec<f64>]) -> LoadMap {
-    let hosts = topo.hosts();
-    assert_eq!(rate.len(), hosts);
-    let mut loads: BTreeMap<Link, f64> = BTreeMap::new();
-    for (src, row) in rate.iter().enumerate() {
-        assert_eq!(row.len(), hosts);
-        for (dst, &r) in row.iter().enumerate() {
-            // lint:allow(float-eq): skip exactly-zero matrix entries —
-            // near-zero rates must still contribute to link loads
-            if src == dst || r == 0.0 {
-                continue;
-            }
-            let path = topo.path(src, dst);
-            for w in path.windows(2) {
-                *loads
-                    .entry(Link {
-                        from: w[0],
-                        to: w[1],
-                    })
-                    .or_insert(0.0) += r;
-            }
-        }
-    }
-    summarize(loads)
-}
 
 /// A load map over an [`ExpandedFabric`], keyed by the typed egress
 /// port driving each cable direction — so it works for every topology
@@ -145,7 +43,9 @@ impl ExpandedLoadMap {
         }
     }
 
-    /// Saturation offered-load estimate, as [`LoadMap::saturation_load`].
+    /// Saturation offered-load estimate: the per-host load at which the
+    /// hottest link reaches 1 cell/slot, given the map was computed at
+    /// `offered` per host.
     pub fn saturation_load(&self, offered: f64) -> f64 {
         // lint:allow(float-eq): exact zero sentinel guarding the division
         if self.max == 0.0 {
@@ -176,7 +76,7 @@ pub fn expanded_uniform_load_map(fab: &ExpandedFabric, offered: f64) -> Expanded
                 let pid = fab.port_id(sw, out);
                 match fab.ports[pid].peer {
                     // Host delivery is the NIC's own link, not fabric
-                    // cabling — same accounting as the Clos analyzer.
+                    // cabling.
                     Peer::Host(_) | Peer::Unconnected => break,
                     Peer::Port(far) => {
                         *loads.entry(pid).or_insert(0.0) += per_flow;
@@ -208,36 +108,20 @@ pub fn expanded_uniform_load_map(fab: &ExpandedFabric, offered: f64) -> Expanded
     }
 }
 
-fn summarize(loads: BTreeMap<Link, f64>) -> LoadMap {
-    let (mut max, mut sum, mut argmax) = (0.0f64, 0.0f64, None);
-    for (&l, &v) in &loads {
-        sum += v;
-        if v > max {
-            max = v;
-            argmax = Some(l);
-        }
-    }
-    let mean = if loads.is_empty() {
-        0.0
-    } else {
-        sum / loads.len() as f64
-    };
-    LoadMap {
-        loads,
-        mean,
-        max,
-        argmax,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multilevel::MultiLevelClos;
+    use crate::spec::TopologySpec;
+
+    fn m_ary_map(radix: usize, levels: u32) -> ExpandedLoadMap {
+        let fab = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(radix, levels)).unwrap();
+        expanded_uniform_load_map(&fab, 1.0)
+    }
 
     #[test]
     fn uniform_two_level_is_well_balanced() {
-        let topo = MultiLevelClos::new(8, 2);
-        let m = uniform_load_map(&topo, 1.0);
+        let m = m_ary_map(8, 2);
         assert!(m.max <= 1.4, "max link load {}", m.max);
         assert!(m.imbalance() < 1.8, "imbalance {}", m.imbalance());
     }
@@ -247,8 +131,7 @@ mod tests {
         // The regression this module was built to catch: with the raw FNV
         // low bit the 6-level radix-4 fabric saturated at 0.12; with the
         // mixed hash its worst link stays below 1.5× the mean.
-        let topo = MultiLevelClos::new(4, 6);
-        let m = uniform_load_map(&topo, 1.0);
+        let m = m_ary_map(4, 6);
         assert!(
             m.saturation_load(1.0) > 0.6,
             "saturation estimate {} — flow hash has regressed",
@@ -258,17 +141,17 @@ mod tests {
 
     #[test]
     fn saturation_estimate_matches_the_simulator() {
-        use crate::multilevel::{MultiLevelConfig, MultiLevelFabric};
+        use crate::compiled::CompiledFabric;
         use osmosis_sim::SeedSequence;
         use osmosis_traffic::BernoulliUniform;
 
-        let topo = MultiLevelClos::new(4, 4);
-        let est = uniform_load_map(&topo, 1.0).saturation_load(1.0);
+        let spec = TopologySpec::m_ary_fat_tree(4, 4);
+        let est = m_ary_map(4, 4).saturation_load(1.0);
         // Simulate well above the estimate: carried throughput should
         // flatten near the analytic ceiling (within 12%).
-        let mut fab = MultiLevelFabric::new(MultiLevelConfig::standard(topo, 2));
-        let mut tr =
-            BernoulliUniform::new(topo.hosts(), (est + 0.2).min(1.0), &SeedSequence::new(5));
+        let mut fab = CompiledFabric::new(spec);
+        let hosts = spec.hosts() as usize;
+        let mut tr = BernoulliUniform::new(hosts, (est + 0.2).min(1.0), &SeedSequence::new(5));
         let r = fab.run(&mut tr, &osmosis_sim::EngineConfig::new(2_000, 10_000));
         assert!(
             (r.throughput - est).abs() < 0.12,
@@ -278,47 +161,32 @@ mod tests {
     }
 
     #[test]
-    fn hotspot_matrix_concentrates_on_the_last_hop() {
-        let topo = MultiLevelClos::new(8, 2);
-        let hosts = topo.hosts();
-        let mut rate = vec![vec![0.0; hosts]; hosts];
-        for row in rate.iter_mut().skip(1) {
-            row[0] = 0.5;
-        }
-        let m = load_map(&topo, &rate);
-        // The hottest links are those delivering into host 0's leaf
-        // (intra-leaf flows traverse no switch-to-switch link, so only
-        // the inter-leaf sources count: hosts − m of them, spread over
-        // the m spine→leaf down-links by the flow hash).
-        let hot = m.argmax.unwrap();
-        assert_eq!(hot.to, (0, topo.leaf_of(0)));
-        let inter_total = 0.5 * (hosts - topo.m()) as f64;
-        let fair_share = inter_total / topo.m() as f64;
-        assert!(
-            m.max >= fair_share * 0.99 && m.max <= inter_total,
-            "max {} vs fair share {fair_share}",
-            m.max
-        );
-    }
-
-    #[test]
-    fn expanded_map_agrees_with_the_clos_analyzer() {
+    fn expanded_map_agrees_with_the_closed_form_paths() {
         // planes = 1 expansion routes exactly like MultiLevelClos, so
-        // the per-direction load profile must match the legacy map's.
-        use crate::spec::TopologySpec;
+        // the per-direction load profile must match the one read off the
+        // closed-form switch paths.
         let (radix, levels) = (4usize, 3u32);
         let topo = MultiLevelClos::new(radix, levels);
-        let legacy = uniform_load_map(&topo, 1.0);
-        let fab = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(radix, levels)).unwrap();
-        let typed = expanded_uniform_load_map(&fab, 1.0);
-        assert_eq!(typed.loads.len(), legacy.loads.len());
-        assert!((typed.max - legacy.max).abs() < 1e-9);
-        assert!((typed.mean - legacy.mean).abs() < 1e-9);
+        let hosts = topo.hosts();
+        let per_flow = 1.0 / (hosts - 1) as f64;
+        let mut reference = BTreeMap::new();
+        for src in 0..hosts {
+            for dst in (0..hosts).filter(|&dst| dst != src) {
+                for w in topo.path(src, dst).windows(2) {
+                    *reference.entry((w[0], w[1])).or_insert(0.0) += per_flow;
+                }
+            }
+        }
+        let max = reference.values().fold(0.0f64, |a, &v| a.max(v));
+        let mean = reference.values().sum::<f64>() / reference.len() as f64;
+        let typed = m_ary_map(radix, levels);
+        assert_eq!(typed.loads.len(), reference.len());
+        assert!((typed.max - max).abs() < 1e-9);
+        assert!((typed.mean - mean).abs() < 1e-9);
     }
 
     #[test]
     fn expanded_map_covers_all_families() {
-        use crate::spec::TopologySpec;
         // A full mesh under uniform traffic is perfectly balanced.
         let mesh = ExpandedFabric::expand(TopologySpec::full_mesh(8, 5)).unwrap();
         let m = expanded_uniform_load_map(&mesh, 1.0);
@@ -332,11 +200,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_matrix_is_trivially_balanced() {
-        let topo = MultiLevelClos::new(4, 2);
-        let hosts = topo.hosts();
-        let rate = vec![vec![0.0; hosts]; hosts];
-        let m = load_map(&topo, &rate);
+    fn linkless_fabric_is_trivially_balanced() {
+        // A single switch has no switch-to-switch cable: the map is
+        // empty and both ratios fall back to their sentinels.
+        let m = m_ary_map(4, 1);
+        assert!(m.loads.is_empty());
         assert_eq!(m.max, 0.0);
         assert_eq!(m.imbalance(), 1.0);
         assert_eq!(m.saturation_load(0.3), 1.0);

@@ -22,10 +22,10 @@
 //! The per-flow hash functions used by every router live here too, as the
 //! single source of truth: [`top_choice`] is the two-level spine hash of
 //! §V (per-flow stable, so Table 1's ordering requirement survives the
-//! multipath) and [`up_choice`] the per-level ascent hash of the
-//! multilevel fabric. The hand-built simulators and the compiled expansion
-//! share these bit for bit — that is what keeps the pinned fingerprints
-//! identical across the refactor.
+//! multipath) and [`up_choice`] the per-level ascent hash of deeper
+//! folded Clos fabrics. The hand-built two-level simulator, the
+//! closed-form path arithmetic and the compiled expansion share these bit
+//! for bit — the pinned fingerprints rest on that.
 
 use crate::multistage::Placement;
 use core::fmt;
@@ -191,9 +191,9 @@ impl std::error::Error for TopologyError {}
 pub enum TopologyFamily {
     /// A folded Clos of `levels` levels. With `planes == 2` this is the
     /// full fat tree (2·(k/2)^L hosts; at L = 2 exactly the §V
-    /// leaf–spine instance); with `planes == 1` the m-ary variant of
-    /// [`crate::multilevel`] ((k/2)^L hosts, every switch half-used at
-    /// the edges).
+    /// leaf–spine instance); with `planes == 1` the m-ary variant
+    /// ((k/2)^L hosts, the top level's up-side unused) whose closed-form
+    /// arithmetic is [`crate::multilevel::MultiLevelClos`].
     FatTree {
         /// Switch levels (≥ 1).
         levels: u32,
@@ -300,8 +300,8 @@ impl TopologySpec {
         Self::fat_tree(radix, 2)
     }
 
-    /// The 1-plane m-ary folded Clos of [`crate::multilevel`]:
-    /// (k/2)^L hosts.
+    /// The 1-plane m-ary folded Clos: (k/2)^L hosts, m^(L−1) switches
+    /// in every level.
     pub fn m_ary_fat_tree(radix: usize, levels: u32) -> Self {
         TopologySpec {
             family: TopologyFamily::FatTree { levels, planes: 1 },
@@ -592,8 +592,8 @@ mod tests {
     #[test]
     fn flow_hashes_match_legacy_simulators() {
         // The spine hash must equal TwoLevelFatTree::spine_of_flow and the
-        // ascent hash MultiLevelClos::up_choice — the fingerprints of both
-        // pinned simulators rest on this.
+        // ascent hash MultiLevelClos::up_choice — the pinned multistage
+        // and m-ary fingerprints rest on this.
         let t = crate::topology::TwoLevelFatTree::new(8);
         for src in 0..t.hosts() {
             let dst = (src * 7 + 3) % t.hosts();

@@ -30,7 +30,7 @@
 //! `crates/bench/benches/engine.rs`).
 
 use crate::audit::{Auditor, CreditLedger, DropReason};
-use crate::circuit::CircuitView;
+use crate::circuit::{CircuitView, NullCircuits};
 use crate::fault::FaultView;
 use crate::stats::{Histogram, Welford};
 
@@ -1007,9 +1007,10 @@ pub fn run_audited<M: SlottedModel + ?Sized, T: TraceSink>(
     run_inner(model, cfg, sink, None, None, Some(audit))
 }
 
-/// The fully general entry point: optional fault plane, optional audit
-/// plane. A vacuous fault view is not attached (as in [`run_faulted`]);
-/// with both planes `None` this is exactly [`run`].
+/// The general packet-switched entry point: optional fault plane,
+/// optional audit plane, no circuit plane. A vacuous fault view is not
+/// attached (as in [`run_faulted`]); with both planes `None` this is
+/// exactly [`run`].
 pub fn run_instrumented<M: SlottedModel + ?Sized, T: TraceSink>(
     model: &mut M,
     cfg: &EngineConfig,
@@ -1017,30 +1018,12 @@ pub fn run_instrumented<M: SlottedModel + ?Sized, T: TraceSink>(
     faults: Option<&mut dyn FaultView>,
     audit: Option<&mut dyn Auditor>,
 ) -> EngineReport {
-    let faults = match faults {
-        Some(f) => {
-            f.configure(cfg);
-            if f.is_vacuous() {
-                None
-            } else {
-                Some(f)
-            }
-        }
-        None => None,
-    };
-    // Rebuild the options at each call so the references reborrow down
-    // to the observer's (shorter) unified lifetime.
-    match (faults, audit) {
-        (Some(f), Some(a)) => run_inner(model, cfg, sink, Some(f), None, Some(a)),
-        (Some(f), None) => run_inner(model, cfg, sink, Some(f), None, None),
-        (None, Some(a)) => run_inner(model, cfg, sink, None, None, Some(a)),
-        (None, None) => run_inner(model, cfg, sink, None, None, None),
-    }
+    run_circuit_switched(model, cfg, sink, &mut NullCircuits, faults, audit)
 }
 
 /// Run `model` with a circuit plane (an OCS plan) attached, plus optional
 /// fault and audit planes — the circuit-switched operating mode's entry
-/// point.
+/// point, and the one place vacuous planes are dropped.
 ///
 /// A vacuous circuit view (empty plan) is *not* attached, and a vacuous
 /// fault view is dropped as in [`run_faulted`]; with a vacuous circuit
@@ -1055,34 +1038,21 @@ pub fn run_circuit_switched<M: SlottedModel + ?Sized, T: TraceSink>(
     audit: Option<&mut dyn Auditor>,
 ) -> EngineReport {
     circuits.configure(cfg, model.ports());
-    let circuits = if circuits.is_vacuous() {
-        None
-    } else {
-        Some(circuits)
-    };
-    let faults = match faults {
-        Some(f) => {
-            f.configure(cfg);
-            if f.is_vacuous() {
-                None
-            } else {
-                Some(f)
-            }
-        }
-        None => None,
-    };
-    // As in `run_instrumented`: rebuild the options so the references
-    // reborrow down to the observer's unified lifetime.
-    match (faults, circuits, audit) {
-        (Some(f), Some(c), Some(a)) => run_inner(model, cfg, sink, Some(f), Some(c), Some(a)),
-        (Some(f), Some(c), None) => run_inner(model, cfg, sink, Some(f), Some(c), None),
-        (Some(f), None, Some(a)) => run_inner(model, cfg, sink, Some(f), None, Some(a)),
-        (Some(f), None, None) => run_inner(model, cfg, sink, Some(f), None, None),
-        (None, Some(c), Some(a)) => run_inner(model, cfg, sink, None, Some(c), Some(a)),
-        (None, Some(c), None) => run_inner(model, cfg, sink, None, Some(c), None),
-        (None, None, Some(a)) => run_inner(model, cfg, sink, None, None, Some(a)),
-        (None, None, None) => run_inner(model, cfg, sink, None, None, None),
-    }
+    let circuits = (!circuits.is_vacuous()).then_some(circuits);
+    let faults = faults.and_then(|f| {
+        f.configure(cfg);
+        (!f.is_vacuous()).then_some(f)
+    });
+    // The casts reborrow each plane down to the observer's (shorter)
+    // unified lifetime.
+    run_inner(
+        model,
+        cfg,
+        sink,
+        faults.map(|f| f as &mut dyn FaultView),
+        circuits.map(|c| c as &mut dyn CircuitView),
+        audit.map(|a| a as &mut dyn Auditor),
+    )
 }
 
 fn run_inner<'a, M: SlottedModel + ?Sized, T: TraceSink>(
@@ -1184,24 +1154,6 @@ fn run_inner<'a, M: SlottedModel + ?Sized, T: TraceSink>(
 /// Run `model` with tracing disabled — the common case.
 pub fn run_model<M: SlottedModel + ?Sized>(model: &mut M, cfg: &EngineConfig) -> EngineReport {
     run(model, cfg, &mut NullTrace)
-}
-
-/// Run `model` with tracing disabled and a fault plane attached.
-pub fn run_model_faulted<M: SlottedModel + ?Sized>(
-    model: &mut M,
-    cfg: &EngineConfig,
-    faults: &mut dyn FaultView,
-) -> EngineReport {
-    run_faulted(model, cfg, &mut NullTrace, faults)
-}
-
-/// Run `model` with tracing disabled and an audit plane attached.
-pub fn run_model_audited<M: SlottedModel + ?Sized>(
-    model: &mut M,
-    cfg: &EngineConfig,
-    audit: &mut dyn Auditor,
-) -> EngineReport {
-    run_audited(model, cfg, &mut NullTrace, audit)
 }
 
 #[cfg(test)]
@@ -1418,7 +1370,12 @@ mod tests {
         use crate::fault::NullFaults;
         let cfg = EngineConfig::new(10, 200);
         let plain = run_model(&mut ToyQueue::new(3, 2), &cfg);
-        let faulted = run_model_faulted(&mut ToyQueue::new(3, 2), &cfg, &mut NullFaults);
+        let faulted = run_faulted(
+            &mut ToyQueue::new(3, 2),
+            &cfg,
+            &mut NullTrace,
+            &mut NullFaults,
+        );
         assert_eq!(plain.fingerprint(), faulted.fingerprint());
         assert_eq!(faulted.extra("fault_cells_lost"), None, "no fault extras");
     }

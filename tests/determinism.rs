@@ -8,8 +8,9 @@
 //! much stronger statement than comparing a few fields.
 
 use osmosis::core::{OsmosisFabricConfig, Scale};
-use osmosis::fabric::multilevel::{MultiLevelClos, MultiLevelConfig, MultiLevelFabric};
 use osmosis::fabric::multistage::{FabricConfig, FatTreeFabric};
+use osmosis::fabric::spec::TopologySpec;
+use osmosis::fabric::CompiledFabric;
 use osmosis::sched::Flppr;
 use osmosis::sim::{EngineConfig, EngineReport, SeedSequence, SimRng};
 use osmosis::switch::{
@@ -126,9 +127,9 @@ fn fat_tree_fabric_is_deterministic() {
 #[test]
 fn multilevel_fabric_is_deterministic() {
     assert_seed_determinism("multilevel", |s| {
-        let topo = MultiLevelClos::new(4, 3);
-        let mut fab = MultiLevelFabric::new(MultiLevelConfig::standard(topo, 2));
-        fab.run(&mut uniform(topo.hosts(), 0.4, s), &cfg())
+        let spec = TopologySpec::m_ary_fat_tree(4, 3);
+        let mut fab = CompiledFabric::new(spec);
+        fab.run(&mut uniform(spec.hosts() as usize, 0.4, s), &cfg())
     });
 }
 

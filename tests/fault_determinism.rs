@@ -5,8 +5,9 @@
 //! every simulator's report bit-identical to the plain, unfaulted run
 //! (the hook costs nothing when unused).
 
-use osmosis::fabric::multilevel::{MultiLevelClos, MultiLevelConfig, MultiLevelFabric};
 use osmosis::fabric::multistage::{FabricConfig, FatTreeFabric};
+use osmosis::fabric::spec::TopologySpec;
+use osmosis::fabric::CompiledFabric;
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
 use osmosis::sched::Flppr;
 use osmosis::sim::{EngineConfig, SeedSequence};
@@ -208,9 +209,9 @@ fn fat_tree_fabric_faults_are_deterministic() {
 
 #[test]
 fn multilevel_fabric_faults_are_deterministic() {
-    let topo = MultiLevelClos::new(4, 3);
-    assert_fault_determinism("multilevel", topo.hosts(), 0.4, true, true, move || {
-        MultiLevelFabric::new(MultiLevelConfig::standard(topo, 2))
+    let spec = TopologySpec::m_ary_fat_tree(4, 3);
+    assert_fault_determinism("multilevel", 8, 0.4, true, true, move || {
+        CompiledFabric::new(spec)
     });
 }
 

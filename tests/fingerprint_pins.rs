@@ -6,8 +6,9 @@
 //! perturbs a fingerprint must consciously update the pin and explain
 //! why in the commit message.
 
-use osmosis::fabric::multilevel::{MultiLevelClos, MultiLevelConfig, MultiLevelFabric};
 use osmosis::fabric::multistage::{FabricConfig, FatTreeFabric};
+use osmosis::fabric::spec::TopologySpec;
+use osmosis::fabric::CompiledFabric;
 use osmosis::sched::Flppr;
 use osmosis::sim::{EngineConfig, EngineReport, SeedSequence};
 use osmosis::switch::{
@@ -22,6 +23,19 @@ fn cfg() -> EngineConfig {
 
 fn uniform(n: usize, load: f64, seed: u64) -> BernoulliUniform {
     BernoulliUniform::new(n, load, &SeedSequence::new(seed))
+}
+
+/// The m-ary folded Clos (radix × levels, link delay 2, seed 1234) on
+/// `CompiledFabric`. The `multilevel*` pins were captured from a dense
+/// L-level simulator that `CompiledFabric` has since replaced bit for
+/// bit; that simulator never set the `"switches"` extra, so it is
+/// dropped before fingerprinting and the literals stay comparable.
+fn run_m_ary(radix: usize, levels: u32, load: f64) -> EngineReport {
+    let spec = TopologySpec::m_ary_fat_tree(radix, levels).with_link_delay(2);
+    let mut fab = CompiledFabric::new(spec);
+    let mut r = fab.run(&mut uniform(spec.hosts() as usize, load, 1234), &cfg());
+    r.extra.retain(|(key, _)| *key != "switches");
+    r
 }
 
 fn capture() -> Vec<(&'static str, u64)> {
@@ -66,17 +80,21 @@ fn capture() -> Vec<(&'static str, u64)> {
         let hosts = fab.topology().hosts();
         fab.run(&mut uniform(hosts, 0.5, s), &cfg())
     }));
-    out.push(("multilevel", {
-        let topo = MultiLevelClos::new(4, 3);
-        let mut fab = MultiLevelFabric::new(MultiLevelConfig::standard(topo, 2));
-        fab.run(&mut uniform(topo.hosts(), 0.4, s), &cfg())
-    }));
+    out.push(("multilevel", run_m_ary(4, 3, 0.4)));
+    out.push(("multilevel_8x2", run_m_ary(8, 2, 0.6)));
+    out.push(("multilevel_4x4", run_m_ary(4, 4, 0.3)));
+    out.push(("multilevel_6x3", run_m_ary(6, 3, 0.5)));
+    out.push(("multilevel_8x1", run_m_ary(8, 1, 0.5)));
+    out.push(("multilevel_16x2_saturated", run_m_ary(16, 2, 0.9)));
     out.into_iter().map(|(n, r)| (n, r.fingerprint())).collect()
 }
 
 /// Fingerprints captured on the commit preceding the static-analysis
 /// refactor. The HashMap→BTreeMap conversions and the unwrap burn-down
-/// must not perturb a single bit of any report.
+/// must not perturb a single bit of any report. The five
+/// `multilevel_<radix>x<levels>` rows were captured from the dense
+/// multilevel simulator on the commit before it was deleted (single
+/// switch up to a saturated radix-16 fabric).
 const PINS: &[(&str, u64)] = &[
     ("voq", 0xbcfe_ba06_2d0e_ba76),
     ("fifo", 0xda3c_b239_af7b_f740),
@@ -89,6 +107,11 @@ const PINS: &[(&str, u64)] = &[
     ("multicast", 0x9cbd_4359_dfb6_1abf),
     ("multistage", 0x7cdd_391d_75c3_0074),
     ("multilevel", 0x18ca_f1b3_5fc3_e739),
+    ("multilevel_8x2", 0xb179_7b39_98ae_7b41),
+    ("multilevel_4x4", 0x6492_29da_e548_f01e),
+    ("multilevel_6x3", 0xa6f7_e72f_ece7_4f71),
+    ("multilevel_8x1", 0xb28a_8e52_b4fd_779c),
+    ("multilevel_16x2_saturated", 0x1189_2ea4_8b6a_dd04),
 ];
 
 #[test]

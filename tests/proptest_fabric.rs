@@ -2,8 +2,10 @@
 //! well-formed for arbitrary host pairs and topologies, and simulated
 //! fabrics preserve the Table 1 invariants for arbitrary traffic.
 
-use osmosis::fabric::multilevel::{MultiLevelClos, MultiLevelConfig, MultiLevelFabric};
+use osmosis::fabric::multilevel::MultiLevelClos;
+use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::topology::TwoLevelFatTree;
+use osmosis::fabric::CompiledFabric;
 use osmosis::sim::{EngineConfig, SeedSequence};
 use osmosis::traffic::BernoulliUniform;
 use proptest::prelude::*;
@@ -75,14 +77,13 @@ proptest! {
         load in 0.05f64..0.5,
         seed in any::<u64>(),
     ) {
-        let topo = MultiLevelClos::new(4, levels);
-        let cfg = MultiLevelConfig::standard(topo, 2);
-        let mut fab = MultiLevelFabric::new(cfg);
-        let mut tr = BernoulliUniform::new(topo.hosts(), load, &SeedSequence::new(seed));
+        let spec = TopologySpec::m_ary_fat_tree(4, levels);
+        let mut fab = CompiledFabric::new(spec);
+        let mut tr = BernoulliUniform::new(spec.hosts() as usize, load, &SeedSequence::new(seed));
         // Losslessness is asserted inside the simulator.
         let r = fab.run(&mut tr, &EngineConfig::new(300, 2_000));
         prop_assert_eq!(r.reordered, 0);
-        prop_assert!(r.max_queue_depth <= cfg.buffer_cells);
+        prop_assert!(r.max_queue_depth <= spec.buffer_cells());
         prop_assert!(r.throughput <= r.offered_load + 0.05);
     }
 }

@@ -3,8 +3,9 @@
 //! fault plans — random credit-drop probabilities, random MTBF/MTTR
 //! repair processes, and random link-corruption bursts on top.
 
-use osmosis::fabric::multilevel::{MultiLevelClos, MultiLevelConfig, MultiLevelFabric};
 use osmosis::fabric::multistage::{FabricConfig, FatTreeFabric};
+use osmosis::fabric::spec::TopologySpec;
+use osmosis::fabric::CompiledFabric;
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
 use osmosis::sched::Flppr;
 use osmosis::sim::{EngineConfig, SeedSequence};
@@ -154,9 +155,8 @@ proptest! {
         check("fat-tree", audit_under(8, load, seed, true, &plan, || {
             FatTreeFabric::new(FabricConfig::small(4, 2))
         }));
-        let topo = MultiLevelClos::new(4, 3);
-        check("multilevel", audit_under(topo.hosts(), load, seed, true, &plan, move || {
-            MultiLevelFabric::new(MultiLevelConfig::standard(topo, 2))
+        check("multilevel", audit_under(8, load, seed, true, &plan, || {
+            CompiledFabric::new(TopologySpec::m_ary_fat_tree(4, 3))
         }));
         prop_assert!(
             dirty.is_empty(),

@@ -6,8 +6,9 @@
 //! byte-identical JSONL, and the exported registry survives a JSON
 //! round trip exactly.
 
-use osmosis::fabric::multilevel::{MultiLevelClos, MultiLevelConfig, MultiLevelFabric};
 use osmosis::fabric::multistage::{FabricConfig, FatTreeFabric};
+use osmosis::fabric::spec::TopologySpec;
+use osmosis::fabric::CompiledFabric;
 use osmosis::sched::Flppr;
 use osmosis::sim::{EngineConfig, SeedSequence};
 use osmosis::switch::driven::CellSwitch;
@@ -179,10 +180,8 @@ fn fat_tree_fabric_telemetry_is_transparent() {
 
 #[test]
 fn multilevel_fabric_telemetry_is_transparent() {
-    let topo = MultiLevelClos::new(4, 3);
-    assert_telemetry_transparent("multilevel", topo.hosts(), 0.4, move || {
-        MultiLevelFabric::new(MultiLevelConfig::standard(topo, 2))
-    });
+    let spec = TopologySpec::m_ary_fat_tree(4, 3);
+    assert_telemetry_transparent("multilevel", 8, 0.4, move || CompiledFabric::new(spec));
 }
 
 #[test]
