@@ -229,3 +229,60 @@ fn compiled_family_fingerprints_match_pins() {
         );
     }
 }
+
+/// Pins over the corners the two tables above leave out: radix > 64
+/// (request masks wider than one word), a dragonfly with more groups
+/// than a word-aligned radix, and an engine-level `buffer_cells`
+/// override (credit loops re-armed in `configure`). All at
+/// `BernoulliUniform` seed 99 over 50 + 400 slots; captured on the
+/// commit before `CompiledFabric` moved to flat per-port tables.
+const COMPILED_LAYOUT_PINS: &[(&str, f64, Option<usize>, u64)] = &[
+    (
+        "full-mesh:radix=70,switches=8",
+        0.5,
+        None,
+        0x865c_1548_1cc3_c1d1,
+    ),
+    (
+        "fat-tree:radix=68,levels=2,planes=2",
+        0.6,
+        None,
+        0xdc6a_962f_713c_d7b2,
+    ),
+    (
+        "dragonfly:radix=16,groups=9",
+        0.3,
+        None,
+        0x76f2_e8d6_179f_cbe1,
+    ),
+    (
+        "fat-tree:radix=8,levels=3,planes=2",
+        0.8,
+        Some(1),
+        0xec3e_8211_fdbf_5e16,
+    ),
+    (
+        "fat-tree:radix=8,levels=3,planes=2",
+        0.8,
+        Some(40),
+        0x09b7_201b_4d1b_622f,
+    ),
+];
+
+#[test]
+fn compiled_layout_fingerprints_match_pins() {
+    for &(text, load, buffer_cells, pin) in COMPILED_LAYOUT_PINS {
+        let spec: TopologySpec = text.parse().unwrap();
+        let mut sim = CompiledFabric::new(spec);
+        let mut cfg = EngineConfig::new(50, 400);
+        cfg.buffer_cells = buffer_cells;
+        let r = sim.run(&mut uniform(spec.hosts() as usize, load, 99), &cfg);
+        assert_eq!(
+            r.fingerprint(),
+            pin,
+            "{text} load {load} buffer {buffer_cells:?}: report fingerprint {:#018x} \
+             drifted from {pin:#018x}",
+            r.fingerprint()
+        );
+    }
+}
