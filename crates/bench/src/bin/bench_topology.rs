@@ -5,8 +5,9 @@
 //! Modes:
 //!
 //! * default — measure and rewrite the snapshot;
-//! * `--smoke` — measure the two 32768-port expansions only and fail
-//!   (exit 1) if either exceeds the CI time budget; writes nothing.
+//! * `--smoke` — expand the two 32768-port instances, simulate 20 slots
+//!   of the dragonfly, and fail (exit 1) if either instance exceeds the
+//!   CI time budget; writes nothing.
 
 use std::time::Instant;
 
@@ -17,10 +18,16 @@ use osmosis_sim::json::Value;
 use osmosis_sim::SeedSequence;
 use osmosis_traffic::BernoulliUniform;
 
-/// Per-expansion CI budget for the 32K instances, generous enough for a
+/// Per-instance CI budget for the 32K instances, generous enough for a
 /// loaded shared runner (release builds expand these in well under a
-/// second).
+/// second, and simulate the smoke slots in a fraction of one).
 const SMOKE_BUDGET_S: f64 = 30.0;
+
+/// Slots of the 32K dragonfly the smoke gate simulates at load 0.1.
+/// Enough to touch ~65 000 flows: per-run state that grows with ports²
+/// instead of with the flows touched (dense per-flow tables took 35 s
+/// and 8 GB here) overruns the budget or the runner's memory.
+const SMOKE_SIM_SLOTS: u64 = 20;
 
 struct Measurement {
     spec: TopologySpec,
@@ -85,21 +92,25 @@ fn snapshot(points: &[Measurement]) -> String {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     if smoke {
-        // The CI gate: both 32768-port families must expand inside the
-        // budget on a cold runner.
+        // The CI gate: both 32768-port families must expand, and the
+        // dragonfly must also simulate, inside the budget on a cold
+        // runner.
         let mut failed = false;
-        for spec in [
-            TopologySpec::fat_tree(8, 7),
-            TopologySpec::dragonfly(64, 64),
+        for (spec, sim_slots) in [
+            (TopologySpec::fat_tree(8, 7), 0),
+            (TopologySpec::dragonfly(64, 64), SMOKE_SIM_SLOTS),
         ] {
-            let m = measure(spec, 0);
-            let ok = m.expand_ms / 1e3 <= SMOKE_BUDGET_S;
+            let m = measure(spec, sim_slots);
+            let sim_s = m.slot_rate.map_or(0.0, |rate| sim_slots as f64 / rate);
+            let ok = m.expand_ms / 1e3 + sim_s <= SMOKE_BUDGET_S;
             println!(
-                "smoke: {} -> {} hosts, {} switches, expanded in {:.1} ms ({})",
+                "smoke: {} -> {} hosts, {} switches, expanded in {:.1} ms, \
+                 {sim_slots} slots simulated in {:.1} ms ({})",
                 m.spec,
                 m.hosts,
                 m.switches,
                 m.expand_ms,
+                sim_s * 1e3,
                 if ok { "ok" } else { "OVER BUDGET" }
             );
             if m.hosts < 32_768 {

@@ -11,13 +11,26 @@
 //! `extra("switches")`, so fabrics of different radix can be compared at
 //! the same host count, hop for hop (the §VI.C argument in motion).
 //!
-//! VOQs are keyed sparsely by (input, output) — a dense ports² array of
-//! queues per switch would be about a gigabyte of empty `VecDeque`s at
-//! 32768 ports — and idle switches are skipped entirely, so the 32K-port
-//! acceptance instances simulate in bounded memory. Switches are matched
-//! in id order, outputs ascending within each grant/accept iteration; an
-//! absent VOQ contributes no request, so the matchings are those of a
-//! dense VOQ array.
+//! All switch state lives in flat tables indexed by the expansion's
+//! global port number, `switch * radix + local`: credits outstanding,
+//! round-robin pointers, and one arrival-ordered input buffer of
+//! `buffer_cells` entries, each a cell tagged with the output it was
+//! routed to. The wiring is read from the expansion itself — a port's
+//! [`Peer`] is where its cells fly to and where its credits return. The
+//! credit loop bounds every buffer, so a switch costs `radix ×
+//! buffer_cells` entries and the slot loop never allocates: `configure`
+//! sizes the tables once, where the run's buffer depth is known, and
+//! construction keeps only the graph and the host queues.
+//!
+//! The VOQs are virtual: VOQ (i, o) is the entries of input i's buffer
+//! tagged o, in arrival order, and its "non-empty" signal is bit i of
+//! output o's request mask. Matching is the hardware scheduler's:
+//! request bit-vectors into programmable priority encoders (`pick`),
+//! word-parallel over `radix.div_ceil(64)` words. Switches holding no
+//! cell are skipped; the others are matched in id order, outputs
+//! ascending in each grant pass and inputs ascending in each accept
+//! pass, so the matchings are those of a dense VOQ array scanned in
+//! index order.
 //!
 //! Dragonfly minimal routes traverse local→global→local hops whose
 //! credit loops are cyclic; at the moderate loads used for latency
@@ -25,48 +38,41 @@
 //! deadlock-freedom claim for dragonflies driven to saturation.
 
 use crate::expand::{ExpandedFabric, Peer};
-use crate::ids::{EntityId, HostId, SwitchId};
+use crate::ids::{EntityId, HostId, PortId};
 use crate::spec::{TopologyError, TopologySpec};
-use osmosis_sched::arbiter::{BitSet, RoundRobinArbiter};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_switch::driven::{run_switch, CellSwitch};
 use osmosis_switch::Cell;
-use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
-use std::collections::{BTreeMap, VecDeque};
+use osmosis_traffic::{Arrival, Class, SequenceChecker, SequenceStamper, TrafficGen};
+use std::collections::VecDeque;
 
 use crate::multistage::Placement;
 
-/// Destination of a sent cell.
-#[derive(Debug, Clone, Copy)]
-enum Hop {
-    Host(u32),
-    /// (switch, input port).
-    Switch(u32, u32),
-}
-
-/// Destination of a returned credit.
-#[derive(Debug, Clone, Copy)]
-enum Credit {
-    Host(u32),
-    /// (switch, output port).
-    Switch(u32, u32),
-}
-
-/// Per-switch simulation state. VOQs are keyed sparsely: a queue exists
-/// only while it holds cells, so idle regions of a 32K-port fabric cost
-/// nothing per slot.
-struct CompiledNode {
-    voq: BTreeMap<(u32, u32), VecDeque<Cell>>,
-    input_occupancy: Vec<u32>,
-    /// Cells resident in this switch (skip the matching loop at 0).
-    total: u32,
-    /// Send credits per output (usize::MAX for host sinks, 0 for
-    /// unconnected ports — never granted).
-    credits: Vec<usize>,
-    grant_arb: Vec<RoundRobinArbiter>,
-    accept_arb: Vec<RoundRobinArbiter>,
-    downstream: Vec<Option<Hop>>,
-    upstream: Vec<Option<Credit>>,
+/// The first set bit at or after `from`, wrapping, of the `words`-word
+/// mask whose word `w` is `word(w)`: the programmable priority encoder
+/// behind every grant and accept arbiter.
+#[inline]
+fn pick(words: usize, from: usize, word: impl Fn(usize) -> u64) -> Option<usize> {
+    let (w0, below) = (from / 64, !(!0u64 << (from % 64)));
+    // Word `w0` is read twice: first its bits from `from` up, last the
+    // bits below.
+    for k in 0..=words {
+        let w = if w0 + k < words {
+            w0 + k
+        } else {
+            w0 + k - words
+        };
+        let part = match k {
+            0 => !below,
+            k if k == words => below,
+            _ => !0,
+        };
+        let m = word(w) & part;
+        if m != 0 {
+            return Some(w * 64 + m.trailing_zeros() as usize);
+        }
+    }
+    None
 }
 
 /// The compiled-topology fabric simulator.
@@ -74,18 +80,45 @@ pub struct CompiledFabric {
     spec: TopologySpec,
     fab: ExpandedFabric,
     buffer_cells: usize,
-    nodes: Vec<CompiledNode>,
+    /// Words per port mask, `radix.div_ceil(64)`.
+    words: usize,
+    // Per global port, `switch * radix + local` (sized by `configure`):
+    /// Credits out per output: cells sent over the link whose credit has
+    /// not come back. The output is grantable below `buffer_cells`; host
+    /// sinks drain a cell per slot and never take one.
+    owed: Vec<u32>,
+    grant_ptr: Vec<u32>,
+    accept_ptr: Vec<u32>,
+    /// Input buffers, `buffer_cells` entries per port: (routed output,
+    /// cell), the first `depth[port]` of them live, oldest first.
+    buffers: Vec<(u32, Cell)>,
+    depth: Vec<u32>,
+    /// Per output port, `words` words: the inputs holding a cell for it.
+    requests: Vec<u64>,
+    // Per switch (sized by `configure`):
+    /// Cells resident in the switch (it is skipped at 0).
+    resident: Vec<u32>,
+    /// `words` words: the outputs with any request.
+    requested: Vec<u64>,
     host_queues: Vec<VecDeque<Cell>>,
-    host_credits: Vec<usize>,
-    cell_flights: VecDeque<(u64, Hop, Cell)>,
-    credit_flights: VecDeque<(u64, Credit)>,
+    /// Credits out per host NIC, as `owed`.
+    host_owed: Vec<u32>,
+    /// (arrival slot, far end of the link, cell), in arrival order.
+    cell_flights: VecDeque<(u64, Peer, Cell)>,
+    /// (arrival slot, the sender the credit returns to).
+    credit_flights: VecDeque<(u64, Peer)>,
     stamper: SequenceStamper,
     checker: SequenceChecker,
     next_id: u64,
-    requesters: BitSet,
-    grants_to_input: Vec<BitSet>,
-    in_matched: Vec<bool>,
-    out_matched: Vec<bool>,
+    // Matching scratch, `words` words each unless noted; clean between
+    // switches except `matched`, which holds the last matching.
+    in_matched: Vec<u64>,
+    out_matched: Vec<u64>,
+    /// Inputs granted in the current iteration.
+    granted: Vec<u64>,
+    /// Per local input, `words` words: the outputs that granted it.
+    grants: Vec<u64>,
+    matched: Vec<(u32, u32)>,
 }
 
 impl CompiledFabric {
@@ -118,64 +151,33 @@ impl CompiledFabric {
         let spec = *fab.spec();
         let radix = spec.radix;
         let buffer = spec.buffer_cells();
-        let nodes = fab
-            .switches
-            .ids()
-            .map(|sw| {
-                let mut downstream = Vec::with_capacity(radix);
-                let mut upstream = Vec::with_capacity(radix);
-                let mut credits = Vec::with_capacity(radix);
-                for local in 0..radix {
-                    let peer = fab.ports[fab.port_id(sw, local as u32)].peer;
-                    let (down, credit, up) = match peer {
-                        Peer::Host(h) => (
-                            Some(Hop::Host(h.raw())),
-                            usize::MAX,
-                            Some(Credit::Host(h.raw())),
-                        ),
-                        Peer::Port(far) => {
-                            let far_sw = fab.ports[far].switch.raw();
-                            let far_local = fab.ports[far].local;
-                            (
-                                Some(Hop::Switch(far_sw, far_local)),
-                                buffer,
-                                Some(Credit::Switch(far_sw, far_local)),
-                            )
-                        }
-                        Peer::Unconnected => (None, 0, None),
-                    };
-                    downstream.push(down);
-                    credits.push(credit);
-                    upstream.push(up);
-                }
-                CompiledNode {
-                    voq: BTreeMap::new(),
-                    input_occupancy: vec![0; radix],
-                    total: 0,
-                    credits,
-                    grant_arb: (0..radix).map(|_| RoundRobinArbiter::new(radix)).collect(),
-                    accept_arb: (0..radix).map(|_| RoundRobinArbiter::new(radix)).collect(),
-                    downstream,
-                    upstream,
-                }
-            })
-            .collect();
+        let words = radix.div_ceil(64);
         let hosts = fab.hosts.len();
+        // The per-port and per-switch tables are sized by `configure`.
         CompiledFabric {
             spec,
             buffer_cells: buffer,
-            nodes,
+            words,
+            owed: Vec::new(),
+            grant_ptr: Vec::new(),
+            accept_ptr: Vec::new(),
+            buffers: Vec::new(),
+            depth: Vec::new(),
+            requests: Vec::new(),
+            resident: Vec::new(),
+            requested: Vec::new(),
             host_queues: (0..hosts).map(|_| VecDeque::new()).collect(),
-            host_credits: vec![buffer; hosts],
+            host_owed: vec![0; hosts],
             cell_flights: VecDeque::new(),
             credit_flights: VecDeque::new(),
             stamper: SequenceStamper::new(),
             checker: SequenceChecker::new(),
             next_id: 0,
-            requesters: BitSet::new(radix),
-            grants_to_input: (0..radix).map(|_| BitSet::new(radix)).collect(),
-            in_matched: vec![false; radix],
-            out_matched: vec![false; radix],
+            in_matched: vec![0; words],
+            out_matched: vec![0; words],
+            granted: vec![0; words],
+            grants: vec![0; radix * words],
+            matched: Vec::with_capacity(radix),
             fab,
         }
     }
@@ -191,62 +193,107 @@ impl CompiledFabric {
         run_switch(self, traffic, cfg)
     }
 
-    /// Match one switch for one slot: iterative round-robin grant/accept
-    /// over the sparsely occupied VOQs, outputs ascending per iteration.
-    fn match_switch(&mut self, sw: usize) -> Vec<(u32, u32)> {
-        let radix = self.spec.radix;
-        let iterations = self.spec.iterations;
-        let node = &mut self.nodes[sw];
-        let mut matched: Vec<(u32, u32)> = Vec::new();
-        // Requesting inputs per output, from the occupied VOQs only.
-        let mut out_reqs: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for &(i, o) in node.voq.keys() {
-            out_reqs.entry(o).or_default().push(i);
-        }
-        self.in_matched[..radix].fill(false);
-        self.out_matched[..radix].fill(false);
-        for _ in 0..iterations {
-            for g in self.grants_to_input.iter_mut() {
-                g.clear_all();
+    /// Append `cell`, routed to output `out`, to the buffer of input
+    /// `in_port` at `sw` and raise its request bit; returns the new
+    /// buffer depth.
+    fn enqueue(&mut self, sw: usize, in_port: usize, out: usize, cell: Cell) -> usize {
+        let (radix, words) = (self.spec.radix, self.words);
+        let p = sw * radix + in_port;
+        let depth = self.depth[p] as usize + 1;
+        assert!(
+            depth <= self.buffer_cells,
+            "buffer overflow at switch {sw} port {in_port}"
+        );
+        self.buffers[p * self.buffer_cells + depth - 1] = (out as u32, cell);
+        self.depth[p] = depth as u32;
+        self.resident[sw] += 1;
+        self.requests[(sw * radix + out) * words + in_port / 64] |= 1 << (in_port % 64);
+        self.requested[sw * words + out / 64] |= 1 << (out % 64);
+        depth
+    }
+
+    /// Remove the oldest cell input `i` holds for output `o` at `sw`,
+    /// and drop the request bit if it was the last one.
+    fn dequeue(&mut self, sw: usize, i: usize, o: usize) -> Cell {
+        let (radix, words) = (self.spec.radix, self.words);
+        let p = sw * radix + i;
+        let start = p * self.buffer_cells;
+        let buf = &mut self.buffers[start..start + self.depth[p] as usize];
+        let Some(k) = buf.iter().position(|e| e.0 == o as u32) else {
+            // lint:allow(panic-free): the matching only pairs ports
+            // whose request bit is set, and the bit tracks the buffer
+            panic!("matched pair without a queued cell");
+        };
+        let cell = buf[k].1;
+        buf.copy_within(k + 1.., k);
+        let left = buf.len() - 1;
+        self.depth[p] = left as u32;
+        self.resident[sw] -= 1;
+        if !buf[k..left].iter().any(|e| e.0 == o as u32) {
+            let col = (sw * radix + o) * words;
+            self.requests[col + i / 64] &= !(1 << (i % 64));
+            if self.requests[col..col + words].iter().all(|&w| w == 0) {
+                self.requested[sw * words + o / 64] &= !(1 << (o % 64));
             }
-            let mut any = false;
-            for (&o, ins) in out_reqs.iter() {
-                if self.out_matched[o as usize] || node.credits[o as usize] == 0 {
-                    continue;
-                }
-                self.requesters.clear_all();
-                let mut have = false;
-                for &i in ins {
-                    if !self.in_matched[i as usize] {
-                        self.requesters.set(i as usize);
-                        have = true;
+        }
+        cell
+    }
+
+    /// Match one switch for one slot into `self.matched`: iterative
+    /// round-robin grant/accept on the request masks, outputs ascending
+    /// in the grant pass, inputs ascending in the accept pass, pointers
+    /// moving only on accept.
+    fn match_switch(&mut self, sw: usize) {
+        let (radix, words) = (self.spec.radix, self.words);
+        let base = sw * radix;
+        self.matched.clear();
+        self.in_matched.fill(0);
+        self.out_matched.fill(0);
+        for _ in 0..self.spec.iterations {
+            // Grant: every unmatched, credited output picks one of its
+            // unmatched requesters.
+            for w in 0..words {
+                let mut outs = self.requested[sw * words + w] & !self.out_matched[w];
+                while outs != 0 {
+                    let o = w * 64 + outs.trailing_zeros() as usize;
+                    outs &= outs - 1;
+                    if self.owed[base + o] as usize >= self.buffer_cells {
+                        continue;
+                    }
+                    let col = (base + o) * words;
+                    let (requests, taken) = (&self.requests, &self.in_matched);
+                    let from = self.grant_ptr[base + o] as usize;
+                    if let Some(i) = pick(words, from, |k| requests[col + k] & !taken[k]) {
+                        self.grants[i * words + o / 64] |= 1 << (o % 64);
+                        self.granted[i / 64] |= 1 << (i % 64);
                     }
                 }
-                if !have {
-                    continue;
-                }
-                if let Some(i) = node.grant_arb[o as usize].arbitrate(&self.requesters) {
-                    self.grants_to_input[i].set(o as usize);
-                    any = true;
+            }
+            // Accept: every granted input picks one of its granters.
+            let mut any = false;
+            for w in 0..words {
+                let mut ins = std::mem::take(&mut self.granted[w]);
+                any |= ins != 0;
+                while ins != 0 {
+                    let i = w * 64 + ins.trailing_zeros() as usize;
+                    ins &= ins - 1;
+                    let row = i * words;
+                    let (grants, from) = (&self.grants, self.accept_ptr[base + i] as usize);
+                    let Some(o) = pick(words, from, |k| grants[row + k]) else {
+                        continue;
+                    };
+                    self.grants[row..row + words].fill(0);
+                    self.in_matched[i / 64] |= 1 << (i % 64);
+                    self.out_matched[o / 64] |= 1 << (o % 64);
+                    self.grant_ptr[base + o] = if i + 1 == radix { 0 } else { i as u32 + 1 };
+                    self.accept_ptr[base + i] = if o + 1 == radix { 0 } else { o as u32 + 1 };
+                    self.matched.push((i as u32, o as u32));
                 }
             }
             if !any {
                 break;
             }
-            for i in 0..radix {
-                if self.in_matched[i] || self.grants_to_input[i].is_empty() {
-                    continue;
-                }
-                if let Some(o) = node.accept_arb[i].arbitrate(&self.grants_to_input[i]) {
-                    self.in_matched[i] = true;
-                    self.out_matched[o] = true;
-                    node.grant_arb[o].advance_past(i);
-                    node.accept_arb[i].advance_past(o);
-                    matched.push((i as u32, o as u32));
-                }
-            }
         }
-        matched
     }
 }
 
@@ -257,27 +304,33 @@ impl CellSwitch for CompiledFabric {
 
     fn configure(&mut self, cfg: &EngineConfig) {
         self.checker = SequenceChecker::new();
-        // Engine-level buffer override re-arms the credit loops (valid on
-        // a fabric that has not run yet).
+        // An engine-level override re-arms the credit loops and the input
+        // buffers they bound (valid on a fabric that has not run yet).
         if let Some(b) = cfg.buffer_cells {
-            if b != self.buffer_cells {
-                assert!(b >= 1);
-                self.buffer_cells = b;
-                for node in self.nodes.iter_mut() {
-                    for (c, d) in node.credits.iter_mut().zip(node.downstream.iter()) {
-                        if let Some(Hop::Switch(..)) = d {
-                            *c = b;
-                        }
-                    }
-                }
-                self.host_credits.iter_mut().for_each(|c| *c = b);
-            }
+            assert!(b >= 1);
+            self.buffer_cells = b;
         }
+        // The switch tables are sized here, where the run's buffer depth
+        // is known: zeroed on a new fabric, untouched on one that has run.
+        let (ports, switches, words) = (self.fab.ports.len(), self.fab.switches.len(), self.words);
+        for table in [
+            &mut self.owed,
+            &mut self.grant_ptr,
+            &mut self.accept_ptr,
+            &mut self.depth,
+        ] {
+            table.resize(ports, 0);
+        }
+        self.requests.resize(ports * words, 0);
+        self.resident.resize(switches, 0);
+        self.requested.resize(switches * words, 0);
+        let idle = (0, Cell::new(0, 0, 0, Class::Data, 0, 0));
+        self.buffers.resize(ports * self.buffer_cells, idle);
     }
 
     fn arbitrate<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
         let d = self.spec.link_delay;
-        let buffer_cells = self.buffer_cells;
+        let radix = self.spec.radix;
 
         // Cell arrivals from links.
         while self
@@ -289,28 +342,25 @@ impl CellSwitch for CompiledFabric {
                 break;
             };
             match hop {
-                Hop::Host(h) => {
-                    debug_assert_eq!(cell.dst, h as usize);
+                Peer::Host(h) => {
+                    debug_assert_eq!(cell.dst, h.index());
                     self.checker.record(cell.src, cell.dst, cell.seq);
-                    obs.cell_delivered_flow(h as usize, cell.inject_slot, cell.src, cell.seq);
+                    obs.cell_delivered_flow(h.index(), cell.inject_slot, cell.src, cell.seq);
                 }
-                Hop::Switch(sw, in_port) => {
+                Peer::Port(p) => {
+                    let at = self.fab.ports[p];
                     let out = self.fab.route(
-                        SwitchId::new(sw),
-                        in_port,
+                        at.switch,
+                        at.local,
                         HostId::from_index(cell.src),
                         HostId::from_index(cell.dst),
                     );
-                    let node = &mut self.nodes[sw as usize];
-                    node.input_occupancy[in_port as usize] += 1;
-                    assert!(
-                        node.input_occupancy[in_port as usize] as usize <= buffer_cells,
-                        "buffer overflow at switch {sw} port {in_port}"
-                    );
-                    node.total += 1;
-                    obs.note_queue_depth(node.input_occupancy[in_port as usize] as usize);
-                    node.voq.entry((in_port, out)).or_default().push_back(cell);
+                    let depth =
+                        self.enqueue(at.switch.index(), at.local as usize, out as usize, cell);
+                    obs.note_queue_depth(depth);
                 }
+                // Never sent: see the panic below.
+                Peer::Unconnected => {}
             }
         }
 
@@ -324,53 +374,36 @@ impl CellSwitch for CompiledFabric {
                 break;
             };
             match credit {
-                Credit::Host(h) => self.host_credits[h as usize] += 1,
-                Credit::Switch(sw, port) => {
-                    self.nodes[sw as usize].credits[port as usize] += 1;
-                }
+                Peer::Host(h) => self.host_owed[h.index()] -= 1,
+                Peer::Port(p) => self.owed[p.index()] -= 1,
+                // Cells only ever arrive over connected ports.
+                Peer::Unconnected => {}
             }
         }
 
         // Matchings, switch by switch; idle switches cost nothing.
-        for sw in 0..self.nodes.len() {
-            if self.nodes[sw].total == 0 {
+        for sw in 0..self.resident.len() {
+            if self.resident[sw] == 0 {
                 continue;
             }
-            let matched = self.match_switch(sw);
-            for (i, o) in matched {
-                let (cell, down, credit_to) = {
-                    let node = &mut self.nodes[sw];
-                    let Some(queue) = node.voq.get_mut(&(i, o)) else {
-                        // lint:allow(panic-free): the matching only pairs
-                        // ports with an occupied VOQ
-                        panic!("matched pair without a queue");
-                    };
-                    let Some(mut cell) = queue.pop_front() else {
-                        // lint:allow(panic-free): occupied-VOQ invariant,
-                        // as above
-                        panic!("matched pair with an empty queue");
-                    };
-                    if queue.is_empty() {
-                        node.voq.remove(&(i, o));
-                    }
-                    cell.grant_slot = slot;
-                    node.input_occupancy[i as usize] -= 1;
-                    node.total -= 1;
+            self.match_switch(sw);
+            for k in 0..self.matched.len() {
+                let (i, o) = self.matched[k];
+                let (p_in, p_out) = (sw * radix + i as usize, sw * radix + o as usize);
+                let mut cell = self.dequeue(sw, i as usize, o as usize);
+                cell.grant_slot = slot;
+                let up = self.fab.ports[PortId::from_index(p_in)].peer;
+                let down = self.fab.ports[PortId::from_index(p_out)].peer;
+                match down {
                     // Host sinks drain a cell per slot and are not
                     // credit-controlled; only switch links consume.
-                    if let Some(Hop::Switch(..)) = node.downstream[o as usize] {
-                        node.credits[o as usize] -= 1;
-                    }
-                    (cell, node.downstream[o as usize], node.upstream[i as usize])
-                };
-                let Some(down) = down else {
+                    Peer::Host(_) => {}
+                    Peer::Port(_) => self.owed[p_out] += 1,
                     // lint:allow(panic-free): routing never selects an
                     // unconnected output on a validated expansion
-                    panic!("matched cell bound for an unconnected port");
-                };
-                if let Some(credit) = credit_to {
-                    self.credit_flights.push_back((slot + d, credit));
+                    Peer::Unconnected => panic!("matched cell bound for an unconnected port"),
                 }
+                self.credit_flights.push_back((slot + d, up));
                 self.cell_flights.push_back((slot + d, down, cell));
             }
         }
@@ -379,15 +412,15 @@ impl CellSwitch for CompiledFabric {
     fn deliver<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
         let d = self.spec.link_delay;
         for h in 0..self.host_queues.len() {
-            if self.host_credits[h] > 0 {
+            let host = HostId::from_index(h);
+            if (self.host_owed[h] as usize) < self.buffer_cells {
                 if let Some(cell) = self.host_queues[h].pop_front() {
-                    self.host_credits[h] -= 1;
-                    let (sw, local) = self.fab.host_attach(HostId::from_index(h));
-                    self.cell_flights
-                        .push_back((slot + d, Hop::Switch(sw.raw(), local), cell));
+                    self.host_owed[h] += 1;
+                    let to = Peer::Port(self.fab.hosts[host].port);
+                    self.cell_flights.push_back((slot + d, to, cell));
                 }
             } else if !self.host_queues[h].is_empty() {
-                let (sw, local) = self.fab.host_attach(HostId::from_index(h));
+                let (sw, local) = self.fab.host_attach(host);
                 obs.credit_stall(sw.index(), local as usize);
             }
         }
@@ -406,13 +439,13 @@ impl CellSwitch for CompiledFabric {
     fn finish(&mut self, report: &mut EngineReport) {
         report.reordered = self.checker.reordered();
         report.set_extra("stages", self.spec.stages() as f64);
-        report.set_extra("switches", self.nodes.len() as f64);
+        report.set_extra("switches", self.fab.switches.len() as f64);
     }
 
     fn resident_cells(&self) -> Option<u64> {
         let mut n = self.cell_flights.len() as u64;
         n += self.host_queues.iter().map(|q| q.len() as u64).sum::<u64>();
-        n += self.nodes.iter().map(|node| node.total as u64).sum::<u64>();
+        n += self.resident.iter().map(|&c| c as u64).sum::<u64>();
         Some(n)
     }
 }
@@ -420,7 +453,7 @@ impl CellSwitch for CompiledFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osmosis_sim::SeedSequence;
+    use osmosis_sim::{SeedSequence, SimRng};
     use osmosis_traffic::BernoulliUniform;
 
     fn run_spec(spec: TopologySpec, load: f64, seed: u64) -> EngineReport {
@@ -525,5 +558,172 @@ mod tests {
             let b = run_spec(spec, 0.25, 42);
             assert_eq!(a.fingerprint(), b.fingerprint(), "{spec}");
         }
+    }
+
+    fn cell(id: u64) -> Cell {
+        Cell::new(id, 0, 0, Class::Data, 0, 0)
+    }
+
+    /// Every request bit is set exactly when its VOQ holds a cell, every
+    /// output-summary bit exactly when its column has a bit, and the
+    /// per-switch counts are the buffer depths.
+    fn assert_masks_track_buffers(fab: &CompiledFabric) {
+        let (radix, words) = (fab.spec.radix, fab.words);
+        for (sw, &resident) in fab.resident.iter().enumerate() {
+            let ports = sw * radix..(sw + 1) * radix;
+            assert_eq!(resident, fab.depth[ports].iter().sum::<u32>());
+            for o in 0..radix {
+                let mut any = false;
+                for i in 0..radix {
+                    let p = sw * radix + i;
+                    let live = &fab.buffers[p * fab.buffer_cells..][..fab.depth[p] as usize];
+                    let queued = live.iter().any(|e| e.0 == o as u32);
+                    let bit = fab.requests[(sw * radix + o) * words + i / 64] >> (i % 64) & 1;
+                    assert_eq!(bit == 1, queued, "switch {sw} voq ({i}, {o})");
+                    any |= queued;
+                }
+                let bit = fab.requested[sw * words + o / 64] >> (o % 64) & 1;
+                assert_eq!(bit == 1, any, "switch {sw} output {o}");
+            }
+        }
+    }
+
+    /// The matching `match_switch` must produce, as a dense port-by-port
+    /// scan: `occupancy[i][o]` cells queued, `gp`/`ap` the grant and
+    /// accept pointers (advanced in place).
+    fn scalar_match(
+        iterations: usize,
+        occupancy: &[Vec<u32>],
+        credited: &[bool],
+        gp: &mut [usize],
+        ap: &mut [usize],
+    ) -> Vec<(u32, u32)> {
+        let n = occupancy.len();
+        let (mut in_matched, mut out_matched) = (vec![false; n], vec![false; n]);
+        let mut matched = Vec::new();
+        for _ in 0..iterations {
+            let mut grants = vec![vec![false; n]; n];
+            for o in (0..n).filter(|&o| !out_matched[o] && credited[o]) {
+                let mut from_pointer = (0..n).map(|k| (gp[o] + k) % n);
+                if let Some(i) = from_pointer.find(|&i| !in_matched[i] && occupancy[i][o] > 0) {
+                    grants[i][o] = true;
+                }
+            }
+            let before = matched.len();
+            for i in 0..n {
+                if let Some(o) = (0..n).map(|k| (ap[i] + k) % n).find(|&o| grants[i][o]) {
+                    (in_matched[i], out_matched[o]) = (true, true);
+                    (gp[o], ap[i]) = ((i + 1) % n, (o + 1) % n);
+                    matched.push((i as u32, o as u32));
+                }
+            }
+            if matched.len() == before {
+                break;
+            }
+        }
+        matched
+    }
+
+    #[test]
+    fn word_parallel_matcher_equals_the_scalar_scan() {
+        const BUFFER: usize = 4;
+        for radix in [5usize, 8, 64, 65, 130] {
+            let mut rng = SimRng::seed_from_u64(radix as u64);
+            let mut rnd = |n| rng.index(n);
+            let mut fab = CompiledFabric::new(TopologySpec::full_mesh(radix, 1));
+            fab.configure(&EngineConfig::new(0, 1).with_buffer_cells(BUFFER));
+            let mut gp: Vec<usize> = (0..radix).map(|_| rnd(radix)).collect();
+            let mut ap: Vec<usize> = (0..radix).map(|_| rnd(radix)).collect();
+            for p in 0..radix {
+                (fab.grant_ptr[p], fab.accept_ptr[p]) = (gp[p] as u32, ap[p] as u32);
+            }
+            let mut occupancy = vec![vec![0u32; radix]; radix];
+            let mut matches = 0;
+            for slot in 0..40 {
+                // Arrivals: dense in early slots, a trickle later, so
+                // both crowded and nearly empty masks are matched.
+                let eagerness = if slot < 20 { 4 } else { 40 };
+                for (i, queued) in occupancy.iter_mut().enumerate() {
+                    while (fab.depth[i] as usize) < BUFFER && rnd(eagerness) < 3 {
+                        let o = rnd(radix);
+                        fab.enqueue(0, i, o, cell(0));
+                        queued[o] += 1;
+                    }
+                }
+                // Credits: none out, some out, all out.
+                for o in 0..radix {
+                    fab.owed[o] = [0, 1, BUFFER as u32][rnd(3)];
+                }
+                let credited: Vec<bool> = fab.owed.iter().map(|&c| (c as usize) < BUFFER).collect();
+                let want =
+                    scalar_match(fab.spec.iterations, &occupancy, &credited, &mut gp, &mut ap);
+                fab.match_switch(0);
+                assert_eq!(fab.matched, want, "radix {radix} slot {slot}");
+                for p in 0..radix {
+                    assert_eq!(
+                        fab.grant_ptr[p] as usize, gp[p],
+                        "radix {radix} slot {slot}"
+                    );
+                    assert_eq!(
+                        fab.accept_ptr[p] as usize, ap[p],
+                        "radix {radix} slot {slot}"
+                    );
+                }
+                assert!(fab.granted.iter().chain(&fab.grants).all(|&w| w == 0));
+                for (i, o) in want {
+                    fab.dequeue(0, i as usize, o as usize);
+                    occupancy[i as usize][o as usize] -= 1;
+                    matches += 1;
+                }
+                assert_masks_track_buffers(&fab);
+            }
+            assert!(
+                matches > 10 * radix,
+                "radix {radix}: only {matches} matches"
+            );
+        }
+    }
+
+    #[test]
+    fn interleaved_buffer_keeps_per_voq_fifo_and_request_bits() {
+        let mut fab = CompiledFabric::new(TopologySpec::full_mesh(8, 1));
+        fab.configure(&EngineConfig::new(0, 1));
+        // Input 2 holds cells 0..6 for outputs 5, 6, 5, 7, 6, 5.
+        for (id, out) in [5, 6, 5, 7, 6, 5].into_iter().enumerate() {
+            assert_eq!(fab.enqueue(0, 2, out, cell(id as u64)), id + 1);
+        }
+        let requests = |fab: &CompiledFabric| -> Vec<usize> {
+            (0..8).filter(|&o| fab.requests[o] == 1 << 2).collect()
+        };
+        assert_eq!(requests(&fab), [5, 6, 7]);
+        assert_eq!(fab.requested[0], 0b1110_0000);
+        // (output asked for, cell id it must yield, outputs still requested)
+        let script: [(usize, u64, &[usize]); 6] = [
+            (5, 0, &[5, 6, 7]),
+            (6, 1, &[5, 6, 7]),
+            (5, 2, &[5, 6, 7]),
+            (7, 3, &[5, 6]),
+            (6, 4, &[5]),
+            (5, 5, &[]),
+        ];
+        for (out, id, left) in script {
+            assert_eq!(fab.dequeue(0, 2, out).id, id);
+            assert_eq!(requests(&fab), left);
+            assert_masks_track_buffers(&fab);
+        }
+        assert_eq!((fab.depth[2], fab.resident[0], fab.requested[0]), (0, 0, 0));
+    }
+
+    #[test]
+    fn resident_cells_is_the_sum_of_buffer_depths_after_saturation() {
+        let mut fab = CompiledFabric::new(TopologySpec::dragonfly(8, 4));
+        let mut tr = BernoulliUniform::new(fab.ports(), 1.0, &SeedSequence::new(5));
+        fab.run(&mut tr, &EngineConfig::new(0, 400));
+        let buffered: u64 = fab.depth.iter().map(|&d| d as u64).sum();
+        assert!(buffered > 0, "a saturated fabric holds cells");
+        let queued: u64 = fab.host_queues.iter().map(|q| q.len() as u64).sum();
+        let elsewhere = fab.cell_flights.len() as u64 + queued;
+        assert_eq!(fab.resident_cells(), Some(buffered + elsewhere));
+        assert_masks_track_buffers(&fab);
     }
 }

@@ -1,0 +1,27 @@
+//! Fixture hot path: analyzed as `crates/fabric/src/mesh.rs`. The
+//! per-switch helper matches into struct-level scratch that is cleared,
+//! never rebuilt.
+
+pub struct Mesh {
+    switches: usize,
+    /// The last matching; reused across switches and slots.
+    matched: Vec<(u32, u32)>,
+    /// Request masks, one word per output.
+    requests: Vec<u64>,
+}
+
+impl Mesh {
+    fn arbitrate(&mut self, slot: u64) {
+        for sw in 0..self.switches {
+            self.match_switch(sw);
+            self.send(sw, slot);
+        }
+    }
+
+    fn match_switch(&mut self, sw: usize) {
+        self.matched.clear();
+        self.requests.fill(0);
+        self.collect_requests(sw);
+        self.grant_accept();
+    }
+}

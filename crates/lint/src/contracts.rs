@@ -29,8 +29,10 @@ use std::fmt::Write as _;
 pub const MODEL_TRAITS: &[&str] = &["SlottedModel", "CellScheduler", "CellSwitch", "BufferPlane"];
 
 /// Per-slot functions that must stay allocation-free (the precondition
-/// for the bitset hot-path rewrite).
-pub const HOT_FN_NAMES: &[&str] = &["arbitrate", "tick"];
+/// for the bitset hot-path rewrite): the two phase hooks, and the
+/// helpers a phase hook hands its per-switch, per-cell work to. The rule
+/// is name-scoped, so a helper is audited only once it is listed here.
+pub const HOT_FN_NAMES: &[&str] = &["arbitrate", "tick", "match_switch", "enqueue", "dequeue"];
 
 /// One `FaultKind` variant and the test files that exercise it.
 #[derive(Debug)]
@@ -694,12 +696,13 @@ fn rule_model_crate_sync(
     graph.workspace_crates = crates;
 }
 
-/// Rule `hot-loop-alloc`: no allocation inside `fn arbitrate` / `fn
-/// tick` bodies in model crates. These run once per simulated slot; an
-/// allocation there is both a perf cliff and a blocker for ROADMAP item
-/// 1's bitset rewrite. The check is name-scoped (call-graph-blind): a
-/// helper that allocates and is *called* from a hot fn is not seen —
-/// keep allocating helpers out of the per-slot path by convention.
+/// Rule `hot-loop-alloc`: no allocation inside the bodies of the
+/// [`HOT_FN_NAMES`] fns in model crates. These run once per simulated
+/// slot (or per switch, or per cell, within one); an allocation there is
+/// both a perf cliff and a blocker for ROADMAP item 1's bitset rewrite.
+/// The check is name-scoped (call-graph-blind): a helper that allocates
+/// and is *called* from a hot fn is seen only if its name is listed, so
+/// a new per-slot helper goes on the list in the PR that adds it.
 fn rule_hot_loop_alloc(
     files: &[SourceFile],
     trees: &[Option<ItemTree>],

@@ -147,7 +147,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "hot-loop-alloc",
         severity: Severity::Error,
-        summary: "no allocation inside fn arbitrate / fn tick bodies in model crates (ROADMAP item 1 precondition)",
+        summary: "no allocation inside fn arbitrate / fn tick bodies, or their listed per-slot helpers, in model crates (ROADMAP item 1 precondition)",
         deep: true,
     },
 ];

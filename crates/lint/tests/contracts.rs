@@ -388,6 +388,43 @@ fn hot_loop_alloc_fires_on_each_allocation_shape() {
 }
 
 #[test]
+fn hot_loop_alloc_audits_listed_helpers_of_a_phase_hook() {
+    // `arbitrate` is clean in both fixtures; only auditing the helper
+    // by name tells them apart.
+    let (bad, graph) = deep(
+        vec![(
+            "crates/fabric/src/mesh.rs",
+            fixture("hot-loop-alloc", "helper_bad.rs"),
+        )],
+        &Artifacts::default(),
+    );
+    assert_eq!(count(&bad, "hot-loop-alloc"), 2, "{:#?}", bad.diagnostics);
+    for d in bad
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "hot-loop-alloc")
+    {
+        assert!(d.message.contains("`fn match_switch`"), "{}", d.message);
+    }
+    let allocations = |graph: &ContractGraph, name: &str| {
+        let audited = graph.hot_fns.iter().find(|h| h.name == name);
+        audited.map(|h| h.allocations)
+    };
+    assert_eq!(allocations(&graph, "arbitrate"), Some(0));
+    assert_eq!(allocations(&graph, "match_switch"), Some(2));
+
+    let (good, graph) = deep(
+        vec![(
+            "crates/fabric/src/mesh.rs",
+            fixture("hot-loop-alloc", "helper_good.rs"),
+        )],
+        &Artifacts::default(),
+    );
+    assert_eq!(count(&good, "hot-loop-alloc"), 0, "{:#?}", good.diagnostics);
+    assert_eq!(allocations(&graph, "match_switch"), Some(0));
+}
+
+#[test]
 fn deep_findings_honor_file_suppressions() {
     // A `lint:allow(hot-loop-alloc)` above an allocation suppresses that
     // one finding through the merged deep pipeline; the rest still fire.

@@ -231,9 +231,9 @@ fn compiled_family_fingerprints_match_pins() {
 }
 
 /// Pins over the corners the two tables above leave out: radix > 64
-/// (request masks wider than one word), a dragonfly with more groups
-/// than a word-aligned radix, and an engine-level `buffer_cells`
-/// override (credit loops re-armed in `configure`). All at
+/// (request masks wider than one word), a 9-group dragonfly, and an
+/// engine-level `buffer_cells` override (credit loops re-armed in
+/// `configure`). All at
 /// `BernoulliUniform` seed 99 over 50 + 400 slots; captured on the
 /// commit before `CompiledFabric` moved to flat per-port tables.
 const COMPILED_LAYOUT_PINS: &[(&str, f64, Option<usize>, u64)] = &[
