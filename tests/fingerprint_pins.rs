@@ -286,3 +286,150 @@ fn compiled_layout_fingerprints_match_pins() {
         );
     }
 }
+
+/// `FatTreeFabric` over the corners the `multistage` row and
+/// `fdl_pins.rs` leave out: the two other placements, an engine-level
+/// `buffer_cells` override at the campaign's radix, masks wider than
+/// one word, and one run under each fault reaction. Captured on the
+/// commit before the simulator moved onto the expansion's port tables
+/// and the shared matching kernel.
+fn fat_tree_corner_fingerprints() -> Vec<(&'static str, u64)> {
+    use osmosis::fabric::multistage::Placement;
+    use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
+
+    let run = |fab_cfg: FabricConfig, load: f64, cfg: EngineConfig, plan: Option<FaultPlan>| {
+        let mut fab = FatTreeFabric::new(fab_cfg);
+        let mut tr = uniform(fab.topology().hosts(), load, 1234);
+        let report = match plan {
+            None => fab.run(&mut tr, &cfg),
+            Some(plan) => fab.run_faulted(&mut tr, &cfg, &mut FaultInjector::new(plan)),
+        };
+        report.fingerprint()
+    };
+    let small = FabricConfig::small(8, 2);
+    let placed = |placement| FabricConfig { placement, ..small };
+    let ber = FaultKind::LinkBerBurst {
+        link: LINK_ANY,
+        cell_error_prob: 0.05,
+    };
+    vec![
+        (
+            "input_and_output",
+            run(placed(Placement::InputAndOutput), 0.6, cfg(), None),
+        ),
+        (
+            "output_only",
+            run(placed(Placement::OutputOnly), 0.6, cfg(), None),
+        ),
+        (
+            "radix16_buffer3",
+            run(
+                FabricConfig::small(16, 2),
+                0.7,
+                cfg().with_buffer_cells(3),
+                None,
+            ),
+        ),
+        (
+            "radix66",
+            run(
+                FabricConfig::small(66, 2),
+                0.3,
+                EngineConfig::new(20, 100),
+                None,
+            ),
+        ),
+        (
+            "wavelength_loss_repaired",
+            run(
+                small,
+                0.6,
+                cfg(),
+                Some(FaultPlan::new().one_shot(
+                    FaultKind::WavelengthLoss { plane: 1 },
+                    800,
+                    Some(900),
+                )),
+            ),
+        ),
+        (
+            "link_ber_burst",
+            run(small, 0.4, cfg(), Some(FaultPlan::new().permanent(ber, 0))),
+        ),
+        (
+            "credit_drop",
+            run(
+                small,
+                0.5,
+                cfg(),
+                Some(FaultPlan::new().one_shot(
+                    FaultKind::CreditDrop { prob: 0.3 },
+                    500,
+                    Some(1_500),
+                )),
+            ),
+        ),
+    ]
+}
+
+const FAT_TREE_CORNER_PINS: &[(&str, u64)] = &[
+    ("input_and_output", 0xf560_f9b4_bd0b_92ad),
+    ("output_only", 0x00d0_4bf5_549d_3fc0),
+    ("radix16_buffer3", 0xbb6c_960e_c550_6ec4),
+    ("radix66", 0x23ff_1967_5235_cfb4),
+    ("wavelength_loss_repaired", 0xa3d8_e4b6_fa29_990e),
+    ("link_ber_burst", 0xb46b_b874_5acb_c29a),
+    ("credit_drop", 0xaeaf_f48e_1769_2a33),
+];
+
+#[test]
+fn fat_tree_corner_fingerprints_match_pins() {
+    let got = fat_tree_corner_fingerprints();
+    assert_eq!(got.len(), FAT_TREE_CORNER_PINS.len());
+    for ((name, fp), (pin_name, pin)) in got.iter().zip(FAT_TREE_CORNER_PINS) {
+        assert_eq!(name, pin_name);
+        assert_eq!(
+            *fp, *pin,
+            "{name}: fingerprint {fp:#018x} drifted from pinned {pin:#018x}"
+        );
+    }
+}
+
+/// The full audit battery in fail-fast mode over the two pinned
+/// `FatTreeFabric` runs (electronic here, FDL in `fdl_pins.rs`): every
+/// per-slot credit and delay-line ledger balances, and attaching the
+/// auditors leaves the pinned fingerprint untouched.
+#[test]
+fn audited_fat_tree_runs_are_clean_and_reproduce_the_pins() {
+    use osmosis::fabric::multistage::BufferTech;
+    use osmosis::switch::run_switch_instrumented;
+    use osmosis_audit::{AuditMode, AuditSet};
+
+    const FDL_PIN: u64 = 0x06ed_5ef1_a1c8_5de3;
+    let electronic_pin = PINS[9];
+    assert_eq!(electronic_pin.0, "multistage");
+    for (buffer_tech, pin) in [
+        (BufferTech::Electronic, electronic_pin.1),
+        (BufferTech::Fdl, FDL_PIN),
+    ] {
+        let mut fab = FatTreeFabric::new(FabricConfig {
+            buffer_tech,
+            ..FabricConfig::small(8, 2)
+        });
+        let mut tr = uniform(fab.topology().hosts(), 0.5, 1234);
+        let mut set = AuditSet::standard(AuditMode::FailFast);
+        let r = run_switch_instrumented(&mut fab, &mut tr, &cfg(), None, Some(&mut set));
+        assert_eq!(
+            set.total_violations(),
+            0,
+            "{buffer_tech:?}: {}",
+            set.report()
+        );
+        assert_eq!(
+            r.fingerprint(),
+            pin,
+            "{buffer_tech:?}: audited fingerprint {:#018x} drifted from {pin:#018x}",
+            r.fingerprint()
+        );
+    }
+}
