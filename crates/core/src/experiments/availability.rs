@@ -35,7 +35,7 @@ use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis_sim::engine::{run_instrumented, TraceEvent, TraceSink};
 use osmosis_sim::json::Value;
 use osmosis_sim::{
-    checkpointed_sweep, supervised_sweep, FaultView, SeedSequence, SweepCheckpoint, SweepError,
+    checkpointed_sweep, supervised_sweep, CheckpointLog, FaultView, SeedSequence, SweepError,
     SweepOptions, SweepState, SweepSummary,
 };
 use osmosis_switch::driven::Driven;
@@ -328,7 +328,7 @@ fn ckpt_key(tag: u64, fab_cfg: &FabricConfig, seed: u64) -> u64 {
 fn sweep<I, O, F>(
     inputs: Vec<I>,
     sweep_opts: &SweepOptions,
-    ckpt: Option<SweepCheckpoint>,
+    ckpt: Option<CheckpointLog>,
     f: F,
 ) -> Result<Vec<O>, SweepError>
 where
@@ -392,7 +392,7 @@ pub fn run_with(
     let ckpt = |tag: u64, name: &str| {
         opts.checkpoint_dir
             .as_ref()
-            .map(|dir| SweepCheckpoint::new(dir.join(name), ckpt_key(tag, &fab_cfg, seed)))
+            .map(|dir| CheckpointLog::new(dir.join(name), ckpt_key(tag, &fab_cfg, seed)))
     };
 
     // Fault-free reference. Each run gets a freshly built fabric so the
@@ -418,7 +418,7 @@ pub fn run_with(
     let reports = sweep(
         failed_counts,
         &sweep_opts,
-        ckpt(1, "plane_sweep.json"),
+        ckpt(1, "plane_sweep.jsonl"),
         |&failed| {
             let mut plan = FaultPlan::new();
             for plane in 0..failed as usize {
@@ -455,7 +455,7 @@ pub fn run_with(
         Scale::Quick => vec![600, 1_200],
         Scale::Full => vec![1_500, 3_000],
     };
-    let mttr_sweep = sweep(mttrs, &sweep_opts, ckpt(2, "mttr_sweep.json"), |&mttr| {
+    let mttr_sweep = sweep(mttrs, &sweep_opts, ckpt(2, "mttr_sweep.jsonl"), |&mttr| {
         let mut plan = FaultPlan::new();
         for plane in 0..outage_planes {
             plan = plan.one_shot(FaultKind::WavelengthLoss { plane }, fault_at, Some(mttr));

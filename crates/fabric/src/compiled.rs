@@ -25,12 +25,12 @@
 //! The VOQs are virtual: VOQ (i, o) is the entries of input i's buffer
 //! tagged o, in arrival order, and its "non-empty" signal is bit i of
 //! output o's request mask. Matching is the hardware scheduler's:
-//! request bit-vectors into programmable priority encoders (`pick`),
-//! word-parallel over `radix.div_ceil(64)` words. Switches holding no
-//! cell are skipped; the others are matched in id order, outputs
-//! ascending in each grant pass and inputs ascending in each accept
-//! pass, so the matchings are those of a dense VOQ array scanned in
-//! index order.
+//! request bit-vectors into programmable priority encoders, the
+//! word-parallel kernel of [`crate::matching`] that `FatTreeFabric`
+//! shares. Switches holding no cell are skipped; the others are matched
+//! in id order, outputs ascending in each grant pass and inputs
+//! ascending in each accept pass, so the matchings are those of a dense
+//! VOQ array scanned in index order.
 //!
 //! Dragonfly minimal routes traverse local→global→local hops whose
 //! credit loops are cyclic; at the moderate loads used for latency
@@ -46,34 +46,8 @@ use osmosis_switch::Cell;
 use osmosis_traffic::{Arrival, Class, SequenceChecker, SequenceStamper, TrafficGen};
 use std::collections::VecDeque;
 
+use crate::matching::Matcher;
 use crate::multistage::Placement;
-
-/// The first set bit at or after `from`, wrapping, of the `words`-word
-/// mask whose word `w` is `word(w)`: the programmable priority encoder
-/// behind every grant and accept arbiter.
-#[inline]
-fn pick(words: usize, from: usize, word: impl Fn(usize) -> u64) -> Option<usize> {
-    let (w0, below) = (from / 64, !(!0u64 << (from % 64)));
-    // Word `w0` is read twice: first its bits from `from` up, last the
-    // bits below.
-    for k in 0..=words {
-        let w = if w0 + k < words {
-            w0 + k
-        } else {
-            w0 + k - words
-        };
-        let part = match k {
-            0 => !below,
-            k if k == words => below,
-            _ => !0,
-        };
-        let m = word(w) & part;
-        if m != 0 {
-            return Some(w * 64 + m.trailing_zeros() as usize);
-        }
-    }
-    None
-}
 
 /// The compiled-topology fabric simulator.
 pub struct CompiledFabric {
@@ -110,15 +84,7 @@ pub struct CompiledFabric {
     stamper: SequenceStamper,
     checker: SequenceChecker,
     next_id: u64,
-    // Matching scratch, `words` words each unless noted; clean between
-    // switches except `matched`, which holds the last matching.
-    in_matched: Vec<u64>,
-    out_matched: Vec<u64>,
-    /// Inputs granted in the current iteration.
-    granted: Vec<u64>,
-    /// Per local input, `words` words: the outputs that granted it.
-    grants: Vec<u64>,
-    matched: Vec<(u32, u32)>,
+    matcher: Matcher,
 }
 
 impl CompiledFabric {
@@ -173,11 +139,7 @@ impl CompiledFabric {
             stamper: SequenceStamper::new(),
             checker: SequenceChecker::new(),
             next_id: 0,
-            in_matched: vec![0; words],
-            out_matched: vec![0; words],
-            granted: vec![0; words],
-            grants: vec![0; radix * words],
-            matched: Vec::with_capacity(radix),
+            matcher: Matcher::new(radix),
             fab,
         }
     }
@@ -239,61 +201,20 @@ impl CompiledFabric {
         cell
     }
 
-    /// Match one switch for one slot into `self.matched`: iterative
-    /// round-robin grant/accept on the request masks, outputs ascending
-    /// in the grant pass, inputs ascending in the accept pass, pointers
-    /// moving only on accept.
+    /// Match switch `sw` for one slot into `self.matcher.matched`; an
+    /// output grants while its credit loop has room.
     fn match_switch(&mut self, sw: usize) {
         let (radix, words) = (self.spec.radix, self.words);
-        let base = sw * radix;
-        self.matched.clear();
-        self.in_matched.fill(0);
-        self.out_matched.fill(0);
-        for _ in 0..self.spec.iterations {
-            // Grant: every unmatched, credited output picks one of its
-            // unmatched requesters.
-            for w in 0..words {
-                let mut outs = self.requested[sw * words + w] & !self.out_matched[w];
-                while outs != 0 {
-                    let o = w * 64 + outs.trailing_zeros() as usize;
-                    outs &= outs - 1;
-                    if self.owed[base + o] as usize >= self.buffer_cells {
-                        continue;
-                    }
-                    let col = (base + o) * words;
-                    let (requests, taken) = (&self.requests, &self.in_matched);
-                    let from = self.grant_ptr[base + o] as usize;
-                    if let Some(i) = pick(words, from, |k| requests[col + k] & !taken[k]) {
-                        self.grants[i * words + o / 64] |= 1 << (o % 64);
-                        self.granted[i / 64] |= 1 << (i % 64);
-                    }
-                }
-            }
-            // Accept: every granted input picks one of its granters.
-            let mut any = false;
-            for w in 0..words {
-                let mut ins = std::mem::take(&mut self.granted[w]);
-                any |= ins != 0;
-                while ins != 0 {
-                    let i = w * 64 + ins.trailing_zeros() as usize;
-                    ins &= ins - 1;
-                    let row = i * words;
-                    let (grants, from) = (&self.grants, self.accept_ptr[base + i] as usize);
-                    let Some(o) = pick(words, from, |k| grants[row + k]) else {
-                        continue;
-                    };
-                    self.grants[row..row + words].fill(0);
-                    self.in_matched[i / 64] |= 1 << (i % 64);
-                    self.out_matched[o / 64] |= 1 << (o % 64);
-                    self.grant_ptr[base + o] = if i + 1 == radix { 0 } else { i as u32 + 1 };
-                    self.accept_ptr[base + i] = if o + 1 == radix { 0 } else { o as u32 + 1 };
-                    self.matched.push((i as u32, o as u32));
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+        let ports = sw * radix..(sw + 1) * radix;
+        let (owed, limit) = (&self.owed[ports.clone()], self.buffer_cells);
+        self.matcher.match_switch(
+            self.spec.iterations,
+            &self.requests[ports.start * words..ports.end * words],
+            &self.requested[sw * words..(sw + 1) * words],
+            &mut self.grant_ptr[ports.clone()],
+            &mut self.accept_ptr[ports],
+            |o| (owed[o] as usize) < limit,
+        );
     }
 }
 
@@ -305,9 +226,15 @@ impl CellSwitch for CompiledFabric {
     fn configure(&mut self, cfg: &EngineConfig) {
         self.checker = SequenceChecker::new();
         // An engine-level override re-arms the credit loops and the input
-        // buffers they bound (valid on a fabric that has not run yet).
-        if let Some(b) = cfg.buffer_cells {
+        // buffers they bound. The buffers are laid out at a stride of
+        // `buffer_cells`, so a new depth cannot be applied under live cells.
+        if let Some(b) = cfg.buffer_cells.filter(|&b| b != self.buffer_cells) {
             assert!(b >= 1);
+            assert!(
+                self.resident_cells() == Some(0) && self.credit_flights.is_empty(),
+                "a buffer_cells override is valid only on a fabric that has not run: \
+                 cells or credits are still inside this one"
+            );
             self.buffer_cells = b;
         }
         // The switch tables are sized here, where the run's buffer depth
@@ -387,8 +314,8 @@ impl CellSwitch for CompiledFabric {
                 continue;
             }
             self.match_switch(sw);
-            for k in 0..self.matched.len() {
-                let (i, o) = self.matched[k];
+            for k in 0..self.matcher.matched.len() {
+                let (i, o) = self.matcher.matched[k];
                 let (p_in, p_out) = (sw * radix + i as usize, sw * radix + o as usize);
                 let mut cell = self.dequeue(sw, i as usize, o as usize);
                 cell.grant_slot = slot;
@@ -560,6 +487,17 @@ mod tests {
         }
     }
 
+    #[test]
+    #[should_panic(expected = "valid only on a fabric that has not run")]
+    fn buffer_override_on_a_fabric_holding_cells_is_refused() {
+        // The input buffers are strided by depth: re-striding them under
+        // live cells would hand one port's cells to another.
+        let mut fab = CompiledFabric::new(TopologySpec::two_level(8));
+        let mut tr = BernoulliUniform::new(fab.ports(), 0.6, &SeedSequence::new(6));
+        fab.run(&mut tr, &EngineConfig::new(0, 200));
+        fab.run(&mut tr, &EngineConfig::new(0, 200).with_buffer_cells(3));
+    }
+
     fn cell(id: u64) -> Cell {
         Cell::new(id, 0, 0, Class::Data, 0, 0)
     }
@@ -588,91 +526,34 @@ mod tests {
         }
     }
 
-    /// The matching `match_switch` must produce, as a dense port-by-port
-    /// scan: `occupancy[i][o]` cells queued, `gp`/`ap` the grant and
-    /// accept pointers (advanced in place).
-    fn scalar_match(
-        iterations: usize,
-        occupancy: &[Vec<u32>],
-        credited: &[bool],
-        gp: &mut [usize],
-        ap: &mut [usize],
-    ) -> Vec<(u32, u32)> {
-        let n = occupancy.len();
-        let (mut in_matched, mut out_matched) = (vec![false; n], vec![false; n]);
-        let mut matched = Vec::new();
-        for _ in 0..iterations {
-            let mut grants = vec![vec![false; n]; n];
-            for o in (0..n).filter(|&o| !out_matched[o] && credited[o]) {
-                let mut from_pointer = (0..n).map(|k| (gp[o] + k) % n);
-                if let Some(i) = from_pointer.find(|&i| !in_matched[i] && occupancy[i][o] > 0) {
-                    grants[i][o] = true;
-                }
-            }
-            let before = matched.len();
-            for i in 0..n {
-                if let Some(o) = (0..n).map(|k| (ap[i] + k) % n).find(|&o| grants[i][o]) {
-                    (in_matched[i], out_matched[o]) = (true, true);
-                    (gp[o], ap[i]) = ((i + 1) % n, (o + 1) % n);
-                    matched.push((i as u32, o as u32));
-                }
-            }
-            if matched.len() == before {
-                break;
-            }
-        }
-        matched
-    }
-
     #[test]
-    fn word_parallel_matcher_equals_the_scalar_scan() {
+    fn masks_track_buffers_through_random_matchings() {
         const BUFFER: usize = 4;
-        for radix in [5usize, 8, 64, 65, 130] {
+        for radix in [5usize, 64, 65, 130] {
             let mut rng = SimRng::seed_from_u64(radix as u64);
             let mut rnd = |n| rng.index(n);
             let mut fab = CompiledFabric::new(TopologySpec::full_mesh(radix, 1));
             fab.configure(&EngineConfig::new(0, 1).with_buffer_cells(BUFFER));
-            let mut gp: Vec<usize> = (0..radix).map(|_| rnd(radix)).collect();
-            let mut ap: Vec<usize> = (0..radix).map(|_| rnd(radix)).collect();
-            for p in 0..radix {
-                (fab.grant_ptr[p], fab.accept_ptr[p]) = (gp[p] as u32, ap[p] as u32);
-            }
-            let mut occupancy = vec![vec![0u32; radix]; radix];
             let mut matches = 0;
             for slot in 0..40 {
                 // Arrivals: dense in early slots, a trickle later, so
                 // both crowded and nearly empty masks are matched.
                 let eagerness = if slot < 20 { 4 } else { 40 };
-                for (i, queued) in occupancy.iter_mut().enumerate() {
+                for i in 0..radix {
                     while (fab.depth[i] as usize) < BUFFER && rnd(eagerness) < 3 {
-                        let o = rnd(radix);
-                        fab.enqueue(0, i, o, cell(0));
-                        queued[o] += 1;
+                        fab.enqueue(0, i, rnd(radix), cell(0));
                     }
                 }
                 // Credits: none out, some out, all out.
                 for o in 0..radix {
                     fab.owed[o] = [0, 1, BUFFER as u32][rnd(3)];
                 }
-                let credited: Vec<bool> = fab.owed.iter().map(|&c| (c as usize) < BUFFER).collect();
-                let want =
-                    scalar_match(fab.spec.iterations, &occupancy, &credited, &mut gp, &mut ap);
                 fab.match_switch(0);
-                assert_eq!(fab.matched, want, "radix {radix} slot {slot}");
-                for p in 0..radix {
-                    assert_eq!(
-                        fab.grant_ptr[p] as usize, gp[p],
-                        "radix {radix} slot {slot}"
-                    );
-                    assert_eq!(
-                        fab.accept_ptr[p] as usize, ap[p],
-                        "radix {radix} slot {slot}"
-                    );
-                }
-                assert!(fab.granted.iter().chain(&fab.grants).all(|&w| w == 0));
-                for (i, o) in want {
+                for k in 0..fab.matcher.matched.len() {
+                    let (i, o) = fab.matcher.matched[k];
+                    assert!((fab.owed[o as usize] as usize) < BUFFER, "uncredited grant");
+                    // Panics on a pair whose request bit outlived its cell.
                     fab.dequeue(0, i as usize, o as usize);
-                    occupancy[i as usize][o as usize] -= 1;
                     matches += 1;
                 }
                 assert_masks_track_buffers(&fab);

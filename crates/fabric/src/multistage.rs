@@ -1,6 +1,6 @@
 //! Slotted simulation of a two-level fat-tree fabric built from
 //! input-buffered switches with credit flow control — the architecture of
-//! §IV with buffer-placement option 3 (and option 1 for the Fig. 2
+//! §IV with buffer-placement option 3 (and options 1 and 2 for the Fig. 2
 //! comparison).
 //!
 //! Every switch is an input-buffered crossbar with its own independent
@@ -13,6 +13,22 @@
 //! timing is exactly this credit loop. Losslessness is asserted, not just
 //! measured: a cell arriving at a full buffer panics the simulation.
 //!
+//! The simulator stands on the same substrate as
+//! [`CompiledFabric`](crate::CompiledFabric). The wiring is the
+//! expansion's own: a port's [`Peer`] is where its cells fly to and where
+//! the credits for what it received return, so flights are addressed by
+//! `Peer` and nothing is copied out of the graph. Switches live in one
+//! arena indexed by [`SwitchId::index`](crate::ids::EntityId::index)
+//! (stage-major: leaves, then spines — the fault and audit planes' node
+//! keying); credits out, egress queues and round-robin pointers live in
+//! flat tables indexed by global port, `switch * radix + local`. Each
+//! slot a switch's [`BufferPlane`] is read once into request masks and
+//! matched by the shared kernel of [`crate::matching`]. It stays a
+//! separate model because it models what `CompiledFabric` does not: the
+//! request/grant cycle that makes an arrival schedulable at t+1 rather
+//! than t, placements 1 and 2, the fault reactions, and the buffer-plane
+//! seam.
+//!
 //! The fabric runs on the shared engine through the `CellSwitch` hooks
 //! (link/credit arrivals and switch matchings in `arbitrate`, host
 //! injection in `deliver`, new traffic in `admit`) and reports the
@@ -22,11 +38,11 @@
 //! `TraceEvent::CreditStall` for trace consumers.
 
 use crate::expand::{ExpandedFabric, Peer};
-use crate::ids::{EntityId, HostId, SwitchId};
-use crate::spec::{TopologyError, TopologySpec};
+use crate::ids::{EntityId, HostId, PortId};
+use crate::matching::Matcher;
+use crate::spec::{top_choice, TopologyError, TopologySpec};
 use crate::topology::TwoLevelFatTree;
 use osmosis_fdl::FdlBufferPlane;
-use osmosis_sched::arbiter::{BitSet, RoundRobinArbiter};
 use osmosis_sim::audit::{CreditLedger, DropReason};
 use osmosis_sim::buffer::{BufferLossReason, BufferPlane, BufferStats, ElectronicVoq};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
@@ -122,106 +138,36 @@ impl FabricConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeId {
-    Leaf(usize),
-    Spine(usize),
-}
-
-/// Where a switch output port leads.
-#[derive(Debug, Clone, Copy)]
-enum Downstream {
-    /// A host NIC (sink; drains one cell per slot by construction).
-    Host(usize),
-    /// Another switch's input port (credit-controlled).
-    Switch(NodeId, usize),
-}
-
-/// Where a switch input port receives from (for credit returns).
-#[derive(Debug, Clone, Copy)]
-enum Upstream {
-    Host(usize),
-    Switch(NodeId, usize),
-}
-
-struct SwitchNode {
-    /// Per-switch input buffering behind the pluggable plane seam:
+/// The fabric simulator.
+pub struct FatTreeFabric {
+    cfg: FabricConfig,
+    /// The expanded graph under simulation (stage 0 = leaves, stage 1 =
+    /// spines, in id order).
+    graph: ExpandedFabric,
+    /// Per switch: its input buffering behind the pluggable plane seam —
     /// electronic VOQs (the pre-seam semantics, bit-identical) or an
     /// emulated optical FDL queue per input. Each stored entry carries
     /// the slot at which the cell becomes schedulable (later than its
     /// arrival only under placement option 2, where requests cross the
     /// long cable to reach the scheduler).
-    buffers: Box<dyn BufferPlane<Cell>>,
+    buffers: Vec<Box<dyn BufferPlane<Cell>>>,
+    // Per global port, `switch * radix + local`:
+    /// Credits out per output: cells sent over the link whose credit has
+    /// not come back. The output may send below `buffer_cells`; host
+    /// sinks drain a cell per slot and never take one.
+    owed: Vec<u32>,
     /// Option-1 egress buffers.
     egress: Vec<VecDeque<Cell>>,
-    /// Send credits per output port (usize::MAX for host sinks).
-    credits: Vec<usize>,
-    grant_arb: Vec<RoundRobinArbiter>,
-    accept_arb: Vec<RoundRobinArbiter>,
-    downstream: Vec<Downstream>,
-    upstream: Vec<Upstream>,
-}
-
-impl SwitchNode {
-    fn new(
-        ports: usize,
-        downstream: Vec<Downstream>,
-        upstream: Vec<Upstream>,
-        buffer: usize,
-        tech: BufferTech,
-    ) -> Self {
-        let credits = downstream
-            .iter()
-            .map(|d| match d {
-                Downstream::Host(_) => usize::MAX,
-                Downstream::Switch(..) => buffer,
-            })
-            .collect();
-        let buffers: Box<dyn BufferPlane<Cell>> = match tech {
-            BufferTech::Electronic => Box::new(ElectronicVoq::new(ports)),
-            // A balanced bank of `buffer` delay lines per input emulates
-            // a queue of exactly `buffer` cells — the same capacity the
-            // credit loop protects.
-            BufferTech::Fdl => Box::new(FdlBufferPlane::new(ports, buffer)),
-        };
-        SwitchNode {
-            buffers,
-            egress: (0..ports).map(|_| VecDeque::new()).collect(),
-            credits,
-            grant_arb: (0..ports).map(|_| RoundRobinArbiter::new(ports)).collect(),
-            accept_arb: (0..ports).map(|_| RoundRobinArbiter::new(ports)).collect(),
-            downstream,
-            upstream,
-        }
-    }
-
-    fn reset_credits(&mut self, buffer: usize) {
-        for (c, d) in self.credits.iter_mut().zip(self.downstream.iter()) {
-            *c = match d {
-                Downstream::Host(_) => usize::MAX,
-                Downstream::Switch(..) => buffer,
-            };
-        }
-    }
-}
-
-/// The fabric simulator.
-pub struct FatTreeFabric {
-    cfg: FabricConfig,
-    topo: TwoLevelFatTree,
-    /// The expanded graph the wiring tables and host attachments were
-    /// compiled from (stage 0 = leaves, stage 1 = spines, in id order).
-    graph: ExpandedFabric,
-    leaves: Vec<SwitchNode>,
-    spines: Vec<SwitchNode>,
+    grant_ptr: Vec<u32>,
+    accept_ptr: Vec<u32>,
     /// Host injection queues (the source VOQs; unbounded).
     host_queues: Vec<VecDeque<Cell>>,
-    /// Credits a host holds toward its leaf input buffer.
-    host_credits: Vec<usize>,
-    /// Cells in flight: (arrival slot, destination node+port or host).
-    cell_flights: VecDeque<(u64, CellDest, Cell)>,
-    /// Credits in flight back to (node, output port) or host.
-    credit_flights: VecDeque<(u64, CreditDest)>,
+    /// Credits out per host NIC toward its leaf input buffer, as `owed`.
+    host_owed: Vec<u32>,
+    /// (arrival slot, far end of the link, cell), in arrival order.
+    cell_flights: VecDeque<(u64, Peer, Cell)>,
+    /// (arrival slot, the sender the credit returns to).
+    credit_flights: VecDeque<(u64, Peer)>,
     /// Per-spine health under an attached fault plane (all true without
     /// one). A dead spine is a dead wavelength plane: leaves stop
     /// granting toward it and new flows re-hash onto the survivors.
@@ -229,10 +175,10 @@ pub struct FatTreeFabric {
     /// Cells corrupted on a link, re-arriving after the hop-by-hop NACK +
     /// resend round trip (constant 2·link_delay, so this queue stays
     /// FIFO-by-due like `cell_flights`).
-    retransmit_flights: VecDeque<(u64, CellDest, Cell)>,
+    retransmit_flights: VecDeque<(u64, Peer, Cell)>,
     /// Credits whose return was lost, recovered by the periodic credit
     /// audit (constant link_delay + resync period; FIFO-by-due).
-    resync_credit_flights: VecDeque<(u64, CreditDest)>,
+    resync_credit_flights: VecDeque<(u64, Peer)>,
     /// Per-link go-back-N stall: until this slot, every arrival on the
     /// link is discarded and resent behind the corrupted cell, keeping
     /// per-link (hence per-flow) delivery order across retransmissions.
@@ -240,26 +186,15 @@ pub struct FatTreeFabric {
     stamper: SequenceStamper,
     checker: SequenceChecker,
     next_id: u64,
-    node_ids: Vec<NodeId>,
-    requesters: BitSet,
-    grants_to_input: Vec<BitSet>,
-    /// Per-node matching scratch, sized to the widest node and cleared
-    /// for every (node, slot) pass.
-    in_matched: Vec<bool>,
-    out_matched: Vec<bool>,
-    matched_pairs: Vec<(usize, usize)>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum CellDest {
-    SwitchIn(NodeId, usize),
-    Host(usize),
-}
-
-#[derive(Debug, Clone, Copy)]
-enum CreditDest {
-    SwitchOut(NodeId, usize),
-    Host(usize),
+    // Scratch for the switch being matched, refilled from its plane:
+    /// Per local output, `words` words: the inputs with a ready cell.
+    requests: Vec<u64>,
+    /// `words` words: the outputs with any request.
+    requested: Vec<u64>,
+    matcher: Matcher,
+    /// Audit scratch, per global port: cells and credits in flight on
+    /// the credit loop protecting that input.
+    in_flight: Vec<u64>,
 }
 
 impl FatTreeFabric {
@@ -276,9 +211,8 @@ impl FatTreeFabric {
     }
 
     /// Build the fabric, rejecting invalid configurations with a typed
-    /// error instead of a panic. The wiring tables are read off the
-    /// compiled expansion of the equivalent [`TopologySpec::two_level`]
-    /// spec, not recomputed from closed forms — the simulator consumes
+    /// error instead of a panic. The simulator runs on the compiled
+    /// expansion of the equivalent [`TopologySpec::two_level`] spec —
     /// exactly the graph the topology compiler produces.
     pub fn try_new(cfg: FabricConfig) -> Result<Self, TopologyError> {
         // FDL buffering models the paper's option 3 only: the delay-line
@@ -299,116 +233,76 @@ impl FatTreeFabric {
                 .with_buffer_cells(cfg.buffer_cells)
         };
         let graph = ExpandedFabric::expand(spec)?;
-        let topo = TwoLevelFatTree::try_new(cfg.radix)?;
         let k = cfg.radix;
-        let leaf_count = topo.leaves();
-
-        // Switch ids are stage-major: 0..k leaves, then the spines.
-        let node_of = |sw: SwitchId| -> NodeId {
-            if sw.index() < leaf_count {
-                NodeId::Leaf(sw.index())
-            } else {
-                NodeId::Spine(sw.index() - leaf_count)
+        let (switches, ports, hosts) = (graph.switches.len(), graph.ports.len(), graph.hosts.len());
+        let plane = || -> Box<dyn BufferPlane<Cell>> {
+            match cfg.buffer_tech {
+                BufferTech::Electronic => Box::new(ElectronicVoq::new(k)),
+                // A balanced bank of `buffer_cells` delay lines per input
+                // emulates a queue of exactly `buffer_cells` cells — the
+                // same capacity the credit loop protects.
+                BufferTech::Fdl => Box::new(FdlBufferPlane::new(k, cfg.buffer_cells)),
             }
         };
-        let build = |sw: SwitchId| -> SwitchNode {
-            let mut downstream = Vec::with_capacity(k);
-            let mut upstream = Vec::with_capacity(k);
-            for local in 0..k {
-                match graph.ports[graph.port_id(sw, local as u32)].peer {
-                    Peer::Host(h) => {
-                        downstream.push(Downstream::Host(h.index()));
-                        upstream.push(Upstream::Host(h.index()));
-                    }
-                    // Cables are full duplex: the far port both receives
-                    // our cells and returns our credits.
-                    Peer::Port(far) => {
-                        let far = graph.ports[far];
-                        downstream
-                            .push(Downstream::Switch(node_of(far.switch), far.local as usize));
-                        upstream.push(Upstream::Switch(node_of(far.switch), far.local as usize));
-                    }
-                    // lint:allow(panic-free): a 2-plane 2-level expansion
-                    // uses every port; an unconnected one is a compiler bug
-                    Peer::Unconnected => panic!("unwired port in a two-level expansion"),
-                }
-            }
-            SwitchNode::new(k, downstream, upstream, cfg.buffer_cells, cfg.buffer_tech)
-        };
-
-        let leaves = (0..leaf_count)
-            .map(|l| build(SwitchId::from_index(l)))
-            .collect();
-        let spines = (0..topo.spines())
-            .map(|s| build(SwitchId::from_index(leaf_count + s)))
-            .collect();
-
-        let node_ids = (0..topo.leaves())
-            .map(NodeId::Leaf)
-            .chain((0..topo.spines()).map(NodeId::Spine))
-            .collect();
-
         Ok(FatTreeFabric {
             cfg,
-            topo,
-            graph,
-            leaves,
-            spines,
-            host_queues: (0..topo.hosts()).map(|_| VecDeque::new()).collect(),
-            host_credits: vec![cfg.buffer_cells; topo.hosts()],
+            buffers: (0..switches).map(|_| plane()).collect(),
+            owed: vec![0; ports],
+            egress: (0..ports).map(|_| VecDeque::new()).collect(),
+            grant_ptr: vec![0; ports],
+            accept_ptr: vec![0; ports],
+            host_queues: (0..hosts).map(|_| VecDeque::new()).collect(),
+            host_owed: vec![0; hosts],
             cell_flights: VecDeque::new(),
             credit_flights: VecDeque::new(),
-            spine_ok: vec![true; topo.spines()],
+            spine_ok: vec![true; k / 2],
             retransmit_flights: VecDeque::new(),
             resync_credit_flights: VecDeque::new(),
-            link_stall: vec![0; topo.leaves() + topo.spines() + topo.hosts()],
+            link_stall: vec![0; switches + hosts],
             stamper: SequenceStamper::new(),
             checker: SequenceChecker::new(),
             next_id: 0,
-            node_ids,
-            requesters: BitSet::new(k),
-            grants_to_input: (0..k).map(|_| BitSet::new(k)).collect(),
-            in_matched: vec![false; k],
-            out_matched: vec![false; k],
-            matched_pairs: Vec::with_capacity(k),
+            requests: vec![0; k * k.div_ceil(64)],
+            requested: vec![0; k.div_ceil(64)],
+            matcher: Matcher::new(k),
+            in_flight: vec![0; ports],
+            graph,
         })
     }
 
     /// Topology descriptor.
     pub fn topology(&self) -> TwoLevelFatTree {
-        self.topo
+        TwoLevelFatTree {
+            radix: self.cfg.radix,
+        }
     }
 
-    /// The expanded graph the simulator was compiled from.
+    /// The expanded graph the simulator runs on.
     pub fn expanded(&self) -> &ExpandedFabric {
         &self.graph
     }
 
-    fn node(&mut self, id: NodeId) -> &mut SwitchNode {
-        match id {
-            NodeId::Leaf(l) => &mut self.leaves[l],
-            NodeId::Spine(s) => &mut self.spines[s],
-        }
+    /// What local port `local` of switch `sw` is cabled to: where its
+    /// cells fly, and where the credits for cells it received return.
+    fn peer(&self, sw: usize, local: usize) -> Peer {
+        self.graph.ports[PortId::from_index(sw * self.cfg.radix + local)].peer
     }
 
-    /// Output port a cell takes at the given switch: the expanded
-    /// graph's host attachment drives every descent; the ascent picks a
-    /// spine through [`pick_spine`](Self::pick_spine) so a dead plane
-    /// re-hashes flows (the healthy case agrees with
-    /// [`ExpandedFabric::route`], which the tests pin).
-    fn route(&self, id: NodeId, cell: &Cell) -> usize {
+    /// Output port a cell takes at switch `sw`: the expanded graph's
+    /// host attachment drives every descent; the ascent picks a spine
+    /// through [`pick_spine`](Self::pick_spine) so a dead plane re-hashes
+    /// flows (the healthy case agrees with [`ExpandedFabric::route`],
+    /// which the tests pin).
+    fn route(&self, sw: usize, cell: &Cell) -> usize {
         let (dst_sw, dst_port) = self.graph.host_attach(HostId::from_index(cell.dst));
-        match id {
-            NodeId::Leaf(l) => {
-                if dst_sw.index() == l {
-                    dst_port as usize
-                } else {
-                    self.topo.up_port(self.pick_spine(cell.src, cell.dst))
-                }
-            }
+        if sw >= self.cfg.radix {
             // Spine port l is cabled to leaf l: descend to the
             // destination's edge switch.
-            NodeId::Spine(_) => dst_sw.index(),
+            dst_sw.index()
+        } else if dst_sw.index() == sw {
+            dst_port as usize
+        } else {
+            self.cfg.radix / 2 + self.pick_spine(cell.src, cell.dst)
         }
     }
 
@@ -419,7 +313,8 @@ impl FatTreeFabric {
     /// neighbour. With every plane dead the cell stalls (losslessly)
     /// toward its nominal spine until one heals.
     fn pick_spine(&self, src: usize, dst: usize) -> usize {
-        let s0 = self.topo.spine_of_flow(src, dst);
+        let spines = self.spine_ok.len();
+        let s0 = top_choice(src, dst, spines);
         if self.spine_ok[s0] {
             return s0;
         }
@@ -427,7 +322,7 @@ impl FatTreeFabric {
         if healthy == 0 {
             return s0;
         }
-        let pick = self.topo.spine_of_flow(dst + self.topo.hosts(), src) % healthy;
+        let pick = top_choice(dst + self.host_queues.len(), src, spines) % healthy;
         self.spine_ok
             .iter()
             .enumerate()
@@ -440,132 +335,118 @@ impl FatTreeFabric {
             .unwrap_or(s0)
     }
 
-    /// Global node index: leaves first, then spines (the fault plane's
-    /// and the audit plane's node keying).
-    fn node_index(&self, id: NodeId) -> usize {
-        match id {
-            NodeId::Leaf(l) => l,
-            NodeId::Spine(s) => self.topo.leaves() + s,
-        }
-    }
-
     /// Snapshot every credit-controlled link's ledger for the audit
     /// plane. Taken at the top of `arbitrate`, where the conservation
     /// sum is quiescent: every state transition (credit consumed ↔ cell
     /// in flight ↔ buffer occupancy ↔ credit in flight) happens
     /// atomically inside the arbitrate/deliver phases.
     fn report_credit_ledgers<T: TraceSink>(&mut self, obs: &mut Observer<'_, T>) {
-        use std::collections::BTreeMap;
-        // One pass over the flight queues, binned by receiving link.
-        let mut cells_to: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        for &(_, dest, _) in self
-            .cell_flights
-            .iter()
-            .chain(self.retransmit_flights.iter())
-        {
-            if let CellDest::SwitchIn(id, p) = dest {
-                *cells_to.entry((self.node_index(id), p)).or_insert(0) += 1;
-            }
-        }
-        let mut credits_to_out: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        let mut credits_to_host: BTreeMap<usize, u64> = BTreeMap::new();
-        for &(_, dest) in self
+        let graph = &self.graph;
+        // One pass over the flight queues, binned by the input port whose
+        // loop they belong to: a cell flies to that port, a credit to the
+        // port's peer.
+        self.in_flight.fill(0);
+        let cells = self.cell_flights.iter().chain(&self.retransmit_flights);
+        let credits = self
             .credit_flights
             .iter()
-            .chain(self.resync_credit_flights.iter())
-        {
-            match dest {
-                CreditDest::SwitchOut(id, port) => {
-                    *credits_to_out
-                        .entry((self.node_index(id), port))
-                        .or_insert(0) += 1;
-                }
-                CreditDest::Host(h) => *credits_to_host.entry(h).or_insert(0) += 1,
+            .chain(&self.resync_credit_flights);
+        let inputs = cells
+            .map(|&(_, to, _)| to)
+            .chain(credits.map(|&(_, to)| match to {
+                Peer::Port(sender) => graph.ports[sender].peer,
+                Peer::Host(h) => Peer::Port(graph.hosts[h].port),
+                Peer::Unconnected => to,
+            }));
+        for input in inputs {
+            if let Peer::Port(p) = input {
+                self.in_flight[p.index()] += 1;
             }
         }
         let capacity = self.cfg.buffer_cells as u64;
-        let ports = self.cfg.radix;
-        for idx in 0..self.node_ids.len() {
-            let id = self.node_ids[idx];
-            for p in 0..ports {
-                let (upstream, occupancy) = {
-                    let node = match id {
-                        NodeId::Leaf(l) => &self.leaves[l],
-                        NodeId::Spine(s) => &self.spines[s],
-                    };
-                    (node.upstream[p], node.buffers.occupancy(p) as u64)
-                };
-                let (held, credits_in_flight) = match upstream {
-                    Upstream::Host(h) => (
-                        self.host_credits[h] as u64,
-                        credits_to_host.get(&h).copied().unwrap_or(0),
-                    ),
-                    Upstream::Switch(uid, uo) => {
-                        let up = match uid {
-                            NodeId::Leaf(l) => &self.leaves[l],
-                            NodeId::Spine(s) => &self.spines[s],
-                        };
-                        if up.credits[uo] == usize::MAX {
-                            // Host-facing output: not credit-controlled.
-                            continue;
-                        }
-                        (
-                            up.credits[uo] as u64,
-                            credits_to_out
-                                .get(&(self.node_index(uid), uo))
-                                .copied()
-                                .unwrap_or(0),
-                        )
-                    }
-                };
-                let cells_in_flight = cells_to.get(&(idx, p)).copied().unwrap_or(0);
-                obs.audit_credit_link(
-                    idx,
-                    p,
-                    CreditLedger {
-                        held,
-                        in_flight: credits_in_flight + cells_in_flight,
-                        occupancy,
-                        capacity,
-                    },
-                );
-            }
+        for (p, port) in graph.ports.iter() {
+            let owed = match port.peer {
+                Peer::Host(h) => self.host_owed[h.index()],
+                Peer::Port(sender) => self.owed[sender.index()],
+                Peer::Unconnected => continue,
+            };
+            let (sw, input) = (port.switch.index(), port.local as usize);
+            obs.audit_credit_link(
+                sw,
+                input,
+                CreditLedger {
+                    held: capacity - owed as u64,
+                    in_flight: self.in_flight[p.index()],
+                    occupancy: self.buffers[sw].occupancy(input) as u64,
+                    capacity,
+                },
+            );
         }
     }
 
     /// Snapshot every FDL queue's cell-conservation ledger for the audit
     /// plane (`pushed == popped + dropped + resident` per input queue).
-    /// Queue keying is `node_index · radix + input`. Electronic planes
-    /// keep no per-queue ledgers and report nothing here, so audited
+    /// Queue keying is `switch · radix + input`. Electronic planes keep
+    /// no per-queue ledgers and report nothing here, so audited
     /// electronic runs stay bit-identical to the pre-seam code.
-    fn report_fdl_ledgers<T: TraceSink>(&mut self, obs: &mut Observer<'_, T>) {
-        let ports = self.cfg.radix;
-        for idx in 0..self.node_ids.len() {
-            let id = self.node_ids[idx];
-            for p in 0..ports {
-                let ledger = {
-                    let node = match id {
-                        NodeId::Leaf(l) => &self.leaves[l],
-                        NodeId::Spine(s) => &self.spines[s],
-                    };
-                    node.buffers.queue_ledger(p)
-                };
-                if let Some((pushed, popped, dropped, resident)) = ledger {
-                    obs.audit_fdl_ledger(idx * ports + p, pushed, popped, dropped, resident);
+    fn report_fdl_ledgers<T: TraceSink>(&self, obs: &mut Observer<'_, T>) {
+        let radix = self.cfg.radix;
+        for (sw, plane) in self.buffers.iter().enumerate() {
+            for p in 0..radix {
+                if let Some((pushed, popped, dropped, resident)) = plane.queue_ledger(p) {
+                    obs.audit_fdl_ledger(sw * radix + p, pushed, popped, dropped, resident);
                 }
             }
         }
     }
 
-    /// The link index a cell traverses to reach `dest` — the receiving
-    /// endpoint's global index (leaves, then spines, then hosts) — used
-    /// as the `FaultView::cell_corrupted` key.
-    fn link_of(&self, dest: CellDest) -> usize {
-        match dest {
-            CellDest::SwitchIn(NodeId::Leaf(l), _) => l,
-            CellDest::SwitchIn(NodeId::Spine(s), _) => self.topo.leaves() + s,
-            CellDest::Host(h) => self.topo.leaves() + self.topo.spines() + h,
+    /// The link index a cell traverses to reach `to` — the receiving
+    /// endpoint's global index (switches, then hosts) — used as the
+    /// `FaultView::cell_corrupted` key.
+    fn link_of(&self, to: Peer) -> usize {
+        match to {
+            Peer::Port(p) => self.graph.ports[p].switch.index(),
+            Peer::Host(h) => self.buffers.len() + h.index(),
+            // lint:allow(panic-free): a 2-plane 2-level expansion uses
+            // every port, so no flight is ever bound for an unwired one
+            Peer::Unconnected => panic!("flight bound for an unwired port"),
         }
+    }
+
+    /// Input `input` of switch `sw` freed a buffer slot in slot `t`:
+    /// credit back to whoever feeds that port. Under a credit-drop fault
+    /// the return is lost on the wire and recovered by the periodic
+    /// credit audit — after the downstream's next occupancy audit (a few
+    /// credit RTTs), not instantly, so the degraded mode throttles but
+    /// never deadlocks.
+    fn return_credit<T: TraceSink>(
+        &mut self,
+        t: u64,
+        sw: usize,
+        input: usize,
+        obs: &mut Observer<'_, T>,
+    ) {
+        let d = self.cfg.link_delay;
+        let sender = self.peer(sw, input);
+        if obs.faults_attached() && obs.fault_credit_dropped(sw, input) {
+            let resync = 4 * (2 * d + 1);
+            self.resync_credit_flights
+                .push_back((t + d + resync, sender));
+        } else {
+            self.credit_flights.push_back((t + d, sender));
+        }
+    }
+
+    /// Put `cell` on the cable out of local port `o` of switch `sw` in
+    /// slot `t`. A switch link takes a credit; a host sink (which drains
+    /// a cell per slot by construction) does not.
+    fn send(&mut self, t: u64, sw: usize, o: usize, cell: Cell) {
+        let to = self.peer(sw, o);
+        if let Peer::Port(_) = to {
+            self.owed[sw * self.cfg.radix + o] += 1;
+        }
+        self.cell_flights
+            .push_back((t + self.cfg.link_delay, to, cell));
     }
 
     /// Cells currently inside the fabric (host queues, switch buffers,
@@ -573,11 +454,9 @@ impl FatTreeFabric {
     /// resident_cells()` after a faulted run, no cell was lost.
     pub fn resident_cells(&self) -> u64 {
         let mut n = self.cell_flights.len() + self.retransmit_flights.len();
-        n += self.host_queues.iter().map(|q| q.len()).sum::<usize>();
-        for node in self.leaves.iter().chain(self.spines.iter()) {
-            n += node.buffers.total();
-            n += node.egress.iter().map(|q| q.len()).sum::<usize>();
-        }
+        n += self.buffers.iter().map(|b| b.total()).sum::<usize>();
+        let queues = self.host_queues.iter().chain(&self.egress);
+        n += queues.map(|q| q.len()).sum::<usize>();
         n as u64
     }
 
@@ -600,45 +479,45 @@ impl FatTreeFabric {
 
 impl CellSwitch for FatTreeFabric {
     fn ports(&self) -> usize {
-        self.topo.hosts()
+        self.host_queues.len()
     }
 
     fn configure(&mut self, cfg: &EngineConfig) {
-        self.checker = SequenceChecker::new();
-        self.spine_ok.iter_mut().for_each(|ok| *ok = true);
-        self.retransmit_flights.clear();
-        self.resync_credit_flights.clear();
-        self.link_stall.iter_mut().for_each(|s| *s = 0);
-        // An engine-level buffer override re-arms every credit loop; only
-        // meaningful on a fabric that has not run yet (queues empty).
-        if let Some(b) = cfg.buffer_cells {
-            if b != self.cfg.buffer_cells {
-                assert!(b >= 1);
-                self.cfg.buffer_cells = b;
-                for node in self.leaves.iter_mut().chain(self.spines.iter_mut()) {
-                    node.reset_credits(b);
-                    node.buffers.reconfigure(b);
-                }
-                self.host_credits.iter_mut().for_each(|c| *c = b);
+        // An engine-level buffer override re-arms every credit loop. The
+        // loops count cells out against the depth, so a new depth cannot
+        // be applied while any is still out.
+        if let Some(b) = cfg.buffer_cells.filter(|&b| b != self.cfg.buffer_cells) {
+            assert!(b >= 1);
+            let credits = self.credit_flights.len() + self.resync_credit_flights.len();
+            assert!(
+                self.resident_cells() == 0 && credits == 0,
+                "a buffer_cells override is valid only on a fabric that has not run: \
+                 cells or credits are still inside this one"
+            );
+            self.cfg.buffer_cells = b;
+            for plane in &mut self.buffers {
+                plane.reconfigure(b);
             }
         }
+        self.checker = SequenceChecker::new();
+        self.spine_ok.fill(true);
+        self.retransmit_flights.clear();
+        self.resync_credit_flights.clear();
+        self.link_stall.fill(0);
     }
 
     fn arbitrate<T: TraceSink>(&mut self, t: u64, obs: &mut Observer<'_, T>) {
         let d = self.cfg.link_delay;
-        let ports = self.cfg.radix;
-        let half = ports / 2;
+        let radix = self.cfg.radix;
+        let (leaves, half, words) = (radix, radix / 2, radix.div_ceil(64));
         let buffer_cells = self.cfg.buffer_cells;
+        let to_egress = self.cfg.placement == Placement::InputAndOutput;
         let option2_extra = if self.cfg.placement == Placement::OutputOnly {
             2 * d
         } else {
             0
         };
         let faults_on = obs.faults_attached();
-        // Credit-audit period: a lost credit is recovered after the
-        // downstream's next occupancy audit (a few credit RTTs), not
-        // instantly — the degraded mode throttles, but never deadlocks.
-        let resync = 4 * (2 * d + 1);
         // The invariant auditor sees every credit loop's ledger here, at
         // the top of the slot, where the conservation sum is quiescent.
         if obs.audit_attached() {
@@ -648,23 +527,20 @@ impl CellSwitch for FatTreeFabric {
             }
         }
         if faults_on {
-            for s in 0..self.spine_ok.len() {
+            for s in 0..half {
                 self.spine_ok[s] = !obs.fault_plane_down(s);
             }
             // Delay-line health. The fault plane keys lines globally as
-            // (node_index · radix + input) · lines_per_queue + local; the
-            // plane itself uses the node-local index. A dead line accepts
-            // no new cells (its contents still emerge), so the affected
-            // input runs at reduced guaranteed capacity.
+            // (switch · radix + input) · lines_per_queue + local; the
+            // plane itself uses the switch-local index. A dead line
+            // accepts no new cells (its contents still emerge), so the
+            // affected input runs at reduced guaranteed capacity.
             if self.cfg.buffer_tech == BufferTech::Fdl {
-                for idx in 0..self.node_ids.len() {
-                    let id = self.node_ids[idx];
-                    let lpq = self.node(id).buffers.lines_per_queue();
-                    for p in 0..ports {
-                        for l in 0..lpq {
-                            let dead = obs.fault_delay_line_dead((idx * ports + p) * lpq + l);
-                            self.node(id).buffers.set_line_dead(p * lpq + l, dead);
-                        }
+                for (sw, plane) in self.buffers.iter_mut().enumerate() {
+                    let lpq = plane.lines_per_queue();
+                    for line in 0..radix * lpq {
+                        let dead = obs.fault_delay_line_dead(sw * radix * lpq + line);
+                        plane.set_line_dead(line, dead);
                     }
                 }
             }
@@ -672,274 +548,152 @@ impl CellSwitch for FatTreeFabric {
         // Start-of-slot buffer tick: delay-line emergences become visible
         // before this slot's arrivals and matching (no-op for electronic
         // planes).
-        for idx in 0..self.node_ids.len() {
-            let id = self.node_ids[idx];
-            self.node(id).buffers.tick(t);
+        for plane in &mut self.buffers {
+            plane.tick(t);
         }
 
         // --- Cell arrivals from links. The retransmission path drains
         // first: a resent cell is older than anything still in the
         // primary flight queue for the same link, and go-back-N order
         // requires it to be accepted first.
-        for pass in 0..2 {
+        for resent in [true, false] {
             loop {
-                let popped = {
-                    let q = if pass == 0 {
-                        &mut self.retransmit_flights
-                    } else {
-                        &mut self.cell_flights
-                    };
-                    if q.front().is_some_and(|&(at, _, _)| at == t) {
-                        q.pop_front()
-                    } else {
-                        None
-                    }
+                let flights = if resent {
+                    &mut self.retransmit_flights
+                } else {
+                    &mut self.cell_flights
                 };
-                let Some((_, dest, cell)) = popped else { break };
+                if flights.front().is_none_or(|&(at, _, _)| at != t) {
+                    break;
+                }
+                let Some((_, to, cell)) = flights.pop_front() else {
+                    break;
+                };
                 if faults_on {
-                    let link = self.link_of(dest);
-                    if t < self.link_stall[link] {
-                        // Go-back-N: a predecessor on this link is mid
-                        // retransmission, so this cell is out of sequence
-                        // at the receiver — discard and resend it behind
-                        // the predecessor, extending the stall so cells
-                        // behind *it* queue up in order too.
+                    let link = self.link_of(to);
+                    // Go-back-N: while a predecessor on this link is mid
+                    // retransmission the cell is out of sequence at the
+                    // receiver; otherwise it may itself arrive detected-
+                    // uncorrectable. Either way: NACK upstream and resend
+                    // — one extra link RTT, no loss — extending the stall
+                    // so cells behind it queue up in order too. The
+                    // sender's credit stays consumed, so buffer accounting
+                    // holds across the round trip.
+                    if t < self.link_stall[link] || obs.fault_cell_corrupted(link) {
                         obs.cell_retransmitted(link);
                         self.link_stall[link] = t + 2 * d;
-                        self.retransmit_flights.push_back((t + 2 * d, dest, cell));
-                        continue;
-                    }
-                    if obs.fault_cell_corrupted(link) {
-                        // Detected-uncorrectable arrival: NACK upstream
-                        // and resend — one extra link RTT, no loss. The
-                        // sender's credit stays consumed, so buffer
-                        // accounting holds across the round trip.
-                        obs.cell_retransmitted(link);
-                        self.link_stall[link] = t + 2 * d;
-                        self.retransmit_flights.push_back((t + 2 * d, dest, cell));
+                        self.retransmit_flights.push_back((t + 2 * d, to, cell));
                         continue;
                     }
                 }
-                match dest {
-                    CellDest::Host(h) => {
-                        debug_assert_eq!(cell.dst, h);
+                match to {
+                    Peer::Host(h) => {
+                        debug_assert_eq!(cell.dst, h.index());
                         self.checker.record(cell.src, cell.dst, cell.seq);
-                        obs.cell_delivered_flow(h, cell.inject_slot, cell.src, cell.seq);
+                        obs.cell_delivered_flow(h.index(), cell.inject_slot, cell.src, cell.seq);
                     }
-                    CellDest::SwitchIn(id, port) => {
-                        let out = self.route(id, &cell);
-                        let node = self.node(id);
+                    Peer::Port(p) => {
+                        let at = self.graph.ports[p];
+                        let (sw, input) = (at.switch.index(), at.local as usize);
+                        let out = self.route(sw, &cell);
+                        let plane = &mut self.buffers[sw];
                         // A cell arriving in slot t is schedulable at t+1
                         // (the local request/grant cycle); option 2 adds a
                         // control RTT on top.
-                        node.buffers.push(t, port, out, t + 1 + option2_extra, cell);
-                        let occ = node.buffers.occupancy(port);
+                        plane.push(t, input, out, t + 1 + option2_extra, cell);
+                        let occ = plane.occupancy(input);
                         assert!(
                             occ <= buffer_cells,
-                            "input buffer overflow at {id:?} port {port}: \
-                             credit flow control violated"
+                            "input buffer overflow at {} port {input}: \
+                             credit flow control violated",
+                            at.switch
                         );
                         obs.note_queue_depth(occ);
                     }
+                    // Never sent: a 2-plane 2-level expansion wires every port.
+                    Peer::Unconnected => {}
                 }
             }
         }
 
         // --- Credit returns (normal loop, then audit-recovered credits).
-        while let Some(&(at, dest)) = self.credit_flights.front() {
-            if at != t {
-                break;
-            }
-            self.credit_flights.pop_front();
-            match dest {
-                CreditDest::Host(h) => self.host_credits[h] += 1,
-                CreditDest::SwitchOut(id, port) => {
-                    let node = self.node(id);
-                    node.credits[port] += 1;
-                }
-            }
-        }
-        while let Some(&(at, dest)) = self.resync_credit_flights.front() {
-            if at != t {
-                break;
-            }
-            self.resync_credit_flights.pop_front();
-            match dest {
-                CreditDest::Host(h) => self.host_credits[h] += 1,
-                CreditDest::SwitchOut(id, port) => {
-                    let node = self.node(id);
-                    node.credits[port] += 1;
+        for flights in [&mut self.credit_flights, &mut self.resync_credit_flights] {
+            while flights.front().is_some_and(|&(at, _)| at == t) {
+                match flights.pop_front() {
+                    Some((_, Peer::Host(h))) => self.host_owed[h.index()] -= 1,
+                    Some((_, Peer::Port(p))) => self.owed[p.index()] -= 1,
+                    _ => {}
                 }
             }
         }
 
         // --- Each switch computes a matching and forwards cells.
-        for idx in 0..self.node_ids.len() {
-            let id = self.node_ids[idx];
+        for sw in 0..self.buffers.len() {
+            let base = sw * radix;
             // A dead wavelength plane switches nothing: its buffered
             // cells stall (losslessly — upstream credits stay consumed)
             // until the plane heals. Leaves stop feeding it below.
-            if faults_on {
-                if let NodeId::Spine(s) = id {
-                    if !self.spine_ok[s] {
-                        continue;
-                    }
-                }
+            if faults_on && sw >= leaves && !self.spine_ok[sw - leaves] {
+                continue;
             }
             // Option 1: egress buffers transmit first (a cell matched in
             // slot t departs the stage in slot t+1), gated by downstream
             // credits.
-            if self.cfg.placement == Placement::InputAndOutput {
-                for o in 0..ports {
-                    let (send, dest) = {
-                        let node = match id {
-                            NodeId::Leaf(l) => &mut self.leaves[l],
-                            NodeId::Spine(s) => &mut self.spines[s],
-                        };
-                        let is_switch = matches!(node.downstream[o], Downstream::Switch(..));
-                        if is_switch && node.credits[o] == 0 {
-                            continue;
-                        }
-                        let Some(cell) = node.egress[o].pop_front() else {
-                            continue;
-                        };
-                        if is_switch {
-                            node.credits[o] -= 1;
-                        }
-                        (cell, node.downstream[o])
-                    };
-                    let dest = match dest {
-                        Downstream::Host(h) => CellDest::Host(h),
-                        Downstream::Switch(nid, port) => CellDest::SwitchIn(nid, port),
-                    };
-                    self.cell_flights.push_back((t + d, dest, send));
+            if to_egress {
+                for o in 0..radix {
+                    if self.owed[base + o] as usize >= buffer_cells {
+                        continue;
+                    }
+                    if let Some(cell) = self.egress[base + o].pop_front() {
+                        self.send(t, sw, o, cell);
+                    }
                 }
             }
 
-            // Matching (iterative RR grant/accept) on the node.
-            self.matched_pairs.clear();
-            {
-                let needs_credit_at_match = self.cfg.placement != Placement::InputAndOutput;
-                let node = match id {
-                    NodeId::Leaf(l) => &mut self.leaves[l],
-                    NodeId::Spine(s) => &mut self.spines[s],
-                };
-                self.in_matched.fill(false);
-                self.out_matched.fill(false);
-                for _ in 0..self.cfg.iterations {
-                    for g in self.grants_to_input.iter_mut() {
-                        g.clear_all();
-                    }
-                    let mut any = false;
-                    for o in 0..ports {
-                        if self.out_matched[o] {
-                            continue;
-                        }
-                        // Leaf uplinks toward a dead spine are masked out
-                        // of arbitration; queued cells wait for repair,
-                        // new flows were already re-hashed at routing.
-                        if faults_on
-                            && matches!(id, NodeId::Leaf(_))
-                            && o >= half
-                            && !self.spine_ok[o - half]
-                        {
-                            continue;
-                        }
-                        if needs_credit_at_match && node.credits[o] == 0 {
-                            continue;
-                        }
-                        self.requesters.clear_all();
-                        let mut have = false;
-                        for i in 0..ports {
-                            if self.in_matched[i] {
-                                continue;
-                            }
-                            if node.buffers.ready(t, i, o) {
-                                self.requesters.set(i);
-                                have = true;
-                            }
-                        }
-                        if !have {
-                            continue;
-                        }
-                        if let Some(i) = node.grant_arb[o].arbitrate(&self.requesters) {
-                            self.grants_to_input[i].set(o);
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        break;
-                    }
-                    for i in 0..ports {
-                        if self.in_matched[i] || self.grants_to_input[i].is_empty() {
-                            continue;
-                        }
-                        if let Some(o) = node.accept_arb[i].arbitrate(&self.grants_to_input[i]) {
-                            self.in_matched[i] = true;
-                            self.out_matched[o] = true;
-                            node.grant_arb[o].advance_past(i);
-                            node.accept_arb[i].advance_past(o);
-                            self.matched_pairs.push((i, o));
-                        }
-                    }
+            // The plane's ready cells as request masks; `ready` is pure,
+            // so the masks hold until the pops below.
+            self.requests.fill(0);
+            self.requested.fill(0);
+            let plane = &self.buffers[sw];
+            for i in (0..radix).filter(|&i| plane.occupancy(i) > 0) {
+                for o in (0..radix).filter(|&o| plane.ready(t, i, o)) {
+                    self.requests[o * words + i / 64] |= 1 << (i % 64);
+                    self.requested[o / 64] |= 1 << (o % 64);
                 }
             }
+            // An output grants while its credit loop has room (option 1
+            // checks that at the egress buffer instead), and never toward
+            // a dead spine: queued cells wait for repair, new flows were
+            // already re-hashed at routing.
+            let (owed, spine_ok) = (&self.owed[base..base + radix], &self.spine_ok);
+            self.matcher.match_switch(
+                self.cfg.iterations,
+                &self.requests,
+                &self.requested,
+                &mut self.grant_ptr[base..base + radix],
+                &mut self.accept_ptr[base..base + radix],
+                |o| {
+                    let dead = faults_on && sw < leaves && o >= half && !spine_ok[o - half];
+                    !dead && (to_egress || (owed[o] as usize) < buffer_cells)
+                },
+            );
 
             // Execute the matching: move cells out of the input buffers,
             // return credits upstream.
-            for m in 0..self.matched_pairs.len() {
-                let (i, o) = self.matched_pairs[m];
-                let (cell, upstream, to_egress, dest) = {
-                    let node = match id {
-                        NodeId::Leaf(l) => &mut self.leaves[l],
-                        NodeId::Spine(s) => &mut self.spines[s],
-                    };
-                    let mut cell = node
-                        .buffers
-                        .pop(t, i, o)
-                        // lint:allow(panic-free): the per-node matching
-                        // only grants (i, o) pairs the plane reported
-                        // ready this slot
-                        .expect("matched pair without a cell");
-                    cell.grant_slot = t;
-                    let to_egress = self.cfg.placement == Placement::InputAndOutput;
-                    if !to_egress {
-                        debug_assert!(node.credits[o] >= 1);
-                        if let Downstream::Switch(..) = node.downstream[o] {
-                            node.credits[o] -= 1;
-                        }
-                    }
-                    (cell, node.upstream[i], to_egress, node.downstream[o])
+            for m in 0..self.matcher.matched.len() {
+                let (i, o) = self.matcher.matched[m];
+                let (i, o) = (i as usize, o as usize);
+                let Some(mut cell) = self.buffers[sw].pop(t, i, o) else {
+                    // lint:allow(panic-free): the matching only pairs
+                    // ports the plane reported ready this slot
+                    panic!("matched pair without a cell");
                 };
-                // Credit back to whoever feeds this input port. Under a
-                // credit-drop fault the return is lost on the wire and
-                // recovered later by the periodic credit audit.
-                let credit_dest = match upstream {
-                    Upstream::Host(h) => CreditDest::Host(h),
-                    Upstream::Switch(up_id, up_port) => CreditDest::SwitchOut(up_id, up_port),
-                };
-                let node_index = match id {
-                    NodeId::Leaf(l) => l,
-                    NodeId::Spine(s) => self.topo.leaves() + s,
-                };
-                if faults_on && obs.fault_credit_dropped(node_index, i) {
-                    self.resync_credit_flights
-                        .push_back((t + d + resync, credit_dest));
-                } else {
-                    self.credit_flights.push_back((t + d, credit_dest));
-                }
+                cell.grant_slot = t;
+                self.return_credit(t, sw, i, obs);
                 if to_egress {
-                    let node = match id {
-                        NodeId::Leaf(l) => &mut self.leaves[l],
-                        NodeId::Spine(s) => &mut self.spines[s],
-                    };
-                    node.egress[o].push_back(cell);
+                    self.egress[base + o].push_back(cell);
                 } else {
-                    let dest = match dest {
-                        Downstream::Host(h) => CellDest::Host(h),
-                        Downstream::Switch(nid, port) => CellDest::SwitchIn(nid, port),
-                    };
-                    self.cell_flights.push_back((t + d, dest, cell));
+                    self.send(t, sw, o, cell);
                 }
             }
         }
@@ -950,34 +704,16 @@ impl CellSwitch for FatTreeFabric {
         // cell consumed its upstream credit at admission, so the credit
         // returns exactly as a served cell's would — subject to the same
         // credit-drop fault and audit resync.
-        for idx in 0..self.node_ids.len() {
-            let id = self.node_ids[idx];
-            let losses = {
-                let node = self.node(id);
-                node.buffers.settle(t);
-                node.buffers.take_losses()
-            };
-            for loss in losses {
-                let upstream = match id {
-                    NodeId::Leaf(l) => self.leaves[l].upstream[loss.input],
-                    NodeId::Spine(s) => self.spines[s].upstream[loss.input],
-                };
-                let credit_dest = match upstream {
-                    Upstream::Host(h) => CreditDest::Host(h),
-                    Upstream::Switch(up_id, up_port) => CreditDest::SwitchOut(up_id, up_port),
-                };
-                if faults_on && obs.fault_credit_dropped(idx, loss.input) {
-                    self.resync_credit_flights
-                        .push_back((t + d + resync, credit_dest));
-                } else {
-                    self.credit_flights.push_back((t + d, credit_dest));
-                }
+        for sw in 0..self.buffers.len() {
+            self.buffers[sw].settle(t);
+            for loss in self.buffers[sw].take_losses() {
+                self.return_credit(t, sw, loss.input, obs);
                 let reason = match loss.reason {
                     BufferLossReason::AdmissionFull => DropReason::BufferFull,
                     BufferLossReason::DeadLine => DropReason::FaultLoss,
                     BufferLossReason::NoFeasibleLine => DropReason::Other,
                 };
-                obs.cell_dropped_for(idx * ports + loss.input, reason);
+                obs.cell_dropped_for(sw * radix + loss.input, reason);
             }
         }
     }
@@ -985,18 +721,16 @@ impl CellSwitch for FatTreeFabric {
     fn deliver<T: TraceSink>(&mut self, t: u64, obs: &mut Observer<'_, T>) {
         // --- Hosts inject one cell per slot when they hold a credit.
         let d = self.cfg.link_delay;
-        for h in 0..self.topo.hosts() {
-            let (leaf, port) = self.graph.host_attach(HostId::from_index(h));
-            if self.host_credits[h] > 0 {
+        for h in 0..self.host_queues.len() {
+            let host = HostId::from_index(h);
+            if (self.host_owed[h] as usize) < self.cfg.buffer_cells {
                 if let Some(cell) = self.host_queues[h].pop_front() {
-                    self.host_credits[h] -= 1;
-                    self.cell_flights.push_back((
-                        t + d,
-                        CellDest::SwitchIn(NodeId::Leaf(leaf.index()), port as usize),
-                        cell,
-                    ));
+                    self.host_owed[h] += 1;
+                    let to = Peer::Port(self.graph.hosts[host].port);
+                    self.cell_flights.push_back((t + d, to, cell));
                 }
             } else if !self.host_queues[h].is_empty() {
+                let (leaf, port) = self.graph.host_attach(host);
                 obs.credit_stall(leaf.index(), port as usize);
             }
         }
@@ -1018,8 +752,8 @@ impl CellSwitch for FatTreeFabric {
         // so the pinned fingerprints are untouched by the plane seam.
         if self.cfg.buffer_tech == BufferTech::Fdl {
             let mut total = BufferStats::default();
-            for node in self.leaves.iter().chain(self.spines.iter()) {
-                let s = node.buffers.stats();
+            for plane in &self.buffers {
+                let s = plane.stats();
                 total.dropped += s.dropped;
                 total.dropped_admission += s.dropped_admission;
                 total.dropped_dead_line += s.dropped_dead_line;
@@ -1053,40 +787,41 @@ mod tests {
 
     #[test]
     fn expansion_wiring_matches_hand_built_rule() {
-        // The tables compiled from the expanded graph must equal the §V
-        // closed forms: leaf l port p < k/2 faces host l·(k/2)+p; up
-        // port k/2+s reaches spine s at input l; spine port l mirrors
-        // leaf l's up port.
+        // The peers and routes the simulator reads off the expanded
+        // graph must equal the §V closed forms: leaf l port p < k/2 faces
+        // host l·(k/2)+p; up port k/2+s reaches spine s at input l; spine
+        // port l mirrors leaf l's up port.
         let fab = FatTreeFabric::new(FabricConfig::small(8, 2));
-        let (k, half) = (8usize, 4usize);
-        for l in 0..fab.topo.leaves() {
-            for p in 0..k {
-                match fab.leaves[l].downstream[p] {
-                    Downstream::Host(h) if p < half => assert_eq!(h, l * half + p),
-                    Downstream::Switch(NodeId::Spine(s), port) if p >= half => {
-                        assert_eq!(s, p - half);
-                        assert_eq!(port, l);
-                    }
-                    other => panic!("leaf {l} port {p}: {other:?}"),
-                }
-                match fab.leaves[l].upstream[p] {
-                    Upstream::Host(h) if p < half => assert_eq!(h, l * half + p),
-                    Upstream::Switch(NodeId::Spine(s), port) if p >= half => {
-                        assert_eq!(s, p - half);
-                        assert_eq!(port, l);
-                    }
-                    other => panic!("leaf {l} port {p}: {other:?}"),
-                }
+        let t = fab.topology();
+        let at = |sw: usize, local: usize| Peer::Port(PortId::from_index(sw * t.radix + local));
+        for l in 0..t.leaves() {
+            for p in 0..t.hosts_per_leaf() {
+                let host = HostId::from_index(l * t.hosts_per_leaf() + p);
+                assert_eq!(fab.peer(l, p), Peer::Host(host), "leaf {l} port {p}");
+            }
+            for s in 0..t.spines() {
+                let spine = t.leaves() + s;
+                assert_eq!(fab.peer(l, t.up_port(s)), at(spine, l), "leaf {l} up {s}");
+                assert_eq!(
+                    fab.peer(spine, l),
+                    at(l, t.up_port(s)),
+                    "spine {s} port {l}"
+                );
             }
         }
-        for s in 0..fab.topo.spines() {
-            for l in 0..k {
-                match fab.spines[s].downstream[l] {
-                    Downstream::Switch(NodeId::Leaf(leaf), port) => {
-                        assert_eq!(leaf, l);
-                        assert_eq!(port, half + s);
+        // Healthy routing is the expansion's own.
+        for (src, dst) in [(0, 1), (0, 31), (13, 2), (31, 30), (7, 20)] {
+            let cell = Cell::new(0, src, dst, osmosis_traffic::Class::Data, 0, 0);
+            let (src, dst) = (HostId::from_index(src), HostId::from_index(dst));
+            let (mut sw, mut input) = fab.graph.host_attach(src);
+            loop {
+                let out = fab.route(sw.index(), &cell);
+                assert_eq!(out as u32, fab.graph.route(sw, input, src, dst));
+                match fab.peer(sw.index(), out) {
+                    Peer::Port(p) => {
+                        (sw, input) = (fab.graph.ports[p].switch, fab.graph.ports[p].local)
                     }
-                    other => panic!("spine {s} port {l}: {other:?}"),
+                    to => break assert_eq!(to, Peer::Host(dst)),
                 }
             }
         }
@@ -1224,6 +959,17 @@ mod tests {
         );
         assert!(r.throughput < 0.6, "throttled: {}", r.throughput);
         assert!(r.max_queue_depth <= 2, "occ {}", r.max_queue_depth);
+    }
+
+    #[test]
+    #[should_panic(expected = "valid only on a fabric that has not run")]
+    fn buffer_override_on_a_fabric_holding_cells_is_refused() {
+        // Credits out are counted against the depth: re-arming them with
+        // cells still outstanding would overflow a buffer much later.
+        let mut fab = FatTreeFabric::new(FabricConfig::small(8, 2));
+        let mut tr = BernoulliUniform::new(fab.topology().hosts(), 0.6, &SeedSequence::new(6));
+        fab.run(&mut tr, &EngineConfig::new(0, 200));
+        fab.run(&mut tr, &EngineConfig::new(0, 200).with_buffer_cells(3));
     }
 
     #[test]

@@ -30,9 +30,24 @@ pub const MODEL_TRAITS: &[&str] = &["SlottedModel", "CellScheduler", "CellSwitch
 
 /// Per-slot functions that must stay allocation-free (the precondition
 /// for the bitset hot-path rewrite): the two phase hooks, and the
-/// helpers a phase hook hands its per-switch, per-cell work to. The rule
-/// is name-scoped, so a helper is audited only once it is listed here.
-pub const HOT_FN_NAMES: &[&str] = &["arbitrate", "tick", "match_switch", "enqueue", "dequeue"];
+/// helpers a phase hook hands its per-switch, per-cell work to — the
+/// fabrics' shared matching kernel (`match_switch`), their buffer and
+/// credit moves, and the per-audited-slot ledger snapshot. The rule is
+/// name-scoped, so a helper is audited only once it is listed here, and
+/// a name no model-crate fn answers to is reported as stale.
+pub const HOT_FN_NAMES: &[&str] = &[
+    "arbitrate",
+    "tick",
+    "match_switch",
+    "enqueue",
+    "dequeue",
+    "send",
+    "return_credit",
+    "report_credit_ledgers",
+];
+
+/// The file [`HOT_FN_NAMES`] is declared in, workspace-relative.
+const HOT_FN_NAMES_HOME: &str = "crates/lint/src/contracts.rs";
 
 /// One `FaultKind` variant and the test files that exercise it.
 #[derive(Debug)]
@@ -697,9 +712,10 @@ fn rule_model_crate_sync(
 }
 
 /// Rule `hot-loop-alloc`: no allocation inside the bodies of the
-/// [`HOT_FN_NAMES`] fns in model crates. These run once per simulated
-/// slot (or per switch, or per cell, within one); an allocation there is
-/// both a perf cliff and a blocker for ROADMAP item 1's bitset rewrite.
+/// [`HOT_FN_NAMES`] fns in model crates, and no [`HOT_FN_NAMES`] entry
+/// without such a fn. These run once per simulated slot (or per switch,
+/// or per cell, within one); an allocation there is both a perf cliff
+/// and a blocker for ROADMAP item 1's bitset rewrite.
 /// The check is name-scoped (call-graph-blind): a helper that allocates
 /// and is *called* from a hot fn is seen only if its name is listed, so
 /// a new per-slot helper goes on the list in the PR that adds it.
@@ -751,6 +767,31 @@ fn rule_hot_loop_alloc(
                 line: fr.item.line,
                 allocations,
             });
+        }
+    }
+    // A listed name that no model-crate fn answers to audits nothing.
+    // Reported where the list lives, so only a scan that includes this
+    // file — the whole workspace — checks it.
+    let Some(home) = files.iter().find(|f| f.rel_path == HOT_FN_NAMES_HOME) else {
+        return;
+    };
+    let decl = home
+        .lines
+        .iter()
+        .position(|l| l.contains("const HOT_FN_NAMES"));
+    for name in HOT_FN_NAMES {
+        if !graph.hot_fns.iter().any(|h| h.name == *name) {
+            out.push(mk(
+                home,
+                "hot-loop-alloc",
+                decl.map_or(1, |i| i as u32 + 1),
+                1,
+                format!(
+                    "HOT_FN_NAMES entry `{name}` matches no fn in a model crate: \
+                     the helper was renamed or deleted, and the entry is dead \
+                     configuration — drop it, or list the fn that took its place"
+                ),
+            ));
         }
     }
 }
@@ -924,6 +965,42 @@ mod tests {
         // Same code outside a model crate is out of scope.
         let (diags, _) = deep(&[("crates/analysis/src/s.rs", src)], &Artifacts::default());
         assert!(diags.iter().all(|d| d.rule != "hot-loop-alloc"));
+    }
+
+    #[test]
+    fn hot_loop_alloc_sees_per_slot_maps_in_a_listed_ledger_snapshot() {
+        // The shape `FatTreeFabric::report_credit_ledgers` had before it
+        // moved to port-indexed scratch: three maps built per audited slot.
+        let src = "impl FatTreeFabric {\n    fn report_credit_ledgers(&mut self) {\n        \
+                   let mut cells_to: BTreeMap<(usize, usize), u64> = BTreeMap::new();\n        \
+                   let mut credits_to_out: BTreeMap<(usize, usize), u64> = BTreeMap::new();\n        \
+                   let mut credits_to_host: BTreeMap<usize, u64> = BTreeMap::new();\n    }\n}\n";
+        let (diags, _) = deep(&[("crates/fabric/src/m.rs", src)], &Artifacts::default());
+        let hits = diags.iter().filter(|d| d.rule == "hot-loop-alloc");
+        assert_eq!(hits.count(), 3, "{diags:#?}");
+    }
+
+    #[test]
+    fn hot_loop_alloc_reports_listed_names_without_a_fn() {
+        // Only a scan that includes the list's own file checks it; there,
+        // every name but the one this workspace defines is stale.
+        let model = ("crates/sched/src/s.rs", "fn tick(&mut self) {}\n");
+        let (diags, _) = deep(&[model], &Artifacts::default());
+        assert!(
+            diags.iter().all(|d| d.rule != "hot-loop-alloc"),
+            "{diags:#?}"
+        );
+        let list = "// The list.\npub const HOT_FN_NAMES: &[&str] = &[];\n";
+        let (diags, _) = deep(&[model, (HOT_FN_NAMES_HOME, list)], &Artifacts::default());
+        let hits: Vec<_> = diags
+            .iter()
+            .filter(|d| d.rule == "hot-loop-alloc")
+            .collect();
+        assert_eq!(hits.len(), HOT_FN_NAMES.len() - 1, "{diags:#?}");
+        assert!(hits
+            .iter()
+            .all(|d| d.file == HOT_FN_NAMES_HOME && d.line == 2 && !d.message.contains("`tick`")));
+        assert!(hits.iter().any(|d| d.message.contains("`enqueue`")));
     }
 
     #[test]

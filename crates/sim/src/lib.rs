@@ -45,7 +45,7 @@ pub use rng::{SeedSequence, SimRng};
 pub use stats::{Counter, Histogram, SimSummary, Welford};
 pub use sweep::{
     checkpointed_sweep, linspace, logspace, parallel_sweep, supervised_sweep, watchdog,
-    CheckpointLog, JobOutcome, JobRecord, ProgressHook, ProgressOutcome, SweepCheckpoint,
-    SweepError, SweepOptions, SweepProgress, SweepState, SweepSummary,
+    CheckpointLog, JobOutcome, JobRecord, ProgressHook, ProgressOutcome, SweepError, SweepOptions,
+    SweepProgress, SweepState, SweepSummary,
 };
 pub use time::{SlotClock, Time, TimeDelta};

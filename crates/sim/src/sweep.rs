@@ -12,12 +12,12 @@
 //!   jobs retry with seeded (deterministic) backoff, and the
 //!   [`SweepSummary`] reports every job's fate without a single failure
 //!   aborting its siblings.
-//! * [`checkpointed_sweep`] — supervised *and* crash-safe: completed
-//!   jobs persist to a JSON state file (atomic tmp-file + rename) so an
-//!   interrupted sweep resumes from the last completed job. The
-//!   round-trip is bit-exact (see [`SweepState`] and the `json`
-//!   module), so a resumed sweep fingerprints identically to an
-//!   uninterrupted one.
+//! * [`checkpointed_sweep`] — supervised *and* crash-safe: each
+//!   completed job is appended to a [`CheckpointLog`] so an interrupted
+//!   sweep resumes from every job that finished, and a torn or corrupt
+//!   log costs only the records after the damage. The round-trip is
+//!   bit-exact (see [`SweepState`] and the `json` module), so a resumed
+//!   sweep fingerprints identically to an uninterrupted one.
 //!
 //! Determinism is preserved throughout because every point carries its
 //! own seed and workers share no mutable simulation state.
@@ -776,212 +776,17 @@ impl SweepState for EngineReport {
     }
 }
 
-/// Identity of a sweep's checkpoint file: the path plus a caller-chosen
-/// key (hash the sweep's parameters and seed into it). A file whose key
-/// or job count disagrees is ignored rather than resumed — resuming a
-/// *different* sweep's state would silently corrupt results.
-#[derive(Debug, Clone)]
-pub struct SweepCheckpoint {
-    path: PathBuf,
-    key: u64,
-}
-
-impl SweepCheckpoint {
-    /// A checkpoint at `path` identified by `key`.
-    pub fn new(path: impl Into<PathBuf>, key: u64) -> Self {
-        SweepCheckpoint {
-            path: path.into(),
-            key,
-        }
-    }
-
-    /// The state-file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-struct CheckpointStore {
-    entries: Vec<(usize, Value)>,
-    write_error: Option<SweepError>,
-}
-
 fn checkpoint_io_err(what: &str, path: &Path, e: impl std::fmt::Display) -> SweepError {
     SweepError::Checkpoint {
         message: format!("{what} {}: {e}", path.display()),
     }
 }
 
-fn write_checkpoint(
-    ckpt: &SweepCheckpoint,
-    total: usize,
-    entries: &[(usize, Value)],
-) -> Result<(), SweepError> {
-    let mut sorted: Vec<_> = entries.to_vec();
-    sorted.sort_by_key(|&(idx, _)| idx);
-    let doc = Value::Obj(vec![
-        ("version".into(), Value::u64(1)),
-        ("key".into(), Value::u64(ckpt.key)),
-        ("total".into(), Value::u64(total as u64)),
-        (
-            "completed".into(),
-            Value::Arr(
-                sorted
-                    .into_iter()
-                    .map(|(idx, v)| Value::Arr(vec![Value::u64(idx as u64), v]))
-                    .collect(),
-            ),
-        ),
-    ]);
-    // Atomic replace: a crash mid-write leaves the previous checkpoint
-    // intact, never a torn file.
-    let tmp = ckpt.path.with_extension("json.tmp");
-    std::fs::write(&tmp, doc.encode()).map_err(|e| checkpoint_io_err("write", &tmp, e))?;
-    std::fs::rename(&tmp, &ckpt.path).map_err(|e| checkpoint_io_err("rename to", &ckpt.path, e))
-}
-
-fn load_checkpoint<O: SweepState>(
-    ckpt: &SweepCheckpoint,
-    total: usize,
-) -> Result<Vec<Option<O>>, SweepError> {
-    let mut restored: Vec<Option<O>> = (0..total).map(|_| None).collect();
-    let text = match std::fs::read_to_string(&ckpt.path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(restored),
-        Err(e) => return Err(checkpoint_io_err("read", &ckpt.path, e)),
-    };
-    let doc = match Value::parse(&text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            // A corrupt state file (a crash mid-write before the atomic
-            // rename, manual truncation, disk trouble) must not brick
-            // the sweep: warn, discard, and recompute from scratch. The
-            // results are bit-identical either way; only the restored
-            // work is lost.
-            eprintln!(
-                "warning: discarding corrupt checkpoint {}: {e}",
-                ckpt.path.display()
-            );
-            return Ok(restored);
-        }
-    };
-    let matches = doc.get("version").and_then(Value::as_u64) == Some(1)
-        && doc.get("key").and_then(Value::as_u64) == Some(ckpt.key)
-        && doc.get("total").and_then(Value::as_usize) == Some(total);
-    if !matches {
-        // A different sweep's (or a stale) state file: start fresh.
-        return Ok(restored);
-    }
-    for entry in doc.get("completed").and_then(Value::items).unwrap_or(&[]) {
-        let Some(items) = entry.items() else { continue };
-        let Some(idx) = items.first().and_then(Value::as_usize) else {
-            continue;
-        };
-        let Some(payload) = items.get(1) else {
-            continue;
-        };
-        if idx < total {
-            restored[idx] = O::from_json(payload);
-        }
-    }
-    Ok(restored)
-}
-
-/// [`supervised_sweep`] with crash-safe progress persistence: completed
-/// jobs are written to `ckpt`'s JSON state file (atomically, after each
-/// completion), jobs already present in a matching state file are
-/// restored instead of re-run, and the merged summary is identical —
-/// bit for bit, via the exact [`SweepState`] round-trip — to what an
-/// uninterrupted run would have produced.
-///
-/// Only checkpoint I/O failures surface as `Err`; job failures are
-/// reported per-job in the summary, like [`supervised_sweep`].
-pub fn checkpointed_sweep<I, O, F>(
-    inputs: Vec<I>,
-    opts: &SweepOptions,
-    ckpt: &SweepCheckpoint,
-    f: F,
-) -> Result<SweepSummary<O>, SweepError>
-where
-    I: Send,
-    O: Send + SweepState,
-    F: Fn(&I) -> O + Sync,
-{
-    let n = inputs.len();
-    let mut outputs: Vec<Option<O>> = load_checkpoint(ckpt, n)?;
-    let mut jobs: Vec<JobRecord> = outputs
-        .iter()
-        .map(|o| JobRecord {
-            attempts: 0,
-            outcome: if o.is_some() {
-                JobOutcome::Restored
-            } else {
-                // Placeholder; overwritten when the job runs below.
-                JobOutcome::Completed
-            },
-        })
-        .collect();
-
-    let pending: Vec<(usize, I)> = inputs
-        .into_iter()
-        .enumerate()
-        .filter(|&(idx, _)| outputs[idx].is_none())
-        .collect();
-
-    // Restored jobs count toward progress before any worker starts.
-    let ledger = ProgressLedger::new(opts, n);
-    for (idx, job) in jobs.iter().enumerate() {
-        if job.outcome == JobOutcome::Restored {
-            ledger.note(idx, job);
-        }
-    }
-
-    let store = Mutex::new(CheckpointStore {
-        entries: outputs
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, o)| o.as_ref().map(|o| (idx, o.to_json())))
-            .collect(),
-        write_error: None,
-    });
-
-    let workers = opts
-        .workers
-        .unwrap_or_else(|| default_workers(pending.len()));
-    let results: Vec<(usize, Option<O>, JobRecord)> =
-        striped(pending, workers, |_stripe_idx, (idx, input)| {
-            let (output, record) = supervise_one(idx, &input, opts, &f);
-            ledger.note(idx, &record);
-            if let Some(o) = &output {
-                let json = o.to_json();
-                let mut guard = store.lock().unwrap_or_else(|e| e.into_inner());
-                guard.entries.push((idx, json));
-                if guard.write_error.is_none() {
-                    if let Err(e) = write_checkpoint(ckpt, n, &guard.entries) {
-                        guard.write_error = Some(e);
-                    }
-                }
-            }
-            (idx, output, record)
-        });
-
-    for (idx, output, record) in results {
-        outputs[idx] = output;
-        jobs[idx] = record;
-    }
-    let store = store.into_inner().unwrap_or_else(|e| e.into_inner());
-    if let Some(e) = store.write_error {
-        return Err(e);
-    }
-    Ok(SweepSummary { outputs, jobs })
-}
-
 /// An append-only JSONL checkpoint: a header line identifying the
 /// producing computation, then one `[index, payload]` line per
-/// completed unit of work. Unlike [`SweepCheckpoint`]'s
-/// whole-document-rewrite format this is O(1) per completion, which is
-/// what a long-running shard worker needs — and a kill mid-append
-/// leaves at worst one torn trailing line, which
+/// completed unit of work. An append is O(1) per completion, which is
+/// what a long-running sweep or shard worker needs — and a kill
+/// mid-append leaves at worst one torn trailing line, which
 /// [`CheckpointLog::load_and_repair`] detects, truncates away with a
 /// warning, and resumes past. Completed records are never lost.
 #[derive(Debug, Clone)]
@@ -1133,6 +938,97 @@ impl CheckpointLog {
             .map_err(|e| checkpoint_io_err("append", &self.path, e))?;
         file.flush()
             .map_err(|e| checkpoint_io_err("flush", &self.path, e))
+    }
+}
+
+/// [`supervised_sweep`] with crash-safe progress persistence: each
+/// completed job is appended to `ckpt` as it finishes, jobs already in a
+/// matching log are restored instead of re-run, and the merged summary
+/// is identical — bit for bit, via the exact [`SweepState`] round-trip —
+/// to what an uninterrupted run would have produced. The job count is
+/// folded into the log's key, so a log left by a sweep of another key or
+/// another size is discarded rather than resumed; a torn or corrupt
+/// record costs only itself and the records after it, which re-run.
+///
+/// Only checkpoint I/O failures surface as `Err`; job failures are
+/// reported per-job in the summary, like [`supervised_sweep`].
+pub fn checkpointed_sweep<I, O, F>(
+    inputs: Vec<I>,
+    opts: &SweepOptions,
+    ckpt: &CheckpointLog,
+    f: F,
+) -> Result<SweepSummary<O>, SweepError>
+where
+    I: Send,
+    O: Send + SweepState,
+    F: Fn(&I) -> O + Sync,
+{
+    let n = inputs.len();
+    let sized_key = crate::rng::SeedSequence::new(ckpt.key).child_seed("sweep-jobs", n as u64);
+    let log = CheckpointLog::new(&ckpt.path, sized_key);
+    let (records, warnings) = log.load_and_repair()?;
+    for warning in warnings {
+        eprintln!("warning: {warning}");
+    }
+    let mut outputs: Vec<Option<O>> = (0..n).map(|_| None).collect();
+    for (idx, payload) in &records {
+        if let Some(slot) = outputs.get_mut(*idx as usize) {
+            *slot = O::from_json(payload);
+        }
+    }
+    let mut jobs: Vec<JobRecord> = outputs
+        .iter()
+        .map(|o| JobRecord {
+            attempts: 0,
+            outcome: if o.is_some() {
+                JobOutcome::Restored
+            } else {
+                // Placeholder; overwritten when the job runs below.
+                JobOutcome::Completed
+            },
+        })
+        .collect();
+
+    let pending: Vec<(usize, I)> = inputs
+        .into_iter()
+        .enumerate()
+        .filter(|&(idx, _)| outputs[idx].is_none())
+        .collect();
+
+    // Restored jobs count toward progress before any worker starts.
+    let ledger = ProgressLedger::new(opts, n);
+    for (idx, job) in jobs.iter().enumerate() {
+        if job.outcome == JobOutcome::Restored {
+            ledger.note(idx, job);
+        }
+    }
+
+    // Appends are serialized; the first failure stops further writes.
+    let write_error: Mutex<Option<SweepError>> = Mutex::new(None);
+    let workers = opts
+        .workers
+        .unwrap_or_else(|| default_workers(pending.len()));
+    let results: Vec<(usize, Option<O>, JobRecord)> =
+        striped(pending, workers, |_stripe_idx, (idx, input)| {
+            let (output, record) = supervise_one(idx, &input, opts, &f);
+            ledger.note(idx, &record);
+            if let Some(o) = &output {
+                let json = o.to_json();
+                let mut failed = write_error.lock().unwrap_or_else(|e| e.into_inner());
+                if failed.is_none() {
+                    *failed = log.append(idx as u64, &json).err();
+                }
+            }
+            (idx, output, record)
+        });
+
+    for (idx, output, record) in results {
+        outputs[idx] = output;
+        jobs[idx] = record;
+    }
+    match write_error.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        Some(e) => Err(e),
+        None => Ok(SweepSummary { outputs, jobs }),
     }
 }
 
@@ -1305,7 +1201,7 @@ mod tests {
         // Checkpointed restore reports Restored events.
         let dir = std::env::temp_dir().join(format!("osmosis-progress-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let ckpt = SweepCheckpoint::new(dir.join("progress.json"), 99);
+        let ckpt = CheckpointLog::new(dir.join("progress.jsonl"), 99);
         let first = AtomicUsize::new(0);
         let _ = checkpointed_sweep(vec![5u64, 6], &quiet_opts(), &ckpt, |&x| {
             first.fetch_add(1, Ordering::SeqCst);
@@ -1393,24 +1289,29 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_checkpoint_doc_warns_and_recomputes() {
-        let path = tmp_path("corrupt-doc.json");
-        // A kill mid-write of a non-atomic copy, or disk damage: the
-        // file exists but is not JSON. The sweep must run fresh, not
-        // error out.
+    fn unreadable_checkpoint_header_warns_and_recomputes() {
+        let path = tmp_path("corrupt-header.jsonl");
+        // Disk damage, or a foreign file at the path: not a log at all.
+        // The sweep must run fresh, not error out.
         std::fs::write(&path, "{\"version\":1,\"key\":7,\"tot").unwrap();
-        let ckpt = SweepCheckpoint::new(&path, 7);
+        let ckpt = CheckpointLog::new(&path, 7);
         let summary =
             checkpointed_sweep(vec![1u64, 2, 3], &quiet_opts(), &ckpt, |&x| x * 10).unwrap();
         assert!(summary.is_complete());
         assert_eq!(summary.outputs[2], Some(30));
-        // The rewrite replaced the corrupt file with a valid one.
+        // The discarded file was replaced by a valid log.
         let resumed =
             checkpointed_sweep(vec![1u64, 2, 3], &quiet_opts(), &ckpt, |&x| x * 10).unwrap();
         assert!(resumed
             .jobs
             .iter()
             .all(|j| j.outcome == JobOutcome::Restored));
+        // The same key over another job count is another sweep.
+        let resized = checkpointed_sweep(vec![1u64, 2], &quiet_opts(), &ckpt, |&x| x * 10).unwrap();
+        assert!(resized
+            .jobs
+            .iter()
+            .all(|j| j.outcome == JobOutcome::Completed));
         std::fs::remove_file(&path).ok();
     }
 

@@ -6,8 +6,8 @@
 
 use osmosis::sched::Flppr;
 use osmosis::sim::{
-    checkpointed_sweep, supervised_sweep, EngineConfig, EngineReport, JobOutcome, SeedSequence,
-    SweepCheckpoint, SweepError, SweepOptions,
+    checkpointed_sweep, supervised_sweep, CheckpointLog, EngineConfig, EngineReport, JobOutcome,
+    SeedSequence, SweepError, SweepOptions,
 };
 use osmosis::switch::{run_switch, VoqSwitch};
 use osmosis::traffic::BernoulliUniform;
@@ -24,7 +24,7 @@ fn run_point(load: f64, seed: u64, measure: u64) -> EngineReport {
 }
 
 fn tmp_ckpt(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("osmosis-sweep-{}-{tag}.json", std::process::id()))
+    std::env::temp_dir().join(format!("osmosis-sweep-{}-{tag}.jsonl", std::process::id()))
 }
 
 #[test]
@@ -32,7 +32,7 @@ fn interrupted_checkpointed_sweep_resumes_bit_identically() {
     let loads = [0.1, 0.3, 0.5, 0.7, 0.9];
     let path = tmp_ckpt("resume");
     std::fs::remove_file(&path).ok();
-    let ckpt = SweepCheckpoint::new(&path, 0xC0FFEE);
+    let ckpt = CheckpointLog::new(&path, 0xC0FFEE);
     let opts = SweepOptions::seeded(7)
         .with_backoff_base_ms(0)
         .with_max_attempts(1);
@@ -148,46 +148,55 @@ fn budget_exceeding_job_is_reported_without_aborting_siblings() {
 }
 
 #[test]
-fn corrupt_checkpoint_is_discarded_and_the_sweep_recomputes_exactly() {
-    // A checkpoint torn mid-write (truncated JSON) must not abort the
-    // sweep: the loader discards it with a warning and every point runs
-    // fresh, bit-identical to a sweep that never had a checkpoint.
+fn torn_checkpoint_keeps_its_intact_records_and_recomputes_the_rest_exactly() {
+    // A checkpoint log cut short (a kill mid-append, a truncated copy)
+    // must not abort the sweep, and must not cost the work it still
+    // holds: the records before the tear restore, the torn one and
+    // everything after it run fresh, and the merged sweep is
+    // bit-identical to one that never had a checkpoint.
     let loads = [0.2f64, 0.5, 0.8];
     let path = tmp_ckpt("corrupt");
+    std::fs::remove_file(&path).ok();
     let opts = SweepOptions::seeded(23).with_backoff_base_ms(0);
     let job = |&l: &f64| run_point(l, (l * 10.0) as u64, 1_500);
 
     let clean = checkpointed_sweep(
         loads.to_vec(),
         &opts,
-        &SweepCheckpoint::new(&path, 0xBAD),
+        &CheckpointLog::new(&path, 0xBAD),
         job,
     )
     .expect("io");
     assert!(clean.is_complete());
     let text = std::fs::read_to_string(&path).expect("checkpoint written");
-    std::fs::write(&path, &text[..text.len() / 2]).expect("truncate");
+    let torn = &text[..text.len() / 2];
+    std::fs::write(&path, torn).expect("truncate");
+    // Complete lines left, less the header.
+    let intact = torn.matches('\n').count() - 1;
+    assert!(
+        (1..loads.len()).contains(&intact),
+        "{intact} intact records"
+    );
 
     let recovered = checkpointed_sweep(
         loads.to_vec(),
         &opts,
-        &SweepCheckpoint::new(&path, 0xBAD),
+        &CheckpointLog::new(&path, 0xBAD),
         job,
     )
-    .expect("a corrupt checkpoint must not be fatal");
+    .expect("a torn checkpoint must not be fatal");
     assert!(recovered.is_complete());
-    assert!(
-        recovered
-            .jobs
-            .iter()
-            .all(|j| j.outcome == JobOutcome::Completed),
-        "nothing can restore from a discarded checkpoint"
-    );
+    let restored = recovered
+        .jobs
+        .iter()
+        .filter(|j| j.outcome == JobOutcome::Restored)
+        .count();
+    assert_eq!(restored, intact, "only the torn tail may be recomputed");
     for (r, c) in recovered.outputs.iter().zip(clean.outputs.iter()) {
         assert_eq!(
             r.as_ref().expect("recovered").fingerprint(),
             c.as_ref().expect("clean").fingerprint(),
-            "recomputed sweep must match the original bit for bit"
+            "recovered sweep must match the original bit for bit"
         );
     }
     std::fs::remove_file(&path).ok();
@@ -203,7 +212,7 @@ fn stale_checkpoint_from_another_sweep_is_ignored() {
     let a = checkpointed_sweep(
         vec![0.2f64, 0.6],
         &opts,
-        &SweepCheckpoint::new(&path, 111),
+        &CheckpointLog::new(&path, 111),
         |&l: &f64| run_point(l, 1, 1_000),
     )
     .expect("io");
@@ -211,7 +220,7 @@ fn stale_checkpoint_from_another_sweep_is_ignored() {
     let b = checkpointed_sweep(
         vec![0.2f64, 0.6],
         &opts,
-        &SweepCheckpoint::new(&path, 222),
+        &CheckpointLog::new(&path, 222),
         |&l: &f64| run_point(l, 2, 1_000),
     )
     .expect("io");
