@@ -9,7 +9,7 @@
 use osmosis::fabric::multistage::{FabricConfig, FatTreeFabric};
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::CompiledFabric;
-use osmosis::sched::Flppr;
+use osmosis::sched::{Flppr, Islip};
 use osmosis::sim::{EngineConfig, EngineReport, SeedSequence};
 use osmosis::switch::{
     run_multicast, run_uniform, BurstSwitch, BvnSwitch, CioqSwitch, DeflectionSwitch, FifoSwitch,
@@ -430,6 +430,77 @@ fn audited_fat_tree_runs_are_clean_and_reproduce_the_pins() {
             pin,
             "{buffer_tech:?}: audited fingerprint {:#018x} drifted from {pin:#018x}",
             r.fingerprint()
+        );
+    }
+}
+
+/// `Islip`, `CioqSwitch` and `BurstSwitch` over the shapes the `cioq`
+/// and `burst` rows leave out: single and dual receivers, one to
+/// log₂N iterations, speed-up 1…4, odd radices and masks wider than
+/// one word. Captured on the commit before the three moved onto the
+/// shared grant/accept round.
+fn round_robin_fingerprints() -> Vec<(&'static str, u64)> {
+    let islip = |make: fn() -> Islip, load: f64| {
+        let cfg = EngineConfig::new(500, 5_000).with_seed(1234);
+        run_uniform(|| Box::new(make()), load, &cfg).fingerprint()
+    };
+    let cfg = EngineConfig::new(200, 3_000);
+    let cioq = |n: usize, speedup: usize, egress_cap: usize, load: f64| {
+        CioqSwitch::new(n, speedup, egress_cap)
+            .run(&mut uniform(n, load, 77), &cfg)
+            .fingerprint()
+    };
+    let burst = |n: usize, burst: u64, timeout: u64, load: f64| {
+        BurstSwitch::new(n, burst, timeout)
+            .run(&mut uniform(n, load, 79), &cfg)
+            .fingerprint()
+    };
+    vec![
+        ("islip_16_log2n_rx1", islip(|| Islip::log2n(16, 1), 0.8)),
+        ("islip_16_log2n_rx2", islip(|| Islip::log2n(16, 2), 0.9)),
+        ("islip_16_iter1", islip(|| Islip::new(16, 1, 1), 0.6)),
+        ("islip_70_log2n_rx2", islip(|| Islip::log2n(70, 2), 0.85)),
+        ("islip_5_iter3_rx2", islip(|| Islip::new(5, 3, 2), 0.95)),
+        ("cioq_16_s1_cap1", cioq(16, 1, 1, 0.9)),
+        ("cioq_16_s3_cap2", cioq(16, 3, 2, 0.95)),
+        ("cioq_5_s2_cap1", cioq(5, 2, 1, 0.7)),
+        ("cioq_70_s2_cap4", cioq(70, 2, 4, 0.9)),
+        ("cioq_65_s4_cap2", cioq(65, 4, 2, 0.99)),
+        ("burst_16_b1_t0", burst(16, 1, 0, 0.9)),
+        ("burst_16_b4_t100", burst(16, 4, 100, 0.3)),
+        ("burst_5_b3_t2", burst(5, 3, 2, 0.8)),
+        ("burst_70_b8_t16", burst(70, 8, 16, 0.85)),
+        ("burst_130_b2_t1", burst(130, 2, 1, 0.7)),
+    ]
+}
+
+const ROUND_ROBIN_PINS: &[(&str, u64)] = &[
+    ("islip_16_log2n_rx1", 0x6401_1171_f031_d615),
+    ("islip_16_log2n_rx2", 0xcab0_f98c_fbb5_a374),
+    ("islip_16_iter1", 0xbbc2_3601_c5e6_3a24),
+    ("islip_70_log2n_rx2", 0xc5e3_b12e_3b9c_1c5b),
+    ("islip_5_iter3_rx2", 0x89fe_f157_5eb8_193b),
+    ("cioq_16_s1_cap1", 0x9bf9_57ee_041a_b0b4),
+    ("cioq_16_s3_cap2", 0xef50_08df_c639_1711),
+    ("cioq_5_s2_cap1", 0xc488_135b_961e_d070),
+    ("cioq_70_s2_cap4", 0xb4a4_47ce_b689_9307),
+    ("cioq_65_s4_cap2", 0x26ab_be32_6178_272e),
+    ("burst_16_b1_t0", 0xd089_7a97_39e3_fbaa),
+    ("burst_16_b4_t100", 0x9e3e_1031_2988_496a),
+    ("burst_5_b3_t2", 0x5957_7413_46f9_ad52),
+    ("burst_70_b8_t16", 0x29db_8f55_ae44_7a75),
+    ("burst_130_b2_t1", 0x042a_e953_f7e8_d377),
+];
+
+#[test]
+fn round_robin_fingerprints_match_pins() {
+    let got = round_robin_fingerprints();
+    assert_eq!(got.len(), ROUND_ROBIN_PINS.len());
+    for ((name, fp), (pin_name, pin)) in got.iter().zip(ROUND_ROBIN_PINS) {
+        assert_eq!(name, pin_name);
+        assert_eq!(
+            *fp, *pin,
+            "{name}: fingerprint {fp:#018x} drifted from pinned {pin:#018x}"
         );
     }
 }
