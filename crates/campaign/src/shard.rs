@@ -13,7 +13,7 @@
 use crate::spec::{BufferSpec, CampaignSpec, FaultSpec, ScenarioPoint};
 use crate::{fnv_words, CampaignError};
 use osmosis_fabric::multistage::{BufferTech, FabricConfig, FatTreeFabric, Placement};
-use osmosis_fabric::{CompiledFabric, ExpandedFabric, TopologyFamily, TopologySpec};
+use osmosis_fabric::{CompiledFabric, ExpandedFabric};
 use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis_sched::Flppr;
 use osmosis_sim::engine::EngineConfig;
@@ -218,18 +218,6 @@ fn simulate<S: CellSwitch + ?Sized>(
     }
 }
 
-/// The two-level fat tree is the fault-capable topology: its spines are
-/// wavelength planes with degraded-mode rerouting.
-fn fault_capable(spec: &TopologySpec) -> bool {
-    matches!(
-        spec.family,
-        TopologyFamily::FatTree {
-            levels: 2,
-            planes: 2
-        }
-    )
-}
-
 fn fault_plan(fault: &FaultSpec, spines: usize) -> Option<FaultPlan> {
     match fault {
         FaultSpec::None => None,
@@ -265,7 +253,12 @@ fn traffic_for(hosts: usize, point: &ScenarioPoint) -> Box<dyn TrafficGen> {
 /// of `(spec, point.index)`.
 fn run_point(spec: &CampaignSpec, point: &ScenarioPoint) -> Result<PointDigest, CampaignError> {
     let cfg = EngineConfig::new(spec.warmup, spec.measure).with_seed(point.seed);
-    match &point.topology {
+    // A two-level fat-tree spec is the fault-capable topology (its spines
+    // are wavelength planes with degraded-mode rerouting) and runs on the
+    // multistage fabric; any other spec — one that fails validation
+    // included — goes to the compiled path, which reports it.
+    let topology = point.topology.as_ref();
+    match topology.map(|tspec| (tspec, FabricConfig::try_from(tspec))) {
         None => {
             // Single-stage FLPPR switch. No fault hooks here: non-None
             // fault variants run clean (deterministically) by design.
@@ -273,7 +266,7 @@ fn run_point(spec: &CampaignSpec, point: &ScenarioPoint) -> Result<PointDigest, 
             let mut tr = traffic_for(spec.ports, point);
             Ok(simulate(&mut sw, tr.as_mut(), &cfg, None))
         }
-        Some(tspec) if fault_capable(tspec) => {
+        Some((tspec, Ok(fab_cfg))) => {
             // The buffer axis only binds here: FDL input stages need the
             // multistage fabric's buffer-plane seam, and the FDL plane
             // needs the input-only placement (its shortest line is the
@@ -285,12 +278,8 @@ fn run_point(spec: &CampaignSpec, point: &ScenarioPoint) -> Result<PointDigest, 
                 _ => BufferTech::Electronic,
             };
             let fab_cfg = FabricConfig {
-                radix: tspec.radix,
-                link_delay: tspec.link_delay,
-                buffer_cells: tspec.buffer_cells(),
-                iterations: tspec.iterations,
-                placement: tspec.placement,
                 buffer_tech,
+                ..fab_cfg
             };
             let mut fab = FatTreeFabric::try_new(fab_cfg).map_err(|e| CampaignError::Spec {
                 message: format!("topology `{tspec}`: {e}"),
@@ -301,7 +290,7 @@ fn run_point(spec: &CampaignSpec, point: &ScenarioPoint) -> Result<PointDigest, 
             let mut tr = traffic_for(hosts, point);
             Ok(simulate(&mut fab, tr.as_mut(), &cfg, plan))
         }
-        Some(tspec) => {
+        Some((tspec, Err(_))) => {
             let expansion = ExpandedFabric::expand(*tspec).map_err(|e| CampaignError::Spec {
                 message: format!("topology `{tspec}`: {e}"),
             })?;
@@ -485,6 +474,7 @@ pub fn load_shard_summary(
 mod tests {
     use super::*;
     use crate::spec::FaultSpec;
+    use osmosis_fabric::TopologySpec;
 
     fn quick_spec() -> CampaignSpec {
         CampaignSpec {

@@ -29,8 +29,8 @@
 
 use super::Scale;
 use osmosis_audit::{AuditMode, AuditSet};
-use osmosis_fabric::multistage::{BufferTech, FabricConfig, FatTreeFabric};
-use osmosis_fabric::{EngineConfig, EngineReport, TopologyFamily, TopologySpec};
+use osmosis_fabric::multistage::{FabricConfig, FatTreeFabric};
+use osmosis_fabric::{EngineConfig, EngineReport, TopologySpec};
 use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis_sim::engine::{run_instrumented, TraceEvent, TraceSink};
 use osmosis_sim::json::Value;
@@ -234,30 +234,8 @@ fn resolve_fabric_config(
     let Some(spec) = topology else {
         return Ok(FabricConfig::small(scale.fabric_radix(), LINK_DELAY));
     };
-    spec.validate().map_err(|e| SweepError::Io {
+    FabricConfig::try_from(spec).map_err(|e| SweepError::Io {
         message: format!("availability topology `{spec}`: {e}"),
-    })?;
-    if !matches!(
-        spec.family,
-        TopologyFamily::FatTree {
-            levels: 2,
-            planes: 2
-        }
-    ) {
-        return Err(SweepError::Io {
-            message: format!(
-                "availability topology `{spec}`: this study needs the fault-capable \
-                 two-level fat tree (fat-tree:…,levels=2,planes=2)"
-            ),
-        });
-    }
-    Ok(FabricConfig {
-        radix: spec.radix,
-        link_delay: spec.link_delay,
-        buffer_cells: spec.buffer_cells(),
-        iterations: spec.iterations,
-        placement: spec.placement,
-        buffer_tech: BufferTech::Electronic,
     })
 }
 

@@ -20,7 +20,7 @@ use super::Scale;
 use osmosis_audit::{AuditMode, AuditSet};
 use osmosis_fabric::flow_control::required_buffer_cells;
 use osmosis_fabric::multistage::{BufferTech, FabricConfig, FatTreeFabric, Placement};
-use osmosis_fabric::{EngineConfig, EngineReport, TopologyFamily, TopologySpec};
+use osmosis_fabric::{EngineConfig, EngineReport, TopologySpec};
 use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis_sim::engine::run_instrumented;
 use osmosis_sim::{FaultView, NullTrace, SeedSequence};
@@ -211,28 +211,13 @@ pub fn faults(scale: Scale) -> Vec<StudyFault> {
 fn resolve_shape(
     scale: Scale,
     topology: Option<&TopologySpec>,
-) -> Result<(usize, u64, usize), FdlStudyError> {
+) -> Result<FabricConfig, FdlStudyError> {
     let Some(spec) = topology else {
-        return Ok((scale.fabric_radix(), 2, 3));
+        return Ok(FabricConfig::small(scale.fabric_radix(), 2));
     };
-    spec.validate().map_err(|e| FdlStudyError {
+    FabricConfig::try_from(spec).map_err(|e| FdlStudyError {
         message: format!("fdl_study topology `{spec}`: {e}"),
-    })?;
-    if !matches!(
-        spec.family,
-        TopologyFamily::FatTree {
-            levels: 2,
-            planes: 2
-        }
-    ) {
-        return Err(FdlStudyError {
-            message: format!(
-                "fdl_study topology `{spec}`: this study needs the fault-capable \
-                 two-level fat tree (fat-tree:…,levels=2,planes=2)"
-            ),
-        });
-    }
-    Ok((spec.radix, spec.link_delay, spec.iterations))
+    })
 }
 
 /// Fig. 2's fair per-placement buffer sizing (see `fig2.rs`): option 2's
@@ -273,7 +258,8 @@ pub fn run_with(
     seed: u64,
     opts: &FdlStudyOptions,
 ) -> Result<FdlStudy, FdlStudyError> {
-    let (radix, link_delay, iterations) = resolve_shape(scale, opts.topology.as_ref())?;
+    let shape = resolve_shape(scale, opts.topology.as_ref())?;
+    let (radix, link_delay) = (shape.radix, shape.link_delay);
     let cfg = EngineConfig::new(scale.warmup(), scale.measure().min(12_000)).with_seed(seed);
     let hosts = radix * radix / 2;
 
@@ -285,12 +271,10 @@ pub fn run_with(
                 for option in OPTIONS {
                     let buffer_cells = fair_buffer_cells(option.placement, link_delay);
                     let fab_cfg = FabricConfig {
-                        radix,
-                        link_delay,
                         buffer_cells,
-                        iterations,
                         placement: option.placement,
                         buffer_tech: option.tech,
+                        ..shape
                     };
                     let mut fab = FatTreeFabric::new(fab_cfg);
                     let mut tr = traffic(hosts, load, burst, seed);

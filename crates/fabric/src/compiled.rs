@@ -26,8 +26,9 @@
 //! tagged o, in arrival order, and its "non-empty" signal is bit i of
 //! output o's request mask. Matching is the hardware scheduler's:
 //! request bit-vectors into programmable priority encoders, the
-//! word-parallel kernel of [`crate::matching`] that `FatTreeFabric`
-//! shares. Switches holding no cell are skipped; the others are matched
+//! word-parallel kernel of [`osmosis_sched::matching`] that
+//! `FatTreeFabric` and the CIOQ and burst switches share. Switches
+//! holding no cell are skipped; the others are matched
 //! in id order, outputs ascending in each grant pass and inputs
 //! ascending in each accept pass, so the matchings are those of a dense
 //! VOQ array scanned in index order.
@@ -40,13 +41,13 @@
 use crate::expand::{ExpandedFabric, Peer};
 use crate::ids::{EntityId, HostId, PortId};
 use crate::spec::{TopologyError, TopologySpec};
+use osmosis_sched::matching::Matcher;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_switch::driven::{run_switch, CellSwitch};
 use osmosis_switch::Cell;
 use osmosis_traffic::{Arrival, Class, SequenceChecker, SequenceStamper, TrafficGen};
 use std::collections::VecDeque;
 
-use crate::matching::Matcher;
 use crate::multistage::Placement;
 
 /// The compiled-topology fabric simulator.

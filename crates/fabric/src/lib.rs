@@ -36,7 +36,6 @@ pub mod expand;
 pub mod flow_control;
 pub mod ids;
 pub mod loadmap;
-mod matching;
 pub mod multilevel;
 pub mod multistage;
 pub mod spec;

@@ -23,7 +23,7 @@
 //! keying); credits out, egress queues and round-robin pointers live in
 //! flat tables indexed by global port, `switch * radix + local`. Each
 //! slot a switch's [`BufferPlane`] is read once into request masks and
-//! matched by the shared kernel of [`crate::matching`]. It stays a
+//! matched by the shared kernel of [`osmosis_sched::matching`]. It stays a
 //! separate model because it models what `CompiledFabric` does not: the
 //! request/grant cycle that makes an arrival schedulable at t+1 rather
 //! than t, placements 1 and 2, the fault reactions, and the buffer-plane
@@ -39,10 +39,10 @@
 
 use crate::expand::{ExpandedFabric, Peer};
 use crate::ids::{EntityId, HostId, PortId};
-use crate::matching::Matcher;
-use crate::spec::{top_choice, TopologyError, TopologySpec};
+use crate::spec::{top_choice, TopologyError, TopologyFamily, TopologySpec};
 use crate::topology::TwoLevelFatTree;
 use osmosis_fdl::FdlBufferPlane;
+use osmosis_sched::matching::Matcher;
 use osmosis_sim::audit::{CreditLedger, DropReason};
 use osmosis_sim::buffer::{BufferLossReason, BufferPlane, BufferStats, ElectronicVoq};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
@@ -135,6 +135,31 @@ impl FabricConfig {
             placement: Placement::InputOnly,
             buffer_tech: BufferTech::Electronic,
         }
+    }
+}
+
+/// The one spec → config conversion: a valid two-level, two-plane
+/// fat-tree spec declares this fabric, with electronic buffers.
+impl TryFrom<&TopologySpec> for FabricConfig {
+    type Error = TopologyError;
+
+    fn try_from(spec: &TopologySpec) -> Result<Self, TopologyError> {
+        spec.validate()?;
+        let two_level = TopologyFamily::FatTree {
+            levels: 2,
+            planes: 2,
+        };
+        if spec.family != two_level {
+            return Err(TopologyError::NotTwoLevelFatTree);
+        }
+        Ok(FabricConfig {
+            radix: spec.radix,
+            link_delay: spec.link_delay,
+            buffer_cells: spec.buffer_cells(),
+            iterations: spec.iterations,
+            placement: spec.placement,
+            buffer_tech: BufferTech::Electronic,
+        })
     }
 }
 
@@ -847,6 +872,38 @@ mod tests {
         assert!(matches!(
             FatTreeFabric::try_new(bufferless),
             Err(TopologyError::ZeroBuffer)
+        ));
+    }
+
+    #[test]
+    fn only_a_valid_two_level_fat_tree_spec_converts() {
+        let spec = TopologySpec {
+            placement: Placement::OutputOnly,
+            iterations: 2,
+            ..TopologySpec::two_level(16)
+                .with_link_delay(3)
+                .with_buffer_cells(9)
+        };
+        let cfg = FabricConfig::try_from(&spec).unwrap();
+        assert_eq!((cfg.radix, cfg.link_delay, cfg.buffer_cells), (16, 3, 9));
+        assert_eq!((cfg.iterations, cfg.placement), (2, Placement::OutputOnly));
+        assert_eq!(cfg.buffer_tech, BufferTech::Electronic);
+        // The fabric built from it runs on that very spec.
+        assert_eq!(*FatTreeFabric::new(cfg).expanded().spec(), spec);
+
+        for other in [
+            TopologySpec::m_ary_fat_tree(8, 2),
+            TopologySpec::fat_tree(8, 3),
+            TopologySpec::full_mesh(8, 4),
+        ] {
+            assert!(matches!(
+                FabricConfig::try_from(&other),
+                Err(TopologyError::NotTwoLevelFatTree)
+            ));
+        }
+        assert!(matches!(
+            FabricConfig::try_from(&TopologySpec::two_level(7)),
+            Err(TopologyError::InvalidRadix { .. })
         ));
     }
 

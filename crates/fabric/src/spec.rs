@@ -127,6 +127,8 @@ pub enum TopologyError {
         /// The rejected placement.
         placement: Placement,
     },
+    /// `FatTreeFabric` simulates the two-level, two-plane fat tree only.
+    NotTwoLevelFatTree,
     /// The spec string did not parse.
     Parse(
         /// What was wrong with it.
@@ -177,6 +179,13 @@ impl fmt::Display for TopologyError {
                     f,
                     "the compiled fabric models input-only buffering; \
                      {placement:?} is a multistage-simulator option"
+                )
+            }
+            TopologyError::NotTwoLevelFatTree => {
+                write!(
+                    f,
+                    "needs the fault-capable two-level fat tree \
+                     (fat-tree:…,levels=2,planes=2)"
                 )
             }
             TopologyError::Parse(why) => write!(f, "bad topology spec: {why}"),

@@ -1,7 +1,9 @@
 //! Fixture hot path: analyzed as `crates/fabric/src/mesh.rs`. The phase
 //! hook itself is clean; the per-switch helper it calls builds a map and
 //! a vector on every call — the shape a rule scoped to `arbitrate` and
-//! `tick` alone cannot see.
+//! `tick` alone cannot see. So does the scheduler round a `tick`
+//! delegates to: `iterate` rebuilds its grant table, `take` returns a
+//! fresh vector.
 
 pub struct Mesh {
     switches: usize,
@@ -21,5 +23,19 @@ impl Mesh {
         self.collect_requests(sw, &mut requests);
         self.grant_accept(&requests, &mut matched);
         matched
+    }
+
+    fn tick(&mut self, slot: u64) -> usize {
+        self.iterate();
+        self.take().len()
+    }
+
+    fn iterate(&mut self) {
+        let grants = vec![0u64; self.switches];
+        self.accept(&grants);
+    }
+
+    fn take(&mut self) -> Vec<(u32, u32)> {
+        self.pairs.drain(..).collect()
     }
 }

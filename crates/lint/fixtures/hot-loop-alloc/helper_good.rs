@@ -1,6 +1,7 @@
 //! Fixture hot path: analyzed as `crates/fabric/src/mesh.rs`. The
 //! per-switch helper matches into struct-level scratch that is cleared,
-//! never rebuilt.
+//! never rebuilt; the scheduler round clears its grant table in place
+//! and harvests into the caller's buffer.
 
 pub struct Mesh {
     switches: usize,
@@ -8,6 +9,8 @@ pub struct Mesh {
     matched: Vec<(u32, u32)>,
     /// Request masks, one word per output.
     requests: Vec<u64>,
+    /// Grant masks, one word per input.
+    grants: Vec<u64>,
 }
 
 impl Mesh {
@@ -23,5 +26,20 @@ impl Mesh {
         self.requests.fill(0);
         self.collect_requests(sw);
         self.grant_accept();
+    }
+
+    fn tick(&mut self, slot: u64, out: &mut Vec<(u32, u32)>) {
+        self.iterate();
+        self.take(out);
+    }
+
+    fn iterate(&mut self) {
+        self.grants.fill(0);
+        self.accept();
+    }
+
+    fn take(&mut self, out: &mut Vec<(u32, u32)>) {
+        out.clear();
+        out.extend(self.matched.drain(..));
     }
 }

@@ -31,14 +31,17 @@ pub const MODEL_TRAITS: &[&str] = &["SlottedModel", "CellScheduler", "CellSwitch
 /// Per-slot functions that must stay allocation-free (the precondition
 /// for the bitset hot-path rewrite): the two phase hooks, and the
 /// helpers a phase hook hands its per-switch, per-cell work to — the
-/// fabrics' shared matching kernel (`match_switch`), their buffer and
-/// credit moves, and the per-audited-slot ledger snapshot. The rule is
+/// shared matching kernel (`match_switch`), the sub-scheduler round
+/// every pipelined `tick` delegates to (`iterate`, `take`), the fabrics'
+/// buffer and credit moves, and the per-audited-slot ledger snapshot. The rule is
 /// name-scoped, so a helper is audited only once it is listed here, and
 /// a name no model-crate fn answers to is reported as stale.
 pub const HOT_FN_NAMES: &[&str] = &[
     "arbitrate",
     "tick",
     "match_switch",
+    "iterate",
+    "take",
     "enqueue",
     "dequeue",
     "send",

@@ -179,11 +179,11 @@ fn unwiring_a_smoke_gate_flips_the_exit() {
 #[test]
 fn allocating_in_the_slot_loop_flips_the_exit() {
     let files = edited_workspace("crates/switch/src/cioq.rs", |text| {
-        let anchor = "self.in_used.fill(false);";
-        assert!(text.contains(anchor), "cioq scratch-clear anchor moved");
+        let anchor = "self.pending.copy_from_slice(&self.requested);";
+        assert!(text.contains(anchor), "cioq slot-start anchor moved");
         text.replace(
             anchor,
-            "self.in_used.fill(false);\n        let _diag = format!(\"phase\");",
+            "self.pending.copy_from_slice(&self.requested);\n        let _diag = format!(\"phase\");",
         )
     });
     let arts = Artifacts::load(repo_root());

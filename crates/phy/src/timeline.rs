@@ -1,6 +1,5 @@
-//! Event-driven per-cell timeline through the demonstrator datapath —
-//! the latency budget of §VI.B played out at picosecond resolution on
-//! the discrete-event kernel.
+//! Per-cell timeline through the demonstrator datapath — the latency
+//! budget of §VI.B played out at picosecond resolution.
 //!
 //! The slotted simulations count whole cell cycles; this model composes
 //! the *sub-cycle* physics: FEC pipeline, request flight, scheduling,
@@ -11,7 +10,6 @@
 
 use crate::burst::BurstReceiver;
 use crate::components::SoaGate;
-use osmosis_sim::events::{run_until, EventQueue};
 use osmosis_sim::{Time, TimeDelta};
 
 /// Timing parameters of one cell's traversal.
@@ -107,46 +105,33 @@ impl Timeline {
     }
 }
 
-/// Play one cell through the datapath on the event kernel.
+/// Play one cell through the datapath. Every step has exactly one
+/// successor, so the timeline is a running sum of the legs between them.
 pub fn run_timeline(cfg: &TimelineConfig) -> Timeline {
-    let mut q: EventQueue<Step> = EventQueue::new();
-    let mut events = Vec::new();
-    q.schedule_at(Time::ZERO, Step::Inject);
-    run_until(&mut q, Time::MAX, |q, t, step| {
-        events.push((t, step));
-        match step {
-            Step::Inject => {
-                q.schedule_in(cfg.ingress_pipeline, Step::RequestSent);
-            }
-            Step::RequestSent => {
-                q.schedule_in(cfg.request_flight, Step::RequestArrived);
-            }
-            Step::RequestArrived => {
-                q.schedule_in(cfg.scheduling, Step::Granted);
-            }
-            Step::Granted => {
-                // Grant to the adapter and the switch command to the SOAs
-                // travel in parallel; the launch happens when both are
-                // done.
-                let both = cfg.grant_flight.max(cfg.soa_control_flight);
-                q.schedule_in(both, Step::LaunchReady);
-            }
-            Step::LaunchReady => {
-                q.schedule_in(cfg.soa_guard, Step::TransmitStart);
-            }
-            Step::TransmitStart => {
-                q.schedule_in(cfg.serialization, Step::TransmitEnd);
-            }
-            Step::TransmitEnd => {
-                q.schedule_in(cfg.data_flight, Step::Received);
-            }
-            Step::Received => {
-                q.schedule_in(cfg.burst_lock + cfg.egress_pipeline, Step::Delivered);
-            }
-            Step::Delivered => {}
-        }
+    let legs = [
+        (TimeDelta::ZERO, Step::Inject),
+        (cfg.ingress_pipeline, Step::RequestSent),
+        (cfg.request_flight, Step::RequestArrived),
+        (cfg.scheduling, Step::Granted),
+        // Grant to the adapter and the switch command to the SOAs travel
+        // in parallel; the launch happens when both are done.
+        (
+            cfg.grant_flight.max(cfg.soa_control_flight),
+            Step::LaunchReady,
+        ),
+        (cfg.soa_guard, Step::TransmitStart),
+        (cfg.serialization, Step::TransmitEnd),
+        (cfg.data_flight, Step::Received),
+        (cfg.burst_lock + cfg.egress_pipeline, Step::Delivered),
+    ];
+    let mut t = Time::ZERO;
+    let events = legs.into_iter().map(|(leg, step)| {
+        t += leg;
+        (t, step)
     });
-    Timeline { events }
+    Timeline {
+        events: events.collect(),
+    }
 }
 
 #[cfg(test)]

@@ -4,6 +4,8 @@
 //! The bitset implementation scales to the fabric-level port counts
 //! (2048) without per-slot allocation.
 
+use crate::matching::pick;
+
 /// A fixed-size bitset over `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSet {
@@ -73,34 +75,13 @@ impl BitSet {
     }
 
     /// The first set bit at or after `from`, wrapping around; `None` when
-    /// empty. This is the programmable-priority-encoder primitive.
+    /// empty: [`pick`] over this set's words (padding bits above `len`
+    /// are never set).
     pub fn next_set_wrapping(&self, from: usize) -> Option<usize> {
         if self.len == 0 {
             return None;
         }
-        let from = from % self.len;
-        let sw = from / 64;
-        // Search [from, len): padding bits above len are never set.
-        let first = self.words[sw] & (!0u64 << (from % 64));
-        if first != 0 {
-            return Some(sw * 64 + first.trailing_zeros() as usize);
-        }
-        for wi in sw + 1..self.words.len() {
-            if self.words[wi] != 0 {
-                return Some(wi * 64 + self.words[wi].trailing_zeros() as usize);
-            }
-        }
-        // Wrap: search [0, from).
-        for wi in 0..=sw {
-            let mut w = self.words[wi];
-            if wi == sw {
-                w &= !(!0u64 << (from % 64));
-            }
-            if w != 0 {
-                return Some(wi * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        None
+        pick(self.words.len(), from % self.len, |w| self.words[w])
     }
 }
 

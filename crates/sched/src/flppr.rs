@@ -112,7 +112,7 @@ impl CellScheduler for Flppr {
         // Every sub-scheduler advances its matching by one iteration —
         // this is the per-cycle hardware work.
         for s in &mut self.subs {
-            s.iterate();
+            s.iterate(true);
         }
         // The sub-scheduler owning this slot issues its matching.
         let k = (slot % self.subs.len() as u64) as usize;

@@ -1,36 +1,29 @@
 //! iSLIP — the classic iterative round-robin matcher (McKeown, ref. [17]).
 //!
-//! Used here both as the building block inside FLPPR's sub-schedulers and,
-//! standalone, as the *non-pipelined* reference scheduler: it computes a
-//! complete i-iteration matching within a single cell slot, which is
-//! exactly what the paper argues is infeasible in hardware at 51.2 ns —
-//! the motivation for FLPPR.
+//! The *non-pipelined* reference scheduler: it computes a complete
+//! i-iteration matching within a single cell slot, which is exactly what
+//! the paper argues is infeasible in hardware at 51.2 ns — the motivation
+//! for FLPPR.
 //!
-//! The dual-receiver extension treats each output as `out_capacity`
-//! sub-ports, each with its own grant arbiter, so the same algorithm
-//! serves both Fig. 7 curves.
+//! The grant/accept round is [`SubScheduler`]'s, the one FLPPR and the
+//! pipelined arbiter spread over several cycles; iSLIP runs all its
+//! iterations on one sub-scheduler inside the slot, harvests the matching
+//! and removes the granted cells. Only the pointer rule differs: pointers
+//! move on first-iteration accepts alone. The dual-receiver extension
+//! (each output as `out_capacity` sub-ports, each with its own grant
+//! arbiter) comes with the sub-scheduler, so the same algorithm serves
+//! both Fig. 7 curves.
 
-use crate::arbiter::{BitSet, RoundRobinArbiter};
 use crate::requests::{Matching, Requests};
+use crate::subsched::SubScheduler;
 use crate::traits::CellScheduler;
 
 /// iSLIP scheduler with a configurable iteration count and output capacity.
 #[derive(Debug, Clone)]
 pub struct Islip {
-    occ: Requests,
+    sub: SubScheduler,
     iterations: usize,
     out_capacity: usize,
-    /// Grant arbiter per output sub-port (`outputs × out_capacity`).
-    grant_arb: Vec<RoundRobinArbiter>,
-    /// Accept arbiter per input, over output sub-ports.
-    accept_arb: Vec<RoundRobinArbiter>,
-    // Scratch (reused every tick).
-    in_matched_bits: BitSet,
-    subport_used: Vec<bool>,
-    grants_to_input: Vec<BitSet>,
-    /// Per output: bit i set ⇔ occ(i,o) > 0, maintained incrementally.
-    occ_bits: Vec<BitSet>,
-    requesters: BitSet,
 }
 
 impl Islip {
@@ -39,22 +32,9 @@ impl Islip {
     pub fn new(n: usize, iterations: usize, out_capacity: usize) -> Self {
         assert!(n > 0 && iterations > 0 && out_capacity > 0);
         Islip {
-            occ: Requests::square(n),
+            sub: SubScheduler::new(n, out_capacity),
             iterations,
             out_capacity,
-            // Stagger sub-port pointers so a dual-receiver output's two
-            // grant arbiters do not grant the same input on slot 0.
-            grant_arb: (0..n * out_capacity)
-                .map(|sp| RoundRobinArbiter::with_pointer(n, sp % out_capacity))
-                .collect(),
-            accept_arb: (0..n)
-                .map(|_| RoundRobinArbiter::new(n * out_capacity))
-                .collect(),
-            in_matched_bits: BitSet::new(n),
-            subport_used: vec![false; n * out_capacity],
-            grants_to_input: (0..n).map(|_| BitSet::new(n * out_capacity)).collect(),
-            occ_bits: (0..n).map(|_| BitSet::new(n)).collect(),
-            requesters: BitSet::new(n),
         }
     }
 
@@ -66,17 +46,17 @@ impl Islip {
 
     /// Internal VOQ occupancy view (for tests and diagnostics).
     pub fn occupancy(&self) -> &Requests {
-        &self.occ
+        &self.sub.req
     }
 }
 
 impl CellScheduler for Islip {
     fn inputs(&self) -> usize {
-        self.occ.inputs()
+        self.sub.ports()
     }
 
     fn outputs(&self) -> usize {
-        self.occ.outputs()
+        self.sub.ports()
     }
 
     fn out_capacity(&self) -> usize {
@@ -84,69 +64,20 @@ impl CellScheduler for Islip {
     }
 
     fn note_arrival(&mut self, input: usize, output: usize) {
-        self.occ.inc(input, output);
-        self.occ_bits[output].set(input);
+        self.sub.note_arrival(input, output);
     }
 
     fn tick(&mut self, _slot: u64) -> Matching {
-        let n = self.occ.inputs();
-        let r = self.out_capacity;
-        let mut matching = Matching::with_capacity(n);
-        self.in_matched_bits.clear_all();
-        self.subport_used.fill(false);
-
+        // iSLIP pointer rule: update only on first-iteration accepts
+        // (prevents starvation, desynchronizes pointers).
         for iter in 0..self.iterations {
-            // --- Grant phase: each free output sub-port picks one
-            // requesting unmatched input via its round-robin arbiter.
-            for g in &mut self.grants_to_input {
-                g.clear_all();
-            }
-            let mut any_grant = false;
-            for o in 0..n {
-                for sub in 0..r {
-                    let sp = o * r + sub;
-                    if self.subport_used[sp] {
-                        continue;
-                    }
-                    self.requesters
-                        .assign_and_not(&self.occ_bits[o], &self.in_matched_bits);
-                    if self.requesters.is_empty() {
-                        continue;
-                    }
-                    if let Some(i) = self.grant_arb[sp].arbitrate(&self.requesters) {
-                        self.grants_to_input[i].set(sp);
-                        any_grant = true;
-                    }
-                }
-            }
-            if !any_grant {
-                break;
-            }
-            // --- Accept phase: each input picks one granting sub-port.
-            for i in 0..n {
-                if self.in_matched_bits.get(i) || self.grants_to_input[i].is_empty() {
-                    continue;
-                }
-                if let Some(sp) = self.accept_arb[i].arbitrate(&self.grants_to_input[i]) {
-                    let o = sp / r;
-                    self.in_matched_bits.set(i);
-                    self.subport_used[sp] = true;
-                    matching.push(i, o);
-                    // iSLIP pointer rule: update only on first-iteration
-                    // accepts (prevents starvation, desynchronizes
-                    // pointers).
-                    if iter == 0 {
-                        self.grant_arb[sp].advance_past(i);
-                        self.accept_arb[i].advance_past(sp);
-                    }
-                }
-            }
+            self.sub.iterate(iter == 0);
         }
+        let mut matching = Matching::with_capacity(self.sub.partial_len());
+        self.sub.take(&mut matching);
         for &(i, o) in matching.pairs() {
-            self.occ.dec(i, o);
-            if self.occ.get(i, o) == 0 {
-                self.occ_bits[o].clear(i);
-            }
+            assert!(self.sub.req.get(i, o) > 0, "VOQ({i},{o}) underflow");
+            self.sub.note_departure(i, o);
         }
         matching
     }
@@ -159,6 +90,107 @@ impl CellScheduler for Islip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osmosis_sim::SimRng;
+
+    /// Single-slot iSLIP as a dense port-by-port scan that shares nothing
+    /// with [`SubScheduler`]: the matchings [`Islip`] must produce, pair
+    /// for pair.
+    struct ScalarIslip {
+        n: usize,
+        iterations: usize,
+        r: usize,
+        occ: Vec<Vec<u32>>,
+        /// Grant pointer per output sub-port, over inputs.
+        grant_ptr: Vec<usize>,
+        /// Accept pointer per input, over output sub-ports.
+        accept_ptr: Vec<usize>,
+    }
+
+    impl ScalarIslip {
+        fn new(n: usize, iterations: usize, r: usize) -> Self {
+            ScalarIslip {
+                n,
+                iterations,
+                r,
+                occ: vec![vec![0; n]; n],
+                grant_ptr: (0..n * r).map(|sp| sp % r).collect(),
+                accept_ptr: vec![0; n],
+            }
+        }
+
+        fn tick(&mut self) -> Vec<(usize, usize)> {
+            let (n, r) = (self.n, self.r);
+            let mut pairs = Vec::new();
+            let mut in_matched = vec![false; n];
+            let mut subport_used = vec![false; n * r];
+            // Outputs with any cell queued; only they can grant.
+            let waiting: Vec<bool> = (0..n).map(|o| self.occ.iter().any(|q| q[o] > 0)).collect();
+            for iter in 0..self.iterations {
+                // Per input, the sub-ports that granted it.
+                let mut grants = vec![Vec::new(); n];
+                for sp in (0..n * r).filter(|&sp| !subport_used[sp] && waiting[sp / r]) {
+                    let mut from_pointer = (0..n).map(|k| (self.grant_ptr[sp] + k) % n);
+                    if let Some(i) =
+                        from_pointer.find(|&i| !in_matched[i] && self.occ[i][sp / r] > 0)
+                    {
+                        grants[i].push(sp);
+                    }
+                }
+                for (i, granters) in grants.iter().enumerate() {
+                    // The first granter at or after the accept pointer.
+                    let behind = |sp: &&usize| (**sp + n * r - self.accept_ptr[i]) % (n * r);
+                    if let Some(&sp) = granters.iter().min_by_key(behind) {
+                        in_matched[i] = true;
+                        subport_used[sp] = true;
+                        pairs.push((i, sp / r));
+                        if iter == 0 {
+                            self.grant_ptr[sp] = (i + 1) % n;
+                            self.accept_ptr[i] = (sp + 1) % (n * r);
+                        }
+                    }
+                }
+            }
+            for &(i, o) in &pairs {
+                self.occ[i][o] -= 1;
+            }
+            pairs
+        }
+    }
+
+    #[test]
+    fn matches_the_scalar_islip_loop_pair_for_pair() {
+        for n in [5usize, 8, 16, 64, 70] {
+            for receivers in [1usize, 2] {
+                for seed in 0..20u64 {
+                    let mut rng = SimRng::seed_from_u64(seed * 1_000 + n as u64);
+                    let iterations = 1 + rng.index(4);
+                    let mut fast = Islip::new(n, iterations, receivers);
+                    let mut slow = ScalarIslip::new(n, iterations, receivers);
+                    // One in `idle` inputs sits a slot out: from
+                    // saturation down to a trickle across the seeds.
+                    let idle = 1 + rng.index(6);
+                    let mut matched = 0;
+                    for slot in 0..400 {
+                        for i in 0..n {
+                            if rng.index(idle) == 0 {
+                                let o = rng.index(n);
+                                fast.note_arrival(i, o);
+                                slow.occ[i][o] += 1;
+                            }
+                        }
+                        let got = fast.tick(slot);
+                        assert_eq!(
+                            got.pairs(),
+                            slow.tick(),
+                            "n {n} receivers {receivers} seed {seed} slot {slot}"
+                        );
+                        matched += got.len();
+                    }
+                    assert!(matched > 40 * n, "n {n} seed {seed}: {matched} matches");
+                }
+            }
+        }
+    }
 
     fn drain(s: &mut Islip, slots: u64) -> Vec<Matching> {
         (0..slots).map(|t| s.tick(t)).collect()

@@ -10,6 +10,14 @@
 //! single-stage switch and the multistage fabric simulations, with single
 //! or dual receivers per output.
 //!
+//! The round-robin grant/accept round is written twice, on one priority
+//! encoder ([`matching::pick`]): [`matching::Matcher`] matches borrowed
+//! request masks within a slot at one grant per output (the fabric
+//! simulators' per-switch schedulers, the CIOQ and burst switches), and
+//! [`subsched::SubScheduler`] owns counted requests, sub-ports and a
+//! matching that accumulates across slots (FLPPR, the pipelined arbiter
+//! and iSLIP, which differ only in when rounds run and pointers move).
+//!
 //! The Fig. 6 contrast in four lines:
 //!
 //! ```
@@ -33,6 +41,7 @@
 pub mod arbiter;
 pub mod flppr;
 pub mod islip;
+pub mod matching;
 pub mod maxmatch;
 pub mod pim;
 pub mod pipelined;

@@ -1,7 +1,7 @@
-//! The per-switch scheduler both fabric simulators run: iterative
-//! round-robin grant/accept over request bit-vectors, the hardware's
-//! programmable priority encoders ([`pick`]) made word-parallel over
-//! `radix.div_ceil(64)` words.
+//! The single-receiver scheduler of both fabric simulators and of the
+//! CIOQ and burst switches: iterative round-robin grant/accept over
+//! request bit-vectors, the hardware's programmable priority encoders
+//! ([`pick`]) made word-parallel over `radix.div_ceil(64)` words.
 //!
 //! A caller owns what persists — its request masks and its grant and
 //! accept pointers, one per port — and lends them to [`Matcher`] for one
@@ -12,32 +12,32 @@
 /// mask whose word `w` is `word(w)`: the programmable priority encoder
 /// behind every grant and accept arbiter.
 #[inline]
-fn pick(words: usize, from: usize, word: impl Fn(usize) -> u64) -> Option<usize> {
+pub fn pick(words: usize, from: usize, word: impl Fn(usize) -> u64) -> Option<usize> {
     let (w0, below) = (from / 64, !(!0u64 << (from % 64)));
+    let found = |w: usize, m: u64| Some(w * 64 + m.trailing_zeros() as usize);
     // Word `w0` is read twice: first its bits from `from` up, last the
     // bits below.
-    for k in 0..=words {
-        let w = if w0 + k < words {
-            w0 + k
-        } else {
-            w0 + k - words
-        };
-        let part = match k {
-            0 => !below,
-            k if k == words => below,
-            _ => !0,
-        };
-        let m = word(w) & part;
+    let first = word(w0) & !below;
+    if first != 0 {
+        return found(w0, first);
+    }
+    for w in (w0 + 1..words).chain(0..w0) {
+        let m = word(w);
         if m != 0 {
-            return Some(w * 64 + m.trailing_zeros() as usize);
+            return found(w, m);
         }
     }
-    None
+    let last = word(w0) & below;
+    if last != 0 {
+        found(w0, last)
+    } else {
+        None
+    }
 }
 
 /// Matching scratch for switches of one radix, `words` words each unless
 /// noted; clean between switches except `matched`.
-pub(crate) struct Matcher {
+pub struct Matcher {
     radix: usize,
     words: usize,
     in_matched: Vec<u64>,
@@ -47,11 +47,12 @@ pub(crate) struct Matcher {
     /// Per local input, `words` words: the outputs that granted it.
     grants: Vec<u64>,
     /// The last matching: (input, output) pairs in accept order.
-    pub(crate) matched: Vec<(u32, u32)>,
+    pub matched: Vec<(u32, u32)>,
 }
 
 impl Matcher {
-    pub(crate) fn new(radix: usize) -> Self {
+    /// Scratch for switches of `radix` ports.
+    pub fn new(radix: usize) -> Self {
         let words = radix.div_ceil(64);
         Matcher {
             radix,
@@ -72,7 +73,7 @@ impl Matcher {
     /// a cell for it; `requested` is its summary, the outputs with any
     /// request. `grant_ptr`/`accept_ptr` are the switch's `radix`
     /// pointers. An output takes part only while `eligible(output)`.
-    pub(crate) fn match_switch(
+    pub fn match_switch(
         &mut self,
         iterations: usize,
         requests: &[u64],

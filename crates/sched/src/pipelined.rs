@@ -84,7 +84,7 @@ impl CellScheduler for PipelinedArbiter {
 
     fn tick(&mut self, slot: u64) -> Matching {
         for s in &mut self.subs {
-            s.iterate();
+            s.iterate(true);
         }
         let k = (slot % self.subs.len() as u64) as usize;
         self.subs[k].take(&mut self.scratch);

@@ -147,7 +147,12 @@ impl SubScheduler {
     }
 
     /// Perform one grant/accept iteration, extending the partial matching.
-    pub fn iterate(&mut self) {
+    /// `move_pointers` is the pointer rule, the one thing the owners
+    /// disagree on: every accept advances its grant and accept pointers
+    /// when set (FLPPR and the pipelined arbiter, one iteration per
+    /// cycle); iSLIP sets it on the first iteration of a slot only, so
+    /// later iterations cannot starve a first-iteration loser.
+    pub fn iterate(&mut self, move_pointers: bool) {
         let n = self.ports();
         let r = self.out_capacity;
         for g in &mut self.grants_to_input {
@@ -186,8 +191,10 @@ impl SubScheduler {
                 self.reserved.inc(i, o);
                 self.refresh_bit(i, o);
                 self.pairs.push((i, o, sp));
-                self.grant_arb[sp].advance_past(i);
-                self.accept_arb[i].advance_past(sp);
+                if move_pointers {
+                    self.grant_arb[sp].advance_past(i);
+                    self.accept_arb[i].advance_past(sp);
+                }
             }
         }
     }
@@ -224,7 +231,7 @@ mod tests {
         let mut s = SubScheduler::new(8, 1);
         s.note_arrival(1, 2);
         s.note_arrival(3, 4);
-        s.iterate();
+        s.iterate(true);
         assert_eq!(s.partial_len(), 2);
         let mut m = Matching::new();
         s.take(&mut m);
@@ -242,10 +249,10 @@ mod tests {
             s.note_arrival(i, 0);
             s.note_arrival(i, (i + 1) % 4);
         }
-        s.iterate();
+        s.iterate(true);
         let after1 = s.partial_len();
-        s.iterate();
-        s.iterate();
+        s.iterate(true);
+        s.iterate(true);
         let after3 = s.partial_len();
         assert!(after3 >= after1);
         let mut m = Matching::new();
@@ -257,8 +264,8 @@ mod tests {
     fn reserved_cells_not_rematched() {
         let mut s = SubScheduler::new(4, 1);
         s.note_arrival(0, 0); // exactly one cell
-        s.iterate();
-        s.iterate();
+        s.iterate(true);
+        s.iterate(true);
         assert_eq!(s.partial_len(), 1, "single cell matched once");
     }
 
@@ -268,7 +275,7 @@ mod tests {
         s.note_departure(0, 0); // no cell: must not underflow
         s.note_arrival(0, 0);
         s.note_departure(0, 0);
-        s.iterate();
+        s.iterate(true);
         assert_eq!(s.partial_len(), 0, "view empty after departure");
     }
 
@@ -278,7 +285,7 @@ mod tests {
         for i in 0..4 {
             s.note_arrival(i, 0);
         }
-        s.iterate();
+        s.iterate(true);
         assert_eq!(s.partial_len(), 2, "two receivers on output 0");
     }
 
@@ -289,13 +296,13 @@ mod tests {
         for i in 0..4 {
             s.note_arrival(i, 0);
         }
-        s.iterate();
+        s.iterate(true);
         assert_eq!(s.partial_len(), 1, "one surviving receiver on output 0");
         let mut m = Matching::new();
         s.take(&mut m);
         s.set_output_capacity(0, 2);
-        s.iterate();
-        s.iterate();
+        s.iterate(true);
+        s.iterate(true);
         assert_eq!(s.partial_len(), 2, "full capacity after repair");
     }
 
@@ -306,8 +313,8 @@ mod tests {
             s.note_arrival(i, 0);
             s.note_arrival(i, 1);
         }
-        s.iterate();
-        s.iterate();
+        s.iterate(true);
+        s.iterate(true);
         let before = s.partial_len();
         assert!(before >= 3, "warm matching uses both receivers");
         // Kill output 0 entirely: its pairs must be released so the
@@ -319,8 +326,8 @@ mod tests {
             m.pairs().iter().all(|&(_, o)| o != 0),
             "no grant to dead output"
         );
-        s.iterate();
-        s.iterate();
+        s.iterate(true);
+        s.iterate(true);
         let mut m2 = Matching::new();
         s.take(&mut m2);
         assert!(m2.pairs().iter().all(|&(_, o)| o != 0));

@@ -7,7 +7,7 @@
 //! This module hoists that structure out of the individual simulators:
 //!
 //! * [`SlottedModel`] — the per-cycle hooks a simulator implements;
-//! * [`EngineConfig`] — the one simulation window/seed/early-stop config;
+//! * [`EngineConfig`] — the one simulation window/seed/buffer config;
 //! * [`EngineReport`] — the one report every simulator produces;
 //! * [`Observer`] — the cell-accounting callbacks handed to the hooks,
 //!   which also fan out cycle-level [`TraceEvent`]s to a [`TraceSink`].
@@ -32,7 +32,7 @@
 use crate::audit::{Auditor, CreditLedger, DropReason};
 use crate::circuit::{CircuitView, NullCircuits};
 use crate::fault::FaultView;
-use crate::stats::{Histogram, Welford};
+use crate::stats::Histogram;
 
 /// A cycle-level event emitted through a [`TraceSink`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,43 +228,12 @@ impl TraceSink for CountingTrace {
     }
 }
 
-/// Optional convergence-based early stop: end the measurement window once
-/// the 95% confidence interval on mean delay — and on the drop fraction —
-/// is tight enough.
-#[derive(Debug, Clone, Copy)]
-pub struct Convergence {
-    /// Check cadence, in measured slots.
-    pub check_every: u64,
-    /// Stop once `1.96 · σ / √n` on delay is at or below this (slots).
-    pub ci_halfwidth: f64,
-    /// Never stop before this many delay samples.
-    pub min_cells: u64,
-    /// Additionally require the 95% CI halfwidth on the drop *fraction*
-    /// (`1.96·√(p(1−p)/n)` over delivered+dropped outcomes) to be at or
-    /// below this. Drop-heavy runs (bufferless contention, fault plans)
-    /// would otherwise converge on delay alone while the loss estimate is
-    /// still noisy: delay is only sampled on *delivered* cells, so its CI
-    /// tightens regardless of how unsettled the drop rate is.
-    pub drop_ci_halfwidth: f64,
-}
-
-impl Default for Convergence {
-    fn default() -> Self {
-        Convergence {
-            check_every: 1_000,
-            ci_halfwidth: 0.05,
-            min_cells: 5_000,
-            drop_ci_halfwidth: 0.01,
-        }
-    }
-}
-
 /// The one simulation-window configuration shared by every simulator.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Slots simulated before measurement starts (queue warm-up).
     pub warmup_slots: u64,
-    /// Maximum slots measured (an early stop may end the run sooner).
+    /// Slots measured.
     pub measure_slots: u64,
     /// Experiment seed, used by helpers that construct traffic or
     /// model-internal sources. Models whose traffic is pre-seeded at
@@ -273,20 +242,17 @@ pub struct EngineConfig {
     /// Per-port buffer capacity in cells, for models with finite buffers.
     /// `None` leaves each model's structural default in place.
     pub buffer_cells: Option<usize>,
-    /// Optional early stop on delay-CI convergence.
-    pub convergence: Option<Convergence>,
 }
 
 impl EngineConfig {
-    /// A window of `warmup_slots` + `measure_slots`, seed 0, no early
-    /// stop, model-default buffering.
+    /// A window of `warmup_slots` + `measure_slots`, seed 0,
+    /// model-default buffering.
     pub fn new(warmup_slots: u64, measure_slots: u64) -> Self {
         EngineConfig {
             warmup_slots,
             measure_slots,
             seed: 0,
             buffer_cells: None,
-            convergence: None,
         }
     }
 
@@ -299,12 +265,6 @@ impl EngineConfig {
     /// Set the per-port buffer capacity.
     pub fn with_buffer_cells(mut self, cells: usize) -> Self {
         self.buffer_cells = Some(cells);
-        self
-    }
-
-    /// Enable convergence-based early stop.
-    pub fn with_convergence(mut self, convergence: Convergence) -> Self {
-        self.convergence = Some(convergence);
         self
     }
 }
@@ -341,10 +301,8 @@ pub struct EngineReport {
     pub max_queue_depth: usize,
     /// Deepest egress queue observed.
     pub max_egress_depth: usize,
-    /// Measured slots actually run (less than configured on early stop).
+    /// Measured slots actually run.
     pub measured_slots: u64,
-    /// Whether the run ended on delay-CI convergence.
-    pub converged_early: bool,
     /// Full delay histogram (slots).
     pub delay_hist: Histogram,
     /// Full request-to-grant histogram (slots).
@@ -372,7 +330,6 @@ impl Default for EngineReport {
             max_queue_depth: 0,
             max_egress_depth: 0,
             measured_slots: 0,
-            converged_early: false,
             delay_hist: Histogram::new(1.0, 1),
             grant_hist: Histogram::new(1.0, 1),
             extra: Vec::new(),
@@ -408,7 +365,10 @@ impl EngineReport {
             self.max_queue_depth as u64,
             self.max_egress_depth as u64,
             self.measured_slots,
-            self.converged_early as u64,
+            // A constant word in the digest: it stood for an early-stop
+            // flag that no pinned run ever set, and leaving it out would
+            // shift every pinned fingerprint.
+            0u64,
             self.offered_load.to_bits(),
             self.throughput.to_bits(),
             self.mean_delay.to_bits(),
@@ -478,7 +438,6 @@ pub struct Observer<'a, T: TraceSink> {
     drops_buffer_full: u64,
     fault_cells_lost: u64,
     fault_retransmits: u64,
-    delay: Welford,
     delay_hist: Histogram,
     grant_hist: Histogram,
     max_queue_depth: usize,
@@ -502,7 +461,6 @@ impl<'a, T: TraceSink> Observer<'a, T> {
             drops_buffer_full: 0,
             fault_cells_lost: 0,
             fault_retransmits: 0,
-            delay: Welford::new(),
             // Sized to stay cache-resident in the hot loop (32 KB + 8 KB);
             // larger delays land in the overflow bucket, where the mean
             // stays exact (Welford) and only quantiles become unresolvable.
@@ -606,7 +564,6 @@ impl<'a, T: TraceSink> Observer<'a, T> {
             self.delivered += 1;
             if inject_slot >= self.warmup_slots {
                 self.delay_hist.record(delay as f64);
-                self.delay.add(delay as f64);
             }
         }
         if let Some(a) = self.audit.as_mut() {
@@ -889,12 +846,7 @@ impl<'a, T: TraceSink> Observer<'a, T> {
 
     /// Finalize into a report, handing the sink borrow back so the caller
     /// can deliver the [`TraceSink::run_end`] notification.
-    fn into_report(
-        self,
-        ports: usize,
-        measured_slots: u64,
-        converged_early: bool,
-    ) -> (EngineReport, &'a mut T) {
+    fn into_report(self, ports: usize, measured_slots: u64) -> (EngineReport, &'a mut T) {
         let denom = (measured_slots as f64 * ports as f64).max(1.0);
         let mut report = EngineReport {
             offered_load: (self.injected + self.dropped) as f64 / denom,
@@ -909,7 +861,6 @@ impl<'a, T: TraceSink> Observer<'a, T> {
             max_queue_depth: self.max_queue_depth,
             max_egress_depth: self.max_egress_depth,
             measured_slots,
-            converged_early,
             delay_hist: self.delay_hist,
             grant_hist: self.grant_hist,
             extra: Vec::new(),
@@ -1079,42 +1030,13 @@ fn run_inner<'a, M: SlottedModel + ?Sized, T: TraceSink>(
         a.configure(cfg, ports);
         obs.audit = Some(a);
     }
-    let mut t = 0u64;
-    let mut converged_early = false;
-    while t < total_slots {
+    for t in 0..total_slots {
         obs.begin_slot(t);
         model.arbitrate(t, &mut obs);
         model.deliver(t, &mut obs);
         model.inject(t, &mut obs);
-        t += 1;
-        if let Some(cv) = cfg.convergence {
-            let measured = t.saturating_sub(cfg.warmup_slots);
-            if measured > 0
-                && cv.check_every > 0
-                && measured.is_multiple_of(cv.check_every)
-                && obs.delay.count() >= cv.min_cells
-            {
-                let n = obs.delay.count() as f64;
-                let halfwidth = 1.96 * obs.delay.std_dev() / n.sqrt();
-                // Delay is only sampled on delivered cells; require the
-                // drop-fraction estimate to have settled too, or
-                // drop-heavy runs converge on delay alone.
-                let outcomes = (obs.delivered + obs.dropped) as f64;
-                let drop_halfwidth = if outcomes > 0.0 {
-                    let p = obs.dropped as f64 / outcomes;
-                    1.96 * (p * (1.0 - p) / outcomes).sqrt()
-                } else {
-                    0.0
-                };
-                if halfwidth <= cv.ci_halfwidth && drop_halfwidth <= cv.drop_ci_halfwidth {
-                    converged_early = true;
-                    break;
-                }
-            }
-        }
     }
-    let measured_slots = t.saturating_sub(cfg.warmup_slots);
-    crate::sweep::watchdog::consume(t);
+    crate::sweep::watchdog::consume(total_slots);
     let resident = model.resident_cells();
     let fault_cells_lost = obs.fault_cells_lost;
     let fault_retransmits = obs.fault_retransmits;
@@ -1123,7 +1045,7 @@ fn run_inner<'a, M: SlottedModel + ?Sized, T: TraceSink>(
     let faults = obs.faults.take();
     let circuits = obs.circuits.take();
     let audit = obs.audit.take();
-    let (mut report, sink) = obs.into_report(ports, measured_slots, converged_early);
+    let (mut report, sink) = obs.into_report(ports, cfg.measure_slots);
     model.finish(&mut report);
     // Per-reason drop attribution is attachment-independent (set purely
     // from model behaviour), so audited and un-audited runs fingerprint
@@ -1219,7 +1141,6 @@ mod tests {
         let r = run_model(&mut ToyQueue::new(2, 1), &cfg);
         assert_eq!(r.injected, 50, "half the 100 measured slots inject");
         assert_eq!(r.measured_slots, 100);
-        assert!(!r.converged_early);
         assert!((r.throughput - 0.5).abs() < 0.02);
         assert!((r.offered_load - 0.5).abs() < 0.02);
         assert_eq!(r.dropped, 0);
@@ -1241,22 +1162,6 @@ mod tests {
             r.delay_hist.count() < r.delivered,
             "warm-up cells excluded from delay stats"
         );
-    }
-
-    #[test]
-    fn convergence_stops_early_on_constant_delay() {
-        let cfg = EngineConfig::new(10, 1_000_000).with_convergence(Convergence {
-            check_every: 100,
-            ci_halfwidth: 0.5,
-            min_cells: 50,
-            drop_ci_halfwidth: 1.0,
-        });
-        let r = run_model(&mut ToyQueue::new(2, 1), &cfg);
-        assert!(r.converged_early);
-        assert!(r.measured_slots < 1_000_000);
-        assert!((r.mean_delay - 1.0).abs() < 1e-12);
-        // Throughput is normalized by the slots actually measured.
-        assert!((r.throughput - 0.5).abs() < 0.02, "{}", r.throughput);
     }
 
     #[test]
@@ -1296,73 +1201,6 @@ mod tests {
             vec_sink.events[0],
             (0, TraceEvent::Inject { src: 0, dst: 0 })
         ));
-    }
-
-    /// Inject two cells per slot into a single server: one is served,
-    /// the other dropped — constant delay, drop fraction 1/2.
-    struct DroppyQueue {
-        queue: std::collections::VecDeque<u64>,
-    }
-
-    impl SlottedModel for DroppyQueue {
-        fn ports(&self) -> usize {
-            1
-        }
-
-        fn arbitrate<T: TraceSink>(&mut self, _slot: u64, _obs: &mut Observer<'_, T>) {}
-
-        fn deliver<T: TraceSink>(&mut self, _slot: u64, obs: &mut Observer<'_, T>) {
-            if let Some(inject_slot) = self.queue.pop_front() {
-                obs.cell_delivered(0, inject_slot);
-            }
-        }
-
-        fn inject<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
-            obs.cell_injected(0, 0);
-            self.queue.push_back(slot);
-            obs.cell_injected(0, 0);
-            obs.cell_dropped(0);
-        }
-    }
-
-    #[test]
-    fn drops_gate_convergence_alongside_delay() {
-        // Delay is constant (CI = 0 immediately), but the drop fraction
-        // is 1/2: its Bernoulli CI needs ≈384 outcomes to reach a 0.05
-        // halfwidth. A delay-only check would stop at the first
-        // opportunity (100 measured slots / 200 outcomes).
-        let strict = EngineConfig::new(0, 1_000_000).with_convergence(Convergence {
-            check_every: 100,
-            ci_halfwidth: 0.5,
-            min_cells: 50,
-            drop_ci_halfwidth: 0.05,
-        });
-        let r = run_model(
-            &mut DroppyQueue {
-                queue: Default::default(),
-            },
-            &strict,
-        );
-        assert!(r.converged_early);
-        assert!(
-            r.measured_slots > 100,
-            "drop CI must delay convergence: {}",
-            r.measured_slots
-        );
-
-        let loose = EngineConfig::new(0, 1_000_000).with_convergence(Convergence {
-            check_every: 100,
-            ci_halfwidth: 0.5,
-            min_cells: 50,
-            drop_ci_halfwidth: 1.0,
-        });
-        let r = run_model(
-            &mut DroppyQueue {
-                queue: Default::default(),
-            },
-            &loose,
-        );
-        assert_eq!(r.measured_slots, 100, "loose drop CI stops at first check");
     }
 
     #[test]

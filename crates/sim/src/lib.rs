@@ -1,17 +1,15 @@
 //! # osmosis-sim
 //!
 //! Deterministic simulation kernel for the OSMOSIS reproduction: picosecond
-//! time arithmetic, a discrete-event calendar, seedable random streams,
-//! online statistics, and parallel parameter sweeps.
+//! time arithmetic, the slotted engine, seedable random streams, online
+//! statistics, and parallel parameter sweeps.
 //!
 //! The paper's own performance results (Figs. 6-7) came from an Omnet++
 //! simulation environment; this crate is the Rust substitute for that
-//! substrate. Two execution styles are supported:
-//!
-//! * **Slotted** — the switch/fabric simulations advance in fixed cell
-//!   cycles (51.2 ns in the demonstrator) using [`time::SlotClock`].
-//! * **Event-driven** — physical-layer and protocol models schedule events
-//!   at arbitrary picosecond offsets using [`events::EventQueue`].
+//! substrate. The switch/fabric simulations advance in fixed cell cycles
+//! (51.2 ns in the demonstrator, [`time::SlotClock`]) on the one slot loop
+//! of [`engine`]; sub-cycle physics is composed in [`time::Time`]
+//! arithmetic at picosecond resolution.
 //!
 //! All randomness flows from a single experiment seed through
 //! [`rng::SeedSequence`], so every figure in `EXPERIMENTS.md` is exactly
@@ -24,7 +22,6 @@ pub mod audit;
 pub mod buffer;
 pub mod circuit;
 pub mod engine;
-pub mod events;
 pub mod fault;
 pub mod json;
 pub mod rng;
@@ -36,10 +33,9 @@ pub use audit::{Auditor, CreditLedger, DropReason, NoAudit};
 pub use buffer::{BufferLoss, BufferLossReason, BufferPlane, BufferStats, ElectronicVoq};
 pub use circuit::{CircuitView, NullCircuits};
 pub use engine::{
-    Convergence, CountingTrace, EngineConfig, EngineReport, NullTrace, Observer, RingTrace,
-    SlottedModel, TraceEvent, TraceSink, VecTrace,
+    CountingTrace, EngineConfig, EngineReport, NullTrace, Observer, RingTrace, SlottedModel,
+    TraceEvent, TraceSink, VecTrace,
 };
-pub use events::{run_until, EventQueue, ScheduleError};
 pub use fault::{FaultView, NullFaults};
 pub use rng::{SeedSequence, SimRng};
 pub use stats::{Counter, Histogram, SimSummary, Welford};

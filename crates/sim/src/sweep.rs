@@ -723,7 +723,6 @@ impl SweepState for EngineReport {
                 Value::u64(self.max_egress_depth as u64),
             ),
             ("measured_slots".into(), Value::u64(self.measured_slots)),
-            ("converged_early".into(), Value::Bool(self.converged_early)),
             ("delay_hist".into(), hist_to_json(&self.delay_hist)),
             ("grant_hist".into(), hist_to_json(&self.grant_hist)),
             (
@@ -768,7 +767,6 @@ impl SweepState for EngineReport {
             max_queue_depth: v.get("max_queue_depth").and_then(Value::as_usize)?,
             max_egress_depth: v.get("max_egress_depth").and_then(Value::as_usize)?,
             measured_slots: fu("measured_slots")?,
-            converged_early: v.get("converged_early").and_then(Value::as_bool)?,
             delay_hist: hist_from_json(v.get("delay_hist")?)?,
             grant_hist: hist_from_json(v.get("grant_hist")?)?,
             extra,

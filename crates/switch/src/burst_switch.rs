@@ -15,12 +15,13 @@
 //! container becomes eligible when full **or** when its oldest cell has
 //! waited `timeout` slots (the standard assembly rule). The scheduler
 //! computes one matching every `burst` slots (it has B cycles to do so —
-//! that is the whole point) and a granted container occupies its input
-//! and output for the following `burst` slots.
+//! that is the whole point: log₂N rounds of [`osmosis_sched::matching`])
+//! and a granted container occupies its input and output for the
+//! following `burst` slots.
 
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
-use osmosis_sched::arbiter::{BitSet, RoundRobinArbiter};
+use osmosis_sched::matching::Matcher;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
 use std::collections::VecDeque;
@@ -34,19 +35,21 @@ pub struct BurstSwitch {
     timeout: u64,
     voq: Vec<VecDeque<Cell>>,
     egress: Vec<VecDeque<Cell>>,
-    grant_arb: Vec<RoundRobinArbiter>,
-    accept_arb: Vec<RoundRobinArbiter>,
+    /// Per output, `n.div_ceil(64)` words, refilled at each burst
+    /// boundary: bit i set ⇔ input i is idle and container (i, o) is
+    /// eligible.
+    requests: Vec<u64>,
+    /// Bit o set ⇔ output o has any request.
+    requested: Vec<u64>,
+    grant_ptr: Vec<u32>,
+    accept_ptr: Vec<u32>,
+    matcher: Matcher,
     /// Remaining busy slots per input / output (container in flight).
     in_busy: Vec<u64>,
     out_busy: Vec<u64>,
     stamper: SequenceStamper,
     checker: SequenceChecker,
     next_id: u64,
-    requesters: BitSet,
-    grants_to_input: Vec<BitSet>,
-    /// Per-boundary matching scratch, cleared at each burst boundary.
-    in_matched: Vec<bool>,
-    out_matched: Vec<bool>,
 }
 
 impl BurstSwitch {
@@ -60,26 +63,37 @@ impl BurstSwitch {
             timeout,
             voq: (0..n * n).map(|_| VecDeque::new()).collect(),
             egress: (0..n).map(|_| VecDeque::new()).collect(),
-            grant_arb: (0..n).map(|_| RoundRobinArbiter::new(n)).collect(),
-            accept_arb: (0..n).map(|_| RoundRobinArbiter::new(n)).collect(),
+            requests: vec![0; n * n.div_ceil(64)],
+            requested: vec![0; n.div_ceil(64)],
+            grant_ptr: vec![0; n],
+            accept_ptr: vec![0; n],
+            matcher: Matcher::new(n),
             in_busy: vec![0; n],
             out_busy: vec![0; n],
             stamper: SequenceStamper::new(),
             checker: SequenceChecker::new(),
             next_id: 0,
-            requesters: BitSet::new(n),
-            grants_to_input: (0..n).map(|_| BitSet::new(n)).collect(),
-            in_matched: vec![false; n],
-            out_matched: vec![false; n],
         }
     }
 
     fn container_eligible(&self, i: usize, o: usize, t: u64) -> bool {
         let q = &self.voq[i * self.n + o];
-        match q.front() {
-            None => false,
-            Some(head) => {
-                q.len() as u64 >= self.burst || t.saturating_sub(head.inject_slot) >= self.timeout
+        q.front().is_some_and(|head| {
+            q.len() as u64 >= self.burst || t.saturating_sub(head.inject_slot) >= self.timeout
+        })
+    }
+
+    /// Rebuild the request masks for a matching at slot `t`.
+    fn fill_requests(&mut self, t: u64) {
+        let (n, words) = (self.n, self.n.div_ceil(64));
+        self.requests.fill(0);
+        self.requested.fill(0);
+        for i in (0..n).filter(|&i| self.in_busy[i] == 0) {
+            for o in 0..n {
+                if self.container_eligible(i, o, t) {
+                    self.requests[o * words + i / 64] |= 1 << (i % 64);
+                    self.requested[o / 64] |= 1 << (o % 64);
+                }
             }
         }
     }
@@ -113,72 +127,29 @@ impl CellSwitch for BurstSwitch {
         // point of container switching).
         if t.is_multiple_of(self.burst) {
             let iterations = (n.max(2) as f64).log2().ceil() as usize;
-            self.in_matched.fill(false);
-            self.out_matched.fill(false);
-            for _ in 0..iterations {
-                for g in self.grants_to_input.iter_mut() {
-                    g.clear_all();
+            self.fill_requests(t);
+            let out_busy = &self.out_busy;
+            self.matcher.match_switch(
+                iterations,
+                &self.requests,
+                &self.requested,
+                &mut self.grant_ptr,
+                &mut self.accept_ptr,
+                |o| out_busy[o] == 0,
+            );
+            for &(i, o) in &self.matcher.matched {
+                let (i, o) = (i as usize, o as usize);
+                // Launch the container: up to `burst` cells leave back
+                // to back over the next slots.
+                let q = &mut self.voq[i * n + o];
+                let take = (q.len() as u64).min(self.burst) as usize;
+                for (at, mut cell) in (t..).zip(q.drain(..take)) {
+                    cell.grant_slot = at;
+                    obs.cell_granted_with_wait(i, o, cell.inject_slot, at - cell.inject_slot);
+                    self.egress[o].push_back(cell);
                 }
-                let mut any = false;
-                for o in 0..n {
-                    if self.out_matched[o] || self.out_busy[o] > 0 {
-                        continue;
-                    }
-                    self.requesters.clear_all();
-                    let mut have = false;
-                    for i in 0..n {
-                        if !self.in_matched[i]
-                            && self.in_busy[i] == 0
-                            && self.container_eligible(i, o, t)
-                        {
-                            self.requesters.set(i);
-                            have = true;
-                        }
-                    }
-                    if !have {
-                        continue;
-                    }
-                    if let Some(i) = self.grant_arb[o].arbitrate(&self.requesters) {
-                        self.grants_to_input[i].set(o);
-                        any = true;
-                    }
-                }
-                if !any {
-                    break;
-                }
-                for i in 0..n {
-                    if self.in_matched[i]
-                        || self.in_busy[i] > 0
-                        || self.grants_to_input[i].is_empty()
-                    {
-                        continue;
-                    }
-                    if let Some(o) = self.accept_arb[i].arbitrate(&self.grants_to_input[i]) {
-                        self.in_matched[i] = true;
-                        self.out_matched[o] = true;
-                        self.grant_arb[o].advance_past(i);
-                        self.accept_arb[i].advance_past(o);
-                        // Launch the container: up to `burst` cells leave
-                        // back to back over the next slots.
-                        let q = &mut self.voq[i * n + o];
-                        let take = (q.len() as u64).min(self.burst);
-                        for k in 0..take {
-                            let Some(mut cell) = q.pop_front() else {
-                                break;
-                            };
-                            cell.grant_slot = t + k;
-                            obs.cell_granted_with_wait(
-                                i,
-                                o,
-                                cell.inject_slot,
-                                t + k - cell.inject_slot,
-                            );
-                            self.egress[o].push_back(cell);
-                        }
-                        self.in_busy[i] = self.burst;
-                        self.out_busy[o] = self.burst;
-                    }
-                }
+                self.in_busy[i] = self.burst;
+                self.out_busy[o] = self.burst;
             }
         }
     }
@@ -221,7 +192,7 @@ impl CellSwitch for BurstSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osmosis_sim::SeedSequence;
+    use osmosis_sim::{SeedSequence, SimRng};
     use osmosis_traffic::BernoulliUniform;
 
     fn cfg() -> EngineConfig {
@@ -271,5 +242,41 @@ mod tests {
         let mut tr = BernoulliUniform::new(8, 0.05, &SeedSequence::new(4));
         let r = sw.run(&mut tr, &cfg());
         assert!(r.mean_delay < 3.0, "{}", r.mean_delay);
+    }
+
+    #[test]
+    fn masks_are_eligible_containers_at_idle_inputs_after_random_runs() {
+        for n in [5usize, 64, 65, 130] {
+            let mut rng = SimRng::seed_from_u64(n as u64);
+            let (mut asking, mut masked) = (0, 0);
+            for (run, load) in [0.9, 0.2, 0.6].into_iter().enumerate() {
+                let (burst, timeout) = (2 + rng.index(6) as u64, rng.index(12) as u64);
+                let mut sw = BurstSwitch::new(n, burst, timeout);
+                let t = 20 + rng.index(60) as u64;
+                let mut tr = BernoulliUniform::new(n, load, &SeedSequence::new(run as u64));
+                sw.run(&mut tr, &EngineConfig::new(0, t));
+                sw.fill_requests(t);
+                let words = n.div_ceil(64);
+                let bit = |mask: &[u64], k: usize| mask[k / 64] >> (k % 64) & 1 != 0;
+                for o in 0..n {
+                    let col = &sw.requests[o * words..(o + 1) * words];
+                    let mut any = false;
+                    for i in 0..n {
+                        let q = &sw.voq[i * n + o];
+                        let ripe = q.front().is_some_and(|head| {
+                            q.len() as u64 >= burst || t - head.inject_slot >= timeout
+                        });
+                        let asks = sw.in_busy[i] == 0 && ripe;
+                        assert_eq!(bit(col, i), asks, "n {n} run {run} VOQ({i},{o})");
+                        any |= asks;
+                        asking += asks as usize;
+                        masked += (ripe && !asks) as usize;
+                    }
+                    assert_eq!(bit(&sw.requested, o), any, "n {n} run {run} output {o}");
+                }
+            }
+            assert!(asking > 0, "n {n}: no request to check");
+            assert!(masked > 0, "n {n}: no busy input masked a container");
+        }
     }
 }

@@ -4,9 +4,11 @@
 //! output buffers") and the basis of §III's requirement that "the
 //! switches must be work-conserving".
 //!
-//! A CIOQ switch runs its crossbar S times per cell slot (speedup S),
-//! moving cells from the ingress VOQs into small egress buffers that
-//! drain at line rate. With S = 1 the switch is input-queued and cannot
+//! A CIOQ switch runs its crossbar S times per cell slot (speedup S) —
+//! each phase one round of the shared round-robin grant/accept kernel,
+//! [`osmosis_sched::matching`], over request masks kept in step with the
+//! VOQs — moving cells from the ingress VOQs into small egress buffers
+//! that drain at line rate. With S = 1 the switch is input-queued and cannot
 //! be work-conserving; with S = 2 and enough egress buffer it (almost)
 //! is. This model measures work conservation directly: a slot where an
 //! output idles while a cell for it sits anywhere in the switch is a
@@ -14,7 +16,7 @@
 
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
-use osmosis_sched::arbiter::{BitSet, RoundRobinArbiter};
+use osmosis_sched::matching::Matcher;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
 use std::collections::VecDeque;
@@ -28,42 +30,46 @@ pub struct CioqSwitch {
     egress_cap: usize,
     voq: Vec<VecDeque<Cell>>,
     egress: Vec<VecDeque<Cell>>,
-    grant_arb: Vec<RoundRobinArbiter>,
-    accept_arb: Vec<RoundRobinArbiter>,
+    /// Per output, `n.div_ceil(64)` words: bit i set ⇔ VOQ (i, o) holds
+    /// a cell.
+    requests: Vec<u64>,
+    /// Bit o set ⇔ some VOQ for output o holds a cell.
+    requested: Vec<u64>,
+    grant_ptr: Vec<u32>,
+    accept_ptr: Vec<u32>,
+    matcher: Matcher,
     stamper: SequenceStamper,
     checker: SequenceChecker,
     next_id: u64,
     violations: u64,
     busy_slots: u64,
-    /// Per-output "work existed at slot start" flags for the audit.
-    pending_for: Vec<bool>,
-    /// Per-phase "input already granted" scratch, cleared each phase.
-    in_used: Vec<bool>,
-    requesters: BitSet,
-    grants_to_input: Vec<BitSet>,
+    /// `requested` at slot start: the outputs work existed for, for the
+    /// audit.
+    pending: Vec<u64>,
 }
 
 impl CioqSwitch {
     /// An `n`-port CIOQ switch with the given speedup and egress cap.
     pub fn new(n: usize, speedup: usize, egress_cap: usize) -> Self {
         assert!(n > 0 && speedup >= 1 && egress_cap >= 1);
+        let words = n.div_ceil(64);
         CioqSwitch {
             n,
             speedup,
             egress_cap,
             voq: (0..n * n).map(|_| VecDeque::new()).collect(),
             egress: (0..n).map(|_| VecDeque::new()).collect(),
-            grant_arb: (0..n).map(|_| RoundRobinArbiter::new(n)).collect(),
-            accept_arb: (0..n).map(|_| RoundRobinArbiter::new(n)).collect(),
+            requests: vec![0; n * words],
+            requested: vec![0; words],
+            grant_ptr: vec![0; n],
+            accept_ptr: vec![0; n],
+            matcher: Matcher::new(n),
             stamper: SequenceStamper::new(),
             checker: SequenceChecker::new(),
             next_id: 0,
             violations: 0,
             busy_slots: 0,
-            pending_for: vec![false; n],
-            in_used: vec![false; n],
-            requesters: BitSet::new(n),
-            grants_to_input: (0..n).map(|_| BitSet::new(n)).collect(),
+            pending: vec![0; words],
         }
     }
 
@@ -86,59 +92,44 @@ impl CellSwitch for CioqSwitch {
     }
 
     fn arbitrate<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
-        let n = self.n;
+        let (n, words) = (self.n, self.n.div_ceil(64));
 
         // Work-conservation audit *before* this slot's transfers: an
         // output with an empty egress buffer but pending VOQ cells can
         // only transmit this slot if a matching phase feeds it.
-        for o in 0..n {
-            self.pending_for[o] = (0..n).any(|i| !self.voq[i * n + o].is_empty());
-        }
+        self.pending.copy_from_slice(&self.requested);
 
         // S matching phases per slot (single-iteration RR each — speedup,
         // not iteration count, is the knob under study).
         for _phase in 0..self.speedup {
-            for g in self.grants_to_input.iter_mut() {
-                g.clear_all();
-            }
-            self.in_used.fill(false);
-            for o in 0..n {
-                if self.egress[o].len() >= self.egress_cap {
-                    continue; // limited output buffer: backpressure
-                }
-                self.requesters.clear_all();
-                let mut have = false;
-                for i in 0..n {
-                    if !self.in_used[i] && !self.voq[i * n + o].is_empty() {
-                        self.requesters.set(i);
-                        have = true;
+            // Limited output buffer: a full egress does not grant.
+            let (egress, cap) = (&self.egress, self.egress_cap);
+            self.matcher.match_switch(
+                1,
+                &self.requests,
+                &self.requested,
+                &mut self.grant_ptr,
+                &mut self.accept_ptr,
+                |o| egress[o].len() < cap,
+            );
+            for &(i, o) in &self.matcher.matched {
+                let (i, o) = (i as usize, o as usize);
+                let q = &mut self.voq[i * n + o];
+                let mut cell = q
+                    .pop_front()
+                    // lint:allow(panic-free): the request masks track the
+                    // VOQs, so a granted VOQ still holds its cell
+                    .expect("accepted grant with an empty VOQ");
+                if q.is_empty() {
+                    let col = o * words;
+                    self.requests[col + i / 64] &= !(1 << (i % 64));
+                    if self.requests[col..col + words].iter().all(|&w| w == 0) {
+                        self.requested[o / 64] &= !(1 << (o % 64));
                     }
                 }
-                if !have {
-                    continue;
-                }
-                if let Some(i) = self.grant_arb[o].arbitrate(&self.requesters) {
-                    self.grants_to_input[i].set(o);
-                }
-            }
-            for i in 0..n {
-                if self.grants_to_input[i].is_empty() {
-                    continue;
-                }
-                if let Some(o) = self.accept_arb[i].arbitrate(&self.grants_to_input[i]) {
-                    self.grant_arb[o].advance_past(i);
-                    self.accept_arb[i].advance_past(o);
-                    let mut cell = self.voq[i * n + o]
-                        .pop_front()
-                        // lint:allow(panic-free): grants are issued from
-                        // this slot's occupancy snapshot, so an accepted
-                        // grant always has its cell still queued
-                        .expect("accepted grant with an empty VOQ");
-                    cell.grant_slot = slot;
-                    obs.cell_granted(i, o, cell.inject_slot);
-                    self.in_used[i] = true;
-                    self.egress[o].push_back(cell);
-                }
+                cell.grant_slot = slot;
+                obs.cell_granted(i, o, cell.inject_slot);
+                self.egress[o].push_back(cell);
             }
         }
     }
@@ -157,7 +148,7 @@ impl CellSwitch for CioqSwitch {
                     obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
                 }
                 None => {
-                    if obs.measuring() && self.pending_for[o] {
+                    if obs.measuring() && self.pending[o / 64] >> (o % 64) & 1 != 0 {
                         // Work existed for this output at slot start, the
                         // output line still idled.
                         self.violations += 1;
@@ -169,6 +160,7 @@ impl CellSwitch for CioqSwitch {
     }
 
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
+        let words = self.n.div_ceil(64);
         for a in arrivals {
             let seq = self.stamper.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
@@ -177,6 +169,8 @@ impl CellSwitch for CioqSwitch {
             let q = &mut self.voq[a.src * self.n + a.dst];
             q.push_back(cell);
             obs.note_queue_depth(q.len());
+            self.requests[a.dst * words + a.src / 64] |= 1 << (a.src % 64);
+            self.requested[a.dst / 64] |= 1 << (a.dst % 64);
         }
     }
 
@@ -200,7 +194,7 @@ impl CellSwitch for CioqSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osmosis_sim::SeedSequence;
+    use osmosis_sim::{SeedSequence, SimRng};
     use osmosis_traffic::BernoulliUniform;
 
     fn cfg() -> EngineConfig {
@@ -265,5 +259,35 @@ mod tests {
         assert_eq!(r.reordered, 0);
         assert!((r.throughput - 0.8).abs() < 0.03);
         assert!(r.max_egress_depth <= 8);
+    }
+
+    #[test]
+    fn masks_track_voqs_through_random_runs() {
+        for n in [5usize, 64, 65, 130] {
+            let mut rng = SimRng::seed_from_u64(n as u64);
+            let mut queued = 0;
+            // Overload leaves the VOQs crowded, light load nearly empty.
+            for (run, load) in [1.0, 0.2, 0.9, 0.05].into_iter().enumerate() {
+                let mut sw = CioqSwitch::new(n, 1 + rng.index(3), 1 + rng.index(4));
+                let mut tr = BernoulliUniform::new(n, load, &SeedSequence::new(run as u64));
+                sw.run(&mut tr, &EngineConfig::new(0, 20 + rng.index(60) as u64));
+                let words = n.div_ceil(64);
+                let bit = |mask: &[u64], k: usize| mask[k / 64] >> (k % 64) & 1 != 0;
+                for o in 0..n {
+                    let col = &sw.requests[o * words..(o + 1) * words];
+                    let holding = (0..n).filter(|&i| !sw.voq[i * n + o].is_empty());
+                    let holding: Vec<usize> = holding.collect();
+                    for &i in &holding {
+                        assert!(bit(col, i), "n {n} run {run} VOQ({i},{o}) lost its bit");
+                    }
+                    // No bit beyond those: none stale, none in the padding.
+                    let bits: u32 = col.iter().map(|w| w.count_ones()).sum();
+                    assert_eq!(bits as usize, holding.len(), "n {n} run {run} output {o}");
+                    assert_eq!(bit(&sw.requested, o), !holding.is_empty());
+                    queued += holding.len();
+                }
+            }
+            assert!(queued > n, "n {n}: only {queued} VOQs left queued to check");
+        }
     }
 }
