@@ -504,3 +504,102 @@ fn round_robin_fingerprints_match_pins() {
         );
     }
 }
+
+/// `Flppr` and `PipelinedArbiter` at the demonstrator's 64 ports and
+/// over the shapes the `voq` and `remote_sched` rows leave out: rows
+/// wider than one word (70 and 130 ports), an odd radix, depths 1, 3 and
+/// log₂N, single and dual receivers, saturation down to load 0.1 — plus
+/// two faulted runs whose receiver deaths drive the capacity-masking
+/// un-match. Captured on the commit before `SubScheduler` became word
+/// tables over borrowed counts.
+fn flppr_and_pipelined_fingerprints() -> Vec<(&'static str, u64)> {
+    use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};
+    use osmosis::sched::{CellScheduler, PipelinedArbiter};
+    use osmosis::switch::{run_switch_faulted, VoqSwitch};
+
+    let cfg = EngineConfig::new(500, 5_000).with_seed(1234);
+    let plain = |make: fn() -> Box<dyn CellScheduler>, load: f64| {
+        run_uniform(make, load, &cfg).fingerprint()
+    };
+    let faulted = |n: usize| {
+        let plan = FaultPlan::new()
+            .one_shot(FaultKind::ReceiverDeath { output: 3 }, 700, Some(1_500))
+            .one_shot(FaultKind::SoaStuckOff { output: n - 1 }, 1_200, Some(800))
+            .periodic(FaultKind::GrantLoss { prob: 0.1 }, 300, 1_100, 250);
+        let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(n, 2)));
+        let mut inj = FaultInjector::new(plan);
+        run_switch_faulted(&mut sw, &mut uniform(n, 0.8, 1234), &cfg, &mut inj).fingerprint()
+    };
+    vec![
+        (
+            "flppr_64_rx2_sat",
+            plain(|| Box::new(Flppr::osmosis(64, 2)), 0.95),
+        ),
+        (
+            "flppr_64_rx1",
+            plain(|| Box::new(Flppr::osmosis(64, 1)), 0.9),
+        ),
+        (
+            "flppr_64_rx2_light",
+            plain(|| Box::new(Flppr::osmosis(64, 2)), 0.1),
+        ),
+        (
+            "flppr_70_rx2",
+            plain(|| Box::new(Flppr::osmosis(70, 2)), 0.85),
+        ),
+        (
+            "flppr_130_depth3_rx1",
+            plain(|| Box::new(Flppr::new(130, 3, 1)), 0.8),
+        ),
+        (
+            "flppr_5_depth3_rx2",
+            plain(|| Box::new(Flppr::new(5, 3, 2)), 0.95),
+        ),
+        (
+            "flppr_16_depth1_rx1",
+            plain(|| Box::new(Flppr::new(16, 1, 1)), 0.7),
+        ),
+        (
+            "pipelined_16_rx1",
+            plain(|| Box::new(PipelinedArbiter::log2n(16, 1)), 0.7),
+        ),
+        (
+            "pipelined_64_rx2",
+            plain(|| Box::new(PipelinedArbiter::log2n(64, 2)), 0.9),
+        ),
+        (
+            "pipelined_70_rx2",
+            plain(|| Box::new(PipelinedArbiter::log2n(70, 2)), 0.85),
+        ),
+        ("flppr_64_rx2_faulted", faulted(64)),
+        ("flppr_70_rx2_faulted", faulted(70)),
+    ]
+}
+
+const FLPPR_AND_PIPELINED_PINS: &[(&str, u64)] = &[
+    ("flppr_64_rx2_sat", 0xdcb2_31ae_7631_1ccd),
+    ("flppr_64_rx1", 0xc87d_4f17_f8ef_ec6b),
+    ("flppr_64_rx2_light", 0xf12e_c0a4_2827_2f2f),
+    ("flppr_70_rx2", 0xd7c9_ea29_ae09_0daa),
+    ("flppr_130_depth3_rx1", 0xf73b_0bf3_3b2c_0def),
+    ("flppr_5_depth3_rx2", 0xdd2e_e538_2f54_0ee0),
+    ("flppr_16_depth1_rx1", 0x4c69_04d0_1c37_5497),
+    ("pipelined_16_rx1", 0x76af_74a8_aec6_3bbc),
+    ("pipelined_64_rx2", 0xa4be_2263_852d_a070),
+    ("pipelined_70_rx2", 0x8ed2_8f0d_4e12_0b4f),
+    ("flppr_64_rx2_faulted", 0xbe82_5bb4_9b7e_900b),
+    ("flppr_70_rx2_faulted", 0xb37f_8838_d26b_a9eb),
+];
+
+#[test]
+fn flppr_and_pipelined_fingerprints_match_pins() {
+    let got = flppr_and_pipelined_fingerprints();
+    assert_eq!(got.len(), FLPPR_AND_PIPELINED_PINS.len());
+    for ((name, fp), (pin_name, pin)) in got.iter().zip(FLPPR_AND_PIPELINED_PINS) {
+        assert_eq!(name, pin_name);
+        assert_eq!(
+            *fp, *pin,
+            "{name}: fingerprint {fp:#018x} drifted from pinned {pin:#018x}"
+        );
+    }
+}
