@@ -4,7 +4,7 @@
 //! cycle i is granted by FLPPR in cycle i+1, while the previous state of
 //! the art grants it only after log₂N cycles (i+6 for 64 ports).
 
-use osmosis_sched::{CellScheduler, Flppr, PipelinedArbiter};
+use osmosis_sched::{log2_ceil, CellScheduler, Flppr, PipelinedArbiter};
 
 /// The measured timeline.
 #[derive(Debug, Clone)]
@@ -38,7 +38,7 @@ fn grant_latency(sched: &mut dyn CellScheduler, phase: u64) -> u64 {
 
 /// Run the Fig. 6 experiment for an N-port switch.
 pub fn run(ports: usize) -> Fig6Result {
-    let depth = (ports.max(2) as f64).log2().ceil() as usize;
+    let depth = log2_ceil(ports);
     let mut flppr = Vec::with_capacity(depth);
     let mut prior = Vec::with_capacity(depth);
     for phase in 0..depth as u64 {

@@ -32,8 +32,10 @@ pub const MODEL_TRAITS: &[&str] = &["SlottedModel", "CellScheduler", "CellSwitch
 /// for the bitset hot-path rewrite): the two phase hooks, and the
 /// helpers a phase hook hands its per-switch, per-cell work to — the
 /// shared matching kernel (`match_switch`), the sub-scheduler round
-/// every pipelined `tick` delegates to (`iterate`, `take`), the fabrics'
-/// buffer and credit moves, and the per-audited-slot ledger snapshot. The rule is
+/// every pipelined `tick` delegates to (`iterate`, `take`) and its
+/// per-cell bookkeeping (`note_arrival`, `note_departure`, the `unmatch`
+/// a departure falls into), the fabrics' buffer and credit moves, and
+/// the per-audited-slot ledger snapshot. The rule is
 /// name-scoped, so a helper is audited only once it is listed here, and
 /// a name no model-crate fn answers to is reported as stale.
 pub const HOT_FN_NAMES: &[&str] = &[
@@ -42,6 +44,9 @@ pub const HOT_FN_NAMES: &[&str] = &[
     "match_switch",
     "iterate",
     "take",
+    "note_arrival",
+    "note_departure",
+    "unmatch",
     "enqueue",
     "dequeue",
     "send",
@@ -981,6 +986,35 @@ mod tests {
         let (diags, _) = deep(&[("crates/fabric/src/m.rs", src)], &Artifacts::default());
         let hits = diags.iter().filter(|d| d.rule == "hot-loop-alloc");
         assert_eq!(hits.count(), 3, "{diags:#?}");
+    }
+
+    #[test]
+    fn hot_loop_alloc_sees_per_cell_scheduler_bookkeeping() {
+        // A sub-scheduler that rebuilds state per cell instead of
+        // refreshing a bit: every per-cell helper a `tick` fans out to is
+        // audited, not only the round itself.
+        let src = "impl SubScheduler {\n    \
+                   pub fn note_arrival(&mut self, counts: &Requests, i: usize, o: usize) {\n        \
+                   self.rows[o] = counts.column(o).collect();\n    }\n    \
+                   pub fn note_departure(&mut self, counts: &Requests, i: usize, o: usize) {\n        \
+                   let stale: Vec<usize> = Vec::new();\n    }\n    \
+                   fn unmatch(&mut self, pos: usize) {\n        \
+                   self.pairs = self.pairs.to_vec();\n    }\n    \
+                   fn refresh_bit(&mut self) {}\n}\n";
+        let (diags, graph) = deep(&[("crates/sched/src/s.rs", src)], &Artifacts::default());
+        let hits: Vec<_> = diags
+            .iter()
+            .filter(|d| d.rule == "hot-loop-alloc")
+            .collect();
+        assert_eq!(hits.len(), 3, "{diags:#?}");
+        for name in ["note_arrival", "note_departure", "unmatch"] {
+            assert!(
+                hits.iter()
+                    .any(|d| d.message.contains(&format!("`fn {name}`"))),
+                "{name}: {diags:#?}"
+            );
+        }
+        assert_eq!(graph.hot_fns.len(), 3);
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! sub-scheduler's grant consumes a cell, the duplicate request is removed
 //! from the other K−1 views; grants are re-validated against the master
 //! VOQ state at issue time so no phantom cell is ever launched.
+//!
+//! The K sub-schedulers hold no counts of their own: all are lent
+//! `master`. That is exact — every one is told of every arrival and of
+//! every issued grant, so by induction over `note_arrival`/`tick` K
+//! private count matrices would each equal `master` after every call.
+//! What differs per sub-scheduler is the cell its matching has claimed,
+//! and that lives in its request bits.
 
 use crate::requests::{Matching, Requests};
 use crate::subsched::SubScheduler;
@@ -72,8 +79,7 @@ impl Flppr {
     /// each issued matching accumulated log₂N iterations — the iteration
     /// count ref. [17] calls for.
     pub fn osmosis(n: usize, out_capacity: usize) -> Self {
-        let depth = (n.max(2) as f64).log2().ceil() as usize;
-        Self::new(n, depth, out_capacity)
+        Self::new(n, crate::log2_ceil(n), out_capacity)
     }
 
     /// Number of parallel sub-schedulers.
@@ -104,7 +110,7 @@ impl CellScheduler for Flppr {
         self.master.inc(input, output);
         // The novelty: the request goes to *all* sub-schedulers.
         for s in &mut self.subs {
-            s.note_arrival(input, output);
+            s.note_arrival(&self.master, input, output);
         }
     }
 
@@ -112,11 +118,11 @@ impl CellScheduler for Flppr {
         // Every sub-scheduler advances its matching by one iteration —
         // this is the per-cycle hardware work.
         for s in &mut self.subs {
-            s.iterate(true);
+            s.iterate(&self.master, true);
         }
         // The sub-scheduler owning this slot issues its matching.
         let k = (slot % self.subs.len() as u64) as usize;
-        self.subs[k].take(&mut self.scratch);
+        self.subs[k].take(&self.master, &mut self.scratch);
         let mut issued = Matching::with_capacity(self.scratch.len());
         if self.masked {
             self.out_issued.iter_mut().for_each(|c| *c = 0);
@@ -139,7 +145,7 @@ impl CellScheduler for Flppr {
                 issued.push(i, o);
                 // Remove the duplicate request everywhere.
                 for s in &mut self.subs {
-                    s.note_departure(i, o);
+                    s.note_departure(&self.master, i, o);
                 }
             } else {
                 self.stale_grants += 1;
@@ -156,7 +162,7 @@ impl CellScheduler for Flppr {
         self.out_cap[output] = cap;
         self.masked = self.out_cap.iter().any(|&c| c < self.out_capacity);
         for s in &mut self.subs {
-            s.set_output_capacity(output, cap);
+            s.set_output_capacity(&self.master, output, cap);
         }
     }
 
@@ -172,6 +178,233 @@ impl CellScheduler for Flppr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osmosis_sim::SimRng;
+
+    /// One sub-scheduler as dense matrices and linear scans: its own
+    /// copy of the counts, an explicit matrix of cells claimed by the
+    /// in-progress matching, one flag per input and per sub-port.
+    struct ScalarSub {
+        n: usize,
+        r: usize,
+        /// Cells queued, `[output][input]`, as is `reserved`.
+        req: Vec<Vec<u32>>,
+        /// Cells queued for each output, over all inputs: a sub-port of
+        /// an output with none is not scanned.
+        queued_for: Vec<u32>,
+        reserved: Vec<Vec<u32>>,
+        out_cap: Vec<usize>,
+        in_matched: Vec<bool>,
+        subport_used: Vec<bool>,
+        /// (input, output, sub-port).
+        pairs: Vec<(usize, usize, usize)>,
+        /// Grant pointer per output sub-port, over inputs.
+        grant_ptr: Vec<usize>,
+        /// Accept pointer per input, over output sub-ports.
+        accept_ptr: Vec<usize>,
+    }
+
+    impl ScalarSub {
+        fn new(n: usize, r: usize) -> Self {
+            ScalarSub {
+                n,
+                r,
+                req: vec![vec![0; n]; n],
+                queued_for: vec![0; n],
+                reserved: vec![vec![0; n]; n],
+                out_cap: vec![r; n],
+                in_matched: vec![false; n],
+                subport_used: vec![false; n * r],
+                pairs: Vec::new(),
+                grant_ptr: (0..n * r).map(|sp| sp % r % n).collect(),
+                accept_ptr: vec![0; n],
+            }
+        }
+
+        fn unmatch(&mut self, pos: usize) {
+            let (i, o, sp) = self.pairs.swap_remove(pos);
+            self.in_matched[i] = false;
+            self.subport_used[sp] = false;
+            self.reserved[o][i] -= 1;
+        }
+
+        fn arrive(&mut self, i: usize, o: usize) {
+            self.req[o][i] += 1;
+            self.queued_for[o] += 1;
+        }
+
+        fn depart(&mut self, i: usize, o: usize) {
+            if self.req[o][i] > 0 {
+                self.req[o][i] -= 1;
+                self.queued_for[o] -= 1;
+            }
+            while self.reserved[o][i] > self.req[o][i] {
+                let stale = self
+                    .pairs
+                    .iter()
+                    .position(|&(pi, po, _)| (pi, po) == (i, o));
+                self.unmatch(stale.expect("a reserved cell has its pair"));
+            }
+        }
+
+        fn set_output_capacity(&mut self, output: usize, cap: usize) {
+            self.out_cap[output] = cap;
+            let mut k = 0;
+            while k < self.pairs.len() {
+                let (_, o, sp) = self.pairs[k];
+                if o == output && sp - o * self.r >= cap {
+                    self.unmatch(k);
+                } else {
+                    k += 1;
+                }
+            }
+        }
+
+        fn iterate(&mut self) {
+            let (n, r) = (self.n, self.r);
+            // Per input, the sub-ports that granted it.
+            let mut grants = vec![Vec::new(); n];
+            for sp in 0..n * r {
+                let o = sp / r;
+                if self.subport_used[sp] || sp % r >= self.out_cap[o] || self.queued_for[o] == 0 {
+                    continue;
+                }
+                // The first unmatched requester at or after the pointer.
+                let (req, reserved) = (&self.req[o], &self.reserved[o]);
+                let mut i = self.grant_ptr[sp];
+                for _ in 0..n {
+                    if !self.in_matched[i] && req[i] > reserved[i] {
+                        grants[i].push(sp);
+                        break;
+                    }
+                    i = if i + 1 == n { 0 } else { i + 1 };
+                }
+            }
+            for (i, granters) in grants.iter().enumerate() {
+                // The first granter at or after the accept pointer.
+                let behind = |sp: &&usize| (**sp + n * r - self.accept_ptr[i]) % (n * r);
+                if let Some(&sp) = granters.iter().min_by_key(behind) {
+                    self.in_matched[i] = true;
+                    self.subport_used[sp] = true;
+                    self.reserved[sp / r][i] += 1;
+                    self.pairs.push((i, sp / r, sp));
+                    self.grant_ptr[sp] = (i + 1) % n;
+                    self.accept_ptr[i] = (sp + 1) % (n * r);
+                }
+            }
+        }
+
+        fn take(&mut self) -> Vec<(usize, usize)> {
+            self.in_matched.fill(false);
+            self.subport_used.fill(false);
+            self.reserved.iter_mut().for_each(|row| row.fill(0));
+            self.pairs.drain(..).map(|(i, o, _)| (i, o)).collect()
+        }
+    }
+
+    /// FLPPR over [`ScalarSub`]s, sharing nothing with [`SubScheduler`]
+    /// or the priority encoder: the grants [`Flppr`] must issue, pair for
+    /// pair and in issue order.
+    struct ScalarFlppr {
+        master: Vec<Vec<u32>>,
+        subs: Vec<ScalarSub>,
+        out_cap: Vec<usize>,
+        stale_grants: u64,
+        masked_grants: u64,
+    }
+
+    impl ScalarFlppr {
+        fn new(n: usize, depth: usize, r: usize) -> Self {
+            ScalarFlppr {
+                master: vec![vec![0; n]; n],
+                subs: (0..depth).map(|_| ScalarSub::new(n, r)).collect(),
+                out_cap: vec![r; n],
+                stale_grants: 0,
+                masked_grants: 0,
+            }
+        }
+
+        fn note_arrival(&mut self, i: usize, o: usize) {
+            self.master[i][o] += 1;
+            for s in &mut self.subs {
+                s.arrive(i, o);
+            }
+        }
+
+        fn set_output_capacity(&mut self, output: usize, cap: usize) {
+            self.out_cap[output] = cap;
+            for s in &mut self.subs {
+                s.set_output_capacity(output, cap);
+            }
+        }
+
+        fn tick(&mut self, slot: u64) -> Vec<(usize, usize)> {
+            for s in &mut self.subs {
+                s.iterate();
+            }
+            let k = (slot % self.subs.len() as u64) as usize;
+            let mut out_issued = vec![0; self.out_cap.len()];
+            let mut issued = Vec::new();
+            for (i, o) in self.subs[k].take() {
+                if out_issued[o] >= self.out_cap[o] {
+                    self.masked_grants += 1;
+                } else if self.master[i][o] == 0 {
+                    self.stale_grants += 1;
+                } else {
+                    self.master[i][o] -= 1;
+                    out_issued[o] += 1;
+                    issued.push((i, o));
+                    for s in &mut self.subs {
+                        s.depart(i, o);
+                    }
+                }
+            }
+            issued
+        }
+    }
+
+    #[test]
+    fn matches_the_scalar_flppr_pair_for_pair() {
+        for n in [5usize, 8, 16, 64, 70, 130] {
+            for receivers in [1usize, 2] {
+                for depth in [1, 3, crate::log2_ceil(n)] {
+                    for seed in 0..20u64 {
+                        let mut rng = SimRng::seed_from_u64(seed * 1_000 + n as u64);
+                        let mut fast = Flppr::new(n, depth, receivers);
+                        let mut slow = ScalarFlppr::new(n, depth, receivers);
+                        // One in `idle` inputs sits a slot out: from
+                        // saturation down to a trickle across the seeds.
+                        let idle = 1 + rng.index(6);
+                        let mut granted = 0;
+                        for slot in 0..400 {
+                            for i in 0..n {
+                                if rng.index(idle) == 0 {
+                                    let o = rng.index(n);
+                                    fast.note_arrival(i, o);
+                                    slow.note_arrival(i, o);
+                                }
+                            }
+                            // Receivers die and are repaired, sometimes
+                            // both of an output at once.
+                            if rng.index(20) == 0 {
+                                let (o, cap) = (rng.index(n), rng.index(receivers + 1));
+                                fast.set_output_capacity(o, cap);
+                                slow.set_output_capacity(o, cap);
+                            }
+                            let got = fast.tick(slot);
+                            let at = format!(
+                                "n {n} receivers {receivers} depth {depth} seed {seed} slot {slot}"
+                            );
+                            assert_eq!(got.pairs(), slow.tick(slot), "{at}");
+                            assert_eq!(fast.stale_grants, slow.stale_grants, "{at}");
+                            assert_eq!(fast.masked_grants, slow.masked_grants, "{at}");
+                            granted += got.len();
+                        }
+                        assert!(granted > 20 * n, "n {n} seed {seed}: {granted} grants");
+                    }
+                }
+            }
+        }
+    }
 
     /// Single cell into an idle switch: granted at the very next tick —
     /// the Fig. 6 headline behaviour.

@@ -21,6 +21,8 @@ use crate::traits::CellScheduler;
 /// iSLIP scheduler with a configurable iteration count and output capacity.
 #[derive(Debug, Clone)]
 pub struct Islip {
+    /// The VOQ occupancy `sub` matches over.
+    req: Requests,
     sub: SubScheduler,
     iterations: usize,
     out_capacity: usize,
@@ -32,6 +34,7 @@ impl Islip {
     pub fn new(n: usize, iterations: usize, out_capacity: usize) -> Self {
         assert!(n > 0 && iterations > 0 && out_capacity > 0);
         Islip {
+            req: Requests::square(n),
             sub: SubScheduler::new(n, out_capacity),
             iterations,
             out_capacity,
@@ -40,13 +43,12 @@ impl Islip {
 
     /// The canonical configuration from ref. [17]: log₂N iterations.
     pub fn log2n(n: usize, out_capacity: usize) -> Self {
-        let iters = (n.max(2) as f64).log2().ceil() as usize;
-        Self::new(n, iters, out_capacity)
+        Self::new(n, crate::log2_ceil(n), out_capacity)
     }
 
     /// Internal VOQ occupancy view (for tests and diagnostics).
     pub fn occupancy(&self) -> &Requests {
-        &self.sub.req
+        &self.req
     }
 }
 
@@ -64,20 +66,21 @@ impl CellScheduler for Islip {
     }
 
     fn note_arrival(&mut self, input: usize, output: usize) {
-        self.sub.note_arrival(input, output);
+        self.req.inc(input, output);
+        self.sub.note_arrival(&self.req, input, output);
     }
 
     fn tick(&mut self, _slot: u64) -> Matching {
         // iSLIP pointer rule: update only on first-iteration accepts
         // (prevents starvation, desynchronizes pointers).
         for iter in 0..self.iterations {
-            self.sub.iterate(iter == 0);
+            self.sub.iterate(&self.req, iter == 0);
         }
         let mut matching = Matching::with_capacity(self.sub.partial_len());
-        self.sub.take(&mut matching);
+        self.sub.take(&self.req, &mut matching);
         for &(i, o) in matching.pairs() {
-            assert!(self.sub.req.get(i, o) > 0, "VOQ({i},{o}) underflow");
-            self.sub.note_departure(i, o);
+            self.req.dec(i, o);
+            self.sub.note_departure(&self.req, i, o);
         }
         matching
     }

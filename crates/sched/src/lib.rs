@@ -14,9 +14,10 @@
 //! encoder ([`matching::pick`]): [`matching::Matcher`] matches borrowed
 //! request masks within a slot at one grant per output (the fabric
 //! simulators' per-switch schedulers, the CIOQ and burst switches), and
-//! [`subsched::SubScheduler`] owns counted requests, sub-ports and a
-//! matching that accumulates across slots (FLPPR, the pipelined arbiter
-//! and iSLIP, which differ only in when rounds run and pointers move).
+//! [`subsched::SubScheduler`] holds request bits over counts its owner
+//! lends it, sub-ports and a matching that accumulates across slots
+//! (FLPPR, the pipelined arbiter and iSLIP, which differ only in when
+//! rounds run and pointers move).
 //!
 //! The Fig. 6 contrast in four lines:
 //!
@@ -57,3 +58,27 @@ pub use pim::Pim;
 pub use pipelined::PipelinedArbiter;
 pub use requests::{Matching, Requests};
 pub use traits::CellScheduler;
+
+/// ⌈log₂ n⌉, at least 1: the iteration count ref. [17] calls for, and so
+/// the depth of every log₂N scheduler here.
+pub fn log2_ceil(n: usize) -> usize {
+    (usize::BITS - (n.max(2) - 1).leading_zeros()) as usize
+}
+
+#[cfg(test)]
+mod tests {
+    use super::log2_ceil;
+
+    #[test]
+    fn log2_ceil_equals_the_float_form() {
+        let float = |n: usize| (n.max(2) as f64).log2().ceil() as usize;
+        for n in 0..=4_096 {
+            assert_eq!(log2_ceil(n), float(n), "n {n}");
+        }
+        for k in 1..=40 {
+            for n in [(1usize << k) - 1, 1 << k, (1 << k) + 1] {
+                assert_eq!(log2_ceil(n), float(n), "n {n}");
+            }
+        }
+    }
+}

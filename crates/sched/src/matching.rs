@@ -10,28 +10,55 @@
 
 /// The first set bit at or after `from`, wrapping, of the `words`-word
 /// mask whose word `w` is `word(w)`: the programmable priority encoder
-/// behind every grant and accept arbiter.
+/// behind every grant and accept arbiter. `from < 64 * words`.
+///
+/// Whether a requester sits at or after the pointer is a coin toss the
+/// branch predictor loses, and a scheduler tick asks it over a thousand
+/// times (one `Flppr::osmosis(64, 2)` tick at load 0.95: 368 output
+/// visits, 493 grant picks, 180 accepts, 366 departure fan-outs for 61
+/// issued grants) — the tick is misprediction-bound, not
+/// instruction-bound. So a mask of one or two words (every grant row up
+/// to 64 ports, every accept row of the 64-port dual-receiver
+/// demonstrator) is encoded without a data-dependent branch: "the bits
+/// at or after `from`, else all bits" is a conditional move, and one
+/// `trailing_zeros` finishes it.
 #[inline]
 pub fn pick(words: usize, from: usize, word: impl Fn(usize) -> u64) -> Option<usize> {
-    let (w0, below) = (from / 64, !(!0u64 << (from % 64)));
-    let found = |w: usize, m: u64| Some(w * 64 + m.trailing_zeros() as usize);
-    // Word `w0` is read twice: first its bits from `from` up, last the
-    // bits below.
-    let first = word(w0) & !below;
-    if first != 0 {
-        return found(w0, first);
-    }
-    for w in (w0 + 1..words).chain(0..w0) {
-        let m = word(w);
-        if m != 0 {
-            return found(w, m);
+    match words {
+        1 => {
+            let all = word(0);
+            let ahead = all & (!0 << from);
+            let bits = if ahead != 0 { ahead } else { all };
+            (bits != 0).then(|| bits.trailing_zeros() as usize)
         }
-    }
-    let last = word(w0) & below;
-    if last != 0 {
-        found(w0, last)
-    } else {
-        None
+        2 => {
+            let all = u128::from(word(0)) | u128::from(word(1)) << 64;
+            let ahead = all & (!0 << from);
+            let bits = if ahead != 0 { ahead } else { all };
+            (bits != 0).then(|| bits.trailing_zeros() as usize)
+        }
+        _ => {
+            let (w0, below) = (from / 64, !(!0u64 << (from % 64)));
+            let found = |w: usize, m: u64| Some(w * 64 + m.trailing_zeros() as usize);
+            // Word `w0` is read twice: first its bits from `from` up,
+            // last the bits below.
+            let first = word(w0) & !below;
+            if first != 0 {
+                return found(w0, first);
+            }
+            for w in (w0 + 1..words).chain(0..w0) {
+                let m = word(w);
+                if m != 0 {
+                    return found(w, m);
+                }
+            }
+            let last = word(w0) & below;
+            if last != 0 {
+                found(w0, last)
+            } else {
+                None
+            }
+        }
     }
 }
 

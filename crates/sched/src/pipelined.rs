@@ -9,6 +9,10 @@
 //! Throughput at saturation is comparable to FLPPR (each matching still
 //! accumulates K iterations); only the low-load latency differs. That
 //! contrast *is* Fig. 6.
+//!
+//! Unlike FLPPR's, these sub-schedulers cannot be lent one occupancy
+//! matrix: a request is known to its own stage alone, so each stage's
+//! counts are a different share of `master` and each is kept.
 
 use crate::requests::{Matching, Requests};
 use crate::subsched::SubScheduler;
@@ -18,7 +22,8 @@ use crate::traits::CellScheduler;
 #[derive(Debug, Clone)]
 pub struct PipelinedArbiter {
     master: Requests,
-    subs: Vec<SubScheduler>,
+    /// Each stage behind the counts of the requests assigned to it.
+    subs: Vec<(Requests, SubScheduler)>,
     out_capacity: usize,
     /// Sub-scheduler currently receiving new requests.
     fill: usize,
@@ -35,7 +40,7 @@ impl PipelinedArbiter {
         PipelinedArbiter {
             master: Requests::square(n),
             subs: (0..depth)
-                .map(|_| SubScheduler::new(n, out_capacity))
+                .map(|_| (Requests::square(n), SubScheduler::new(n, out_capacity)))
                 .collect(),
             out_capacity,
             // Before the first tick, arrivals go to the sub-scheduler that
@@ -48,8 +53,7 @@ impl PipelinedArbiter {
 
     /// The canonical configuration: depth log₂N.
     pub fn log2n(n: usize, out_capacity: usize) -> Self {
-        let depth = (n.max(2) as f64).log2().ceil() as usize;
-        Self::new(n, depth, out_capacity)
+        Self::new(n, crate::log2_ceil(n), out_capacity)
     }
 
     /// Number of pipeline stages.
@@ -79,20 +83,24 @@ impl CellScheduler for PipelinedArbiter {
     fn note_arrival(&mut self, input: usize, output: usize) {
         self.master.inc(input, output);
         // Exclusive assignment: only the filling sub-scheduler sees it.
-        self.subs[self.fill].note_arrival(input, output);
+        let (view, sub) = &mut self.subs[self.fill];
+        view.inc(input, output);
+        sub.note_arrival(view, input, output);
     }
 
     fn tick(&mut self, slot: u64) -> Matching {
-        for s in &mut self.subs {
-            s.iterate(true);
+        for (view, sub) in &mut self.subs {
+            sub.iterate(view, true);
         }
         let k = (slot % self.subs.len() as u64) as usize;
-        self.subs[k].take(&mut self.scratch);
+        let (view, sub) = &mut self.subs[k];
+        sub.take(view, &mut self.scratch);
         let mut issued = Matching::with_capacity(self.scratch.len());
         for &(i, o) in self.scratch.pairs() {
             if self.master.try_dec(i, o) {
                 issued.push(i, o);
-                self.subs[k].note_departure(i, o);
+                view.try_dec(i, o);
+                sub.note_departure(view, i, o);
             } else {
                 self.stale_grants += 1;
             }

@@ -1,118 +1,156 @@
 //! The one-iteration-per-slot accumulating matcher used as the
-//! sub-scheduler building block of both FLPPR and the prior-art pipelined
-//! arbiter.
+//! sub-scheduler building block of FLPPR, the prior-art pipelined arbiter
+//! and iSLIP.
 //!
 //! Hardware schedulers cannot run log₂N grant/accept iterations inside one
 //! 51.2 ns cell cycle, so pipelined designs spread a matching's iterations
-//! over several cycles. A [`SubScheduler`] owns its request view and a
-//! partial matching; [`SubScheduler::iterate`] performs one round-robin
-//! grant/accept round (one "iteration"), and [`SubScheduler::take`]
-//! harvests the accumulated matching and starts a fresh one.
+//! over several cycles. A [`SubScheduler`] holds a partial matching over a
+//! VOQ occupancy it *borrows*: [`SubScheduler::iterate`] performs one
+//! round-robin grant/accept round (one "iteration"), and
+//! [`SubScheduler::take`] harvests the accumulated matching and starts a
+//! fresh one.
+//!
+//! The state is what the hardware holds — a few hundred request bits and
+//! pointers — as flat word tables on the one priority encoder
+//! ([`pick`]). The counts stay with the owner, which passes them to every
+//! call: K engines that are all told of every arrival and departure see
+//! one matrix, so they share it. A cell claimed by the in-progress
+//! matching is not a second matrix either: an input is in at most one
+//! pair, so the reservation *is* the output the input is matched to.
 
-use crate::arbiter::{BitSet, RoundRobinArbiter};
+use crate::matching::pick;
 use crate::requests::{Matching, Requests};
+
+/// `matched_out` of an unmatched input.
+const UNMATCHED: u32 = u32::MAX;
 
 /// A pipelined matching engine for an n×n crossbar with `out_capacity`
 /// receivers per output.
 #[derive(Debug, Clone)]
 pub struct SubScheduler {
-    /// This sub-scheduler's view of the VOQ occupancy.
-    pub req: Requests,
-    /// Cells already claimed by the in-progress matching.
-    reserved: Requests,
+    n: usize,
     out_capacity: usize,
+    /// Words per request row and per input mask: `n.div_ceil(64)`.
+    words: usize,
+    /// Words per grant row and per sub-port mask.
+    sp_words: usize,
     /// Per-output *effective* capacity (≤ `out_capacity`), lowered by the
     /// owner when fault masking degrades an egress.
-    out_cap: Vec<usize>,
-    in_matched: Vec<bool>,
-    /// Bit i set ⇔ input i is matched (word-parallel mirror of
-    /// `in_matched` for the grant stage).
-    in_matched_bits: BitSet,
-    subport_used: Vec<bool>,
-    /// Accumulated partial matching: (input, output, sub-port).
-    pairs: Vec<(usize, usize, usize)>,
-    grant_arb: Vec<RoundRobinArbiter>,
-    accept_arb: Vec<RoundRobinArbiter>,
-    grants_to_input: Vec<BitSet>,
-    /// Per output: bit i set ⇔ req(i,o) > reserved(i,o) — maintained
-    /// incrementally so the grant stage is O(N/64) per output instead of
-    /// an O(N) scan.
-    req_bits: Vec<BitSet>,
-    requesters: BitSet,
+    out_cap: Vec<u32>,
+    /// Row o, `words` words: bit i set ⇔ count(i,o) > reserved(i,o) — the
+    /// inputs output o may grant.
+    requests: Vec<u64>,
+    /// Summary of `requests`: bit o set ⇔ row o is not all zero.
+    requested: Vec<u64>,
+    in_matched: Vec<u64>,
+    subport_used: Vec<u64>,
+    /// Per output sub-port, over inputs.
+    grant_ptr: Vec<u32>,
+    /// Per input, over output sub-ports.
+    accept_ptr: Vec<u32>,
+    /// Row i, `sp_words` words: the sub-ports that granted input i in the
+    /// current iteration; all zero between iterations.
+    grants: Vec<u64>,
+    /// Inputs granted in the current iteration.
+    granted: Vec<u64>,
+    /// Accumulated partial matching: (input, output, sub-port), in accept
+    /// order except where an un-match moved the last pair into a hole.
+    pairs: Vec<(u32, u32, u32)>,
+    /// Per matched input, its position in `pairs`.
+    pair_of: Vec<u32>,
+    /// Per input, the output it is matched to — the one cell of its VOQs
+    /// the in-progress matching has claimed — or [`UNMATCHED`].
+    matched_out: Vec<u32>,
 }
 
 impl SubScheduler {
     /// Fresh engine for an `n`-port crossbar.
     pub fn new(n: usize, out_capacity: usize) -> Self {
         assert!(n > 0 && out_capacity > 0);
+        assert!(n * out_capacity < UNMATCHED as usize);
+        let (words, sp_words) = (n.div_ceil(64), (n * out_capacity).div_ceil(64));
         SubScheduler {
-            req: Requests::square(n),
-            reserved: Requests::square(n),
+            n,
             out_capacity,
-            out_cap: vec![out_capacity; n],
-            in_matched: vec![false; n],
-            in_matched_bits: BitSet::new(n),
-            subport_used: vec![false; n * out_capacity],
-            pairs: Vec::with_capacity(n),
+            words,
+            sp_words,
+            out_cap: vec![out_capacity as u32; n],
+            requests: vec![0; n * words],
+            requested: vec![0; words],
+            in_matched: vec![0; words],
+            subport_used: vec![0; sp_words],
             // Stagger sub-port pointers so a dual-receiver output's two
             // grant arbiters do not grant the same input on slot 0.
-            grant_arb: (0..n * out_capacity)
-                .map(|sp| RoundRobinArbiter::with_pointer(n, sp % out_capacity))
+            grant_ptr: (0..n * out_capacity)
+                .map(|sp| (sp % out_capacity % n) as u32)
                 .collect(),
-            accept_arb: (0..n)
-                .map(|_| RoundRobinArbiter::new(n * out_capacity))
-                .collect(),
-            grants_to_input: (0..n).map(|_| BitSet::new(n * out_capacity)).collect(),
-            req_bits: (0..n).map(|_| BitSet::new(n)).collect(),
-            requesters: BitSet::new(n),
+            accept_ptr: vec![0; n],
+            grants: vec![0; n * sp_words],
+            granted: vec![0; words],
+            pairs: Vec::with_capacity(n),
+            pair_of: vec![0; n],
+            matched_out: vec![UNMATCHED; n],
         }
     }
 
-    /// Keep `req_bits[o]` consistent with `req`/`reserved` at (i, o).
+    /// Keep bit i of request row o, and the row's summary bit, consistent
+    /// with `counts` and the reservation at (i, o). Mask arithmetic, not
+    /// set-or-clear: which way a bit goes is data the branch predictor
+    /// cannot learn.
     #[inline]
-    fn refresh_bit(&mut self, i: usize, o: usize) {
-        if self.req.get(i, o) > self.reserved.get(i, o) {
-            self.req_bits[o].set(i);
-        } else {
-            self.req_bits[o].clear(i);
+    fn refresh_bit(&mut self, counts: &Requests, i: usize, o: usize) {
+        let reserved = (self.matched_out[i] == o as u32) as u32;
+        let on = (counts.get(i, o) > reserved) as u64;
+        let row = &mut self.requests[o * self.words..(o + 1) * self.words];
+        row[i / 64] = row[i / 64] & !(1 << (i % 64)) | on << (i % 64);
+        let any = (row.iter().fold(0, |all, &w| all | w) != 0) as u64;
+        let summary = &mut self.requested[o / 64];
+        *summary = *summary & !(1 << (o % 64)) | any << (o % 64);
+    }
+
+    /// Remove the pair at `pos` from the partial matching, freeing its
+    /// input, its sub-port and the cell it had claimed. The last pair
+    /// takes its place.
+    fn unmatch(&mut self, counts: &Requests, pos: usize) {
+        let (i, o, sp) = self.pairs.swap_remove(pos);
+        if let Some(&(moved, _, _)) = self.pairs.get(pos) {
+            self.pair_of[moved as usize] = pos as u32;
         }
+        let (i, o, sp) = (i as usize, o as usize, sp as usize);
+        self.matched_out[i] = UNMATCHED;
+        self.in_matched[i / 64] &= !(1 << (i % 64));
+        self.subport_used[sp / 64] &= !(1 << (sp % 64));
+        self.refresh_bit(counts, i, o);
     }
 
     /// Ports.
     pub fn ports(&self) -> usize {
-        self.req.inputs()
+        self.n
     }
 
-    /// Record a request (cell arrival) in this sub-scheduler's view.
-    pub fn note_arrival(&mut self, input: usize, output: usize) {
-        self.req.inc(input, output);
-        self.refresh_bit(input, output);
+    /// `counts` gained a cell at (input, output).
+    pub fn note_arrival(&mut self, counts: &Requests, input: usize, output: usize) {
+        self.refresh_bit(counts, input, output);
     }
 
-    /// Remove one cell for (input, output) from this view, saturating —
-    /// used when another sub-scheduler's grant consumed the cell. If the
-    /// in-progress matching had claimed the now-gone cell, the stale pair
-    /// is un-matched immediately so the input and output become available
-    /// again (FLPPR's duplicate-removal step; without it a served cell
-    /// would block its input and output in every other sub-scheduler for
-    /// up to K cycles).
-    pub fn note_departure(&mut self, input: usize, output: usize) {
-        self.req.try_dec(input, output);
-        while self.reserved.get(input, output) > self.req.get(input, output) {
-            let pos = self
-                .pairs
-                .iter()
-                .position(|&(i, o, _)| i == input && o == output)
-                // lint:allow(panic-free): `reserved` is only incremented
-                // when a pair is pushed, so a surplus implies a match
-                .expect("reserved count implies a matched pair");
-            let (_, _, sp) = self.pairs.swap_remove(pos);
-            self.in_matched[input] = false;
-            self.in_matched_bits.clear(input);
-            self.subport_used[sp] = false;
-            self.reserved.dec(input, output);
+    /// `counts` may have lost a cell at (input, output) — this engine's
+    /// grant was issued, or another sub-scheduler's grant consumed the
+    /// cell. If the in-progress matching had claimed the now-gone cell,
+    /// the stale pair is un-matched immediately so the input and output
+    /// become available again (FLPPR's duplicate-removal step; without it
+    /// a served cell would block its input and output in every other
+    /// sub-scheduler for up to K cycles).
+    pub fn note_departure(&mut self, counts: &Requests, input: usize, output: usize) {
+        if self.matched_out[input] == output as u32 && counts.get(input, output) == 0 {
+            let pos = self.pair_of[input] as usize;
+            assert!(
+                self.pairs[pos].0 == input as u32 && self.pairs[pos].1 == output as u32,
+                "a reservation implies a matched pair"
+            );
+            self.unmatch(counts, pos);
+        } else {
+            self.refresh_bit(counts, input, output);
         }
-        self.refresh_bit(input, output);
     }
 
     /// Size of the partial matching accumulated so far.
@@ -123,23 +161,18 @@ impl SubScheduler {
     /// Degrade (or restore) one output's effective capacity. Lowering the
     /// cap un-matches any in-progress pairs on the now-dead sub-ports so
     /// their inputs become grantable elsewhere this very iteration.
-    pub fn set_output_capacity(&mut self, output: usize, cap: usize) {
-        let cap = cap.min(self.out_capacity);
+    pub fn set_output_capacity(&mut self, counts: &Requests, output: usize, cap: usize) {
+        let cap = cap.min(self.out_capacity) as u32;
         if self.out_cap[output] == cap {
             return;
         }
         self.out_cap[output] = cap;
-        let r = self.out_capacity;
+        let first_dead = (output * self.out_capacity) as u32 + cap;
         let mut k = 0;
         while k < self.pairs.len() {
-            let (i, o, sp) = self.pairs[k];
-            if o == output && sp - o * r >= cap {
-                self.pairs.swap_remove(k);
-                self.in_matched[i] = false;
-                self.in_matched_bits.clear(i);
-                self.subport_used[sp] = false;
-                self.reserved.dec(i, o);
-                self.refresh_bit(i, o);
+            let (_, o, sp) = self.pairs[k];
+            if o as usize == output && sp >= first_dead {
+                self.unmatch(counts, k);
             } else {
                 k += 1;
             }
@@ -152,73 +185,77 @@ impl SubScheduler {
     /// when set (FLPPR and the pipelined arbiter, one iteration per
     /// cycle); iSLIP sets it on the first iteration of a slot only, so
     /// later iterations cannot starve a first-iteration loser.
-    pub fn iterate(&mut self, move_pointers: bool) {
-        let n = self.ports();
-        let r = self.out_capacity;
-        for g in &mut self.grants_to_input {
-            g.clear_all();
-        }
-        let mut any = false;
-        for o in 0..n {
-            for sub in 0..self.out_cap[o] {
-                let sp = o * r + sub;
-                if self.subport_used[sp] {
+    pub fn iterate(&mut self, counts: &Requests, move_pointers: bool) {
+        let (n, r, words, sp_words) = (self.n, self.out_capacity, self.words, self.sp_words);
+        // Grant: every free live sub-port of an output with requests
+        // picks one of the output's unmatched requesters.
+        for w in 0..words {
+            let mut outs = self.requested[w];
+            while outs != 0 {
+                let o = w * 64 + outs.trailing_zeros() as usize;
+                outs &= outs - 1;
+                let (row, taken) = (o * words, &self.in_matched);
+                // Every requester already matched: common once a matching
+                // has accumulated, and cheaper to see here than per sub-port.
+                if (0..words).all(|k| self.requests[row + k] & !taken[k] == 0) {
                     continue;
                 }
-                self.requesters
-                    .assign_and_not(&self.req_bits[o], &self.in_matched_bits);
-                if self.requesters.is_empty() {
-                    continue;
-                }
-                if let Some(i) = self.grant_arb[sp].arbitrate(&self.requesters) {
-                    self.grants_to_input[i].set(sp);
-                    any = true;
+                for sp in o * r..o * r + self.out_cap[o] as usize {
+                    if self.subport_used[sp / 64] & 1 << (sp % 64) != 0 {
+                        continue;
+                    }
+                    let from = self.grant_ptr[sp] as usize;
+                    let Some(i) = pick(words, from, |k| self.requests[row + k] & !taken[k]) else {
+                        break;
+                    };
+                    self.grants[i * sp_words + sp / 64] |= 1 << (sp % 64);
+                    self.granted[i / 64] |= 1 << (i % 64);
                 }
             }
         }
-        if !any {
-            return;
-        }
-        for i in 0..n {
-            if self.in_matched[i] || self.grants_to_input[i].is_empty() {
-                continue;
-            }
-            if let Some(sp) = self.accept_arb[i].arbitrate(&self.grants_to_input[i]) {
-                let o = sp / r;
-                self.in_matched[i] = true;
-                self.in_matched_bits.set(i);
-                self.subport_used[sp] = true;
-                self.reserved.inc(i, o);
-                self.refresh_bit(i, o);
-                self.pairs.push((i, o, sp));
+        // Accept: every granted input picks one of its granters.
+        for w in 0..words {
+            let mut ins = std::mem::take(&mut self.granted[w]);
+            while ins != 0 {
+                let i = w * 64 + ins.trailing_zeros() as usize;
+                ins &= ins - 1;
+                let row = i * sp_words;
+                let (grants, from) = (&self.grants, self.accept_ptr[i] as usize);
+                let Some(sp) = pick(sp_words, from, |k| grants[row + k]) else {
+                    continue;
+                };
+                self.grants[row..row + sp_words].fill(0);
+                let o = (sp as u32 / r as u32) as usize;
+                self.in_matched[i / 64] |= 1 << (i % 64);
+                self.subport_used[sp / 64] |= 1 << (sp % 64);
+                self.matched_out[i] = o as u32;
+                self.pair_of[i] = self.pairs.len() as u32;
+                self.pairs.push((i as u32, o as u32, sp as u32));
+                self.refresh_bit(counts, i, o);
                 if move_pointers {
-                    self.grant_arb[sp].advance_past(i);
-                    self.accept_arb[i].advance_past(sp);
+                    self.grant_ptr[sp] = if i + 1 == n { 0 } else { i as u32 + 1 };
+                    self.accept_ptr[i] = if sp + 1 == n * r { 0 } else { sp as u32 + 1 };
                 }
             }
         }
     }
 
     /// Harvest the accumulated matching and reset for the next one.
-    /// The request view is *not* touched: granted cells are removed by the
-    /// owner once the grants are validated and issued.
-    pub fn take(&mut self, out: &mut Matching) {
+    /// `counts` is *not* touched: granted cells are removed by the owner
+    /// once the grants are validated and issued.
+    pub fn take(&mut self, counts: &Requests, out: &mut Matching) {
         out.clear();
-        for &(i, o, _) in &self.pairs {
-            out.push(i, o);
-        }
         // Releasing the reservations can only *add* requester bits, and
         // only at the matched pairs.
-        let pairs = std::mem::take(&mut self.pairs);
-        self.in_matched.fill(false);
-        self.in_matched_bits.clear_all();
-        self.subport_used.fill(false);
-        self.reserved.clear_all();
-        for &(i, o, _) in &pairs {
-            self.refresh_bit(i, o);
+        for k in 0..self.pairs.len() {
+            let (i, o) = (self.pairs[k].0 as usize, self.pairs[k].1 as usize);
+            out.push(i, o);
+            self.matched_out[i] = UNMATCHED;
+            self.refresh_bit(counts, i, o);
         }
-        self.pairs = pairs;
         self.pairs.clear();
+        self.in_matched.fill(0);
+        self.subport_used.fill(0);
     }
 }
 
@@ -226,15 +263,26 @@ impl SubScheduler {
 mod tests {
     use super::*;
 
+    fn arrive(s: &mut SubScheduler, req: &mut Requests, i: usize, o: usize) {
+        req.inc(i, o);
+        s.note_arrival(req, i, o);
+    }
+
+    /// Saturating, as an owner's validated `try_dec` is.
+    fn depart(s: &mut SubScheduler, req: &mut Requests, i: usize, o: usize) {
+        req.try_dec(i, o);
+        s.note_departure(req, i, o);
+    }
+
     #[test]
     fn one_iteration_matches_uncontended_requests() {
-        let mut s = SubScheduler::new(8, 1);
-        s.note_arrival(1, 2);
-        s.note_arrival(3, 4);
-        s.iterate(true);
+        let (mut s, mut req) = (SubScheduler::new(8, 1), Requests::square(8));
+        arrive(&mut s, &mut req, 1, 2);
+        arrive(&mut s, &mut req, 3, 4);
+        s.iterate(&req, true);
         assert_eq!(s.partial_len(), 2);
         let mut m = Matching::new();
-        s.take(&mut m);
+        s.take(&req, &mut m);
         let mut pairs = m.pairs().to_vec();
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(1, 2), (3, 4)]);
@@ -243,94 +291,178 @@ mod tests {
 
     #[test]
     fn iterations_accumulate_without_double_booking() {
-        let mut s = SubScheduler::new(4, 1);
+        let (mut s, mut req) = (SubScheduler::new(4, 1), Requests::square(4));
         // Everyone wants output 0 plus a private output.
         for i in 0..4 {
-            s.note_arrival(i, 0);
-            s.note_arrival(i, (i + 1) % 4);
+            arrive(&mut s, &mut req, i, 0);
+            arrive(&mut s, &mut req, i, (i + 1) % 4);
         }
-        s.iterate(true);
+        s.iterate(&req, true);
         let after1 = s.partial_len();
-        s.iterate(true);
-        s.iterate(true);
+        s.iterate(&req, true);
+        s.iterate(&req, true);
         let after3 = s.partial_len();
         assert!(after3 >= after1);
         let mut m = Matching::new();
-        s.take(&mut m);
-        m.validate(&s.req, 1).unwrap();
+        s.take(&req, &mut m);
+        m.validate(&req, 1).unwrap();
     }
 
     #[test]
     fn reserved_cells_not_rematched() {
-        let mut s = SubScheduler::new(4, 1);
-        s.note_arrival(0, 0); // exactly one cell
-        s.iterate(true);
-        s.iterate(true);
+        let (mut s, mut req) = (SubScheduler::new(4, 1), Requests::square(4));
+        arrive(&mut s, &mut req, 0, 0); // exactly one cell
+        s.iterate(&req, true);
+        s.iterate(&req, true);
         assert_eq!(s.partial_len(), 1, "single cell matched once");
     }
 
     #[test]
     fn departure_is_saturating() {
-        let mut s = SubScheduler::new(4, 1);
-        s.note_departure(0, 0); // no cell: must not underflow
-        s.note_arrival(0, 0);
-        s.note_departure(0, 0);
-        s.iterate(true);
+        let (mut s, mut req) = (SubScheduler::new(4, 1), Requests::square(4));
+        depart(&mut s, &mut req, 0, 0); // no cell: must not underflow
+        arrive(&mut s, &mut req, 0, 0);
+        depart(&mut s, &mut req, 0, 0);
+        s.iterate(&req, true);
         assert_eq!(s.partial_len(), 0, "view empty after departure");
     }
 
     #[test]
     fn dual_capacity_matches_two_per_output() {
-        let mut s = SubScheduler::new(4, 2);
+        let (mut s, mut req) = (SubScheduler::new(4, 2), Requests::square(4));
         for i in 0..4 {
-            s.note_arrival(i, 0);
+            arrive(&mut s, &mut req, i, 0);
         }
-        s.iterate(true);
+        s.iterate(&req, true);
         assert_eq!(s.partial_len(), 2, "two receivers on output 0");
     }
 
     #[test]
     fn degraded_output_matches_fewer_and_recovers() {
-        let mut s = SubScheduler::new(4, 2);
-        s.set_output_capacity(0, 1);
+        let (mut s, mut req) = (SubScheduler::new(4, 2), Requests::square(4));
+        s.set_output_capacity(&req, 0, 1);
         for i in 0..4 {
-            s.note_arrival(i, 0);
+            arrive(&mut s, &mut req, i, 0);
         }
-        s.iterate(true);
+        s.iterate(&req, true);
         assert_eq!(s.partial_len(), 1, "one surviving receiver on output 0");
         let mut m = Matching::new();
-        s.take(&mut m);
-        s.set_output_capacity(0, 2);
-        s.iterate(true);
-        s.iterate(true);
+        s.take(&req, &mut m);
+        s.set_output_capacity(&req, 0, 2);
+        s.iterate(&req, true);
+        s.iterate(&req, true);
         assert_eq!(s.partial_len(), 2, "full capacity after repair");
     }
 
     #[test]
     fn lowering_capacity_unmatches_in_progress_pairs() {
-        let mut s = SubScheduler::new(4, 2);
+        let (mut s, mut req) = (SubScheduler::new(4, 2), Requests::square(4));
         for i in 0..4 {
-            s.note_arrival(i, 0);
-            s.note_arrival(i, 1);
+            arrive(&mut s, &mut req, i, 0);
+            arrive(&mut s, &mut req, i, 1);
         }
-        s.iterate(true);
-        s.iterate(true);
+        s.iterate(&req, true);
+        s.iterate(&req, true);
         let before = s.partial_len();
         assert!(before >= 3, "warm matching uses both receivers");
         // Kill output 0 entirely: its pairs must be released so the
         // freed inputs can be re-matched toward output 1.
-        s.set_output_capacity(0, 0);
+        s.set_output_capacity(&req, 0, 0);
         let mut m = Matching::new();
-        s.take(&mut m);
+        s.take(&req, &mut m);
         assert!(
             m.pairs().iter().all(|&(_, o)| o != 0),
             "no grant to dead output"
         );
-        s.iterate(true);
-        s.iterate(true);
+        s.iterate(&req, true);
+        s.iterate(&req, true);
         let mut m2 = Matching::new();
-        s.take(&mut m2);
+        s.take(&req, &mut m2);
         assert!(m2.pairs().iter().all(|&(_, o)| o != 0));
         assert!(!m2.is_empty(), "surviving output still matched");
+    }
+
+    /// Every table, rebuilt from `req` and `pairs` alone.
+    fn assert_tables_consistent(s: &SubScheduler, req: &Requests, at: &str) {
+        let (n, r) = (s.n, s.out_capacity);
+        let mut matched_out = vec![UNMATCHED; n];
+        let mut in_matched = vec![0u64; s.words];
+        let mut subport_used = vec![0u64; s.sp_words];
+        for (k, &(i, o, sp)) in s.pairs.iter().enumerate() {
+            assert_eq!(s.pair_of[i as usize], k as u32, "{at}: index of input {i}");
+            assert_eq!(matched_out[i as usize], UNMATCHED, "{at}: input {i} twice");
+            assert!(
+                sp / r as u32 == o && sp % (r as u32) < s.out_cap[o as usize],
+                "{at}: pair ({i},{o}) on sub-port {sp}"
+            );
+            assert_eq!(subport_used[sp as usize / 64] >> (sp % 64) & 1, 0, "{at}");
+            matched_out[i as usize] = o;
+            in_matched[i as usize / 64] |= 1 << (i % 64);
+            subport_used[sp as usize / 64] |= 1 << (sp % 64);
+        }
+        assert_eq!(s.matched_out, matched_out, "{at}");
+        assert_eq!(s.in_matched, in_matched, "{at}");
+        assert_eq!(s.subport_used, subport_used, "{at}");
+        let mut requested = vec![0u64; s.words];
+        for o in 0..n {
+            let mut row = vec![0u64; s.words];
+            for i in 0..n {
+                let reserved = (matched_out[i] == o as u32) as u32;
+                row[i / 64] |= ((req.get(i, o) > reserved) as u64) << (i % 64);
+            }
+            assert_eq!(s.requests[o * s.words..][..s.words], row, "{at}: row {o}");
+            requested[o / 64] |= (row.iter().any(|&w| w != 0) as u64) << (o % 64);
+        }
+        assert_eq!(s.requested, requested, "{at}");
+        assert!(
+            s.grants.iter().chain(&s.granted).all(|&w| w == 0),
+            "{at}: grant scratch left set"
+        );
+    }
+
+    #[test]
+    fn tables_track_counts_through_random_runs() {
+        use osmosis_sim::SimRng;
+        for (n, r) in [
+            (5usize, 1usize),
+            (8, 2),
+            (16, 3),
+            (64, 2),
+            (70, 1),
+            (130, 2),
+        ] {
+            let mut rng = SimRng::seed_from_u64((n * 10 + r) as u64);
+            let (mut s, mut req) = (SubScheduler::new(n, r), Requests::square(n));
+            let mut m = Matching::new();
+            let mut unmatched = 0;
+            for step in 0..6_000 {
+                let (i, o) = (rng.index(n), rng.index(n));
+                match rng.index(12) {
+                    0..=4 => arrive(&mut s, &mut req, i, o),
+                    // A departure, as often as not of a claimed cell.
+                    5..=7 => {
+                        let claimed = s
+                            .pairs
+                            .get(rng.index(n))
+                            .map(|p| (p.0 as usize, p.1 as usize));
+                        let (i, o) = claimed.unwrap_or((i, o));
+                        let before = s.partial_len();
+                        depart(&mut s, &mut req, i, o);
+                        unmatched += before - s.partial_len();
+                    }
+                    8 | 9 => s.iterate(&req, rng.coin(0.5)),
+                    10 => s.set_output_capacity(&req, o, rng.index(r + 1)),
+                    _ => {
+                        s.take(&req, &mut m);
+                        // The owner serves what it validates.
+                        for &(i, o) in m.pairs() {
+                            depart(&mut s, &mut req, i, o);
+                        }
+                    }
+                }
+                assert_tables_consistent(&s, &req, &format!("n {n} r {r} step {step}"));
+            }
+            assert!(unmatched > 20, "n {n} r {r}: {unmatched} un-matches");
+        }
     }
 }

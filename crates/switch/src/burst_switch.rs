@@ -21,7 +21,7 @@
 
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
-use osmosis_sched::matching::Matcher;
+use osmosis_sched::{log2_ceil, matching::Matcher};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
 use std::collections::VecDeque;
@@ -126,7 +126,7 @@ impl CellSwitch for BurstSwitch {
         // full log2(N)-iteration matching (that relaxation is the entire
         // point of container switching).
         if t.is_multiple_of(self.burst) {
-            let iterations = (n.max(2) as f64).log2().ceil() as usize;
+            let iterations = log2_ceil(n);
             self.fill_requests(t);
             let out_busy = &self.out_busy;
             self.matcher.match_switch(

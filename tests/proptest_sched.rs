@@ -3,6 +3,7 @@
 //! sequences; the arbiter primitives match naive references.
 
 use osmosis::sched::arbiter::BitSet;
+use osmosis::sched::matching::pick;
 use osmosis::sched::{CellScheduler, Flppr, Islip, Pim, PipelinedArbiter, Requests};
 use proptest::prelude::*;
 
@@ -119,6 +120,45 @@ proptest! {
         let from = from % n;
         let naive = (0..n).map(|k| (from + k) % n).find(|&i| bits[i]);
         prop_assert_eq!(set.next_set_wrapping(from), naive);
+    }
+
+    /// The encoder itself, at every width it special-cases (one word, two
+    /// words as a u128) and beyond (the word loop), from every pointer
+    /// position: empty masks, a single bit, only the top bit of the last
+    /// word, dense and sparse random bits, and bits only below a cut — so
+    /// every pointer past the cut must wrap.
+    #[test]
+    fn pick_matches_naive_at_every_width(
+        dense in prop::collection::vec(any::<u64>(), 5),
+        thin in prop::collection::vec(any::<u64>(), 5),
+        shape in 0usize..6,
+        bit in 0usize..320,
+    ) {
+        for words in [1usize, 2, 3, 5] {
+            let bits = 64 * words;
+            let bit = bit % bits;
+            let mask: Vec<u64> = (0..words)
+                .map(|w| match shape {
+                    0 => 0,
+                    1 => u64::from(w == bit / 64) << (bit % 64),
+                    2 => u64::from(w == words - 1) << 63,
+                    3 => dense[w],
+                    4 => dense[w] & thin[w],
+                    _ if w < bit / 64 => dense[w],
+                    _ if w == bit / 64 => dense[w] & !(!0 << (bit % 64)),
+                    _ => 0,
+                })
+                .collect();
+            let set = |i: usize| mask[i / 64] >> (i % 64) & 1 == 1;
+            for from in 0..bits {
+                let naive = (0..bits).map(|k| (from + k) % bits).find(|&i| set(i));
+                prop_assert_eq!(
+                    pick(words, from, |w| mask[w]),
+                    naive,
+                    "words {} from {} mask {:x?}", words, from, mask
+                );
+            }
+        }
     }
 
     /// Set/clear/count behave like a Vec<bool>.
