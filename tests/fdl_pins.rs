@@ -13,9 +13,10 @@
 //! thing that separates the first two captures.
 
 use osmosis::fabric::multistage::{BufferTech, FabricConfig, FatTreeFabric};
+use osmosis::fabric::spec::TopologySpec;
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis::sim::{EngineConfig, SeedSequence};
-use osmosis::traffic::BernoulliUniform;
+use osmosis::traffic::{BernoulliUniform, Bursty, TrafficGen};
 
 const SEED: u64 = 1234;
 const RADIX: usize = 8;
@@ -113,4 +114,95 @@ fn the_technologies_and_faults_actually_separate() {
     // run, and the faulted pin proves nothing if dead lines are inert.
     assert_ne!(FDL_PIN, ELECTRONIC_PIN);
     assert_ne!(FDL_FAULTED_PIN, FDL_PIN);
+}
+
+/// The FDL runs the first three pins leave out: the campaign's own
+/// fabric points (`two_level(16)` under a permanent and under a
+/// stochastic `WavelengthLoss`, the latter with bursty traffic — no
+/// delay line ever dies, but the fault plane is attached every slot),
+/// and delay lines that die mid-run and heal. Captured on the commit
+/// before the queues moved onto flat storage and line health was
+/// applied on change.
+fn fdl_corner_fingerprints() -> Vec<(&'static str, u64)> {
+    let run = |fab_cfg: FabricConfig, tr: &mut dyn TrafficGen, plan: FaultPlan| {
+        let mut fab = FatTreeFabric::new(FabricConfig {
+            buffer_tech: BufferTech::Fdl,
+            ..fab_cfg
+        });
+        fab.run_faulted(tr, &cfg(), &mut FaultInjector::new(plan))
+            .fingerprint()
+    };
+    let campaign = FabricConfig::try_from(&TopologySpec::two_level(16))
+        .expect("two_level(16) is a valid fabric spec");
+    let campaign_hosts = 16 * 16 / 2;
+    let small = FabricConfig::small(RADIX, LINK_DELAY);
+    let small_hosts = RADIX * RADIX / 2;
+    let plane0 = FaultKind::WavelengthLoss { plane: 0 };
+    // The short half of leaf 0's lines, as `dead_line_plan`, but dying
+    // at slot 800 and healing 900 slots later; a second group on leaf 1
+    // dies while the first is down and never heals.
+    let mut transient = FaultPlan::new();
+    for input in 0..RADIX {
+        for local in 0..small.buffer_cells / 2 {
+            let line = input * small.buffer_cells + local;
+            transient = transient.one_shot(FaultKind::DelayLineDead { line }, 800, Some(900));
+        }
+    }
+    let leaf1 = RADIX * small.buffer_cells;
+    for line in [leaf1, leaf1 + 1, leaf1 + small.buffer_cells + 2] {
+        transient = transient.permanent(FaultKind::DelayLineDead { line }, 1_200);
+    }
+    vec![
+        (
+            "radix16_plane_loss",
+            run(
+                campaign,
+                &mut uniform(campaign_hosts, 0.7),
+                FaultPlan::new().permanent(plane0, 0),
+            ),
+        ),
+        (
+            "radix16_stochastic_plane_loss_bursty",
+            run(
+                campaign,
+                &mut Bursty::new(campaign_hosts, 0.7, 4.0, &SeedSequence::new(SEED)),
+                FaultPlan::new().stochastic(plane0, 400.0, 100.0),
+            ),
+        ),
+        (
+            "lines_die_and_heal",
+            run(small, &mut uniform(small_hosts, 0.6), transient.clone()),
+        ),
+        (
+            "lines_die_and_heal_bursty",
+            run(
+                small,
+                &mut Bursty::new(small_hosts, 0.7, 4.0, &SeedSequence::new(SEED)),
+                transient,
+            ),
+        ),
+    ]
+}
+
+const FDL_CORNER_PINS: &[(&str, u64)] = &[
+    ("radix16_plane_loss", 0xf970_00a9_3937_03a1),
+    (
+        "radix16_stochastic_plane_loss_bursty",
+        0xe04d_af86_9b7a_f48b,
+    ),
+    ("lines_die_and_heal", 0xa96f_0bec_6ae2_6350),
+    ("lines_die_and_heal_bursty", 0x358b_b1c1_4c2a_27c8),
+];
+
+#[test]
+fn fdl_corner_fingerprints_match_pins() {
+    let got = fdl_corner_fingerprints();
+    assert_eq!(got.len(), FDL_CORNER_PINS.len());
+    for ((name, fp), (pin_name, pin)) in got.iter().zip(FDL_CORNER_PINS) {
+        assert_eq!(name, pin_name);
+        assert_eq!(
+            *fp, *pin,
+            "{name}: fingerprint {fp:#018x} drifted from pinned {pin:#018x}"
+        );
+    }
 }

@@ -395,6 +395,84 @@ fn fat_tree_corner_fingerprints_match_pins() {
     }
 }
 
+/// The electronic buffer plane where the rows above do not reach: the
+/// campaign's `two_level(16)` fabric under bursty traffic — deep,
+/// unevenly filled VOQs — at each placement (option 2 stores cells that
+/// become schedulable at `t + 1 + 2d`, option 1 drains through the
+/// egress stage), and the same fabric with a wavelength plane that
+/// fails and heals stochastically. Captured on the commit before
+/// `ElectronicVoq` moved to one arrival-ordered buffer per input.
+fn electronic_plane_fingerprints() -> Vec<(&'static str, u64)> {
+    use osmosis::fabric::multistage::Placement;
+    use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};
+    use osmosis::traffic::Bursty;
+
+    let run = |placement: Placement, load: f64, burst: f64, plan: Option<FaultPlan>| {
+        let spec = TopologySpec {
+            placement,
+            ..TopologySpec::two_level(16)
+        };
+        let fab_cfg = FabricConfig::try_from(&spec).expect("a valid two-level spec");
+        let mut fab = FatTreeFabric::new(fab_cfg);
+        let hosts = fab.topology().hosts();
+        let mut tr = Bursty::new(hosts, load, burst, &SeedSequence::new(1234));
+        let report = match plan {
+            None => fab.run(&mut tr, &cfg()),
+            Some(plan) => fab.run_faulted(&mut tr, &cfg(), &mut FaultInjector::new(plan)),
+        };
+        report.fingerprint()
+    };
+    let plane0 = FaultKind::WavelengthLoss { plane: 0 };
+    vec![
+        ("radix16_bursty", run(Placement::InputOnly, 0.7, 4.0, None)),
+        (
+            "radix16_bursty_input_and_output",
+            run(Placement::InputAndOutput, 0.7, 4.0, None),
+        ),
+        (
+            "radix16_bursty_output_only",
+            run(Placement::OutputOnly, 0.7, 4.0, None),
+        ),
+        (
+            "radix16_long_bursts_output_only",
+            run(Placement::OutputOnly, 0.9, 16.0, None),
+        ),
+        (
+            "radix16_bursty_stochastic_plane_loss",
+            run(
+                Placement::InputOnly,
+                0.7,
+                4.0,
+                Some(FaultPlan::new().stochastic(plane0, 400.0, 100.0)),
+            ),
+        ),
+    ]
+}
+
+const ELECTRONIC_PLANE_PINS: &[(&str, u64)] = &[
+    ("radix16_bursty", 0xedef_4c03_17e0_74b3),
+    ("radix16_bursty_input_and_output", 0xe73f_037b_922b_6e41),
+    ("radix16_bursty_output_only", 0xd8dc_9490_e958_212c),
+    ("radix16_long_bursts_output_only", 0xc8e5_183c_17a7_ec65),
+    (
+        "radix16_bursty_stochastic_plane_loss",
+        0x20dd_7db6_320a_4814,
+    ),
+];
+
+#[test]
+fn electronic_plane_fingerprints_match_pins() {
+    let got = electronic_plane_fingerprints();
+    assert_eq!(got.len(), ELECTRONIC_PLANE_PINS.len());
+    for ((name, fp), (pin_name, pin)) in got.iter().zip(ELECTRONIC_PLANE_PINS) {
+        assert_eq!(name, pin_name);
+        assert_eq!(
+            *fp, *pin,
+            "{name}: fingerprint {fp:#018x} drifted from pinned {pin:#018x}"
+        );
+    }
+}
+
 /// The full audit battery in fail-fast mode over the two pinned
 /// `FatTreeFabric` runs (electronic here, FDL in `fdl_pins.rs`): every
 /// per-slot credit and delay-line ledger balances, and attaching the
