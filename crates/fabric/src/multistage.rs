@@ -22,8 +22,8 @@
 //! (stage-major: leaves, then spines — the fault and audit planes' node
 //! keying); credits out, egress queues and round-robin pointers live in
 //! flat tables indexed by global port, `switch * radix + local`. Each
-//! slot a switch's [`BufferPlane`] is read once into request masks and
-//! matched by the shared kernel of [`osmosis_sched::matching`]. It stays a
+//! slot a switch's [`BufferPlane`] fills the request masks in one call and
+//! they are matched by the shared kernel of [`osmosis_sched::matching`]. It stays a
 //! separate model because it models what `CompiledFabric` does not: the
 //! request/grant cycle that makes an arrival schedulable at t+1 rather
 //! than t, placements 1 and 2, the fault reactions, and the buffer-plane
@@ -220,6 +220,8 @@ pub struct FatTreeFabric {
     /// Audit scratch, per global port: cells and credits in flight on
     /// the credit loop protecting that input.
     in_flight: Vec<u64>,
+    /// [`plane_stats`](Self::plane_stats) as the current run began.
+    stats_base: BufferStats,
 }
 
 impl FatTreeFabric {
@@ -291,6 +293,7 @@ impl FatTreeFabric {
             requested: vec![0; k.div_ceil(64)],
             matcher: Matcher::new(k),
             in_flight: vec![0; ports],
+            stats_base: BufferStats::default(),
             graph,
         })
     }
@@ -485,6 +488,21 @@ impl FatTreeFabric {
         n as u64
     }
 
+    /// The loss and recirculation counters of every switch's buffer
+    /// plane, summed; cumulative since construction.
+    fn plane_stats(&self) -> BufferStats {
+        let mut total = BufferStats::default();
+        for plane in &self.buffers {
+            let s = plane.stats();
+            total.dropped += s.dropped;
+            total.dropped_admission += s.dropped_admission;
+            total.dropped_dead_line += s.dropped_dead_line;
+            total.recirculations += s.recirculations;
+            total.underflow_stalls += s.underflow_stalls;
+        }
+        total
+    }
+
     /// Run traffic through the fabric on the shared engine.
     pub fn run(&mut self, traffic: &mut dyn TrafficGen, cfg: &EngineConfig) -> EngineReport {
         run_switch(self, traffic, cfg)
@@ -524,6 +542,16 @@ impl CellSwitch for FatTreeFabric {
                 plane.reconfigure(b);
             }
         }
+        // A run starts with every delay line alive (the fault plane, if
+        // one is attached, kills what its plan says) and reports the
+        // buffer-plane counters of its own slots only.
+        let radix = self.cfg.radix;
+        for plane in &mut self.buffers {
+            for line in 0..radix * plane.lines_per_queue() {
+                plane.set_line_dead(line, false);
+            }
+        }
+        self.stats_base = self.plane_stats();
         self.checker = SequenceChecker::new();
         self.spine_ok.fill(true);
         self.retransmit_flights.clear();
@@ -534,7 +562,7 @@ impl CellSwitch for FatTreeFabric {
     fn arbitrate<T: TraceSink>(&mut self, t: u64, obs: &mut Observer<'_, T>) {
         let d = self.cfg.link_delay;
         let radix = self.cfg.radix;
-        let (leaves, half, words) = (radix, radix / 2, radix.div_ceil(64));
+        let (leaves, half) = (radix, radix / 2);
         let buffer_cells = self.cfg.buffer_cells;
         let to_egress = self.cfg.placement == Placement::InputAndOutput;
         let option2_extra = if self.cfg.placement == Placement::OutputOnly {
@@ -555,12 +583,14 @@ impl CellSwitch for FatTreeFabric {
             for s in 0..half {
                 self.spine_ok[s] = !obs.fault_plane_down(s);
             }
-            // Delay-line health. The fault plane keys lines globally as
-            // (switch · radix + input) · lines_per_queue + local; the
-            // plane itself uses the switch-local index. A dead line
-            // accepts no new cells (its contents still emerge), so the
-            // affected input runs at reduced guaranteed capacity.
-            if self.cfg.buffer_tech == BufferTech::Fdl {
+            // Delay-line health, re-read only in a slot where the fault
+            // plane injected or healed something. The fault plane keys
+            // lines globally as (switch · radix + input) ·
+            // lines_per_queue + local; the plane itself uses the
+            // switch-local index. A dead line accepts no new cells (its
+            // contents still emerge), so the affected input runs at
+            // reduced guaranteed capacity.
+            if self.cfg.buffer_tech == BufferTech::Fdl && obs.fault_state_changed() {
                 for (sw, plane) in self.buffers.iter_mut().enumerate() {
                     let lpq = plane.lines_per_queue();
                     for line in 0..radix * lpq {
@@ -675,17 +705,9 @@ impl CellSwitch for FatTreeFabric {
                 }
             }
 
-            // The plane's ready cells as request masks; `ready` is pure,
-            // so the masks hold until the pops below.
-            self.requests.fill(0);
-            self.requested.fill(0);
-            let plane = &self.buffers[sw];
-            for i in (0..radix).filter(|&i| plane.occupancy(i) > 0) {
-                for o in (0..radix).filter(|&o| plane.ready(t, i, o)) {
-                    self.requests[o * words + i / 64] |= 1 << (i % 64);
-                    self.requested[o / 64] |= 1 << (o % 64);
-                }
-            }
+            // The plane's ready cells as request masks; they hold until
+            // the pops below.
+            self.buffers[sw].fill_requests(t, &mut self.requests, &mut self.requested);
             // An output grants while its credit loop has room (option 1
             // checks that at the egress buffer instead), and never toward
             // a dead spine: queued cells wait for repair, new flows were
@@ -776,20 +798,25 @@ impl CellSwitch for FatTreeFabric {
         // FDL-only buffer-plane extras: electronic runs stay extra-free
         // so the pinned fingerprints are untouched by the plane seam.
         if self.cfg.buffer_tech == BufferTech::Fdl {
-            let mut total = BufferStats::default();
-            for plane in &self.buffers {
-                let s = plane.stats();
-                total.dropped += s.dropped;
-                total.dropped_admission += s.dropped_admission;
-                total.dropped_dead_line += s.dropped_dead_line;
-                total.recirculations += s.recirculations;
-                total.underflow_stalls += s.underflow_stalls;
-            }
-            report.set_extra("fdl_drops_total", total.dropped as f64);
-            report.set_extra("fdl_drops_admission", total.dropped_admission as f64);
-            report.set_extra("fdl_drops_dead_line", total.dropped_dead_line as f64);
-            report.set_extra("fdl_recirculations", total.recirculations as f64);
-            report.set_extra("fdl_underflow_stalls", total.underflow_stalls as f64);
+            let (total, base) = (self.plane_stats(), self.stats_base);
+            let since = |now: u64, then: u64| (now - then) as f64;
+            report.set_extra("fdl_drops_total", since(total.dropped, base.dropped));
+            report.set_extra(
+                "fdl_drops_admission",
+                since(total.dropped_admission, base.dropped_admission),
+            );
+            report.set_extra(
+                "fdl_drops_dead_line",
+                since(total.dropped_dead_line, base.dropped_dead_line),
+            );
+            report.set_extra(
+                "fdl_recirculations",
+                since(total.recirculations, base.recirculations),
+            );
+            report.set_extra(
+                "fdl_underflow_stalls",
+                since(total.underflow_stalls, base.underflow_stalls),
+            );
         }
     }
 
@@ -1112,6 +1139,77 @@ mod tests {
         ));
         assert_eq!(BufferTech::Fdl.name(), "fdl");
         assert_eq!(BufferTech::Electronic.name(), "electronic");
+    }
+
+    /// A wavelength plane and the short half of every delay line of
+    /// leaf 0, dead from slot 0.
+    fn plane_and_short_lines_dead(cfg: &FabricConfig) -> osmosis_faults::FaultPlan {
+        use osmosis_faults::{FaultKind, FaultPlan};
+        let mut plan = FaultPlan::new().permanent(FaultKind::WavelengthLoss { plane: 1 }, 0);
+        for input in 0..cfg.radix {
+            for local in 0..cfg.buffer_cells / 2 {
+                let line = input * cfg.buffer_cells + local;
+                plan = plan.permanent(FaultKind::DelayLineDead { line }, 0);
+            }
+        }
+        plan
+    }
+
+    #[test]
+    fn a_reused_fabric_runs_like_a_fresh_one() {
+        // A run under faults leaves nothing behind but cells: this one
+        // carries no traffic, so the fault-free run after it has to
+        // reproduce a fresh fabric bit for bit.
+        for tech in [BufferTech::Electronic, BufferTech::Fdl] {
+            let cfg = FabricConfig {
+                buffer_tech: tech,
+                ..FabricConfig::small(8, 2)
+            };
+            let loaded = |fab: &mut FatTreeFabric| {
+                let hosts = fab.topology().hosts();
+                let mut tr = BernoulliUniform::new(hosts, 0.5, &SeedSequence::new(9));
+                fab.run(&mut tr, &EngineConfig::new(0, 3_000))
+            };
+            let fresh = loaded(&mut FatTreeFabric::new(cfg));
+            let mut fab = FatTreeFabric::new(cfg);
+            let hosts = fab.topology().hosts();
+            let mut idle = BernoulliUniform::new(hosts, 0.0, &SeedSequence::new(9));
+            let mut inj = osmosis_faults::FaultInjector::new(plane_and_short_lines_dead(&cfg));
+            fab.run_faulted(&mut idle, &EngineConfig::new(0, 10), &mut inj);
+            let second = loaded(&mut fab);
+            assert_eq!(second.dropped, 0, "{tech:?}: dead lines outlived their run");
+            assert_eq!(second.fingerprint(), fresh.fingerprint(), "{tech:?}");
+        }
+    }
+
+    #[test]
+    fn a_run_reports_its_own_buffer_plane_counters() {
+        // A finite schedule loses cells to dead lines and drains; the
+        // idle run after it has nothing to count.
+        let cfg = FabricConfig {
+            buffer_tech: BufferTech::Fdl,
+            ..FabricConfig::small(8, 2)
+        };
+        let mut fab = FatTreeFabric::new(cfg);
+        let hosts = fab.topology().hosts();
+        let sends = |src: usize| (0..20).map(|k| (src * 7 + k * 3) % hosts).collect();
+        let mut tr = osmosis_traffic::Replay::new((0..hosts).map(sends).collect());
+        let mut inj = osmosis_faults::FaultInjector::new(plane_and_short_lines_dead(&cfg));
+        let faulted = fab.run_faulted(&mut tr, &EngineConfig::new(0, 600), &mut inj);
+        assert!(tr.is_done() && fab.resident_cells() == 0, "drained");
+        assert!(faulted.dropped > 20, "dead lines lose cells");
+        let drops = faulted.extra("fdl_drops_total");
+        assert_eq!(drops, Some(faulted.dropped as f64));
+        assert!(faulted.extra("fdl_recirculations").unwrap() > 100.0);
+        let mut idle = BernoulliUniform::new(hosts, 0.0, &SeedSequence::new(9));
+        let after = fab.run(&mut idle, &EngineConfig::new(0, 50));
+        for key in [
+            "fdl_drops_total",
+            "fdl_drops_dead_line",
+            "fdl_recirculations",
+        ] {
+            assert_eq!(after.extra(key), Some(0.0), "{key}");
+        }
     }
 
     #[test]

@@ -46,6 +46,8 @@ pub struct FaultInjector {
     planes_down: Vec<bool>,
     circuits_stuck: Vec<bool>,
     dead_lines: Vec<bool>,
+    /// Whether the latest `begin_slot` injected or healed anything.
+    changed: bool,
     grant_loss_p: f64,
     credit_drop_p: f64,
     link_any_p: f64,
@@ -78,6 +80,7 @@ impl FaultInjector {
             planes_down: Vec::new(),
             circuits_stuck: Vec::new(),
             dead_lines: Vec::new(),
+            changed: false,
             grant_loss_p: 0.0,
             credit_drop_p: 0.0,
             link_any_p: 0.0,
@@ -272,6 +275,7 @@ impl FaultView for FaultInjector {
         if changed {
             self.recompute();
         }
+        self.changed = changed;
         if self.active.iter().any(|&a| a) {
             self.active_slots += 1;
         }
@@ -279,6 +283,10 @@ impl FaultView for FaultInjector {
 
     fn is_vacuous(&self) -> bool {
         self.plan.is_empty()
+    }
+
+    fn state_changed(&self) -> bool {
+        self.changed
     }
 
     fn output_blocked(&self, output: usize) -> bool {
@@ -385,12 +393,17 @@ mod tests {
         inj.configure(&cfg(1));
         inj.begin_slot(29);
         assert!(!inj.delay_line_dead(7));
+        assert!(!inj.state_changed());
         inj.begin_slot(30);
         assert!(inj.delay_line_dead(7));
+        assert!(inj.state_changed(), "the injection slot");
+        inj.begin_slot(31);
+        assert!(!inj.state_changed(), "steady while the fault holds");
         assert!(!inj.delay_line_dead(6), "other lines unaffected");
         assert!(!inj.circuit_stuck(7), "orthogonal to circuit faults");
         inj.begin_slot(45);
         assert!(!inj.delay_line_dead(7), "healed at at + repair_after");
+        assert!(inj.state_changed(), "the repair slot");
     }
 
     #[test]

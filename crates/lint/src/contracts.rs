@@ -34,7 +34,10 @@ pub const MODEL_TRAITS: &[&str] = &["SlottedModel", "CellScheduler", "CellSwitch
 /// shared matching kernel (`match_switch`), the sub-scheduler round
 /// every pipelined `tick` delegates to (`iterate`, `take`) and its
 /// per-cell bookkeeping (`note_arrival`, `note_departure`, the `unmatch`
-/// a departure falls into), the fabrics' buffer and credit moves, and
+/// a departure falls into), the fabrics' buffer and credit moves, the
+/// buffer planes' per-slot protocol past `tick` (`push`,
+/// `fill_requests`, `pop`, `settle`, and `set_line_dead`, which a fault
+/// transition fans out to every line), and
 /// the per-audited-slot ledger snapshot. The rule is
 /// name-scoped, so a helper is audited only once it is listed here, and
 /// a name no model-crate fn answers to is reported as stale.
@@ -52,6 +55,11 @@ pub const HOT_FN_NAMES: &[&str] = &[
     "send",
     "return_credit",
     "report_credit_ledgers",
+    "push",
+    "fill_requests",
+    "pop",
+    "settle",
+    "set_line_dead",
 ];
 
 /// The file [`HOT_FN_NAMES`] is declared in, workspace-relative.
@@ -1015,6 +1023,40 @@ mod tests {
             );
         }
         assert_eq!(graph.hot_fns.len(), 3);
+    }
+
+    #[test]
+    fn hot_loop_alloc_sees_the_buffer_plane_phases_past_tick() {
+        // The shapes `FdlQueue` had while only `tick` was listed: two
+        // vectors and a sort per queue per slot in `settle`, a sorted
+        // copy of the bank on every health command and every refusal.
+        let src = "impl<T> FdlQueue<T> {\n    \
+                   pub fn settle(&mut self, slot: u64) {\n        \
+                   let mut to_place: Vec<(FdlKey, usize, bool)> = Vec::new();\n        \
+                   let mut order: Vec<(u64, usize)> = self.alive().collect();\n    }\n    \
+                   pub fn set_line_dead(&mut self, line: usize, dead: bool) {\n        \
+                   let alive: Vec<u64> = self.lines.alive_lengths().collect();\n    }\n    \
+                   pub fn push(&mut self, priority: u64, payload: T) -> bool {\n        \
+                   let all = self.lines.lengths.to_vec();\n    }\n    \
+                   pub fn pop(&mut self) -> Option<T> {\n        \
+                   let key = format!(\"{:?}\", self.head());\n    }\n    \
+                   fn fill_requests(&self, requests: &mut [u64]) {\n        \
+                   let ready = vec![false; self.ports];\n    }\n    \
+                   pub fn stats(&self) -> Vec<u64> { Vec::new() }\n}\n";
+        let (diags, graph) = deep(&[("crates/fdl/src/q.rs", src)], &Artifacts::default());
+        let hits: Vec<_> = diags
+            .iter()
+            .filter(|d| d.rule == "hot-loop-alloc")
+            .collect();
+        assert_eq!(hits.len(), 6, "{diags:#?}");
+        for name in ["settle", "set_line_dead", "push", "pop", "fill_requests"] {
+            assert!(
+                hits.iter()
+                    .any(|d| d.message.contains(&format!("`fn {name}`"))),
+                "{name}: {diags:#?}"
+            );
+        }
+        assert_eq!(graph.hot_fns.len(), 5);
     }
 
     #[test]

@@ -642,6 +642,17 @@ impl<'a, T: TraceSink> Observer<'a, T> {
         self.faults.is_some()
     }
 
+    /// Fault query: may the fault plane's state queries answer
+    /// differently this slot than last slot? `false` with no plane
+    /// attached.
+    #[inline]
+    pub fn fault_state_changed(&self) -> bool {
+        match &self.faults {
+            Some(f) => f.state_changed(),
+            None => false,
+        }
+    }
+
     /// Fault query: is `output`'s SOA gate stuck off this slot?
     #[inline]
     pub fn fault_output_blocked(&self, output: usize) -> bool {

@@ -53,6 +53,17 @@ pub trait FaultView {
         true
     }
 
+    /// Whether a state query (`output_blocked` … `delay_line_dead`) may
+    /// answer differently this slot than it did in the previous one: a
+    /// fault was injected or healed in this slot's
+    /// [`begin_slot`](FaultView::begin_slot). A model that mirrors fault
+    /// state into its own tables re-reads it only then. A view that does
+    /// not track its transitions keeps the default and is re-read every
+    /// slot.
+    fn state_changed(&self) -> bool {
+        true
+    }
+
     /// Output `output`'s SOA gate is stuck off: no cell can be switched
     /// to it this slot.
     fn output_blocked(&self, _output: usize) -> bool {
@@ -137,5 +148,6 @@ mod tests {
         assert!(!f.cell_corrupted(usize::MAX));
         assert!(!f.circuit_stuck(0));
         assert!(!f.delay_line_dead(0));
+        assert!(f.state_changed(), "untracked views are always re-read");
     }
 }
