@@ -1,21 +1,30 @@
 //! # osmosis-bench
 //!
 //! The harness that regenerates every table and figure of the paper (see
-//! `DESIGN.md` §4 for the experiment index). Each `src/bin/` binary
-//! prints one table/figure; `benches/` holds Criterion micro-benchmarks
-//! of the hot kernels (FEC, arbiters, schedulers, switch/fabric
-//! simulation slots).
-//!
-//! Run a figure with, e.g.:
+//! `DESIGN.md` §4 for the experiment index). It builds one binary,
+//! `repro`: each module under `src/bin/repro/` prints one table, figure
+//! or study, `main.rs` there holds the registry that names them, and
+//! [`flags`] is the one table of command-line flags they draw on.
 //!
 //! ```text
-//! cargo run --release -p osmosis-bench --bin fig7_delay_throughput
+//! cargo run --release -p osmosis-bench -- list
+//! cargo run --release -p osmosis-bench -- fig7_delay_throughput --quick
 //! ```
 //!
-//! Every binary accepts `--quick` to run at test scale.
+//! An unknown experiment or a flag the experiment does not accept
+//! exits 2 before anything runs. This library is what the experiments
+//! share: the flag table, the table printer, and the telemetry-stream
+//! and snapshot-file plumbing.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+
+pub mod flags;
+
+pub use flags::{usage, Args, FLAGS};
+
+use osmosis_telemetry::{JsonlStats, TelemetrySink};
+use std::path::Path;
 
 /// Print a fixed-width table: a header row then data rows.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
@@ -46,52 +55,53 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Parse repeatable `--topology <spec>` flags through the topology spec
-/// grammar (see `osmosis_fabric::TopologySpec`). Exits with status 2 on
-/// a missing or unparseable spec, like every other bad-flag path in the
-/// harness. Shared by the studies that route legs through declared
-/// topologies (`availability_study`, `ocs_study`, `campaign`).
-pub fn topologies_from_args() -> Vec<osmosis_fabric::TopologySpec> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut specs = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--topology" {
-            let Some(text) = args.get(i + 1) else {
-                eprintln!("--topology needs a spec argument");
-                std::process::exit(2);
-            };
-            match text.parse::<osmosis_fabric::TopologySpec>() {
-                Ok(s) => specs.push(s),
-                Err(e) => {
-                    eprintln!("bad --topology {text}: {e}");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    specs
+/// Unwrap `result`, or print `what: error` on stderr and exit `code`.
+pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, code: i32, what: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{what}: {e}");
+        std::process::exit(code)
+    })
 }
 
-/// The single-topology form of [`topologies_from_args`]: at most one
-/// `--topology` flag, for studies whose fabric is one declared spec.
-pub fn topology_from_args() -> Option<osmosis_fabric::TopologySpec> {
-    let specs = topologies_from_args();
-    if specs.len() > 1 {
-        eprintln!("this study takes at most one --topology flag");
-        std::process::exit(2);
-    }
-    specs.first().copied()
+/// Open a labelled telemetry sink streaming to `path`; exits 1 when
+/// the file cannot be created.
+pub fn open_stream(label: &str, path: &Path) -> TelemetrySink {
+    let sink = TelemetrySink::new().with_label(label).stream_to_path(path);
+    let what = format!("cannot open telemetry stream {}", path.display());
+    or_exit(sink, 1, &what)
 }
 
-/// Parse the common `--quick` flag.
-pub fn scale_from_args() -> osmosis_core::Scale {
-    if std::env::args().any(|a| a == "--quick") {
-        osmosis_core::Scale::Quick
-    } else {
-        osmosis_core::Scale::Full
-    }
+/// Flush `sink`'s stream; exits 1 on any write error it recorded.
+pub fn close_stream(sink: &mut TelemetrySink) {
+    or_exit(sink.finish_stream(), 1, "telemetry stream");
+}
+
+/// Read the finished stream at `path` back, validate it against the
+/// JSONL schema and print the one-line summary; exits 1 when the file
+/// is unreadable or invalid.
+pub fn report_stream(path: &Path) -> JsonlStats {
+    let what = format!("cannot read back telemetry file {}", path.display());
+    let text = or_exit(std::fs::read_to_string(path), 1, &what);
+    let stats = osmosis_telemetry::validate_jsonl(&text);
+    let stats = or_exit(stats, 1, "telemetry file failed schema validation");
+    println!(
+        "\ntelemetry: {} -> {} runs, {} snapshots, {} spans (schema valid)",
+        path.display(),
+        stats.metas,
+        stats.snapshots,
+        stats.spans
+    );
+    stats
+}
+
+/// Rewrite the committed snapshot `file` (a `BENCH_*.json` name) at the
+/// repo root with `json`; exits 1 when it cannot be written.
+pub fn write_snapshot(file: &str, json: String) {
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    or_exit(
+        std::fs::write(&path, json + "\n"),
+        1,
+        &format!("cannot write {path}"),
+    );
+    println!("\nwrote {path}");
 }

@@ -1,10 +1,9 @@
-//! Fixture bench bin: analyzed as `crates/bench/src/bin/lat_study.rs`.
-//! Understands `--smoke` but the bad-workspace ci.yml never runs it
-//! (it smoke-gates a `ghost_study` bin that does not exist, and the
+//! Fixture experiment: analyzed as `crates/bench/src/bin/repro/lat_study.rs`.
+//! Reads `--smoke` but the bad-workspace ci.yml never runs it (it
+//! smoke-gates a `ghost_study` experiment that does not exist, and the
 //! committed `BENCH_stale.json` baseline is referenced by no bin).
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let points = if smoke { 3 } else { 40 };
+pub fn run(args: &Args) {
+    let points = if args.smoke { 3 } else { 40 };
     run_latency_sweep(points);
 }

@@ -87,8 +87,8 @@ impl Artifacts {
         globs.iter().any(|g| glob_matches(g, path))
     }
 
-    /// `(bin name, 1-based line)` for every ci.yml line that invokes
-    /// `--bin NAME` together with `--smoke`.
+    /// `(experiment name, 1-based line)` for every ci.yml line that runs
+    /// the harness — `-p osmosis-bench -- NAME …` — with `--smoke`.
     pub fn ci_smoke_bins(&self) -> Vec<(String, u32)> {
         let Some(text) = &self.ci_yml else {
             return Vec::new();
@@ -98,12 +98,10 @@ impl Artifacts {
             if !line.contains("--smoke") {
                 continue;
             }
-            let mut words = line.split_whitespace().peekable();
-            while let Some(w) = words.next() {
-                if w == "--bin" {
-                    if let Some(name) = words.peek() {
-                        out.push((name.trim_matches('"').to_string(), (i + 1) as u32));
-                    }
+            let words: Vec<&str> = line.split_whitespace().collect();
+            for w in words.windows(4) {
+                if w[..3] == ["-p", "osmosis-bench", "--"] {
+                    out.push((w[3].trim_matches('"').to_string(), (i + 1) as u32));
                 }
             }
         }
@@ -162,12 +160,12 @@ mod tests {
     }
 
     #[test]
-    fn ci_smoke_bins_require_both_flags_on_one_line() {
+    fn ci_smoke_bins_read_the_experiment_after_the_harness_door() {
         let a = Artifacts {
             ci_yml: Some(
-                "      - run: cargo run --release --bin ocs_study -- --smoke\n\
-                 - run: cargo run --bin full_study\n\
-                 - run: cargo test --bin not_smoke -- --nocapture\n"
+                "      - run: cargo run --release -p osmosis-bench -- ocs_study --smoke\n\
+                 - run: cargo run -p osmosis-bench -- full_study\n\
+                 - run: cargo run --bin old_form -- --smoke\n"
                     .into(),
             ),
             ..Artifacts::default()

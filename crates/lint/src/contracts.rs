@@ -2,8 +2,8 @@
 //!
 //! The repo's validity rests on contracts no compiler checks — every
 //! `FaultKind` replays under test, every telemetry record type
-//! round-trips through `validate_jsonl`, every `--smoke` bench bin is a
-//! CI gate, the hand-kept `MODEL_CRATES` list matches the workspace, and
+//! round-trips through `validate_jsonl`, every `--smoke` harness
+//! experiment is a CI gate, the hand-kept `MODEL_CRATES` list matches the workspace, and
 //! the per-slot hot path stays allocation-free ahead of ROADMAP item 1's
 //! bit-parallel rewrite. This module builds an explicit graph of those
 //! cross-artifact edges (code ↔ tests ↔ ci.yml ↔ Cargo.toml ↔ DESIGN.md
@@ -98,12 +98,12 @@ pub struct ExtraNode {
     pub asserted: bool,
 }
 
-/// One bench binary.
+/// One experiment of the harness's `repro` binary.
 #[derive(Debug)]
 pub struct BenchBinNode {
-    /// Binary name (file stem under `src/bin/`).
+    /// Experiment name (module file stem under `src/bin/repro/`).
     pub name: String,
-    /// The bin recognizes `--smoke`.
+    /// The experiment reads `args.smoke`.
     pub smoke: bool,
     /// ci.yml runs it with `--smoke`.
     pub ci_wired: bool,
@@ -532,34 +532,31 @@ fn rule_extras_registry(
     }
 }
 
-/// Rule `bench-gate`: every bench bin that understands `--smoke` must be
-/// wired into ci.yml's smoke gates; every bin ci.yml names must exist;
-/// every committed `BENCH_*.json` must be written by some live bin.
+/// Rule `bench-gate`: every harness experiment (a module of the `repro`
+/// binary) that reads `args.smoke` must be wired into ci.yml's smoke
+/// gates; every experiment ci.yml names must exist; every committed
+/// `BENCH_*.json` must be written by some live bin.
 fn rule_bench_gate(
     files: &[SourceFile],
     arts: &Artifacts,
     out: &mut Vec<Diagnostic>,
     graph: &mut ContractGraph,
 ) {
-    // Bin name → (file index, line of its "--smoke" literal if any).
+    // Experiment name → (file index, line of its `.smoke` read if any).
     let mut bins: BTreeMap<String, (usize, Option<u32>)> = BTreeMap::new();
     for (fi, f) in files.iter().enumerate() {
-        if f.kind != FileKind::Bin || !f.rel_path.contains("/bin/") {
+        let Some((_, file)) = f.rel_path.rsplit_once("/src/bin/repro/") else {
             continue;
-        }
-        let name = f
-            .rel_path
-            .rsplit('/')
-            .next()
-            .and_then(|n| n.strip_suffix(".rs"))
-            .unwrap_or_default()
-            .to_string();
+        };
+        let Some(name) = file.strip_suffix(".rs").filter(|n| *n != "main") else {
+            continue;
+        };
         let smoke_line = f
             .tokens()
-            .iter()
-            .find(|t| t.kind == TokKind::Str && t.str_content().as_deref() == Some("--smoke"))
-            .map(|t| t.line);
-        bins.insert(name, (fi, smoke_line));
+            .windows(2)
+            .find(|w| w[0].text == "." && w[1].text == "smoke")
+            .map(|w| w[1].line);
+        bins.insert(name.to_string(), (fi, smoke_line));
     }
     let ci_wired = arts.ci_smoke_bins();
     let wired_names: BTreeSet<&str> = ci_wired.iter().map(|(n, _)| n.as_str()).collect();
@@ -573,8 +570,8 @@ fn rule_bench_gate(
                     line,
                     1,
                     format!(
-                        "bench bin `{name}` takes --smoke but ci.yml never runs it — \
-                         add a `--bin {name} -- --smoke` step to the smoke gates"
+                        "experiment `{name}` takes --smoke but ci.yml never runs it — \
+                         add a `-p osmosis-bench -- {name} --smoke` step to the smoke gates"
                     ),
                 ));
             }
@@ -597,7 +594,7 @@ fn rule_bench_gate(
                 ".github/workflows/ci.yml",
                 "bench-gate",
                 *line,
-                format!("ci.yml smoke-gates bench bin `{name}` that does not exist"),
+                format!("ci.yml smoke-gates experiment `{name}` that does not exist"),
                 snippet,
             ));
         }
@@ -910,12 +907,13 @@ mod tests {
 
     #[test]
     fn bench_gate_cross_references_ci_and_baselines() {
-        let wired = "fn main() { let smoke = args.any(|a| a == \"--smoke\"); }\n";
-        let unwired = "fn main() { if a == \"--smoke\" {} write(\"BENCH_x.json\"); }\n";
+        let wired = "pub fn run(args: &Args) { let quick = args.smoke; }\n";
+        let unwired = "pub fn run(args: &Args) { if args.smoke {} write(\"BENCH_x.json\"); }\n";
+        let door = "fn main() { let smoke = args.smoke; }\n";
         let arts = Artifacts {
             ci_yml: Some(
-                "      - run: cargo run --bin wired -- --smoke --audit\n\
-                 - run: cargo run --bin ghost -- --smoke\n"
+                "      - run: cargo run -p osmosis-bench -- wired --smoke --audit\n\
+                 - run: cargo run -p osmosis-bench -- ghost --smoke\n"
                     .into(),
             ),
             bench_jsons: vec!["BENCH_x.json".into(), "BENCH_stale.json".into()],
@@ -923,8 +921,9 @@ mod tests {
         };
         let (diags, graph) = deep(
             &[
-                ("crates/bench/src/bin/wired.rs", wired),
-                ("crates/bench/src/bin/unwired.rs", unwired),
+                ("crates/bench/src/bin/repro/wired.rs", wired),
+                ("crates/bench/src/bin/repro/unwired.rs", unwired),
+                ("crates/bench/src/bin/repro/main.rs", door),
             ],
             &arts,
         );

@@ -135,7 +135,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "bench-gate",
         severity: Severity::Error,
-        summary: "--smoke bench bins must be ci.yml gates; committed BENCH_*.json must map to live bins",
+        summary: "--smoke harness experiments must be ci.yml gates; committed BENCH_*.json must map to live bins",
         deep: true,
     },
     RuleInfo {

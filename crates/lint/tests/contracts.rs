@@ -187,14 +187,15 @@ fn extras_registry_fires_on_collision_and_orphan() {
 fn bench_gate_fires_on_unwired_ghost_and_stale() {
     let bad_arts = Artifacts {
         ci_yml: Some(
-            "      - name: smoke\n        run: cargo run --bin ghost_study -- --smoke\n".into(),
+            "      - name: smoke\n        run: cargo run -p osmosis-bench -- ghost_study --smoke\n"
+                .into(),
         ),
         bench_jsons: vec!["BENCH_stale.json".into()],
         ..Artifacts::default()
     };
     let (bad, graph) = deep(
         vec![(
-            "crates/bench/src/bin/lat_study.rs",
+            "crates/bench/src/bin/repro/lat_study.rs",
             fixture("bench-gate", "bad.rs"),
         )],
         &bad_arts,
@@ -209,7 +210,8 @@ fn bench_gate_fires_on_unwired_ghost_and_stale() {
     assert!(
         by_file
             .iter()
-            .any(|(f, m)| *f == "crates/bench/src/bin/lat_study.rs" && m.contains("never runs it")),
+            .any(|(f, m)| *f == "crates/bench/src/bin/repro/lat_study.rs"
+                && m.contains("never runs it")),
         "{by_file:?}"
     );
     assert!(
@@ -229,14 +231,15 @@ fn bench_gate_fires_on_unwired_ghost_and_stale() {
 
     let good_arts = Artifacts {
         ci_yml: Some(
-            "      - name: smoke\n        run: cargo run --bin lat_study -- --smoke\n".into(),
+            "      - name: smoke\n        run: cargo run -p osmosis-bench -- lat_study --smoke\n"
+                .into(),
         ),
         bench_jsons: vec!["BENCH_lat.json".into()],
         ..Artifacts::default()
     };
     let (good, graph) = deep(
         vec![(
-            "crates/bench/src/bin/lat_study.rs",
+            "crates/bench/src/bin/repro/lat_study.rs",
             fixture("bench-gate", "good.rs"),
         )],
         &good_arts,

@@ -159,10 +159,10 @@ fn unwiring_a_smoke_gate_flips_the_exit() {
     let ci = arts.ci_yml.as_ref().expect("ci.yml present");
     let line = ci
         .lines()
-        .find(|l| l.contains("--bin ocs_study") && l.contains("--smoke"))
+        .find(|l| l.contains("-- ocs_study") && l.contains("--smoke"))
         .expect("ocs_study smoke step wired in ci.yml")
         .to_string();
-    arts.ci_yml = Some(ci.replace(&line, &line.replace(" -- --smoke", "")));
+    arts.ci_yml = Some(ci.replace(&line, &line.replace(" --smoke", "")));
     let (report, _) = analyze_files_deep(files, &arts);
     assert!(!report.is_clean(), "unwired smoke gate must exit non-zero");
     let hits: Vec<_> = report
