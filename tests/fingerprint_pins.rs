@@ -287,6 +287,144 @@ fn compiled_layout_fingerprints_match_pins() {
     }
 }
 
+/// `CompiledFabric` at link delays other than the default 2: delay 1 is
+/// the shortest flight a spec may ask for, delay 5 a long one, each under
+/// smooth and bursty (mean burst 8) traffic at load 0.6, seed 77 over
+/// 50 + 400 slots. (spec, bursty, `buffer_cells` override, fingerprint);
+/// captured on the commit before the flight queues became slot-indexed
+/// wheels, whose bucket arithmetic is a function of the delay.
+const COMPILED_DELAY_PINS: &[(&str, bool, Option<usize>, u64)] = &[
+    (
+        "fat-tree:radix=8,levels=3,planes=2,delay=1",
+        false,
+        None,
+        0x627f_5fb2_4d09_8f2a,
+    ),
+    (
+        "fat-tree:radix=8,levels=3,planes=2,delay=1",
+        true,
+        Some(3),
+        0xeb6a_eba0_13f6_21c8,
+    ),
+    (
+        "fat-tree:radix=8,levels=3,planes=2,delay=5",
+        false,
+        None,
+        0x4da0_fb9f_0480_9030,
+    ),
+    (
+        "fat-tree:radix=8,levels=3,planes=2,delay=5",
+        true,
+        None,
+        0x554e_249d_5abb_13b9,
+    ),
+    (
+        "dragonfly:radix=8,groups=4,delay=1",
+        false,
+        None,
+        0x6318_3cd8_4b84_f327,
+    ),
+    (
+        "dragonfly:radix=8,groups=4,delay=1",
+        true,
+        None,
+        0x0b0e_1c83_79bc_2d28,
+    ),
+    (
+        "dragonfly:radix=8,groups=4,delay=5",
+        false,
+        None,
+        0x9b90_2d9f_1802_8305,
+    ),
+    (
+        "dragonfly:radix=8,groups=4,delay=5",
+        true,
+        None,
+        0x190d_73d3_eee1_9bec,
+    ),
+];
+
+#[test]
+fn compiled_link_delay_fingerprints_match_pins() {
+    use osmosis::traffic::{Bursty, TrafficGen};
+
+    for &(text, bursty, buffer_cells, pin) in COMPILED_DELAY_PINS {
+        let spec: TopologySpec = text.parse().unwrap();
+        let hosts = spec.hosts() as usize;
+        let mut tr: Box<dyn TrafficGen> = if bursty {
+            Box::new(Bursty::new(hosts, 0.6, 8.0, &SeedSequence::new(77)))
+        } else {
+            Box::new(uniform(hosts, 0.6, 77))
+        };
+        let mut cfg = EngineConfig::new(50, 400);
+        cfg.buffer_cells = buffer_cells;
+        let r = CompiledFabric::new(spec).run(tr.as_mut(), &cfg);
+        assert_eq!(
+            r.fingerprint(),
+            pin,
+            "{text} bursty {bursty} buffer {buffer_cells:?}: report fingerprint {:#018x} \
+             drifted from {pin:#018x}",
+            r.fingerprint()
+        );
+    }
+}
+
+/// The *order* of `CompiledFabric`'s observer calls, which no report
+/// fingerprint sees: every trace event of a short dragonfly run at link
+/// delay 1 — injections, deliveries, credit stalls, each with its slot —
+/// folded in emission order into one FNV-1a digest. Captured on the
+/// commit before the ordering check was hoisted out of the delivery
+/// loop.
+#[test]
+fn compiled_trace_event_order_matches_pin() {
+    use osmosis::sim::{TraceEvent, VecTrace};
+    use osmosis::switch::run_switch_traced;
+
+    let spec: TopologySpec = "dragonfly:radix=8,groups=4,delay=1".parse().unwrap();
+    let mut sim = CompiledFabric::new(spec);
+    let mut tr = uniform(spec.hosts() as usize, 0.7, 31);
+    let mut sink = VecTrace::default();
+    let cfg = EngineConfig::new(20, 200);
+    let r = run_switch_traced(&mut sim, &mut tr, &cfg, &mut sink);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |word: u64| {
+        for b in word.to_le_bytes() {
+            digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    let (mut delivers, mut stalls) = (0u64, 0u64);
+    for &(slot, event) in &sink.events {
+        fold(slot);
+        match event {
+            TraceEvent::Inject { src, dst } => [1, src as u64, dst as u64],
+            TraceEvent::Deliver {
+                output,
+                delay_slots,
+            } => {
+                delivers += 1;
+                [2, output as u64, delay_slots]
+            }
+            TraceEvent::CreditStall { node, port } => {
+                stalls += 1;
+                [3, node as u64, port as u64]
+            }
+            other => panic!("CompiledFabric emitted {other:?}"),
+        }
+        .into_iter()
+        .for_each(&mut fold);
+    }
+    assert!(
+        delivers > 2_000 && stalls > 0,
+        "{delivers} deliveries, {stalls} stalls: the run must exercise both"
+    );
+    assert_eq!(
+        (digest, r.fingerprint()),
+        (0x018f_9820_6205_b10a, 0x07ee_ebf7_c23b_87da),
+        "event-order digest {digest:#018x}, report fingerprint {:#018x}",
+        r.fingerprint()
+    );
+}
+
 /// `FatTreeFabric` over the corners the `multistage` row and
 /// `fdl_pins.rs` leave out: the two other placements, an engine-level
 /// `buffer_cells` override at the campaign's radix, masks wider than
