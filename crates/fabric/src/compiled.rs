@@ -13,14 +13,19 @@
 //!
 //! All switch state lives in flat tables indexed by the expansion's
 //! global port number, `switch * radix + local`: credits outstanding,
-//! round-robin pointers, and one arrival-ordered input buffer of
-//! `buffer_cells` entries, each a cell tagged with the output it was
-//! routed to. The wiring is read from the expansion itself — a port's
-//! [`Peer`] is where its cells fly to and where its credits return. The
-//! credit loop bounds every buffer, so a switch costs `radix ×
-//! buffer_cells` entries and the slot loop never allocates: `configure`
-//! sizes the tables once, where the run's buffer depth is known, and
-//! construction keeps only the graph and the host queues.
+//! round-robin pointers, the far end of the port's cable, and one
+//! arrival-ordered input buffer of `buffer_cells` flits — a `Flit` being
+//! the 20 bytes of a cell this simulator reads plus a word for where it
+//! is headed. The credit loop bounds every buffer, so a switch costs
+//! `radix × buffer_cells` flits; `configure` sizes the tables once, where
+//! the run's buffer depth is known, and construction keeps only the
+//! graph and the host queues. Every link has the spec's one delay d, so
+//! cells and credits on links sit in wheels of d + 1 buckets indexed
+//! `slot % (d + 1)`: a slot drains its own bucket in the order it was
+//! filled and appends to the bucket d ahead, the one drained the slot
+//! before. The ordering check ([`FlowOrder`]) is the one table a run
+//! does not keep in cache, so `admit` and `arbitrate` each make its
+//! lookups in a loop of their own, where the misses overlap.
 //!
 //! The VOQs are virtual: VOQ (i, o) is the entries of input i's buffer
 //! tagged o, in arrival order, and its "non-empty" signal is bit i of
@@ -44,11 +49,27 @@ use crate::spec::{TopologyError, TopologySpec};
 use osmosis_sched::matching::Matcher;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_switch::driven::{run_switch, CellSwitch};
-use osmosis_switch::Cell;
-use osmosis_traffic::{Arrival, Class, SequenceChecker, SequenceStamper, TrafficGen};
+use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
 use std::collections::VecDeque;
 
 use crate::multistage::Placement;
+
+/// Set in a flit's `at` or a `peer` entry that names a host, not a port.
+const HOST: u32 = 1 << 31;
+/// The `peer` entry of a port nothing is cabled to.
+const UNCONNECTED: u32 = u32::MAX;
+
+/// What this simulator reads of a cell, and where the cell is headed.
+#[derive(Default, Clone, Copy)]
+struct Flit {
+    inject: u64,
+    src: u32,
+    dst: u32,
+    seq: u32,
+    /// The routed output while buffered; on a link, the port it lands
+    /// on, or `HOST | host`.
+    at: u32,
+}
 
 /// The compiled-topology fabric simulator.
 pub struct CompiledFabric {
@@ -64,27 +85,29 @@ pub struct CompiledFabric {
     owed: Vec<u32>,
     grant_ptr: Vec<u32>,
     accept_ptr: Vec<u32>,
-    /// Input buffers, `buffer_cells` entries per port: (routed output,
-    /// cell), the first `depth[port]` of them live, oldest first.
-    buffers: Vec<(u32, Cell)>,
+    /// Input buffers, `buffer_cells` entries per port, the first
+    /// `depth[port]` of them live, oldest first.
+    buffers: Vec<Flit>,
     depth: Vec<u32>,
     /// Per output port, `words` words: the inputs holding a cell for it.
     requests: Vec<u64>,
+    /// The far end of the port's cable (a port, `HOST | host`, or
+    /// [`UNCONNECTED`]): its cells fly there and its credits return there.
+    peer: Vec<u32>,
     // Per switch (sized by `configure`):
     /// Cells resident in the switch (it is skipped at 0).
     resident: Vec<u32>,
     /// `words` words: the outputs with any request.
     requested: Vec<u64>,
-    host_queues: Vec<VecDeque<Cell>>,
+    host_queues: Vec<VecDeque<Flit>>,
     /// Credits out per host NIC, as `owed`.
     host_owed: Vec<u32>,
-    /// (arrival slot, far end of the link, cell), in arrival order.
-    cell_flights: VecDeque<(u64, Peer, Cell)>,
-    /// (arrival slot, the sender the credit returns to).
-    credit_flights: VecDeque<(u64, Peer)>,
-    stamper: SequenceStamper,
-    checker: SequenceChecker,
-    next_id: u64,
+    /// Cells on links: what lands in slot t sits in bucket
+    /// `t % (link_delay + 1)`, in the order it was sent.
+    cell_wheel: Vec<Vec<Flit>>,
+    /// Credits on links, likewise: the sender each returns to.
+    credit_wheel: Vec<Vec<u32>>,
+    order: FlowOrder,
     matcher: Matcher,
 }
 
@@ -116,31 +139,27 @@ impl CompiledFabric {
     /// Build the simulator over an already-expanded graph.
     pub fn over(fab: ExpandedFabric) -> Self {
         let spec = *fab.spec();
-        let radix = spec.radix;
-        let buffer = spec.buffer_cells();
-        let words = radix.div_ceil(64);
         let hosts = fab.hosts.len();
         // The per-port and per-switch tables are sized by `configure`.
         CompiledFabric {
             spec,
-            buffer_cells: buffer,
-            words,
+            buffer_cells: spec.buffer_cells(),
+            words: spec.radix.div_ceil(64),
             owed: Vec::new(),
             grant_ptr: Vec::new(),
             accept_ptr: Vec::new(),
             buffers: Vec::new(),
             depth: Vec::new(),
             requests: Vec::new(),
+            peer: Vec::new(),
             resident: Vec::new(),
             requested: Vec::new(),
             host_queues: (0..hosts).map(|_| VecDeque::new()).collect(),
             host_owed: vec![0; hosts],
-            cell_flights: VecDeque::new(),
-            credit_flights: VecDeque::new(),
-            stamper: SequenceStamper::new(),
-            checker: SequenceChecker::new(),
-            next_id: 0,
-            matcher: Matcher::new(radix),
+            cell_wheel: Vec::new(),
+            credit_wheel: Vec::new(),
+            order: FlowOrder::new(),
+            matcher: Matcher::new(spec.radix),
             fab,
         }
     }
@@ -156,10 +175,10 @@ impl CompiledFabric {
         run_switch(self, traffic, cfg)
     }
 
-    /// Append `cell`, routed to output `out`, to the buffer of input
+    /// Append `flit`, routed to output `out`, to the buffer of input
     /// `in_port` at `sw` and raise its request bit; returns the new
     /// buffer depth.
-    fn enqueue(&mut self, sw: usize, in_port: usize, out: usize, cell: Cell) -> usize {
+    fn enqueue(&mut self, sw: usize, in_port: usize, out: usize, mut flit: Flit) -> usize {
         let (radix, words) = (self.spec.radix, self.words);
         let p = sw * radix + in_port;
         let depth = self.depth[p] as usize + 1;
@@ -167,7 +186,8 @@ impl CompiledFabric {
             depth <= self.buffer_cells,
             "buffer overflow at switch {sw} port {in_port}"
         );
-        self.buffers[p * self.buffer_cells + depth - 1] = (out as u32, cell);
+        flit.at = out as u32;
+        self.buffers[p * self.buffer_cells + depth - 1] = flit;
         self.depth[p] = depth as u32;
         self.resident[sw] += 1;
         self.requests[(sw * radix + out) * words + in_port / 64] |= 1 << (in_port % 64);
@@ -177,29 +197,29 @@ impl CompiledFabric {
 
     /// Remove the oldest cell input `i` holds for output `o` at `sw`,
     /// and drop the request bit if it was the last one.
-    fn dequeue(&mut self, sw: usize, i: usize, o: usize) -> Cell {
+    fn dequeue(&mut self, sw: usize, i: usize, o: usize) -> Flit {
         let (radix, words) = (self.spec.radix, self.words);
         let p = sw * radix + i;
         let start = p * self.buffer_cells;
         let buf = &mut self.buffers[start..start + self.depth[p] as usize];
-        let Some(k) = buf.iter().position(|e| e.0 == o as u32) else {
+        let Some(k) = buf.iter().position(|f| f.at == o as u32) else {
             // lint:allow(panic-free): the matching only pairs ports
             // whose request bit is set, and the bit tracks the buffer
             panic!("matched pair without a queued cell");
         };
-        let cell = buf[k].1;
+        let flit = buf[k];
         buf.copy_within(k + 1.., k);
         let left = buf.len() - 1;
         self.depth[p] = left as u32;
         self.resident[sw] -= 1;
-        if !buf[k..left].iter().any(|e| e.0 == o as u32) {
+        if !buf[k..left].iter().any(|f| f.at == o as u32) {
             let col = (sw * radix + o) * words;
             self.requests[col + i / 64] &= !(1 << (i % 64));
             if self.requests[col..col + words].iter().all(|&w| w == 0) {
                 self.requested[sw * words + o / 64] &= !(1 << (o % 64));
             }
         }
-        cell
+        flit
     }
 
     /// Match switch `sw` for one slot into `self.matcher.matched`; an
@@ -224,15 +244,19 @@ impl CellSwitch for CompiledFabric {
         self.host_queues.len()
     }
 
+    /// A fabric may be run again once the run before has drained: the
+    /// engine restarts at slot 0, so cells and credits still inside one
+    /// that has not would land in slots of the new run they were never
+    /// sent for. Nothing here detects or repairs that.
     fn configure(&mut self, cfg: &EngineConfig) {
-        self.checker = SequenceChecker::new();
+        self.order.begin_run();
         // An engine-level override re-arms the credit loops and the input
         // buffers they bound. The buffers are laid out at a stride of
         // `buffer_cells`, so a new depth cannot be applied under live cells.
         if let Some(b) = cfg.buffer_cells.filter(|&b| b != self.buffer_cells) {
             assert!(b >= 1);
             assert!(
-                self.resident_cells() == Some(0) && self.credit_flights.is_empty(),
+                self.resident_cells() == Some(0) && self.credit_wheel.iter().all(Vec::is_empty),
                 "a buffer_cells override is valid only on a fabric that has not run: \
                  cells or credits are still inside this one"
             );
@@ -252,60 +276,63 @@ impl CellSwitch for CompiledFabric {
         self.requests.resize(ports * words, 0);
         self.resident.resize(switches, 0);
         self.requested.resize(switches * words, 0);
-        let idle = (0, Cell::new(0, 0, 0, Class::Data, 0, 0));
-        self.buffers.resize(ports * self.buffer_cells, idle);
+        self.buffers
+            .resize(ports * self.buffer_cells, Flit::default());
+        let buckets = self.spec.link_delay as usize + 1;
+        self.cell_wheel.resize_with(buckets, Vec::new);
+        self.credit_wheel.resize_with(buckets, Vec::new);
+        if self.peer.is_empty() {
+            assert!(ports.max(self.host_queues.len()) < HOST as usize);
+            self.peer = (self.fab.ports.values())
+                .map(|port| match port.peer {
+                    Peer::Host(h) => HOST | h.index() as u32,
+                    Peer::Port(p) => p.index() as u32,
+                    Peer::Unconnected => UNCONNECTED,
+                })
+                .collect();
+        }
     }
 
     fn arbitrate<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
-        let d = self.spec.link_delay;
-        let radix = self.spec.radix;
+        let (radix, d) = (self.spec.radix, self.spec.link_delay);
+        // What is sent now lands d slots on: of d + 1, the bucket behind.
+        let now = (slot % (d + 1)) as usize;
+        let next = ((slot + d) % (d + 1)) as usize;
 
-        // Cell arrivals from links.
-        while self
-            .cell_flights
-            .front()
-            .is_some_and(|&(at, _, _)| at == slot)
-        {
-            let Some((_, hop, cell)) = self.cell_flights.pop_front() else {
-                break;
-            };
-            match hop {
-                Peer::Host(h) => {
-                    debug_assert_eq!(cell.dst, h.index());
-                    self.checker.record(cell.src, cell.dst, cell.seq);
-                    obs.cell_delivered_flow(h.index(), cell.inject_slot, cell.src, cell.seq);
-                }
-                Peer::Port(p) => {
-                    let at = self.fab.ports[p];
-                    let out = self.fab.route(
-                        at.switch,
-                        at.local,
-                        HostId::from_index(cell.src),
-                        HostId::from_index(cell.dst),
-                    );
-                    let depth =
-                        self.enqueue(at.switch.index(), at.local as usize, out as usize, cell);
-                    obs.note_queue_depth(depth);
-                }
-                // Never sent: see the panic below.
-                Peer::Unconnected => {}
+        // Cell arrivals from links, in the order they were sent. The
+        // ordering checks go first: each is a likely cache miss, and back
+        // to back they overlap instead of queueing behind the observer.
+        let mut landed = std::mem::take(&mut self.cell_wheel[now]);
+        for flit in landed.iter().filter(|flit| flit.at & HOST != 0) {
+            self.order
+                .record(flit.src as usize, flit.dst as usize, flit.seq.into());
+        }
+        for &flit in &landed {
+            let (src, dst) = (flit.src as usize, flit.dst as usize);
+            if flit.at & HOST != 0 {
+                debug_assert_eq!(flit.at, HOST | flit.dst);
+                obs.cell_delivered_flow(dst, flit.inject, src, flit.seq.into());
+            } else {
+                let at = self.fab.ports[PortId::from_index(flit.at as usize)];
+                let out = self.fab.route(
+                    at.switch,
+                    at.local,
+                    HostId::from_index(src),
+                    HostId::from_index(dst),
+                );
+                let depth = self.enqueue(at.switch.index(), at.local as usize, out as usize, flit);
+                obs.note_queue_depth(depth);
             }
         }
+        landed.clear();
+        self.cell_wheel[now] = landed;
 
         // Credit returns.
-        while self
-            .credit_flights
-            .front()
-            .is_some_and(|&(at, _)| at == slot)
-        {
-            let Some((_, credit)) = self.credit_flights.pop_front() else {
-                break;
-            };
-            match credit {
-                Peer::Host(h) => self.host_owed[h.index()] -= 1,
-                Peer::Port(p) => self.owed[p.index()] -= 1,
-                // Cells only ever arrive over connected ports.
-                Peer::Unconnected => {}
+        for to in self.credit_wheel[now].drain(..) {
+            if to & HOST != 0 {
+                self.host_owed[(to ^ HOST) as usize] -= 1;
+            } else {
+                self.owed[to as usize] -= 1;
             }
         }
 
@@ -318,34 +345,30 @@ impl CellSwitch for CompiledFabric {
             for k in 0..self.matcher.matched.len() {
                 let (i, o) = self.matcher.matched[k];
                 let (p_in, p_out) = (sw * radix + i as usize, sw * radix + o as usize);
-                let mut cell = self.dequeue(sw, i as usize, o as usize);
-                cell.grant_slot = slot;
-                let up = self.fab.ports[PortId::from_index(p_in)].peer;
-                let down = self.fab.ports[PortId::from_index(p_out)].peer;
-                match down {
-                    // Host sinks drain a cell per slot and are not
-                    // credit-controlled; only switch links consume.
-                    Peer::Host(_) => {}
-                    Peer::Port(_) => self.owed[p_out] += 1,
-                    // lint:allow(panic-free): routing never selects an
-                    // unconnected output on a validated expansion
-                    Peer::Unconnected => panic!("matched cell bound for an unconnected port"),
+                let mut flit = self.dequeue(sw, i as usize, o as usize);
+                flit.at = self.peer[p_out];
+                assert!(flit.at != UNCONNECTED, "matched to an unconnected port");
+                // Host sinks drain a cell per slot and are not
+                // credit-controlled; only switch links consume.
+                if flit.at & HOST == 0 {
+                    self.owed[p_out] += 1;
                 }
-                self.credit_flights.push_back((slot + d, up));
-                self.cell_flights.push_back((slot + d, down, cell));
+                self.credit_wheel[next].push(self.peer[p_in]);
+                self.cell_wheel[next].push(flit);
             }
         }
     }
 
     fn deliver<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
         let d = self.spec.link_delay;
+        let next = ((slot + d) % (d + 1)) as usize;
         for h in 0..self.host_queues.len() {
             let host = HostId::from_index(h);
             if (self.host_owed[h] as usize) < self.buffer_cells {
-                if let Some(cell) = self.host_queues[h].pop_front() {
+                if let Some(mut flit) = self.host_queues[h].pop_front() {
                     self.host_owed[h] += 1;
-                    let to = Peer::Port(self.fab.hosts[host].port);
-                    self.cell_flights.push_back((slot + d, to, cell));
+                    flit.at = self.fab.hosts[host].port.index() as u32;
+                    self.cell_wheel[next].push(flit);
                 }
             } else if !self.host_queues[h].is_empty() {
                 let (sw, local) = self.fab.host_attach(host);
@@ -355,23 +378,29 @@ impl CellSwitch for CompiledFabric {
     }
 
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
+        // Stamps first, as `arbitrate`'s checks are: the misses overlap.
         for a in arrivals {
-            let seq = self.stamper.stamp(a.src, a.dst);
-            let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
-            self.next_id += 1;
+            self.host_queues[a.src].push_back(Flit {
+                inject: slot,
+                src: a.src as u32,
+                dst: a.dst as u32,
+                seq: self.order.stamp(a.src, a.dst) as u32,
+                at: 0,
+            });
+        }
+        for a in arrivals {
             obs.cell_injected(a.src, a.dst);
-            self.host_queues[a.src].push_back(cell);
         }
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.checker.reordered();
+        report.reordered = self.order.reordered();
         report.set_extra("stages", self.spec.stages() as f64);
         report.set_extra("switches", self.fab.switches.len() as f64);
     }
 
     fn resident_cells(&self) -> Option<u64> {
-        let mut n = self.cell_flights.len() as u64;
+        let mut n = self.cell_wheel.iter().map(|b| b.len() as u64).sum::<u64>();
         n += self.host_queues.iter().map(|q| q.len() as u64).sum::<u64>();
         n += self.resident.iter().map(|&c| c as u64).sum::<u64>();
         Some(n)
@@ -489,6 +518,29 @@ mod tests {
     }
 
     #[test]
+    fn a_drained_fabric_run_again_reports_no_reordering() {
+        // A finite all-to-all schedule, so the first run ends drained (the
+        // contract of `configure`); the second run continues every flow.
+        use osmosis_traffic::Replay;
+        for spec in [TopologySpec::two_level(8), TopologySpec::dragonfly(8, 4)] {
+            let mut fab = CompiledFabric::new(spec);
+            let hosts = fab.ports();
+            let all_to_all = || Replay::new((0..hosts).map(|_| (0..hosts).collect()).collect());
+            let cells = (hosts * hosts) as u64;
+            for run in 0..2 {
+                let r = fab.run(&mut all_to_all(), &EngineConfig::new(0, 40 * hosts as u64));
+                assert_eq!(
+                    (r.injected, r.delivered),
+                    (cells, cells),
+                    "{spec} run {run}"
+                );
+                assert_eq!(fab.resident_cells(), Some(0), "{spec} run {run} drains");
+                assert_eq!(r.reordered, 0, "{spec} run {run}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "valid only on a fabric that has not run")]
     fn buffer_override_on_a_fabric_holding_cells_is_refused() {
         // The input buffers are strided by depth: re-striding them under
@@ -499,8 +551,16 @@ mod tests {
         fab.run(&mut tr, &EngineConfig::new(0, 200).with_buffer_cells(3));
     }
 
-    fn cell(id: u64) -> Cell {
-        Cell::new(id, 0, 0, Class::Data, 0, 0)
+    fn flit(seq: u32) -> Flit {
+        Flit {
+            seq,
+            ..Flit::default()
+        }
+    }
+
+    #[test]
+    fn a_flit_is_twenty_four_bytes() {
+        assert_eq!(std::mem::size_of::<Flit>(), 24);
     }
 
     /// Every request bit is set exactly when its VOQ holds a cell, every
@@ -516,7 +576,7 @@ mod tests {
                 for i in 0..radix {
                     let p = sw * radix + i;
                     let live = &fab.buffers[p * fab.buffer_cells..][..fab.depth[p] as usize];
-                    let queued = live.iter().any(|e| e.0 == o as u32);
+                    let queued = live.iter().any(|f| f.at == o as u32);
                     let bit = fab.requests[(sw * radix + o) * words + i / 64] >> (i % 64) & 1;
                     assert_eq!(bit == 1, queued, "switch {sw} voq ({i}, {o})");
                     any |= queued;
@@ -542,7 +602,7 @@ mod tests {
                 let eagerness = if slot < 20 { 4 } else { 40 };
                 for i in 0..radix {
                     while (fab.depth[i] as usize) < BUFFER && rnd(eagerness) < 3 {
-                        fab.enqueue(0, i, rnd(radix), cell(0));
+                        fab.enqueue(0, i, rnd(radix), flit(0));
                     }
                 }
                 // Credits: none out, some out, all out.
@@ -571,16 +631,16 @@ mod tests {
         let mut fab = CompiledFabric::new(TopologySpec::full_mesh(8, 1));
         fab.configure(&EngineConfig::new(0, 1));
         // Input 2 holds cells 0..6 for outputs 5, 6, 5, 7, 6, 5.
-        for (id, out) in [5, 6, 5, 7, 6, 5].into_iter().enumerate() {
-            assert_eq!(fab.enqueue(0, 2, out, cell(id as u64)), id + 1);
+        for (seq, out) in [5, 6, 5, 7, 6, 5].into_iter().enumerate() {
+            assert_eq!(fab.enqueue(0, 2, out, flit(seq as u32)), seq + 1);
         }
         let requests = |fab: &CompiledFabric| -> Vec<usize> {
             (0..8).filter(|&o| fab.requests[o] == 1 << 2).collect()
         };
         assert_eq!(requests(&fab), [5, 6, 7]);
         assert_eq!(fab.requested[0], 0b1110_0000);
-        // (output asked for, cell id it must yield, outputs still requested)
-        let script: [(usize, u64, &[usize]); 6] = [
+        // (output asked for, cell it must yield, outputs still requested)
+        let script: [(usize, u32, &[usize]); 6] = [
             (5, 0, &[5, 6, 7]),
             (6, 1, &[5, 6, 7]),
             (5, 2, &[5, 6, 7]),
@@ -588,8 +648,8 @@ mod tests {
             (6, 4, &[5]),
             (5, 5, &[]),
         ];
-        for (out, id, left) in script {
-            assert_eq!(fab.dequeue(0, 2, out).id, id);
+        for (out, seq, left) in script {
+            assert_eq!(fab.dequeue(0, 2, out).seq, seq);
             assert_eq!(requests(&fab), left);
             assert_masks_track_buffers(&fab);
         }
@@ -597,15 +657,22 @@ mod tests {
     }
 
     #[test]
-    fn resident_cells_is_the_sum_of_buffer_depths_after_saturation() {
-        let mut fab = CompiledFabric::new(TopologySpec::dragonfly(8, 4));
-        let mut tr = BernoulliUniform::new(fab.ports(), 1.0, &SeedSequence::new(5));
-        fab.run(&mut tr, &EngineConfig::new(0, 400));
-        let buffered: u64 = fab.depth.iter().map(|&d| d as u64).sum();
-        assert!(buffered > 0, "a saturated fabric holds cells");
-        let queued: u64 = fab.host_queues.iter().map(|q| q.len() as u64).sum();
-        let elsewhere = fab.cell_flights.len() as u64 + queued;
-        assert_eq!(fab.resident_cells(), Some(buffered + elsewhere));
-        assert_masks_track_buffers(&fab);
+    fn resident_cells_is_buffers_queues_and_wheel_after_saturation() {
+        // The dragonfly wedges at this load (every cell parked in a buffer
+        // or a host queue); the fat tree keeps cells on its links.
+        let mut in_flight = 0;
+        for spec in [TopologySpec::dragonfly(8, 4), TopologySpec::two_level(8)] {
+            let mut fab = CompiledFabric::new(spec);
+            let mut tr = BernoulliUniform::new(fab.ports(), 1.0, &SeedSequence::new(5));
+            fab.run(&mut tr, &EngineConfig::new(0, 400));
+            let buffered: u64 = fab.depth.iter().map(|&d| d as u64).sum();
+            let queued: u64 = fab.host_queues.iter().map(|q| q.len() as u64).sum();
+            assert!(buffered > 0 && queued > 0, "a saturated fabric holds cells");
+            let flying: u64 = fab.cell_wheel.iter().map(|b| b.len() as u64).sum();
+            in_flight += flying;
+            assert_eq!(fab.resident_cells(), Some(buffered + queued + flying));
+            assert_masks_track_buffers(&fab);
+        }
+        assert!(in_flight > 0, "no run ended with a cell on a link");
     }
 }

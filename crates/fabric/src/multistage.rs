@@ -48,7 +48,7 @@ use osmosis_sim::buffer::{BufferLossReason, BufferPlane, BufferStats, Electronic
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_switch::driven::{run_switch, CellSwitch};
 use osmosis_switch::Cell;
-use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
+use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
 use std::collections::VecDeque;
 
 /// Buffer placement per stage (Fig. 2).
@@ -208,8 +208,7 @@ pub struct FatTreeFabric {
     /// link is discarded and resent behind the corrupted cell, keeping
     /// per-link (hence per-flow) delivery order across retransmissions.
     link_stall: Vec<u64>,
-    stamper: SequenceStamper,
-    checker: SequenceChecker,
+    order: FlowOrder,
     next_id: u64,
     // Scratch for the switch being matched, refilled from its plane:
     /// Per local output, `words` words: the inputs with a ready cell.
@@ -286,8 +285,7 @@ impl FatTreeFabric {
             retransmit_flights: VecDeque::new(),
             resync_credit_flights: VecDeque::new(),
             link_stall: vec![0; switches + hosts],
-            stamper: SequenceStamper::new(),
-            checker: SequenceChecker::new(),
+            order: FlowOrder::new(),
             next_id: 0,
             requests: vec![0; k * k.div_ceil(64)],
             requested: vec![0; k.div_ceil(64)],
@@ -552,7 +550,7 @@ impl CellSwitch for FatTreeFabric {
             }
         }
         self.stats_base = self.plane_stats();
-        self.checker = SequenceChecker::new();
+        self.order.begin_run();
         self.spine_ok.fill(true);
         self.retransmit_flights.clear();
         self.resync_credit_flights.clear();
@@ -644,7 +642,7 @@ impl CellSwitch for FatTreeFabric {
                 match to {
                     Peer::Host(h) => {
                         debug_assert_eq!(cell.dst, h.index());
-                        self.checker.record(cell.src, cell.dst, cell.seq);
+                        self.order.record(cell.src, cell.dst, cell.seq);
                         obs.cell_delivered_flow(h.index(), cell.inject_slot, cell.src, cell.seq);
                     }
                     Peer::Port(p) => {
@@ -785,7 +783,7 @@ impl CellSwitch for FatTreeFabric {
 
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         for a in arrivals {
-            let seq = self.stamper.stamp(a.src, a.dst);
+            let seq = self.order.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
@@ -794,7 +792,7 @@ impl CellSwitch for FatTreeFabric {
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.checker.reordered();
+        report.reordered = self.order.reordered();
         // FDL-only buffer-plane extras: electronic runs stay extra-free
         // so the pinned fingerprints are untouched by the plane seam.
         if self.cfg.buffer_tech == BufferTech::Fdl {

@@ -37,7 +37,9 @@ pub const MODEL_TRAITS: &[&str] = &["SlottedModel", "CellScheduler", "CellSwitch
 /// a departure falls into), the fabrics' buffer and credit moves, the
 /// buffer planes' per-slot protocol past `tick` (`push`,
 /// `fill_requests`, `pop`, `settle`, and `set_line_dead`, which a fault
-/// transition fans out to every line), and
+/// transition fans out to every line), the flow table's two per-cell
+/// probes (`stamp`, `record` — and with the second name the histograms'
+/// `record`), and
 /// the per-audited-slot ledger snapshot. The rule is
 /// name-scoped, so a helper is audited only once it is listed here, and
 /// a name no model-crate fn answers to is reported as stale.
@@ -60,6 +62,8 @@ pub const HOT_FN_NAMES: &[&str] = &[
     "pop",
     "settle",
     "set_line_dead",
+    "stamp",
+    "record",
 ];
 
 /// The file [`HOT_FN_NAMES`] is declared in, workspace-relative.

@@ -433,6 +433,39 @@ fn hot_loop_alloc_audits_listed_helpers_of_a_phase_hook() {
 }
 
 #[test]
+fn hot_loop_alloc_audits_the_flow_table_probes_not_the_cold_grow() {
+    // Both fixtures double the table inside `#[cold] fn grow`, which
+    // allocates and is no finding: the rule follows names, not calls.
+    let allocations = |graph: &ContractGraph, name: &str| {
+        let audited = graph.hot_fns.iter().find(|h| h.name == name);
+        audited.map(|h| h.allocations)
+    };
+    let (bad, graph) = deep(
+        vec![(
+            "crates/traffic/src/order.rs",
+            fixture("hot-loop-alloc", "flow_bad.rs"),
+        )],
+        &Artifacts::default(),
+    );
+    assert_eq!(count(&bad, "hot-loop-alloc"), 2, "{:#?}", bad.diagnostics);
+    assert_eq!(allocations(&graph, "stamp"), Some(1));
+    assert_eq!(allocations(&graph, "record"), Some(1));
+    assert_eq!(allocations(&graph, "grow"), None);
+
+    let (good, graph) = deep(
+        vec![(
+            "crates/traffic/src/order.rs",
+            fixture("hot-loop-alloc", "flow_good.rs"),
+        )],
+        &Artifacts::default(),
+    );
+    assert_eq!(count(&good, "hot-loop-alloc"), 0, "{:#?}", good.diagnostics);
+    assert_eq!(allocations(&graph, "stamp"), Some(0));
+    assert_eq!(allocations(&graph, "record"), Some(0));
+    assert_eq!(allocations(&graph, "grow"), None);
+}
+
+#[test]
 fn deep_findings_honor_file_suppressions() {
     // A `lint:allow(hot-loop-alloc)` above an allocation suppresses that
     // one finding through the merged deep pipeline; the rest still fire.

@@ -22,7 +22,7 @@
 use osmosis_sim::audit::DropReason;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_switch::{Cell, CellSwitch};
-use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper};
+use osmosis_traffic::{Arrival, FlowOrder};
 use std::collections::VecDeque;
 
 /// An input with no circuit applied.
@@ -38,8 +38,7 @@ pub struct OcsSwitch {
     applied: Vec<usize>,
     /// Scratch: which outputs already received a cell this slot.
     claimed: Vec<bool>,
-    stamper: SequenceStamper,
-    checker: SequenceChecker,
+    order: FlowOrder,
     next_id: u64,
     buffer_cells: Option<usize>,
 }
@@ -54,8 +53,7 @@ impl OcsSwitch {
             egress: (0..n).map(|_| VecDeque::new()).collect(),
             applied: vec![DARK; n],
             claimed: vec![false; n],
-            stamper: SequenceStamper::new(),
-            checker: SequenceChecker::new(),
+            order: FlowOrder::new(),
             next_id: 0,
             buffer_cells: None,
         }
@@ -73,7 +71,7 @@ impl CellSwitch for OcsSwitch {
     }
 
     fn configure(&mut self, cfg: &EngineConfig) {
-        self.checker = SequenceChecker::new();
+        self.order.begin_run();
         self.applied.iter_mut().for_each(|a| *a = DARK);
         self.buffer_cells = cfg.buffer_cells;
         for q in self.voq.iter_mut().chain(self.egress.iter_mut()) {
@@ -143,7 +141,7 @@ impl CellSwitch for OcsSwitch {
             }
             if let Some(cell) = q.pop_front() {
                 debug_assert_eq!(cell.dst, o);
-                self.checker.record(cell.src, cell.dst, cell.seq);
+                self.order.record(cell.src, cell.dst, cell.seq);
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -161,7 +159,7 @@ impl CellSwitch for OcsSwitch {
                     continue;
                 }
             }
-            let seq = self.stamper.stamp(a.src, a.dst);
+            let seq = self.order.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             q.push_back(cell);
@@ -170,7 +168,7 @@ impl CellSwitch for OcsSwitch {
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.checker.reordered();
+        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {

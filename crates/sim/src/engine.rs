@@ -578,7 +578,7 @@ impl<'a, T: TraceSink> Observer<'a, T> {
     /// Like [`cell_delivered`](Observer::cell_delivered), additionally
     /// reporting the cell's flow identity `(src, seq)` to an attached
     /// auditor — the order-preservation feed. Instrumented egress sites
-    /// use this next to their `SequenceChecker::record` call.
+    /// use this next to their `FlowOrder::record` call.
     #[inline]
     pub fn cell_delivered_flow(&mut self, output: usize, inject_slot: u64, src: usize, seq: u64) {
         if let Some(a) = self.audit.as_mut() {

@@ -23,7 +23,7 @@ use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sched::{log2_ceil, matching::Matcher};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
-use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
+use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
 use std::collections::VecDeque;
 
 /// Burst-switching crossbar.
@@ -47,8 +47,7 @@ pub struct BurstSwitch {
     /// Remaining busy slots per input / output (container in flight).
     in_busy: Vec<u64>,
     out_busy: Vec<u64>,
-    stamper: SequenceStamper,
-    checker: SequenceChecker,
+    order: FlowOrder,
     next_id: u64,
 }
 
@@ -70,8 +69,7 @@ impl BurstSwitch {
             matcher: Matcher::new(n),
             in_busy: vec![0; n],
             out_busy: vec![0; n],
-            stamper: SequenceStamper::new(),
-            checker: SequenceChecker::new(),
+            order: FlowOrder::new(),
             next_id: 0,
         }
     }
@@ -110,7 +108,7 @@ impl CellSwitch for BurstSwitch {
     }
 
     fn configure(&mut self, _cfg: &EngineConfig) {
-        self.checker = SequenceChecker::new();
+        self.order.begin_run();
     }
 
     fn arbitrate<T: TraceSink>(&mut self, t: u64, obs: &mut Observer<'_, T>) {
@@ -160,7 +158,7 @@ impl CellSwitch for BurstSwitch {
             obs.note_egress_depth(q.len());
             if let Some(cell) = q.pop_front() {
                 debug_assert_eq!(cell.dst, o);
-                self.checker.record(cell.src, cell.dst, cell.seq);
+                self.order.record(cell.src, cell.dst, cell.seq);
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -168,7 +166,7 @@ impl CellSwitch for BurstSwitch {
 
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         for a in arrivals {
-            let seq = self.stamper.stamp(a.src, a.dst);
+            let seq = self.order.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
@@ -179,7 +177,7 @@ impl CellSwitch for BurstSwitch {
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.checker.reordered();
+        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {

@@ -14,7 +14,7 @@
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
-use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
+use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
 use std::collections::VecDeque;
 
 /// The two-stage load-balanced BvN switch.
@@ -22,8 +22,7 @@ pub struct BvnSwitch {
     n: usize,
     /// Middle-stage VOQs: `mid[m * n + o]`.
     mid: Vec<VecDeque<Cell>>,
-    stamper: SequenceStamper,
-    checker: SequenceChecker,
+    order: FlowOrder,
     next_id: u64,
 }
 
@@ -34,8 +33,7 @@ impl BvnSwitch {
         BvnSwitch {
             n,
             mid: (0..n * n).map(|_| VecDeque::new()).collect(),
-            stamper: SequenceStamper::new(),
-            checker: SequenceChecker::new(),
+            order: FlowOrder::new(),
             next_id: 0,
         }
     }
@@ -52,7 +50,7 @@ impl CellSwitch for BvnSwitch {
     }
 
     fn configure(&mut self, _cfg: &EngineConfig) {
-        self.checker = SequenceChecker::new();
+        self.order.begin_run();
     }
 
     // Stage 2 delivers straight from the middle buffers to the hosts, so
@@ -70,7 +68,7 @@ impl CellSwitch for BvnSwitch {
             let q = &mut self.mid[m * self.n + o];
             obs.note_queue_depth(q.len());
             if let Some(cell) = q.pop_front() {
-                self.checker.record(cell.src, cell.dst, cell.seq);
+                self.order.record(cell.src, cell.dst, cell.seq);
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -81,7 +79,7 @@ impl CellSwitch for BvnSwitch {
         // spread over the middles by the rotation itself.
         let n = self.n as u64;
         for a in arrivals {
-            let seq = self.stamper.stamp(a.src, a.dst);
+            let seq = self.order.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
@@ -91,7 +89,7 @@ impl CellSwitch for BvnSwitch {
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.checker.reordered();
+        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {

@@ -18,7 +18,7 @@ use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sched::matching::Matcher;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
-use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
+use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
 use std::collections::VecDeque;
 
 /// The CIOQ switch.
@@ -38,8 +38,7 @@ pub struct CioqSwitch {
     grant_ptr: Vec<u32>,
     accept_ptr: Vec<u32>,
     matcher: Matcher,
-    stamper: SequenceStamper,
-    checker: SequenceChecker,
+    order: FlowOrder,
     next_id: u64,
     violations: u64,
     busy_slots: u64,
@@ -64,8 +63,7 @@ impl CioqSwitch {
             grant_ptr: vec![0; n],
             accept_ptr: vec![0; n],
             matcher: Matcher::new(n),
-            stamper: SequenceStamper::new(),
-            checker: SequenceChecker::new(),
+            order: FlowOrder::new(),
             next_id: 0,
             violations: 0,
             busy_slots: 0,
@@ -86,7 +84,7 @@ impl CellSwitch for CioqSwitch {
     }
 
     fn configure(&mut self, _cfg: &EngineConfig) {
-        self.checker = SequenceChecker::new();
+        self.order.begin_run();
         self.violations = 0;
         self.busy_slots = 0;
     }
@@ -141,7 +139,7 @@ impl CellSwitch for CioqSwitch {
             match q.pop_front() {
                 Some(cell) => {
                     debug_assert_eq!(cell.dst, o);
-                    self.checker.record(cell.src, cell.dst, cell.seq);
+                    self.order.record(cell.src, cell.dst, cell.seq);
                     if obs.measuring() {
                         self.busy_slots += 1;
                     }
@@ -162,7 +160,7 @@ impl CellSwitch for CioqSwitch {
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         let words = self.n.div_ceil(64);
         for a in arrivals {
-            let seq = self.stamper.stamp(a.src, a.dst);
+            let seq = self.order.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
@@ -175,7 +173,7 @@ impl CellSwitch for CioqSwitch {
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.checker.reordered();
+        report.reordered = self.order.reordered();
         let fraction = if self.busy_slots == 0 {
             0.0
         } else {

@@ -20,7 +20,7 @@ use crate::driven::{run_switch, CellSwitch};
 use osmosis_sim::audit::DropReason;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_sim::rng::SimRng;
-use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
+use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
 use std::collections::VecDeque;
 
 /// Deflection-routing switch with recirculation loops.
@@ -31,8 +31,7 @@ pub struct DeflectionSwitch {
     /// Recirculating cells per input.
     loops: Vec<VecDeque<Cell>>,
     rng: SimRng,
-    stamper: SequenceStamper,
-    checker: SequenceChecker,
+    order: FlowOrder,
     next_id: u64,
     contenders: Vec<Vec<usize>>,
 }
@@ -46,8 +45,7 @@ impl DeflectionSwitch {
             loop_capacity,
             loops: (0..n).map(|_| VecDeque::new()).collect(),
             rng: SimRng::seed_from_u64(seed),
-            stamper: SequenceStamper::new(),
-            checker: SequenceChecker::new(),
+            order: FlowOrder::new(),
             next_id: 0,
             contenders: vec![Vec::new(); n],
         }
@@ -68,7 +66,7 @@ impl CellSwitch for DeflectionSwitch {
     }
 
     fn configure(&mut self, _cfg: &EngineConfig) {
-        self.checker = SequenceChecker::new();
+        self.order.begin_run();
     }
 
     fn arbitrate<T: TraceSink>(&mut self, _slot: u64, obs: &mut Observer<'_, T>) {
@@ -99,7 +97,7 @@ impl CellSwitch for DeflectionSwitch {
                 // lint:allow(panic-free): contenders are collected from
                 // non-empty ring slots this same arbitration pass
                 .expect("contender with an empty loop queue");
-            self.checker.record(cell.src, cell.dst, cell.seq);
+            self.order.record(cell.src, cell.dst, cell.seq);
             obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             // Losers: rotate to the back of their loop — they lost a slot
             // in the ring (the deflection penalty).
@@ -126,7 +124,7 @@ impl CellSwitch for DeflectionSwitch {
                 obs.cell_dropped_for(a.src, DropReason::Rejected);
                 continue;
             }
-            let seq = self.stamper.stamp(a.src, a.dst);
+            let seq = self.order.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
@@ -136,7 +134,7 @@ impl CellSwitch for DeflectionSwitch {
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.checker.reordered();
+        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {

@@ -11,7 +11,7 @@ use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sched::arbiter::{BitSet, RoundRobinArbiter};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
-use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
+use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
 use std::collections::VecDeque;
 
 /// FIFO-input switch with round-robin output arbitration over head cells.
@@ -20,8 +20,7 @@ pub struct FifoSwitch {
     fifos: Vec<VecDeque<Cell>>,
     egress: Vec<VecDeque<Cell>>,
     out_arb: Vec<RoundRobinArbiter>,
-    stamper: SequenceStamper,
-    checker: SequenceChecker,
+    order: FlowOrder,
     next_id: u64,
     input_won: Vec<bool>,
     requesters: BitSet,
@@ -36,8 +35,7 @@ impl FifoSwitch {
             fifos: (0..n).map(|_| VecDeque::new()).collect(),
             egress: (0..n).map(|_| VecDeque::new()).collect(),
             out_arb: (0..n).map(|_| RoundRobinArbiter::new(n)).collect(),
-            stamper: SequenceStamper::new(),
-            checker: SequenceChecker::new(),
+            order: FlowOrder::new(),
             next_id: 0,
             input_won: vec![false; n],
             requesters: BitSet::new(n),
@@ -56,7 +54,7 @@ impl CellSwitch for FifoSwitch {
     }
 
     fn configure(&mut self, _cfg: &EngineConfig) {
-        self.checker = SequenceChecker::new();
+        self.order.begin_run();
     }
 
     fn arbitrate<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
@@ -101,7 +99,7 @@ impl CellSwitch for FifoSwitch {
             obs.note_egress_depth(q.len());
             if let Some(cell) = q.pop_front() {
                 debug_assert_eq!(cell.dst, o);
-                self.checker.record(cell.src, cell.dst, cell.seq);
+                self.order.record(cell.src, cell.dst, cell.seq);
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -109,7 +107,7 @@ impl CellSwitch for FifoSwitch {
 
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         for a in arrivals {
-            let seq = self.stamper.stamp(a.src, a.dst);
+            let seq = self.order.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
@@ -119,7 +117,7 @@ impl CellSwitch for FifoSwitch {
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.checker.reordered();
+        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {

@@ -11,15 +11,14 @@
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
-use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
+use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
 use std::collections::VecDeque;
 
 /// The ideal output-queued switch.
 pub struct OqSwitch {
     n: usize,
     egress: Vec<VecDeque<Cell>>,
-    stamper: SequenceStamper,
-    checker: SequenceChecker,
+    order: FlowOrder,
     next_id: u64,
 }
 
@@ -30,8 +29,7 @@ impl OqSwitch {
         OqSwitch {
             n,
             egress: (0..n).map(|_| VecDeque::new()).collect(),
-            stamper: SequenceStamper::new(),
-            checker: SequenceChecker::new(),
+            order: FlowOrder::new(),
             next_id: 0,
         }
     }
@@ -48,7 +46,7 @@ impl CellSwitch for OqSwitch {
     }
 
     fn configure(&mut self, _cfg: &EngineConfig) {
-        self.checker = SequenceChecker::new();
+        self.order.begin_run();
     }
 
     // No arbitration stage: arrivals land in their output queue with
@@ -60,7 +58,7 @@ impl CellSwitch for OqSwitch {
             obs.note_egress_depth(q.len());
             if let Some(cell) = q.pop_front() {
                 debug_assert_eq!(cell.dst, o);
-                self.checker.record(cell.src, cell.dst, cell.seq);
+                self.order.record(cell.src, cell.dst, cell.seq);
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -69,7 +67,7 @@ impl CellSwitch for OqSwitch {
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         // Arrivals go straight to their output queue (speedup N).
         for a in arrivals {
-            let seq = self.stamper.stamp(a.src, a.dst);
+            let seq = self.order.stamp(a.src, a.dst);
             let mut cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             cell.grant_slot = slot;
             self.next_id += 1;
@@ -79,7 +77,7 @@ impl CellSwitch for OqSwitch {
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.checker.reordered();
+        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {

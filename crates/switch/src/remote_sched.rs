@@ -20,7 +20,7 @@ use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sched::CellScheduler;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
-use osmosis_traffic::{Arrival, SequenceChecker, SequenceStamper, TrafficGen};
+use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
 use std::collections::VecDeque;
 
 /// A VOQ switch whose hosts are `half_rtt_slots` of flight time away from
@@ -37,8 +37,7 @@ pub struct RemoteSchedulerSwitch {
     grants_in_flight: VecDeque<(u64, usize, usize)>,
     /// (arrival slot at egress adapter, cell).
     data_in_flight: VecDeque<(u64, Cell)>,
-    stamper: SequenceStamper,
-    checker: SequenceChecker,
+    order: FlowOrder,
     next_id: u64,
 }
 
@@ -56,8 +55,7 @@ impl RemoteSchedulerSwitch {
             requests_in_flight: VecDeque::new(),
             grants_in_flight: VecDeque::new(),
             data_in_flight: VecDeque::new(),
-            stamper: SequenceStamper::new(),
-            checker: SequenceChecker::new(),
+            order: FlowOrder::new(),
             next_id: 0,
         }
     }
@@ -74,7 +72,7 @@ impl CellSwitch for RemoteSchedulerSwitch {
     }
 
     fn configure(&mut self, _cfg: &EngineConfig) {
-        self.checker = SequenceChecker::new();
+        self.order.begin_run();
     }
 
     fn arbitrate<T: TraceSink>(&mut self, t: u64, obs: &mut Observer<'_, T>) {
@@ -149,7 +147,7 @@ impl CellSwitch for RemoteSchedulerSwitch {
         // Egress transmits one cell per slot to the host.
         for (o, q) in self.egress.iter_mut().enumerate() {
             if let Some(cell) = q.pop_front() {
-                self.checker.record(cell.src, cell.dst, cell.seq);
+                self.order.record(cell.src, cell.dst, cell.seq);
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -159,7 +157,7 @@ impl CellSwitch for RemoteSchedulerSwitch {
         // New arrivals: enqueue locally, request flies to scheduler.
         let d = self.half_rtt_slots;
         for a in arrivals {
-            let seq = self.stamper.stamp(a.src, a.dst);
+            let seq = self.order.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
@@ -169,7 +167,7 @@ impl CellSwitch for RemoteSchedulerSwitch {
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.checker.reordered();
+        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {

@@ -1,7 +1,7 @@
 //! # osmosis-traffic
 //!
 //! Slotted traffic generators for HPC interconnect simulation, and the
-//! per-flow sequence checker used to verify the packet-ordering
+//! per-flow order table ([`FlowOrder`]) used to verify the packet-ordering
 //! requirement of Table 1.
 //!
 //! The paper assumes bimodal traffic — short control packets needing low
@@ -20,4 +20,4 @@ pub use generators::{
     Arrival, BernoulliUniform, Bimodal, Bursty, Class, Hotspot, Permutation, Replay, TrafficGen,
 };
 pub use ml::{AllreduceRing, AllreduceTree, Diurnal, HotspotSkew, Incast};
-pub use order::{SequenceChecker, SequenceStamper};
+pub use order::FlowOrder;
