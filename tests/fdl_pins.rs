@@ -206,3 +206,121 @@ fn fdl_corner_fingerprints_match_pins() {
         );
     }
 }
+
+/// Every retained trace event — slot, kind, operands — folded in
+/// emission order into one FNV-1a digest (as in `fingerprint_pins.rs`).
+fn trace_digest<'a>(events: impl Iterator<Item = &'a (u64, osmosis::sim::TraceEvent)>) -> u64 {
+    use osmosis::sim::TraceEvent;
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |word: u64| {
+        for b in word.to_le_bytes() {
+            digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for &(slot, event) in events {
+        fold(slot);
+        match event {
+            TraceEvent::Inject { src, dst } => [1, src as u64, dst as u64],
+            TraceEvent::Deliver {
+                output,
+                delay_slots,
+            } => [2, output as u64, delay_slots],
+            TraceEvent::CreditStall { node, port } => [3, node as u64, port as u64],
+            TraceEvent::Drop { port } => [4, port as u64, 0],
+            TraceEvent::Retransmit { port } => [5, port as u64, 0],
+            other => panic!("a fat-tree fabric emitted {other:?}"),
+        }
+        .into_iter()
+        .for_each(&mut fold);
+    }
+    digest
+}
+
+/// A wavelength plane that fails and is repaired, a window of link bit
+/// errors and a window of dropped credits, with the short half of leaf
+/// 0's delay lines dead throughout: every fault reaction of the fabric
+/// and of the FDL plane in one run.
+fn every_reaction_plan() -> FaultPlan {
+    use osmosis::faults::LINK_ANY;
+    let ber = FaultKind::LinkBerBurst {
+        link: LINK_ANY,
+        cell_error_prob: 0.03,
+    };
+    dead_line_plan(FabricConfig::small(RADIX, LINK_DELAY).buffer_cells)
+        .one_shot(FaultKind::WavelengthLoss { plane: 1 }, 600, Some(700))
+        .one_shot(ber, 900, Some(200))
+        .one_shot(FaultKind::CreditDrop { prob: 0.2 }, 400, Some(1_500))
+}
+
+/// The FDL fabric under the fabric's own fault reactions (plane loss,
+/// go-back-N, credit resync — the pins above only kill delay lines or
+/// planes), the dead-line run of `FDL_FAULTED_PIN` under the full audit
+/// battery, and the order of the observer calls of a faulted run as a
+/// `RingTrace` window. Captured from `FatTreeFabric` on the commit
+/// before it was folded into `CompiledFabric`.
+const FDL_EVERY_REACTION_PIN: u64 = 0x596b_ae73_f19b_3271;
+const FDL_TRACE_PIN: (u64, usize, u64, u64) =
+    (73_494, 20_000, 0x8b40_66fc_93d0_0418, 0x6a3b_addb_07ea_bf9d);
+
+#[test]
+fn fdl_under_every_fault_reaction_matches_pin() {
+    use osmosis::switch::{run_switch_faulted, CellSwitch};
+
+    let mut fab = fabric(BufferTech::Fdl);
+    let mut tr = uniform(fab.ports(), 0.3);
+    let mut inj = FaultInjector::new(every_reaction_plan());
+    let r = run_switch_faulted(&mut fab, &mut tr, &cfg(), &mut inj);
+    for key in [
+        "fault_retransmits",
+        "fault_credits_dropped",
+        "fdl_drops_dead_line",
+    ] {
+        assert!(r.extra(key).unwrap_or(0.0) > 20.0, "{key}: {:?}", r.extra);
+    }
+    assert_eq!(
+        r.fingerprint(),
+        FDL_EVERY_REACTION_PIN,
+        "fingerprint {:#018x}",
+        r.fingerprint()
+    );
+}
+
+#[test]
+fn audited_dead_line_run_balances_and_reproduces_the_pin() {
+    use osmosis::switch::{run_switch_instrumented, CellSwitch};
+    use osmosis_audit::{AuditMode, AuditSet};
+
+    let mut fab = fabric(BufferTech::Fdl);
+    let mut tr = uniform(fab.ports(), 0.5);
+    let lines_per_queue = FabricConfig::small(RADIX, LINK_DELAY).buffer_cells;
+    let mut inj = FaultInjector::new(dead_line_plan(lines_per_queue));
+    let mut set = AuditSet::standard(AuditMode::FailFast);
+    let r = run_switch_instrumented(&mut fab, &mut tr, &cfg(), Some(&mut inj), Some(&mut set));
+    assert_eq!(set.total_violations(), 0, "{}", set.report());
+    assert!(r.dropped > 0, "dead lines lose cells");
+    assert_eq!(r.fingerprint(), FDL_FAULTED_PIN);
+}
+
+#[test]
+fn fdl_trace_event_order_matches_pin() {
+    use osmosis::sim::RingTrace;
+    use osmosis::switch::{run_switch_faulted_traced, CellSwitch};
+
+    let mut fab = fabric(BufferTech::Fdl);
+    let mut tr = uniform(fab.ports(), 0.3);
+    let mut inj = FaultInjector::new(every_reaction_plan());
+    let mut sink = RingTrace::new(20_000);
+    let cfg = EngineConfig::new(300, 1_200);
+    let r = run_switch_faulted_traced(&mut fab, &mut tr, &cfg, &mut sink, &mut inj);
+    let got = (
+        sink.seen(),
+        sink.len(),
+        trace_digest(sink.events()),
+        r.fingerprint(),
+    );
+    assert_eq!(
+        got, FDL_TRACE_PIN,
+        "seen {}, kept {}, event-order digest {:#018x}, report fingerprint {:#018x}",
+        got.0, got.1, got.2, got.3
+    );
+}

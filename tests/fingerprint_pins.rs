@@ -650,6 +650,198 @@ fn audited_fat_tree_runs_are_clean_and_reproduce_the_pins() {
     }
 }
 
+/// The §V two-level tree behind the rows below: RTT-sized buffers
+/// (2d + 2 cells), three matching iterations.
+fn two_level_tree(
+    radix: usize,
+    link_delay: u64,
+    placement: osmosis::fabric::multistage::Placement,
+) -> FatTreeFabric {
+    FatTreeFabric::new(FabricConfig {
+        placement,
+        ..FabricConfig::small(radix, link_delay)
+    })
+}
+
+/// A wavelength plane that fails and is repaired, a permanent low
+/// bit-error burst on every link and a window of dropped credits: the
+/// three fault reactions in one run.
+fn three_fault_plan() -> osmosis::faults::FaultPlan {
+    use osmosis::faults::{FaultKind, FaultPlan, LINK_ANY};
+    let ber = FaultKind::LinkBerBurst {
+        link: LINK_ANY,
+        cell_error_prob: 0.03,
+    };
+    FaultPlan::new()
+        .one_shot(FaultKind::WavelengthLoss { plane: 1 }, 600, Some(700))
+        .permanent(ber, 0)
+        .one_shot(FaultKind::CreditDrop { prob: 0.2 }, 400, Some(1_500))
+}
+
+/// Every trace event of a run — slot, kind, operands — folded in
+/// emission order into one FNV-1a digest, so the order of a fabric's
+/// observer calls is pinned and not only what they add up to.
+fn trace_digest<'a>(events: impl Iterator<Item = &'a (u64, osmosis::sim::TraceEvent)>) -> u64 {
+    use osmosis::sim::TraceEvent;
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |word: u64| {
+        for b in word.to_le_bytes() {
+            digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for &(slot, event) in events {
+        fold(slot);
+        match event {
+            TraceEvent::Inject { src, dst } => [1, src as u64, dst as u64],
+            TraceEvent::Deliver {
+                output,
+                delay_slots,
+            } => [2, output as u64, delay_slots],
+            TraceEvent::CreditStall { node, port } => [3, node as u64, port as u64],
+            TraceEvent::Drop { port } => [4, port as u64, 0],
+            TraceEvent::Retransmit { port } => [5, port as u64, 0],
+            other => panic!("a fat-tree fabric emitted {other:?}"),
+        }
+        .into_iter()
+        .for_each(&mut fold);
+    }
+    digest
+}
+
+/// The two-level fabric where no row above reaches: placements 1 and 2
+/// under bursty traffic at the shortest link a spec may ask for and at a
+/// long one (option 2's control round trip is `2d`, so its schedulability
+/// delay moves with the link), a `buffer_cells` override under option 1,
+/// and the three fault reactions at once on option 1, whose credit check
+/// sits at the egress queue. Radix 8, seed 1234, 300 + 3 000 slots.
+/// Captured from `FatTreeFabric` on the commit before it was folded into
+/// `CompiledFabric`.
+fn fold_corner_fingerprints() -> Vec<(&'static str, u64)> {
+    use osmosis::fabric::multistage::Placement::{self, InputAndOutput, OutputOnly};
+    use osmosis::faults::FaultInjector;
+    use osmosis::switch::{run_switch_faulted, CellSwitch};
+    use osmosis::traffic::Bursty;
+
+    let bursty = |placement: Placement, link_delay: u64| {
+        let mut fab = two_level_tree(8, link_delay, placement);
+        let mut tr = Bursty::new(fab.ports(), 0.7, 4.0, &SeedSequence::new(1234));
+        fab.run(&mut tr, &cfg()).fingerprint()
+    };
+    vec![
+        ("option1_delay1_bursty", bursty(InputAndOutput, 1)),
+        ("option1_delay5_bursty", bursty(InputAndOutput, 5)),
+        ("option2_delay1_bursty", bursty(OutputOnly, 1)),
+        ("option2_delay5_bursty", bursty(OutputOnly, 5)),
+        ("option1_delay5_buffer3", {
+            let mut fab = two_level_tree(8, 5, InputAndOutput);
+            let mut tr = uniform(fab.ports(), 0.8, 1234);
+            fab.run(&mut tr, &cfg().with_buffer_cells(3)).fingerprint()
+        }),
+        ("option2_delay1_uniform", {
+            let mut fab = two_level_tree(8, 1, OutputOnly);
+            let mut tr = uniform(fab.ports(), 0.6, 1234);
+            fab.run(&mut tr, &cfg()).fingerprint()
+        }),
+        ("option1_three_faults", {
+            let mut fab = two_level_tree(8, 2, InputAndOutput);
+            let mut tr = uniform(fab.ports(), 0.5, 1234);
+            let mut inj = FaultInjector::new(three_fault_plan());
+            run_switch_faulted(&mut fab, &mut tr, &cfg(), &mut inj).fingerprint()
+        }),
+    ]
+}
+
+const FOLD_CORNER_PINS: &[(&str, u64)] = &[
+    ("option1_delay1_bursty", 0xef17_3f2e_6608_fd33),
+    ("option1_delay5_bursty", 0xa4ef_d86b_64cc_8f2d),
+    ("option2_delay1_bursty", 0x6c66_91c7_05be_71bd),
+    ("option2_delay5_bursty", 0xe12b_29c3_a729_df3c),
+    ("option1_delay5_buffer3", 0x9661_be78_0211_ebb9),
+    ("option2_delay1_uniform", 0x5dd1_2d42_481b_fdfd),
+    ("option1_three_faults", 0x48e3_ffdd_8adf_8471),
+];
+
+#[test]
+fn fold_corner_fingerprints_match_pins() {
+    let got = fold_corner_fingerprints();
+    assert_eq!(got.len(), FOLD_CORNER_PINS.len());
+    for ((name, fp), (pin_name, pin)) in got.iter().zip(FOLD_CORNER_PINS) {
+        assert_eq!(name, pin_name);
+        assert_eq!(
+            *fp, *pin,
+            "{name}: fingerprint {fp:#018x} drifted from pinned {pin:#018x}"
+        );
+    }
+}
+
+/// The three fault reactions under the full audit battery on option 1:
+/// the credit ledgers balance every slot with the check at the egress
+/// queue, and the auditors leave the `option1_three_faults` pin alone.
+#[test]
+fn audited_option1_fault_run_is_clean_and_reproduces_the_pin() {
+    use osmosis::fabric::multistage::Placement;
+    use osmosis::faults::FaultInjector;
+    use osmosis::switch::{run_switch_instrumented, CellSwitch};
+    use osmosis_audit::{AuditMode, AuditSet};
+
+    let mut fab = two_level_tree(8, 2, Placement::InputAndOutput);
+    let mut tr = uniform(fab.ports(), 0.5, 1234);
+    let mut inj = FaultInjector::new(three_fault_plan());
+    let mut set = AuditSet::standard(AuditMode::FailFast);
+    let r = run_switch_instrumented(&mut fab, &mut tr, &cfg(), Some(&mut inj), Some(&mut set));
+    assert_eq!(set.total_violations(), 0, "{}", set.report());
+    let (name, pin) = FOLD_CORNER_PINS[6];
+    assert_eq!(name, "option1_three_faults");
+    assert_eq!(
+        r.fingerprint(),
+        pin,
+        "audited fingerprint {:#018x} drifted from {pin:#018x}",
+        r.fingerprint()
+    );
+}
+
+/// The order of the electronic fabric's observer calls under the three
+/// fault reactions (option 3, radix 8, load 0.15, seed 31, 20 + 600
+/// slots): injections, deliveries, credit stalls and retransmissions in
+/// emission order. Captured from `FatTreeFabric` on the commit before
+/// the fold.
+#[test]
+fn fat_tree_trace_event_order_matches_pin() {
+    use osmosis::fabric::multistage::Placement;
+    use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
+    use osmosis::sim::VecTrace;
+    use osmosis::switch::{run_switch_faulted_traced, CellSwitch};
+
+    let ber = FaultKind::LinkBerBurst {
+        link: LINK_ANY,
+        cell_error_prob: 0.03,
+    };
+    let plan = FaultPlan::new()
+        .one_shot(FaultKind::WavelengthLoss { plane: 1 }, 100, Some(120))
+        .one_shot(ber, 200, Some(100))
+        .one_shot(FaultKind::CreditDrop { prob: 0.3 }, 50, Some(400));
+    let mut fab = two_level_tree(8, 2, Placement::InputOnly);
+    let mut tr = uniform(fab.ports(), 0.15, 31);
+    let mut sink = VecTrace::default();
+    let cfg = EngineConfig::new(20, 600);
+    let mut inj = FaultInjector::new(plan);
+    let r = run_switch_faulted_traced(&mut fab, &mut tr, &cfg, &mut sink, &mut inj);
+    let retransmits = r.extra("fault_retransmits").unwrap_or(0.0);
+    assert!(
+        retransmits > 50.0 && r.extra("fault_credits_dropped").unwrap_or(0.0) > 50.0,
+        "the run must exercise the reactions it pins: {:?}",
+        r.extra
+    );
+    let digest = trace_digest(sink.events.iter());
+    assert_eq!(
+        (sink.events.len(), digest, r.fingerprint()),
+        (40_428, 0xd348_6167_1b72_3805, 0x0778_f610_b648_de3e),
+        "{} events, event-order digest {digest:#018x}, report fingerprint {:#018x}",
+        sink.events.len(),
+        r.fingerprint()
+    );
+}
+
 /// `Islip`, `CioqSwitch` and `BurstSwitch` over the shapes the `cioq`
 /// and `burst` rows leave out: single and dual receivers, one to
 /// log₂N iterations, speed-up 1…4, odd radices and masks wider than
