@@ -32,7 +32,9 @@ pub fn run(args: &Args) {
         })
         .collect();
     print_table(
-        &format!("Fig. 2: buffer placement options ({spec})"),
+        // The title names the fabric's shape; cable length, placement and
+        // buffer depth are the figure's own columns and axes.
+        &format!("Fig. 2: buffer placement options ({})", spec.shape()),
         &[
             "placement",
             "OEO/stage",

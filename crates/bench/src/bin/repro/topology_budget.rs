@@ -23,7 +23,9 @@ fn show(title: &str, specs: &[TopologySpec], cable_m: f64, sim_limit: u64) {
         .iter()
         .map(|p| {
             vec![
-                p.spec.to_string(),
+                // The shape: the link delay is the cable length's, not a
+                // declared key.
+                p.spec.shape().to_string(),
                 format!("{}", p.hosts),
                 format!("{}", p.switches),
                 format!("{}", p.links),

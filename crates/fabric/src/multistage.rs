@@ -51,57 +51,7 @@ use osmosis_switch::Cell;
 use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
 use std::collections::VecDeque;
 
-/// Buffer placement per stage (Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Option 1: buffers at inputs *and* outputs of every stage. Simple
-    /// flow control, but twice the OEO conversions.
-    InputAndOutput,
-    /// Option 2: output buffers only — the request/grant protocol crosses
-    /// the long upstream cable, adding a round trip to every scheduling
-    /// decision.
-    OutputOnly,
-    /// Option 3 (the paper's choice): input buffers only; request/grant
-    /// stays inside the switch, the buffers absorb the upstream RTT.
-    InputOnly,
-}
-
-impl Placement {
-    /// OEO conversion points per stage (the §IV.A cost argument).
-    pub fn oeo_per_stage(self) -> u32 {
-        match self {
-            Placement::InputAndOutput => 2,
-            Placement::OutputOnly | Placement::InputOnly => 1,
-        }
-    }
-}
-
-/// The technology realizing each switch's per-stage input buffers — the
-/// fourth axis the FDL study adds to the Fig. 2 placement argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BufferTech {
-    /// Electronic virtual output queues (the paper's premise: every
-    /// buffered stage pays an OEO conversion). Lossless by credit flow
-    /// control; the default, proven zero-cost against the pinned
-    /// fingerprints.
-    Electronic,
-    /// Emulated optical fiber-delay-line queues (`osmosis-fdl`): cells
-    /// stay in fiber, recirculating through a Tang-style delay-line
-    /// bank per input. FIFO per input (head-of-line blocking across
-    /// outputs), typed losses under delay-line faults. Supported with
-    /// [`Placement::InputOnly`] only.
-    Fdl,
-}
-
-impl BufferTech {
-    /// Short stable label (campaign axes, bench tables, JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            BufferTech::Electronic => "electronic",
-            BufferTech::Fdl => "fdl",
-        }
-    }
-}
+pub use crate::spec::{BufferTech, Placement};
 
 /// Fabric configuration.
 #[derive(Debug, Clone, Copy)]

@@ -27,9 +27,80 @@
 //! closed-form path arithmetic and the compiled expansion share these bit
 //! for bit — the pinned fingerprints rest on that.
 
-use crate::multistage::Placement;
 use core::fmt;
 use core::str::FromStr;
+
+/// Where a stage keeps its buffers, and so where its credit check and
+/// its request/grant path sit (Fig. 2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// Option 1: buffers at inputs *and* outputs of every stage. A
+    /// matched cell moves to an egress queue and the credit check is made
+    /// there; simple flow control, but twice the OEO conversions.
+    InputAndOutput,
+    /// Option 2: output buffers only — the request/grant protocol crosses
+    /// the long upstream cable, adding a round trip to every scheduling
+    /// decision.
+    OutputOnly,
+    /// Option 3 (the paper's choice): input buffers only; request/grant
+    /// stays inside the switch, the buffers absorb the upstream RTT.
+    InputOnly,
+}
+
+impl Placement {
+    /// The three options, in the paper's order.
+    pub const ALL: [Placement; 3] = [
+        Placement::InputAndOutput,
+        Placement::OutputOnly,
+        Placement::InputOnly,
+    ];
+
+    /// The paper's number for the option: the value of the spec key
+    /// `placement=`.
+    pub fn option(self) -> u64 {
+        match self {
+            Placement::InputAndOutput => 1,
+            Placement::OutputOnly => 2,
+            Placement::InputOnly => 3,
+        }
+    }
+
+    /// OEO conversion points per stage (the §IV.A cost argument).
+    pub fn oeo_per_stage(self) -> u32 {
+        match self {
+            Placement::InputAndOutput => 2,
+            Placement::OutputOnly | Placement::InputOnly => 1,
+        }
+    }
+}
+
+/// The technology realizing each switch's input buffers — the fourth
+/// axis the FDL study adds to the Fig. 2 placement argument. Not a spec
+/// key: it is chosen where the fabric is built
+/// ([`CompiledFabric::with_buffer_tech`](crate::CompiledFabric::with_buffer_tech)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BufferTech {
+    /// Electronic virtual output queues (the paper's premise: every
+    /// buffered stage pays an OEO conversion). Lossless by credit flow
+    /// control.
+    Electronic,
+    /// Emulated optical fiber-delay-line queues (`osmosis-fdl`): cells
+    /// stay in fiber, recirculating through a Tang-style delay-line
+    /// bank per input. FIFO per input (head-of-line blocking across
+    /// outputs), typed losses under delay-line faults. Needs
+    /// [`Placement::InputOnly`] and a one-slot request/grant cycle.
+    Fdl,
+}
+
+impl BufferTech {
+    /// Short stable label (campaign axes, bench tables, JSON).
+    pub fn name(self) -> &'static str {
+        match self {
+            BufferTech::Electronic => "electronic",
+            BufferTech::Fdl => "fdl",
+        }
+    }
+}
 
 /// FNV-1a accumulation over `words`, finalized with one SplitMix64 round.
 ///
@@ -122,13 +193,22 @@ pub enum TopologyError {
     ZeroBuffer,
     /// Schedulers need at least one matching iteration.
     ZeroIterations,
-    /// The compiled simulator models buffer-placement option 3 only.
+    /// `FatTreeFabric`'s FDL stages model buffer-placement option 3 only.
     UnsupportedPlacement {
         /// The rejected placement.
         placement: Placement,
     },
     /// `FatTreeFabric` simulates the two-level, two-plane fat tree only.
     NotTwoLevelFatTree,
+    /// FDL input stages need input-only placement and `rg=1`: a bank's
+    /// shortest delay line is the one-slot local request/grant cycle, and
+    /// it has no egress stage and no per-cell control round trip.
+    UnsupportedFdl {
+        /// The spec's placement.
+        placement: Placement,
+        /// The spec's request/grant delay.
+        request_grant: u64,
+    },
     /// The spec string did not parse.
     Parse(
         /// What was wrong with it.
@@ -177,8 +257,7 @@ impl fmt::Display for TopologyError {
             TopologyError::UnsupportedPlacement { placement } => {
                 write!(
                     f,
-                    "the compiled fabric models input-only buffering; \
-                     {placement:?} is a multistage-simulator option"
+                    "FDL input stages need input-only buffering, not {placement:?}"
                 )
             }
             TopologyError::NotTwoLevelFatTree => {
@@ -186,6 +265,16 @@ impl fmt::Display for TopologyError {
                     f,
                     "needs the fault-capable two-level fat tree \
                      (fat-tree:…,levels=2,planes=2)"
+                )
+            }
+            TopologyError::UnsupportedFdl {
+                placement,
+                request_grant,
+            } => {
+                write!(
+                    f,
+                    "FDL input stages need placement=3 and rg=1, \
+                     not {placement:?} and rg={request_grant}"
                 )
             }
             TopologyError::Parse(why) => write!(f, "bad topology spec: {why}"),
@@ -286,9 +375,14 @@ pub struct TopologySpec {
     pub buffer: BufferSizing,
     /// Matching iterations per switch per slot.
     pub iterations: usize,
-    /// Buffer placement (Fig. 2 option; the compiled simulator supports
-    /// option 3, `InputOnly`).
+    /// Buffer placement (Fig. 2 option): where the credit check sits,
+    /// and whether requests cross the cable.
     pub placement: Placement,
+    /// Slots of the local request/grant cycle: a cell that lands in a
+    /// buffer in slot t is schedulable at t + `request_grant` (plus the
+    /// control round trip 2·`link_delay` under option 2). The paper's
+    /// §V timing is 1; 0 schedules a cell in the slot it lands.
+    pub request_grant: u64,
 }
 
 impl TopologySpec {
@@ -301,6 +395,17 @@ impl TopologySpec {
             buffer: BufferSizing::RttSized,
             iterations: 3,
             placement: Placement::InputOnly,
+            request_grant: 0,
+        }
+    }
+
+    /// This family, radix and scale as its constructor builds them: every
+    /// link, buffer and scheduling parameter at its default. What
+    /// `Display` prints nothing for.
+    pub fn shape(&self) -> Self {
+        TopologySpec {
+            family: self.family,
+            ..Self::fat_tree(self.radix, 1)
         }
     }
 
@@ -349,6 +454,18 @@ impl TopologySpec {
     /// Replace the matching iteration count.
     pub fn with_iterations(mut self, iters: usize) -> Self {
         self.iterations = iters;
+        self
+    }
+
+    /// Replace the buffer placement.
+    pub fn with_placement(mut self, placement: Placement) -> Self {
+        self.placement = placement;
+        self
+    }
+
+    /// Replace the request/grant delay.
+    pub fn with_request_grant(mut self, slots: u64) -> Self {
+        self.request_grant = slots;
         self
     }
 
@@ -494,6 +611,9 @@ impl TopologySpec {
 }
 
 impl fmt::Display for TopologySpec {
+    /// The family and scale, then every key that differs from the
+    /// family constructor's default ([`shape`](TopologySpec::shape)):
+    /// the string parses back to this spec.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.family {
             TopologyFamily::FatTree { levels, planes } => {
@@ -501,15 +621,32 @@ impl fmt::Display for TopologySpec {
                     f,
                     "fat-tree:radix={},levels={levels},planes={planes}",
                     self.radix
-                )
+                )?;
             }
             TopologyFamily::Dragonfly { groups } => {
-                write!(f, "dragonfly:radix={},groups={groups}", self.radix)
+                write!(f, "dragonfly:radix={},groups={groups}", self.radix)?;
             }
             TopologyFamily::FullMesh { switches } => {
-                write!(f, "full-mesh:radix={},switches={switches}", self.radix)
+                write!(f, "full-mesh:radix={},switches={switches}", self.radix)?;
             }
         }
+        let default = self.shape();
+        if self.link_delay != default.link_delay {
+            write!(f, ",delay={}", self.link_delay)?;
+        }
+        if let BufferSizing::Cells(cells) = self.buffer {
+            write!(f, ",buffer={cells}")?;
+        }
+        if self.iterations != default.iterations {
+            write!(f, ",iters={}", self.iterations)?;
+        }
+        if self.placement != default.placement {
+            write!(f, ",placement={}", self.placement.option())?;
+        }
+        if self.request_grant != default.request_grant {
+            write!(f, ",rg={}", self.request_grant)?;
+        }
+        Ok(())
     }
 }
 
@@ -519,7 +656,8 @@ impl FromStr for TopologySpec {
     /// Parse `family:key=value,...`. Families: `fat-tree` (keys `radix`,
     /// `levels`, optional `planes`), `dragonfly` (`radix`, `groups`),
     /// `full-mesh` (`radix`, `switches`). Optional everywhere: `delay`,
-    /// `buffer` (`rtt` or a cell count), `iters`.
+    /// `buffer` (`rtt` or a cell count), `iters`, `placement` (the
+    /// Fig. 2 option, 1 to 3), `rg`.
     fn from_str(s: &str) -> Result<Self, TopologyError> {
         let bad = |why: String| TopologyError::Parse(why);
         let (family, rest) = s
@@ -533,6 +671,8 @@ impl FromStr for TopologySpec {
         let mut delay: Option<u64> = None;
         let mut buffer: Option<BufferSizing> = None;
         let mut iters: Option<usize> = None;
+        let mut placement: Option<Placement> = None;
+        let mut rg: Option<u64> = None;
         for kv in rest.split(',').filter(|kv| !kv.is_empty()) {
             let (key, value) = kv
                 .split_once('=')
@@ -550,6 +690,13 @@ impl FromStr for TopologySpec {
                 "switches" => switches = Some(num()? as u32),
                 "delay" => delay = Some(num()?),
                 "iters" => iters = Some(num()? as usize),
+                "rg" => rg = Some(num()?),
+                "placement" => {
+                    let option = num()?;
+                    let known = Placement::ALL.into_iter().find(|p| p.option() == option);
+                    placement =
+                        Some(known.ok_or_else(|| bad(format!("placement={value} is not 1..=3")))?)
+                }
                 "buffer" => {
                     buffer = Some(if value == "rtt" {
                         BufferSizing::RttSized
@@ -589,6 +736,12 @@ impl FromStr for TopologySpec {
         if let Some(i) = iters {
             spec.iterations = i;
         }
+        if let Some(p) = placement {
+            spec.placement = p;
+        }
+        if let Some(slots) = rg {
+            spec.request_grant = slots;
+        }
         spec.validate()?;
         Ok(spec)
     }
@@ -597,6 +750,100 @@ impl FromStr for TopologySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A valid spec of any family with any combination of the optional
+    /// keys at or away from its default.
+    fn any_valid_spec() -> impl Strategy<Value = TopologySpec> {
+        let family = (0usize..4, 2usize..=8, 1u32..=3, 0u32..40);
+        let keys = (
+            1u64..=6,
+            0usize..=12,
+            1usize..=4,
+            0usize..3,
+            prop::sample::select(vec![0u64, 0, 1, 2, 7]),
+        );
+        (family, keys).prop_map(|((kind, half, levels, scale), keys)| {
+            let radix = 2 * half;
+            let shape = match kind {
+                0 => TopologySpec::fat_tree(radix, levels),
+                1 => TopologySpec::m_ary_fat_tree(radix, levels),
+                2 => {
+                    let max = DragonflyShape::for_radix(radix).unwrap().max_groups();
+                    TopologySpec::dragonfly(radix, 1 + scale % max)
+                }
+                _ => TopologySpec::full_mesh(radix, 1 + scale % radix as u32),
+            };
+            let (link_delay, buffer, iterations, placement, request_grant) = keys;
+            let spec = TopologySpec {
+                link_delay,
+                iterations,
+                placement: Placement::ALL[placement],
+                request_grant,
+                ..shape
+            };
+            match buffer {
+                0 => spec,
+                cells => spec.with_buffer_cells(cells),
+            }
+        })
+    }
+
+    proptest! {
+        /// `Display` is the serialization campaigns key and checkpoint by:
+        /// a key it dropped would run with its default in every worker,
+        /// and make two different campaigns share checkpoints.
+        #[test]
+        fn a_spec_prints_to_a_string_that_parses_back_to_it(spec in any_valid_spec()) {
+            prop_assert_eq!(spec.validate(), Ok(()));
+            prop_assert_eq!(spec.to_string().parse(), Ok(spec), "{}", spec);
+        }
+    }
+
+    #[test]
+    fn default_specs_print_as_they_always_did() {
+        // Every constructor's default, and with them the strings
+        // campaigns and the benchmark's fabric workloads are keyed by.
+        for (spec, text) in [
+            (
+                TopologySpec::two_level(64),
+                "fat-tree:radix=64,levels=2,planes=2",
+            ),
+            (
+                TopologySpec::fat_tree(32, 3),
+                "fat-tree:radix=32,levels=3,planes=2",
+            ),
+            (
+                TopologySpec::m_ary_fat_tree(8, 4),
+                "fat-tree:radix=8,levels=4,planes=1",
+            ),
+            (
+                TopologySpec::dragonfly(64, 16),
+                "dragonfly:radix=64,groups=16",
+            ),
+            (
+                TopologySpec::full_mesh(8, 5),
+                "full-mesh:radix=8,switches=5",
+            ),
+        ] {
+            assert_eq!(spec.to_string(), text);
+            assert_eq!(text.parse(), Ok(spec));
+            assert_eq!(spec.shape(), spec);
+        }
+        // Away from the defaults every key shows, in one order.
+        let spec = TopologySpec::two_level(8)
+            .with_link_delay(5)
+            .with_buffer_cells(9)
+            .with_iterations(2)
+            .with_placement(Placement::OutputOnly)
+            .with_request_grant(1);
+        let text = "fat-tree:radix=8,levels=2,planes=2,delay=5,buffer=9,iters=2,placement=2,rg=1";
+        assert_eq!(spec.to_string(), text);
+        assert_eq!(spec.shape(), TopologySpec::two_level(8));
+        assert!("fat-tree:radix=8,levels=2,placement=4"
+            .parse::<TopologySpec>()
+            .is_err());
+    }
 
     #[test]
     fn flow_hashes_match_legacy_simulators() {
