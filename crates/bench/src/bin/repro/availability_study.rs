@@ -10,8 +10,8 @@
 //! registry, spans, snapshots — see DESIGN.md for the record schema)
 //! from the nominal and stochastic legs; `--progress` reports live
 //! per-job sweep progress on stderr; `--topology <spec>` routes every
-//! leg through a declared topology (must be the fault-capable two-level
-//! fat tree, e.g. `fat-tree:radix=16,levels=2,planes=2`).
+//! leg through a declared topology (one with wavelength planes to fail:
+//! a fat tree of two or more levels, e.g. `fat-tree:radix=8,levels=3`).
 
 use osmosis_bench::{or_exit, print_table, report_stream, Args};
 use osmosis_core::experiments::availability::{self, AvailabilityOptions};

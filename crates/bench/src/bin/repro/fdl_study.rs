@@ -14,8 +14,8 @@
 //! * `--smoke` — the CI gate: reproducibility, electronic/FDL
 //!   separation, dead-line loss typing and telemetry-schema assertions
 //!   under a time budget; exit 1 on failure, writes nothing;
-//! * `--topology <spec>` — run the grid on a declared fault-capable
-//!   two-level fat tree (exit 2 on a bad spec).
+//! * `--topology <spec>` — run the grid on a declared topology of any
+//!   family (exit 2 on a bad spec).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -25,7 +25,7 @@ use osmosis_core::experiments::fdl_study::{
     run_with, FdlStudy, FdlStudyOptions, StudyFault, OPTIONS,
 };
 use osmosis_core::Scale;
-use osmosis_fabric::multistage::BufferTech;
+use osmosis_fabric::BufferTech;
 use osmosis_fabric::TopologySpec;
 use osmosis_sim::json::Value;
 use osmosis_telemetry::export::{meta_record, summary_record};

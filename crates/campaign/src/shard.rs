@@ -12,8 +12,7 @@
 
 use crate::spec::{BufferSpec, CampaignSpec, FaultSpec, ScenarioPoint};
 use crate::{fnv_words, CampaignError};
-use osmosis_fabric::multistage::{BufferTech, FabricConfig, FatTreeFabric, Placement};
-use osmosis_fabric::{CompiledFabric, ExpandedFabric};
+use osmosis_fabric::{BufferTech, CompiledFabric, Placement, TopologyFamily};
 use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis_sched::Flppr;
 use osmosis_sim::engine::EngineConfig;
@@ -253,53 +252,47 @@ fn traffic_for(hosts: usize, point: &ScenarioPoint) -> Box<dyn TrafficGen> {
 /// of `(spec, point.index)`.
 fn run_point(spec: &CampaignSpec, point: &ScenarioPoint) -> Result<PointDigest, CampaignError> {
     let cfg = EngineConfig::new(spec.warmup, spec.measure).with_seed(point.seed);
-    // A two-level fat-tree spec is the fault-capable topology (its spines
-    // are wavelength planes with degraded-mode rerouting) and runs on the
-    // multistage fabric; any other spec — one that fails validation
-    // included — goes to the compiled path, which reports it.
-    let topology = point.topology.as_ref();
-    match topology.map(|tspec| (tspec, FabricConfig::try_from(tspec))) {
-        None => {
-            // Single-stage FLPPR switch. No fault hooks here: non-None
-            // fault variants run clean (deterministically) by design.
-            let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(spec.ports, 1)));
-            let mut tr = traffic_for(spec.ports, point);
-            Ok(simulate(&mut sw, tr.as_mut(), &cfg, None))
-        }
-        Some((tspec, Ok(fab_cfg))) => {
-            // The buffer axis only binds here: FDL input stages need the
-            // multistage fabric's buffer-plane seam, and the FDL plane
-            // needs the input-only placement (its shortest line is the
-            // one-slot local request/grant loop). Points that pair FDL
-            // with another placement or topology run with their native
-            // electronic buffers, like vacuous fault plans run clean.
-            let buffer_tech = match point.buffer {
-                BufferSpec::Fdl if tspec.placement == Placement::InputOnly => BufferTech::Fdl,
-                _ => BufferTech::Electronic,
-            };
-            let fab_cfg = FabricConfig {
-                buffer_tech,
-                ..fab_cfg
-            };
-            let mut fab = FatTreeFabric::try_new(fab_cfg).map_err(|e| CampaignError::Spec {
-                message: format!("topology `{tspec}`: {e}"),
-            })?;
-            let hosts = fab.topology().hosts();
-            let spines = fab.topology().spines();
-            let plan = fault_plan(&point.fault, spines);
-            let mut tr = traffic_for(hosts, point);
-            Ok(simulate(&mut fab, tr.as_mut(), &cfg, plan))
-        }
-        Some((tspec, Err(_))) => {
-            let expansion = ExpandedFabric::expand(*tspec).map_err(|e| CampaignError::Spec {
-                message: format!("topology `{tspec}`: {e}"),
-            })?;
-            let hosts = expansion.hosts.len();
-            let mut fab = CompiledFabric::over(expansion);
-            let mut tr = traffic_for(hosts, point);
-            Ok(simulate(&mut fab, tr.as_mut(), &cfg, None))
-        }
-    }
+    let Some(declared) = point.topology.as_ref() else {
+        // Single-stage FLPPR switch. No fault hooks here: non-None
+        // fault variants run clean (deterministically) by design.
+        let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(spec.ports, 1)));
+        let mut tr = traffic_for(spec.ports, point);
+        return Ok(simulate(&mut sw, tr.as_mut(), &cfg, None));
+    };
+    // The two-level, two-plane fat tree is the campaign's fault-capable
+    // topology: it runs the paper's request/grant cycle (`rg=1`) and
+    // takes the fault plan and the buffer axis. Every other spec runs as
+    // declared, clean and electronic, like vacuous fault plans run clean
+    // (widening the axes to them re-pins the campaign).
+    let two_level = TopologyFamily::FatTree {
+        levels: 2,
+        planes: 2,
+    };
+    let faultable = declared.family == two_level;
+    let paper_cycle = if faultable { 1 } else { 0 };
+    let tspec = declared.with_request_grant(declared.request_grant.max(paper_cycle));
+    // FDL input stages need the input-only placement and the one-slot
+    // request/grant loop (a bank's shortest line); points that pair FDL
+    // with anything else keep their native electronic buffers.
+    let fdl = faultable
+        && point.buffer == BufferSpec::Fdl
+        && (tspec.placement, tspec.request_grant) == (Placement::InputOnly, 1);
+    let tech = if fdl {
+        BufferTech::Fdl
+    } else {
+        BufferTech::Electronic
+    };
+    let mut fab = CompiledFabric::try_new(tspec)
+        .and_then(|fab| fab.with_buffer_tech(tech))
+        .map_err(|e| CampaignError::Spec {
+            message: format!("topology `{declared}`: {e}"),
+        })?;
+    let plan = match faultable {
+        true => fault_plan(&point.fault, tspec.wavelength_planes()),
+        false => None,
+    };
+    let mut tr = traffic_for(fab.ports(), point);
+    Ok(simulate(&mut fab, tr.as_mut(), &cfg, plan))
 }
 
 /// Run shard `shard` of `shards` against the campaign in `dir`.

@@ -29,8 +29,7 @@
 
 use super::Scale;
 use osmosis_audit::{AuditMode, AuditSet};
-use osmosis_fabric::multistage::{FabricConfig, FatTreeFabric};
-use osmosis_fabric::{EngineConfig, EngineReport, TopologySpec};
+use osmosis_fabric::{CompiledFabric, EngineConfig, EngineReport, TopologySpec};
 use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis_sim::engine::{run_instrumented, TraceEvent, TraceSink};
 use osmosis_sim::json::Value;
@@ -218,25 +217,27 @@ const LOAD: f64 = 0.6;
 const LINK_DELAY: u64 = 2;
 const WINDOW: u64 = 100;
 
-fn fabric(cfg: &FabricConfig) -> FatTreeFabric {
-    FatTreeFabric::new(*cfg)
-}
-
 /// Resolve the fabric the study runs on: the default paper fabric at
-/// the chosen scale, or a declared `--topology` spec routed through the
-/// same [`FabricConfig`] path. The spec must be the fault-capable
-/// two-level fat tree — the wavelength-plane fault plane has nowhere to
-/// act on other families.
-fn resolve_fabric_config(
-    scale: Scale,
-    topology: Option<&TopologySpec>,
-) -> Result<FabricConfig, SweepError> {
-    let Some(spec) = topology else {
-        return Ok(FabricConfig::small(scale.fabric_radix(), LINK_DELAY));
+/// the chosen scale, or a declared `--topology` spec. Either runs the
+/// paper's request/grant cycle (a declared spec that leaves `rg` at 0
+/// gets 1). The spec must have wavelength planes to fail — a fat tree
+/// of two or more levels; the plane faults have nowhere to act on other
+/// families.
+fn resolve_spec(scale: Scale, topology: Option<&TopologySpec>) -> Result<TopologySpec, SweepError> {
+    let spec = match topology {
+        Some(spec) => *spec,
+        None => TopologySpec::two_level(scale.fabric_radix()).with_link_delay(LINK_DELAY),
     };
-    FabricConfig::try_from(spec).map_err(|e| SweepError::Io {
-        message: format!("availability topology `{spec}`: {e}"),
-    })
+    let fail = |why: String| SweepError::Io {
+        message: format!("availability topology `{spec}`: {why}"),
+    };
+    spec.validate().map_err(|e| fail(e.to_string()))?;
+    if spec.wavelength_planes() == 0 {
+        let why = "no wavelength planes to fail: the fault-capable topologies are fat trees \
+                   of two or more levels";
+        return Err(fail(why.into()));
+    }
+    Ok(spec.with_request_grant(spec.request_grant.max(1)))
 }
 
 fn traffic(hosts: usize, seed: u64) -> BernoulliUniform {
@@ -254,7 +255,7 @@ fn traffic(hosts: usize, seed: u64) -> BernoulliUniform {
 /// reordering by design (the paper's resequencer argument), so those
 /// legs run the order-free battery.
 fn run_leg<T: TraceSink>(
-    fab_cfg: &FabricConfig,
+    spec: &TopologySpec,
     seed: u64,
     cfg: &EngineConfig,
     sink: &mut T,
@@ -262,9 +263,8 @@ fn run_leg<T: TraceSink>(
     audit: bool,
     ordered: bool,
 ) -> (EngineReport, u64) {
-    let mut fab = fabric(fab_cfg);
-    let hosts = fab.topology().hosts();
-    let mut tr = traffic(hosts, seed);
+    let mut fab = CompiledFabric::new(*spec);
+    let mut tr = traffic(spec.hosts() as usize, seed);
     let mut driven = Driven::new(&mut fab, &mut tr);
     let mut inj = plan.map(FaultInjector::new);
     let faults = inj.as_mut().map(|i| i as &mut dyn FaultView);
@@ -284,16 +284,12 @@ fn run_leg<T: TraceSink>(
 /// Checkpoint key: ties a state file to the exact sweep it belongs to,
 /// so a stale file from another seed, scale, or topology is ignored,
 /// not resumed.
-fn ckpt_key(tag: u64, fab_cfg: &FabricConfig, seed: u64) -> u64 {
+fn ckpt_key(tag: u64, spec: &TopologySpec, seed: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in [
-        tag,
-        fab_cfg.radix as u64,
-        fab_cfg.link_delay,
-        fab_cfg.buffer_cells as u64,
-        fab_cfg.iterations as u64,
-        seed,
-    ] {
+    for v in [tag, seed]
+        .into_iter()
+        .chain(spec.to_string().bytes().map(u64::from))
+    {
         h ^= v;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
@@ -337,9 +333,9 @@ pub fn run_with(
     seed: u64,
     opts: &AvailabilityOptions,
 ) -> Result<AvailabilityResult, SweepError> {
-    let fab_cfg = resolve_fabric_config(scale, opts.topology.as_ref())?;
-    let hosts = fabric(&fab_cfg).topology().hosts();
-    let planes = fabric(&fab_cfg).topology().spines();
+    let spec = resolve_spec(scale, opts.topology.as_ref())?;
+    let hosts = spec.hosts() as usize;
+    let planes = spec.wavelength_planes();
     let cfg = EngineConfig::new(500, scale.measure().min(12_000)).with_seed(seed);
 
     let mut sweep_opts = SweepOptions::seeded(seed).with_backoff_base_ms(0);
@@ -370,15 +366,15 @@ pub fn run_with(
     let ckpt = |tag: u64, name: &str| {
         opts.checkpoint_dir
             .as_ref()
-            .map(|dir| CheckpointLog::new(dir.join(name), ckpt_key(tag, &fab_cfg, seed)))
+            .map(|dir| CheckpointLog::new(dir.join(name), ckpt_key(tag, &spec, seed)))
     };
 
     // Fault-free reference. Each run gets a freshly built fabric so the
     // bit-identical comparison below is over identical starting states.
     let (nominal, mut violations) = match telemetry.as_mut() {
-        Some(sink) => run_leg(&fab_cfg, seed, &cfg, sink, None, opts.audit, true),
+        Some(sink) => run_leg(&spec, seed, &cfg, sink, None, opts.audit, true),
         None => run_leg(
-            &fab_cfg,
+            &spec,
             seed,
             &cfg,
             &mut osmosis_sim::NullTrace,
@@ -403,7 +399,7 @@ pub fn run_with(
                 plan = plan.permanent(FaultKind::WavelengthLoss { plane }, 0);
             }
             let (report, _) = run_leg(
-                &fab_cfg,
+                &spec,
                 seed,
                 &cfg,
                 &mut osmosis_sim::NullTrace,
@@ -442,7 +438,7 @@ pub fn run_with(
         let run_cfg = EngineConfig::new(0, horizon).with_seed(seed);
         let mut windows = DeliveryWindows::new(WINDOW);
         let (_, audit_violations) = run_leg(
-            &fab_cfg,
+            &spec,
             seed,
             &run_cfg,
             &mut windows,
@@ -482,17 +478,9 @@ pub fn run_with(
     let plan = FaultPlan::new().stochastic(FaultKind::WavelengthLoss { plane: 0 }, mtbf, mttr);
     let run_cfg = EngineConfig::new(0, slots).with_seed(seed);
     let (r, v) = match telemetry.as_mut() {
-        Some(sink) => run_leg(
-            &fab_cfg,
-            seed,
-            &run_cfg,
-            sink,
-            Some(plan),
-            opts.audit,
-            false,
-        ),
+        Some(sink) => run_leg(&spec, seed, &run_cfg, sink, Some(plan), opts.audit, false),
         None => run_leg(
-            &fab_cfg,
+            &spec,
             seed,
             &run_cfg,
             &mut osmosis_sim::NullTrace,
@@ -647,8 +635,8 @@ mod tests {
 
     #[test]
     fn declared_topology_routes_through_the_same_fabric_path() {
-        // `fat-tree:radix=8,levels=2,planes=2` expands to exactly the
-        // default Quick-scale FabricConfig, so routing the study through
+        // `fat-tree:radix=8,levels=2,planes=2` is exactly the default
+        // Quick-scale fabric, so routing the study through
         // the declarative spec must change nothing — bit for bit.
         let default_run = run(Scale::Quick, 41);
         let routed = run_with(

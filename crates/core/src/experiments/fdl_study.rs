@@ -4,8 +4,8 @@
 //!
 //! The grid crosses the four buffer options with offered load,
 //! burstiness, and fault plans — including the delay-line fault class
-//! that only exists for the optical option — on the fault-capable
-//! two-level fat tree. Every leg can run with the invariant-audit
+//! that only exists for the optical option — on the §V two-level fat
+//! tree, or any declared topology. Every leg can run with the invariant-audit
 //! battery attached (the FDL cell-conservation auditor included); a
 //! clean audit leaves each report bit-identical to the unaudited run.
 //!
@@ -19,8 +19,9 @@
 use super::Scale;
 use osmosis_audit::{AuditMode, AuditSet};
 use osmosis_fabric::flow_control::required_buffer_cells;
-use osmosis_fabric::multistage::{BufferTech, FabricConfig, FatTreeFabric, Placement};
-use osmosis_fabric::{EngineConfig, EngineReport, TopologySpec};
+use osmosis_fabric::{
+    BufferTech, CompiledFabric, EngineConfig, EngineReport, Placement, TopologySpec,
+};
 use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis_sim::engine::run_instrumented;
 use osmosis_sim::{FaultView, NullTrace, SeedSequence};
@@ -70,7 +71,7 @@ pub const OPTIONS: [BufferOption; 4] = [
 pub enum StudyFault {
     /// No faults: the nominal leg.
     None,
-    /// Half the delay lines of every input queue on leaf 0 go dark at
+    /// Half the delay lines of every input queue on switch 0 go dark at
     /// slot 0 — the optical option loses half its guaranteed capacity
     /// there and takes typed `dead_line` losses; the electronic options
     /// ignore the plan entirely.
@@ -97,7 +98,7 @@ impl StudyFault {
         match self {
             StudyFault::None => None,
             StudyFault::DelayLinesDead => {
-                // Leaf 0 is node index 0, so its input `p`'s local line
+                // Switch 0 is node index 0, so its input `p`'s local line
                 // `l` has global index (0·radix + p)·lines_per_queue + l.
                 let mut plan = FaultPlan::new();
                 for input in 0..radix {
@@ -159,9 +160,9 @@ pub struct FdlStudyOptions {
     /// included) to every leg.
     pub audit: bool,
     /// Run on this declared topology instead of the default paper fabric
-    /// at the chosen scale. Must be the fault-capable two-level fat tree
-    /// — the delay-line and wavelength-plane fault plans have nowhere to
-    /// act on other families.
+    /// at the chosen scale. (Outside a fat tree of two or more levels
+    /// the wavelength-plane fault plan has nothing to act on and its
+    /// legs run clean.)
     pub topology: Option<TopologySpec>,
 }
 
@@ -208,18 +209,6 @@ pub fn faults(scale: Scale) -> Vec<StudyFault> {
     }
 }
 
-fn resolve_shape(
-    scale: Scale,
-    topology: Option<&TopologySpec>,
-) -> Result<FabricConfig, FdlStudyError> {
-    let Some(spec) = topology else {
-        return Ok(FabricConfig::small(scale.fabric_radix(), 2));
-    };
-    FabricConfig::try_from(spec).map_err(|e| FdlStudyError {
-        message: format!("fdl_study topology `{spec}`: {e}"),
-    })
-}
-
 /// Fig. 2's fair per-placement buffer sizing (see `fig2.rs`): option 2's
 /// request/grant crosses the long cable, so its buffers grow by the
 /// control RTT.
@@ -258,10 +247,15 @@ pub fn run_with(
     seed: u64,
     opts: &FdlStudyOptions,
 ) -> Result<FdlStudy, FdlStudyError> {
-    let shape = resolve_shape(scale, opts.topology.as_ref())?;
+    // The default paper fabric at the chosen scale or the declared spec,
+    // on the paper's request/grant cycle either way (FDL stages need it).
+    let declared = opts.topology;
+    let shape = declared
+        .unwrap_or_else(|| TopologySpec::two_level(scale.fabric_radix()))
+        .with_request_grant(1);
     let (radix, link_delay) = (shape.radix, shape.link_delay);
     let cfg = EngineConfig::new(scale.warmup(), scale.measure().min(12_000)).with_seed(seed);
-    let hosts = radix * radix / 2;
+    let hosts = shape.hosts() as usize;
 
     let mut points = Vec::new();
     let mut violations = 0u64;
@@ -270,13 +264,14 @@ pub fn run_with(
             for &load in &loads(scale) {
                 for option in OPTIONS {
                     let buffer_cells = fair_buffer_cells(option.placement, link_delay);
-                    let fab_cfg = FabricConfig {
-                        buffer_cells,
-                        placement: option.placement,
-                        buffer_tech: option.tech,
-                        ..shape
-                    };
-                    let mut fab = FatTreeFabric::new(fab_cfg);
+                    let spec = shape
+                        .with_placement(option.placement)
+                        .with_buffer_cells(buffer_cells);
+                    let mut fab = CompiledFabric::try_new(spec)
+                        .and_then(|fab| fab.with_buffer_tech(option.tech))
+                        .map_err(|e| FdlStudyError {
+                            message: format!("fdl_study topology `{spec}`: {e}"),
+                        })?;
                     let mut tr = traffic(hosts, load, burst, seed);
                     let mut driven = Driven::new(&mut fab, tr.as_mut());
                     let mut inj = fault.plan(radix, buffer_cells).map(FaultInjector::new);
@@ -448,15 +443,28 @@ mod tests {
                 "equivalent declared topology must not perturb the study"
             );
         }
-        let err = run_with(
-            Scale::Quick,
-            57,
-            &FdlStudyOptions {
-                topology: Some(TopologySpec::dragonfly(8, 4)),
-                ..Default::default()
-            },
-        )
-        .expect_err("dragonfly has no buffer-plane seam");
-        assert!(err.to_string().contains("fault-capable"), "{err}");
+        // The buffer planes are not confined to one topology: on a
+        // dragonfly the FDL option takes its dead-line losses at router 0,
+        // and only a spec that does not validate is refused.
+        let on = |topology| FdlStudyOptions {
+            topology: Some(topology),
+            ..Default::default()
+        };
+        let dragonfly = run_with(Scale::Quick, 57, &on(TopologySpec::dragonfly(8, 4)))
+            .expect("any valid topology runs");
+        for p in &dragonfly.points {
+            let lossy = p.option.tech == BufferTech::Fdl && p.fault == StudyFault::DelayLinesDead;
+            assert_eq!(
+                p.report.dropped > 0,
+                lossy,
+                "{} {:?}",
+                p.option.name,
+                p.fault
+            );
+            assert_eq!(p.report.reordered, 0);
+        }
+        let err = run_with(Scale::Quick, 57, &on(TopologySpec::dragonfly(8, 99)))
+            .expect_err("more groups than the radix supports");
+        assert!(err.to_string().contains("group count"), "{err}");
     }
 }

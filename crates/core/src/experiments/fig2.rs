@@ -5,8 +5,7 @@
 
 use super::Scale;
 use osmosis_fabric::flow_control::required_buffer_cells;
-use osmosis_fabric::multistage::{BufferTech, FabricConfig, FatTreeFabric, Placement};
-use osmosis_fabric::{EngineConfig, TopologySpec};
+use osmosis_fabric::{CompiledFabric, EngineConfig, Placement, TopologySpec};
 use osmosis_sim::SeedSequence;
 use osmosis_traffic::BernoulliUniform;
 
@@ -43,59 +42,51 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Fig2Row> {
     run_on(&default_topology(scale), scale, seed)
 }
 
-/// Run the comparison on a declared two-level topology spec. The spec
-/// contributes the fabric's shape (radix, cable length, matching
-/// iterations); the placement axis and the per-placement fair buffer
-/// sizing are the experiment's own, so the spec's `placement` and
-/// `buffer` fields are ignored.
+/// Run the comparison on a declared topology spec. The spec contributes
+/// the fabric's shape, cable length and matching iterations; the
+/// placement axis and the per-placement fair buffer sizing are the
+/// experiment's own, so the spec's `placement` and `buffer` fields are
+/// ignored, and the stages run the paper's request/grant cycle (`rg` at
+/// least 1).
 pub fn run_on(spec: &TopologySpec, scale: Scale, seed: u64) -> Vec<Fig2Row> {
-    let radix = spec.radix;
     let link_delay = spec.link_delay;
-    [
-        Placement::InputAndOutput,
-        Placement::OutputOnly,
-        Placement::InputOnly,
-    ]
-    .into_iter()
-    .map(|placement| {
-        // Fair sizing: option 2's request/grant crosses the long cable,
-        // so cells occupy the buffer for an extra control RTT before
-        // they are even schedulable — its buffers must grow by 2·d to
-        // sustain the same load (the paper's "impact on the size"
-        // remark for the non-chosen options cuts both ways).
-        let buffer_cells = required_buffer_cells(link_delay)
-            + 2
-            + if placement == Placement::OutputOnly {
-                2 * link_delay as usize
-            } else {
-                0
+    Placement::ALL
+        .into_iter()
+        .map(|placement| {
+            // Fair sizing: option 2's request/grant crosses the long cable,
+            // so cells occupy the buffer for an extra control RTT before
+            // they are even schedulable — its buffers must grow by 2·d to
+            // sustain the same load (the paper's "impact on the size"
+            // remark for the non-chosen options cuts both ways).
+            let buffer_cells = required_buffer_cells(link_delay)
+                + 2
+                + if placement == Placement::OutputOnly {
+                    2 * link_delay as usize
+                } else {
+                    0
+                };
+            let placed = spec
+                .with_placement(placement)
+                .with_buffer_cells(buffer_cells)
+                .with_request_grant(spec.request_grant.max(1));
+            let run_at = |load: f64| {
+                let mut fab = CompiledFabric::new(placed);
+                let hosts = placed.hosts() as usize;
+                let mut tr = BernoulliUniform::new(hosts, load, &SeedSequence::new(seed));
+                fab.run(&mut tr, &EngineConfig::new(scale.warmup(), scale.measure()))
             };
-        let cfg = FabricConfig {
-            radix,
-            link_delay,
-            buffer_cells,
-            iterations: spec.iterations,
-            placement,
-            buffer_tech: BufferTech::Electronic,
-        };
-        let run_at = |load: f64| {
-            let mut fab = FatTreeFabric::new(cfg);
-            let hosts = fab.topology().hosts();
-            let mut tr = BernoulliUniform::new(hosts, load, &SeedSequence::new(seed));
-            fab.run(&mut tr, &EngineConfig::new(scale.warmup(), scale.measure()))
-        };
-        let light = run_at(0.05);
-        let moderate = run_at(0.6);
-        Fig2Row {
-            placement,
-            oeo_per_stage: placement.oeo_per_stage(),
-            light_load_latency: light.mean_delay,
-            moderate_load_latency: moderate.mean_delay,
-            moderate_throughput: moderate.throughput,
-            buffer_cells_needed: cfg.buffer_cells,
-        }
-    })
-    .collect()
+            let light = run_at(0.05);
+            let moderate = run_at(0.6);
+            Fig2Row {
+                placement,
+                oeo_per_stage: placement.oeo_per_stage(),
+                light_load_latency: light.mean_delay,
+                moderate_load_latency: moderate.mean_delay,
+                moderate_throughput: moderate.throughput,
+                buffer_cells_needed: buffer_cells,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -6,8 +6,7 @@ use super::Scale;
 use osmosis_fabric::flow_control::{
     required_buffer_cells, run_relay_loop, RelayConfig, RelayReport,
 };
-use osmosis_fabric::multistage::{BufferTech, FabricConfig, FatTreeFabric, Placement};
-use osmosis_fabric::{EngineConfig, EngineReport};
+use osmosis_fabric::{CompiledFabric, EngineConfig, EngineReport, TopologySpec};
 use osmosis_sim::SeedSequence;
 use osmosis_traffic::Hotspot;
 
@@ -41,16 +40,12 @@ pub fn run(scale: Scale, seed: u64) -> Fig4Result {
     );
 
     let fabric_buffer = required_buffer_cells(link_delay) + 1;
-    let cfg = FabricConfig {
-        radix: scale.fabric_radix(),
-        link_delay,
-        buffer_cells: fabric_buffer,
-        iterations: 3,
-        placement: Placement::InputOnly,
-        buffer_tech: BufferTech::Electronic,
-    };
-    let mut fab = FatTreeFabric::new(cfg);
-    let hosts = fab.topology().hosts();
+    let spec = TopologySpec::two_level(scale.fabric_radix())
+        .with_link_delay(link_delay)
+        .with_buffer_cells(fabric_buffer)
+        .with_request_grant(1);
+    let mut fab = CompiledFabric::new(spec);
+    let hosts = spec.hosts() as usize;
     let mut tr = Hotspot::new(hosts, 0.5, 0, 0.5, &SeedSequence::new(seed));
     let hotspot = fab.run(&mut tr, &EngineConfig::new(scale.warmup(), scale.measure()));
 

@@ -1,9 +1,7 @@
 //! The fabric-level OSMOSIS system (§V): 64-port switches in a two-level
 //! (three-stage) fat tree → 2048 ports at 12 GByte/s each.
 
-use osmosis_fabric::multistage::{BufferTech, FabricConfig, FatTreeFabric, Placement};
-use osmosis_fabric::topology::TwoLevelFatTree;
-use osmosis_fabric::{EngineConfig, EngineReport};
+use osmosis_fabric::{CompiledFabric, EngineConfig, EngineReport, TopologySpec};
 use osmosis_sim::TimeDelta;
 use osmosis_traffic::TrafficGen;
 
@@ -40,14 +38,18 @@ impl OsmosisFabricConfig {
         }
     }
 
-    /// Topology descriptor.
-    pub fn topology(&self) -> TwoLevelFatTree {
-        TwoLevelFatTree::new(self.radix)
+    /// The fabric as a topology spec: the §V two-level tree with the
+    /// cable's flight time in slots, option-3 buffers sized for the
+    /// credit RTT, and the one-slot local request/grant cycle.
+    pub fn spec(&self) -> TopologySpec {
+        TopologySpec::two_level(self.radix)
+            .with_link_delay(self.link_delay_slots().max(1))
+            .with_request_grant(1)
     }
 
     /// Fabric port count (2048 at full size).
     pub fn ports(&self) -> usize {
-        self.topology().hosts()
+        self.spec().hosts() as usize
     }
 
     /// Aggregate bandwidth in TByte/s (≈25 at full size, §III).
@@ -67,18 +69,9 @@ impl OsmosisFabricConfig {
             .div_ceil_slots(TimeDelta::from_ns_f64(self.cell_cycle_ns))
     }
 
-    /// Build a runnable fabric instance (option-3 buffers sized for the
-    /// credit RTT).
-    pub fn build(&self) -> FatTreeFabric {
-        let d = self.link_delay_slots().max(1);
-        FatTreeFabric::new(FabricConfig {
-            radix: self.radix,
-            link_delay: d,
-            buffer_cells: (2 * d + 2) as usize,
-            iterations: 3,
-            placement: Placement::InputOnly,
-            buffer_tech: BufferTech::Electronic,
-        })
+    /// Build a runnable fabric instance.
+    pub fn build(&self) -> CompiledFabric {
+        CompiledFabric::new(self.spec())
     }
 
     /// Run traffic through a fabric instance.

@@ -77,7 +77,7 @@
 
 use crate::expand::{ExpandedFabric, Peer};
 use crate::ids::{EntityId, HostId, PortId, StageId};
-use crate::spec::{top_choice, BufferTech, Placement, TopologyError, TopologyFamily, TopologySpec};
+use crate::spec::{top_choice, BufferTech, Placement, TopologyError, TopologySpec};
 use osmosis_fdl::FdlBufferPlane;
 use osmosis_sched::matching::Matcher;
 use osmosis_sim::audit::{CreditLedger, DropReason};
@@ -207,17 +207,15 @@ impl CompiledFabric {
     pub fn over(fab: ExpandedFabric) -> Self {
         let spec = *fab.spec();
         let hosts = fab.hosts.len();
-        let (feeders, top_per_plane) = match spec.family {
-            TopologyFamily::FatTree { levels, .. } if levels >= 2 => {
-                let below = fab.stages[StageId::from_index(levels as usize - 2)];
+        let (feeders, top_per_plane) = match spec.wavelength_planes() {
+            0 => (0..0, 1),
+            planes => {
+                let below = fab.stages[StageId::from_index(fab.stages.len() - 2)];
                 let first = below.first_switch.index();
-                let tops = fab.switches.len() - first - below.switches as usize;
-                (
-                    first..first + below.switches as usize,
-                    tops / (spec.radix / 2),
-                )
+                let feeders = first..first + below.switches as usize;
+                let tops = fab.switches.len() - feeders.end;
+                (feeders, tops / planes)
             }
-            _ => (0..0, 1),
         };
         let control_rtt = match spec.placement {
             Placement::OutputOnly => 2 * spec.link_delay,
@@ -474,24 +472,32 @@ impl CompiledFabric {
     }
 
     /// Input `input` of switch `sw` freed a buffer slot in `slot`: the
-    /// credit goes back to whoever feeds that port. Under a credit-drop
+    /// credit goes back to whoever feeds that port, through wheel bucket
+    /// `next`. Under a credit-drop
     /// fault the return is lost on the wire and recovered by the
     /// periodic credit audit a few credit round trips later, so the
     /// degraded mode throttles but never deadlocks.
     fn return_credit<T: TraceSink>(
         &mut self,
-        slot: u64,
+        (slot, next): (u64, usize),
         sw: usize,
         input: usize,
         obs: &mut Observer<'_, T>,
     ) {
-        let d = self.spec.link_delay;
         let sender = self.peer[sw * self.spec.radix + input];
         if obs.faults_attached() && obs.fault_credit_dropped(sw, input) {
+            let d = self.spec.link_delay;
             self.resync.push_back((slot + d + 4 * (2 * d + 1), sender));
         } else {
-            self.credit_wheel[((slot + d) % (d + 1)) as usize].push(sender);
+            self.credit_wheel[next].push(sender);
         }
+    }
+
+    /// Is `sw` a top-stage switch of a wavelength plane that is down?
+    fn in_dead_plane(&self, sw: usize) -> bool {
+        let top = sw.checked_sub(self.feeders.end);
+        let plane = top.map(|t| t / self.top_per_plane);
+        plane.is_some_and(|p| self.plane_ok.get(p) == Some(&false))
     }
 
     /// Show an attached auditor every credit loop's ledger — `held +
@@ -633,14 +639,10 @@ impl CellSwitch for CompiledFabric {
             self.report_ledgers(obs);
         }
         if faults_on {
-            let planes = if self.feeders.is_empty() {
-                0
-            } else {
-                radix / 2
-            };
+            let planes = 0..self.spec.wavelength_planes();
             self.plane_ok.clear();
             self.plane_ok
-                .extend((0..planes).map(|p| !obs.fault_plane_down(p)));
+                .extend(planes.map(|p| !obs.fault_plane_down(p)));
             self.link_stall
                 .resize(self.fab.switches.len() + self.host_queues.len(), 0);
             // Delay-line health, re-read only in a slot where the fault
@@ -713,11 +715,8 @@ impl CellSwitch for CompiledFabric {
         // nothing, and a dead wavelength plane switches nothing: its
         // cells stall, losslessly — the credits for them stay consumed.
         for sw in 0..self.resident.len() {
-            let top = sw
-                .checked_sub(self.feeders.end)
-                .map(|t| t / self.top_per_plane);
-            let dead = faults_on && top.is_some_and(|t| self.plane_ok.get(t) == Some(&false));
-            if dead || (!self.fdl && self.resident[sw] == 0) {
+            let idle = !self.fdl && self.resident[sw] == 0;
+            if idle || (faults_on && self.in_dead_plane(sw)) {
                 continue;
             }
             // Option 1: the egress queues transmit first (a cell matched
@@ -740,7 +739,7 @@ impl CellSwitch for CompiledFabric {
             for k in 0..self.matcher.matched.len() {
                 let (i, o) = self.matcher.matched[k];
                 let flit = self.dequeue(slot, sw, i as usize, o as usize);
-                self.return_credit(slot, sw, i as usize, obs);
+                self.return_credit((slot, next), sw, i as usize, obs);
                 let p_out = sw * radix + o as usize;
                 if self.to_egress {
                     self.resident[sw] += 1;
@@ -758,7 +757,7 @@ impl CellSwitch for CompiledFabric {
         for sw in 0..self.planes.len() {
             self.planes[sw].settle(slot);
             for loss in self.planes[sw].take_losses() {
-                self.return_credit(slot, sw, loss.input, obs);
+                self.return_credit((slot, next), sw, loss.input, obs);
                 let reason = match loss.reason {
                     BufferLossReason::AdmissionFull => DropReason::BufferFull,
                     BufferLossReason::DeadLine => DropReason::FaultLoss,

@@ -1,16 +1,25 @@
 //! # osmosis-fabric
 //!
-//! Multistage fat-tree fabrics for the OSMOSIS reproduction:
+//! Multistage fabrics for the OSMOSIS reproduction:
 //!
-//! * [`topology`] — folded-Clos arithmetic and the two-level leaf–spine
-//!   instance (64-port switches → the 2048-port §V fabric);
-//! * [`multistage`] — slotted simulation of input-buffered switch stages
-//!   with credit flow control, covering the Fig. 2 buffer-placement
-//!   options and the losslessness/ordering requirements of Table 1;
+//! * [`spec`] — the declarative `family:key=value,...` topology grammar
+//!   (fat tree, dragonfly, full mesh; link, buffer, placement and
+//!   request/grant parameters) and the shared flow hashes;
+//! * [`expand`] — the compiler pass: a spec into a typed graph of
+//!   stages, switches, ports, links and hosts ([`ids`]) with minimal
+//!   per-flow-stable routing;
+//! * [`compiled`] — the fabric simulator: buffered crossbar stages behind
+//!   credit loops over any expansion, covering the Fig. 2 placement
+//!   options, FDL input stages, the fault reactions and the
+//!   losslessness/ordering requirements of Table 1;
+//! * [`loadmap`] — static link-load analysis of an expansion;
+//! * [`topology`], [`multilevel`] — folded-Clos arithmetic and the
+//!   closed forms the expansion is checked against;
 //! * [`flow_control`] — the scheduler-relayed remote FC loop of
 //!   Figs. 3–4, with its deterministic RTT and buffer-sizing law;
 //! * [`baselines`] — the §VI.C comparison: 3 OSMOSIS stages vs. 5
 //!   high-end electronic vs. 9 commodity stages at 2048 ports.
+//!
 
 //! ```
 //! use osmosis_fabric::{expanded_uniform_load_map, stages_for_ports};
@@ -37,7 +46,6 @@ pub mod flow_control;
 pub mod ids;
 pub mod loadmap;
 pub mod multilevel;
-pub mod multistage;
 pub mod spec;
 pub mod topology;
 
@@ -48,8 +56,10 @@ pub use flow_control::{required_buffer_cells, run_relay_loop, RelayConfig, Relay
 pub use ids::{EntityId, EntityVec, HostId, LinkId, PortId, StageId, SwitchId};
 pub use loadmap::{expanded_uniform_load_map, ExpandedLoadMap};
 pub use multilevel::MultiLevelClos;
-pub use multistage::{BufferTech, FabricConfig, FatTreeFabric, Placement};
-pub use spec::{BufferSizing, DragonflyShape, TopologyError, TopologyFamily, TopologySpec};
+pub use spec::{
+    BufferSizing, BufferTech, DragonflyShape, Placement, TopologyError, TopologyFamily,
+    TopologySpec,
+};
 
 // The engine types every consumer of this crate needs alongside the
 // fabrics.

@@ -193,13 +193,6 @@ pub enum TopologyError {
     ZeroBuffer,
     /// Schedulers need at least one matching iteration.
     ZeroIterations,
-    /// `FatTreeFabric`'s FDL stages model buffer-placement option 3 only.
-    UnsupportedPlacement {
-        /// The rejected placement.
-        placement: Placement,
-    },
-    /// `FatTreeFabric` simulates the two-level, two-plane fat tree only.
-    NotTwoLevelFatTree,
     /// FDL input stages need input-only placement and `rg=1`: a bank's
     /// shortest delay line is the one-slot local request/grant cycle, and
     /// it has no egress stage and no per-cell control round trip.
@@ -253,19 +246,6 @@ impl fmt::Display for TopologyError {
             }
             TopologyError::ZeroIterations => {
                 write!(f, "schedulers need at least one matching iteration")
-            }
-            TopologyError::UnsupportedPlacement { placement } => {
-                write!(
-                    f,
-                    "FDL input stages need input-only buffering, not {placement:?}"
-                )
-            }
-            TopologyError::NotTwoLevelFatTree => {
-                write!(
-                    f,
-                    "needs the fault-capable two-level fat tree \
-                     (fat-tree:…,levels=2,planes=2)"
-                )
             }
             TopologyError::UnsupportedFdl {
                 placement,
@@ -598,6 +578,17 @@ impl TopologySpec {
                     2
                 }
             }
+        }
+    }
+
+    /// Wavelength planes a fault plan can take down: the groups of
+    /// top-stage switches behind each up-port of the stage below them —
+    /// `radix / 2` in a fat tree of two or more levels (at two levels,
+    /// the §V spines), none elsewhere.
+    pub fn wavelength_planes(&self) -> usize {
+        match self.family {
+            TopologyFamily::FatTree { levels, .. } if levels >= 2 => self.radix / 2,
+            _ => 0,
         }
     }
 

@@ -487,7 +487,6 @@ impl<T> FdlQueue<T> {
 /// eligibility exactly.
 #[derive(Debug, Clone)]
 pub struct FdlBufferPlane<C> {
-    ports: usize,
     lines_per_queue: usize,
     queues: Vec<FdlQueue<(usize, C)>>,
 }
@@ -498,7 +497,6 @@ impl<C> FdlBufferPlane<C> {
     /// capacity `lines_per_queue` cells per input).
     pub fn new(ports: usize, lines_per_queue: usize) -> Self {
         FdlBufferPlane {
-            ports,
             lines_per_queue,
             queues: (0..ports)
                 .map(|_| FdlQueue::new(FdlLines::balanced(lines_per_queue)))
@@ -589,13 +587,6 @@ impl<C> BufferPlane<C> for FdlBufferPlane<C> {
             total.underflow_stalls += s.underflow_stalls;
         }
         total
-    }
-
-    fn reconfigure(&mut self, capacity: usize) {
-        self.lines_per_queue = capacity;
-        self.queues = (0..self.ports)
-            .map(|_| FdlQueue::new(FdlLines::balanced(capacity)))
-            .collect();
     }
 
     fn set_line_dead(&mut self, line: usize, dead: bool) {
@@ -1053,9 +1044,8 @@ mod tests {
     }
 
     #[test]
-    fn plane_reconfigure_and_global_line_index() {
-        let mut plane: FdlBufferPlane<u8> = FdlBufferPlane::new(2, 3);
-        plane.reconfigure(5);
+    fn plane_global_line_index() {
+        let mut plane: FdlBufferPlane<u8> = FdlBufferPlane::new(2, 5);
         assert_eq!(plane.lines_per_queue(), 5);
         // Global line 7 = input 1, local line 2.
         plane.set_line_dead(7, true);

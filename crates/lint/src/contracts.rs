@@ -34,7 +34,9 @@ pub const MODEL_TRAITS: &[&str] = &["SlottedModel", "CellScheduler", "CellSwitch
 /// shared matching kernel (`match_switch`), the sub-scheduler round
 /// every pipelined `tick` delegates to (`iterate`, `take`) and its
 /// per-cell bookkeeping (`note_arrival`, `note_departure`, the `unmatch`
-/// a departure falls into), the fabrics' buffer and credit moves, the
+/// a departure falls into), the fabric's buffer, link and credit moves
+/// (`enqueue`, `ripen`, `dequeue`, `land`, `send`, `return_credit`) and
+/// its two fault-path lookups (`in_dead_plane`, `surviving_plane`), the
 /// buffer planes' per-slot protocol past `tick` (`push`,
 /// `fill_requests`, `pop`, `settle`, and `set_line_dead`, which a fault
 /// transition fans out to every line), the flow table's two per-cell
@@ -53,10 +55,14 @@ pub const HOT_FN_NAMES: &[&str] = &[
     "note_departure",
     "unmatch",
     "enqueue",
+    "ripen",
     "dequeue",
+    "land",
     "send",
     "return_credit",
-    "report_credit_ledgers",
+    "in_dead_plane",
+    "surviving_plane",
+    "report_ledgers",
     "push",
     "fill_requests",
     "pop",
@@ -988,9 +994,10 @@ mod tests {
 
     #[test]
     fn hot_loop_alloc_sees_per_slot_maps_in_a_listed_ledger_snapshot() {
-        // The shape `FatTreeFabric::report_credit_ledgers` had before it
-        // moved to port-indexed scratch: three maps built per audited slot.
-        let src = "impl FatTreeFabric {\n    fn report_credit_ledgers(&mut self) {\n        \
+        // The shape the fabric's ledger snapshot had (as
+        // `FatTreeFabric::report_credit_ledgers`) before it moved to
+        // port-indexed scratch: three maps built per audited slot.
+        let src = "impl CompiledFabric {\n    fn report_ledgers(&mut self) {\n        \
                    let mut cells_to: BTreeMap<(usize, usize), u64> = BTreeMap::new();\n        \
                    let mut credits_to_out: BTreeMap<(usize, usize), u64> = BTreeMap::new();\n        \
                    let mut credits_to_host: BTreeMap<usize, u64> = BTreeMap::new();\n    }\n}\n";

@@ -30,7 +30,7 @@ pub mod sweep;
 pub mod time;
 
 pub use audit::{Auditor, CreditLedger, DropReason, NoAudit};
-pub use buffer::{BufferLoss, BufferLossReason, BufferPlane, BufferStats, ElectronicVoq};
+pub use buffer::{BufferLoss, BufferLossReason, BufferPlane, BufferStats};
 pub use circuit::{CircuitView, NullCircuits};
 pub use engine::{
     CountingTrace, EngineConfig, EngineReport, NullTrace, Observer, RingTrace, SlottedModel,

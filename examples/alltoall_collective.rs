@@ -20,14 +20,14 @@
 //! cargo run --release --example alltoall_collective
 //! ```
 
-use osmosis_fabric::multistage::{FabricConfig, FatTreeFabric};
-use osmosis_fabric::EngineConfig;
+use osmosis_fabric::{CompiledFabric, EngineConfig, TopologySpec};
 use osmosis_traffic::Replay;
 
 fn run_collective(radix: usize, cells_per_pair: usize, staggered: bool) -> (u64, u64) {
-    let cfg = FabricConfig::small(radix, 2);
-    let mut fabric = FatTreeFabric::new(cfg);
-    let hosts = fabric.topology().hosts();
+    // The §V two-level tree on the paper's one-slot request/grant cycle.
+    let spec = TopologySpec::two_level(radix).with_request_grant(1);
+    let mut fabric = CompiledFabric::new(spec);
+    let hosts = spec.hosts() as usize;
 
     let sends: Vec<std::collections::VecDeque<usize>> = (0..hosts)
         .map(|src| {

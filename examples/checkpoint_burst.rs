@@ -11,8 +11,7 @@
 //! cargo run --release --example checkpoint_burst
 //! ```
 
-use osmosis_fabric::multistage::{FabricConfig, FatTreeFabric};
-use osmosis_fabric::EngineConfig;
+use osmosis_fabric::{CompiledFabric, EngineConfig, TopologySpec};
 use osmosis_sim::{SeedSequence, SimRng};
 use osmosis_traffic::{Arrival, Class, TrafficGen};
 
@@ -67,9 +66,10 @@ impl TrafficGen for CheckpointTraffic {
 
 fn main() {
     let radix = 8; // 32 hosts
-    let cfg = FabricConfig::small(radix, 2);
-    let mut fabric = FatTreeFabric::new(cfg);
-    let hosts = fabric.topology().hosts();
+                   // The §V two-level tree on the paper's one-slot request/grant cycle.
+    let spec = TopologySpec::two_level(radix).with_request_grant(1);
+    let mut fabric = CompiledFabric::new(spec);
+    let hosts = spec.hosts() as usize;
     // One I/O node per leaf quadrant: hosts 0, 8, 16, 24.
     let io_nodes: Vec<usize> = (0..4).map(|i| i * (hosts / 4)).collect();
     let compute = hosts - io_nodes.len();
@@ -101,7 +101,8 @@ fn main() {
     println!("reorderings              : {}", report.reordered);
     println!(
         "peak buffer occupancy    : {} cells (capacity {})",
-        report.max_queue_depth, cfg.buffer_cells
+        report.max_queue_depth,
+        spec.buffer_cells()
     );
     println!(
         "mean fabric latency      : {:.0} cycles (queued behind the incast)",
@@ -109,7 +110,7 @@ fn main() {
     );
 
     assert_eq!(report.reordered, 0);
-    assert!(report.max_queue_depth <= cfg.buffer_cells);
+    assert!(report.max_queue_depth <= spec.buffer_cells());
     assert!(
         io_rate > 0.97,
         "the bottleneck links must run at line rate: {io_rate}"

@@ -8,7 +8,6 @@
 //! much stronger statement than comparing a few fields.
 
 use osmosis::core::{OsmosisFabricConfig, Scale};
-use osmosis::fabric::multistage::{FabricConfig, FatTreeFabric};
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::CompiledFabric;
 use osmosis::sched::Flppr;
@@ -118,9 +117,9 @@ fn multicast_workload_is_deterministic() {
 #[test]
 fn fat_tree_fabric_is_deterministic() {
     assert_seed_determinism("multistage", |s| {
-        let mut fab = FatTreeFabric::new(FabricConfig::small(8, 2));
-        let hosts = fab.topology().hosts();
-        fab.run(&mut uniform(hosts, 0.5, s), &cfg())
+        let spec = TopologySpec::two_level(8).with_request_grant(1);
+        let mut fab = CompiledFabric::new(spec);
+        fab.run(&mut uniform(spec.hosts() as usize, 0.5, s), &cfg())
     });
 }
 

@@ -9,14 +9,15 @@
 //! renaming a key in a model without updating its test breaks both this
 //! file and the lint gate.
 
-use osmosis::fabric::multistage::{BufferTech, FabricConfig, FatTreeFabric};
 use osmosis::fabric::spec::TopologySpec;
-use osmosis::fabric::CompiledFabric;
+use osmosis::fabric::{BufferTech, CompiledFabric};
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
 use osmosis::fec::{run_reliable_link, LinkConfig};
 use osmosis::ocs::{run_ocs, EpochConfig};
 use osmosis::sim::{EngineConfig, EngineReport, SeedSequence};
-use osmosis::switch::{run_multicast, CioqSwitch, DeflectionSwitch};
+use osmosis::switch::{
+    run_multicast, run_switch_faulted, CellSwitch, CioqSwitch, DeflectionSwitch,
+};
 use osmosis::traffic::BernoulliUniform;
 
 const SEED: u64 = 1234;
@@ -43,10 +44,7 @@ fn extra(r: &EngineReport, key: &str) -> f64 {
 #[test]
 fn compiled_fabric_reports_its_expanded_shape() {
     let mut fab = CompiledFabric::new(TopologySpec::two_level(8));
-    let hosts = {
-        use osmosis::switch::driven::CellSwitch;
-        fab.ports()
-    };
+    let hosts = fab.ports();
     let r = fab.run(&mut uniform(hosts, 0.3), &cfg());
     // A radix-8 two-level fat tree: 8 leaves + 4 spines, and the §VI.C
     // stage count is switch hops on the longest minimal route (2L−1).
@@ -73,15 +71,14 @@ fn dead_line_plan(radix: usize, lines_per_queue: usize) -> FaultPlan {
 #[test]
 fn fdl_fabric_reports_buffer_plane_counters() {
     const RADIX: usize = 8;
-    let base = FabricConfig::small(RADIX, 2);
-    let lines_per_queue = base.buffer_cells;
-    let mut fab = FatTreeFabric::new(FabricConfig {
-        buffer_tech: BufferTech::Fdl,
-        ..base
-    });
-    let hosts = fab.topology().hosts();
+    let spec = TopologySpec::two_level(RADIX).with_request_grant(1);
+    let lines_per_queue = spec.buffer_cells();
+    let mut fab = CompiledFabric::new(spec)
+        .with_buffer_tech(BufferTech::Fdl)
+        .expect("input-only at rg=1");
+    let hosts = fab.ports();
     let mut inj = FaultInjector::new(dead_line_plan(RADIX, lines_per_queue));
-    let r = fab.run_faulted(&mut uniform(hosts, 0.5), &cfg(), &mut inj);
+    let r = run_switch_faulted(&mut fab, &mut uniform(hosts, 0.5), &cfg(), &mut inj);
 
     // Emulated fiber loops recirculate cells that cannot depart on
     // their first pass; at 50% load there are always some.
@@ -109,10 +106,10 @@ fn deterministic_outages_report_injection_accounting() {
     let plan = FaultPlan::new()
         .one_shot(FaultKind::SoaStuckOff { output: 1 }, 400, Some(300))
         .one_shot(FaultKind::WavelengthLoss { plane: 1 }, 600, Some(800));
-    let mut fab = FatTreeFabric::new(FabricConfig::small(8, 2));
-    let hosts = fab.topology().hosts();
+    let mut fab = CompiledFabric::new(TopologySpec::two_level(8).with_request_grant(1));
+    let hosts = fab.ports();
     let mut inj = FaultInjector::new(plan);
-    let r = fab.run_faulted(&mut uniform(hosts, 0.5), &cfg(), &mut inj);
+    let r = run_switch_faulted(&mut fab, &mut uniform(hosts, 0.5), &cfg(), &mut inj);
 
     assert_eq!(extra(&r, "faults_injected"), 2.0);
     assert_eq!(extra(&r, "faults_healed"), 2.0);
@@ -142,10 +139,10 @@ fn probabilistic_wire_faults_report_event_tallies() {
             600,
             Some(900),
         );
-    let mut fab = FatTreeFabric::new(FabricConfig::small(8, 2));
-    let hosts = fab.topology().hosts();
+    let mut fab = CompiledFabric::new(TopologySpec::two_level(8).with_request_grant(1));
+    let hosts = fab.ports();
     let mut inj = FaultInjector::new(plan);
-    let r = fab.run_faulted(&mut uniform(hosts, 0.5), &cfg(), &mut inj);
+    let r = run_switch_faulted(&mut fab, &mut uniform(hosts, 0.5), &cfg(), &mut inj);
 
     assert!(extra(&r, "fault_credits_dropped") > 0.0);
     let corrupted = extra(&r, "fault_cells_corrupted");

@@ -5,7 +5,6 @@
 //! every simulator's report bit-identical to the plain, unfaulted run
 //! (the hook costs nothing when unused).
 
-use osmosis::fabric::multistage::{FabricConfig, FatTreeFabric};
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::CompiledFabric;
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
@@ -203,7 +202,7 @@ fn remote_scheduler_switch_faults_are_deterministic() {
 #[test]
 fn fat_tree_fabric_faults_are_deterministic() {
     assert_fault_determinism("multistage", 32, 0.5, true, true, || {
-        FatTreeFabric::new(FabricConfig::small(8, 2))
+        CompiledFabric::new(TopologySpec::two_level(8).with_request_grant(1))
     });
 }
 

@@ -1,4 +1,4 @@
-//! Pinned fingerprints for the FDL-buffered multistage fabric.
+//! Pinned fingerprints for the FDL-buffered fabric.
 //!
 //! Same-seed runs of the fat tree with emulated fiber-delay-line input
 //! buffers must be bit-exactly reproducible — clean, and under a
@@ -9,13 +9,17 @@
 //!
 //! The electronic pin here is the same `multistage` literal pinned in
 //! `fingerprint_pins.rs`: re-asserting it next to the FDL pins makes
-//! the zero-cost claim local — flipping `buffer_tech` is the ONLY
+//! the zero-cost claim local — the buffer technology is the ONLY
 //! thing that separates the first two captures.
+//!
+//! The literals were captured from `FatTreeFabric` (`multistage.rs`);
+//! since PR 24 `CompiledFabric` at `rg=1` produces them.
 
-use osmosis::fabric::multistage::{BufferTech, FabricConfig, FatTreeFabric};
 use osmosis::fabric::spec::TopologySpec;
+use osmosis::fabric::{BufferTech, CompiledFabric};
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis::sim::{EngineConfig, SeedSequence};
+use osmosis::switch::{run_switch_faulted, CellSwitch};
 use osmosis::traffic::{BernoulliUniform, Bursty, TrafficGen};
 
 const SEED: u64 = 1234;
@@ -26,11 +30,21 @@ fn cfg() -> EngineConfig {
     EngineConfig::new(300, 3_000)
 }
 
-fn fabric(tech: BufferTech) -> FatTreeFabric {
-    FatTreeFabric::new(FabricConfig {
-        buffer_tech: tech,
-        ..FabricConfig::small(RADIX, LINK_DELAY)
-    })
+/// The §V tree on the paper's request/grant cycle, RTT-sized buffers.
+fn paper_tree(radix: usize) -> TopologySpec {
+    TopologySpec::two_level(radix)
+        .with_link_delay(LINK_DELAY)
+        .with_request_grant(1)
+}
+
+fn fabric_over(spec: TopologySpec, tech: BufferTech) -> CompiledFabric {
+    CompiledFabric::new(spec)
+        .with_buffer_tech(tech)
+        .expect("input-only placement at rg=1")
+}
+
+fn fabric(tech: BufferTech) -> CompiledFabric {
+    fabric_over(paper_tree(RADIX), tech)
 }
 
 fn uniform(n: usize, load: f64) -> BernoulliUniform {
@@ -54,17 +68,16 @@ fn dead_line_plan(lines_per_queue: usize) -> FaultPlan {
 
 fn capture(tech: BufferTech) -> u64 {
     let mut fab = fabric(tech);
-    let hosts = fab.topology().hosts();
+    let hosts = fab.ports();
     fab.run(&mut uniform(hosts, 0.5), &cfg()).fingerprint()
 }
 
 fn capture_faulted() -> u64 {
     let mut fab = fabric(BufferTech::Fdl);
-    let hosts = fab.topology().hosts();
-    let lines_per_queue = FabricConfig::small(RADIX, LINK_DELAY).buffer_cells;
+    let hosts = fab.ports();
+    let lines_per_queue = paper_tree(RADIX).buffer_cells();
     let mut inj = FaultInjector::new(dead_line_plan(lines_per_queue));
-    fab.run_faulted(&mut uniform(hosts, 0.5), &cfg(), &mut inj)
-        .fingerprint()
+    run_switch_faulted(&mut fab, &mut uniform(hosts, 0.5), &cfg(), &mut inj).fingerprint()
 }
 
 /// Radix-8 fat tree, 2-slot links, seed 1234, 300 + 3000 slots, 50%
@@ -75,8 +88,8 @@ const FDL_FAULTED_PIN: u64 = 0xe85e_0082_de6e_3aa9;
 
 #[test]
 fn electronic_default_still_matches_the_multistage_pin() {
-    // The buffer-plane seam is zero-cost: the electronic fabric built
-    // through the `buffer_tech` field reproduces the pre-seam pin.
+    // The buffer-plane seam is zero-cost: the fabric told to buffer
+    // electronically reproduces the pre-seam pin.
     assert_eq!(
         capture(BufferTech::Electronic),
         ELECTRONIC_PIN,
@@ -124,32 +137,28 @@ fn the_technologies_and_faults_actually_separate() {
 /// before the queues moved onto flat storage and line health was
 /// applied on change.
 fn fdl_corner_fingerprints() -> Vec<(&'static str, u64)> {
-    let run = |fab_cfg: FabricConfig, tr: &mut dyn TrafficGen, plan: FaultPlan| {
-        let mut fab = FatTreeFabric::new(FabricConfig {
-            buffer_tech: BufferTech::Fdl,
-            ..fab_cfg
-        });
-        fab.run_faulted(tr, &cfg(), &mut FaultInjector::new(plan))
-            .fingerprint()
+    let run = |spec: TopologySpec, tr: &mut dyn TrafficGen, plan: FaultPlan| {
+        let mut fab = fabric_over(spec, BufferTech::Fdl);
+        run_switch_faulted(&mut fab, tr, &cfg(), &mut FaultInjector::new(plan)).fingerprint()
     };
-    let campaign = FabricConfig::try_from(&TopologySpec::two_level(16))
-        .expect("two_level(16) is a valid fabric spec");
+    let campaign = paper_tree(16);
     let campaign_hosts = 16 * 16 / 2;
-    let small = FabricConfig::small(RADIX, LINK_DELAY);
+    let small = paper_tree(RADIX);
     let small_hosts = RADIX * RADIX / 2;
+    let small_lines = small.buffer_cells();
     let plane0 = FaultKind::WavelengthLoss { plane: 0 };
     // The short half of leaf 0's lines, as `dead_line_plan`, but dying
     // at slot 800 and healing 900 slots later; a second group on leaf 1
     // dies while the first is down and never heals.
     let mut transient = FaultPlan::new();
     for input in 0..RADIX {
-        for local in 0..small.buffer_cells / 2 {
-            let line = input * small.buffer_cells + local;
+        for local in 0..small_lines / 2 {
+            let line = input * small_lines + local;
             transient = transient.one_shot(FaultKind::DelayLineDead { line }, 800, Some(900));
         }
     }
-    let leaf1 = RADIX * small.buffer_cells;
-    for line in [leaf1, leaf1 + 1, leaf1 + small.buffer_cells + 2] {
+    let leaf1 = RADIX * small_lines;
+    for line in [leaf1, leaf1 + 1, leaf1 + small_lines + 2] {
         transient = transient.permanent(FaultKind::DelayLineDead { line }, 1_200);
     }
     vec![
@@ -246,7 +255,7 @@ fn every_reaction_plan() -> FaultPlan {
         link: LINK_ANY,
         cell_error_prob: 0.03,
     };
-    dead_line_plan(FabricConfig::small(RADIX, LINK_DELAY).buffer_cells)
+    dead_line_plan(paper_tree(RADIX).buffer_cells())
         .one_shot(FaultKind::WavelengthLoss { plane: 1 }, 600, Some(700))
         .one_shot(ber, 900, Some(200))
         .one_shot(FaultKind::CreditDrop { prob: 0.2 }, 400, Some(1_500))
@@ -264,8 +273,6 @@ const FDL_TRACE_PIN: (u64, usize, u64, u64) =
 
 #[test]
 fn fdl_under_every_fault_reaction_matches_pin() {
-    use osmosis::switch::{run_switch_faulted, CellSwitch};
-
     let mut fab = fabric(BufferTech::Fdl);
     let mut tr = uniform(fab.ports(), 0.3);
     let mut inj = FaultInjector::new(every_reaction_plan());
@@ -287,12 +294,12 @@ fn fdl_under_every_fault_reaction_matches_pin() {
 
 #[test]
 fn audited_dead_line_run_balances_and_reproduces_the_pin() {
-    use osmosis::switch::{run_switch_instrumented, CellSwitch};
+    use osmosis::switch::run_switch_instrumented;
     use osmosis_audit::{AuditMode, AuditSet};
 
     let mut fab = fabric(BufferTech::Fdl);
     let mut tr = uniform(fab.ports(), 0.5);
-    let lines_per_queue = FabricConfig::small(RADIX, LINK_DELAY).buffer_cells;
+    let lines_per_queue = paper_tree(RADIX).buffer_cells();
     let mut inj = FaultInjector::new(dead_line_plan(lines_per_queue));
     let mut set = AuditSet::standard(AuditMode::FailFast);
     let r = run_switch_instrumented(&mut fab, &mut tr, &cfg(), Some(&mut inj), Some(&mut set));
@@ -304,7 +311,7 @@ fn audited_dead_line_run_balances_and_reproduces_the_pin() {
 #[test]
 fn fdl_trace_event_order_matches_pin() {
     use osmosis::sim::RingTrace;
-    use osmosis::switch::{run_switch_faulted_traced, CellSwitch};
+    use osmosis::switch::run_switch_faulted_traced;
 
     let mut fab = fabric(BufferTech::Fdl);
     let mut tr = uniform(fab.ports(), 0.3);

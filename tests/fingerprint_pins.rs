@@ -6,9 +6,8 @@
 //! perturbs a fingerprint must consciously update the pin and explain
 //! why in the commit message.
 
-use osmosis::fabric::multistage::{FabricConfig, FatTreeFabric};
 use osmosis::fabric::spec::TopologySpec;
-use osmosis::fabric::CompiledFabric;
+use osmosis::fabric::{BufferTech, CompiledFabric, Placement};
 use osmosis::sched::{Flppr, Islip};
 use osmosis::sim::{EngineConfig, EngineReport, SeedSequence};
 use osmosis::switch::{
@@ -23,6 +22,17 @@ fn cfg() -> EngineConfig {
 
 fn uniform(n: usize, load: f64, seed: u64) -> BernoulliUniform {
     BernoulliUniform::new(n, load, &SeedSequence::new(seed))
+}
+
+/// The §V two-level tree on the paper's one-slot request/grant cycle,
+/// with RTT-sized buffers (2d + 2 cells) and three matching iterations:
+/// what `FatTreeFabric` (`multistage.rs`) simulated when the `multistage`
+/// row and the fat-tree tables below were captured, and what
+/// `CompiledFabric` at `rg=1` has reproduced since PR 24.
+fn paper_tree(radix: usize, link_delay: u64) -> TopologySpec {
+    TopologySpec::two_level(radix)
+        .with_link_delay(link_delay)
+        .with_request_grant(1)
 }
 
 /// The m-ary folded Clos (radix × levels, link delay 2, seed 1234) on
@@ -76,9 +86,8 @@ fn capture() -> Vec<(&'static str, u64)> {
     ));
     out.push(("multicast", run_multicast(16, 3, 0.2, 3_000, s)));
     out.push(("multistage", {
-        let mut fab = FatTreeFabric::new(FabricConfig::small(8, 2));
-        let hosts = fab.topology().hosts();
-        fab.run(&mut uniform(hosts, 0.5, s), &cfg())
+        let mut fab = CompiledFabric::new(paper_tree(8, 2));
+        fab.run(&mut uniform(32, 0.5, s), &cfg())
     }));
     out.push(("multilevel", run_m_ary(4, 3, 0.4)));
     out.push(("multilevel_8x2", run_m_ary(8, 2, 0.6)));
@@ -128,10 +137,9 @@ fn fingerprints_match_pre_refactor_pins() {
 }
 
 /// Structural fingerprints of the topology compiler's expansions,
-/// captured when the compiler landed (PR 6). The §V two-level pin also
-/// asserts that the multistage simulator's internal expansion is the
-/// very same graph — the declarative spec reproduces the hand-built
-/// 2048-port fabric exactly.
+/// captured when the compiler landed (PR 6). The §V two-level pin was
+/// first taken from the hand-built 2048-port fabric: the declarative
+/// spec reproduces it exactly.
 const EXPANSION_PINS: &[(&str, u64)] = &[
     ("fat-tree:radix=64,levels=2,planes=2", 0xbe1a_8a40_048e_3cf4),
     ("dragonfly:radix=8,groups=4", 0xe28a_f9f4_81c0_596d),
@@ -153,13 +161,13 @@ fn expansion_fingerprints_match_pins() {
             "{text}: structural fingerprint {fp:#018x} drifted from {pin:#018x}"
         );
     }
-    // The 2048-port §V fabric the multistage simulator wires itself from
-    // is the pinned expansion, bit for bit.
-    let fab = FatTreeFabric::new(FabricConfig::small(64, 2));
+    // The request/grant delay is timing, not wiring: the simulator at
+    // `rg=1` runs on the pinned 2048-port expansion, bit for bit.
+    let fab = CompiledFabric::new(paper_tree(64, 2));
     assert_eq!(
         fab.expanded().structural_fingerprint(),
         EXPANSION_PINS[0].1,
-        "multistage internal expansion drifted from the §V pin"
+        "the §V fabric's expansion drifted from its pin"
     );
 }
 
@@ -425,27 +433,29 @@ fn compiled_trace_event_order_matches_pin() {
     );
 }
 
-/// `FatTreeFabric` over the corners the `multistage` row and
+/// The two-level fabric over the corners the `multistage` row and
 /// `fdl_pins.rs` leave out: the two other placements, an engine-level
 /// `buffer_cells` override at the campaign's radix, masks wider than
 /// one word, and one run under each fault reaction. Captured on the
 /// commit before the simulator moved onto the expansion's port tables
 /// and the shared matching kernel.
 fn fat_tree_corner_fingerprints() -> Vec<(&'static str, u64)> {
-    use osmosis::fabric::multistage::Placement;
     use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
+    use osmosis::switch::run_switch_faulted;
 
-    let run = |fab_cfg: FabricConfig, load: f64, cfg: EngineConfig, plan: Option<FaultPlan>| {
-        let mut fab = FatTreeFabric::new(fab_cfg);
-        let mut tr = uniform(fab.topology().hosts(), load, 1234);
+    let run = |spec: TopologySpec, load: f64, cfg: EngineConfig, plan: Option<FaultPlan>| {
+        let mut fab = CompiledFabric::new(spec);
+        let mut tr = uniform(spec.hosts() as usize, load, 1234);
         let report = match plan {
             None => fab.run(&mut tr, &cfg),
-            Some(plan) => fab.run_faulted(&mut tr, &cfg, &mut FaultInjector::new(plan)),
+            Some(plan) => {
+                run_switch_faulted(&mut fab, &mut tr, &cfg, &mut FaultInjector::new(plan))
+            }
         };
         report.fingerprint()
     };
-    let small = FabricConfig::small(8, 2);
-    let placed = |placement| FabricConfig { placement, ..small };
+    let small = paper_tree(8, 2);
+    let placed = |placement| small.with_placement(placement);
     let ber = FaultKind::LinkBerBurst {
         link: LINK_ANY,
         cell_error_prob: 0.05,
@@ -461,21 +471,11 @@ fn fat_tree_corner_fingerprints() -> Vec<(&'static str, u64)> {
         ),
         (
             "radix16_buffer3",
-            run(
-                FabricConfig::small(16, 2),
-                0.7,
-                cfg().with_buffer_cells(3),
-                None,
-            ),
+            run(paper_tree(16, 2), 0.7, cfg().with_buffer_cells(3), None),
         ),
         (
             "radix66",
-            run(
-                FabricConfig::small(66, 2),
-                0.3,
-                EngineConfig::new(20, 100),
-                None,
-            ),
+            run(paper_tree(66, 2), 0.3, EngineConfig::new(20, 100), None),
         ),
         (
             "wavelength_loss_repaired",
@@ -538,25 +538,23 @@ fn fat_tree_corner_fingerprints_match_pins() {
 /// unevenly filled VOQs — at each placement (option 2 stores cells that
 /// become schedulable at `t + 1 + 2d`, option 1 drains through the
 /// egress stage), and the same fabric with a wavelength plane that
-/// fails and heals stochastically. Captured on the commit before
-/// `ElectronicVoq` moved to one arrival-ordered buffer per input.
+/// fails and heals stochastically. Captured on the commit before the
+/// electronic buffers moved to one arrival-ordered buffer per input.
 fn electronic_plane_fingerprints() -> Vec<(&'static str, u64)> {
-    use osmosis::fabric::multistage::Placement;
     use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};
+    use osmosis::switch::run_switch_faulted;
     use osmosis::traffic::Bursty;
 
     let run = |placement: Placement, load: f64, burst: f64, plan: Option<FaultPlan>| {
-        let spec = TopologySpec {
-            placement,
-            ..TopologySpec::two_level(16)
-        };
-        let fab_cfg = FabricConfig::try_from(&spec).expect("a valid two-level spec");
-        let mut fab = FatTreeFabric::new(fab_cfg);
-        let hosts = fab.topology().hosts();
+        let spec = paper_tree(16, 2).with_placement(placement);
+        let mut fab = CompiledFabric::new(spec);
+        let hosts = spec.hosts() as usize;
         let mut tr = Bursty::new(hosts, load, burst, &SeedSequence::new(1234));
         let report = match plan {
             None => fab.run(&mut tr, &cfg()),
-            Some(plan) => fab.run_faulted(&mut tr, &cfg(), &mut FaultInjector::new(plan)),
+            Some(plan) => {
+                run_switch_faulted(&mut fab, &mut tr, &cfg(), &mut FaultInjector::new(plan))
+            }
         };
         report.fingerprint()
     };
@@ -612,12 +610,11 @@ fn electronic_plane_fingerprints_match_pins() {
 }
 
 /// The full audit battery in fail-fast mode over the two pinned
-/// `FatTreeFabric` runs (electronic here, FDL in `fdl_pins.rs`): every
+/// two-level runs (electronic here, FDL in `fdl_pins.rs`): every
 /// per-slot credit and delay-line ledger balances, and attaching the
 /// auditors leaves the pinned fingerprint untouched.
 #[test]
 fn audited_fat_tree_runs_are_clean_and_reproduce_the_pins() {
-    use osmosis::fabric::multistage::BufferTech;
     use osmosis::switch::run_switch_instrumented;
     use osmosis_audit::{AuditMode, AuditSet};
 
@@ -628,11 +625,10 @@ fn audited_fat_tree_runs_are_clean_and_reproduce_the_pins() {
         (BufferTech::Electronic, electronic_pin.1),
         (BufferTech::Fdl, FDL_PIN),
     ] {
-        let mut fab = FatTreeFabric::new(FabricConfig {
-            buffer_tech,
-            ..FabricConfig::small(8, 2)
-        });
-        let mut tr = uniform(fab.topology().hosts(), 0.5, 1234);
+        let mut fab = CompiledFabric::new(paper_tree(8, 2))
+            .with_buffer_tech(buffer_tech)
+            .expect("input-only placement at rg=1");
+        let mut tr = uniform(32, 0.5, 1234);
         let mut set = AuditSet::standard(AuditMode::FailFast);
         let r = run_switch_instrumented(&mut fab, &mut tr, &cfg(), None, Some(&mut set));
         assert_eq!(
@@ -650,17 +646,9 @@ fn audited_fat_tree_runs_are_clean_and_reproduce_the_pins() {
     }
 }
 
-/// The §V two-level tree behind the rows below: RTT-sized buffers
-/// (2d + 2 cells), three matching iterations.
-fn two_level_tree(
-    radix: usize,
-    link_delay: u64,
-    placement: osmosis::fabric::multistage::Placement,
-) -> FatTreeFabric {
-    FatTreeFabric::new(FabricConfig {
-        placement,
-        ..FabricConfig::small(radix, link_delay)
-    })
+/// The fabric behind the rows below: [`paper_tree`] at a placement.
+fn two_level_tree(radix: usize, link_delay: u64, placement: Placement) -> CompiledFabric {
+    CompiledFabric::new(paper_tree(radix, link_delay).with_placement(placement))
 }
 
 /// A wavelength plane that fails and is repaired, a permanent low
@@ -717,7 +705,7 @@ fn trace_digest<'a>(events: impl Iterator<Item = &'a (u64, osmosis::sim::TraceEv
 /// Captured from `FatTreeFabric` on the commit before it was folded into
 /// `CompiledFabric`.
 fn fold_corner_fingerprints() -> Vec<(&'static str, u64)> {
-    use osmosis::fabric::multistage::Placement::{self, InputAndOutput, OutputOnly};
+    use osmosis::fabric::Placement::{InputAndOutput, OutputOnly};
     use osmosis::faults::FaultInjector;
     use osmosis::switch::{run_switch_faulted, CellSwitch};
     use osmosis::traffic::Bursty;
@@ -779,7 +767,6 @@ fn fold_corner_fingerprints_match_pins() {
 /// queue, and the auditors leave the `option1_three_faults` pin alone.
 #[test]
 fn audited_option1_fault_run_is_clean_and_reproduces_the_pin() {
-    use osmosis::fabric::multistage::Placement;
     use osmosis::faults::FaultInjector;
     use osmosis::switch::{run_switch_instrumented, CellSwitch};
     use osmosis_audit::{AuditMode, AuditSet};
@@ -807,7 +794,6 @@ fn audited_option1_fault_run_is_clean_and_reproduces_the_pin() {
 /// the fold.
 #[test]
 fn fat_tree_trace_event_order_matches_pin() {
-    use osmosis::fabric::multistage::Placement;
     use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
     use osmosis::sim::VecTrace;
     use osmosis::switch::{run_switch_faulted_traced, CellSwitch};

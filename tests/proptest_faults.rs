@@ -3,7 +3,6 @@
 //! fault plans — random credit-drop probabilities, random MTBF/MTTR
 //! repair processes, and random link-corruption bursts on top.
 
-use osmosis::fabric::multistage::{FabricConfig, FatTreeFabric};
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::CompiledFabric;
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
@@ -11,8 +10,8 @@ use osmosis::sched::Flppr;
 use osmosis::sim::{EngineConfig, SeedSequence};
 use osmosis::switch::driven::CellSwitch;
 use osmosis::switch::{
-    run_switch_instrumented, BurstSwitch, BvnSwitch, CioqSwitch, DeflectionSwitch, FifoSwitch,
-    OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
+    run_switch_faulted, run_switch_instrumented, BurstSwitch, BvnSwitch, CioqSwitch,
+    DeflectionSwitch, FifoSwitch, OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
 };
 use osmosis::traffic::BernoulliUniform;
 use osmosis_audit::{AuditMode, AuditSet};
@@ -62,19 +61,19 @@ proptest! {
         mttr in 50.0f64..500.0,
         seed in any::<u64>(),
     ) {
-        let mut fab = FatTreeFabric::new(FabricConfig::small(radix, 2));
-        let hosts = fab.topology().hosts();
+        let mut fab = CompiledFabric::new(TopologySpec::two_level(radix).with_request_grant(1));
+        let hosts = fab.ports();
         let mut tr = BernoulliUniform::new(hosts, load, &SeedSequence::new(seed));
         let plan = FaultPlan::new()
             .stochastic(FaultKind::CreditDrop { prob: drop_p }, mtbf, mttr);
         let mut inj = FaultInjector::new(plan);
         let cfg = EngineConfig::new(0, 3_000).with_seed(seed);
-        let r = fab.run_faulted(&mut tr, &cfg, &mut inj);
+        let r = run_switch_faulted(&mut fab, &mut tr, &cfg, &mut inj);
         prop_assert_eq!(r.dropped, 0, "credit drops must not lose cells");
         prop_assert_eq!(r.reordered, 0, "credit drops must not reorder");
         prop_assert_eq!(
             r.injected,
-            r.delivered + fab.resident_cells(),
+            r.delivered + fab.resident_cells().unwrap_or(0),
             "every cell is delivered or accounted for in a queue"
         );
     }
@@ -91,8 +90,8 @@ proptest! {
         repair in 200u64..1_000,
         seed in any::<u64>(),
     ) {
-        let mut fab = FatTreeFabric::new(FabricConfig::small(4, 2));
-        let hosts = fab.topology().hosts();
+        let mut fab = CompiledFabric::new(TopologySpec::two_level(4).with_request_grant(1));
+        let hosts = fab.ports();
         let mut tr = BernoulliUniform::new(hosts, load, &SeedSequence::new(seed));
         let plan = FaultPlan::new()
             .one_shot(FaultKind::CreditDrop { prob: drop_p }, fault_at, Some(repair))
@@ -103,10 +102,10 @@ proptest! {
             );
         let mut inj = FaultInjector::new(plan);
         let cfg = EngineConfig::new(0, 3_000).with_seed(seed);
-        let r = fab.run_faulted(&mut tr, &cfg, &mut inj);
+        let r = run_switch_faulted(&mut fab, &mut tr, &cfg, &mut inj);
         prop_assert_eq!(r.dropped, 0);
         prop_assert_eq!(r.reordered, 0);
-        prop_assert_eq!(r.injected, r.delivered + fab.resident_cells());
+        prop_assert_eq!(r.injected, r.delivered + fab.resident_cells().unwrap_or(0));
         // The engine's loss ledger agrees: nothing was charged to faults.
         prop_assert_eq!(r.extra("fault_cells_lost").unwrap_or(0.0), 0.0);
     }
@@ -153,7 +152,7 @@ proptest! {
             RemoteSchedulerSwitch::new(Box::new(Flppr::osmosis(8, 1)), 4)
         }));
         check("fat-tree", audit_under(8, load, seed, true, &plan, || {
-            FatTreeFabric::new(FabricConfig::small(4, 2))
+            CompiledFabric::new(TopologySpec::two_level(4).with_request_grant(1))
         }));
         check("multilevel", audit_under(8, load, seed, true, &plan, || {
             CompiledFabric::new(TopologySpec::m_ary_fat_tree(4, 3))

@@ -3,7 +3,7 @@
 //! arbitrary loads, seeds and topologies; the statistics kernels match
 //! naive references.
 
-use osmosis::fabric::multistage::{BufferTech, FabricConfig, FatTreeFabric, Placement};
+use osmosis::fabric::{CompiledFabric, Placement, TopologySpec};
 use osmosis::sched::Flppr;
 use osmosis::sim::stats::{Histogram, Welford};
 use osmosis::sim::SeedSequence;
@@ -40,21 +40,13 @@ proptest! {
         placement_idx in 0usize..3,
         bursty in any::<bool>(),
     ) {
-        let placement = [
-            Placement::InputAndOutput,
-            Placement::OutputOnly,
-            Placement::InputOnly,
-        ][placement_idx];
-        let cfg = FabricConfig {
-            radix: 8,
-            link_delay: 2,
-            buffer_cells: 8,
-            iterations: 2,
-            placement,
-            buffer_tech: BufferTech::Electronic,
-        };
-        let mut fab = FatTreeFabric::new(cfg);
-        let hosts = fab.topology().hosts();
+        let spec = TopologySpec::two_level(8)
+            .with_buffer_cells(8)
+            .with_iterations(2)
+            .with_placement(Placement::ALL[placement_idx])
+            .with_request_grant(1);
+        let mut fab = CompiledFabric::new(spec);
+        let hosts = spec.hosts() as usize;
         let seeds = SeedSequence::new(seed);
         let mut tr: Box<dyn TrafficGen> = if bursty {
             Box::new(Bursty::new(hosts, load, 8.0, &seeds))
@@ -64,7 +56,7 @@ proptest! {
         // The sim panics internally on any buffer overflow (losslessness).
         let r = fab.run(tr.as_mut(), &EngineConfig::new(300, 2_500));
         prop_assert_eq!(r.reordered, 0);
-        prop_assert!(r.max_queue_depth <= cfg.buffer_cells);
+        prop_assert!(r.max_queue_depth <= spec.buffer_cells());
         prop_assert!(r.throughput <= r.offered_load + 0.05);
     }
 
@@ -72,13 +64,13 @@ proptest! {
     /// or ordering anywhere in the fabric.
     #[test]
     fn fabric_hotspot_invariants(hot_frac in 0.1f64..0.9, seed in any::<u64>()) {
-        let cfg = FabricConfig::small(8, 2);
-        let mut fab = FatTreeFabric::new(cfg);
-        let hosts = fab.topology().hosts();
+        let spec = TopologySpec::two_level(8).with_request_grant(1);
+        let mut fab = CompiledFabric::new(spec);
+        let hosts = spec.hosts() as usize;
         let mut tr = Hotspot::new(hosts, 0.5, 3, hot_frac, &SeedSequence::new(seed));
         let r = fab.run(&mut tr, &EngineConfig::new(300, 2_500));
         prop_assert_eq!(r.reordered, 0);
-        prop_assert!(r.max_queue_depth <= cfg.buffer_cells);
+        prop_assert!(r.max_queue_depth <= spec.buffer_cells());
     }
 }
 

@@ -6,7 +6,6 @@
 //! byte-identical JSONL, and the exported registry survives a JSON
 //! round trip exactly.
 
-use osmosis::fabric::multistage::{FabricConfig, FatTreeFabric};
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::CompiledFabric;
 use osmosis::sched::Flppr;
@@ -174,7 +173,7 @@ fn remote_scheduler_switch_telemetry_is_transparent() {
 #[test]
 fn fat_tree_fabric_telemetry_is_transparent() {
     assert_telemetry_transparent("multistage", 32, 0.5, || {
-        FatTreeFabric::new(FabricConfig::small(8, 2))
+        CompiledFabric::new(TopologySpec::two_level(8).with_request_grant(1))
     });
 }
 
