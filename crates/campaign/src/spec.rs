@@ -423,6 +423,39 @@ mod tests {
     }
 
     #[test]
+    fn a_topology_away_from_its_defaults_survives_spec_json_and_keys_apart() {
+        // `spec.json` and the campaign key carry a topology as its spec
+        // string: a key the string dropped would reach the workers at its
+        // default, and campaigns differing only there would share
+        // checkpoints.
+        let over = |topology: TopologySpec| CampaignSpec {
+            topologies: vec![Some(topology)],
+            ..spec()
+        };
+        let plain = over(TopologySpec::two_level(8));
+        let encoded = plain.to_json().encode();
+        assert!(
+            encoded.contains("\"fat-tree:radix=8,levels=2,planes=2\""),
+            "a default topology is keyed as it always was: {encoded}"
+        );
+        let mut keys = vec![plain.key()];
+        for varied in [
+            TopologySpec::two_level(8).with_link_delay(5),
+            TopologySpec::two_level(8).with_buffer_cells(3),
+            TopologySpec::two_level(8).with_iterations(1),
+            TopologySpec::two_level(8).with_request_grant(1),
+        ] {
+            let s = over(varied);
+            let back = CampaignSpec::from_json(&s.to_json()).expect("round trip");
+            assert_eq!(back.topologies, vec![Some(varied)], "{varied}");
+            keys.push(s.key());
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), 5, "five campaigns, five keys");
+    }
+
+    #[test]
     fn point_decode_covers_the_cross_product_uniquely() {
         let s = spec();
         assert_eq!(s.total_points(), 2 * 2 * 2 * 2 * 2 * 3);

@@ -635,46 +635,42 @@ mod tests {
         for radix in [4usize, 8, 64] {
             let fab = ExpandedFabric::expand(TopologySpec::two_level(radix)).unwrap();
             let m = radix / 2;
-            let t = crate::topology::TwoLevelFatTree::new(radix);
-            assert_eq!(fab.hosts.len(), t.hosts());
-            assert_eq!(fab.switches.len(), t.leaves() + t.spines());
-            assert_eq!(fab.links.len(), t.leaves() * t.spines());
-            for leaf in 0..t.leaves() {
+            let (hosts, leaves, spines) = (radix * m, radix, m);
+            assert_eq!(fab.hosts.len(), hosts);
+            assert_eq!(fab.switches.len(), leaves + spines);
+            assert_eq!(fab.links.len(), leaves * spines);
+            for leaf in 0..leaves {
                 let sw = SwitchId::from_index(leaf);
-                for s in 0..t.spines() {
+                for s in 0..spines {
                     let up = fab.port_id(sw, (m + s) as u32);
                     let Peer::Port(far) = fab.ports[up].peer else {
                         panic!("unwired up port");
                     };
-                    assert_eq!(fab.ports[far].switch.index(), t.leaves() + s);
+                    assert_eq!(fab.ports[far].switch.index(), leaves + s);
                     assert_eq!(fab.ports[far].local as usize, leaf);
                 }
             }
-            for h in 0..t.hosts() {
+            for h in 0..hosts {
                 let (sw, local) = fab.host_attach(HostId::from_index(h));
-                assert_eq!(sw.index(), t.leaf_of(h));
-                assert_eq!(local as usize, t.down_port_of(h));
+                assert_eq!((sw.index(), local as usize), (h / m, h % m));
             }
         }
     }
 
     #[test]
     fn two_level_routing_matches_spine_hash() {
-        let radix = 8;
+        // Hosts pack m to a leaf; a flow crosses the spine it hashes to.
+        let (radix, m) = (8, 4);
         let fab = ExpandedFabric::expand(TopologySpec::two_level(radix)).unwrap();
-        let t = crate::topology::TwoLevelFatTree::new(radix);
-        for src in 0..t.hosts() {
-            for dst in 0..t.hosts() {
+        let hosts = radix * m;
+        for src in 0..hosts {
+            for dst in 0..hosts {
                 let (s, d) = (HostId::from_index(src), HostId::from_index(dst));
                 let path = fab.path(s, d);
-                let hand = if src == dst || t.leaf_of(src) == t.leaf_of(dst) {
-                    vec![t.leaf_of(src)]
+                let hand = if src / m == dst / m {
+                    vec![src / m]
                 } else {
-                    vec![
-                        t.leaf_of(src),
-                        t.leaves() + t.spine_of_flow(src, dst),
-                        t.leaf_of(dst),
-                    ]
+                    vec![src / m, radix + top_choice(src, dst, m), dst / m]
                 };
                 let got: Vec<usize> = path.iter().map(|s| s.index()).collect();
                 assert_eq!(got, hand, "src {src} dst {dst}");

@@ -66,5 +66,5 @@ pub use spec::{
 pub use osmosis_sim::engine::{EngineConfig, EngineReport};
 pub use topology::{
     levels_for_ports, max_ports, stages_for_levels, stages_for_ports, try_levels_for_ports,
-    try_max_ports, TwoLevelFatTree,
+    try_max_ports,
 };

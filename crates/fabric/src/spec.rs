@@ -837,15 +837,9 @@ mod tests {
     }
 
     #[test]
-    fn flow_hashes_match_legacy_simulators() {
-        // The spine hash must equal TwoLevelFatTree::spine_of_flow and the
-        // ascent hash MultiLevelClos::up_choice — the pinned multistage
-        // and m-ary fingerprints rest on this.
-        let t = crate::topology::TwoLevelFatTree::new(8);
-        for src in 0..t.hosts() {
-            let dst = (src * 7 + 3) % t.hosts();
-            assert_eq!(top_choice(src, dst, t.spines()), t.spine_of_flow(src, dst));
-        }
+    fn flow_hashes_match_the_closed_form_clos() {
+        // The ascent hash must equal MultiLevelClos::up_choice — the
+        // pinned m-ary fingerprints rest on this.
         let c = crate::multilevel::MultiLevelClos::new(6, 3);
         for src in 0..c.hosts() {
             let dst = (src * 5 + 1) % c.hosts();
@@ -855,6 +849,28 @@ mod tests {
                     c.up_choice(src, dst, level)
                 );
             }
+        }
+    }
+
+    #[test]
+    fn flows_spread_over_spines() {
+        // The §V spine hash at radix 16: stable per flow, and all 128² of
+        // them within 10 % of an even split over the 8 spines.
+        let (hosts, spines) = (128, 8);
+        let mut counts = vec![0u32; spines];
+        for src in 0..hosts {
+            for dst in 0..hosts {
+                let s = top_choice(src, dst, spines);
+                assert_eq!(s, top_choice(src, dst, spines), "stable per flow");
+                counts[s] += 1;
+            }
+        }
+        let expect = (hosts * hosts / spines) as f64;
+        for &c in &counts {
+            assert!(
+                (c as f64 - expect).abs() < expect * 0.1,
+                "spine load skew: {counts:?}"
+            );
         }
     }
 

@@ -7,7 +7,7 @@
 //! switch radixes: 3 OSMOSIS stages vs. 5 high-end-electronic vs. 9
 //! commodity stages for 2048 ports.
 
-use crate::spec::{top_choice, TopologyError};
+use crate::spec::TopologyError;
 
 /// Levels needed to reach at least `ports` hosts with radix-k switches.
 /// Panics on an invalid radix or an unreachable port count; use
@@ -75,87 +75,6 @@ pub fn stages_for_ports(radix: usize, ports: u64) -> u32 {
     stages_for_levels(levels_for_ports(radix, ports))
 }
 
-/// A concrete two-level folded Clos (leaf–spine) instance used by the
-/// multistage simulation: k leaves of radix k, k/2 spines, k²/2 hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TwoLevelFatTree {
-    /// Switch radix (port count per switch).
-    pub radix: usize,
-}
-
-impl TwoLevelFatTree {
-    /// Build the descriptor. Radix must be even and ≥ 4; panics
-    /// otherwise — use [`try_new`](Self::try_new) where the radix comes
-    /// from external input.
-    pub fn new(radix: usize) -> Self {
-        match Self::try_new(radix) {
-            Ok(t) => t,
-            // lint:allow(panic-free): documented panic contract of the
-            // infallible constructor; `try_new` is the checked form
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Build the descriptor, rejecting an odd or too-small radix with a
-    /// typed error.
-    pub fn try_new(radix: usize) -> Result<Self, TopologyError> {
-        if radix < 4 || !radix.is_multiple_of(2) {
-            return Err(TopologyError::InvalidRadix {
-                radix,
-                min: 4,
-                even: true,
-            });
-        }
-        Ok(TwoLevelFatTree { radix })
-    }
-
-    /// Hosts per leaf switch (= down ports = up ports = k/2).
-    pub fn hosts_per_leaf(&self) -> usize {
-        self.radix / 2
-    }
-
-    /// Number of leaf switches.
-    pub fn leaves(&self) -> usize {
-        self.radix
-    }
-
-    /// Number of spine switches.
-    pub fn spines(&self) -> usize {
-        self.radix / 2
-    }
-
-    /// Total hosts: k²/2.
-    pub fn hosts(&self) -> usize {
-        self.radix * self.radix / 2
-    }
-
-    /// Leaf switch of a host.
-    pub fn leaf_of(&self, host: usize) -> usize {
-        assert!(host < self.hosts());
-        host / self.hosts_per_leaf()
-    }
-
-    /// Leaf down-port of a host.
-    pub fn down_port_of(&self, host: usize) -> usize {
-        host % self.hosts_per_leaf()
-    }
-
-    /// The spine a flow (src, dst) uses — a stable hash, so every cell of
-    /// a flow takes the same path and per-flow order survives the
-    /// multipath (Table 1's ordering requirement).
-    pub fn spine_of_flow(&self, src: usize, dst: usize) -> usize {
-        top_choice(src, dst, self.spines())
-    }
-
-    /// Leaf up-port toward a given spine.
-    // lint:allow(typed-ids): the §V hand-built descriptor predates the
-    // typed arenas; its raw indices are pinned by the fingerprint suite
-    pub fn up_port(&self, spine: usize) -> usize {
-        assert!(spine < self.spines());
-        self.hosts_per_leaf() + spine
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,65 +107,5 @@ mod tests {
         assert_eq!(levels_for_ports(64, 65), 2);
         assert_eq!(levels_for_ports(64, 2048), 2);
         assert_eq!(levels_for_ports(64, 2049), 3);
-    }
-
-    #[test]
-    fn two_level_dimensions() {
-        let t = TwoLevelFatTree::new(8);
-        assert_eq!(t.hosts(), 32);
-        assert_eq!(t.leaves(), 8);
-        assert_eq!(t.spines(), 4);
-        assert_eq!(t.hosts_per_leaf(), 4);
-        // The demonstrator-scale fabric.
-        let big = TwoLevelFatTree::new(64);
-        assert_eq!(big.hosts(), 2_048, "the §V fabric-level port count");
-    }
-
-    #[test]
-    fn host_mapping_roundtrip() {
-        let t = TwoLevelFatTree::new(8);
-        for h in 0..t.hosts() {
-            let l = t.leaf_of(h);
-            let p = t.down_port_of(h);
-            assert_eq!(l * t.hosts_per_leaf() + p, h);
-        }
-    }
-
-    #[test]
-    fn flow_spine_is_stable_and_in_range() {
-        let t = TwoLevelFatTree::new(8);
-        for src in 0..8 {
-            for dst in 0..8 {
-                let s = t.spine_of_flow(src, dst);
-                assert!(s < t.spines());
-                assert_eq!(s, t.spine_of_flow(src, dst), "stable per flow");
-            }
-        }
-    }
-
-    #[test]
-    fn flows_spread_over_spines() {
-        let t = TwoLevelFatTree::new(16);
-        let mut counts = vec![0u32; t.spines()];
-        for src in 0..t.hosts() {
-            for dst in 0..t.hosts() {
-                counts[t.spine_of_flow(src, dst)] += 1;
-            }
-        }
-        let total: u32 = counts.iter().sum();
-        let expect = total as f64 / counts.len() as f64;
-        for &c in &counts {
-            assert!(
-                (c as f64 - expect).abs() < expect * 0.1,
-                "spine load skew: {counts:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn up_port_layout() {
-        let t = TwoLevelFatTree::new(8);
-        assert_eq!(t.up_port(0), 4);
-        assert_eq!(t.up_port(3), 7);
     }
 }

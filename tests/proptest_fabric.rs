@@ -3,9 +3,9 @@
 //! fabrics preserve the Table 1 invariants for arbitrary traffic.
 
 use osmosis::fabric::multilevel::MultiLevelClos;
-use osmosis::fabric::spec::TopologySpec;
-use osmosis::fabric::topology::TwoLevelFatTree;
+use osmosis::fabric::spec::{top_choice, TopologySpec};
 use osmosis::fabric::CompiledFabric;
+use osmosis::fabric::{EntityId, ExpandedFabric, HostId};
 use osmosis::sim::{EngineConfig, SeedSequence};
 use osmosis::traffic::BernoulliUniform;
 use proptest::prelude::*;
@@ -51,18 +51,24 @@ proptest! {
         prop_assert_eq!(topo.path(src, dst), topo.path(src, dst));
     }
 
-    /// Two-level topology helpers are self-consistent.
+    /// The §V two-level expansion agrees with its closed forms: hosts
+    /// pack k/2 to a leaf, and a flow leaves its leaf for another through
+    /// the up-port of the spine it hashes to.
     #[test]
     fn two_level_mapping_consistent(radix in prop::sample::select(vec![4usize, 8, 16]), h in any::<usize>()) {
-        let t = TwoLevelFatTree::new(radix);
-        let h = h % t.hosts();
-        let leaf = t.leaf_of(h);
-        prop_assert!(leaf < t.leaves());
-        prop_assert_eq!(leaf * t.hosts_per_leaf() + t.down_port_of(h), h);
-        let s = t.spine_of_flow(h, (h + 1) % t.hosts());
-        prop_assert!(s < t.spines());
-        prop_assert!(t.up_port(s) >= t.hosts_per_leaf());
-        prop_assert!(t.up_port(s) < radix);
+        let spec = TopologySpec::two_level(radix);
+        let fab = ExpandedFabric::expand(spec).unwrap();
+        let (hosts, per_leaf, spines) = (spec.hosts() as usize, radix / 2, radix / 2);
+        prop_assert_eq!((hosts, fab.switches.len()), (radix * per_leaf, radix + spines));
+        let h = h % hosts;
+        let (leaf, down_port) = fab.host_attach(HostId::from_index(h));
+        prop_assert!(leaf.index() < radix, "hosts hang off leaves");
+        prop_assert_eq!(leaf.index() * per_leaf + down_port as usize, h);
+        let far = (h + per_leaf) % hosts;
+        let (src, dst) = (HostId::from_index(h), HostId::from_index(far));
+        let up_port = fab.route(leaf, down_port, src, dst) as usize;
+        prop_assert_eq!(up_port, per_leaf + top_choice(h, far, spines));
+        prop_assert!(up_port < radix);
     }
 }
 
