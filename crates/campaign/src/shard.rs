@@ -287,9 +287,10 @@ fn run_point(spec: &CampaignSpec, point: &ScenarioPoint) -> Result<PointDigest, 
         .map_err(|e| CampaignError::Spec {
             message: format!("topology `{declared}`: {e}"),
         })?;
-    let plan = match faultable {
-        true => fault_plan(&point.fault, tspec.wavelength_planes()),
-        false => None,
+    let plan = if faultable {
+        fault_plan(&point.fault, tspec.wavelength_planes())
+    } else {
+        None
     };
     let mut tr = traffic_for(fab.ports(), point);
     Ok(simulate(&mut fab, tr.as_mut(), &cfg, plan))

@@ -129,7 +129,8 @@ pub struct CompiledFabric {
     accept_ptr: Vec<u32>,
     /// Input buffers, `buffer_cells` entries per port, the first
     /// `depth[port]` of them live, oldest first, and the first
-    /// `ripe[port]` of those requesting.
+    /// `ripe[port]` of those requesting (all of them, and no `ripe`
+    /// table kept, without a request/grant delay).
     buffers: Vec<Flit>,
     depth: Vec<u32>,
     ripe: Vec<u32>,
@@ -289,6 +290,7 @@ impl CompiledFabric {
     /// Append `flit`, landing in `slot` and routed to output `out`, to
     /// the buffer of input `in_port` at `sw`; its request bit goes up
     /// `ripen_after` slots on. Returns the new buffer depth.
+    #[inline]
     fn enqueue(
         &mut self,
         slot: u64,
@@ -317,25 +319,32 @@ impl CompiledFabric {
         self.depth[p] = depth as u32;
         self.resident[sw] += 1;
         match self.ripen_after {
-            0 => self.ripen(sw, in_port),
+            0 => self.request(sw, in_port, out),
             c => self.ripening[((slot + c) % (c + 1)) as usize].push(p as u32),
         }
         depth
     }
 
-    /// The oldest cell of input `i` at `sw` still waiting out the
-    /// request/grant delay raises its request bit.
-    fn ripen(&mut self, sw: usize, i: usize) {
+    /// Raise the request bit of VOQ (`i`, `o`) at `sw`.
+    #[inline]
+    fn request(&mut self, sw: usize, i: usize, o: usize) {
         let (radix, words) = (self.spec.radix, self.words);
-        let p = sw * radix + i;
-        let o = self.buffers[p * self.buffer_cells + self.ripe[p] as usize].at as usize;
-        self.ripe[p] += 1;
         self.requests[(sw * radix + o) * words + i / 64] |= 1 << (i % 64);
         self.requested[sw * words + o / 64] |= 1 << (o % 64);
     }
 
+    /// The oldest cell of input `i` at `sw` still waiting out the
+    /// request/grant delay starts requesting.
+    fn ripen(&mut self, sw: usize, i: usize) {
+        let p = sw * self.spec.radix + i;
+        let o = self.buffers[p * self.buffer_cells + self.ripe[p] as usize].at;
+        self.ripe[p] += 1;
+        self.request(sw, i, o as usize);
+    }
+
     /// Remove the oldest cell input `i` holds for output `o` at `sw`,
     /// and drop the request bit if no other ripe cell shares it.
+    #[inline]
     fn dequeue(&mut self, slot: u64, sw: usize, i: usize, o: usize) -> Flit {
         let unqueued = || -> ! {
             // lint:allow(panic-free): the matching only pairs ports
@@ -348,7 +357,8 @@ impl CompiledFabric {
         let (radix, words) = (self.spec.radix, self.words);
         let p = sw * radix + i;
         let start = p * self.buffer_cells;
-        let ripe = self.ripe[p] as usize;
+        let delayed = self.ripen_after > 0;
+        let ripe = if delayed { self.ripe[p] } else { self.depth[p] } as usize;
         let buf = &mut self.buffers[start..start + self.depth[p] as usize];
         let Some(k) = buf[..ripe].iter().position(|f| f.at == o as u32) else {
             unqueued()
@@ -356,7 +366,9 @@ impl CompiledFabric {
         let flit = buf[k];
         buf.copy_within(k + 1.., k);
         self.depth[p] -= 1;
-        self.ripe[p] -= 1;
+        if delayed {
+            self.ripe[p] -= 1;
+        }
         self.resident[sw] -= 1;
         if !buf[k..ripe - 1].iter().any(|f| f.at == o as u32) {
             let col = (sw * radix + o) * words;
@@ -372,6 +384,7 @@ impl CompiledFabric {
     /// output grants while its credit loop has room (option 1 checks
     /// that at the egress queue instead), and never into a dead
     /// wavelength plane: cells queued for it wait for the repair.
+    #[inline]
     fn match_switch(&mut self, sw: usize, faults_on: bool) {
         let (radix, words) = (self.spec.radix, self.words);
         let ports = sw * radix..(sw + 1) * radix;
@@ -418,6 +431,7 @@ impl CompiledFabric {
     /// NACKed and resent one link round trip later, extending the stall
     /// so the cells behind it queue up in order too. The sender's credit
     /// stays consumed, so buffer accounting holds across the round trip.
+    #[inline]
     fn land<T: TraceSink>(
         &mut self,
         slot: u64,
@@ -428,9 +442,10 @@ impl CompiledFabric {
         let (src, dst) = (flit.src as usize, flit.dst as usize);
         let to_host = flit.at & HOST != 0;
         if faults_on {
-            let link = match to_host {
-                true => self.fab.switches.len() + dst,
-                false => flit.at as usize / self.spec.radix,
+            let link = if to_host {
+                self.fab.switches.len() + dst
+            } else {
+                flit.at as usize / self.spec.radix
             };
             if slot < self.link_stall[link] || obs.fault_cell_corrupted(link) {
                 let back = slot + 2 * self.spec.link_delay;
@@ -462,6 +477,7 @@ impl CompiledFabric {
     /// Put `flit` on the cable out of global port `p_out`, to land in
     /// the slot of wheel bucket `next`. A switch link takes a credit; a
     /// host sink (which drains a cell per slot) does not.
+    #[inline]
     fn send(&mut self, next: usize, p_out: usize, mut flit: Flit) {
         flit.at = self.peer[p_out];
         assert!(flit.at != UNCONNECTED, "matched to an unconnected port");
@@ -473,10 +489,10 @@ impl CompiledFabric {
 
     /// Input `input` of switch `sw` freed a buffer slot in `slot`: the
     /// credit goes back to whoever feeds that port, through wheel bucket
-    /// `next`. Under a credit-drop
-    /// fault the return is lost on the wire and recovered by the
-    /// periodic credit audit a few credit round trips later, so the
-    /// degraded mode throttles but never deadlocks.
+    /// `next`. Under a credit-drop fault the return is lost on the wire
+    /// and recovered by the periodic credit audit a few credit round
+    /// trips later, so the degraded mode throttles but never deadlocks.
+    #[inline]
     fn return_credit<T: TraceSink>(
         &mut self,
         (slot, next): (u64, usize),
@@ -590,13 +606,15 @@ impl CellSwitch for CompiledFabric {
             &mut self.grant_ptr,
             &mut self.accept_ptr,
             &mut self.depth,
-            &mut self.ripe,
         ] {
             table.resize(ports, 0);
         }
-        let (mask_rows, slots) = match self.fdl {
-            true => (1, 0),
-            false => (switches, ports * self.buffer_cells),
+        let delayed_ports = if self.ripen_after > 0 { ports } else { 0 };
+        self.ripe.resize(delayed_ports, 0);
+        let (mask_rows, slots) = if self.fdl {
+            (1, 0)
+        } else {
+            (switches, ports * self.buffer_cells)
         };
         self.requests.resize(mask_rows * radix * words, 0);
         self.requested.resize(mask_rows * words, 0);
@@ -678,12 +696,10 @@ impl CellSwitch for CompiledFabric {
         // fault plane can turn a cell back: each is a likely cache miss,
         // and back to back they overlap instead of queueing behind the
         // observer.
-        while self.retransmit.front().is_some_and(|&(at, _)| at == slot) {
-            if let Some((_, flit)) = self.retransmit.pop_front() {
-                self.land(slot, flit, faults_on, obs);
-            }
-        }
         let mut landed = std::mem::take(&mut self.cell_wheel[now]);
+        let due = self.retransmit.iter().take_while(|&&(at, _)| at == slot);
+        let due = due.count();
+        landed.splice(0..0, self.retransmit.drain(..due).map(|(_, flit)| flit));
         if !faults_on {
             for flit in landed.iter().filter(|flit| flit.at & HOST != 0) {
                 self.order
@@ -1416,8 +1432,9 @@ mod tests {
                 let mut any = false;
                 for i in 0..radix {
                     let p = sw * radix + i;
-                    assert!(fab.ripe[p] <= fab.depth[p], "switch {sw} input {i}");
-                    let ripe = &fab.buffers[p * fab.buffer_cells..][..fab.ripe[p] as usize];
+                    let ripe = fab.ripe.get(p).map_or(fab.depth[p], |&r| r);
+                    assert!(ripe <= fab.depth[p], "switch {sw} input {i}");
+                    let ripe = &fab.buffers[p * fab.buffer_cells..][..ripe as usize];
                     let queued = ripe.iter().any(|f| f.at == o as u32);
                     let bit = fab.requests[(sw * radix + o) * words + i / 64] >> (i % 64) & 1;
                     assert_eq!(bit == 1, queued, "switch {sw} voq ({i}, {o})");
@@ -1468,7 +1485,9 @@ mod tests {
                         fab.enqueue(slot, 0, i, rnd(radix), flit(0));
                     }
                 }
-                waited += (0..radix).filter(|&i| fab.ripe[i] < fab.depth[i]).count();
+                waited += (0..radix)
+                    .filter(|&i| fab.ripe.get(i).is_some_and(|&r| r < fab.depth[i]))
+                    .count();
                 // Credits: none out, some out, all out.
                 for o in 0..radix {
                     fab.owed[o] = [0, 1, BUFFER as u32][rnd(3)];

@@ -35,7 +35,8 @@ pub const MODEL_TRAITS: &[&str] = &["SlottedModel", "CellScheduler", "CellSwitch
 /// every pipelined `tick` delegates to (`iterate`, `take`) and its
 /// per-cell bookkeeping (`note_arrival`, `note_departure`, the `unmatch`
 /// a departure falls into), the fabric's buffer, link and credit moves
-/// (`enqueue`, `ripen`, `dequeue`, `land`, `send`, `return_credit`) and
+/// (`enqueue`, `request`, `ripen`, `dequeue`, `land`, `send`,
+/// `return_credit`) and
 /// its two fault-path lookups (`in_dead_plane`, `surviving_plane`), the
 /// buffer planes' per-slot protocol past `tick` (`push`,
 /// `fill_requests`, `pop`, `settle`, and `set_line_dead`, which a fault
@@ -55,6 +56,7 @@ pub const HOT_FN_NAMES: &[&str] = &[
     "note_departure",
     "unmatch",
     "enqueue",
+    "request",
     "ripen",
     "dequeue",
     "land",

@@ -208,7 +208,11 @@ mod tests {
 
         fn pop(&mut self, _slot: u64, input: usize, output: usize) -> Option<u8> {
             let (held, cell) = self.0[input]?;
-            (held == output).then(|| self.0[input].take()).map(|_| cell)
+            if held != output {
+                return None;
+            }
+            self.0[input] = None;
+            Some(cell)
         }
 
         fn occupancy(&self, input: usize) -> usize {

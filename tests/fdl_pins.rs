@@ -15,6 +15,8 @@
 //! The literals were captured from `FatTreeFabric` (`multistage.rs`);
 //! since PR 24 `CompiledFabric` at `rg=1` produces them.
 
+mod common;
+
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::{BufferTech, CompiledFabric};
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};
@@ -216,35 +218,6 @@ fn fdl_corner_fingerprints_match_pins() {
     }
 }
 
-/// Every retained trace event — slot, kind, operands — folded in
-/// emission order into one FNV-1a digest (as in `fingerprint_pins.rs`).
-fn trace_digest<'a>(events: impl Iterator<Item = &'a (u64, osmosis::sim::TraceEvent)>) -> u64 {
-    use osmosis::sim::TraceEvent;
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |word: u64| {
-        for b in word.to_le_bytes() {
-            digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for &(slot, event) in events {
-        fold(slot);
-        match event {
-            TraceEvent::Inject { src, dst } => [1, src as u64, dst as u64],
-            TraceEvent::Deliver {
-                output,
-                delay_slots,
-            } => [2, output as u64, delay_slots],
-            TraceEvent::CreditStall { node, port } => [3, node as u64, port as u64],
-            TraceEvent::Drop { port } => [4, port as u64, 0],
-            TraceEvent::Retransmit { port } => [5, port as u64, 0],
-            other => panic!("a fat-tree fabric emitted {other:?}"),
-        }
-        .into_iter()
-        .for_each(&mut fold);
-    }
-    digest
-}
-
 /// A wavelength plane that fails and is repaired, a window of link bit
 /// errors and a window of dropped credits, with the short half of leaf
 /// 0's delay lines dead throughout: every fault reaction of the fabric
@@ -322,7 +295,7 @@ fn fdl_trace_event_order_matches_pin() {
     let got = (
         sink.seen(),
         sink.len(),
-        trace_digest(sink.events()),
+        common::trace_digest(sink.events()),
         r.fingerprint(),
     );
     assert_eq!(

@@ -6,6 +6,8 @@
 //! perturbs a fingerprint must consciously update the pin and explain
 //! why in the commit message.
 
+mod common;
+
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::{BufferTech, CompiledFabric, Placement};
 use osmosis::sched::{Flppr, Islip};
@@ -666,36 +668,6 @@ fn three_fault_plan() -> osmosis::faults::FaultPlan {
         .one_shot(FaultKind::CreditDrop { prob: 0.2 }, 400, Some(1_500))
 }
 
-/// Every trace event of a run — slot, kind, operands — folded in
-/// emission order into one FNV-1a digest, so the order of a fabric's
-/// observer calls is pinned and not only what they add up to.
-fn trace_digest<'a>(events: impl Iterator<Item = &'a (u64, osmosis::sim::TraceEvent)>) -> u64 {
-    use osmosis::sim::TraceEvent;
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |word: u64| {
-        for b in word.to_le_bytes() {
-            digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for &(slot, event) in events {
-        fold(slot);
-        match event {
-            TraceEvent::Inject { src, dst } => [1, src as u64, dst as u64],
-            TraceEvent::Deliver {
-                output,
-                delay_slots,
-            } => [2, output as u64, delay_slots],
-            TraceEvent::CreditStall { node, port } => [3, node as u64, port as u64],
-            TraceEvent::Drop { port } => [4, port as u64, 0],
-            TraceEvent::Retransmit { port } => [5, port as u64, 0],
-            other => panic!("a fat-tree fabric emitted {other:?}"),
-        }
-        .into_iter()
-        .for_each(&mut fold);
-    }
-    digest
-}
-
 /// The two-level fabric where no row above reaches: placements 1 and 2
 /// under bursty traffic at the shortest link a spec may ask for and at a
 /// long one (option 2's control round trip is `2d`, so its schedulability
@@ -818,7 +790,7 @@ fn fat_tree_trace_event_order_matches_pin() {
         "the run must exercise the reactions it pins: {:?}",
         r.extra
     );
-    let digest = trace_digest(sink.events.iter());
+    let digest = common::trace_digest(sink.events.iter());
     assert_eq!(
         (sink.events.len(), digest, r.fingerprint()),
         (40_428, 0xd348_6167_1b72_3805, 0x0778_f610_b648_de3e),
