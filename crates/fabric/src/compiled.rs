@@ -37,7 +37,18 @@
 //! filled and appends to the bucket d ahead, the one drained the slot
 //! before. The ordering check ([`FlowOrder`]) is the one table a run
 //! does not keep in cache, so `admit` and `arbitrate` each make its
-//! lookups in a loop of their own, where the misses overlap.
+//! lookups in a loop of their own, where the misses overlap. A hop
+//! reads no graph table: the port a cell lands on is `switch * radix +
+//! local` by construction, so both come out of its `at` word by a
+//! division, and [`ExpandedFabric::route`] is closed-form arithmetic.
+//!
+//! The host edge is one FIFO per host plus one bit per host, set by
+//! `admit` when it queues a cell and cleared by `deliver` when it takes
+//! the last one. `deliver` walks the set bits only, in ascending host
+//! order — the order a scan of every host would visit the queued ones
+//! in — so a light load costs the hosts that have something to send,
+//! and the wheel, the credit-stall reports and the trace are those of
+//! the full scan.
 //!
 //! The VOQs are virtual: VOQ (i, o) is the entries of input i's buffer
 //! tagged o, in arrival order. The first `ripe[i]` entries have waited
@@ -76,7 +87,7 @@
 //! deadlock-freedom claim for dragonflies driven to saturation.
 
 use crate::expand::{ExpandedFabric, Peer};
-use crate::ids::{EntityId, HostId, PortId, StageId};
+use crate::ids::{EntityId, HostId, StageId, SwitchId};
 use crate::spec::{top_choice, BufferTech, Placement, TopologyError, TopologySpec};
 use osmosis_fdl::FdlBufferPlane;
 use osmosis_sched::matching::Matcher;
@@ -151,6 +162,9 @@ pub struct CompiledFabric {
     /// The FDL input stages, one plane per switch.
     planes: Vec<Box<dyn BufferPlane<Flit>>>,
     host_queues: Vec<VecDeque<Flit>>,
+    /// One bit per host, set exactly while its queue holds a cell: the
+    /// hosts `deliver` visits.
+    queued: Vec<u64>,
     /// Credits out per host NIC, as `owed`.
     host_owed: Vec<u32>,
     /// Cells on links: what lands in slot t sits in bucket
@@ -243,6 +257,7 @@ impl CompiledFabric {
             requested: Vec::new(),
             planes: Vec::new(),
             host_queues: (0..hosts).map(|_| VecDeque::new()).collect(),
+            queued: vec![0; hosts.div_ceil(64)],
             host_owed: vec![0; hosts],
             cell_wheel: Vec::new(),
             credit_wheel: Vec::new(),
@@ -463,14 +478,16 @@ impl CompiledFabric {
             obs.cell_delivered_flow(dst, flit.inject, src, flit.seq.into());
             return;
         }
-        let at = self.fab.ports[PortId::from_index(flit.at as usize)];
-        let (sw, up) = (at.switch.index(), self.spec.radix / 2);
+        let (radix, at) = (self.spec.radix, flit.at as usize);
+        let (sw, local, up) = (at / radix, at % radix, radix / 2);
         let (from, to) = (HostId::from_index(src), HostId::from_index(dst));
-        let mut out = self.fab.route(at.switch, at.local, from, to) as usize;
+        let mut out = self
+            .fab
+            .route(SwitchId::from_index(sw), local as u32, from, to) as usize;
         if faults_on && self.feeders.contains(&sw) && out >= up && !self.plane_ok[out - up] {
             out = up + self.surviving_plane(out - up, src, dst);
         }
-        let depth = self.enqueue(slot, sw, at.local as usize, out, flit);
+        let depth = self.enqueue(slot, sw, local, out, flit);
         obs.note_queue_depth(depth);
     }
 
@@ -785,19 +802,28 @@ impl CellSwitch for CompiledFabric {
     }
 
     fn deliver<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
-        let d = self.spec.link_delay;
+        let (d, radix) = (self.spec.link_delay, self.spec.radix);
         let next = ((slot + d) % (d + 1)) as usize;
-        for h in 0..self.host_queues.len() {
-            let host = HostId::from_index(h);
-            if (self.host_owed[h] as usize) < self.buffer_cells {
-                if let Some(mut flit) = self.host_queues[h].pop_front() {
+        // Only hosts with a queued cell, in ascending order.
+        for w in 0..self.queued.len() {
+            let mut bits = self.queued[w];
+            while bits != 0 {
+                let h = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let at = self.fab.hosts[HostId::from_index(h)].port.index();
+                if (self.host_owed[h] as usize) >= self.buffer_cells {
+                    obs.credit_stall(at / radix, at % radix);
+                    continue;
+                }
+                let queue = &mut self.host_queues[h];
+                if let Some(mut flit) = queue.pop_front() {
+                    if queue.is_empty() {
+                        self.queued[w] &= !(1 << (h % 64));
+                    }
                     self.host_owed[h] += 1;
-                    flit.at = self.fab.hosts[host].port.index() as u32;
+                    flit.at = at as u32;
                     self.cell_wheel[next].push(flit);
                 }
-            } else if !self.host_queues[h].is_empty() {
-                let (sw, local) = self.fab.host_attach(host);
-                obs.credit_stall(sw.index(), local as usize);
             }
         }
     }
@@ -812,6 +838,7 @@ impl CellSwitch for CompiledFabric {
                 seq: self.order.stamp(a.src, a.dst) as u32,
                 at: 0,
             });
+            self.queued[a.src / 64] |= 1 << (a.src % 64);
         }
         for a in arrivals {
             obs.cell_injected(a.src, a.dst);
@@ -860,6 +887,7 @@ impl CellSwitch for CompiledFabric {
 mod tests {
     use super::*;
     use osmosis_faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
+    use osmosis_sim::engine::SlottedModel;
     use osmosis_sim::{SeedSequence, SimRng};
     use osmosis_switch::run_switch_faulted;
     use osmosis_traffic::{BernoulliUniform, Hotspot, Replay};
@@ -1589,5 +1617,76 @@ mod tests {
             }
         }
         assert!(in_flight > 0, "no run ended with a cell on a link");
+    }
+
+    /// A fabric and its traffic, run on the engine with the host mask
+    /// checked against the host queues after every slot.
+    struct MaskChecked<'a> {
+        fab: CompiledFabric,
+        traffic: &'a mut dyn TrafficGen,
+        arrivals: Vec<Arrival>,
+        /// Each host's queue was non-empty at the end of the last slot.
+        was_queued: Vec<bool>,
+        /// Host-slots that ended queued and out of credits.
+        stalls: u64,
+        /// Host-slots whose queue emptied.
+        drains: u64,
+    }
+
+    impl SlottedModel for MaskChecked<'_> {
+        fn ports(&self) -> usize {
+            self.fab.ports()
+        }
+
+        fn configure(&mut self, cfg: &EngineConfig) {
+            self.fab.configure(cfg);
+        }
+
+        fn arbitrate<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
+            self.fab.arbitrate(slot, obs);
+        }
+
+        fn deliver<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
+            self.fab.deliver(slot, obs);
+        }
+
+        fn inject<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
+            self.arrivals.clear();
+            self.traffic.arrivals(slot, &mut self.arrivals);
+            self.fab.admit(&self.arrivals, slot, obs);
+            let fab = &self.fab;
+            for (h, queue) in fab.host_queues.iter().enumerate() {
+                let bit = fab.queued[h / 64] >> (h % 64) & 1 == 1;
+                assert_eq!(bit, !queue.is_empty(), "slot {slot} host {h}");
+                self.stalls += u64::from(bit && fab.host_owed[h] as usize >= fab.buffer_cells);
+                self.drains += u64::from(self.was_queued[h] && !bit);
+                self.was_queued[h] = bit;
+            }
+        }
+    }
+
+    #[test]
+    fn the_host_mask_tracks_the_host_queues() {
+        // Bursts into one-cell buffers, past what their credit loops
+        // carry: hosts stall on credits with cells queued, and queues
+        // fill and empty as bursts come and go.
+        let spec = TopologySpec::fat_tree(8, 3).with_buffer_cells(1);
+        let fab = CompiledFabric::new(spec);
+        let hosts = fab.ports();
+        let mut traffic = osmosis_traffic::Bursty::new(hosts, 0.2, 8.0, &SeedSequence::new(3));
+        let mut model = MaskChecked {
+            fab,
+            traffic: &mut traffic,
+            arrivals: Vec::new(),
+            was_queued: vec![false; hosts],
+            stalls: 0,
+            drains: 0,
+        };
+        let r = osmosis_sim::engine::run_model(&mut model, &EngineConfig::new(0, 600));
+        let (stalls, drains) = (model.stalls, model.drains);
+        assert!(
+            r.delivered > 0 && stalls > 10_000 && drains > 50,
+            "{stalls} stalls, {drains} drains"
+        );
     }
 }

@@ -45,6 +45,21 @@
 //! ([`ExpandedFabric::route`]), using the shared flow hashes of
 //! [`crate::spec`] so the expanded instances inherit the pinned
 //! simulators' path choices exactly.
+//!
+//! ## Fat-tree routing in closed form
+//!
+//! Hosts are numbered so that the hosts below one level-l switch are a
+//! block of m^(l+1) consecutive ids (m^l a block per down port, the
+//! plane being the most significant digit), which makes the route
+//! nearest-common-ancestor routing with no digit loop. At a level-l
+//! switch below the top, a cell that arrived from below (input < m) goes
+//! up iff `src / m^(l+1) != dst / m^(l+1)` — the switch is not yet a
+//! common ancestor — through up-port m + the flow's hash choice;
+//! otherwise it goes down port `(dst / m^l) % m`. A top switch sends
+//! down port `dst / m^(L−1)`: the destination's plane and top digit. The
+//! powers m^l and every switch's level are two small tables built at
+//! expansion, and the arithmetic is 32-bit (a validated spec's host ids
+//! fit in a `u32`).
 
 use crate::ids::{EntityId, EntityVec, HostId, LinkId, PortId, StageId, SwitchId};
 pub use crate::spec::TopologySpec;
@@ -117,11 +132,14 @@ pub struct HostInfo {
 enum FamilyMeta {
     FatTree {
         /// Half-radix: down (= host) ports per switch.
-        m: usize,
+        m: u32,
         levels: u32,
         planes: u32,
-        /// Switches per plane per level = m^(L−1) = top-level width.
-        width: usize,
+        /// m^l for l in 0..levels: the hosts below one down port of a
+        /// level-l switch.
+        pow: Vec<u32>,
+        /// Each switch's level, indexed by switch id.
+        level: Vec<u8>,
     },
     Dragonfly {
         shape: DragonflyShape,
@@ -267,13 +285,23 @@ impl ExpandedFabric {
 
     fn expand_fat_tree(&mut self, levels: u32, planes: u32) {
         let m = self.spec.radix / 2;
-        let width = m.pow(levels - 1);
+        self.wire_fat_tree(levels, planes, m);
+        // validate() bounds the hosts, planes·m^L, by u32::MAX, so every
+        // power below fits, and 16 levels fit a u8.
         self.meta = FamilyMeta::FatTree {
-            m,
+            m: m as u32,
             levels,
             planes,
-            width,
+            pow: (0..levels).map(|l| m.pow(l) as u32).collect(),
+            level: (self.switches.values())
+                .map(|s| self.stages[s.stage].level as u8)
+                .collect(),
         };
+    }
+
+    /// The stages, hosts and cables of a fat tree.
+    fn wire_fat_tree(&mut self, levels: u32, planes: u32, m: usize) {
+        let width = m.pow(levels - 1);
         if levels == 1 {
             // A single switch; every used port faces a host.
             let stage = self.push_stage(0, 1);
@@ -430,78 +458,41 @@ impl ExpandedFabric {
         }
     }
 
-    /// Ascent height of a fat-tree route: up-hops before turning. Hosts
-    /// in different planes meet at the top (L−1 up-hops); within a plane
-    /// the highest differing leaf digit sets the common ancestor.
-    fn fat_tree_ascent(
-        &self,
-        src: HostId,
-        dst: HostId,
-        m: usize,
-        levels: u32,
-        width: usize,
-    ) -> u32 {
-        let (ls, ld) = (src.index() / m, dst.index() / m);
-        if ls == ld {
-            return 0;
-        }
-        let (pi_s, pi_d) = (ls / width, ld / width);
-        if pi_s != pi_d {
-            return levels - 1;
-        }
-        let (ws, wd) = (ls % width, ld % width);
-        let mut a = 1;
-        for pos in 0..levels - 1 {
-            if digit(ws, pos, m) != digit(wd, pos, m) {
-                a = pos + 1;
-            }
-        }
-        a
-    }
-
     /// The local output port a (src, dst) flow takes at `switch`, given
     /// the local input port it arrived on (host-side for fresh
     /// injections). Minimal and per-flow stable for every family; the
-    /// input side disambiguates ascent from descent in fat trees.
+    /// input side disambiguates ascent from descent in fat trees, whose
+    /// route is the closed form of the module docs.
     pub fn route(&self, switch: SwitchId, in_port: u32, src: HostId, dst: HostId) -> u32 {
         match &self.meta {
             FamilyMeta::FatTree {
                 m,
                 levels,
                 planes,
-                width,
+                pow,
+                level,
             } => {
-                let (m, levels, planes, width) = (*m, *levels, *planes, *width);
-                if levels == 1 {
-                    return (dst.index() % (planes as usize * m)) as u32;
+                let (m, l) = (*m, level[switch.index()] as u32);
+                let d = dst.raw();
+                if l + 1 == *levels {
+                    // Top: the down port carries the destination's plane
+                    // and top digit.
+                    return d / pow[l as usize];
                 }
-                let info = self.switches[switch];
-                let level = self.stages[info.stage].level;
-                let dst_leaf = dst.index() / m;
-                let (pi_d, wd) = (dst_leaf / width, dst_leaf % width);
-                if level == levels - 1 {
-                    // Top: always descending; the down port carries the
-                    // destination plane and its top digit.
-                    return (pi_d * m + digit(wd, levels - 2, m)) as u32;
-                }
-                let descending = in_port as usize >= m;
-                if !descending && level < self.fat_tree_ascent(src, dst, m, levels, width) {
+                let above = pow[l as usize + 1];
+                if in_port < m && src.raw() / above != d / above {
                     // Ascending. The top step uses the two-operand spine
                     // hash of §V when the planes merge (bit-identical to
                     // the hand-built leaf–spine instance at L = 2); the
                     // within-plane steps use the per-level ascent hash.
-                    let p = if planes == 2 && level == levels - 2 {
-                        top_choice(src.index(), dst.index(), m)
+                    let p = if *planes == 2 && l + 2 == *levels {
+                        top_choice(src.index(), dst.index(), m as usize)
                     } else {
-                        up_choice(src.index(), dst.index(), level, m)
+                        up_choice(src.index(), dst.index(), l, m as usize)
                     };
-                    return (m + p) as u32;
+                    return m + p as u32;
                 }
-                if level == 0 {
-                    (dst.index() % m) as u32
-                } else {
-                    digit(wd, level - 1, m) as u32
-                }
+                d / pow[l as usize] % m
             }
             FamilyMeta::Dragonfly {
                 shape,
@@ -676,6 +667,116 @@ mod tests {
                 assert_eq!(got, hand, "src {src} dst {dst}");
             }
         }
+    }
+
+    /// The digit-loop fat-tree router the closed form replaced, kept as
+    /// its oracle: the ascent height is L − 1 across planes, else one
+    /// above the highest leaf digit in which source and destination
+    /// differ (0 under one leaf); a switch below it ascends, and a
+    /// descent reads the destination's leaf digit of the level below.
+    fn route_by_digits(
+        fab: &ExpandedFabric,
+        sw: SwitchId,
+        in_port: u32,
+        src: HostId,
+        dst: HostId,
+    ) -> u32 {
+        let FamilyMeta::FatTree {
+            m, levels, planes, ..
+        } = fab.meta
+        else {
+            panic!("not a fat tree");
+        };
+        let (m, width) = (m as usize, (m as usize).pow(levels - 1));
+        if levels == 1 {
+            return (dst.index() % (planes as usize * m)) as u32;
+        }
+        let level = fab.level_of(sw);
+        let (ls, ld) = (src.index() / m, dst.index() / m);
+        let (pi_d, wd) = (ld / width, ld % width);
+        if level == levels - 1 {
+            return (pi_d * m + digit(wd, levels - 2, m)) as u32;
+        }
+        let ascent = if ls == ld {
+            0
+        } else if ls / width != pi_d {
+            levels - 1
+        } else {
+            let ws = ls % width;
+            let mut a = 1;
+            for pos in 0..levels - 1 {
+                if digit(ws, pos, m) != digit(wd, pos, m) {
+                    a = pos + 1;
+                }
+            }
+            a
+        };
+        if (in_port as usize) < m && level < ascent {
+            let p = if planes == 2 && level == levels - 2 {
+                top_choice(src.index(), dst.index(), m)
+            } else {
+                up_choice(src.index(), dst.index(), level, m)
+            };
+            return (m + p) as u32;
+        }
+        match level {
+            0 => (dst.index() % m) as u32,
+            _ => digit(wd, level - 1, m) as u32,
+        }
+    }
+
+    #[test]
+    fn closed_form_route_matches_the_digit_loop() {
+        // 1–7 levels, both plane counts, odd and even m, and radix 66;
+        // every switch and every input port, over flows that share a
+        // subtree of every height as well as uniform ones.
+        let shapes = [
+            (4usize, 1u32, 1u32),
+            (4, 1, 2),
+            (8, 2, 2),
+            (6, 2, 1),
+            (8, 3, 1),
+            (10, 3, 2),
+            (6, 4, 2),
+            (4, 5, 1),
+            (6, 5, 2),
+            (4, 6, 2),
+            (4, 7, 1),
+            (4, 7, 2),
+            (66, 2, 2),
+            (66, 3, 1),
+        ];
+        let mut rng = osmosis_sim::SimRng::seed_from_u64(0x0ca5);
+        let mut checked = 0u64;
+        for (radix, levels, planes) in shapes {
+            let spec = match planes {
+                1 => TopologySpec::m_ary_fat_tree(radix, levels),
+                _ => TopologySpec::fat_tree(radix, levels),
+            };
+            let fab = ExpandedFabric::expand(spec).unwrap();
+            let (m, hosts) = (radix / 2, fab.hosts.len());
+            for (sw, _) in fab.switches.iter() {
+                for _ in 0..12 {
+                    let src = rng.index(hosts);
+                    // The destination shares src's block of m^k hosts.
+                    let block = m.pow(rng.index(levels as usize + 1) as u32).min(hosts);
+                    let dst = match rng.index(3) {
+                        0 => rng.index(hosts),
+                        _ => src / block * block + rng.index(block),
+                    };
+                    let (s, d) = (HostId::from_index(src), HostId::from_index(dst));
+                    for in_port in 0..radix as u32 {
+                        assert_eq!(
+                            fab.route(sw, in_port, s, d),
+                            route_by_digits(&fab, sw, in_port, s, d),
+                            "{spec}: {sw} in {in_port}, {src} -> {dst}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 1_000_000, "{checked} tuples");
     }
 
     /// Closed-form peer of `port` on the m-ary Clos switch at (`level`,

@@ -3,7 +3,9 @@
 //! a vector on every call — the shape a rule scoped to `arbitrate` and
 //! `tick` alone cannot see. So does the scheduler round a `tick`
 //! delegates to: `iterate` rebuilds its grant table, `take` returns a
-//! fresh vector.
+//! fresh vector. The host edge collects the queued hosts into a vector
+//! every slot, and the per-hop router spells the destination out digit
+//! by digit.
 
 pub struct Mesh {
     switches: usize,
@@ -37,5 +39,17 @@ impl Mesh {
 
     fn take(&mut self) -> Vec<(u32, u32)> {
         self.pairs.drain(..).collect()
+    }
+
+    fn deliver(&mut self, slot: u64) {
+        let queued: Vec<usize> = (0..self.hosts).filter(|&h| self.backlog(h) > 0).collect();
+        for h in queued {
+            self.inject(h, slot);
+        }
+    }
+
+    fn route(&self, level: u32, dst: u32) -> u32 {
+        let digits: Vec<u32> = (0..self.levels).map(|l| dst / self.m.pow(l) % self.m).collect();
+        digits[level as usize]
     }
 }

@@ -29,9 +29,11 @@ use std::fmt::Write as _;
 pub const MODEL_TRAITS: &[&str] = &["SlottedModel", "CellScheduler", "CellSwitch", "BufferPlane"];
 
 /// Per-slot functions that must stay allocation-free (the precondition
-/// for the bitset hot-path rewrite): the two phase hooks, and the
-/// helpers a phase hook hands its per-switch, per-cell work to — the
-/// shared matching kernel (`match_switch`), the sub-scheduler round
+/// for the bitset hot-path rewrite): the phase hooks (`arbitrate`,
+/// `tick`, and every model's `deliver`), and the helpers a phase hook
+/// hands its per-switch, per-cell work to — the fabric's per-hop
+/// `route`, the shared matching kernel (`match_switch`), the
+/// sub-scheduler round
 /// every pipelined `tick` delegates to (`iterate`, `take`) and its
 /// per-cell bookkeeping (`note_arrival`, `note_departure`, the `unmatch`
 /// a departure falls into), the fabric's buffer, link and credit moves
@@ -49,6 +51,8 @@ pub const MODEL_TRAITS: &[&str] = &["SlottedModel", "CellScheduler", "CellSwitch
 pub const HOT_FN_NAMES: &[&str] = &[
     "arbitrate",
     "tick",
+    "deliver",
+    "route",
     "match_switch",
     "iterate",
     "take",
