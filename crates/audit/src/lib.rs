@@ -530,9 +530,13 @@ impl InvariantAuditor for FdlConservation {
 /// reorder a (source, destination) flow. Not applicable to models that
 /// reorder by design (BVN load balancing, deflection routing); use
 /// [`AuditSet::unordered`] for those.
+///
+/// A view over the engine's flow table: the engine reports each delivery
+/// that does not exceed every earlier one of its flow, and this auditor
+/// records it. A flow's first delivery may carry any sequence number,
+/// and a gap (a cell lost on the way) is no violation.
 #[derive(Debug, Default)]
 pub struct OrderPreservation {
-    last_seq: BTreeMap<(usize, usize), u64>,
     rec: Recorder,
 }
 
@@ -545,33 +549,20 @@ impl OrderPreservation {
 
 impl Auditor for OrderPreservation {
     fn configure(&mut self, _cfg: &EngineConfig, _ports: usize) {
-        self.last_seq.clear();
         self.rec.reset();
     }
 
-    fn flow_delivered(&mut self, slot: u64, src: usize, dst: usize, seq: u64) {
-        match self.last_seq.get_mut(&(src, dst)) {
-            Some(last) => {
-                if seq <= *last {
-                    self.rec.record(
-                        slot,
-                        "order-preservation",
-                        ViolationKind::OrderRegression {
-                            src,
-                            dst,
-                            seq,
-                            last_seq: *last,
-                        },
-                    );
-                }
-                if seq > *last {
-                    *last = seq;
-                }
-            }
-            None => {
-                self.last_seq.insert((src, dst), seq);
-            }
-        }
+    fn flow_regressed(&mut self, slot: u64, src: usize, dst: usize, seq: u64, last_seq: u64) {
+        self.rec.record(
+            slot,
+            "order-preservation",
+            ViolationKind::OrderRegression {
+                src,
+                dst,
+                seq,
+                last_seq,
+            },
+        );
     }
 }
 
@@ -790,8 +781,8 @@ impl std::fmt::Display for AuditReport {
 
 /// A composed set of invariant auditors sharing one [`AuditMode`].
 ///
-/// Attach to a run with `run_audited(model, cfg, sink, &mut set)` (or
-/// the `run_instrumented` / `run_switch_audited` entry points); after
+/// Attach to a run with `Engine::new(&cfg).audit(Some(&mut set))` (or
+/// the `run_switch_audited` entry point); after
 /// the run, [`AuditSet::report`] summarizes what every auditor saw. In
 /// [`AuditMode::Accumulate`] the set also writes an `audit_violations`
 /// extra into the engine report — but only when violations exist, so
@@ -943,9 +934,9 @@ impl Auditor for AuditSet {
         self.bark();
     }
 
-    fn flow_delivered(&mut self, slot: u64, src: usize, dst: usize, seq: u64) {
+    fn flow_regressed(&mut self, slot: u64, src: usize, dst: usize, seq: u64, last_seq: u64) {
         for a in &mut self.auditors {
-            a.flow_delivered(slot, src, dst, seq);
+            a.flow_regressed(slot, src, dst, seq, last_seq);
         }
         self.bark();
     }
@@ -1008,6 +999,7 @@ impl Auditor for AuditSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osmosis_sim::engine::{Engine, Observer, SlottedModel, TraceSink};
 
     fn cfg() -> EngineConfig {
         EngineConfig::new(0, 100)
@@ -1146,18 +1138,145 @@ mod tests {
         assert_eq!(a.total_violations(), 1);
     }
 
+    /// Deliveries `(slot, src, dst, seq)`, in slot order.
+    type Script = Vec<(u64, usize, usize, u64)>;
+
+    /// A model that delivers `script` through the engine's flow check
+    /// and admits nothing.
+    struct Deliveries<'a> {
+        script: &'a [(u64, usize, usize, u64)],
+        ports: usize,
+        next: usize,
+    }
+
+    impl SlottedModel for Deliveries<'_> {
+        fn ports(&self) -> usize {
+            self.ports
+        }
+        fn arbitrate<T: TraceSink>(&mut self, _: u64, _: &mut Observer<'_, T>) {}
+        fn deliver<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
+            while let Some(&(at, src, dst, seq)) = self.script.get(self.next) {
+                if at != slot {
+                    break;
+                }
+                obs.cell_delivered_flow(dst, slot, src, seq);
+                self.next += 1;
+            }
+        }
+        fn inject<T: TraceSink>(&mut self, _: u64, _: &mut Observer<'_, T>) {}
+    }
+
+    /// `script` through the engine with [`OrderPreservation`] attached:
+    /// its violations as `(slot, src, dst, seq, last_seq)`.
+    fn engine_view(script: &Script, ports: usize) -> Vec<(u64, usize, usize, u64, u64)> {
+        let slots = script.last().map_or(1, |d| d.0 + 1);
+        let mut order = OrderPreservation::new();
+        let mut model = Deliveries {
+            script,
+            ports,
+            next: 0,
+        };
+        Engine::new(&EngineConfig::new(0, slots))
+            .audit(Some(&mut order))
+            .run(&mut model);
+        assert_eq!(order.total_violations(), order.violations().len() as u64);
+        let flat = |v: &Violation| match v.kind {
+            ViolationKind::OrderRegression {
+                src,
+                dst,
+                seq,
+                last_seq,
+            } => (v.slot, src, dst, seq, last_seq),
+            ref other => panic!("not an order violation: {other}"),
+        };
+        order.violations().iter().map(flat).collect()
+    }
+
+    /// The per-flow map `OrderPreservation` kept before it became a view
+    /// of the engine's table: the reference its violations must match.
+    fn map_oracle(script: &Script) -> Vec<(u64, usize, usize, u64, u64)> {
+        let mut last_seq: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        let mut violations = Vec::new();
+        for &(slot, src, dst, seq) in script {
+            match last_seq.get_mut(&(src, dst)) {
+                Some(last) => {
+                    if seq <= *last {
+                        violations.push((slot, src, dst, seq, *last));
+                    }
+                    if seq > *last {
+                        *last = seq;
+                    }
+                }
+                None => {
+                    last_seq.insert((src, dst), seq);
+                }
+            }
+        }
+        violations
+    }
+
     #[test]
     fn order_preservation_flags_regression() {
-        let mut a = OrderPreservation::new();
-        a.configure(&cfg(), 4);
-        a.flow_delivered(0, 0, 1, 0);
-        a.flow_delivered(1, 0, 1, 1);
-        a.flow_delivered(1, 2, 1, 0); // distinct flow, fresh sequence
-        a.flow_delivered(2, 0, 1, 1); // duplicate
-        assert_eq!(a.total_violations(), 1);
-        a.flow_delivered(3, 0, 1, 5);
-        a.flow_delivered(4, 0, 1, 3); // regression
-        assert_eq!(a.total_violations(), 2);
+        let script = vec![
+            (0, 0, 1, 0),
+            (1, 0, 1, 1),
+            (1, 2, 1, 0), // distinct flow, fresh sequence
+            (2, 0, 1, 1), // duplicate
+            (3, 0, 1, 5), // gap
+            (4, 0, 1, 3), // regression
+            (4, 3, 2, 7), // a flow's first delivery may carry any number
+        ];
+        let found = engine_view(&script, 4);
+        assert_eq!(found, [(2, 0, 1, 1, 1), (4, 0, 1, 3, 5)]);
+        assert_eq!(found, map_oracle(&script));
+    }
+
+    /// Random delivery scripts over a few flows — in-order runs, gaps
+    /// from lost cells, duplicates, regressions, and flows whose first
+    /// delivery is not 0 — give the engine view exactly the violations
+    /// the per-flow map gave.
+    #[test]
+    fn the_view_reports_what_the_per_flow_map_did() {
+        use osmosis_sim::SimRng;
+        let ports = 4;
+        let mut rng = SimRng::seed_from_u64(29);
+        let mut kinds = [0u64; 5];
+        for _ in 0..200 {
+            // Per flow: the next fresh number and the numbers delivered.
+            let mut next = vec![0u64; ports * ports];
+            let mut sent: Vec<Vec<u64>> = vec![Vec::new(); ports * ports];
+            let mut script = Vec::new();
+            for slot in 0..40 {
+                for _ in 0..rng.index(4) {
+                    let flow = rng.index(ports * ports);
+                    let kind = if sent[flow].is_empty() {
+                        rng.index(2) * 4
+                    } else {
+                        rng.index(5)
+                    };
+                    let seq = match kind {
+                        0 => next[flow],
+                        1 => next[flow] + 1 + rng.below(3),
+                        2 => *sent[flow].last().unwrap_or(&0),
+                        3 => sent[flow][rng.index(sent[flow].len())],
+                        _ => next[flow] + rng.below(50),
+                    };
+                    kinds[kind] += 1;
+                    next[flow] = next[flow].max(seq + 1);
+                    sent[flow].push(seq);
+                    script.push((slot, flow / ports, flow % ports, seq));
+                }
+            }
+            assert_eq!(
+                engine_view(&script, ports),
+                map_oracle(&script),
+                "{script:?}"
+            );
+        }
+        assert!(
+            kinds.iter().all(|&k| k > 100),
+            "every kind scripted: {kinds:?}"
+        );
     }
 
     #[test]
@@ -1199,9 +1318,8 @@ mod tests {
         set.cell_injected(0, 0, 1);
         set.cell_injected(0, 0, 1);
         set.cell_delivered(1, 1, 0);
-        set.flow_delivered(1, 0, 1, 3);
+        set.flow_regressed(2, 0, 1, 3, 3); // duplicate sequence
         set.cell_delivered(2, 1, 0);
-        set.flow_delivered(2, 0, 1, 3); // duplicate sequence
         let mut r = EngineReport::default();
         set.end_run(Some(0), &mut r);
         assert_eq!(set.total_violations(), 1);
@@ -1217,7 +1335,6 @@ mod tests {
         set.configure(&cfg(), 4);
         set.cell_injected(0, 0, 1);
         set.cell_delivered(1, 1, 0);
-        set.flow_delivered(1, 0, 1, 0);
         let mut r = EngineReport::default();
         set.end_run(Some(0), &mut r);
         assert_eq!(r.extra("audit_violations"), None);
@@ -1229,7 +1346,6 @@ mod tests {
     fn fail_fast_panics_on_first_violation() {
         let mut set = AuditSet::standard(AuditMode::FailFast);
         set.configure(&cfg(), 4);
-        set.flow_delivered(0, 0, 1, 2);
-        set.flow_delivered(1, 0, 1, 2);
+        set.flow_regressed(1, 0, 1, 2, 2);
     }
 }

@@ -23,7 +23,7 @@ use osmosis_core::experiments::ocs_study::{self, workload, OcsOptions, OcsStudy,
 use osmosis_core::Scale;
 use osmosis_fabric::TopologySpec;
 use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
-use osmosis_ocs::{run_ocs_instrumented, run_ocs_logged, EpochConfig, OcsScheduler, OcsSwitch};
+use osmosis_ocs::{EpochConfig, OcsScheduler, OcsSwitch};
 use osmosis_sched::Flppr;
 use osmosis_sim::engine::EngineConfig;
 use osmosis_sim::json::Value;
@@ -192,7 +192,9 @@ fn smoke(audit: bool, topologies: &[TopologySpec]) {
             .one_shot(FaultKind::CircuitStuck { input: 5 }, 2_500, None);
         let mut inj = FaultInjector::new(plan);
         let mut tr = workload("hotspot_skew", n, 5_000, 0x0C5).expect("skew");
-        run_ocs_instrumented(tr.as_mut(), epoch, &cfg, Some(&mut inj), None)
+        let mut sched = OcsScheduler::new(epoch);
+        let mut sw = OcsSwitch::new(n);
+        run_switch_circuit(&mut sw, tr.as_mut(), &cfg, &mut sched, Some(&mut inj), None)
     };
     let f1 = faulted();
     let f2 = faulted();
@@ -203,7 +205,16 @@ fn smoke(audit: bool, topologies: &[TopologySpec]) {
 
     // 4. Telemetry: the epoch log exports as schema-valid JSONL.
     let mut tr = workload("allreduce_ring", n, 5_000, 0x0C5).expect("ring");
-    let (report, log) = run_ocs_logged(tr.as_mut(), epoch, &cfg);
+    let mut sched = OcsScheduler::new(epoch);
+    let report = run_switch_circuit(
+        &mut OcsSwitch::new(n),
+        tr.as_mut(),
+        &cfg,
+        &mut sched,
+        None,
+        None,
+    );
+    let log = sched.epoch_log();
     let meta = RunMeta {
         seed: 0x0C5,
         ports: n,
@@ -214,7 +225,7 @@ fn smoke(audit: bool, topologies: &[TopologySpec]) {
     };
     let mut doc = String::new();
     let _ = writeln!(doc, "{}", meta_record(0, "ocs_study", &meta).encode());
-    for e in &log {
+    for e in log {
         let _ = writeln!(
             doc,
             "{}",

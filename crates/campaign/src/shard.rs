@@ -15,10 +15,10 @@ use crate::{fnv_words, CampaignError};
 use osmosis_fabric::{BufferTech, CompiledFabric, Placement, TopologyFamily};
 use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis_sched::Flppr;
-use osmosis_sim::engine::EngineConfig;
+use osmosis_sim::engine::{Engine, EngineConfig};
 use osmosis_sim::json::Value;
 use osmosis_sim::{CheckpointLog, FaultView, SeedSequence};
-use osmosis_switch::{run_switch_instrumented_traced, CellSwitch, VoqSwitch};
+use osmosis_switch::{CellSwitch, Driven, VoqSwitch};
 use osmosis_telemetry::{
     campaign_record, campaign_summary_record, shard_point_record, shard_record, MetricsRegistry,
     TelemetrySink,
@@ -205,8 +205,10 @@ fn simulate<S: CellSwitch + ?Sized>(
 ) -> PointDigest {
     let mut sink = TelemetrySink::new();
     let mut inj = plan.map(FaultInjector::new);
-    let faults = inj.as_mut().map(|i| i as &mut dyn FaultView);
-    let report = run_switch_instrumented_traced(model, tr, cfg, &mut sink, faults, None);
+    let report = Engine::new(cfg)
+        .trace(&mut sink)
+        .faults(inj.as_mut().map(|i| i as &mut dyn FaultView))
+        .run(&mut Driven::new(model, tr));
     PointDigest {
         fingerprint: report.fingerprint(),
         throughput: report.throughput,

@@ -31,11 +31,11 @@ use super::Scale;
 use osmosis_audit::{AuditMode, AuditSet};
 use osmosis_fabric::{CompiledFabric, EngineConfig, EngineReport, TopologySpec};
 use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
-use osmosis_sim::engine::{run_instrumented, TraceEvent, TraceSink};
+use osmosis_sim::engine::{Engine, TraceEvent, TraceSink};
 use osmosis_sim::json::Value;
 use osmosis_sim::{
-    checkpointed_sweep, supervised_sweep, CheckpointLog, FaultView, SeedSequence, SweepError,
-    SweepOptions, SweepState, SweepSummary,
+    checkpointed_sweep, supervised_sweep, Auditor, CheckpointLog, FaultView, SeedSequence,
+    SweepError, SweepOptions, SweepState, SweepSummary,
 };
 use osmosis_switch::driven::Driven;
 use osmosis_telemetry::TelemetrySink;
@@ -265,20 +265,20 @@ fn run_leg<T: TraceSink>(
 ) -> (EngineReport, u64) {
     let mut fab = CompiledFabric::new(*spec);
     let mut tr = traffic(spec.hosts() as usize, seed);
-    let mut driven = Driven::new(&mut fab, &mut tr);
     let mut inj = plan.map(FaultInjector::new);
-    let faults = inj.as_mut().map(|i| i as &mut dyn FaultView);
-    if audit {
-        let mut set = if ordered {
+    let mut set = audit.then(|| {
+        if ordered {
             AuditSet::standard(AuditMode::Accumulate)
         } else {
             AuditSet::unordered(AuditMode::Accumulate)
-        };
-        let r = run_instrumented(&mut driven, cfg, sink, faults, Some(&mut set));
-        (r, set.total_violations())
-    } else {
-        (run_instrumented(&mut driven, cfg, sink, faults, None), 0)
-    }
+        }
+    });
+    let r = Engine::new(cfg)
+        .trace(sink)
+        .faults(inj.as_mut().map(|i| i as &mut dyn FaultView))
+        .audit(set.as_mut().map(|s| s as &mut dyn Auditor))
+        .run(&mut Driven::new(&mut fab, &mut tr));
+    (r, set.map_or(0, |s| s.total_violations()))
 }
 
 /// Checkpoint key: ties a state file to the exact sweep it belongs to,

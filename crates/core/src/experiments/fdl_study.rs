@@ -23,8 +23,8 @@ use osmosis_fabric::{
     BufferTech, CompiledFabric, EngineConfig, EngineReport, Placement, TopologySpec,
 };
 use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
-use osmosis_sim::engine::run_instrumented;
-use osmosis_sim::{FaultView, NullTrace, SeedSequence};
+use osmosis_sim::engine::Engine;
+use osmosis_sim::{Auditor, FaultView, SeedSequence};
 use osmosis_switch::driven::Driven;
 use osmosis_traffic::{BernoulliUniform, Bursty, TrafficGen};
 
@@ -273,25 +273,15 @@ pub fn run_with(
                             message: format!("fdl_study topology `{spec}`: {e}"),
                         })?;
                     let mut tr = traffic(hosts, load, burst, seed);
-                    let mut driven = Driven::new(&mut fab, tr.as_mut());
                     let mut inj = fault.plan(radix, buffer_cells).map(FaultInjector::new);
-                    let faults_view = inj.as_mut().map(|i| i as &mut dyn FaultView);
-                    let (report, leg_violations) = if opts.audit {
-                        let mut set = AuditSet::standard(AuditMode::Accumulate);
-                        let r = run_instrumented(
-                            &mut driven,
-                            &cfg,
-                            &mut NullTrace,
-                            faults_view,
-                            Some(&mut set),
-                        );
-                        (r, set.total_violations())
-                    } else {
-                        (
-                            run_instrumented(&mut driven, &cfg, &mut NullTrace, faults_view, None),
-                            0,
-                        )
-                    };
+                    let mut set = opts
+                        .audit
+                        .then(|| AuditSet::standard(AuditMode::Accumulate));
+                    let report = Engine::new(&cfg)
+                        .faults(inj.as_mut().map(|i| i as &mut dyn FaultView))
+                        .audit(set.as_mut().map(|s| s as &mut dyn Auditor))
+                        .run(&mut Driven::new(&mut fab, tr.as_mut()));
+                    let leg_violations = set.map_or(0, |s| s.total_violations());
                     violations += leg_violations;
                     points.push(FdlPoint {
                         option,

@@ -35,12 +35,13 @@
 //! cells and credits on links sit in wheels of d + 1 buckets indexed
 //! `slot % (d + 1)`: a slot drains its own bucket in the order it was
 //! filled and appends to the bucket d ahead, the one drained the slot
-//! before. The ordering check ([`FlowOrder`]) is the one table a run
-//! does not keep in cache, so `admit` and `arbitrate` each make its
-//! lookups in a loop of their own, where the misses overlap. A hop
-//! reads no graph table: the port a cell lands on is `switch * radix +
-//! local` by construction, so both come out of its `at` word by a
-//! division, and [`ExpandedFabric::route`] is closed-form arithmetic.
+//! before. The engine's flow-order table is the one table a run does
+//! not keep in cache, so `admit` stamps in a loop of its own and
+//! `arbitrate` delivers to hosts ahead of the switch landings, where the
+//! misses overlap. A hop reads no graph table: the port a cell lands on
+//! is `switch * radix + local` by construction, so both come out of its
+//! `at` word by a division, and [`ExpandedFabric::route`] is closed-form
+//! arithmetic.
 //!
 //! The host edge is one FIFO per host plus one bit per host, set by
 //! `admit` when it queues a cell and cleared by `deliver` when it takes
@@ -95,7 +96,7 @@ use osmosis_sim::audit::{CreditLedger, DropReason};
 use osmosis_sim::buffer::{BufferLossReason, BufferPlane, BufferStats};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_switch::driven::{run_switch, CellSwitch};
-use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
+use osmosis_traffic::{Arrival, TrafficGen};
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -195,7 +196,6 @@ pub struct CompiledFabric {
     /// Audit scratch, per global port: cells and credits in flight on
     /// the credit loop protecting that input.
     in_flight: Vec<u32>,
-    order: FlowOrder,
     matcher: Matcher,
 }
 
@@ -269,7 +269,6 @@ impl CompiledFabric {
             resync: VecDeque::new(),
             link_stall: Vec::new(),
             in_flight: Vec::new(),
-            order: FlowOrder::new(),
             matcher: Matcher::new(spec.radix),
             fab,
         }
@@ -469,9 +468,6 @@ impl CompiledFabric {
                 self.retransmit.push_back((back, flit));
                 return;
             }
-            if to_host {
-                self.order.record(src, dst, flit.seq.into());
-            }
         }
         if to_host {
             debug_assert_eq!(flit.at, HOST | flit.dst);
@@ -595,18 +591,17 @@ impl CellSwitch for CompiledFabric {
     }
 
     /// A fabric is run again only once the run before has drained. The
-    /// engine restarts at slot 0, so cells and credits still inside
-    /// would land in slots of the new run they were never sent for, and
-    /// a `buffer_cells` override re-strides the buffers they sit in:
-    /// both are refused here.
+    /// engine refuses one still holding cells; credits still on their
+    /// way back would land in slots of the new run they were never sent
+    /// for, and under a `buffer_cells` override in buffers re-strided
+    /// under them, so they are refused here.
     fn configure(&mut self, cfg: &EngineConfig) {
         let credits = self.credit_wheel.iter().all(Vec::is_empty) && self.resync.is_empty();
         assert!(
-            self.resident_cells() == Some(0) && credits,
+            credits,
             "a fabric is run again, or given a buffer_cells override, only once it has \
-             drained: cells or credits are still inside this one"
+             drained: credits are still inside this one"
         );
-        self.order.begin_run();
         self.link_stall.clear();
         self.plane_ok.clear();
         if let Some(b) = cfg.buffer_cells {
@@ -709,21 +704,25 @@ impl CellSwitch for CompiledFabric {
 
         // Cell arrivals from links, in the order they were sent — resent
         // cells first: each is older than anything still in flight on
-        // its link. The ordering checks go ahead of the rest where no
-        // fault plane can turn a cell back: each is a likely cache miss,
-        // and back to back they overlap instead of queueing behind the
-        // observer.
+        // its link. Where no fault plane can turn a cell back, the host
+        // deliveries go ahead of the rest: each order check is a likely
+        // cache miss, and back to back they overlap. A switch landing
+        // shows the observer nothing but its queue depth, so the trace is
+        // the same either way.
         let mut landed = std::mem::take(&mut self.cell_wheel[now]);
         let due = self.retransmit.iter().take_while(|&&(at, _)| at == slot);
         let due = due.count();
         landed.splice(0..0, self.retransmit.drain(..due).map(|(_, flit)| flit));
         if !faults_on {
             for flit in landed.iter().filter(|flit| flit.at & HOST != 0) {
-                self.order
-                    .record(flit.src as usize, flit.dst as usize, flit.seq.into());
+                let (src, dst) = (flit.src as usize, flit.dst as usize);
+                obs.cell_delivered_flow(dst, flit.inject, src, flit.seq.into());
             }
         }
-        for &flit in &landed {
+        for &flit in landed
+            .iter()
+            .filter(|flit| faults_on || flit.at & HOST == 0)
+        {
             self.land(slot, flit, faults_on, obs);
         }
         landed.clear();
@@ -835,7 +834,7 @@ impl CellSwitch for CompiledFabric {
                 inject: slot,
                 src: a.src as u32,
                 dst: a.dst as u32,
-                seq: self.order.stamp(a.src, a.dst) as u32,
+                seq: obs.stamp(a.src, a.dst) as u32,
                 at: 0,
             });
             self.queued[a.src / 64] |= 1 << (a.src % 64);
@@ -846,7 +845,6 @@ impl CellSwitch for CompiledFabric {
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.order.reordered();
         // Pin compatibility, to be dropped at the parked `benchmark/`
         // re-freeze: its pins hold these two extras on the `rg=0` fabric
         // workloads and their absence from the campaign's `rg=1` points.
@@ -889,7 +887,7 @@ mod tests {
     use osmosis_faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
     use osmosis_sim::engine::SlottedModel;
     use osmosis_sim::{SeedSequence, SimRng};
-    use osmosis_switch::run_switch_faulted;
+    use osmosis_switch::run_switch_instrumented;
     use osmosis_traffic::{BernoulliUniform, Hotspot, Replay};
 
     fn uniform(fab: &CompiledFabric, load: f64, seed: u64) -> BernoulliUniform {
@@ -1231,7 +1229,13 @@ mod tests {
             let mut fab = build();
             let mut idle = uniform(&fab, 0.0, 9);
             let mut inj = FaultInjector::new(plane_and_short_lines_dead());
-            run_switch_faulted(&mut fab, &mut idle, &EngineConfig::new(0, 10), &mut inj);
+            run_switch_instrumented(
+                &mut fab,
+                &mut idle,
+                &EngineConfig::new(0, 10),
+                Some(&mut inj),
+                None,
+            );
             let second = loaded(&mut fab);
             assert_eq!(second.dropped, 0, "{tech:?}: dead lines outlived their run");
             assert_eq!(second.fingerprint(), fresh.fingerprint(), "{tech:?}");
@@ -1249,7 +1253,13 @@ mod tests {
         let sends = |src: usize| (0..20).map(|k| (src * 7 + k * 3) % hosts).collect();
         let mut tr = Replay::new((0..hosts).map(sends).collect());
         let mut inj = FaultInjector::new(plane_and_short_lines_dead());
-        let faulted = run_switch_faulted(&mut fab, &mut tr, &EngineConfig::new(0, 600), &mut inj);
+        let faulted = run_switch_instrumented(
+            &mut fab,
+            &mut tr,
+            &EngineConfig::new(0, 600),
+            Some(&mut inj),
+            None,
+        );
         assert!(tr.is_done() && fab.resident_cells() == Some(0), "drained");
         assert!(faulted.dropped > 20, "dead lines lose cells");
         let drops = faulted.extra("fdl_drops_total");
@@ -1273,13 +1283,13 @@ mod tests {
         let mut tr = uniform(&fab, 0.5, 11);
         let mut inj = FaultInjector::new(FaultPlan::new());
         let cfg = EngineConfig::new(1_000, 8_000);
-        let faulted = run_switch_faulted(&mut fab, &mut tr, &cfg, &mut inj);
+        let faulted = run_switch_instrumented(&mut fab, &mut tr, &cfg, Some(&mut inj), None);
         assert_eq!(plain.fingerprint(), faulted.fingerprint());
     }
 
     /// Run `spec` under `plan` at `load`; the report and what the fabric
     /// still holds.
-    fn run_faulted(
+    fn run_under_faults(
         spec: TopologySpec,
         load: f64,
         e: &EngineConfig,
@@ -1287,7 +1297,13 @@ mod tests {
     ) -> (EngineReport, u64) {
         let mut fab = CompiledFabric::new(spec);
         let mut tr = uniform(&fab, load, e.seed);
-        let r = run_switch_faulted(&mut fab, &mut tr, e, &mut FaultInjector::new(plan));
+        let r = run_switch_instrumented(
+            &mut fab,
+            &mut tr,
+            e,
+            Some(&mut FaultInjector::new(plan)),
+            None,
+        );
         (r, fab.resident_cells().unwrap())
     }
 
@@ -1297,10 +1313,10 @@ mod tests {
         // spreads its flows over the survivors; at 0.6 load the three
         // remaining uplinks per leaf (0.8 each) still carry everything.
         let e = EngineConfig::new(0, 10_000).with_seed(21);
-        let (nominal, _) = run_faulted(paper_tree(2), 0.6, &e, FaultPlan::new());
+        let (nominal, _) = run_under_faults(paper_tree(2), 0.6, &e, FaultPlan::new());
         let loss = FaultKind::WavelengthLoss { plane: 1 };
         let plan = FaultPlan::new().one_shot(loss, 2_000, Some(3_000));
-        let (degraded, resident) = run_faulted(paper_tree(2), 0.6, &e, plan);
+        let (degraded, resident) = run_under_faults(paper_tree(2), 0.6, &e, plan);
         assert_eq!(degraded.dropped, 0, "re-routing is lossless");
         assert_eq!(
             degraded.injected,
@@ -1325,7 +1341,7 @@ mod tests {
             cell_error_prob: 0.05,
         };
         let plan = FaultPlan::new().permanent(ber, 0);
-        let (r, resident) = run_faulted(paper_tree(2), 0.4, &e, plan);
+        let (r, resident) = run_under_faults(paper_tree(2), 0.4, &e, plan);
         assert!(
             r.extra("fault_retransmits").unwrap() > 100.0,
             "corrupted hops were re-sent"
@@ -1347,7 +1363,7 @@ mod tests {
         let e = EngineConfig::new(0, 10_000).with_seed(25);
         let drop = FaultKind::CreditDrop { prob: 0.3 };
         let plan = FaultPlan::new().one_shot(drop, 1_000, Some(4_000));
-        let (faulted, resident) = run_faulted(paper_tree(2), 0.5, &e, plan);
+        let (faulted, resident) = run_under_faults(paper_tree(2), 0.5, &e, plan);
         assert!(faulted.extra("fault_credits_dropped").unwrap() > 100.0);
         assert_eq!(faulted.dropped, 0, "lost credits never lose cells");
         assert_eq!(
@@ -1682,7 +1698,7 @@ mod tests {
             stalls: 0,
             drains: 0,
         };
-        let r = osmosis_sim::engine::run_model(&mut model, &EngineConfig::new(0, 600));
+        let r = osmosis_sim::Engine::new(&EngineConfig::new(0, 600)).run(&mut model);
         let (stalls, drains) = (model.stalls, model.drains);
         assert!(
             r.delivered > 0 && stalls > 10_000 && drains > 50,

@@ -1,4 +1,4 @@
-//! Fixture hot path: analyzed as `crates/traffic/src/order.rs`. Both
+//! Fixture hot path: analyzed as `crates/sim/src/order.rs`. Both
 //! per-cell entry points of the flow table allocate: `stamp` collects the
 //! probe sequence before walking it, `record` copies the table to search
 //! the copy. The `#[cold] grow` they fall into allocates too, and is not

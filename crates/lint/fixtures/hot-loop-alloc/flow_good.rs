@@ -1,4 +1,4 @@
-//! Fixture hot path: analyzed as `crates/traffic/src/order.rs`. `stamp`
+//! Fixture hot path: analyzed as `crates/sim/src/order.rs`. `stamp`
 //! and `record` probe the table in place; the only allocation is the
 //! doubling in `#[cold] grow`, which neither the list nor the rule
 //! reaches.

@@ -3,9 +3,9 @@
 pub struct NoAudit;
 
 impl Auditor for NoAudit {
-    fn flow_delivered(&mut self, slot: u64, src: usize, dst: usize, seq: u64) {
+    fn flow_regressed(&mut self, slot: u64, src: usize, dst: usize, seq: u64, last_seq: u64) {
         let mut log = Vec::new();
-        log.push((slot, src, dst, seq));
+        log.push((slot, src, dst, seq, last_seq));
         let _line = format!("{slot}");
     }
 }

@@ -8,7 +8,7 @@ pub struct RecordingAudit {
 }
 
 impl Auditor for RecordingAudit {
-    fn flow_delivered(&mut self, slot: u64, src: usize, _dst: usize, _seq: u64) {
+    fn flow_regressed(&mut self, slot: u64, src: usize, _dst: usize, _seq: u64, _last_seq: u64) {
         self.events.push((slot, src));
     }
 }

@@ -551,7 +551,8 @@ fn rule_extras_registry(
 /// Rule `bench-gate`: every harness experiment (a module of the `repro`
 /// binary) that reads `args.smoke` must be wired into ci.yml's smoke
 /// gates; every experiment ci.yml names must exist; every committed
-/// `BENCH_*.json` must be written by some live bin.
+/// `BENCH_*.json` must be written by some live bin or read by a ci.yml
+/// step (the benchmark ledger, which `perf all` writes).
 fn rule_bench_gate(
     files: &[SourceFile],
     arts: &Artifacts,
@@ -616,21 +617,26 @@ fn rule_bench_gate(
         }
     }
     for name in &arts.bench_jsons {
-        let referenced = files.iter().any(|f| {
-            f.kind == FileKind::Bin
-                && f.tokens().iter().any(|t| {
-                    t.kind == TokKind::Str
-                        && t.str_content().is_some_and(|c| c.contains(name.as_str()))
-                })
-        });
+        let in_ci = arts
+            .ci_yml
+            .as_deref()
+            .is_some_and(|t| t.contains(name.as_str()));
+        let referenced = in_ci
+            || files.iter().any(|f| {
+                f.kind == FileKind::Bin
+                    && f.tokens().iter().any(|t| {
+                        t.kind == TokKind::Str
+                            && t.str_content().is_some_and(|c| c.contains(name.as_str()))
+                    })
+            });
         if !referenced {
             out.push(mk_artifact(
                 name,
                 "bench-gate",
                 1,
                 format!(
-                    "committed baseline `{name}` is not referenced by any bench bin — \
-                     stale artifact, or its writer was removed without it"
+                    "committed baseline `{name}` is not referenced by any bench bin or \
+                     ci.yml step — stale artifact, or its writer was removed without it"
                 ),
                 String::new(),
             ));
@@ -929,10 +935,15 @@ mod tests {
         let arts = Artifacts {
             ci_yml: Some(
                 "      - run: cargo run -p osmosis-bench -- wired --smoke --audit\n\
-                 - run: cargo run -p osmosis-bench -- ghost --smoke\n"
+                 - run: cargo run -p osmosis-bench -- ghost --smoke\n\
+                 - run: perf agree BENCH_ledger.json set.jsonl\n"
                     .into(),
             ),
-            bench_jsons: vec!["BENCH_x.json".into(), "BENCH_stale.json".into()],
+            bench_jsons: vec![
+                "BENCH_x.json".into(),
+                "BENCH_stale.json".into(),
+                "BENCH_ledger.json".into(),
+            ],
             ..Artifacts::default()
         };
         let (diags, graph) = deep(
@@ -953,7 +964,7 @@ mod tests {
             .any(|d| d.message.contains("`ghost` that does not exist")));
         assert!(hits.iter().any(|d| d.message.contains("BENCH_stale.json")));
         assert_eq!(graph.bench_bins.len(), 2);
-        assert_eq!(graph.bench_jsons.len(), 2);
+        assert_eq!(graph.bench_jsons.len(), 3);
     }
 
     #[test]

@@ -449,7 +449,7 @@ fn hot_loop_alloc_audits_the_flow_table_probes_not_the_cold_grow() {
     };
     let (bad, graph) = deep(
         vec![(
-            "crates/traffic/src/order.rs",
+            "crates/sim/src/order.rs",
             fixture("hot-loop-alloc", "flow_bad.rs"),
         )],
         &Artifacts::default(),
@@ -461,7 +461,7 @@ fn hot_loop_alloc_audits_the_flow_table_probes_not_the_cold_grow() {
 
     let (good, graph) = deep(
         vec![(
-            "crates/traffic/src/order.rs",
+            "crates/sim/src/order.rs",
             fixture("hot-loop-alloc", "flow_good.rs"),
         )],
         &Artifacts::default(),

@@ -44,78 +44,26 @@ pub use sched::{EpochRecord, OcsScheduler};
 pub use switch::OcsSwitch;
 pub use tm::{TmEstimator, TmRecorder};
 
-use osmosis_sim::engine::{EngineConfig, EngineReport};
-use osmosis_sim::{Auditor, FaultView};
-use osmosis_switch::run_switch_circuit;
-use osmosis_traffic::TrafficGen;
-
-/// Run `traffic` through a fresh circuit switch under a fresh scheduler
-/// at the given cadence. The switch's port count is taken from the
-/// generator.
-pub fn run_ocs(
-    traffic: &mut dyn TrafficGen,
-    epoch: EpochConfig,
-    cfg: &EngineConfig,
-) -> EngineReport {
-    run_ocs_instrumented(traffic, epoch, cfg, None, None)
-}
-
-/// [`run_ocs`] with optional fault and audit planes — the entry point
-/// the acceptance suites drive faulted/audited OCS runs through.
-pub fn run_ocs_instrumented<'a>(
-    traffic: &mut dyn TrafficGen,
-    epoch: EpochConfig,
-    cfg: &EngineConfig,
-    faults: Option<&'a mut dyn FaultView>,
-    audit: Option<&'a mut dyn Auditor>,
-) -> EngineReport {
-    let mut sw = OcsSwitch::new(traffic.ports());
-    let mut sched = OcsScheduler::new(epoch);
-    run_switch_circuit(&mut sw, traffic, cfg, &mut sched, faults, audit)
-}
-
-/// Like [`run_ocs`], returning the scheduler's per-epoch log alongside
-/// the report (for telemetry export and the bench tables).
-pub fn run_ocs_logged(
-    traffic: &mut dyn TrafficGen,
-    epoch: EpochConfig,
-    cfg: &EngineConfig,
-) -> (EngineReport, Vec<EpochRecord>) {
-    let mut sw = OcsSwitch::new(traffic.ports());
-    let mut sched = OcsScheduler::new(epoch);
-    let report = run_switch_circuit(&mut sw, traffic, cfg, &mut sched, None, None);
-    let log = sched.epoch_log().to_vec();
-    (report, log)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osmosis_sim::engine::{Engine, EngineConfig};
     use osmosis_sim::SeedSequence;
+    use osmosis_switch::Driven;
     use osmosis_traffic::BernoulliUniform;
 
     #[test]
-    fn run_ocs_produces_epoch_extras() {
+    fn a_circuit_run_produces_epoch_extras_and_logs_every_epoch() {
         let mut tr = BernoulliUniform::new(8, 0.4, &SeedSequence::new(2));
-        let r = run_ocs(
-            &mut tr,
-            EpochConfig::osmosis_default(),
-            &EngineConfig::new(500, 5_000).with_seed(2),
-        );
+        let mut sched = OcsScheduler::new(EpochConfig::osmosis_default());
+        let r = Engine::new(&EngineConfig::new(500, 5_000).with_seed(2))
+            .circuits(Some(&mut sched))
+            .run(&mut Driven::new(&mut OcsSwitch::new(8), &mut tr));
         let epochs = r.extra("ocs_epochs").unwrap_or(0.0);
         // 5500 slots / 64-slot epochs ⇒ 86 epochs.
         assert!(epochs > 80.0, "epochs {epochs}");
         assert!(r.extra("ocs_reconfigurations").is_some());
         assert!(r.extra("ocs_mean_utilization").is_some());
-    }
-
-    #[test]
-    fn logged_run_matches_plain_run() {
-        let mk = || BernoulliUniform::new(8, 0.4, &SeedSequence::new(7));
-        let cfg = EngineConfig::new(500, 5_000).with_seed(7);
-        let plain = run_ocs(&mut mk(), EpochConfig::osmosis_default(), &cfg);
-        let (logged, log) = run_ocs_logged(&mut mk(), EpochConfig::osmosis_default(), &cfg);
-        assert_eq!(plain.fingerprint(), logged.fingerprint());
-        assert_eq!(log.len() as f64, logged.extra("ocs_epochs").unwrap_or(-1.0));
+        assert_eq!(sched.epoch_log().len() as f64, epochs);
     }
 }

@@ -20,9 +20,9 @@
 //! [`CircuitStuck`]: osmosis_sim::FaultView::circuit_stuck
 
 use osmosis_sim::audit::DropReason;
-use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
+use osmosis_sim::engine::{EngineConfig, Observer, TraceSink};
 use osmosis_switch::{Cell, CellSwitch};
-use osmosis_traffic::{Arrival, FlowOrder};
+use osmosis_traffic::Arrival;
 use std::collections::VecDeque;
 
 /// An input with no circuit applied.
@@ -38,7 +38,6 @@ pub struct OcsSwitch {
     applied: Vec<usize>,
     /// Scratch: which outputs already received a cell this slot.
     claimed: Vec<bool>,
-    order: FlowOrder,
     next_id: u64,
     buffer_cells: Option<usize>,
 }
@@ -53,7 +52,6 @@ impl OcsSwitch {
             egress: (0..n).map(|_| VecDeque::new()).collect(),
             applied: vec![DARK; n],
             claimed: vec![false; n],
-            order: FlowOrder::new(),
             next_id: 0,
             buffer_cells: None,
         }
@@ -71,12 +69,8 @@ impl CellSwitch for OcsSwitch {
     }
 
     fn configure(&mut self, cfg: &EngineConfig) {
-        self.order.begin_run();
         self.applied.iter_mut().for_each(|a| *a = DARK);
         self.buffer_cells = cfg.buffer_cells;
-        for q in self.voq.iter_mut().chain(self.egress.iter_mut()) {
-            q.clear();
-        }
     }
 
     fn arbitrate<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
@@ -141,7 +135,6 @@ impl CellSwitch for OcsSwitch {
             }
             if let Some(cell) = q.pop_front() {
                 debug_assert_eq!(cell.dst, o);
-                self.order.record(cell.src, cell.dst, cell.seq);
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -159,16 +152,12 @@ impl CellSwitch for OcsSwitch {
                     continue;
                 }
             }
-            let seq = self.order.stamp(a.src, a.dst);
+            let seq = obs.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             q.push_back(cell);
             obs.note_queue_depth(q.len());
         }
-    }
-
-    fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {

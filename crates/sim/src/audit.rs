@@ -105,10 +105,12 @@ pub trait Auditor {
     /// A cell left the system at `output`.
     fn cell_delivered(&mut self, _slot: u64, _output: usize, _inject_slot: u64) {}
 
-    /// Flow identity of a delivered cell (fires alongside
-    /// [`cell_delivered`](Auditor::cell_delivered) at instrumented
-    /// egress sites) — the order-preservation feed.
-    fn flow_delivered(&mut self, _slot: u64, _src: usize, _dst: usize, _seq: u64) {}
+    /// A delivered cell of the (`src`, `dst`) flow carried `seq`, no
+    /// higher than `last_seq`, the highest an earlier delivery of the
+    /// flow carried this run — the order-preservation feed. The engine
+    /// keeps the per-flow state and calls this only for such a delivery,
+    /// just before its [`cell_delivered`](Auditor::cell_delivered).
+    fn flow_regressed(&mut self, _slot: u64, _src: usize, _dst: usize, _seq: u64, _last_seq: u64) {}
 
     /// A cell was dropped at `port` for `reason`.
     fn cell_dropped(&mut self, _slot: u64, _port: usize, _reason: DropReason) {}
@@ -171,7 +173,7 @@ mod tests {
         a.cell_injected(0, 1, 2);
         a.cell_granted(0, 1, 2, 3);
         a.cell_delivered(0, 2, 0);
-        a.flow_delivered(0, 1, 2, 0);
+        a.flow_regressed(0, 1, 2, 0, 0);
         a.cell_dropped(0, 1, DropReason::Rejected);
         a.cell_retransmitted(0, 1);
         a.output_capacity(0, 2, 1);

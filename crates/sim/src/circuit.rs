@@ -21,7 +21,7 @@
 //! Every method has a benign default, so the trait doubles as the null
 //! object: [`NullCircuits`] is an empty `impl`. The engine only attaches
 //! a non-vacuous view (see
-//! [`run_circuit_switched`](crate::engine::run_circuit_switched)); with
+//! [`Engine::circuits`](crate::engine::Engine::circuits)); with
 //! no circuit plan attached the per-slot cost is a single `Option` check
 //! and every model-side query short-circuits on
 //! [`Observer::circuits_attached`](crate::engine::Observer::circuits_attached)

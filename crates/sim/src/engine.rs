@@ -10,7 +10,19 @@
 //! * [`EngineConfig`] — the one simulation window/seed/buffer config;
 //! * [`EngineReport`] — the one report every simulator produces;
 //! * [`Observer`] — the cell-accounting callbacks handed to the hooks,
-//!   which also fan out cycle-level [`TraceEvent`]s to a [`TraceSink`].
+//!   which also fan out cycle-level [`TraceEvent`]s to a [`TraceSink`];
+//! * [`Engine`] — the one slot-loop entry: a builder taking the trace
+//!   sink and the fault, audit and circuit planes, then `run(&mut model)`.
+//!
+//! # Flow order
+//!
+//! Table 1's per-flow ordering is checked here, once for every model: a
+//! model stamps each admitted cell through [`Observer::stamp`] and
+//! reports its egress through [`Observer::cell_delivered_flow`], and the
+//! observer's table — fresh for each run — counts the out-of-order
+//! deliveries into [`EngineReport::reordered`]. A model is run again only
+//! once it has drained: [`Engine::run`] refuses one that reports resident
+//! cells, whose stamps and slots belong to the run before.
 //!
 //! # Phase order
 //!
@@ -30,8 +42,9 @@
 //! `crates/bench/benches/engine.rs`).
 
 use crate::audit::{Auditor, CreditLedger, DropReason};
-use crate::circuit::{CircuitView, NullCircuits};
+use crate::circuit::CircuitView;
 use crate::fault::FaultView;
+use crate::order::FlowOrder;
 use crate::stats::Histogram;
 
 /// A cycle-level event emitted through a [`TraceSink`].
@@ -112,6 +125,30 @@ pub trait TraceSink {
     /// never influence the run it observed, which is why *any* sink —
     /// not just a disabled one — leaves the fingerprint bit-identical.
     fn run_end(&mut self, _report: &EngineReport) {}
+}
+
+/// A borrowed sink is a sink: [`Engine::trace`] holds the caller's
+/// `&mut` and the caller reads the sink back after the run.
+impl<S: TraceSink> TraceSink for &mut S {
+    const ENABLED: bool = S::ENABLED;
+
+    #[inline(always)]
+    fn event(&mut self, slot: u64, event: TraceEvent) {
+        (**self).event(slot, event);
+    }
+
+    fn run_begin(&mut self, cfg: &EngineConfig, ports: usize) {
+        (**self).run_begin(cfg, ports);
+    }
+
+    #[inline(always)]
+    fn begin_slot(&mut self, slot: u64) {
+        (**self).begin_slot(slot);
+    }
+
+    fn run_end(&mut self, report: &EngineReport) {
+        (**self).run_end(report);
+    }
 }
 
 /// The disabled sink: all tracing compiles to nothing.
@@ -424,10 +461,11 @@ impl Fnv {
 /// saturation the warm-up backlog drains strictly FIFO, as the bespoke
 /// loops also assumed).
 pub struct Observer<'a, T: TraceSink> {
-    sink: &'a mut T,
+    sink: T,
     faults: Option<&'a mut dyn FaultView>,
     circuits: Option<&'a mut dyn CircuitView>,
     audit: Option<&'a mut dyn Auditor>,
+    order: FlowOrder,
     warmup_slots: u64,
     slot: u64,
     measuring: bool,
@@ -445,12 +483,19 @@ pub struct Observer<'a, T: TraceSink> {
 }
 
 impl<'a, T: TraceSink> Observer<'a, T> {
-    fn new(cfg: &EngineConfig, sink: &'a mut T) -> Self {
+    fn new(
+        cfg: &EngineConfig,
+        sink: T,
+        faults: Option<&'a mut dyn FaultView>,
+        circuits: Option<&'a mut dyn CircuitView>,
+        audit: Option<&'a mut dyn Auditor>,
+    ) -> Self {
         Observer {
             sink,
-            faults: None,
-            circuits: None,
-            audit: None,
+            faults,
+            circuits,
+            audit,
+            order: FlowOrder::new(),
             warmup_slots: cfg.warmup_slots,
             slot: 0,
             measuring: cfg.warmup_slots == 0,
@@ -499,6 +544,15 @@ impl<'a, T: TraceSink> Observer<'a, T> {
     #[inline]
     pub fn measuring(&self) -> bool {
         self.measuring
+    }
+
+    /// The next sequence number of the (`src`, `dst`) flow, for a cell
+    /// the model admits. Stamp only cells that stay in the model: a cell
+    /// counted injected and then dropped at admission must not use up a
+    /// number, or the flow's next delivery reads as early.
+    #[inline]
+    pub fn stamp(&mut self, src: usize, dst: usize) -> u64 {
+        self.order.stamp(src, dst)
     }
 
     /// A cell entered an ingress queue this slot.
@@ -575,14 +629,18 @@ impl<'a, T: TraceSink> Observer<'a, T> {
         });
     }
 
-    /// Like [`cell_delivered`](Observer::cell_delivered), additionally
-    /// reporting the cell's flow identity `(src, seq)` to an attached
-    /// auditor — the order-preservation feed. Instrumented egress sites
-    /// use this next to their `FlowOrder::record` call.
+    /// Like [`cell_delivered`](Observer::cell_delivered) for a cell of
+    /// the (`src`, `output`) flow stamped `seq` by [`stamp`](Observer::stamp):
+    /// the delivery is checked against the flow's order, and one that
+    /// does not exceed every earlier delivery of its flow is shown to an
+    /// attached auditor.
     #[inline]
     pub fn cell_delivered_flow(&mut self, output: usize, inject_slot: u64, src: usize, seq: u64) {
-        if let Some(a) = self.audit.as_mut() {
-            a.flow_delivered(self.slot, src, output, seq);
+        let expected = self.order.record(src, output, seq);
+        if seq < expected {
+            if let Some(a) = self.audit.as_mut() {
+                a.flow_regressed(self.slot, src, output, seq, expected - 1);
+            }
         }
         self.cell_delivered(output, inject_slot);
     }
@@ -857,7 +915,7 @@ impl<'a, T: TraceSink> Observer<'a, T> {
 
     /// Finalize into a report, handing the sink borrow back so the caller
     /// can deliver the [`TraceSink::run_end`] notification.
-    fn into_report(self, ports: usize, measured_slots: u64) -> (EngineReport, &'a mut T) {
+    fn into_report(self, ports: usize, measured_slots: u64) -> (EngineReport, T) {
         let denom = (measured_slots as f64 * ports as f64).max(1.0);
         let mut report = EngineReport {
             offered_load: (self.injected + self.dropped) as f64 / denom,
@@ -868,7 +926,7 @@ impl<'a, T: TraceSink> Observer<'a, T> {
             injected: self.injected,
             delivered: self.delivered,
             dropped: self.dropped,
-            reordered: 0,
+            reordered: self.order.reordered(),
             max_queue_depth: self.max_queue_depth,
             max_egress_depth: self.max_egress_depth,
             measured_slots,
@@ -920,173 +978,169 @@ pub trait SlottedModel {
     /// Phase 3: this slot's new arrivals enter ingress queues.
     fn inject<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>);
 
-    /// Post-run hook: set `reordered`, model-specific `extra` metrics, or
-    /// override the engine-computed aggregate fields.
+    /// Post-run hook: add model-specific `extra` metrics.
     fn finish(&mut self, _report: &mut EngineReport) {}
 
     /// Cells still queued or in flight inside the model at the run
     /// horizon, when the model can count them. Models that report
     /// `Some` let an attached auditor close the global conservation
-    /// ledger exactly: `injected == delivered + dropped + resident`.
+    /// ledger exactly: `injected == delivered + dropped + resident`, and
+    /// [`Engine::run`] refuses to run one again before it reports 0.
     fn resident_cells(&self) -> Option<u64> {
         None
     }
 }
 
-/// Run `model` over `cfg`'s window, streaming trace events into `sink`.
-pub fn run<M: SlottedModel + ?Sized, T: TraceSink>(
-    model: &mut M,
-    cfg: &EngineConfig,
-    sink: &mut T,
-) -> EngineReport {
-    run_inner(model, cfg, sink, None, None, None)
-}
-
-/// Run `model` with a fault plane attached: `faults` is configured from
-/// the run seed, advanced every slot, and consulted by the model through
-/// the observer's `fault_*` methods.
+/// The one slot-loop entry: a run's configuration plus the planes
+/// attached to it, then [`run`](Engine::run) —
+/// `Engine::new(&cfg).trace(&mut sink).faults(f).audit(a).circuits(c).run(&mut model)`.
 ///
-/// A vacuous view (empty fault plan) is *not* attached, so the run — and
-/// its report fingerprint — is bit-identical to [`run`].
-pub fn run_faulted<M: SlottedModel + ?Sized, T: TraceSink>(
-    model: &mut M,
-    cfg: &EngineConfig,
-    sink: &mut T,
-    faults: &mut dyn FaultView,
-) -> EngineReport {
-    run_instrumented(model, cfg, sink, Some(faults), None)
-}
-
-/// Run `model` with an invariant-audit plane attached: `audit` receives
-/// every accounting event (warm-up included) plus model state snapshots,
-/// and finalizes into the report in `end_run`.
-pub fn run_audited<M: SlottedModel + ?Sized, T: TraceSink>(
-    model: &mut M,
-    cfg: &EngineConfig,
-    sink: &mut T,
-    audit: &mut dyn Auditor,
-) -> EngineReport {
-    run_inner(model, cfg, sink, None, None, Some(audit))
-}
-
-/// The general packet-switched entry point: optional fault plane,
-/// optional audit plane, no circuit plane. A vacuous fault view is not
-/// attached (as in [`run_faulted`]); with both planes `None` this is
-/// exactly [`run`].
-pub fn run_instrumented<M: SlottedModel + ?Sized, T: TraceSink>(
-    model: &mut M,
-    cfg: &EngineConfig,
-    sink: &mut T,
-    faults: Option<&mut dyn FaultView>,
-    audit: Option<&mut dyn Auditor>,
-) -> EngineReport {
-    run_circuit_switched(model, cfg, sink, &mut NullCircuits, faults, audit)
-}
-
-/// Run `model` with a circuit plane (an OCS plan) attached, plus optional
-/// fault and audit planes — the circuit-switched operating mode's entry
-/// point, and the one place vacuous planes are dropped.
-///
-/// A vacuous circuit view (empty plan) is *not* attached, and a vacuous
-/// fault view is dropped as in [`run_faulted`]; with a vacuous circuit
-/// plan and both other planes `None` this is bit-identical to [`run`]
-/// (pinned by `tests/fingerprint_pins.rs`).
-pub fn run_circuit_switched<M: SlottedModel + ?Sized, T: TraceSink>(
-    model: &mut M,
-    cfg: &EngineConfig,
-    sink: &mut T,
-    circuits: &mut dyn CircuitView,
-    faults: Option<&mut dyn FaultView>,
-    audit: Option<&mut dyn Auditor>,
-) -> EngineReport {
-    circuits.configure(cfg, model.ports());
-    let circuits = (!circuits.is_vacuous()).then_some(circuits);
-    let faults = faults.and_then(|f| {
-        f.configure(cfg);
-        (!f.is_vacuous()).then_some(f)
-    });
-    // The casts reborrow each plane down to the observer's (shorter)
-    // unified lifetime.
-    run_inner(
-        model,
-        cfg,
-        sink,
-        faults.map(|f| f as &mut dyn FaultView),
-        circuits.map(|c| c as &mut dyn CircuitView),
-        audit.map(|a| a as &mut dyn Auditor),
-    )
-}
-
-fn run_inner<'a, M: SlottedModel + ?Sized, T: TraceSink>(
-    model: &mut M,
-    cfg: &EngineConfig,
-    sink: &'a mut T,
+/// Every plane setter takes an `Option`, so a caller passes through the
+/// plane it holds or `None`. With no setter called the run is untraced
+/// and bare.
+pub struct Engine<'a, T: TraceSink = NullTrace> {
+    cfg: EngineConfig,
+    sink: T,
     faults: Option<&'a mut dyn FaultView>,
-    circuits: Option<&'a mut dyn CircuitView>,
     audit: Option<&'a mut dyn Auditor>,
-) -> EngineReport {
-    model.configure(cfg);
-    let ports = model.ports();
-    let total_slots = cfg.warmup_slots + cfg.measure_slots;
-    // Supervised sweeps bound each job by a slot budget; an over-budget
-    // window aborts deterministically before the first slot runs.
-    crate::sweep::watchdog::charge(total_slots);
-    if T::ENABLED {
-        sink.run_begin(cfg, ports);
-    }
-    let mut obs = Observer::new(cfg, sink);
-    obs.faults = faults;
-    obs.circuits = circuits;
-    if let Some(a) = audit {
-        a.configure(cfg, ports);
-        obs.audit = Some(a);
-    }
-    for t in 0..total_slots {
-        obs.begin_slot(t);
-        model.arbitrate(t, &mut obs);
-        model.deliver(t, &mut obs);
-        model.inject(t, &mut obs);
-    }
-    crate::sweep::watchdog::consume(total_slots);
-    let resident = model.resident_cells();
-    let fault_cells_lost = obs.fault_cells_lost;
-    let fault_retransmits = obs.fault_retransmits;
-    let drops_rejected = obs.drops_rejected;
-    let drops_buffer_full = obs.drops_buffer_full;
-    let faults = obs.faults.take();
-    let circuits = obs.circuits.take();
-    let audit = obs.audit.take();
-    let (mut report, sink) = obs.into_report(ports, cfg.measure_slots);
-    model.finish(&mut report);
-    // Per-reason drop attribution is attachment-independent (set purely
-    // from model behaviour), so audited and un-audited runs fingerprint
-    // identically.
-    if drops_rejected > 0 {
-        report.set_extra("drops_rejected", drops_rejected as f64);
-    }
-    if drops_buffer_full > 0 {
-        report.set_extra("drops_buffer_full", drops_buffer_full as f64);
-    }
-    if let Some(f) = faults {
-        report.set_extra("fault_cells_lost", fault_cells_lost as f64);
-        report.set_extra("fault_retransmits", fault_retransmits as f64);
-        f.finish(&mut report);
-    }
-    if let Some(c) = circuits {
-        c.finish(&mut report);
-    }
-    if let Some(a) = audit {
-        a.end_run(resident, &mut report);
-    }
-    if T::ENABLED {
-        sink.run_end(&report);
-    }
-    report
+    circuits: Option<&'a mut dyn CircuitView>,
 }
 
-/// Run `model` with tracing disabled — the common case.
-pub fn run_model<M: SlottedModel + ?Sized>(model: &mut M, cfg: &EngineConfig) -> EngineReport {
-    run(model, cfg, &mut NullTrace)
+impl<'a> Engine<'a> {
+    /// A run over `cfg`'s window with no sink and no plane attached.
+    pub fn new(cfg: &EngineConfig) -> Self {
+        Engine {
+            cfg: *cfg,
+            sink: NullTrace,
+            faults: None,
+            audit: None,
+            circuits: None,
+        }
+    }
+}
+
+impl<'a, T: TraceSink> Engine<'a, T> {
+    /// Stream the run's trace events into `sink`. Sinks only observe, so
+    /// the report is the same for every sink.
+    pub fn trace<S: TraceSink>(self, sink: &mut S) -> Engine<'a, &mut S> {
+        Engine {
+            cfg: self.cfg,
+            sink,
+            faults: self.faults,
+            audit: self.audit,
+            circuits: self.circuits,
+        }
+    }
+
+    /// Attach a fault plane: configured from the run seed, advanced every
+    /// slot, and consulted by the model through the observer's `fault_*`
+    /// methods. A vacuous one (an empty plan) is dropped, so the run and
+    /// its fingerprint are those of a run without it.
+    pub fn faults(mut self, faults: Option<&'a mut (dyn FaultView + '_)>) -> Self {
+        self.faults = faults.map(|f| f as _);
+        self
+    }
+
+    /// Attach an invariant-audit plane: it receives every accounting
+    /// event, warm-up included, plus model state snapshots, and
+    /// finalizes into the report.
+    pub fn audit(mut self, audit: Option<&'a mut (dyn Auditor + '_)>) -> Self {
+        self.audit = audit.map(|a| a as _);
+        self
+    }
+
+    /// Attach a circuit plane (an OCS plan), configured for the run and
+    /// consulted through the observer's `circuit_*` methods. A vacuous
+    /// one (an empty plan) is dropped, as a vacuous fault plane is.
+    pub fn circuits(mut self, circuits: Option<&'a mut (dyn CircuitView + '_)>) -> Self {
+        self.circuits = circuits.map(|c| c as _);
+        self
+    }
+
+    /// Run `model` over the window and report.
+    ///
+    /// Panics if the model still holds cells from a run before: the slot
+    /// count restarts at 0 and the flow table is fresh, so those cells
+    /// would be delivered before they were injected and judged against
+    /// flows that never stamped them.
+    pub fn run<M: SlottedModel + ?Sized>(self, model: &mut M) -> EngineReport {
+        let Engine {
+            cfg,
+            mut sink,
+            faults,
+            mut audit,
+            circuits,
+        } = self;
+        let resident = model.resident_cells().unwrap_or(0);
+        assert!(
+            resident == 0,
+            "a model is run again only once it has drained: {resident} cells are still \
+             inside this one"
+        );
+        let ports = model.ports();
+        // The one place vacuous planes are dropped.
+        let circuits = circuits.and_then(|c| {
+            c.configure(&cfg, ports);
+            (!c.is_vacuous()).then_some(c)
+        });
+        let faults = faults.and_then(|f| {
+            f.configure(&cfg);
+            (!f.is_vacuous()).then_some(f)
+        });
+        model.configure(&cfg);
+        let total_slots = cfg.warmup_slots + cfg.measure_slots;
+        // Supervised sweeps bound each job by a slot budget; an over-budget
+        // window aborts deterministically before the first slot runs.
+        crate::sweep::watchdog::charge(total_slots);
+        if T::ENABLED {
+            sink.run_begin(&cfg, ports);
+        }
+        if let Some(a) = audit.as_mut() {
+            a.configure(&cfg, ports);
+        }
+        let mut obs = Observer::new(&cfg, sink, faults, circuits, audit);
+        for t in 0..total_slots {
+            obs.begin_slot(t);
+            model.arbitrate(t, &mut obs);
+            model.deliver(t, &mut obs);
+            model.inject(t, &mut obs);
+        }
+        crate::sweep::watchdog::consume(total_slots);
+        let resident = model.resident_cells();
+        let fault_cells_lost = obs.fault_cells_lost;
+        let fault_retransmits = obs.fault_retransmits;
+        let drops_rejected = obs.drops_rejected;
+        let drops_buffer_full = obs.drops_buffer_full;
+        let faults = obs.faults.take();
+        let circuits = obs.circuits.take();
+        let audit = obs.audit.take();
+        let (mut report, mut sink) = obs.into_report(ports, cfg.measure_slots);
+        model.finish(&mut report);
+        // Per-reason drop attribution is attachment-independent (set purely
+        // from model behaviour), so audited and un-audited runs fingerprint
+        // identically.
+        if drops_rejected > 0 {
+            report.set_extra("drops_rejected", drops_rejected as f64);
+        }
+        if drops_buffer_full > 0 {
+            report.set_extra("drops_buffer_full", drops_buffer_full as f64);
+        }
+        if let Some(f) = faults {
+            report.set_extra("fault_cells_lost", fault_cells_lost as f64);
+            report.set_extra("fault_retransmits", fault_retransmits as f64);
+            f.finish(&mut report);
+        }
+        if let Some(c) = circuits {
+            c.finish(&mut report);
+        }
+        if let Some(a) = audit {
+            a.end_run(resident, &mut report);
+        }
+        if T::ENABLED {
+            sink.run_end(&report);
+        }
+        report
+    }
 }
 
 #[cfg(test)]
@@ -1149,7 +1203,7 @@ mod tests {
         // Duty 1/2: one cell every other... rather, slots 0 of each
         // 2-period inject; queue never builds; delay is deterministic.
         let cfg = EngineConfig::new(10, 100);
-        let r = run_model(&mut ToyQueue::new(2, 1), &cfg);
+        let r = Engine::new(&cfg).run(&mut ToyQueue::new(2, 1));
         assert_eq!(r.injected, 50, "half the 100 measured slots inject");
         assert_eq!(r.measured_slots, 100);
         assert!((r.throughput - 0.5).abs() < 0.02);
@@ -1167,7 +1221,7 @@ mod tests {
         // Saturated source: the warm-up backlog drains during
         // measurement; delivered counts them, delay stats exclude them.
         let cfg = EngineConfig::new(50, 200);
-        let r = run_model(&mut ToyQueue::new(1, 1), &cfg);
+        let r = Engine::new(&cfg).run(&mut ToyQueue::new(1, 1));
         assert_eq!(r.delivered, 200, "server busy every measured slot");
         assert!(
             r.delay_hist.count() < r.delivered,
@@ -1178,13 +1232,13 @@ mod tests {
     #[test]
     fn fingerprint_is_identical_across_reruns_and_sensitive_to_change() {
         let cfg = EngineConfig::new(10, 200);
-        let a = run_model(&mut ToyQueue::new(3, 2), &cfg);
-        let b = run_model(&mut ToyQueue::new(3, 2), &cfg);
+        let a = Engine::new(&cfg).run(&mut ToyQueue::new(3, 2));
+        let b = Engine::new(&cfg).run(&mut ToyQueue::new(3, 2));
         assert_eq!(a.fingerprint(), b.fingerprint());
-        let c = run_model(&mut ToyQueue::new(3, 1), &cfg);
+        let c = Engine::new(&cfg).run(&mut ToyQueue::new(3, 1));
         assert_ne!(a.fingerprint(), c.fingerprint());
         // The fingerprint covers extras too.
-        let mut d = run_model(&mut ToyQueue::new(3, 2), &cfg);
+        let mut d = Engine::new(&cfg).run(&mut ToyQueue::new(3, 2));
         d.set_extra("tweak", 1.0);
         assert_ne!(a.fingerprint(), d.fingerprint());
     }
@@ -1192,10 +1246,12 @@ mod tests {
     #[test]
     fn trace_sinks_see_the_event_stream_without_perturbing_results() {
         let cfg = EngineConfig::new(5, 50);
-        let quiet = run_model(&mut ToyQueue::new(2, 1), &cfg);
+        let quiet = Engine::new(&cfg).run(&mut ToyQueue::new(2, 1));
 
         let mut counting = CountingTrace::default();
-        let traced = run(&mut ToyQueue::new(2, 1), &cfg, &mut counting);
+        let traced = Engine::new(&cfg)
+            .trace(&mut counting)
+            .run(&mut ToyQueue::new(2, 1));
         assert_eq!(quiet.fingerprint(), traced.fingerprint());
         // The sink saw warm-up events too (slots 0..55 → 28 injections).
         assert_eq!(counting.injects, 28);
@@ -1203,7 +1259,9 @@ mod tests {
         assert_eq!(counting.drops, 0);
 
         let mut vec_sink = VecTrace::default();
-        run(&mut ToyQueue::new(2, 1), &cfg, &mut vec_sink);
+        Engine::new(&cfg)
+            .trace(&mut vec_sink)
+            .run(&mut ToyQueue::new(2, 1));
         assert_eq!(
             vec_sink.events.len() as u64,
             counting.injects + counting.grants + counting.delivers
@@ -1218,13 +1276,10 @@ mod tests {
     fn vacuous_fault_view_leaves_the_run_bit_identical() {
         use crate::fault::NullFaults;
         let cfg = EngineConfig::new(10, 200);
-        let plain = run_model(&mut ToyQueue::new(3, 2), &cfg);
-        let faulted = run_faulted(
-            &mut ToyQueue::new(3, 2),
-            &cfg,
-            &mut NullTrace,
-            &mut NullFaults,
-        );
+        let plain = Engine::new(&cfg).run(&mut ToyQueue::new(3, 2));
+        let faulted = Engine::new(&cfg)
+            .faults(Some(&mut NullFaults))
+            .run(&mut ToyQueue::new(3, 2));
         assert_eq!(plain.fingerprint(), faulted.fingerprint());
         assert_eq!(faulted.extra("fault_cells_lost"), None, "no fault extras");
     }
@@ -1281,14 +1336,9 @@ mod tests {
 
         let cfg = EngineConfig::new(0, 100);
         let mut probe = Probe::default();
-        let r = run_faulted(
-            &mut Gated {
-                queue: Default::default(),
-            },
-            &cfg,
-            &mut NullTrace,
-            &mut probe,
-        );
+        let r = Engine::new(&cfg).faults(Some(&mut probe)).run(&mut Gated {
+            queue: Default::default(),
+        });
         assert_eq!(probe.slots_seen, 100, "begin_slot driven every slot");
         assert!(probe.finished);
         let _ = probe.queries;
@@ -1296,6 +1346,58 @@ mod tests {
         assert_eq!(r.extra("probe_finished"), Some(1.0));
         assert_eq!(r.extra("fault_cells_lost"), Some(0.0));
         assert_eq!(r.extra("fault_retransmits"), Some(0.0));
+    }
+
+    /// Each slot admits two cells of flow 0 → 0 and delivers the two of
+    /// the slot before in reverse: every pair is one early delivery and
+    /// one late one.
+    struct Swapper {
+        held: Vec<(u64, u64)>,
+    }
+
+    impl SlottedModel for Swapper {
+        fn ports(&self) -> usize {
+            1
+        }
+        fn arbitrate<T: TraceSink>(&mut self, _: u64, _: &mut Observer<'_, T>) {}
+        fn deliver<T: TraceSink>(&mut self, _: u64, obs: &mut Observer<'_, T>) {
+            while let Some((inject_slot, seq)) = self.held.pop() {
+                obs.cell_delivered_flow(0, inject_slot, 0, seq);
+            }
+        }
+        fn inject<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
+            for _ in 0..2 {
+                obs.cell_injected(0, 0);
+                self.held.push((slot, obs.stamp(0, 0)));
+            }
+        }
+        fn resident_cells(&self) -> Option<u64> {
+            Some(self.held.len() as u64)
+        }
+    }
+
+    #[test]
+    fn the_engine_counts_reorders_and_shows_the_auditor_each_regression() {
+        #[derive(Default)]
+        struct Regressions(Vec<(u64, u64, u64)>);
+        impl Auditor for Regressions {
+            fn flow_regressed(&mut self, slot: u64, _: usize, _: usize, seq: u64, last: u64) {
+                self.0.push((slot, seq, last));
+            }
+        }
+        let cfg = EngineConfig::new(0, 4);
+        let mut model = Swapper { held: Vec::new() };
+        let mut seen = Regressions::default();
+        let r = Engine::new(&cfg).audit(Some(&mut seen)).run(&mut model);
+        // Slots 1..3 deliver (1, 0), (3, 2), (5, 4): each pair is counted
+        // twice, the early cell and the late one; only the late one
+        // regresses below the highest number delivered.
+        assert_eq!(r.reordered, 6);
+        assert_eq!(seen.0, [(1, 0, 1), (2, 2, 3), (3, 4, 5)]);
+        // A fresh table for the next run: the same script reorders alike.
+        model.held.clear();
+        let again = Engine::new(&cfg).run(&mut model);
+        assert_eq!(again.reordered, 6);
     }
 
     #[test]
@@ -1316,7 +1418,7 @@ mod tests {
         }
         let mut p = Probe { seen: None };
         let cfg = EngineConfig::new(0, 1).with_seed(7).with_buffer_cells(16);
-        run_model(&mut p, &cfg);
+        Engine::new(&cfg).run(&mut p);
         assert_eq!(p.seen, Some((7, Some(16))));
     }
 
@@ -1324,11 +1426,15 @@ mod tests {
     fn ring_trace_keeps_only_the_recent_window() {
         let cfg = EngineConfig::new(5, 50);
         let mut full = VecTrace::default();
-        run(&mut ToyQueue::new(2, 1), &cfg, &mut full);
+        Engine::new(&cfg)
+            .trace(&mut full)
+            .run(&mut ToyQueue::new(2, 1));
 
         let mut ring = RingTrace::new(10);
-        let quiet = run_model(&mut ToyQueue::new(2, 1), &cfg);
-        let ringed = run(&mut ToyQueue::new(2, 1), &cfg, &mut ring);
+        let quiet = Engine::new(&cfg).run(&mut ToyQueue::new(2, 1));
+        let ringed = Engine::new(&cfg)
+            .trace(&mut ring)
+            .run(&mut ToyQueue::new(2, 1));
         assert_eq!(quiet.fingerprint(), ringed.fingerprint());
         assert_eq!(ring.seen() as usize, full.events.len());
         assert_eq!(ring.len(), 10);
@@ -1338,7 +1444,9 @@ mod tests {
         assert_eq!(window, tail);
 
         let mut empty = RingTrace::new(0);
-        run(&mut ToyQueue::new(2, 1), &cfg, &mut empty);
+        Engine::new(&cfg)
+            .trace(&mut empty)
+            .run(&mut ToyQueue::new(2, 1));
         assert!(empty.is_empty());
         assert_eq!(empty.seen() as usize, full.events.len());
     }
@@ -1370,7 +1478,9 @@ mod tests {
         }
         let cfg = EngineConfig::new(5, 50);
         let mut sink = Lifecycle::default();
-        let r = run(&mut ToyQueue::new(2, 1), &cfg, &mut sink);
+        let r = Engine::new(&cfg)
+            .trace(&mut sink)
+            .run(&mut ToyQueue::new(2, 1));
         assert_eq!(sink.began, Some((5, 1)));
         assert!(!sink.events_before_begin, "run_begin precedes all events");
         assert_eq!(sink.slots, 55, "begin_slot fires warmup slots included");
@@ -1380,7 +1490,7 @@ mod tests {
     #[test]
     fn tail_quantile_extras_cover_the_delay_distribution() {
         let cfg = EngineConfig::new(10, 200);
-        let r = run_model(&mut ToyQueue::new(2, 1), &cfg);
+        let r = Engine::new(&cfg).run(&mut ToyQueue::new(2, 1));
         // Constant delay 1: every quantile of the distribution sits in
         // the first bucket above it.
         for name in ["delay_p50", "delay_p95", "delay_p99", "delay_p999"] {

@@ -19,7 +19,7 @@
 //! Every method has a benign default, so the trait doubles as the null
 //! object: [`NullFaults`] is an empty `impl`. The engine only attaches a
 //! non-vacuous view (see
-//! [`run_faulted`](crate::engine::run_faulted)); with no faults attached
+//! [`Engine::faults`](crate::engine::Engine::faults)); with no faults attached
 //! the per-slot cost is a single `Option` check and every model-side
 //! query short-circuits on [`Observer::faults_attached`] — runs without a
 //! fault plan are bit-identical to runs on an engine without the hook.

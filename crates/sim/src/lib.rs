@@ -24,6 +24,7 @@ pub mod circuit;
 pub mod engine;
 pub mod fault;
 pub mod json;
+mod order;
 pub mod rng;
 pub mod stats;
 pub mod sweep;
@@ -33,8 +34,8 @@ pub use audit::{Auditor, CreditLedger, DropReason, NoAudit};
 pub use buffer::{BufferLoss, BufferLossReason, BufferPlane, BufferStats};
 pub use circuit::{CircuitView, NullCircuits};
 pub use engine::{
-    CountingTrace, EngineConfig, EngineReport, NullTrace, Observer, RingTrace, SlottedModel,
-    TraceEvent, TraceSink, VecTrace,
+    CountingTrace, Engine, EngineConfig, EngineReport, NullTrace, Observer, RingTrace,
+    SlottedModel, TraceEvent, TraceSink, VecTrace,
 };
 pub use fault::{FaultView, NullFaults};
 pub use rng::{SeedSequence, SimRng};

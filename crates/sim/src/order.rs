@@ -1,10 +1,12 @@
 //! Per-flow packet-ordering verification.
 //!
 //! Table 1 requires packet ordering "maintained between in- and output
-//! pairs". Simulations stamp every injected cell with a per-(src, dst)
-//! sequence number and check it at the egress; [`FlowOrder`] keeps both
-//! counters of a flow in one 16-byte entry of one table, so a delivery
-//! lands on the cache line its stamp touched a few slots earlier.
+//! pairs". The engine's [`Observer`](crate::engine::Observer) stamps every
+//! admitted cell with a per-(src, dst) sequence number and checks it at
+//! the egress; [`FlowOrder`] keeps both counters of a flow in one 16-byte
+//! entry of one table, so a delivery lands on the cache line its stamp
+//! touched a few slots earlier. The observer holds a fresh table for
+//! each run.
 
 /// One flow's entry, four to a cache line.
 #[derive(Debug, Default, Clone, Copy)]
@@ -32,7 +34,7 @@ struct Flow {
 /// whole table stays cache-resident, and a lookup is a multiply, a shift
 /// and on average under two adjacent probes.
 #[derive(Debug, Default, Clone)]
-pub struct FlowOrder {
+pub(crate) struct FlowOrder {
     /// The length is zero or a power of two, and at least a quarter of
     /// it is free.
     slots: Vec<Flow>,
@@ -44,13 +46,6 @@ impl FlowOrder {
     /// No flow seen yet.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Start a run: zero the violation count and forget no flow, so a
-    /// reused simulator keeps stamping where it left off and keeps
-    /// expecting what it has not yet delivered.
-    pub fn begin_run(&mut self) {
-        self.reordered = 0;
     }
 
     /// Next sequence number for the (src, dst) flow.
@@ -66,14 +61,16 @@ impl FlowOrder {
         seq.into()
     }
 
-    /// Record the delivery of a stamped cell; returns true when in order
-    /// for its flow.
+    /// Record the delivery of a stamped cell; returns the sequence number
+    /// its flow expected, so the delivery was in order exactly when the
+    /// two are equal. Every earlier delivery of the flow carried a number
+    /// below the expectation, and the highest of them is one below it.
     ///
     /// An early delivery advances the expectation past itself, so it is
     /// counted once and not once per in-order successor; a late one
     /// leaves it alone, having been counted when its successor was early.
     #[inline]
-    pub fn record(&mut self, src: usize, dst: usize, seq: u64) -> bool {
+    pub fn record(&mut self, src: usize, dst: usize, seq: u64) -> u64 {
         let flow = self.flow(src, dst);
         let expected = u64::from(flow.expected);
         if seq >= expected {
@@ -81,10 +78,10 @@ impl FlowOrder {
             flow.expected = seq as u32 + 1;
         }
         self.reordered += u64::from(seq != expected);
-        seq == expected
+        expected
     }
 
-    /// Out-of-order deliveries since [`begin_run`](Self::begin_run).
+    /// Out-of-order deliveries so far.
     pub fn reordered(&self) -> u64 {
         self.reordered
     }
@@ -134,7 +131,7 @@ impl FlowOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osmosis_sim::SimRng;
+    use crate::rng::SimRng;
 
     /// The stamper/checker pair `FlowOrder` replaced — two tables of
     /// `(key, u64)` — kept as the reference the differential test runs
@@ -244,11 +241,16 @@ mod tests {
         }
     }
 
+    /// Record a delivery; whether it was in order for its flow.
+    fn in_order(order: &mut FlowOrder, src: usize, dst: usize, seq: u64) -> bool {
+        order.record(src, dst, seq) == seq
+    }
+
     #[test]
     fn in_order_stream_passes() {
         let mut c = FlowOrder::new();
         for seq in 0..100 {
-            assert!(c.record(1, 2, seq));
+            assert!(in_order(&mut c, 1, 2, seq));
         }
         assert_eq!(c.reordered(), 0);
     }
@@ -256,28 +258,28 @@ mod tests {
     #[test]
     fn flows_are_independent() {
         let mut c = FlowOrder::new();
-        assert!(c.record(0, 1, 0));
-        assert!(c.record(1, 0, 0));
-        assert!(c.record(0, 1, 1));
+        assert!(in_order(&mut c, 0, 1, 0));
+        assert!(in_order(&mut c, 1, 0, 0));
+        assert!(in_order(&mut c, 0, 1, 1));
         assert_eq!(c.reordered(), 0);
     }
 
     #[test]
     fn swap_counts_one_violation() {
         let mut c = FlowOrder::new();
-        assert!(!c.record(0, 1, 1), "1 before 0");
-        assert!(!c.record(0, 1, 0), "0 is now late");
+        assert!(!in_order(&mut c, 0, 1, 1), "1 before 0");
+        assert_eq!(c.record(0, 1, 0), 2, "0 is now late: 1 was the highest");
         assert_eq!(c.reordered(), 2);
         // Stream continues in order afterwards.
-        assert!(c.record(0, 1, 2));
+        assert!(in_order(&mut c, 0, 1, 2));
     }
 
     #[test]
     fn early_packet_counted_once() {
         let mut c = FlowOrder::new();
         c.record(0, 1, 0);
-        assert!(!c.record(0, 1, 5), "jump ahead");
-        assert!(c.record(0, 1, 6), "expectation resynced");
+        assert!(!in_order(&mut c, 0, 1, 5), "jump ahead");
+        assert!(in_order(&mut c, 0, 1, 6), "expectation resynced");
         assert_eq!(c.reordered(), 1);
     }
 
@@ -296,26 +298,8 @@ mod tests {
         let mut order = FlowOrder::new();
         for _ in 0..10 {
             let seq = order.stamp(3, 4);
-            assert!(order.record(3, 4, seq));
+            assert!(in_order(&mut order, 3, 4, seq));
         }
-        assert_eq!(order.reordered(), 0);
-    }
-
-    #[test]
-    fn begin_run_zeroes_the_count_and_keeps_every_flow() {
-        let mut order = FlowOrder::new();
-        let first = order.stamp(3, 4);
-        assert!(order.record(3, 4, first));
-        assert!(!order.record(5, 6, 9));
-        assert_eq!(order.reordered(), 1);
-        order.begin_run();
-        assert_eq!(order.reordered(), 0);
-        // The flows resume where they were: the next stamp is the next
-        // expectation, not an early arrival against a forgotten one.
-        let second = order.stamp(3, 4);
-        assert_eq!(second, first + 1);
-        assert!(order.record(3, 4, second));
-        assert!(order.record(5, 6, 10));
         assert_eq!(order.reordered(), 0);
     }
 
@@ -347,7 +331,7 @@ mod tests {
             for &(src, dst) in &flows {
                 let seq = order.stamp(src, dst);
                 assert!(seq >= round, "a flow lost its counter in a rehash");
-                assert!(order.record(src, dst, seq));
+                assert!(in_order(&mut order, src, dst, seq));
             }
         }
         assert_eq!(order.reordered(), 0);
@@ -361,9 +345,9 @@ mod tests {
 
     /// Random scripts of stamps, in-order deliveries, cells that are
     /// stamped and never delivered (the deflection and OCS drop case),
-    /// deliveries out of turn, jumps ahead and run boundaries: every
-    /// sequence number, every verdict and the violation count after
-    /// every step must be the old pair's.
+    /// deliveries out of turn and jumps ahead: every sequence number,
+    /// every verdict and the violation count after every step must be
+    /// the old pair's.
     #[test]
     fn agrees_with_the_stamper_checker_pair_step_for_step() {
         for (ports, steps) in [(64usize, 20_000), (2_048, 20_000), (32_768, 20_000)] {
@@ -373,8 +357,6 @@ mod tests {
                 oracle::SequenceStamper::default(),
                 oracle::SequenceChecker::default(),
             );
-            // `reordered` of the oracle at the last `begin_run`.
-            let mut base = 0;
             // Stamped and not yet delivered, oldest first.
             let mut flying: Vec<(usize, usize, u64)> = Vec::new();
             // Half the stamps revisit a known flow so flows grow long.
@@ -394,14 +376,14 @@ mod tests {
                     }
                     8..=12 if !flying.is_empty() => {
                         let (src, dst, seq) = flying.remove(0);
-                        let verdict = order.record(src, dst, seq);
+                        let verdict = in_order(&mut order, src, dst, seq);
                         assert_eq!(verdict, checker.record(src, dst, seq), "step {step}");
                     }
                     13 if !flying.is_empty() => {
                         // Out of turn: early for its flow if an older
                         // cell of it is still flying, which then is late.
                         let (src, dst, seq) = flying.remove(rng.index(flying.len()));
-                        let verdict = order.record(src, dst, seq);
+                        let verdict = in_order(&mut order, src, dst, seq);
                         assert_eq!(verdict, checker.record(src, dst, seq), "step {step}");
                     }
                     14 if !flying.is_empty() => {
@@ -410,19 +392,14 @@ mod tests {
                         flying.remove(rng.index(flying.len()));
                     }
                     15 if !known.is_empty() => {
-                        if rng.coin(0.9) {
-                            let (src, dst) = known[rng.index(known.len())];
-                            let seq = rng.below(1_000);
-                            let verdict = order.record(src, dst, seq);
-                            assert_eq!(verdict, checker.record(src, dst, seq), "step {step}");
-                        } else {
-                            order.begin_run();
-                            base = checker.reordered();
-                        }
+                        let (src, dst) = known[rng.index(known.len())];
+                        let seq = rng.below(1_000);
+                        let verdict = in_order(&mut order, src, dst, seq);
+                        assert_eq!(verdict, checker.record(src, dst, seq), "step {step}");
                     }
                     _ => {}
                 }
-                assert_eq!(order.reordered(), checker.reordered() - base, "step {step}");
+                assert_eq!(order.reordered(), checker.reordered(), "step {step}");
             }
             assert!(
                 order.slots.len() >= 64 << 4,

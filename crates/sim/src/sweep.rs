@@ -1136,7 +1136,7 @@ mod tests {
 
     #[test]
     fn watchdog_budget_aborts_before_the_run_starts() {
-        use crate::engine::{run_model, EngineConfig, Observer, SlottedModel, TraceSink};
+        use crate::engine::{Engine, EngineConfig, Observer, SlottedModel, TraceSink};
         struct Idle;
         impl SlottedModel for Idle {
             fn ports(&self) -> usize {
@@ -1148,7 +1148,9 @@ mod tests {
         }
         let opts = quiet_opts().with_slot_budget(150).with_max_attempts(2);
         let summary = supervised_sweep(vec![100u64, 400], &opts, |&slots| {
-            run_model(&mut Idle, &EngineConfig::new(0, slots)).measured_slots
+            Engine::new(&EngineConfig::new(0, slots))
+                .run(&mut Idle)
+                .measured_slots
         });
         assert_eq!(summary.outputs[0], Some(100));
         assert_eq!(summary.outputs[1], None);
@@ -1222,7 +1224,7 @@ mod tests {
 
     #[test]
     fn engine_report_json_round_trip_is_bit_exact() {
-        use crate::engine::{run_model, EngineConfig, EngineReport};
+        use crate::engine::{Engine, EngineConfig, EngineReport};
         use crate::SlottedModel;
         // A run with real histogram contents and extras.
         struct Loopy(std::collections::VecDeque<u64>);
@@ -1250,7 +1252,7 @@ mod tests {
                 report.set_extra("loopy_marker", 0.125);
             }
         }
-        let r = run_model(&mut Loopy(Default::default()), &EngineConfig::new(10, 500));
+        let r = Engine::new(&EngineConfig::new(10, 500)).run(&mut Loopy(Default::default()));
         let back = EngineReport::from_json(&Value::parse(&r.to_json().encode()).unwrap()).unwrap();
         assert_eq!(r.fingerprint(), back.fingerprint());
         assert_eq!(back.extra("loopy_marker"), Some(0.125));

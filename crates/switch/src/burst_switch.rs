@@ -23,7 +23,7 @@ use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sched::{log2_ceil, matching::Matcher};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
-use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
+use osmosis_traffic::{Arrival, TrafficGen};
 use std::collections::VecDeque;
 
 /// Burst-switching crossbar.
@@ -47,7 +47,6 @@ pub struct BurstSwitch {
     /// Remaining busy slots per input / output (container in flight).
     in_busy: Vec<u64>,
     out_busy: Vec<u64>,
-    order: FlowOrder,
     next_id: u64,
 }
 
@@ -69,7 +68,6 @@ impl BurstSwitch {
             matcher: Matcher::new(n),
             in_busy: vec![0; n],
             out_busy: vec![0; n],
-            order: FlowOrder::new(),
             next_id: 0,
         }
     }
@@ -105,10 +103,6 @@ impl BurstSwitch {
 impl CellSwitch for BurstSwitch {
     fn ports(&self) -> usize {
         self.n
-    }
-
-    fn configure(&mut self, _cfg: &EngineConfig) {
-        self.order.begin_run();
     }
 
     fn arbitrate<T: TraceSink>(&mut self, t: u64, obs: &mut Observer<'_, T>) {
@@ -158,7 +152,6 @@ impl CellSwitch for BurstSwitch {
             obs.note_egress_depth(q.len());
             if let Some(cell) = q.pop_front() {
                 debug_assert_eq!(cell.dst, o);
-                self.order.record(cell.src, cell.dst, cell.seq);
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -166,7 +159,7 @@ impl CellSwitch for BurstSwitch {
 
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         for a in arrivals {
-            let seq = self.order.stamp(a.src, a.dst);
+            let seq = obs.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
@@ -174,10 +167,6 @@ impl CellSwitch for BurstSwitch {
             q.push_back(cell);
             obs.note_queue_depth(q.len());
         }
-    }
-
-    fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {

@@ -14,7 +14,7 @@
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
-use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
+use osmosis_traffic::{Arrival, TrafficGen};
 use std::collections::VecDeque;
 
 /// The two-stage load-balanced BvN switch.
@@ -22,7 +22,6 @@ pub struct BvnSwitch {
     n: usize,
     /// Middle-stage VOQs: `mid[m * n + o]`.
     mid: Vec<VecDeque<Cell>>,
-    order: FlowOrder,
     next_id: u64,
 }
 
@@ -33,7 +32,6 @@ impl BvnSwitch {
         BvnSwitch {
             n,
             mid: (0..n * n).map(|_| VecDeque::new()).collect(),
-            order: FlowOrder::new(),
             next_id: 0,
         }
     }
@@ -47,10 +45,6 @@ impl BvnSwitch {
 impl CellSwitch for BvnSwitch {
     fn ports(&self) -> usize {
         self.n
-    }
-
-    fn configure(&mut self, _cfg: &EngineConfig) {
-        self.order.begin_run();
     }
 
     // Stage 2 delivers straight from the middle buffers to the hosts, so
@@ -68,7 +62,6 @@ impl CellSwitch for BvnSwitch {
             let q = &mut self.mid[m * self.n + o];
             obs.note_queue_depth(q.len());
             if let Some(cell) = q.pop_front() {
-                self.order.record(cell.src, cell.dst, cell.seq);
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -79,17 +72,13 @@ impl CellSwitch for BvnSwitch {
         // spread over the middles by the rotation itself.
         let n = self.n as u64;
         for a in arrivals {
-            let seq = self.order.stamp(a.src, a.dst);
+            let seq = obs.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
             let m = ((a.src as u64 + slot) % n) as usize;
             self.mid[m * self.n + a.dst].push_back(cell);
         }
-    }
-
-    fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {

@@ -18,7 +18,7 @@ use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sched::matching::Matcher;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
-use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
+use osmosis_traffic::{Arrival, TrafficGen};
 use std::collections::VecDeque;
 
 /// The CIOQ switch.
@@ -38,7 +38,6 @@ pub struct CioqSwitch {
     grant_ptr: Vec<u32>,
     accept_ptr: Vec<u32>,
     matcher: Matcher,
-    order: FlowOrder,
     next_id: u64,
     violations: u64,
     busy_slots: u64,
@@ -63,7 +62,6 @@ impl CioqSwitch {
             grant_ptr: vec![0; n],
             accept_ptr: vec![0; n],
             matcher: Matcher::new(n),
-            order: FlowOrder::new(),
             next_id: 0,
             violations: 0,
             busy_slots: 0,
@@ -84,7 +82,6 @@ impl CellSwitch for CioqSwitch {
     }
 
     fn configure(&mut self, _cfg: &EngineConfig) {
-        self.order.begin_run();
         self.violations = 0;
         self.busy_slots = 0;
     }
@@ -139,7 +136,6 @@ impl CellSwitch for CioqSwitch {
             match q.pop_front() {
                 Some(cell) => {
                     debug_assert_eq!(cell.dst, o);
-                    self.order.record(cell.src, cell.dst, cell.seq);
                     if obs.measuring() {
                         self.busy_slots += 1;
                     }
@@ -160,7 +156,7 @@ impl CellSwitch for CioqSwitch {
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         let words = self.n.div_ceil(64);
         for a in arrivals {
-            let seq = self.order.stamp(a.src, a.dst);
+            let seq = obs.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
@@ -173,7 +169,6 @@ impl CellSwitch for CioqSwitch {
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.order.reordered();
         let fraction = if self.busy_slots == 0 {
             0.0
         } else {

@@ -20,7 +20,7 @@ use crate::driven::{run_switch, CellSwitch};
 use osmosis_sim::audit::DropReason;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_sim::rng::SimRng;
-use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
+use osmosis_traffic::{Arrival, TrafficGen};
 use std::collections::VecDeque;
 
 /// Deflection-routing switch with recirculation loops.
@@ -31,7 +31,6 @@ pub struct DeflectionSwitch {
     /// Recirculating cells per input.
     loops: Vec<VecDeque<Cell>>,
     rng: SimRng,
-    order: FlowOrder,
     next_id: u64,
     contenders: Vec<Vec<usize>>,
 }
@@ -45,7 +44,6 @@ impl DeflectionSwitch {
             loop_capacity,
             loops: (0..n).map(|_| VecDeque::new()).collect(),
             rng: SimRng::seed_from_u64(seed),
-            order: FlowOrder::new(),
             next_id: 0,
             contenders: vec![Vec::new(); n],
         }
@@ -63,10 +61,6 @@ impl DeflectionSwitch {
 impl CellSwitch for DeflectionSwitch {
     fn ports(&self) -> usize {
         self.n
-    }
-
-    fn configure(&mut self, _cfg: &EngineConfig) {
-        self.order.begin_run();
     }
 
     fn arbitrate<T: TraceSink>(&mut self, _slot: u64, obs: &mut Observer<'_, T>) {
@@ -97,7 +91,6 @@ impl CellSwitch for DeflectionSwitch {
                 // lint:allow(panic-free): contenders are collected from
                 // non-empty ring slots this same arbitration pass
                 .expect("contender with an empty loop queue");
-            self.order.record(cell.src, cell.dst, cell.seq);
             obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             // Losers: rotate to the back of their loop — they lost a slot
             // in the ring (the deflection penalty).
@@ -124,17 +117,13 @@ impl CellSwitch for DeflectionSwitch {
                 obs.cell_dropped_for(a.src, DropReason::Rejected);
                 continue;
             }
-            let seq = self.order.stamp(a.src, a.dst);
+            let seq = obs.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
             self.loops[a.src].push_back(cell);
             obs.note_queue_depth(self.loops[a.src].len());
         }
-    }
-
-    fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {

@@ -11,15 +11,14 @@
 //!
 //! Fabrics (which depend on this crate) implement `CellSwitch` too, so
 //! every traffic-driven simulator in the workspace — single-stage switch
-//! or multistage fabric — runs through the same [`run_switch`] /
-//! [`run_switch_traced`] entry points. Self-driven models (the multicast
+//! or multistage fabric — runs as `Engine::new(&cfg)…run(&mut
+//! Driven::new(switch, traffic))`. The six `run_switch*` functions are
+//! that call with the planes in a fixed order, kept as one-line forwards
+//! for callers that link against them. Self-driven models (the multicast
 //! switch, whose workload is internal) implement `SlottedModel` directly.
 
-use osmosis_sim::engine::{
-    run, run_circuit_switched, run_faulted, run_instrumented, run_model, EngineConfig,
-    EngineReport, Observer, SlottedModel, TraceSink,
-};
-use osmosis_sim::{Auditor, CircuitView, FaultView, NullTrace};
+use osmosis_sim::engine::{Engine, EngineConfig, EngineReport, Observer, SlottedModel, TraceSink};
+use osmosis_sim::{Auditor, CircuitView, FaultView};
 use osmosis_traffic::{Arrival, TrafficGen};
 
 /// A slotted simulator driven by an external traffic generator.
@@ -30,8 +29,8 @@ pub trait CellSwitch {
     /// Edge port count; must equal the generator's `ports()`.
     fn ports(&self) -> usize;
 
-    /// Apply run-level configuration and reset per-run bookkeeping
-    /// (sequence checkers, violation counters) before the first slot.
+    /// Apply run-level configuration (buffer depth, seed) and reset
+    /// model-specific counters before the first slot.
     fn configure(&mut self, _cfg: &EngineConfig) {}
 
     /// Phase 1: arbitration and crossbar/internal transfers.
@@ -43,7 +42,7 @@ pub trait CellSwitch {
     /// Phase 3: this slot's arrivals enter the ingress queues.
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>);
 
-    /// Post-run hook: set `reordered` and model-specific `extra` metrics.
+    /// Post-run hook: add model-specific `extra` metrics.
     fn finish(&mut self, _report: &mut EngineReport) {}
 
     /// Cells still queued or in flight inside the switch, when it can
@@ -112,13 +111,13 @@ impl<S: CellSwitch + ?Sized> SlottedModel for Driven<'_, S> {
     }
 }
 
-/// Run a traffic-driven simulator on the engine with tracing disabled.
+/// Run a traffic-driven simulator with tracing disabled.
 pub fn run_switch<S: CellSwitch + ?Sized>(
     switch: &mut S,
     traffic: &mut dyn TrafficGen,
     cfg: &EngineConfig,
 ) -> EngineReport {
-    run_model(&mut Driven::new(switch, traffic), cfg)
+    Engine::new(cfg).run(&mut Driven::new(switch, traffic))
 }
 
 /// Run a traffic-driven simulator, streaming trace events into `sink`.
@@ -128,58 +127,24 @@ pub fn run_switch_traced<S: CellSwitch + ?Sized, T: TraceSink>(
     cfg: &EngineConfig,
     sink: &mut T,
 ) -> EngineReport {
-    run(&mut Driven::new(switch, traffic), cfg, sink)
+    Engine::new(cfg)
+        .trace(sink)
+        .run(&mut Driven::new(switch, traffic))
 }
 
-/// Run a traffic-driven simulator under a fault plane. A vacuous view
-/// (empty plan) leaves the run bit-identical to [`run_switch`].
-pub fn run_switch_faulted<S: CellSwitch + ?Sized>(
-    switch: &mut S,
-    traffic: &mut dyn TrafficGen,
-    cfg: &EngineConfig,
-    faults: &mut dyn FaultView,
-) -> EngineReport {
-    run_faulted(
-        &mut Driven::new(switch, traffic),
-        cfg,
-        &mut NullTrace,
-        faults,
-    )
-}
-
-/// Run a traffic-driven simulator under a fault plane, streaming trace
-/// events into `sink`.
-pub fn run_switch_faulted_traced<S: CellSwitch + ?Sized, T: TraceSink>(
-    switch: &mut S,
-    traffic: &mut dyn TrafficGen,
-    cfg: &EngineConfig,
-    sink: &mut T,
-    faults: &mut dyn FaultView,
-) -> EngineReport {
-    run_faulted(&mut Driven::new(switch, traffic), cfg, sink, faults)
-}
-
-/// Run a traffic-driven simulator with an invariant-audit plane
-/// attached. A clean audit leaves the report — and its fingerprint —
-/// bit-identical to [`run_switch`].
+/// Run a traffic-driven simulator with an invariant-audit plane.
 pub fn run_switch_audited<S: CellSwitch + ?Sized>(
     switch: &mut S,
     traffic: &mut dyn TrafficGen,
     cfg: &EngineConfig,
     audit: &mut dyn Auditor,
 ) -> EngineReport {
-    let mut sink = NullTrace;
-    run_instrumented(
-        &mut Driven::new(switch, traffic),
-        cfg,
-        &mut sink,
-        None,
-        Some(audit),
-    )
+    Engine::new(cfg)
+        .audit(Some(audit))
+        .run(&mut Driven::new(switch, traffic))
 }
 
-/// The fully general entry point: optional fault plane, optional audit
-/// plane. This is how the acceptance suites audit faulted runs.
+/// Run a traffic-driven simulator with optional fault and audit planes.
 pub fn run_switch_instrumented<'a, S: CellSwitch + ?Sized>(
     switch: &mut S,
     traffic: &mut dyn TrafficGen,
@@ -187,24 +152,14 @@ pub fn run_switch_instrumented<'a, S: CellSwitch + ?Sized>(
     faults: Option<&'a mut dyn FaultView>,
     audit: Option<&'a mut dyn Auditor>,
 ) -> EngineReport {
-    let mut sink = NullTrace;
-    run_instrumented(
-        &mut Driven::new(switch, traffic),
-        cfg,
-        &mut sink,
-        faults,
-        audit,
-    )
+    Engine::new(cfg)
+        .faults(faults)
+        .audit(audit)
+        .run(&mut Driven::new(switch, traffic))
 }
 
-/// Run a traffic-driven simulator in circuit-switched mode: `circuits`
-/// (an OCS plan) is configured for the run, advanced every slot, fed the
-/// arrival/transfer stream, and consulted by the model through the
-/// observer's `circuit_*` methods. Optional fault and audit planes
-/// compose as in [`run_switch_instrumented`].
-///
-/// A vacuous circuit view (empty plan) is *not* attached, so the run —
-/// and its report fingerprint — is bit-identical to [`run_switch`].
+/// Run a traffic-driven simulator in circuit-switched mode, with
+/// optional fault and audit planes.
 pub fn run_switch_circuit<'a, S: CellSwitch + ?Sized>(
     switch: &mut S,
     traffic: &mut dyn TrafficGen,
@@ -213,19 +168,14 @@ pub fn run_switch_circuit<'a, S: CellSwitch + ?Sized>(
     faults: Option<&'a mut dyn FaultView>,
     audit: Option<&'a mut dyn Auditor>,
 ) -> EngineReport {
-    let mut sink = NullTrace;
-    run_circuit_switched(
-        &mut Driven::new(switch, traffic),
-        cfg,
-        &mut sink,
-        circuits,
-        faults,
-        audit,
-    )
+    Engine::new(cfg)
+        .circuits(Some(circuits))
+        .faults(faults)
+        .audit(audit)
+        .run(&mut Driven::new(switch, traffic))
 }
 
-/// [`run_switch_circuit`] with a caller-supplied trace sink (telemetry,
-/// ring-buffer capture, ...). Identical report for any sink.
+/// [`run_switch_circuit`] with a trace sink.
 pub fn run_switch_circuit_traced<'a, S: CellSwitch + ?Sized, T: TraceSink>(
     switch: &mut S,
     traffic: &mut dyn TrafficGen,
@@ -235,27 +185,10 @@ pub fn run_switch_circuit_traced<'a, S: CellSwitch + ?Sized, T: TraceSink>(
     faults: Option<&'a mut dyn FaultView>,
     audit: Option<&'a mut dyn Auditor>,
 ) -> EngineReport {
-    run_circuit_switched(
-        &mut Driven::new(switch, traffic),
-        cfg,
-        sink,
-        circuits,
-        faults,
-        audit,
-    )
-}
-
-/// [`run_switch_instrumented`] with a caller-supplied trace sink — the
-/// entry point the telemetry plane attaches through. Because sinks only
-/// observe, the report stays bit-identical to [`run_switch`] for any
-/// sink when the fault view is vacuous and the audit is clean.
-pub fn run_switch_instrumented_traced<'a, S: CellSwitch + ?Sized, T: TraceSink>(
-    switch: &mut S,
-    traffic: &mut dyn TrafficGen,
-    cfg: &EngineConfig,
-    sink: &mut T,
-    faults: Option<&'a mut dyn FaultView>,
-    audit: Option<&'a mut dyn Auditor>,
-) -> EngineReport {
-    run_instrumented(&mut Driven::new(switch, traffic), cfg, sink, faults, audit)
+    Engine::new(cfg)
+        .trace(sink)
+        .circuits(Some(circuits))
+        .faults(faults)
+        .audit(audit)
+        .run(&mut Driven::new(switch, traffic))
 }

@@ -11,7 +11,7 @@ use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sched::arbiter::{BitSet, RoundRobinArbiter};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
-use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
+use osmosis_traffic::{Arrival, TrafficGen};
 use std::collections::VecDeque;
 
 /// FIFO-input switch with round-robin output arbitration over head cells.
@@ -20,7 +20,6 @@ pub struct FifoSwitch {
     fifos: Vec<VecDeque<Cell>>,
     egress: Vec<VecDeque<Cell>>,
     out_arb: Vec<RoundRobinArbiter>,
-    order: FlowOrder,
     next_id: u64,
     input_won: Vec<bool>,
     requesters: BitSet,
@@ -35,7 +34,6 @@ impl FifoSwitch {
             fifos: (0..n).map(|_| VecDeque::new()).collect(),
             egress: (0..n).map(|_| VecDeque::new()).collect(),
             out_arb: (0..n).map(|_| RoundRobinArbiter::new(n)).collect(),
-            order: FlowOrder::new(),
             next_id: 0,
             input_won: vec![false; n],
             requesters: BitSet::new(n),
@@ -51,10 +49,6 @@ impl FifoSwitch {
 impl CellSwitch for FifoSwitch {
     fn ports(&self) -> usize {
         self.n
-    }
-
-    fn configure(&mut self, _cfg: &EngineConfig) {
-        self.order.begin_run();
     }
 
     fn arbitrate<T: TraceSink>(&mut self, slot: u64, obs: &mut Observer<'_, T>) {
@@ -99,7 +93,6 @@ impl CellSwitch for FifoSwitch {
             obs.note_egress_depth(q.len());
             if let Some(cell) = q.pop_front() {
                 debug_assert_eq!(cell.dst, o);
-                self.order.record(cell.src, cell.dst, cell.seq);
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -107,17 +100,13 @@ impl CellSwitch for FifoSwitch {
 
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         for a in arrivals {
-            let seq = self.order.stamp(a.src, a.dst);
+            let seq = obs.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
             self.fifos[a.src].push_back(cell);
             obs.note_queue_depth(self.fifos[a.src].len());
         }
-    }
-
-    fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {

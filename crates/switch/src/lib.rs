@@ -47,8 +47,7 @@ pub use control_protocol::{run_control_channel, ControlProtocol, ControlReport};
 pub use deflection::DeflectionSwitch;
 pub use driven::{
     run_switch, run_switch_audited, run_switch_circuit, run_switch_circuit_traced,
-    run_switch_faulted, run_switch_faulted_traced, run_switch_instrumented,
-    run_switch_instrumented_traced, run_switch_traced, CellSwitch, Driven,
+    run_switch_instrumented, run_switch_traced, CellSwitch, Driven,
 };
 pub use fifo_switch::FifoSwitch;
 pub use multicast::{run_multicast, MulticastSwitch, MulticastWorkload};

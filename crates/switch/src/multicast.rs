@@ -21,9 +21,7 @@
 //! multicast-specific counters.
 
 use osmosis_sched::arbiter::{BitSet, RoundRobinArbiter};
-use osmosis_sim::engine::{
-    run_model, EngineConfig, EngineReport, Observer, SlottedModel, TraceSink,
-};
+use osmosis_sim::engine::{Engine, EngineConfig, EngineReport, Observer, SlottedModel, TraceSink};
 use osmosis_sim::{SeedSequence, SimRng};
 use std::collections::VecDeque;
 
@@ -246,7 +244,7 @@ impl SlottedModel for MulticastWorkload {
 /// Run a randomized multicast workload for `slots` slots (no warm-up).
 pub fn run_multicast(n: usize, fanout: usize, rate: f64, slots: u64, seed: u64) -> EngineReport {
     let cfg = EngineConfig::new(0, slots).with_seed(seed);
-    run_model(&mut MulticastWorkload::new(n, fanout, rate), &cfg)
+    Engine::new(&cfg).run(&mut MulticastWorkload::new(n, fanout, rate))
 }
 
 #[cfg(test)]

@@ -11,14 +11,13 @@
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
-use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
+use osmosis_traffic::{Arrival, TrafficGen};
 use std::collections::VecDeque;
 
 /// The ideal output-queued switch.
 pub struct OqSwitch {
     n: usize,
     egress: Vec<VecDeque<Cell>>,
-    order: FlowOrder,
     next_id: u64,
 }
 
@@ -29,7 +28,6 @@ impl OqSwitch {
         OqSwitch {
             n,
             egress: (0..n).map(|_| VecDeque::new()).collect(),
-            order: FlowOrder::new(),
             next_id: 0,
         }
     }
@@ -45,10 +43,6 @@ impl CellSwitch for OqSwitch {
         self.n
     }
 
-    fn configure(&mut self, _cfg: &EngineConfig) {
-        self.order.begin_run();
-    }
-
     // No arbitration stage: arrivals land in their output queue with
     // internal speedup N, so `mean_request_grant` stays 0.
     fn arbitrate<T: TraceSink>(&mut self, _slot: u64, _obs: &mut Observer<'_, T>) {}
@@ -58,7 +52,6 @@ impl CellSwitch for OqSwitch {
             obs.note_egress_depth(q.len());
             if let Some(cell) = q.pop_front() {
                 debug_assert_eq!(cell.dst, o);
-                self.order.record(cell.src, cell.dst, cell.seq);
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -67,17 +60,13 @@ impl CellSwitch for OqSwitch {
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         // Arrivals go straight to their output queue (speedup N).
         for a in arrivals {
-            let seq = self.order.stamp(a.src, a.dst);
+            let seq = obs.stamp(a.src, a.dst);
             let mut cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             cell.grant_slot = slot;
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
             self.egress[a.dst].push_back(cell);
         }
-    }
-
-    fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {

@@ -20,7 +20,7 @@ use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sched::CellScheduler;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
-use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
+use osmosis_traffic::{Arrival, TrafficGen};
 use std::collections::VecDeque;
 
 /// A VOQ switch whose hosts are `half_rtt_slots` of flight time away from
@@ -37,7 +37,6 @@ pub struct RemoteSchedulerSwitch {
     grants_in_flight: VecDeque<(u64, usize, usize)>,
     /// (arrival slot at egress adapter, cell).
     data_in_flight: VecDeque<(u64, Cell)>,
-    order: FlowOrder,
     next_id: u64,
 }
 
@@ -55,7 +54,6 @@ impl RemoteSchedulerSwitch {
             requests_in_flight: VecDeque::new(),
             grants_in_flight: VecDeque::new(),
             data_in_flight: VecDeque::new(),
-            order: FlowOrder::new(),
             next_id: 0,
         }
     }
@@ -69,10 +67,6 @@ impl RemoteSchedulerSwitch {
 impl CellSwitch for RemoteSchedulerSwitch {
     fn ports(&self) -> usize {
         self.n
-    }
-
-    fn configure(&mut self, _cfg: &EngineConfig) {
-        self.order.begin_run();
     }
 
     fn arbitrate<T: TraceSink>(&mut self, t: u64, obs: &mut Observer<'_, T>) {
@@ -147,7 +141,6 @@ impl CellSwitch for RemoteSchedulerSwitch {
         // Egress transmits one cell per slot to the host.
         for (o, q) in self.egress.iter_mut().enumerate() {
             if let Some(cell) = q.pop_front() {
-                self.order.record(cell.src, cell.dst, cell.seq);
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -157,17 +150,13 @@ impl CellSwitch for RemoteSchedulerSwitch {
         // New arrivals: enqueue locally, request flies to scheduler.
         let d = self.half_rtt_slots;
         for a in arrivals {
-            let seq = self.order.stamp(a.src, a.dst);
+            let seq = obs.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
             self.voq[a.src * self.n + a.dst].push_back(cell);
             self.requests_in_flight.push_back((slot + d, a.src, a.dst));
         }
-    }
-
-    fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {
@@ -234,14 +223,14 @@ mod tests {
 
     #[test]
     fn lost_grants_are_retimed_through_the_control_loop() {
-        use crate::driven::run_switch_faulted;
+        use crate::driven::run_switch_instrumented;
         use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
         let c = EngineConfig::new(0, 8_000).with_seed(9);
         let mut sw = RemoteSchedulerSwitch::new(Box::new(Flppr::osmosis(8, 1)), 4);
         let mut tr = BernoulliUniform::new(8, 0.4, &SeedSequence::new(c.seed));
         let plan = FaultPlan::new().permanent(FaultKind::GrantLoss { prob: 0.15 }, 0);
         let mut inj = FaultInjector::new(plan);
-        let r = run_switch_faulted(&mut sw, &mut tr, &c, &mut inj);
+        let r = run_switch_instrumented(&mut sw, &mut tr, &c, Some(&mut inj), None);
         assert!(r.extra("fault_grants_lost").unwrap() > 50.0);
         assert_eq!(r.dropped, 0, "lost grants re-request, cells stay queued");
         assert_eq!(r.reordered, 0);

@@ -21,7 +21,7 @@ use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sched::CellScheduler;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
-use osmosis_traffic::{Arrival, FlowOrder, TrafficGen};
+use osmosis_traffic::{Arrival, TrafficGen};
 use std::collections::VecDeque;
 
 /// The switch simulator.
@@ -30,7 +30,6 @@ pub struct VoqSwitch {
     sched: Box<dyn CellScheduler>,
     voq: Vec<VecDeque<Cell>>, // [input * n + output]
     egress: Vec<VecDeque<Cell>>,
-    order: FlowOrder,
     next_id: u64,
     /// Receivers per egress in the fault-free switch.
     nominal_cap: usize,
@@ -50,7 +49,6 @@ impl VoqSwitch {
             sched,
             voq: (0..n * n).map(|_| VecDeque::new()).collect(),
             egress: (0..n).map(|_| VecDeque::new()).collect(),
-            order: FlowOrder::new(),
             next_id: 0,
             nominal_cap,
             applied_cap: vec![nominal_cap; n],
@@ -74,7 +72,6 @@ impl CellSwitch for VoqSwitch {
     }
 
     fn configure(&mut self, _cfg: &EngineConfig) {
-        self.order.begin_run();
         // Restore full egress capacity in case a previous faulted run
         // left a degraded scheduler behind.
         for o in 0..self.n {
@@ -143,7 +140,6 @@ impl CellSwitch for VoqSwitch {
             }
             if let Some(cell) = q.pop_front() {
                 debug_assert_eq!(cell.dst, o);
-                self.order.record(cell.src, cell.dst, cell.seq);
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -151,7 +147,7 @@ impl CellSwitch for VoqSwitch {
 
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         for a in arrivals {
-            let seq = self.order.stamp(a.src, a.dst);
+            let seq = obs.stamp(a.src, a.dst);
             let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
             self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
@@ -160,10 +156,6 @@ impl CellSwitch for VoqSwitch {
             obs.note_queue_depth(q.len());
             self.sched.note_arrival(a.src, a.dst);
         }
-    }
-
-    fn finish(&mut self, report: &mut EngineReport) {
-        report.reordered = self.order.reordered();
     }
 
     fn resident_cells(&self) -> Option<u64> {
@@ -357,19 +349,15 @@ mod tests {
     }
 
     #[test]
-    fn a_drained_switch_run_again_reports_no_reordering() {
-        // Every source sends one cell to every destination, twice over;
-        // the schedule is finite, so the first run ends drained. The
-        // second run's first cell of each flow is the flow's next cell,
-        // not an early arrival against a forgotten expectation.
-        use osmosis_traffic::Replay;
-        let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(16, 2)));
-        let all_to_all = || Replay::new((0..16).map(|_| (0..16).chain(0..16).collect()).collect());
-        for run in 0..2 {
-            let r = sw.run(&mut all_to_all(), &EngineConfig::new(0, 400));
-            assert_eq!((r.injected, r.delivered), (512, 512), "run {run} drains");
-            assert_eq!(r.reordered, 0, "run {run}");
-        }
+    #[should_panic(expected = "only once it has drained")]
+    fn a_switch_still_holding_cells_is_not_run_again() {
+        // The second run restarts at slot 0 with a fresh flow table: a
+        // cell left from the first would be delivered before its
+        // injection slot, against a flow that never stamped it.
+        let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(16, 1)));
+        let mut tr = BernoulliUniform::new(16, 0.95, &SeedSequence::new(8));
+        sw.run(&mut tr, &EngineConfig::new(0, 100));
+        sw.run(&mut tr, &EngineConfig::new(0, 100));
     }
 
     #[test]
@@ -382,21 +370,22 @@ mod tests {
 
     #[test]
     fn empty_fault_plan_is_bit_identical_to_plain_run() {
-        use crate::driven::run_switch_faulted;
+        use crate::driven::run_switch_instrumented;
         use osmosis_faults::{FaultInjector, FaultPlan};
         let cfg = small_cfg().with_seed(99);
         let plain = run_uniform(|| Box::new(Flppr::osmosis(8, 1)), 0.5, &cfg);
         let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(8, 1)));
         let mut tr = BernoulliUniform::new(8, 0.5, &SeedSequence::new(cfg.seed));
         let mut inj = FaultInjector::new(FaultPlan::new());
-        let faulted = run_switch_faulted(&mut sw, &mut tr, &cfg, &mut inj);
+        let faulted = run_switch_instrumented(&mut sw, &mut tr, &cfg, Some(&mut inj), None);
         assert_eq!(plain.fingerprint(), faulted.fingerprint());
     }
 
     #[test]
     fn stuck_off_soa_gate_blocks_its_output_and_heals() {
-        use crate::driven::run_switch_faulted_traced;
+        use crate::driven::Driven;
         use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
+        use osmosis_sim::engine::Engine;
         use osmosis_sim::{TraceEvent, VecTrace};
         // Output 0's gate sticks off for slots [1000, 2000); the run
         // measures from slot 0 so the trace shows the outage window.
@@ -407,7 +396,10 @@ mod tests {
             FaultPlan::new().one_shot(FaultKind::SoaStuckOff { output: 0 }, 1_000, Some(1_000));
         let mut inj = FaultInjector::new(plan);
         let mut sink = VecTrace::default();
-        let r = run_switch_faulted_traced(&mut sw, &mut tr, &cfg, &mut sink, &mut inj);
+        let r = Engine::new(&cfg)
+            .trace(&mut sink)
+            .faults(Some(&mut inj))
+            .run(&mut Driven::new(&mut sw, &mut tr));
         let deliveries_to_0 = |from: u64, to: u64| {
             sink.events
                 .iter()
@@ -433,7 +425,7 @@ mod tests {
 
     #[test]
     fn receiver_death_degrades_then_recovers_throughput() {
-        use crate::driven::run_switch_faulted;
+        use crate::driven::run_switch_instrumented;
         use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
         // Dual receivers; hotspot output 0 at 1.5× line rate needs both.
         // Killing one receiver for a window must not lose or reorder
@@ -443,7 +435,7 @@ mod tests {
             let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(8, 2)));
             let mut tr = Hotspot::new(8, 0.2, 0, 0.75, &SeedSequence::new(cfg.seed));
             let mut inj = FaultInjector::new(plan);
-            run_switch_faulted(&mut sw, &mut tr, &cfg, &mut inj)
+            run_switch_instrumented(&mut sw, &mut tr, &cfg, Some(&mut inj), None)
         };
         let nominal = run(FaultPlan::new());
         let degraded = run(FaultPlan::new().one_shot(
@@ -469,14 +461,14 @@ mod tests {
 
     #[test]
     fn lost_grants_are_reissued_without_loss() {
-        use crate::driven::run_switch_faulted;
+        use crate::driven::run_switch_instrumented;
         use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
         let cfg = EngineConfig::new(0, 6_000).with_seed(11);
         let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(8, 1)));
         let mut tr = BernoulliUniform::new(8, 0.5, &SeedSequence::new(cfg.seed));
         let plan = FaultPlan::new().permanent(FaultKind::GrantLoss { prob: 0.2 }, 0);
         let mut inj = FaultInjector::new(plan);
-        let r = run_switch_faulted(&mut sw, &mut tr, &cfg, &mut inj);
+        let r = run_switch_instrumented(&mut sw, &mut tr, &cfg, Some(&mut inj), None);
         assert!(
             r.extra("fault_grants_lost").unwrap() > 100.0,
             "the fault actually fired"
@@ -493,7 +485,7 @@ mod tests {
 
     #[test]
     fn link_ber_burst_retransmits_at_egress() {
-        use crate::driven::run_switch_faulted;
+        use crate::driven::run_switch_instrumented;
         use osmosis_faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
         let cfg = EngineConfig::new(0, 6_000).with_seed(13);
         let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(8, 1)));
@@ -506,7 +498,7 @@ mod tests {
             0,
         );
         let mut inj = FaultInjector::new(plan);
-        let r = run_switch_faulted(&mut sw, &mut tr, &cfg, &mut inj);
+        let r = run_switch_instrumented(&mut sw, &mut tr, &cfg, Some(&mut inj), None);
         assert!(
             r.extra("fault_retransmits").unwrap() > 100.0,
             "corrupted egress transmissions were re-sent"

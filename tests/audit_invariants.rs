@@ -17,11 +17,15 @@
 
 use osmosis::fabric::{BufferTech, CompiledFabric, TopologySpec};
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
+use osmosis::ocs::{EpochConfig, OcsScheduler, OcsSwitch};
 use osmosis::sched::Flppr;
-use osmosis::sim::{EngineConfig, SeedSequence};
+use osmosis::sim::{Engine, EngineConfig, EngineReport, SeedSequence};
 use osmosis::switch::driven::CellSwitch;
-use osmosis::switch::{run_switch, run_switch_instrumented, RemoteSchedulerSwitch, VoqSwitch};
-use osmosis::traffic::BernoulliUniform;
+use osmosis::switch::{
+    run_switch, run_switch_audited, run_switch_instrumented, BurstSwitch, BvnSwitch, CioqSwitch,
+    DeflectionSwitch, Driven, FifoSwitch, OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
+};
+use osmosis::traffic::{BernoulliUniform, Replay};
 use osmosis_audit::{AuditMode, AuditSet, ViolationKind};
 
 fn cfg(seed: u64) -> EngineConfig {
@@ -249,4 +253,110 @@ fn liveness_watchdog_stays_quiet_within_bound() {
     let audited = run_switch_instrumented(&mut sw, &mut tr, &cfg(46), None, Some(&mut set));
     assert_eq!(set.total_violations(), 0);
     assert_eq!(plain.fingerprint(), audited.fingerprint());
+}
+
+/// One of the ten traffic-driven simulators, run under an audit set.
+trait Rerun {
+    fn hosts(&self) -> usize;
+    fn run(
+        &mut self,
+        traffic: &mut Replay,
+        cfg: &EngineConfig,
+        audit: &mut AuditSet,
+    ) -> EngineReport;
+    fn resident(&self) -> Option<u64>;
+}
+
+impl<S: CellSwitch> Rerun for S {
+    fn hosts(&self) -> usize {
+        self.ports()
+    }
+    fn run(
+        &mut self,
+        traffic: &mut Replay,
+        cfg: &EngineConfig,
+        audit: &mut AuditSet,
+    ) -> EngineReport {
+        run_switch_audited(self, traffic, cfg, audit)
+    }
+    fn resident(&self) -> Option<u64> {
+        self.resident_cells()
+    }
+}
+
+/// The circuit switch, run under a fresh epoch scheduler each time.
+struct Circuit(OcsSwitch);
+
+impl Rerun for Circuit {
+    fn hosts(&self) -> usize {
+        self.0.ports()
+    }
+    fn run(
+        &mut self,
+        traffic: &mut Replay,
+        cfg: &EngineConfig,
+        audit: &mut AuditSet,
+    ) -> EngineReport {
+        let mut sched = OcsScheduler::new(EpochConfig::new(16, 1, 4));
+        Engine::new(cfg)
+            .circuits(Some(&mut sched))
+            .audit(Some(audit))
+            .run(&mut Driven::new(&mut self.0, traffic))
+    }
+    fn resident(&self) -> Option<u64> {
+        self.0.resident_cells()
+    }
+}
+
+#[test]
+fn every_simulator_run_again_after_draining_starts_every_flow_afresh() {
+    // Each source sends to every other host twice over, one cell per
+    // slot and a permutation per slot (none to itself: the circuit
+    // switch never lights a self-loop). The schedule is finite, so each
+    // run ends drained, and the second run's flows are checked against
+    // a fresh flow table, not the first run's.
+    let sched = || Box::new(Flppr::osmosis(8, 2));
+    let models: Vec<(&str, Box<dyn Rerun>)> = vec![
+        ("voq", Box::new(VoqSwitch::new(sched()))),
+        ("remote", Box::new(RemoteSchedulerSwitch::new(sched(), 3))),
+        ("fifo", Box::new(FifoSwitch::new(8))),
+        ("oq", Box::new(OqSwitch::new(8))),
+        ("bvn", Box::new(BvnSwitch::new(8))),
+        ("burst", Box::new(BurstSwitch::new(8, 4, 8))),
+        ("deflection", Box::new(DeflectionSwitch::new(8, 4, 7))),
+        ("cioq", Box::new(CioqSwitch::new(8, 2, 4))),
+        ("ocs", Box::new(Circuit(OcsSwitch::new(8)))),
+        (
+            "fabric",
+            Box::new(CompiledFabric::new(TopologySpec::two_level(4))),
+        ),
+    ];
+    for (name, mut model) in models {
+        let hosts = model.hosts();
+        let cells = (2 * hosts * (hosts - 1)) as u64;
+        for run in 0..2 {
+            let others = |src: usize| (1..hosts).map(move |k| (src + k) % hosts);
+            let sends = |src: usize| others(src).chain(others(src)).collect();
+            let mut traffic = Replay::new((0..hosts).map(sends).collect());
+            // BvN and deflection reorder by design.
+            let mut set = if matches!(name, "bvn" | "deflection") {
+                AuditSet::unordered(AuditMode::Accumulate)
+            } else {
+                AuditSet::standard(AuditMode::Accumulate)
+            };
+            let r = model.run(&mut traffic, &EngineConfig::new(0, 2_000), &mut set);
+            assert_eq!(
+                (r.injected, r.delivered),
+                (cells, cells),
+                "{name} run {run}"
+            );
+            assert_eq!(model.resident(), Some(0), "{name} run {run} drains");
+            assert_eq!(r.reordered, 0, "{name} run {run}");
+            assert!(
+                set.report().is_clean(),
+                "{name} run {run}: {}",
+                set.report()
+            );
+        }
+    }
 }

@@ -13,10 +13,11 @@ use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::{BufferTech, CompiledFabric};
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
 use osmosis::fec::{run_reliable_link, LinkConfig};
-use osmosis::ocs::{run_ocs, EpochConfig};
+use osmosis::ocs::{EpochConfig, OcsScheduler, OcsSwitch};
 use osmosis::sim::{EngineConfig, EngineReport, SeedSequence};
 use osmosis::switch::{
-    run_multicast, run_switch_faulted, CellSwitch, CioqSwitch, DeflectionSwitch,
+    run_multicast, run_switch_circuit, run_switch_instrumented, CellSwitch, CioqSwitch,
+    DeflectionSwitch,
 };
 use osmosis::traffic::BernoulliUniform;
 
@@ -78,7 +79,13 @@ fn fdl_fabric_reports_buffer_plane_counters() {
         .expect("input-only at rg=1");
     let hosts = fab.ports();
     let mut inj = FaultInjector::new(dead_line_plan(RADIX, lines_per_queue));
-    let r = run_switch_faulted(&mut fab, &mut uniform(hosts, 0.5), &cfg(), &mut inj);
+    let r = run_switch_instrumented(
+        &mut fab,
+        &mut uniform(hosts, 0.5),
+        &cfg(),
+        Some(&mut inj),
+        None,
+    );
 
     // Emulated fiber loops recirculate cells that cannot depart on
     // their first pass; at 50% load there are always some.
@@ -109,7 +116,13 @@ fn deterministic_outages_report_injection_accounting() {
     let mut fab = CompiledFabric::new(TopologySpec::two_level(8).with_request_grant(1));
     let hosts = fab.ports();
     let mut inj = FaultInjector::new(plan);
-    let r = run_switch_faulted(&mut fab, &mut uniform(hosts, 0.5), &cfg(), &mut inj);
+    let r = run_switch_instrumented(
+        &mut fab,
+        &mut uniform(hosts, 0.5),
+        &cfg(),
+        Some(&mut inj),
+        None,
+    );
 
     assert_eq!(extra(&r, "faults_injected"), 2.0);
     assert_eq!(extra(&r, "faults_healed"), 2.0);
@@ -142,7 +155,13 @@ fn probabilistic_wire_faults_report_event_tallies() {
     let mut fab = CompiledFabric::new(TopologySpec::two_level(8).with_request_grant(1));
     let hosts = fab.ports();
     let mut inj = FaultInjector::new(plan);
-    let r = run_switch_faulted(&mut fab, &mut uniform(hosts, 0.5), &cfg(), &mut inj);
+    let r = run_switch_instrumented(
+        &mut fab,
+        &mut uniform(hosts, 0.5),
+        &cfg(),
+        Some(&mut inj),
+        None,
+    );
 
     assert!(extra(&r, "fault_credits_dropped") > 0.0);
     let corrupted = extra(&r, "fault_cells_corrupted");
@@ -158,13 +177,13 @@ fn probabilistic_wire_faults_report_event_tallies() {
 #[test]
 fn grant_loss_reports_lost_grant_tally() {
     use osmosis::sched::Flppr;
-    use osmosis::switch::{run_switch_faulted, VoqSwitch};
+    use osmosis::switch::VoqSwitch;
     // Only the request/grant models consult `GrantLoss`; drive the VOQ
     // crossbar through three periodic loss windows.
     let plan = FaultPlan::new().periodic(FaultKind::GrantLoss { prob: 0.2 }, 200, 900, 250);
     let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(16, 2)));
     let mut inj = FaultInjector::new(plan);
-    let r = run_switch_faulted(&mut sw, &mut uniform(16, 0.7), &cfg(), &mut inj);
+    let r = run_switch_instrumented(&mut sw, &mut uniform(16, 0.7), &cfg(), Some(&mut inj), None);
     assert!(
         extra(&r, "faults_injected") >= 3.0,
         "one per periodic window"
@@ -204,7 +223,14 @@ fn reliable_link_reports_protocol_counters() {
 fn ocs_run_reports_scheduler_counters() {
     use osmosis::core::experiments::ocs_study::workload;
     let mut tr = workload("hotspot_skew", 16, 3_000, SEED).expect("known workload");
-    let r = run_ocs(tr.as_mut(), EpochConfig::osmosis_default(), &cfg());
+    let r = run_switch_circuit(
+        &mut OcsSwitch::new(tr.ports()),
+        tr.as_mut(),
+        &cfg(),
+        &mut OcsScheduler::new(EpochConfig::osmosis_default()),
+        None,
+        None,
+    );
 
     let epochs = extra(&r, "ocs_epochs");
     assert!(epochs >= 50.0, "3300 slots / 64-slot epochs");
@@ -250,10 +276,13 @@ fn ocs_incast_attributes_buffer_full_drops() {
     // Incast into finite 8-cell ingress VOQs: queues toward the one hot
     // sink overflow and every discarded cell is attributed.
     let mut tr = workload("incast", 16, 3_000, SEED).expect("known workload");
-    let r = run_ocs(
+    let r = run_switch_circuit(
+        &mut OcsSwitch::new(tr.ports()),
         tr.as_mut(),
-        EpochConfig::osmosis_default(),
         &cfg().with_buffer_cells(8),
+        &mut OcsScheduler::new(EpochConfig::osmosis_default()),
+        None,
+        None,
     );
     assert!(extra(&r, "drops_buffer_full") > 0.0);
 }

@@ -12,8 +12,8 @@ use osmosis::sched::Flppr;
 use osmosis::sim::{EngineConfig, SeedSequence};
 use osmosis::switch::driven::CellSwitch;
 use osmosis::switch::{
-    run_switch, run_switch_faulted, run_switch_instrumented, BurstSwitch, BvnSwitch, CioqSwitch,
-    DeflectionSwitch, FifoSwitch, OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
+    run_switch, run_switch_instrumented, BurstSwitch, BvnSwitch, CioqSwitch, DeflectionSwitch,
+    FifoSwitch, OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
 };
 use osmosis::traffic::BernoulliUniform;
 use osmosis_audit::{AuditMode, AuditSet};
@@ -44,7 +44,7 @@ fn plan() -> FaultPlan {
 ///
 /// 1. same seed ⇒ bit-identical fault trace *and* bit-identical report;
 /// 2. a different seed changes the run (traffic and/or fault timeline);
-/// 3. an empty plan is invisible: `run_faulted` == plain `run`, bit for
+/// 3. an empty plan is invisible: the run equals a plain one, bit for
 ///    bit;
 /// 4. the full invariant battery on the clean run finds nothing and
 ///    leaves the report bit-identical to the plain run;
@@ -73,7 +73,7 @@ fn assert_fault_determinism<S: CellSwitch>(
         let mut sw = mk();
         let mut tr = BernoulliUniform::new(hosts, load, &SeedSequence::new(seed));
         let mut inj = FaultInjector::new(plan());
-        let r = run_switch_faulted(&mut sw, &mut tr, &cfg(seed), &mut inj);
+        let r = run_switch_instrumented(&mut sw, &mut tr, &cfg(seed), Some(&mut inj), None);
         (r, inj.events().to_vec())
     };
 
@@ -103,7 +103,7 @@ fn assert_fault_determinism<S: CellSwitch>(
         let mut sw = mk();
         let mut tr = BernoulliUniform::new(hosts, load, &SeedSequence::new(1234));
         let mut inj = FaultInjector::new(FaultPlan::new());
-        run_switch_faulted(&mut sw, &mut tr, &cfg(1234), &mut inj)
+        run_switch_instrumented(&mut sw, &mut tr, &cfg(1234), Some(&mut inj), None)
     };
     assert_eq!(
         plain.fingerprint(),
@@ -227,7 +227,7 @@ fn stochastic_fault_timeline_depends_only_on_the_seed() {
             700.0,
             150.0,
         ));
-        run_switch_faulted(&mut sw, &mut tr, &cfg(9), &mut inj);
+        run_switch_instrumented(&mut sw, &mut tr, &cfg(9), Some(&mut inj), None);
         inj.events().to_vec()
     };
     assert_eq!(

@@ -21,7 +21,7 @@ use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::{BufferTech, CompiledFabric};
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis::sim::{EngineConfig, SeedSequence};
-use osmosis::switch::{run_switch_faulted, CellSwitch};
+use osmosis::switch::{run_switch_instrumented, CellSwitch};
 use osmosis::traffic::{BernoulliUniform, Bursty, TrafficGen};
 
 const SEED: u64 = 1234;
@@ -79,7 +79,14 @@ fn capture_faulted() -> u64 {
     let hosts = fab.ports();
     let lines_per_queue = paper_tree(RADIX).buffer_cells();
     let mut inj = FaultInjector::new(dead_line_plan(lines_per_queue));
-    run_switch_faulted(&mut fab, &mut uniform(hosts, 0.5), &cfg(), &mut inj).fingerprint()
+    run_switch_instrumented(
+        &mut fab,
+        &mut uniform(hosts, 0.5),
+        &cfg(),
+        Some(&mut inj),
+        None,
+    )
+    .fingerprint()
 }
 
 /// Radix-8 fat tree, 2-slot links, seed 1234, 300 + 3000 slots, 50%
@@ -141,7 +148,14 @@ fn the_technologies_and_faults_actually_separate() {
 fn fdl_corner_fingerprints() -> Vec<(&'static str, u64)> {
     let run = |spec: TopologySpec, tr: &mut dyn TrafficGen, plan: FaultPlan| {
         let mut fab = fabric_over(spec, BufferTech::Fdl);
-        run_switch_faulted(&mut fab, tr, &cfg(), &mut FaultInjector::new(plan)).fingerprint()
+        run_switch_instrumented(
+            &mut fab,
+            tr,
+            &cfg(),
+            Some(&mut FaultInjector::new(plan)),
+            None,
+        )
+        .fingerprint()
     };
     let campaign = paper_tree(16);
     let campaign_hosts = 16 * 16 / 2;
@@ -249,7 +263,7 @@ fn fdl_under_every_fault_reaction_matches_pin() {
     let mut fab = fabric(BufferTech::Fdl);
     let mut tr = uniform(fab.ports(), 0.3);
     let mut inj = FaultInjector::new(every_reaction_plan());
-    let r = run_switch_faulted(&mut fab, &mut tr, &cfg(), &mut inj);
+    let r = run_switch_instrumented(&mut fab, &mut tr, &cfg(), Some(&mut inj), None);
     for key in [
         "fault_retransmits",
         "fault_credits_dropped",
@@ -267,7 +281,6 @@ fn fdl_under_every_fault_reaction_matches_pin() {
 
 #[test]
 fn audited_dead_line_run_balances_and_reproduces_the_pin() {
-    use osmosis::switch::run_switch_instrumented;
     use osmosis_audit::{AuditMode, AuditSet};
 
     let mut fab = fabric(BufferTech::Fdl);
@@ -283,15 +296,19 @@ fn audited_dead_line_run_balances_and_reproduces_the_pin() {
 
 #[test]
 fn fdl_trace_event_order_matches_pin() {
+    use osmosis::sim::Engine;
     use osmosis::sim::RingTrace;
-    use osmosis::switch::run_switch_faulted_traced;
+    use osmosis::switch::Driven;
 
     let mut fab = fabric(BufferTech::Fdl);
     let mut tr = uniform(fab.ports(), 0.3);
     let mut inj = FaultInjector::new(every_reaction_plan());
     let mut sink = RingTrace::new(20_000);
     let cfg = EngineConfig::new(300, 1_200);
-    let r = run_switch_faulted_traced(&mut fab, &mut tr, &cfg, &mut sink, &mut inj);
+    let r = Engine::new(&cfg)
+        .trace(&mut sink)
+        .faults(Some(&mut inj))
+        .run(&mut Driven::new(&mut fab, &mut tr));
     let got = (
         sink.seen(),
         sink.len(),

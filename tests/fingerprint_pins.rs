@@ -443,16 +443,20 @@ fn compiled_trace_event_order_matches_pin() {
 /// and the shared matching kernel.
 fn fat_tree_corner_fingerprints() -> Vec<(&'static str, u64)> {
     use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
-    use osmosis::switch::run_switch_faulted;
+    use osmosis::switch::run_switch_instrumented;
 
     let run = |spec: TopologySpec, load: f64, cfg: EngineConfig, plan: Option<FaultPlan>| {
         let mut fab = CompiledFabric::new(spec);
         let mut tr = uniform(spec.hosts() as usize, load, 1234);
         let report = match plan {
             None => fab.run(&mut tr, &cfg),
-            Some(plan) => {
-                run_switch_faulted(&mut fab, &mut tr, &cfg, &mut FaultInjector::new(plan))
-            }
+            Some(plan) => run_switch_instrumented(
+                &mut fab,
+                &mut tr,
+                &cfg,
+                Some(&mut FaultInjector::new(plan)),
+                None,
+            ),
         };
         report.fingerprint()
     };
@@ -544,7 +548,7 @@ fn fat_tree_corner_fingerprints_match_pins() {
 /// electronic buffers moved to one arrival-ordered buffer per input.
 fn electronic_plane_fingerprints() -> Vec<(&'static str, u64)> {
     use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};
-    use osmosis::switch::run_switch_faulted;
+    use osmosis::switch::run_switch_instrumented;
     use osmosis::traffic::Bursty;
 
     let run = |placement: Placement, load: f64, burst: f64, plan: Option<FaultPlan>| {
@@ -554,9 +558,13 @@ fn electronic_plane_fingerprints() -> Vec<(&'static str, u64)> {
         let mut tr = Bursty::new(hosts, load, burst, &SeedSequence::new(1234));
         let report = match plan {
             None => fab.run(&mut tr, &cfg()),
-            Some(plan) => {
-                run_switch_faulted(&mut fab, &mut tr, &cfg(), &mut FaultInjector::new(plan))
-            }
+            Some(plan) => run_switch_instrumented(
+                &mut fab,
+                &mut tr,
+                &cfg(),
+                Some(&mut FaultInjector::new(plan)),
+                None,
+            ),
         };
         report.fingerprint()
     };
@@ -679,7 +687,7 @@ fn three_fault_plan() -> osmosis::faults::FaultPlan {
 fn fold_corner_fingerprints() -> Vec<(&'static str, u64)> {
     use osmosis::fabric::Placement::{InputAndOutput, OutputOnly};
     use osmosis::faults::FaultInjector;
-    use osmosis::switch::{run_switch_faulted, CellSwitch};
+    use osmosis::switch::{run_switch_instrumented, CellSwitch};
     use osmosis::traffic::Bursty;
 
     let bursty = |placement: Placement, link_delay: u64| {
@@ -706,7 +714,7 @@ fn fold_corner_fingerprints() -> Vec<(&'static str, u64)> {
             let mut fab = two_level_tree(8, 2, InputAndOutput);
             let mut tr = uniform(fab.ports(), 0.5, 1234);
             let mut inj = FaultInjector::new(three_fault_plan());
-            run_switch_faulted(&mut fab, &mut tr, &cfg(), &mut inj).fingerprint()
+            run_switch_instrumented(&mut fab, &mut tr, &cfg(), Some(&mut inj), None).fingerprint()
         }),
     ]
 }
@@ -767,8 +775,9 @@ fn audited_option1_fault_run_is_clean_and_reproduces_the_pin() {
 #[test]
 fn fat_tree_trace_event_order_matches_pin() {
     use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
+    use osmosis::sim::Engine;
     use osmosis::sim::VecTrace;
-    use osmosis::switch::{run_switch_faulted_traced, CellSwitch};
+    use osmosis::switch::{CellSwitch, Driven};
 
     let ber = FaultKind::LinkBerBurst {
         link: LINK_ANY,
@@ -783,7 +792,10 @@ fn fat_tree_trace_event_order_matches_pin() {
     let mut sink = VecTrace::default();
     let cfg = EngineConfig::new(20, 600);
     let mut inj = FaultInjector::new(plan);
-    let r = run_switch_faulted_traced(&mut fab, &mut tr, &cfg, &mut sink, &mut inj);
+    let r = Engine::new(&cfg)
+        .trace(&mut sink)
+        .faults(Some(&mut inj))
+        .run(&mut Driven::new(&mut fab, &mut tr));
     let retransmits = r.extra("fault_retransmits").unwrap_or(0.0);
     assert!(
         retransmits > 50.0 && r.extra("fault_credits_dropped").unwrap_or(0.0) > 50.0,
@@ -881,7 +893,7 @@ fn round_robin_fingerprints_match_pins() {
 fn flppr_and_pipelined_fingerprints() -> Vec<(&'static str, u64)> {
     use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};
     use osmosis::sched::{CellScheduler, PipelinedArbiter};
-    use osmosis::switch::{run_switch_faulted, VoqSwitch};
+    use osmosis::switch::{run_switch_instrumented, VoqSwitch};
 
     let cfg = EngineConfig::new(500, 5_000).with_seed(1234);
     let plain = |make: fn() -> Box<dyn CellScheduler>, load: f64| {
@@ -894,7 +906,14 @@ fn flppr_and_pipelined_fingerprints() -> Vec<(&'static str, u64)> {
             .periodic(FaultKind::GrantLoss { prob: 0.1 }, 300, 1_100, 250);
         let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(n, 2)));
         let mut inj = FaultInjector::new(plan);
-        run_switch_faulted(&mut sw, &mut uniform(n, 0.8, 1234), &cfg, &mut inj).fingerprint()
+        run_switch_instrumented(
+            &mut sw,
+            &mut uniform(n, 0.8, 1234),
+            &cfg,
+            Some(&mut inj),
+            None,
+        )
+        .fingerprint()
     };
     vec![
         (

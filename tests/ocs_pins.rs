@@ -8,8 +8,9 @@
 
 use osmosis::core::experiments::ocs_study::workload;
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};
-use osmosis::ocs::{run_ocs, run_ocs_instrumented, EpochConfig};
+use osmosis::ocs::{EpochConfig, OcsScheduler, OcsSwitch};
 use osmosis::sim::EngineConfig;
+use osmosis::switch::run_switch_circuit;
 
 const SEED: u64 = 1234;
 const MEASURE: u64 = 3_000;
@@ -25,7 +26,14 @@ fn capture() -> Vec<String> {
         .iter()
         .map(|&name| {
             let mut tr = workload(name, 16, MEASURE, SEED).expect("known workload");
-            let r = run_ocs(tr.as_mut(), EpochConfig::osmosis_default(), &cfg());
+            let r = run_switch_circuit(
+                &mut OcsSwitch::new(tr.ports()),
+                tr.as_mut(),
+                &cfg(),
+                &mut OcsScheduler::new(EpochConfig::osmosis_default()),
+                None,
+                None,
+            );
             format!("{name}:{:016x}", r.fingerprint())
         })
         .collect()
@@ -37,10 +45,11 @@ fn capture_faulted() -> String {
         .one_shot(FaultKind::CircuitStuck { input: 9 }, 1_800, None);
     let mut inj = FaultInjector::new(plan);
     let mut tr = workload("hotspot_skew", 16, MEASURE, SEED).expect("skew");
-    let r = run_ocs_instrumented(
+    let r = run_switch_circuit(
+        &mut OcsSwitch::new(tr.ports()),
         tr.as_mut(),
-        EpochConfig::osmosis_default(),
         &cfg(),
+        &mut OcsScheduler::new(EpochConfig::osmosis_default()),
         Some(&mut inj),
         None,
     );

@@ -10,8 +10,8 @@ use osmosis::sched::Flppr;
 use osmosis::sim::{EngineConfig, SeedSequence};
 use osmosis::switch::driven::CellSwitch;
 use osmosis::switch::{
-    run_switch_faulted, run_switch_instrumented, BurstSwitch, BvnSwitch, CioqSwitch,
-    DeflectionSwitch, FifoSwitch, OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
+    run_switch_instrumented, BurstSwitch, BvnSwitch, CioqSwitch, DeflectionSwitch, FifoSwitch,
+    OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
 };
 use osmosis::traffic::BernoulliUniform;
 use osmosis_audit::{AuditMode, AuditSet};
@@ -68,7 +68,7 @@ proptest! {
             .stochastic(FaultKind::CreditDrop { prob: drop_p }, mtbf, mttr);
         let mut inj = FaultInjector::new(plan);
         let cfg = EngineConfig::new(0, 3_000).with_seed(seed);
-        let r = run_switch_faulted(&mut fab, &mut tr, &cfg, &mut inj);
+        let r = run_switch_instrumented(&mut fab, &mut tr, &cfg, Some(&mut inj), None);
         prop_assert_eq!(r.dropped, 0, "credit drops must not lose cells");
         prop_assert_eq!(r.reordered, 0, "credit drops must not reorder");
         prop_assert_eq!(
@@ -102,7 +102,7 @@ proptest! {
             );
         let mut inj = FaultInjector::new(plan);
         let cfg = EngineConfig::new(0, 3_000).with_seed(seed);
-        let r = run_switch_faulted(&mut fab, &mut tr, &cfg, &mut inj);
+        let r = run_switch_instrumented(&mut fab, &mut tr, &cfg, Some(&mut inj), None);
         prop_assert_eq!(r.dropped, 0);
         prop_assert_eq!(r.reordered, 0);
         prop_assert_eq!(r.injected, r.delivered + fab.resident_cells().unwrap_or(0));

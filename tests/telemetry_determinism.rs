@@ -9,11 +9,11 @@
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::CompiledFabric;
 use osmosis::sched::Flppr;
-use osmosis::sim::{EngineConfig, SeedSequence};
+use osmosis::sim::{Engine, EngineConfig, SeedSequence};
 use osmosis::switch::driven::CellSwitch;
 use osmosis::switch::{
-    run_switch, run_switch_instrumented_traced, run_switch_traced, BurstSwitch, BvnSwitch,
-    CioqSwitch, DeflectionSwitch, FifoSwitch, OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
+    run_switch, run_switch_traced, BurstSwitch, BvnSwitch, CioqSwitch, DeflectionSwitch, Driven,
+    FifoSwitch, OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
 };
 use osmosis::telemetry::{
     metrics, validate_jsonl, MetricsRegistry, NullTelemetry, TelemetryConfig, TelemetrySink,
@@ -67,7 +67,9 @@ fn assert_telemetry_transparent<S: CellSwitch>(
     let nulled = {
         let mut sw = mk();
         let mut tr = BernoulliUniform::new(hosts, load, &SeedSequence::new(1234));
-        run_switch_instrumented_traced(&mut sw, &mut tr, &cfg(1234), &mut NullTelemetry, None, None)
+        Engine::new(&cfg(1234))
+            .trace(&mut NullTelemetry)
+            .run(&mut Driven::new(&mut sw, &mut tr))
     };
     assert_eq!(
         plain.fingerprint(),
@@ -202,22 +204,15 @@ fn telemetry_composes_with_fault_and_audit_planes() {
         let mut inj = FaultInjector::new(plan());
         let mut set = AuditSet::standard(AuditMode::FailFast);
         let r = match tel {
-            Some(tel) => run_switch_instrumented_traced(
-                &mut sw,
-                &mut tr,
-                &cfg(77),
-                tel,
-                Some(&mut inj),
-                Some(&mut set),
-            ),
-            None => run_switch_instrumented_traced(
-                &mut sw,
-                &mut tr,
-                &cfg(77),
-                &mut osmosis::sim::NullTrace,
-                Some(&mut inj),
-                Some(&mut set),
-            ),
+            Some(tel) => Engine::new(&cfg(77))
+                .trace(tel)
+                .faults(Some(&mut inj))
+                .audit(Some(&mut set))
+                .run(&mut Driven::new(&mut sw, &mut tr)),
+            None => Engine::new(&cfg(77))
+                .faults(Some(&mut inj))
+                .audit(Some(&mut set))
+                .run(&mut Driven::new(&mut sw, &mut tr)),
         };
         assert_eq!(set.total_violations(), 0);
         r
