@@ -36,7 +36,8 @@ pub const MODEL_TRAITS: &[&str] = &["SlottedModel", "CellScheduler", "CellSwitch
 /// sub-scheduler round
 /// every pipelined `tick` delegates to (`iterate`, `take`) and its
 /// per-cell bookkeeping (`note_arrival`, `note_departure`, the `unmatch`
-/// a departure falls into), the fabric's buffer, link and credit moves
+/// a departure falls into, and `try_dec`, where the occupancy keeps its
+/// requester mask), the fabric's buffer, link and credit moves
 /// (`enqueue`, `request`, `ripen`, `dequeue`, `land`, `send`,
 /// `return_credit`) and
 /// its two fault-path lookups (`in_dead_plane`, `surviving_plane`), the
@@ -59,6 +60,7 @@ pub const HOT_FN_NAMES: &[&str] = &[
     "note_arrival",
     "note_departure",
     "unmatch",
+    "try_dec",
     "enqueue",
     "request",
     "ripen",
@@ -1025,24 +1027,26 @@ mod tests {
 
     #[test]
     fn hot_loop_alloc_sees_per_cell_scheduler_bookkeeping() {
-        // A sub-scheduler that rebuilds state per cell instead of
-        // refreshing a bit: every per-cell helper a `tick` fans out to is
+        // An occupancy that rebuilds its requester row per cell instead of
+        // keeping one bit, and a sub-scheduler that rebuilds state per
+        // departure: every per-cell helper a `tick` fans out to is
         // audited, not only the round itself.
-        let src = "impl SubScheduler {\n    \
-                   pub fn note_arrival(&mut self, counts: &Requests, i: usize, o: usize) {\n        \
-                   self.rows[o] = counts.column(o).collect();\n    }\n    \
-                   pub fn note_departure(&mut self, counts: &Requests, i: usize, o: usize) {\n        \
+        let src = "impl Requests {\n    \
+                   pub fn try_dec(&mut self, i: usize, o: usize) -> bool {\n        \
+                   self.rows[o] = self.column(o).collect();\n    }\n    \
+                   fn column(&self, o: usize) {}\n}\n\
+                   impl SubScheduler {\n    \
+                   pub fn note_departure(&mut self, i: usize, o: usize) {\n        \
                    let stale: Vec<usize> = Vec::new();\n    }\n    \
                    fn unmatch(&mut self, pos: usize) {\n        \
-                   self.pairs = self.pairs.to_vec();\n    }\n    \
-                   fn refresh_bit(&mut self) {}\n}\n";
+                   self.pairs = self.pairs.to_vec();\n    }\n}\n";
         let (diags, graph) = deep(&[("crates/sched/src/s.rs", src)], &Artifacts::default());
         let hits: Vec<_> = diags
             .iter()
             .filter(|d| d.rule == "hot-loop-alloc")
             .collect();
         assert_eq!(hits.len(), 3, "{diags:#?}");
-        for name in ["note_arrival", "note_departure", "unmatch"] {
+        for name in ["try_dec", "note_departure", "unmatch"] {
             assert!(
                 hits.iter()
                     .any(|d| d.message.contains(&format!("`fn {name}`"))),

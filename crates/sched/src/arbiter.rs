@@ -58,17 +58,6 @@ impl BitSet {
         self.words.fill(0);
     }
 
-    /// Set `self = a AND NOT b`, word-parallel. All three sets must have
-    /// the same length. This is the hot path of the grant stage:
-    /// "requesting inputs that are not yet matched".
-    pub fn assign_and_not(&mut self, a: &BitSet, b: &BitSet) {
-        debug_assert_eq!(self.len, a.len);
-        debug_assert_eq!(self.len, b.len);
-        for ((w, &wa), &wb) in self.words.iter_mut().zip(&a.words).zip(&b.words) {
-            *w = wa & !wb;
-        }
-    }
-
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()

@@ -20,12 +20,16 @@
 //! from the other K−1 views; grants are re-validated against the master
 //! VOQ state at issue time so no phantom cell is ever launched.
 //!
-//! The K sub-schedulers hold no counts of their own: all are lent
-//! `master`. That is exact — every one is told of every arrival and of
-//! every issued grant, so by induction over `note_arrival`/`tick` K
-//! private count matrices would each equal `master` after every call.
-//! What differs per sub-scheduler is the cell its matching has claimed,
-//! and that lives in its request bits.
+//! The K sub-schedulers hold no counts and no request bits of their own:
+//! all are lent `master`, whose requester mask every grant pass reads.
+//! That is exact — every one is told of every arrival and of every issued
+//! grant, so by induction over `note_arrival`/`tick` K private count
+//! matrices would each equal `master` after every call. What differs per
+//! sub-scheduler is the cell its matching has claimed, and that is the
+//! output its input is matched to: a claimed cell's input is masked out
+//! of every grant anyway. So an arrival is one `master.inc`, and a
+//! departure reaches the K sub-schedulers only when it empties its VOQ —
+//! the one case where a claimed cell is gone.
 
 use crate::requests::{Matching, Requests};
 use crate::subsched::SubScheduler;
@@ -107,11 +111,9 @@ impl CellScheduler for Flppr {
     }
 
     fn note_arrival(&mut self, input: usize, output: usize) {
+        // The novelty: the request goes to *all* sub-schedulers, which
+        // all read `master`.
         self.master.inc(input, output);
-        // The novelty: the request goes to *all* sub-schedulers.
-        for s in &mut self.subs {
-            s.note_arrival(&self.master, input, output);
-        }
     }
 
     fn tick(&mut self, slot: u64) -> Matching {
@@ -122,7 +124,7 @@ impl CellScheduler for Flppr {
         }
         // The sub-scheduler owning this slot issues its matching.
         let k = (slot % self.subs.len() as u64) as usize;
-        self.subs[k].take(&self.master, &mut self.scratch);
+        self.subs[k].take(&mut self.scratch);
         let mut issued = Matching::with_capacity(self.scratch.len());
         if self.masked {
             self.out_issued.iter_mut().for_each(|c| *c = 0);
@@ -143,9 +145,12 @@ impl CellScheduler for Flppr {
                     self.out_issued[o] += 1;
                 }
                 issued.push(i, o);
-                // Remove the duplicate request everywhere.
-                for s in &mut self.subs {
-                    s.note_departure(&self.master, i, o);
+                // Remove the duplicate request everywhere: a claim on
+                // the VOQ's last cell is now stale.
+                if self.master.get(i, o) == 0 {
+                    for s in &mut self.subs {
+                        s.note_departure(i, o);
+                    }
                 }
             } else {
                 self.stale_grants += 1;
@@ -162,7 +167,7 @@ impl CellScheduler for Flppr {
         self.out_cap[output] = cap;
         self.masked = self.out_cap.iter().any(|&c| c < self.out_capacity);
         for s in &mut self.subs {
-            s.set_output_capacity(&self.master, output, cap);
+            s.set_output_capacity(output, cap);
         }
     }
 

@@ -67,7 +67,6 @@ impl CellScheduler for Islip {
 
     fn note_arrival(&mut self, input: usize, output: usize) {
         self.req.inc(input, output);
-        self.sub.note_arrival(&self.req, input, output);
     }
 
     fn tick(&mut self, _slot: u64) -> Matching {
@@ -77,10 +76,9 @@ impl CellScheduler for Islip {
             self.sub.iterate(&self.req, iter == 0);
         }
         let mut matching = Matching::with_capacity(self.sub.partial_len());
-        self.sub.take(&self.req, &mut matching);
+        self.sub.take(&mut matching);
         for &(i, o) in matching.pairs() {
             self.req.dec(i, o);
-            self.sub.note_departure(&self.req, i, o);
         }
         matching
     }

@@ -14,10 +14,11 @@
 //! encoder ([`matching::pick`]): [`matching::Matcher`] matches borrowed
 //! request masks within a slot at one grant per output (the fabric
 //! simulators' per-switch schedulers, the CIOQ and burst switches), and
-//! [`subsched::SubScheduler`] holds request bits over counts its owner
-//! lends it, sub-ports and a matching that accumulates across slots
-//! (FLPPR, the pipelined arbiter and iSLIP, which differ only in when
-//! rounds run and pointers move).
+//! [`subsched::SubScheduler`] reads the requester mask of the counts
+//! its owner lends it ([`Requests::requesters`], kept once beside the
+//! counts) and holds sub-ports and a matching that accumulates across
+//! slots (FLPPR, the pipelined arbiter and iSLIP, which differ only in
+//! when rounds run and pointers move).
 //!
 //! The Fig. 6 contrast in four lines:
 //!

@@ -14,8 +14,8 @@
 ///
 /// Whether a requester sits at or after the pointer is a coin toss the
 /// branch predictor loses, and a scheduler tick asks it over a thousand
-/// times (one `Flppr::osmosis(64, 2)` tick at load 0.95: 368 output
-/// visits, 493 grant picks, 180 accepts, 366 departure fan-outs for 61
+/// times (one `Flppr::osmosis(64, 2)` tick at load 0.95: 374 output
+/// visits, 493 grant picks, 181 accepts, 346 departure fan-outs for 61
 /// issued grants) — the tick is misprediction-bound, not
 /// instruction-bound. So a mask of one or two words (every grant row up
 /// to 64 ports, every accept row of the 64-port dual-receiver

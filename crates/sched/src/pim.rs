@@ -14,7 +14,8 @@ pub struct Pim {
     iterations: usize,
     out_capacity: usize,
     rng: SimRng,
-    in_matched: Vec<bool>,
+    /// Bit i set ⇔ input i is matched, over `requesters` words.
+    in_matched: Vec<u64>,
     out_used: Vec<usize>,
     grants: Vec<Vec<usize>>, // per input: granting outputs this iteration
     scratch: Vec<usize>,
@@ -29,7 +30,7 @@ impl Pim {
             iterations,
             out_capacity,
             rng: SimRng::seed_from_u64(seed),
-            in_matched: vec![false; n],
+            in_matched: vec![0; n.div_ceil(64)],
             out_used: vec![0; n],
             grants: vec![Vec::new(); n],
             scratch: Vec::with_capacity(n),
@@ -57,7 +58,7 @@ impl CellScheduler for Pim {
     fn tick(&mut self, _slot: u64) -> Matching {
         let n = self.occ.inputs();
         let mut matching = Matching::with_capacity(n);
-        self.in_matched.fill(false);
+        self.in_matched.fill(0);
         self.out_used.fill(0);
 
         for _ in 0..self.iterations {
@@ -66,16 +67,19 @@ impl CellScheduler for Pim {
             }
             let mut any = false;
             // Grant: each output with spare capacity picks uniformly among
-            // requesting unmatched inputs.
+            // requesting unmatched inputs, listed ascending.
             for o in 0..n {
                 let spare = self.out_capacity - self.out_used[o];
                 if spare == 0 {
                     continue;
                 }
                 self.scratch.clear();
-                for i in 0..n {
-                    if !self.in_matched[i] && self.occ.get(i, o) > 0 {
-                        self.scratch.push(i);
+                let asked = self.occ.requesters(o);
+                for (w, &taken) in self.in_matched.iter().enumerate() {
+                    let mut ins = asked[w] & !taken;
+                    while ins != 0 {
+                        self.scratch.push(w * 64 + ins.trailing_zeros() as usize);
+                        ins &= ins - 1;
                     }
                 }
                 if self.scratch.is_empty() {
@@ -94,13 +98,13 @@ impl CellScheduler for Pim {
             }
             // Accept: each granted input picks uniformly among its grants.
             for i in 0..n {
-                if self.in_matched[i] || self.grants[i].is_empty() {
+                if self.in_matched[i / 64] & 1 << (i % 64) != 0 || self.grants[i].is_empty() {
                     continue;
                 }
                 let k = self.rng.index(self.grants[i].len());
                 let o = self.grants[i][k];
                 if self.out_used[o] < self.out_capacity {
-                    self.in_matched[i] = true;
+                    self.in_matched[i / 64] |= 1 << (i % 64);
                     self.out_used[o] += 1;
                     matching.push(i, o);
                 }

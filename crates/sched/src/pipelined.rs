@@ -83,9 +83,7 @@ impl CellScheduler for PipelinedArbiter {
     fn note_arrival(&mut self, input: usize, output: usize) {
         self.master.inc(input, output);
         // Exclusive assignment: only the filling sub-scheduler sees it.
-        let (view, sub) = &mut self.subs[self.fill];
-        view.inc(input, output);
-        sub.note_arrival(view, input, output);
+        self.subs[self.fill].0.inc(input, output);
     }
 
     fn tick(&mut self, slot: u64) -> Matching {
@@ -94,13 +92,12 @@ impl CellScheduler for PipelinedArbiter {
         }
         let k = (slot % self.subs.len() as u64) as usize;
         let (view, sub) = &mut self.subs[k];
-        sub.take(view, &mut self.scratch);
+        sub.take(&mut self.scratch);
         let mut issued = Matching::with_capacity(self.scratch.len());
         for &(i, o) in self.scratch.pairs() {
             if self.master.try_dec(i, o) {
                 issued.push(i, o);
                 view.try_dec(i, o);
-                sub.note_departure(view, i, o);
             } else {
                 self.stale_grants += 1;
             }

@@ -10,13 +10,14 @@
 //! [`SubScheduler::take`] harvests the accumulated matching and starts a
 //! fresh one.
 //!
-//! The state is what the hardware holds — a few hundred request bits and
-//! pointers — as flat word tables on the one priority encoder
-//! ([`pick`]). The counts stay with the owner, which passes them to every
-//! call: K engines that are all told of every arrival and departure see
-//! one matrix, so they share it. A cell claimed by the in-progress
-//! matching is not a second matrix either: an input is in at most one
-//! pair, so the reservation *is* the output the input is matched to.
+//! The state is what the hardware holds — matched masks, pointers and a
+//! partial matching — as flat word tables on the one priority encoder
+//! ([`pick`]). The counts and their requester mask stay with the owner,
+//! which passes them to every call: K engines that are all told of every
+//! arrival and departure see one matrix, so they share it. A cell claimed
+//! by the in-progress matching needs no bit of its own either: an input is
+//! in at most one pair, so the reservation *is* the output the input is
+//! matched to, and a grant already masks matched inputs out.
 
 use crate::matching::pick;
 use crate::requests::{Matching, Requests};
@@ -30,18 +31,13 @@ const UNMATCHED: u32 = u32::MAX;
 pub struct SubScheduler {
     n: usize,
     out_capacity: usize,
-    /// Words per request row and per input mask: `n.div_ceil(64)`.
+    /// Words per requester row and per input mask: `n.div_ceil(64)`.
     words: usize,
     /// Words per grant row and per sub-port mask.
     sp_words: usize,
     /// Per-output *effective* capacity (≤ `out_capacity`), lowered by the
     /// owner when fault masking degrades an egress.
     out_cap: Vec<u32>,
-    /// Row o, `words` words: bit i set ⇔ count(i,o) > reserved(i,o) — the
-    /// inputs output o may grant.
-    requests: Vec<u64>,
-    /// Summary of `requests`: bit o set ⇔ row o is not all zero.
-    requested: Vec<u64>,
     in_matched: Vec<u64>,
     subport_used: Vec<u64>,
     /// Per output sub-port, over inputs.
@@ -75,8 +71,6 @@ impl SubScheduler {
             words,
             sp_words,
             out_cap: vec![out_capacity as u32; n],
-            requests: vec![0; n * words],
-            requested: vec![0; words],
             in_matched: vec![0; words],
             subport_used: vec![0; sp_words],
             // Stagger sub-port pointers so a dual-receiver output's two
@@ -93,34 +87,18 @@ impl SubScheduler {
         }
     }
 
-    /// Keep bit i of request row o, and the row's summary bit, consistent
-    /// with `counts` and the reservation at (i, o). Mask arithmetic, not
-    /// set-or-clear: which way a bit goes is data the branch predictor
-    /// cannot learn.
-    #[inline]
-    fn refresh_bit(&mut self, counts: &Requests, i: usize, o: usize) {
-        let reserved = (self.matched_out[i] == o as u32) as u32;
-        let on = (counts.get(i, o) > reserved) as u64;
-        let row = &mut self.requests[o * self.words..(o + 1) * self.words];
-        row[i / 64] = row[i / 64] & !(1 << (i % 64)) | on << (i % 64);
-        let any = (row.iter().fold(0, |all, &w| all | w) != 0) as u64;
-        let summary = &mut self.requested[o / 64];
-        *summary = *summary & !(1 << (o % 64)) | any << (o % 64);
-    }
-
     /// Remove the pair at `pos` from the partial matching, freeing its
     /// input, its sub-port and the cell it had claimed. The last pair
     /// takes its place.
-    fn unmatch(&mut self, counts: &Requests, pos: usize) {
-        let (i, o, sp) = self.pairs.swap_remove(pos);
+    fn unmatch(&mut self, pos: usize) {
+        let (i, _, sp) = self.pairs.swap_remove(pos);
         if let Some(&(moved, _, _)) = self.pairs.get(pos) {
             self.pair_of[moved as usize] = pos as u32;
         }
-        let (i, o, sp) = (i as usize, o as usize, sp as usize);
+        let (i, sp) = (i as usize, sp as usize);
         self.matched_out[i] = UNMATCHED;
         self.in_matched[i / 64] &= !(1 << (i % 64));
         self.subport_used[sp / 64] &= !(1 << (sp % 64));
-        self.refresh_bit(counts, i, o);
     }
 
     /// Ports.
@@ -128,28 +106,21 @@ impl SubScheduler {
         self.n
     }
 
-    /// `counts` gained a cell at (input, output).
-    pub fn note_arrival(&mut self, counts: &Requests, input: usize, output: usize) {
-        self.refresh_bit(counts, input, output);
-    }
-
-    /// `counts` may have lost a cell at (input, output) — this engine's
-    /// grant was issued, or another sub-scheduler's grant consumed the
-    /// cell. If the in-progress matching had claimed the now-gone cell,
-    /// the stale pair is un-matched immediately so the input and output
-    /// become available again (FLPPR's duplicate-removal step; without it
-    /// a served cell would block its input and output in every other
+    /// The owner's VOQ (input, output) just emptied — this engine's grant
+    /// was issued, or another sub-scheduler's grant consumed the cell. If
+    /// the in-progress matching had claimed the now-gone cell, the stale
+    /// pair is un-matched immediately so the input and output become
+    /// available again (FLPPR's duplicate-removal step; without it a
+    /// served cell would block its input and output in every other
     /// sub-scheduler for up to K cycles).
-    pub fn note_departure(&mut self, counts: &Requests, input: usize, output: usize) {
-        if self.matched_out[input] == output as u32 && counts.get(input, output) == 0 {
+    pub fn note_departure(&mut self, input: usize, output: usize) {
+        if self.matched_out[input] == output as u32 {
             let pos = self.pair_of[input] as usize;
             assert!(
                 self.pairs[pos].0 == input as u32 && self.pairs[pos].1 == output as u32,
                 "a reservation implies a matched pair"
             );
-            self.unmatch(counts, pos);
-        } else {
-            self.refresh_bit(counts, input, output);
+            self.unmatch(pos);
         }
     }
 
@@ -161,7 +132,7 @@ impl SubScheduler {
     /// Degrade (or restore) one output's effective capacity. Lowering the
     /// cap un-matches any in-progress pairs on the now-dead sub-ports so
     /// their inputs become grantable elsewhere this very iteration.
-    pub fn set_output_capacity(&mut self, counts: &Requests, output: usize, cap: usize) {
+    pub fn set_output_capacity(&mut self, output: usize, cap: usize) {
         let cap = cap.min(self.out_capacity) as u32;
         if self.out_cap[output] == cap {
             return;
@@ -172,7 +143,7 @@ impl SubScheduler {
         while k < self.pairs.len() {
             let (_, o, sp) = self.pairs[k];
             if o as usize == output && sp >= first_dead {
-                self.unmatch(counts, k);
+                self.unmatch(k);
             } else {
                 k += 1;
             }
@@ -188,16 +159,17 @@ impl SubScheduler {
     pub fn iterate(&mut self, counts: &Requests, move_pointers: bool) {
         let (n, r, words, sp_words) = (self.n, self.out_capacity, self.words, self.sp_words);
         // Grant: every free live sub-port of an output with requests
-        // picks one of the output's unmatched requesters.
-        for w in 0..words {
-            let mut outs = self.requested[w];
+        // picks one of the output's unmatched requesters. A claimed cell
+        // needs no masking of its own: its input is matched.
+        for (w, &asked) in counts.requested().iter().enumerate() {
+            let mut outs = asked;
             while outs != 0 {
                 let o = w * 64 + outs.trailing_zeros() as usize;
                 outs &= outs - 1;
-                let (row, taken) = (o * words, &self.in_matched);
+                let (row, taken) = (counts.requesters(o), &self.in_matched);
                 // Every requester already matched: common once a matching
                 // has accumulated, and cheaper to see here than per sub-port.
-                if (0..words).all(|k| self.requests[row + k] & !taken[k] == 0) {
+                if (0..words).all(|k| row[k] & !taken[k] == 0) {
                     continue;
                 }
                 for sp in o * r..o * r + self.out_cap[o] as usize {
@@ -205,7 +177,7 @@ impl SubScheduler {
                         continue;
                     }
                     let from = self.grant_ptr[sp] as usize;
-                    let Some(i) = pick(words, from, |k| self.requests[row + k] & !taken[k]) else {
+                    let Some(i) = pick(words, from, |k| row[k] & !taken[k]) else {
                         break;
                     };
                     self.grants[i * sp_words + sp / 64] |= 1 << (sp % 64);
@@ -231,7 +203,6 @@ impl SubScheduler {
                 self.matched_out[i] = o as u32;
                 self.pair_of[i] = self.pairs.len() as u32;
                 self.pairs.push((i as u32, o as u32, sp as u32));
-                self.refresh_bit(counts, i, o);
                 if move_pointers {
                     self.grant_ptr[sp] = if i + 1 == n { 0 } else { i as u32 + 1 };
                     self.accept_ptr[i] = if sp + 1 == n * r { 0 } else { sp as u32 + 1 };
@@ -241,19 +212,14 @@ impl SubScheduler {
     }
 
     /// Harvest the accumulated matching and reset for the next one.
-    /// `counts` is *not* touched: granted cells are removed by the owner
-    /// once the grants are validated and issued.
-    pub fn take(&mut self, counts: &Requests, out: &mut Matching) {
+    /// Granted cells are removed by the owner once the grants are
+    /// validated and issued.
+    pub fn take(&mut self, out: &mut Matching) {
         out.clear();
-        // Releasing the reservations can only *add* requester bits, and
-        // only at the matched pairs.
-        for k in 0..self.pairs.len() {
-            let (i, o) = (self.pairs[k].0 as usize, self.pairs[k].1 as usize);
-            out.push(i, o);
-            self.matched_out[i] = UNMATCHED;
-            self.refresh_bit(counts, i, o);
+        for (i, o, _) in self.pairs.drain(..) {
+            out.push(i as usize, o as usize);
+            self.matched_out[i as usize] = UNMATCHED;
         }
-        self.pairs.clear();
         self.in_matched.fill(0);
         self.subport_used.fill(0);
     }
@@ -263,26 +229,24 @@ impl SubScheduler {
 mod tests {
     use super::*;
 
-    fn arrive(s: &mut SubScheduler, req: &mut Requests, i: usize, o: usize) {
-        req.inc(i, o);
-        s.note_arrival(req, i, o);
-    }
-
-    /// Saturating, as an owner's validated `try_dec` is.
+    /// Saturating, as an owner's validated `try_dec` is; the engine hears
+    /// of it only when the VOQ emptied, as from FLPPR's `tick`.
     fn depart(s: &mut SubScheduler, req: &mut Requests, i: usize, o: usize) {
         req.try_dec(i, o);
-        s.note_departure(req, i, o);
+        if req.get(i, o) == 0 {
+            s.note_departure(i, o);
+        }
     }
 
     #[test]
     fn one_iteration_matches_uncontended_requests() {
         let (mut s, mut req) = (SubScheduler::new(8, 1), Requests::square(8));
-        arrive(&mut s, &mut req, 1, 2);
-        arrive(&mut s, &mut req, 3, 4);
+        req.inc(1, 2);
+        req.inc(3, 4);
         s.iterate(&req, true);
         assert_eq!(s.partial_len(), 2);
         let mut m = Matching::new();
-        s.take(&req, &mut m);
+        s.take(&mut m);
         let mut pairs = m.pairs().to_vec();
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(1, 2), (3, 4)]);
@@ -294,8 +258,8 @@ mod tests {
         let (mut s, mut req) = (SubScheduler::new(4, 1), Requests::square(4));
         // Everyone wants output 0 plus a private output.
         for i in 0..4 {
-            arrive(&mut s, &mut req, i, 0);
-            arrive(&mut s, &mut req, i, (i + 1) % 4);
+            req.inc(i, 0);
+            req.inc(i, (i + 1) % 4);
         }
         s.iterate(&req, true);
         let after1 = s.partial_len();
@@ -304,14 +268,14 @@ mod tests {
         let after3 = s.partial_len();
         assert!(after3 >= after1);
         let mut m = Matching::new();
-        s.take(&req, &mut m);
+        s.take(&mut m);
         m.validate(&req, 1).unwrap();
     }
 
     #[test]
     fn reserved_cells_not_rematched() {
         let (mut s, mut req) = (SubScheduler::new(4, 1), Requests::square(4));
-        arrive(&mut s, &mut req, 0, 0); // exactly one cell
+        req.inc(0, 0); // exactly one cell
         s.iterate(&req, true);
         s.iterate(&req, true);
         assert_eq!(s.partial_len(), 1, "single cell matched once");
@@ -321,7 +285,7 @@ mod tests {
     fn departure_is_saturating() {
         let (mut s, mut req) = (SubScheduler::new(4, 1), Requests::square(4));
         depart(&mut s, &mut req, 0, 0); // no cell: must not underflow
-        arrive(&mut s, &mut req, 0, 0);
+        req.inc(0, 0);
         depart(&mut s, &mut req, 0, 0);
         s.iterate(&req, true);
         assert_eq!(s.partial_len(), 0, "view empty after departure");
@@ -331,7 +295,7 @@ mod tests {
     fn dual_capacity_matches_two_per_output() {
         let (mut s, mut req) = (SubScheduler::new(4, 2), Requests::square(4));
         for i in 0..4 {
-            arrive(&mut s, &mut req, i, 0);
+            req.inc(i, 0);
         }
         s.iterate(&req, true);
         assert_eq!(s.partial_len(), 2, "two receivers on output 0");
@@ -340,15 +304,15 @@ mod tests {
     #[test]
     fn degraded_output_matches_fewer_and_recovers() {
         let (mut s, mut req) = (SubScheduler::new(4, 2), Requests::square(4));
-        s.set_output_capacity(&req, 0, 1);
+        s.set_output_capacity(0, 1);
         for i in 0..4 {
-            arrive(&mut s, &mut req, i, 0);
+            req.inc(i, 0);
         }
         s.iterate(&req, true);
         assert_eq!(s.partial_len(), 1, "one surviving receiver on output 0");
         let mut m = Matching::new();
-        s.take(&req, &mut m);
-        s.set_output_capacity(&req, 0, 2);
+        s.take(&mut m);
+        s.set_output_capacity(0, 2);
         s.iterate(&req, true);
         s.iterate(&req, true);
         assert_eq!(s.partial_len(), 2, "full capacity after repair");
@@ -358,8 +322,8 @@ mod tests {
     fn lowering_capacity_unmatches_in_progress_pairs() {
         let (mut s, mut req) = (SubScheduler::new(4, 2), Requests::square(4));
         for i in 0..4 {
-            arrive(&mut s, &mut req, i, 0);
-            arrive(&mut s, &mut req, i, 1);
+            req.inc(i, 0);
+            req.inc(i, 1);
         }
         s.iterate(&req, true);
         s.iterate(&req, true);
@@ -367,9 +331,9 @@ mod tests {
         assert!(before >= 3, "warm matching uses both receivers");
         // Kill output 0 entirely: its pairs must be released so the
         // freed inputs can be re-matched toward output 1.
-        s.set_output_capacity(&req, 0, 0);
+        s.set_output_capacity(0, 0);
         let mut m = Matching::new();
-        s.take(&req, &mut m);
+        s.take(&mut m);
         assert!(
             m.pairs().iter().all(|&(_, o)| o != 0),
             "no grant to dead output"
@@ -377,12 +341,13 @@ mod tests {
         s.iterate(&req, true);
         s.iterate(&req, true);
         let mut m2 = Matching::new();
-        s.take(&req, &mut m2);
+        s.take(&mut m2);
         assert!(m2.pairs().iter().all(|&(_, o)| o != 0));
         assert!(!m2.is_empty(), "surviving output still matched");
     }
 
-    /// Every table, rebuilt from `req` and `pairs` alone.
+    /// Every table, rebuilt from `pairs` alone; every claimed cell still
+    /// queued in `req`.
     fn assert_tables_consistent(s: &SubScheduler, req: &Requests, at: &str) {
         let (n, r) = (s.n, s.out_capacity);
         let mut matched_out = vec![UNMATCHED; n];
@@ -396,6 +361,10 @@ mod tests {
                 "{at}: pair ({i},{o}) on sub-port {sp}"
             );
             assert_eq!(subport_used[sp as usize / 64] >> (sp % 64) & 1, 0, "{at}");
+            assert!(
+                req.get(i as usize, o as usize) > 0,
+                "{at}: ({i},{o}) served"
+            );
             matched_out[i as usize] = o;
             in_matched[i as usize / 64] |= 1 << (i % 64);
             subport_used[sp as usize / 64] |= 1 << (sp % 64);
@@ -403,17 +372,6 @@ mod tests {
         assert_eq!(s.matched_out, matched_out, "{at}");
         assert_eq!(s.in_matched, in_matched, "{at}");
         assert_eq!(s.subport_used, subport_used, "{at}");
-        let mut requested = vec![0u64; s.words];
-        for o in 0..n {
-            let mut row = vec![0u64; s.words];
-            for i in 0..n {
-                let reserved = (matched_out[i] == o as u32) as u32;
-                row[i / 64] |= ((req.get(i, o) > reserved) as u64) << (i % 64);
-            }
-            assert_eq!(s.requests[o * s.words..][..s.words], row, "{at}: row {o}");
-            requested[o / 64] |= (row.iter().any(|&w| w != 0) as u64) << (o % 64);
-        }
-        assert_eq!(s.requested, requested, "{at}");
         assert!(
             s.grants.iter().chain(&s.granted).all(|&w| w == 0),
             "{at}: grant scratch left set"
@@ -438,7 +396,7 @@ mod tests {
             for step in 0..6_000 {
                 let (i, o) = (rng.index(n), rng.index(n));
                 match rng.index(12) {
-                    0..=4 => arrive(&mut s, &mut req, i, o),
+                    0..=4 => req.inc(i, o),
                     // A departure, as often as not of a claimed cell.
                     5..=7 => {
                         let claimed = s
@@ -451,9 +409,9 @@ mod tests {
                         unmatched += before - s.partial_len();
                     }
                     8 | 9 => s.iterate(&req, rng.coin(0.5)),
-                    10 => s.set_output_capacity(&req, o, rng.index(r + 1)),
+                    10 => s.set_output_capacity(o, rng.index(r + 1)),
                     _ => {
-                        s.take(&req, &mut m);
+                        s.take(&mut m);
                         // The owner serves what it validates.
                         for &(i, o) in m.pairs() {
                             depart(&mut s, &mut req, i, o);
