@@ -76,6 +76,7 @@ pub fn fabric_power_w(per_port_w: f64, ports: u64, stages: u32) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
 

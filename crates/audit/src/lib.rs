@@ -860,6 +860,10 @@ impl AuditSet {
     }
 
     /// In fail-fast mode, panic with the first newly recorded violation.
+    #[expect(
+        clippy::panic,
+        reason = "FailFast mode panics by contract: the sweep supervisor catches it, so one violating job fails loudly without killing siblings"
+    )]
     fn bark(&mut self) {
         let total = self.total_violations();
         if total > self.seen {

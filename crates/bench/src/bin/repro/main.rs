@@ -4,6 +4,22 @@
 //! unknown experiment or a rejected flag exits 2 with the accepted set
 //! on stderr before anything runs; an experiment's own exit codes (0
 //! ok, 1 a failed bar, and `campaign`'s 3 and 124) pass through.
+#![expect(
+    clippy::print_stdout,
+    reason = "every experiment prints its table or figure to stdout"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the harness reads its command line and times its own runs; no simulated result depends on either"
+)]
+#![expect(
+    clippy::expect_used,
+    reason = "an experiment aborts on a broken invariant of its own sweep"
+)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "an experiment aborts on a broken invariant of its own sweep"
+)]
 
 use osmosis_bench::{usage, Args};
 

@@ -15,7 +15,10 @@
 //! exits 2 before anything runs. This library is what the experiments
 //! share: the flag table, the table printer, and the telemetry-stream
 //! and snapshot-file plumbing.
-
+#![expect(
+    clippy::print_stdout,
+    reason = "the harness prints the paper's tables; stdout is its output"
+)]
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 

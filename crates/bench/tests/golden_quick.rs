@@ -6,6 +6,10 @@
 //! The golden files were captured from the 26 stand-alone binaries that
 //! `repro` replaced. Regenerate one only in a commit whose message says
 //! which model change moved which table.
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};

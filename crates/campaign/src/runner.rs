@@ -34,6 +34,10 @@ mod clock {
     // lint:allow(determinism): wall clock paces retries and heartbeats only; results never depend on it
     pub(super) use std::time::Instant as Stamp;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall clock paces retries and heartbeats only; results never depend on it"
+    )]
     pub(super) fn now() -> Stamp {
         Stamp::now()
     }

@@ -136,6 +136,7 @@ impl Demonstrator {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
     use osmosis_sim::SeedSequence;

@@ -321,6 +321,10 @@ where
 pub fn run(scale: Scale, seed: u64) -> AvailabilityResult {
     match run_with(scale, seed, &AvailabilityOptions::default()) {
         Ok(r) => r,
+        #[expect(
+            clippy::panic,
+            reason = "documented panic contract of the infallible figure entry point; `run_with` is the checked form"
+        )]
         // lint:allow(panic-free): documented panic contract of the
         // infallible figure entry point; `run_with` is the checked form
         Err(e) => panic!("availability sweep failed: {e}"),

@@ -235,6 +235,10 @@ fn traffic(hosts: usize, load: f64, burst: f64, seed: u64) -> Box<dyn TrafficGen
 pub fn run(scale: Scale, seed: u64) -> FdlStudy {
     match run_with(scale, seed, &FdlStudyOptions::default()) {
         Ok(s) => s,
+        #[expect(
+            clippy::panic,
+            reason = "documented panic contract of the infallible entry point; `run_with` is the checked form"
+        )]
         // lint:allow(panic-free): documented panic contract of the
         // infallible entry point; `run_with` is the checked form
         Err(e) => panic!("fdl study failed: {e}"),

@@ -101,6 +101,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<ArchRow> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
 

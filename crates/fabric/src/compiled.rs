@@ -206,6 +206,10 @@ impl CompiledFabric {
     pub fn new(spec: TopologySpec) -> Self {
         match Self::try_new(spec) {
             Ok(fab) => fab,
+            #[expect(
+                clippy::panic,
+                reason = "documented panic contract of the infallible constructor; `try_new` is the checked form"
+            )]
             // lint:allow(panic-free): documented panic contract of the
             // infallible constructor; `try_new` is the checked form
             Err(e) => panic!("{e}"),
@@ -360,6 +364,10 @@ impl CompiledFabric {
     /// and drop the request bit if no other ripe cell shares it.
     #[inline]
     fn dequeue(&mut self, slot: u64, sw: usize, i: usize, o: usize) -> Flit {
+        #[expect(
+            clippy::panic,
+            reason = "the matching only pairs ports whose request bit is set, and the bit tracks the buffer"
+        )]
         let unqueued = || -> ! {
             // lint:allow(panic-free): the matching only pairs ports
             // whose request bit is set, and the bit tracks the buffer

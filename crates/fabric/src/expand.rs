@@ -564,6 +564,10 @@ impl ExpandedFabric {
                     in_port = self.ports[far].local;
                     out.push(sw);
                 }
+                #[expect(
+                    clippy::panic,
+                    reason = "expansion invariant: the minimal router never selects an unwired port on a validated spec; tests walk every family's paths"
+                )]
                 Peer::Unconnected => {
                     // lint:allow(panic-free): expansion invariant — the
                     // minimal router never selects an unwired port on a

@@ -109,6 +109,7 @@ pub fn expanded_uniform_load_map(fab: &ExpandedFabric, offered: f64) -> Expanded
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
     use crate::multilevel::MultiLevelClos;

@@ -41,6 +41,10 @@ impl MultiLevelClos {
     pub fn new(radix: usize, levels: u32) -> Self {
         match Self::try_new(radix, levels) {
             Ok(t) => t,
+            #[expect(
+                clippy::panic,
+                reason = "documented panic contract of the infallible constructor; `try_new` is the checked form"
+            )]
             // lint:allow(panic-free): documented panic contract of the
             // infallible constructor; `try_new` is the checked form
             Err(e) => panic!("{e}"),

@@ -15,6 +15,10 @@ use crate::spec::TopologyError;
 pub fn levels_for_ports(radix: usize, ports: u64) -> u32 {
     match try_levels_for_ports(radix, ports) {
         Ok(l) => l,
+        #[expect(
+            clippy::panic,
+            reason = "documented panic contract of the infallible form; `try_levels_for_ports` is the checked one"
+        )]
         // lint:allow(panic-free): documented panic contract of the
         // infallible form; `try_levels_for_ports` is the checked one
         Err(e) => panic!("{e}"),
@@ -40,6 +44,10 @@ pub fn try_levels_for_ports(radix: usize, ports: u64) -> Result<u32, TopologyErr
 pub fn max_ports(radix: usize, levels: u32) -> u64 {
     match try_max_ports(radix, levels) {
         Ok(p) => p,
+        #[expect(
+            clippy::panic,
+            reason = "documented panic contract of the infallible form; `try_max_ports` is the checked one"
+        )]
         // lint:allow(panic-free): documented panic contract of the
         // infallible form; `try_max_ports` is the checked one
         Err(e) => panic!("{e}"),

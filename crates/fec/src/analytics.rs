@@ -127,6 +127,7 @@ pub const OPTICAL_RAW_BER_BEST: f64 = 1e-12;
 pub const OPTICAL_RAW_BER_WORST: f64 = 1e-10;
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
 

@@ -11,6 +11,11 @@
 //! ```
 //!
 //! Exit codes: 0 clean, 1 unsuppressed findings, 2 usage or IO error.
+#![expect(clippy::print_stdout, reason = "the linter reports on stdout")]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the linter reads its command line and times its own pass for --bench"
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

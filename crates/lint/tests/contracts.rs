@@ -5,6 +5,7 @@
 //! walker skips `fixtures/` dirs — they are bad on purpose). Artifacts
 //! (Cargo.toml, ci.yml, DESIGN.md, baseline names) are supplied inline
 //! per workspace, exactly as `Artifacts::load` would produce them.
+#![expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 
 use osmosis_lint::analyze_files_deep;
 use osmosis_lint::artifacts::Artifacts;

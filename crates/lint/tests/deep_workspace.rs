@@ -7,6 +7,10 @@
 //!  * flips — each headline drift the deep rules exist to catch is
 //!    introduced in-memory (never on disk) and must turn the report
 //!    non-clean, i.e. flip the CLI to a non-zero exit.
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
 
 use std::path::Path;
 

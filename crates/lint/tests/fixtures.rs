@@ -4,6 +4,7 @@
 //! workspace walker — they are bad on purpose) and are analyzed under
 //! synthetic workspace paths so each rule's crate/file scoping applies
 //! exactly as it would live.
+#![expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 
 use osmosis_lint::context::SourceFile;
 use osmosis_lint::diag::LintReport;

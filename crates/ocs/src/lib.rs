@@ -45,6 +45,7 @@ pub use switch::OcsSwitch;
 pub use tm::{TmEstimator, TmRecorder};
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
     use osmosis_sim::engine::{Engine, EngineConfig};

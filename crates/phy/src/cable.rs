@@ -117,6 +117,7 @@ impl PortCabling {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
 

@@ -89,6 +89,10 @@ pub struct Timeline {
 
 impl Timeline {
     /// Time of a step (panics if absent).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract: a timeline is always built with every step recorded"
+    )]
     pub fn at(&self, step: Step) -> Time {
         self.events
             .iter()

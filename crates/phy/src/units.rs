@@ -131,6 +131,7 @@ impl fmt::Display for PowerDbm {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
 

@@ -217,6 +217,10 @@ impl Histogram {
     }
 
     /// Merge another histogram (must have identical geometry).
+    #[expect(
+        clippy::float_cmp,
+        reason = "histograms merge only when built with the same width, bit for bit"
+    )]
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.width, other.width, "histogram width mismatch");
         assert_eq!(
@@ -299,6 +303,7 @@ impl SimSummary {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
 

@@ -93,6 +93,10 @@ pub mod watchdog {
 
     /// Abort (by panic, caught by the supervisor) if a run of `slots`
     /// would exceed the armed budget. No-op when disarmed.
+    #[expect(
+        clippy::panic,
+        reason = "the budget aborts a run by unwinding; the sweep supervisor catches it"
+    )]
     pub fn charge(slots: u64) {
         if let Some(budget) = BUDGET.with(|b| b.get()) {
             let already_used = USED.with(|u| u.get());

@@ -110,6 +110,10 @@ impl CellSwitch for CioqSwitch {
             for &(i, o) in &self.matcher.matched {
                 let (i, o) = (i as usize, o as usize);
                 let q = &mut self.voq[i * n + o];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the request masks track the VOQs, so a granted VOQ still holds its cell"
+                )]
                 let mut cell = q
                     .pop_front()
                     // lint:allow(panic-free): the request masks track the

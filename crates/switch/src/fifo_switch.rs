@@ -75,6 +75,10 @@ impl CellSwitch for FifoSwitch {
             if let Some(i) = self.out_arb[o].arbitrate(&self.requesters) {
                 self.out_arb[o].advance_past(i);
                 self.input_won[i] = true;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the output arbiter only considers inputs whose FIFO head requests this output, so a winner's FIFO is never empty"
+                )]
                 let mut cell = self.fifos[i]
                     .pop_front()
                     // lint:allow(panic-free): the output arbiter only

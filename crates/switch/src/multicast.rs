@@ -133,6 +133,10 @@ impl MulticastSwitch {
             if self.served[i].is_empty() {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "`served` only lists inputs whose head cell won at least one output this slot"
+            )]
             let head = self.queues[i]
                 .front_mut()
                 // lint:allow(panic-free): `served` only lists inputs whose

@@ -113,6 +113,10 @@ impl CellSwitch for RemoteSchedulerSwitch {
                 self.requests_in_flight.push_back((t + d.max(1), i, o));
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "a grant is only issued for a request filed by a queued cell, and grant-loss re-queues the request rather than dropping the cell"
+            )]
             let mut cell = self.voq[i * n + o]
                 .pop_front()
                 // lint:allow(panic-free): a grant is only issued for a

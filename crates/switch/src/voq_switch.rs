@@ -117,6 +117,10 @@ impl CellSwitch for VoqSwitch {
                 continue;
             }
             let q = &mut self.voq[i * self.n + o];
+            #[expect(
+                clippy::expect_used,
+                reason = "FLPPR validates every matching against the occupancy snapshot before it is applied"
+            )]
             let mut cell = q
                 .pop_front()
                 // lint:allow(panic-free): FLPPR validates every matching

@@ -154,7 +154,6 @@ pub fn summary_record(
 
 /// Build an `epoch` record (circuit-switched runs): one scheduler epoch
 /// with its guard charge, transfer count and utilization.
-#[allow(clippy::too_many_arguments)]
 pub fn epoch_record(
     run: u64,
     epoch: u64,
@@ -257,7 +256,6 @@ pub fn campaign_record(key: u64, label: &str, shards: u64, points: u64) -> Value
 /// the report digest the campaign summary is folded from. Digest fields
 /// are passed explicitly so a worker can re-emit checkpointed points it
 /// restored without re-simulating them.
-#[allow(clippy::too_many_arguments)]
 pub fn shard_point_record(
     shard: u64,
     index: u64,

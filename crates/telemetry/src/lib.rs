@@ -590,6 +590,7 @@ pub fn stderr_progress(label: &str) -> ProgressHook {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
     use osmosis_sim::engine::EngineConfig;

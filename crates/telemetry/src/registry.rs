@@ -531,6 +531,7 @@ impl MetricsRegistry {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
 

@@ -294,6 +294,10 @@ impl SpanPlane {
                     .take(SCAN_LIMIT)
                     .position(|&(exp, _)| exp == inject)
                 {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "`pos` comes from `position` over this same queue a line above"
+                    )]
                     let (_, wait) = q
                         .remove(pos)
                         // lint:allow(panic-free): `pos` comes from
@@ -360,6 +364,7 @@ impl SpanPlane {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
 

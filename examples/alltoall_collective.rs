@@ -19,6 +19,10 @@
 //! ```text
 //! cargo run --release --example alltoall_collective
 //! ```
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it demonstrates"
+)]
 
 use osmosis_fabric::{CompiledFabric, EngineConfig, TopologySpec};
 use osmosis_traffic::Replay;

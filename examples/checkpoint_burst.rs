@@ -10,6 +10,10 @@
 //! ```text
 //! cargo run --release --example checkpoint_burst
 //! ```
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it demonstrates"
+)]
 
 use osmosis_fabric::{CompiledFabric, EngineConfig, TopologySpec};
 use osmosis_sim::{SeedSequence, SimRng};

@@ -9,6 +9,10 @@
 //! ```text
 //! cargo run --release --example design_space
 //! ```
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it demonstrates"
+)]
 
 use osmosis_analysis::scaling::cell_time_ns;
 use osmosis_phy::guard::{CellEfficiency, GuardBudget};

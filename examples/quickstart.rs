@@ -4,6 +4,10 @@
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it demonstrates"
+)]
 
 use osmosis_core::Demonstrator;
 use osmosis_sim::SeedSequence;

@@ -5,6 +5,10 @@
 //! ```text
 //! cargo run --release --example reliable_link
 //! ```
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it demonstrates"
+)]
 
 use osmosis_fec::analytics::{block_outcomes, user_ber_fec_only, user_ber_with_retransmission};
 use osmosis_fec::retransmission::{run_reliable_link, LinkConfig};

@@ -14,6 +14,10 @@
 //! 3. **Violations are detectable.** The liveness watchdog actually
 //!    fires when an output is genuinely blocked — the battery is not
 //!    vacuously green.
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
 
 use osmosis::fabric::{BufferTech, CompiledFabric, TopologySpec};
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};

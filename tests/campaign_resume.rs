@@ -9,6 +9,10 @@
 //! env-gated `#[test]` that is a no-op under normal `cargo test` and
 //! becomes the shard worker when the supervisor spawns it with the
 //! `OSMOSIS_CAMPAIGN_WORKER_*` variables set.
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
 
 use osmosis::campaign::{
     run_campaign, run_shard, BufferSpec, CampaignError, CampaignOptions, CampaignSpec, FaultSpec,
@@ -29,6 +33,10 @@ const ENV_HANG: &str = "OSMOSIS_CAMPAIGN_WORKER_HANG";
 /// shard and exits with the worker status convention (0 ok, 3 poison,
 /// 1 anything else) before the harness can print its summary.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the launcher below hands a spawned worker its shard through the environment"
+)]
 fn worker_entry() {
     let Ok(dir) = std::env::var(ENV_DIR) else {
         return;

@@ -8,6 +8,8 @@
 //! string literals double as the registry the lint rule greps for, so
 //! renaming a key in a model without updating its test breaks both this
 //! file and the lint gate.
+#![expect(clippy::panic, reason = "a test helper fails its test by panicking")]
+#![expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::{BufferTech, CompiledFabric};

@@ -14,6 +14,10 @@
 //!
 //! The literals were captured from `FatTreeFabric` (`multistage.rs`);
 //! since PR 24 `CompiledFabric` at `rg=1` produces them.
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
 
 mod common;
 

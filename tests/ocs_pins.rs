@@ -5,6 +5,10 @@
 //! were captured when the OCS subsystem landed (PR 7); any change that
 //! perturbs one must consciously update the pin and say why in the
 //! commit message.
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
 
 use osmosis::core::experiments::ocs_study::workload;
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};

@@ -2,6 +2,7 @@
 //! flow control stays lossless and in order under *arbitrary* seeded
 //! fault plans — random credit-drop probabilities, random MTBF/MTTR
 //! repair processes, and random link-corruption bursts on top.
+#![expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::CompiledFabric;

@@ -2,6 +2,7 @@
 //! invariants (losslessness, ordering, throughput ≤ offered) hold for
 //! arbitrary loads, seeds and topologies; the statistics kernels match
 //! naive references.
+#![expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 
 use osmosis::fabric::{CompiledFabric, Placement, TopologySpec};
 use osmosis::sched::Flppr;

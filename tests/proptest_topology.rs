@@ -2,6 +2,10 @@
 //! all three families, the expanded graph honors the closed-form host
 //! count, keeps minimal routes within the family's stage bound, wires
 //! every cable consistently at both ends, and re-expands bit-identically.
+#![expect(
+    clippy::unwrap_used,
+    reason = "a test helper fails its test by panicking"
+)]
 
 use osmosis::fabric::expand::{ExpandedFabric, Peer};
 use osmosis::fabric::ids::{EntityId, HostId};

@@ -5,6 +5,11 @@
 //! deterministic too: two identically-seeded observed runs export
 //! byte-identical JSONL, and the exported registry survives a JSON
 //! round trip exactly.
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
+#![expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::CompiledFabric;
