@@ -17,7 +17,6 @@
 //! models live in `osmosis-fec::analytics`. This crate re-exports the
 //! quantities Table 1 needs so experiment harnesses have one entry point.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cost;

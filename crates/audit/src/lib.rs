@@ -45,7 +45,6 @@
 //! run's report extras — only when violations exist, so a clean audited
 //! run fingerprints bit-identically to an un-audited one.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use osmosis_sim::audit::{Auditor, CreditLedger, DropReason};
@@ -862,7 +861,7 @@ impl AuditSet {
     /// In fail-fast mode, panic with the first newly recorded violation.
     #[expect(
         clippy::panic,
-        reason = "FailFast mode panics by contract: the sweep supervisor catches it, so one violating job fails loudly without killing siblings"
+        reason = "FailFast mode panics by contract, also for auditors that count but do not store violations: the sweep supervisor catches it, so one violating job fails loudly without killing siblings"
     )]
     fn bark(&mut self) {
         let total = self.total_violations();
@@ -875,12 +874,7 @@ impl AuditSet {
                     .last()
                     .cloned();
                 match latest {
-                    // lint:allow(panic-free): FailFast mode panics by
-                    // contract — the sweep supervisor catches it so one
-                    // violating job fails loudly without killing siblings
                     Some(v) => panic!("invariant violation: {v}"),
-                    // lint:allow(panic-free): same FailFast contract for
-                    // auditors that count but do not store violations
                     None => panic!("invariant violation (not stored)"),
                 }
             }

@@ -19,7 +19,6 @@
     clippy::print_stdout,
     reason = "the harness prints the paper's tables; stdout is its output"
 )]
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod flags;

@@ -30,7 +30,6 @@
 //! checkpoint file — reproduces the uninterrupted campaign fingerprint
 //! bit for bit.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod runner;

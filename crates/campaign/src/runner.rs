@@ -31,7 +31,6 @@ use std::process::Child;
 /// from this module ever reaches a fingerprint, a manifest, or a
 /// summary — it only decides *when* to respawn or give up on a worker.
 mod clock {
-    // lint:allow(determinism): wall clock paces retries and heartbeats only; results never depend on it
     pub(super) use std::time::Instant as Stamp;
 
     #[expect(

@@ -325,8 +325,6 @@ pub fn run(scale: Scale, seed: u64) -> AvailabilityResult {
             clippy::panic,
             reason = "documented panic contract of the infallible figure entry point; `run_with` is the checked form"
         )]
-        // lint:allow(panic-free): documented panic contract of the
-        // infallible figure entry point; `run_with` is the checked form
         Err(e) => panic!("availability sweep failed: {e}"),
     }
 }

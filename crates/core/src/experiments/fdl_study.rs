@@ -239,8 +239,6 @@ pub fn run(scale: Scale, seed: u64) -> FdlStudy {
             clippy::panic,
             reason = "documented panic contract of the infallible entry point; `run_with` is the checked form"
         )]
-        // lint:allow(panic-free): documented panic contract of the
-        // infallible entry point; `run_with` is the checked form
         Err(e) => panic!("fdl study failed: {e}"),
     }
 }

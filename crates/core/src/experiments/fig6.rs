@@ -35,8 +35,6 @@ fn grant_latency(sched: &mut dyn CellScheduler, phase: u64) -> u64 {
             return t - phase;
         }
     }
-    // lint:allow(panic-free): 64 cycles bounds every FLPPR pipeline depth
-    // in the sweep; reaching this line means the scheduler livelocked
     panic!("grant never issued");
 }
 

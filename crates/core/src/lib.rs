@@ -15,7 +15,6 @@
 //! assert!(d.power_budget_closes());
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod demonstrator;

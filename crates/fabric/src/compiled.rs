@@ -210,8 +210,6 @@ impl CompiledFabric {
                 clippy::panic,
                 reason = "documented panic contract of the infallible constructor; `try_new` is the checked form"
             )]
-            // lint:allow(panic-free): documented panic contract of the
-            // infallible constructor; `try_new` is the checked form
             Err(e) => panic!("{e}"),
         }
     }
@@ -368,11 +366,7 @@ impl CompiledFabric {
             clippy::panic,
             reason = "the matching only pairs ports whose request bit is set, and the bit tracks the buffer"
         )]
-        let unqueued = || -> ! {
-            // lint:allow(panic-free): the matching only pairs ports
-            // whose request bit is set, and the bit tracks the buffer
-            panic!("matched pair without a queued cell")
-        };
+        let unqueued = || -> ! { panic!("matched pair without a queued cell") };
         if let Some(plane) = self.planes.get_mut(sw) {
             return plane.pop(slot, i, o).unwrap_or_else(|| unqueued());
         }

@@ -569,9 +569,6 @@ impl ExpandedFabric {
                     reason = "expansion invariant: the minimal router never selects an unwired port on a validated spec; tests walk every family's paths"
                 )]
                 Peer::Unconnected => {
-                    // lint:allow(panic-free): expansion invariant — the
-                    // minimal router never selects an unwired port on a
-                    // validated spec; tests walk every family's paths
                     panic!("route chose unconnected {sw} port {out_port}")
                 }
             }

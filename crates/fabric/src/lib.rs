@@ -36,7 +36,6 @@
 //! assert!(map.saturation_load(1.0) > 0.7);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod baselines;

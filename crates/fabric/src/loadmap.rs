@@ -35,7 +35,7 @@ pub struct ExpandedLoadMap {
 impl ExpandedLoadMap {
     /// Max-to-mean imbalance ratio (1.0 = perfectly balanced).
     pub fn imbalance(&self) -> f64 {
-        // lint:allow(float-eq): exact zero sentinel guarding the division
+        // Exact zero sentinel guarding the division.
         if self.mean == 0.0 {
             1.0
         } else {
@@ -47,7 +47,7 @@ impl ExpandedLoadMap {
     /// hottest link reaches 1 cell/slot, given the map was computed at
     /// `offered` per host.
     pub fn saturation_load(&self, offered: f64) -> f64 {
-        // lint:allow(float-eq): exact zero sentinel guarding the division
+        // Exact zero sentinel guarding the division.
         if self.max == 0.0 {
             1.0
         } else {

@@ -45,8 +45,6 @@ impl MultiLevelClos {
                 clippy::panic,
                 reason = "documented panic contract of the infallible constructor; `try_new` is the checked form"
             )]
-            // lint:allow(panic-free): documented panic contract of the
-            // infallible constructor; `try_new` is the checked form
             Err(e) => panic!("{e}"),
         }
     }

@@ -19,8 +19,6 @@ pub fn levels_for_ports(radix: usize, ports: u64) -> u32 {
             clippy::panic,
             reason = "documented panic contract of the infallible form; `try_levels_for_ports` is the checked one"
         )]
-        // lint:allow(panic-free): documented panic contract of the
-        // infallible form; `try_levels_for_ports` is the checked one
         Err(e) => panic!("{e}"),
     }
 }
@@ -48,8 +46,6 @@ pub fn max_ports(radix: usize, levels: u32) -> u64 {
             clippy::panic,
             reason = "documented panic contract of the infallible form; `try_max_ports` is the checked one"
         )]
-        // lint:allow(panic-free): documented panic contract of the
-        // infallible form; `try_max_ports` is the checked one
         Err(e) => panic!("{e}"),
     }
 }

@@ -29,7 +29,6 @@
 //! assert!(!inj.plane_down(2), "healed after the repair time");
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod injector;

@@ -60,7 +60,6 @@
 //! as a [`BufferPlane`], the drop-in replacement for a multistage
 //! fabric's electronic per-stage input buffers.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use osmosis_sim::buffer::{set_request, BufferLoss, BufferLossReason, BufferPlane, BufferStats};

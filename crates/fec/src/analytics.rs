@@ -33,8 +33,8 @@ fn ln_choose(n: u32, k: u32) -> f64 {
 /// Probability of exactly `k` bit errors in one coded block at raw BER `p`.
 pub fn prob_k_bit_errors(p: f64, k: u32) -> f64 {
     debug_assert!((0.0..=1.0).contains(&p));
-    // lint:allow(float-eq): exact zero short-circuit keeps 0^0 out of
-    // the powf below; any nonzero p takes the general path
+    // Exact zero short-circuit keeps 0^0 out of
+    // the powf below; any nonzero p takes the general path.
     if p == 0.0 {
         return if k == 0 { 1.0 } else { 0.0 };
     }

@@ -49,7 +49,7 @@ impl BitErrorChannel {
     pub fn transmit(&mut self, data: &mut [u8]) -> u32 {
         let nbits = data.len() as u64 * 8;
         self.bits_transmitted += nbits;
-        // lint:allow(float-eq): exact zero sentinel — a noiseless channel
+        // Exact zero sentinel — a noiseless channel
         // must corrupt nothing, with no RNG draws consumed
         if self.ber == 0.0 {
             return 0;

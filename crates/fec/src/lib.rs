@@ -26,7 +26,6 @@
 //! assert_eq!(code.decode(&mut block), Decode::Detected); // ...is detected
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod analytics;

@@ -1,5 +1,6 @@
 //! Non-code workspace artifacts the contract graph cross-references:
-//! `Cargo.toml` (member globs), `.github/workflows/ci.yml` (smoke
+//! `Cargo.toml` (member globs), the member manifests (lint-table
+//! inheritance), `.github/workflows/ci.yml` (smoke
 //! gates and the lint step), `DESIGN.md` (crate inventory), and the
 //! committed `BENCH_*.json` baselines.
 //!
@@ -22,6 +23,10 @@ pub struct Artifacts {
     /// File names (not paths) of committed `BENCH_*.json` baselines at
     /// the workspace root, sorted.
     pub bench_jsons: Vec<String>,
+    /// `(workspace-relative path, text)` of every member manifest: the
+    /// `Cargo.toml` of each directory a `members` glob covers, plus the
+    /// root manifest when it declares a `[package]`. Sorted by path.
+    pub manifests: Vec<(String, String)>,
 }
 
 impl Artifacts {
@@ -38,12 +43,42 @@ impl Artifacts {
             })
             .unwrap_or_default();
         bench_jsons.sort();
-        Artifacts {
+        let mut arts = Artifacts {
             cargo_toml: read("Cargo.toml"),
             ci_yml: read(".github/workflows/ci.yml"),
             design_md: read("DESIGN.md"),
             bench_jsons,
+            manifests: Vec::new(),
+        };
+        if let Some(text) = &arts.cargo_toml {
+            if text.lines().any(|l| l.trim() == "[package]") {
+                arts.manifests.push(("Cargo.toml".into(), text.clone()));
+            }
         }
+        for glob in arts.cargo_members().0 {
+            let dirs: Vec<String> = match glob.split_once('*') {
+                None => vec![glob.clone()],
+                Some((pre, _)) => {
+                    let parent = pre.trim_end_matches('/');
+                    std::fs::read_dir(root.join(parent))
+                        .map(|rd| {
+                            rd.filter_map(|e| e.ok())
+                                .map(|e| format!("{parent}/{}", e.file_name().to_string_lossy()))
+                                .filter(|d| glob_matches(&glob, d))
+                                .collect()
+                        })
+                        .unwrap_or_default()
+                }
+            };
+            for dir in dirs {
+                let rel = format!("{dir}/Cargo.toml");
+                if let Some(text) = read(&rel) {
+                    arts.manifests.push((rel, text));
+                }
+            }
+        }
+        arts.manifests.sort();
+        arts
     }
 
     /// The `members = [ … ]` globs of the workspace `Cargo.toml`, with
@@ -117,6 +152,20 @@ impl Artifacts {
     }
 }
 
+/// Does `manifest` opt into the workspace lint table (`[lints]` with
+/// `workspace = true`)?
+pub fn inherits_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
+}
+
 /// Append every `"…"`-quoted string in `line` to `out`.
 fn collect_quoted(line: &str, out: &mut Vec<String>) {
     let mut rest = line;
@@ -146,16 +195,16 @@ mod tests {
     fn cargo_members_parse_multiline_lists() {
         let a = Artifacts {
             cargo_toml: Some(
-                "[workspace]\nresolver = \"2\"\nmembers = [\n    \"crates/*\",\n    \"vendor/rand\",\n]\n"
+                "[workspace]\nresolver = \"2\"\nmembers = [\n    \"crates/*\",\n    \"vendor/proptest\",\n]\n"
                     .into(),
             ),
             ..Artifacts::default()
         };
         let (globs, line) = a.cargo_members();
-        assert_eq!(globs, ["crates/*", "vendor/rand"]);
+        assert_eq!(globs, ["crates/*", "vendor/proptest"]);
         assert_eq!(line, 3);
         assert!(a.member_glob_covers("crates/sim"));
-        assert!(a.member_glob_covers("vendor/rand"));
+        assert!(a.member_glob_covers("vendor/proptest"));
         assert!(!a.member_glob_covers("tools/x"));
     }
 
@@ -171,6 +220,17 @@ mod tests {
             ..Artifacts::default()
         };
         assert_eq!(a.ci_smoke_bins(), [("ocs_study".to_string(), 1)]);
+    }
+
+    #[test]
+    fn lint_table_inheritance_reads_only_the_lints_section() {
+        assert!(inherits_workspace_lints(
+            "[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n"
+        ));
+        assert!(!inherits_workspace_lints("[package]\nname = \"x\"\n"));
+        assert!(!inherits_workspace_lints(
+            "[lints]\n[dependencies]\nworkspace = true\n"
+        ));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! library / binary / test / vendored code, and which line ranges sit
 //! under `#[cfg(test)]` (rules that exempt test code consult these).
 
-use crate::lexer::{lex, Lexed, Tok};
+use crate::lexer::{lex, Tok};
 use std::path::Path;
 
 /// How a file participates in the build — rules scope themselves by kind.
@@ -10,13 +10,14 @@ use std::path::Path;
 pub enum FileKind {
     /// Library source (`crates/*/src/**`, root `src/`); full rule set.
     Lib,
-    /// Binary source (`src/bin/**`, `src/main.rs`, `examples/**`);
-    /// exempt from panic-safety and debug-output rules.
+    /// Binary source (`src/bin/**`, `src/main.rs`, `examples/**`).
     Bin,
-    /// Test or bench source (`tests/**`, `benches/**`); most rules skip.
+    /// Test or bench source (`tests/**`, `benches/**`); the contract
+    /// rules read it as evidence (a test covers a fault kind, asserts an
+    /// extras key).
     Test,
-    /// Vendored stand-in for an external dependency (`vendor/**`); only
-    /// the `forbid-unsafe` rule applies.
+    /// Vendored stand-in for an external dependency (`vendor/**`); the
+    /// contract rules skip it.
     Vendor,
 }
 
@@ -29,13 +30,10 @@ pub struct SourceFile {
     pub crate_name: String,
     /// Build role of this file.
     pub kind: FileKind,
-    /// Is this a crate root (`src/lib.rs`) that must carry crate-level
-    /// attributes?
-    pub is_crate_root: bool,
     /// Raw source lines, for diagnostics snippets.
     pub lines: Vec<String>,
-    /// Lexed tokens and comments.
-    pub lexed: Lexed,
+    /// Lexed code tokens.
+    pub tokens: Vec<Tok>,
     /// Inclusive line ranges covered by `#[cfg(test)]` / `#[test]` items.
     pub test_regions: Vec<(u32, u32)>,
 }
@@ -44,16 +42,15 @@ impl SourceFile {
     /// Build a `SourceFile` from a workspace-relative path and contents.
     pub fn new(rel_path: &str, text: &str) -> SourceFile {
         let rel_path = rel_path.replace('\\', "/");
-        let lexed = lex(text);
-        let test_regions = find_test_regions(&lexed.tokens);
-        let (crate_name, kind, is_crate_root) = classify(&rel_path);
+        let tokens = lex(text);
+        let test_regions = find_test_regions(&tokens);
+        let (crate_name, kind) = classify(&rel_path);
         SourceFile {
             rel_path,
             crate_name,
             kind,
-            is_crate_root,
             lines: text.lines().map(str::to_string).collect(),
-            lexed,
+            tokens,
             test_regions,
         }
     }
@@ -77,12 +74,12 @@ impl SourceFile {
 
     /// Tokens of this file.
     pub fn tokens(&self) -> &[Tok] {
-        &self.lexed.tokens
+        &self.tokens
     }
 }
 
-/// Derive (crate name, kind, is crate root) from a workspace-relative path.
-fn classify(rel: &str) -> (String, FileKind, bool) {
+/// Derive (crate name, kind) from a workspace-relative path.
+fn classify(rel: &str) -> (String, FileKind) {
     let parts: Vec<&str> = rel.split('/').collect();
     let crate_name = match parts.as_slice() {
         ["crates", name, ..] => (*name).to_string(),
@@ -101,11 +98,7 @@ fn classify(rel: &str) -> (String, FileKind, bool) {
     } else {
         FileKind::Lib
     };
-    let is_crate_root = matches!(
-        parts.as_slice(),
-        ["crates", _, "src", "lib.rs"] | ["vendor", _, "src", "lib.rs"] | ["src", "lib.rs"]
-    );
-    (crate_name, kind, is_crate_root)
+    (crate_name, kind)
 }
 
 /// Find line ranges covered by items annotated `#[cfg(test)]` or
@@ -232,30 +225,18 @@ mod tests {
     #[test]
     fn classification() {
         let cases = [
-            ("crates/sim/src/engine.rs", "sim", FileKind::Lib, false),
-            ("crates/sim/src/lib.rs", "sim", FileKind::Lib, true),
-            (
-                "crates/bench/src/bin/fig7.rs",
-                "bench",
-                FileKind::Bin,
-                false,
-            ),
-            ("tests/determinism.rs", "osmosis", FileKind::Test, false),
-            (
-                "crates/bench/benches/fec.rs",
-                "bench",
-                FileKind::Test,
-                false,
-            ),
-            ("vendor/rand/src/lib.rs", "rand", FileKind::Vendor, true),
-            ("src/lib.rs", "osmosis", FileKind::Lib, true),
-            ("examples/demo.rs", "osmosis", FileKind::Bin, false),
+            ("crates/sim/src/engine.rs", "sim", FileKind::Lib),
+            ("crates/bench/src/bin/fig7.rs", "bench", FileKind::Bin),
+            ("tests/determinism.rs", "osmosis", FileKind::Test),
+            ("crates/bench/benches/fec.rs", "bench", FileKind::Test),
+            ("vendor/proptest/src/lib.rs", "proptest", FileKind::Vendor),
+            ("src/lib.rs", "osmosis", FileKind::Lib),
+            ("examples/demo.rs", "osmosis", FileKind::Bin),
         ];
-        for (path, name, kind, root) in cases {
+        for (path, name, kind) in cases {
             let f = SourceFile::new(path, "");
             assert_eq!(f.crate_name, name, "{path}");
             assert_eq!(f.kind, kind, "{path}");
-            assert_eq!(f.is_crate_root, root, "{path}");
         }
     }
 

@@ -3,7 +3,8 @@
 //! The repo's validity rests on contracts no compiler checks — every
 //! `FaultKind` replays under test, every telemetry record type
 //! round-trips through `validate_jsonl`, every `--smoke` harness
-//! experiment is a CI gate, the hand-kept `MODEL_CRATES` list matches the workspace, and
+//! experiment is a CI gate, the hand-kept `MODEL_CRATES` list matches the
+//! workspace, every member manifest inherits the workspace lint table, and
 //! the per-slot hot path stays allocation-free ahead of ROADMAP item 1's
 //! bit-parallel rewrite. This module builds an explicit graph of those
 //! cross-artifact edges (code ↔ tests ↔ ci.yml ↔ Cargo.toml ↔ DESIGN.md
@@ -14,18 +15,24 @@
 //! being present (see [`crate::artifacts`]), which keeps single-rule
 //! fixture workspaces from tripping the other five rules.
 
-use crate::artifacts::Artifacts;
+use crate::artifacts::{inherits_workspace_lints, Artifacts};
 use crate::context::{FileKind, SourceFile};
 use crate::diag::{json_str, Diagnostic, Severity};
 use crate::itemtree::{match_arm_strings, ItemKind, ItemTree};
 use crate::lexer::{Tok, TokKind};
-use crate::rules::MODEL_CRATES;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
+/// Crates whose per-slot state feeds engine fingerprints: `hot-loop-alloc`
+/// audits their per-slot fns. `campaign` belongs here too: it folds
+/// per-shard results into campaign fingerprints.
+pub const MODEL_CRATES: &[&str] = &[
+    "sim", "switch", "sched", "fabric", "faults", "traffic", "ocs", "campaign", "fdl",
+];
+
 /// Traits whose implementors feed engine fingerprints; a crate
-/// implementing one of these must be listed in [`MODEL_CRATES`] so the
-/// determinism rules cover it.
+/// implementing one of these must be listed in [`MODEL_CRATES`] so
+/// `hot-loop-alloc` covers it.
 pub const MODEL_TRAITS: &[&str] = &["SlottedModel", "CellScheduler", "CellSwitch", "BufferPlane"];
 
 /// Per-slot functions that must stay allocation-free (the precondition
@@ -654,6 +661,9 @@ fn rule_bench_gate(
 /// the workspace — every listed crate exists as a member, every crate
 /// implementing a fingerprint-feeding trait is listed, and (when
 /// DESIGN.md is present) every workspace crate appears in its inventory.
+/// Every member manifest must also inherit the workspace lint table: a
+/// crate without `[lints] workspace = true` silently escapes the
+/// compiler-enforced contracts, `unsafe_code = "forbid"` included.
 fn rule_model_crate_sync(
     files: &[SourceFile],
     trees: &[Option<ItemTree>],
@@ -684,8 +694,8 @@ fn rule_model_crate_sync(
                     "model-crate-sync",
                     members_line.max(1),
                     format!(
-                        "MODEL_CRATES entry `{m}` is not a workspace member — the \
-                         determinism rules would guard a crate that no longer exists"
+                        "MODEL_CRATES entry `{m}` is not a workspace member — \
+                         hot-loop-alloc would guard a crate that no longer exists"
                     ),
                     snippet.clone(),
                 ));
@@ -725,10 +735,25 @@ fn rule_model_crate_sync(
                 1,
                 format!(
                     "crate `{}` implements fingerprint-feeding trait `{trait_name}` \
-                     but is missing from MODEL_CRATES (crates/lint/src/rules.rs) — \
-                     the determinism rules do not cover it",
+                     but is missing from MODEL_CRATES (crates/lint/src/contracts.rs) — \
+                     hot-loop-alloc does not cover it",
                     f.crate_name
                 ),
+            ));
+        }
+    }
+    for (path, text) in &arts.manifests {
+        if !inherits_workspace_lints(text) {
+            out.push(mk_artifact(
+                path,
+                "model-crate-sync",
+                1,
+                format!(
+                    "`{path}` does not inherit the workspace lint table — add \
+                     `[lints] workspace = true`, or the crate escapes every rustc and \
+                     clippy contract (unsafe, hash order, wall clock, panics)"
+                ),
+                text.lines().next().unwrap_or("").to_string(),
             ));
         }
     }

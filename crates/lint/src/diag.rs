@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 /// for readers, not for the exit code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
-    /// Contract violation: breaks determinism, panic-safety, or the
+    /// Contract violation: breaks a workspace contract, such as the
     /// zero-cost-plane claim.
     Error,
     /// Hygiene problem that has not yet broken a contract.
@@ -27,7 +27,7 @@ impl Severity {
 /// One finding, anchored to a source position.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule identifier (`panic-free`, `hash-order`, …).
+    /// Rule identifier (`typed-ids`, `hot-loop-alloc`, …).
     pub rule: &'static str,
     /// Severity of this finding.
     pub severity: Severity,
@@ -46,16 +46,14 @@ pub struct Diagnostic {
 /// Everything one analyzer run produces.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Findings that no suppression matched — these gate the exit code.
+    /// Findings — any one gates the exit code.
     pub diagnostics: Vec<Diagnostic>,
-    /// Findings silenced by a `// lint:allow(rule): reason` comment.
-    pub suppressed: Vec<Diagnostic>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
 
 impl LintReport {
-    /// Does the run gate (any unsuppressed finding)?
+    /// Does the run gate (any finding)?
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
     }
@@ -78,10 +76,9 @@ impl LintReport {
         }
         let _ = writeln!(
             out,
-            "osmosis-lint: {} file(s) scanned, {} finding(s), {} suppressed",
+            "osmosis-lint: {} file(s) scanned, {} finding(s)",
             self.files_scanned,
-            self.diagnostics.len(),
-            self.suppressed.len()
+            self.diagnostics.len()
         );
         out
     }
@@ -111,9 +108,8 @@ impl LintReport {
         }
         let _ = write!(
             out,
-            "],\n  \"files_scanned\": {},\n  \"suppressed\": {},\n  \"clean\": {}\n}}",
+            "],\n  \"files_scanned\": {},\n  \"clean\": {}\n}}",
             self.files_scanned,
-            self.suppressed.len(),
             self.is_clean()
         );
         out.push('\n');
@@ -148,13 +144,13 @@ mod tests {
 
     fn diag() -> Diagnostic {
         Diagnostic {
-            rule: "panic-free",
+            rule: "typed-ids",
             severity: Severity::Error,
-            file: "crates/sim/src/x.rs".into(),
+            file: "crates/fabric/src/x.rs".into(),
             line: 3,
             col: 9,
-            message: "`.unwrap()` in library code".into(),
-            snippet: "    let v = m.get(&k).unwrap();".into(),
+            message: "`port: usize` in a fabric pub fn".into(),
+            snippet: "pub fn name(port: usize) -> &'static str { \"x\" }".into(),
         }
     }
 
@@ -166,9 +162,9 @@ mod tests {
         };
         r.diagnostics.push(diag());
         let h = r.render_human();
-        assert!(h.contains("crates/sim/src/x.rs:3:9"));
-        assert!(h.contains("[panic-free]"));
-        assert!(h.contains("m.get(&k).unwrap()"));
+        assert!(h.contains("crates/fabric/src/x.rs:3:9"));
+        assert!(h.contains("[typed-ids]"));
+        assert!(h.contains("name(port: usize)"));
         assert!(h.contains("1 finding(s)"));
     }
 
@@ -183,7 +179,7 @@ mod tests {
         r.diagnostics.push(diag());
         let j = r.render_json();
         assert!(j.contains("\"clean\": false"));
-        assert!(j.contains("\\\"") || j.contains("`.unwrap()`"));
+        assert!(j.contains("{ \\\"x\\\" }"));
         assert!(json_str("a\"b\\c\n").contains("\\\""));
     }
 }

@@ -649,7 +649,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn tree(src: &str) -> ItemTree {
-        ItemTree::parse(&lex(src).tokens)
+        ItemTree::parse(&lex(src))
     }
 
     #[test]
@@ -744,7 +744,7 @@ mod tests {
     fn match_arm_strings_sees_patterns_only() {
         let src = "fn v(ty: &str) {\n    match ty {\n        \"meta\" => { emit(\"not-a-pattern\"); }\n        \"a\" | \"b\" => x(\"nope\"),\n        s if s == \"guarded\" => {}\n        _ => other(\"also-no\"),\n    }\n}\n";
         let l = lex(src);
-        let arms = match_arm_strings(&l.tokens, 0, l.tokens.len(), "ty");
+        let arms = match_arm_strings(&l, 0, l.len(), "ty");
         let names: Vec<&str> = arms.iter().map(|(s, _)| s.as_str()).collect();
         assert_eq!(names, ["meta", "a", "b"]);
     }
@@ -753,7 +753,7 @@ mod tests {
     fn match_arm_strings_ignores_other_scrutinees_and_nested() {
         let src = "fn v(ty: &str, k: &str) {\n    match k {\n        \"other\" => {}\n        _ => {}\n    }\n    match ty {\n        \"outer\" => {\n            match ty { \"inner\" => {} _ => {} }\n        }\n        _ => {}\n    }\n}\n";
         let l = lex(src);
-        let arms = match_arm_strings(&l.tokens, 0, l.tokens.len(), "ty");
+        let arms = match_arm_strings(&l, 0, l.len(), "ty");
         let names: Vec<&str> = arms.iter().map(|(s, _)| s.as_str()).collect();
         // The nested match sits inside an arm body (depth > 0), so its
         // patterns never register as arms of the outer match.

@@ -2,26 +2,24 @@
 //!
 //! The build environment is offline (no `syn`, no `proc-macro2`), so the
 //! analyzer works at the token level: identifiers, literals, punctuation,
-//! lifetimes, and — kept separately because suppressions live there —
-//! comments. The lexer is deliberately forgiving: it never fails, it just
-//! produces the best token stream it can, because a lint pass must not be
-//! more fragile than the compiler that follows it.
+//! lifetimes; comments are skipped. The lexer is deliberately forgiving:
+//! it never fails, it just produces the best token stream it can, because
+//! a lint pass must not be more fragile than the compiler that follows it.
 //!
 //! What matters for rule quality is that *strings and comments are never
-//! mistaken for code*: `"call .unwrap() here"` in a message or doc
-//! comment must not trip the panic-safety rule. Everything else (exact
-//! numeric suffix parsing, raw-identifier edge cases) only needs to be
-//! good enough to keep token boundaries honest.
+//! mistaken for code*: `"Vec::new() here"` in a message or doc comment
+//! must not trip the zero-cost-plane rule, and a `{` inside one must not
+//! unbalance the item tree. Everything else (numeric suffixes,
+//! raw-identifier edge cases) only needs to be good enough to keep token
+//! boundaries honest.
 
 /// The coarse classification a rule needs to reason about a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (`fn`, `unwrap`, `HashMap`, …).
+    /// Identifier or keyword (`fn`, `push`, `Vec`, …).
     Ident,
-    /// Integer literal (`42`, `0xFF`, `1_000u64`).
-    Int,
-    /// Float literal (`1.0`, `2e9`, `0.5f32`).
-    Float,
+    /// Numeric literal (`42`, `0xFF`, `1.0`, `2e-9`, `0.5f32`).
+    Num,
     /// String, raw-string, byte-string, or char literal (contents opaque).
     Str,
     /// Lifetime (`'a`, `'static`).
@@ -135,57 +133,34 @@ impl Tok {
     }
 }
 
-/// One comment, kept out of the token stream so rules never see it, but
-/// available to the suppression parser.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// Comment text including the `//` / `/*` introducer.
-    pub text: String,
-    /// 1-based source line of the comment start.
-    pub line: u32,
-    /// 1-based source column of the comment start.
-    pub col: u32,
-}
-
-/// Result of lexing one file: code tokens and comments, separately.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// Code tokens in source order.
-    pub tokens: Vec<Tok>,
-    /// Comments in source order (doc comments included).
-    pub comments: Vec<Comment>,
-}
-
 /// Multi-char punctuation, longest first so matching is greedy.
 const MULTI_PUNCT: &[&str] = &[
     "<<=", ">>=", "..=", "...", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
     "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "..",
 ];
 
-/// Lex `src` into tokens and comments. Never fails; unterminated
-/// constructs simply run to end of file.
-pub fn lex(src: &str) -> Lexed {
+/// Lex `src` into code tokens, in source order. Never fails;
+/// unterminated constructs simply run to end of file.
+pub fn lex(src: &str) -> Vec<Tok> {
     Lexer::new(src).run()
 }
 
-struct Lexer<'a> {
+struct Lexer {
     chars: Vec<char>,
-    src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
-    out: Lexed,
+    out: Vec<Tok>,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
+impl Lexer {
+    fn new(src: &str) -> Self {
         Lexer {
             chars: src.chars().collect(),
-            src,
             pos: 0,
             line: 1,
             col: 1,
-            out: Lexed::default(),
+            out: Vec::new(),
         }
     }
 
@@ -205,15 +180,15 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
-    fn run(mut self) -> Lexed {
+    fn run(mut self) -> Vec<Tok> {
         while let Some(c) = self.peek(0) {
             let (line, col) = (self.line, self.col);
             if c.is_whitespace() {
                 self.bump();
             } else if c == '/' && self.peek(1) == Some('/') {
-                self.line_comment(line, col);
+                self.line_comment();
             } else if c == '/' && self.peek(1) == Some('*') {
-                self.block_comment(line, col);
+                self.block_comment();
             } else if c == '"' {
                 self.string(line, col);
             } else if (c == 'r' || c == 'b') && self.raw_or_byte_prefix() {
@@ -245,20 +220,13 @@ impl<'a> Lexer<'a> {
             || (i == 1 && self.peek(0) == Some('b') && self.peek(1) == Some('\''))
     }
 
-    fn line_comment(&mut self, line: u32, col: u32) {
-        let start = self.pos;
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
+    fn line_comment(&mut self) {
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        self.out.comments.push(Comment { text, line, col });
     }
 
-    fn block_comment(&mut self, line: u32, col: u32) {
-        let start = self.pos;
+    fn block_comment(&mut self) {
         self.bump();
         self.bump();
         let mut depth = 1usize;
@@ -280,8 +248,6 @@ impl<'a> Lexer<'a> {
                 (None, _) => break,
             }
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        self.out.comments.push(Comment { text, line, col });
     }
 
     fn string(&mut self, line: u32, col: u32) {
@@ -395,52 +361,36 @@ impl<'a> Lexer<'a> {
 
     fn number(&mut self, line: u32, col: u32) {
         let start = self.pos;
-        let mut float = false;
         let radix_prefix = self.peek(0) == Some('0')
             && matches!(self.peek(1), Some('x') | Some('X') | Some('b') | Some('o'));
         // Leading digits (covers 0x/0b/0o bodies too: hex digits and `_`
         // are alphanumeric, so the ident-char loop swallows them).
         while let Some(c) = self.peek(0) {
             if c == '_' || c.is_alphanumeric() {
-                // `e`/`E` exponents (with or without sign) make a float —
-                // except inside hex bodies where `e` is a digit.
-                if (c == 'e' || c == 'E') && !radix_prefix {
-                    if matches!(self.peek(1), Some('+') | Some('-'))
-                        && self.peek(2).is_some_and(|d| d.is_ascii_digit())
-                    {
-                        float = true;
-                        self.bump();
-                        self.bump();
-                        continue;
-                    }
-                    if self.peek(1).is_some_and(|d| d.is_ascii_digit()) {
-                        float = true;
-                    }
+                // A signed exponent (`1e-3`) stays in the literal — except
+                // inside hex bodies, where `e` is a digit.
+                if (c == 'e' || c == 'E')
+                    && !radix_prefix
+                    && matches!(self.peek(1), Some('+') | Some('-'))
+                    && self.peek(2).is_some_and(|d| d.is_ascii_digit())
+                {
+                    self.bump();
                 }
                 self.bump();
             } else if c == '.' && self.peek(1).is_some_and(|d| d.is_ascii_digit()) {
-                float = true;
                 self.bump();
             } else if c == '.'
                 && self.peek(1) != Some('.')
                 && !self.peek(1).is_some_and(|d| d == '_' || d.is_alphabetic())
             {
                 // Trailing-dot float like `1.` (but not `1..` or `1.foo`).
-                float = true;
                 self.bump();
                 break;
             } else {
                 break;
             }
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        let float = float || text.ends_with("f32") || text.ends_with("f64");
-        self.push(
-            if float { TokKind::Float } else { TokKind::Int },
-            text,
-            line,
-            col,
-        );
+        self.push_span(TokKind::Num, start, line, col);
     }
 
     fn ident(&mut self, line: u32, col: u32) {
@@ -480,8 +430,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn push(&mut self, kind: TokKind, text: String, line: u32, col: u32) {
-        let _ = self.src;
-        self.out.tokens.push(Tok {
+        self.out.push(Tok {
             kind,
             text,
             line,
@@ -495,26 +444,21 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        lex(src)
-            .tokens
-            .into_iter()
-            .map(|t| (t.kind, t.text))
-            .collect()
+        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
     fn strings_and_comments_hide_code() {
         let l = lex("let x = \"call .unwrap() now\"; // and .unwrap() here");
-        assert!(l.tokens.iter().all(|t| t.text != "unwrap"));
-        assert_eq!(l.comments.len(), 1);
-        assert!(l.comments[0].text.contains("unwrap"));
+        assert!(l.iter().all(|t| t.text != "unwrap"));
+        assert_eq!(l.last().map(|t| t.text.as_str()), Some(";"));
     }
 
     #[test]
     fn raw_strings_and_nested_comments() {
         let l = lex("r#\"a \" unwrap b\"# /* outer /* inner */ unwrap */ done");
-        assert!(l.tokens.iter().any(|t| t.text == "done"));
-        assert!(l.tokens.iter().all(|t| t.text != "unwrap"));
+        assert!(l.iter().any(|t| t.text == "done"));
+        assert!(l.iter().all(|t| t.text != "unwrap"));
     }
 
     #[test]
@@ -529,23 +473,17 @@ mod tests {
     }
 
     #[test]
-    fn float_classification() {
-        for (src, want) in [
-            ("1.0", TokKind::Float),
-            ("2e9", TokKind::Float),
-            ("1e-3", TokKind::Float),
-            ("0.5f32", TokKind::Float),
-            ("3f64", TokKind::Float),
-            ("42", TokKind::Int),
-            ("0xFF", TokKind::Int),
-            ("1_000u64", TokKind::Int),
+    fn numbers_keep_their_boundaries() {
+        for src in [
+            "1.0", "2e9", "1e-3", "0.5f32", "42", "0xFE", "1_000u64", "1.",
         ] {
-            assert_eq!(kinds(src)[0].0, want, "{src}");
+            assert_eq!(kinds(src), [(TokKind::Num, src.to_string())], "{src}");
         }
-        // Ranges must not fuse into floats.
+        // Ranges and method calls must not fuse into the literal.
         let ks = kinds("0..10");
-        assert_eq!(ks[0], (TokKind::Int, "0".into()));
+        assert_eq!(ks[0], (TokKind::Num, "0".into()));
         assert_eq!(ks[1], (TokKind::Punct, "..".into()));
+        assert_eq!(kinds("1.max(2)")[0], (TokKind::Num, "1".into()));
     }
 
     #[test]
@@ -562,8 +500,8 @@ mod tests {
     #[test]
     fn positions_are_one_based() {
         let l = lex("a\n  bb");
-        assert_eq!((l.tokens[0].line, l.tokens[0].col), (1, 1));
-        assert_eq!((l.tokens[1].line, l.tokens[1].col), (2, 3));
+        assert_eq!((l[0].line, l[0].col), (1, 1));
+        assert_eq!((l[1].line, l[1].col), (2, 3));
     }
 
     /// Braces, quotes, and comment markers inside raw strings must stay
@@ -579,12 +517,12 @@ mod tests {
         ];
         for src in cases {
             let l = lex(src);
-            let opens = l.tokens.iter().filter(|t| t.text == "{").count();
-            let closes = l.tokens.iter().filter(|t| t.text == "}").count();
+            let opens = l.iter().filter(|t| t.text == "{").count();
+            let closes = l.iter().filter(|t| t.text == "}").count();
             assert_eq!(opens, 1, "{src}: exactly the fn body opens");
             assert_eq!(closes, 1, "{src}: exactly the fn body closes");
             assert!(
-                !l.tokens.iter().any(|t| t.text == "bogus"),
+                !l.iter().any(|t| t.text == "bogus"),
                 "{src}: string contents leaked into the ident stream"
             );
         }
@@ -601,8 +539,8 @@ mod tests {
         ];
         for src in cases {
             let l = lex(src);
-            let opens = l.tokens.iter().filter(|t| t.text == "{").count();
-            let closes = l.tokens.iter().filter(|t| t.text == "}").count();
+            let opens = l.iter().filter(|t| t.text == "{").count();
+            let closes = l.iter().filter(|t| t.text == "}").count();
             assert_eq!(opens, closes, "{src}: token-stream braces must balance");
         }
     }
@@ -613,10 +551,10 @@ mod tests {
     #[test]
     fn raw_string_partial_hash_guards_do_not_terminate() {
         let l = lex("let a = r##\"x \"# y\"##; done");
-        let strs: Vec<&Tok> = l.tokens.iter().filter(|t| t.kind == TokKind::Str).collect();
+        let strs: Vec<&Tok> = l.iter().filter(|t| t.kind == TokKind::Str).collect();
         assert_eq!(strs.len(), 1);
         assert_eq!(strs[0].str_content().unwrap(), "x \"# y");
-        assert!(l.tokens.iter().any(|t| t.text == "done"));
+        assert!(l.iter().any(|t| t.text == "done"));
     }
 
     #[test]
@@ -638,7 +576,6 @@ mod tests {
         for (src, want) in cases {
             let l = lex(&format!("let x = {src};"));
             let tok = l
-                .tokens
                 .iter()
                 .find(|t| t.kind == TokKind::Str)
                 .unwrap_or_else(|| panic!("{src}: no Str token"));
@@ -646,7 +583,7 @@ mod tests {
         }
         // Non-string tokens decode to None.
         let l = lex("ident");
-        assert_eq!(l.tokens[0].str_content(), None);
+        assert_eq!(l[0].str_content(), None);
     }
 
     /// The lexer is forgiving about unterminated literals (they run to
@@ -655,7 +592,7 @@ mod tests {
     fn unterminated_literals_decode_without_panicking() {
         for src in ["\"open", "r#\"open", "r##\"open\"#", "'x"] {
             let l = lex(src);
-            let tok = l.tokens.iter().find(|t| t.kind == TokKind::Str);
+            let tok = l.iter().find(|t| t.kind == TokKind::Str);
             if let Some(t) = tok {
                 let _ = t.str_content();
             }

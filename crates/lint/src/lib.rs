@@ -1,17 +1,18 @@
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
-//! `osmosis-lint`: an in-repo static analyzer that enforces the
-//! workspace's determinism, panic-safety, and zero-cost-plane contracts.
+//! `osmosis-lint`: an in-repo static analyzer for the workspace contracts
+//! that rustc and clippy cannot state.
 //!
-//! rustc and clippy cannot check the contracts this reproduction rests
-//! on: bit-exact replay of every simulator (PR 1 fingerprints, PR 2
-//! fault timelines, PR 4 byte-identical JSONL) and observation planes
-//! that are provably free when disabled. This crate makes those
-//! invariants an executable spec: a dependency-free, token-level
-//! analyzer (hand-rolled lexer — the build is offline, so no `syn`)
-//! with a fixed rule set, `file:line:col` diagnostics in human and JSON
-//! form, and an explicit suppression syntax
-//! `// lint:allow(rule-id): reason` whose reason string is mandatory.
+//! The reproduction rests on bit-exact replay of every simulator and on
+//! observation planes that are provably free when disabled. The
+//! compiler-checkable half of that (no hash-order iteration, no wall
+//! clock, no panics in library code, no unsafe) is the root
+//! `Cargo.toml`'s `[workspace.lints]` table. This crate checks the rest:
+//! two token-level rules (the disabled planes do not allocate, fabric
+//! APIs take typed ids) and six contract-graph rules across code, tests,
+//! ci.yml, the manifests and DESIGN.md. It is a dependency-free analyzer
+//! (hand-rolled lexer — the build is offline, so no `syn`) with
+//! `file:line:col` diagnostics in human and JSON form, and it has no
+//! suppression syntax: a finding is fixed, not silenced.
 //!
 //! See [`rules::RULES`] for the rule set and DESIGN.md "Static
 //! invariants" for each rule's rationale.
@@ -23,7 +24,6 @@ pub mod diag;
 pub mod itemtree;
 pub mod lexer;
 pub mod rules;
-pub mod suppress;
 
 use artifacts::Artifacts;
 use context::SourceFile;
@@ -59,10 +59,8 @@ pub fn analyze_files(files: Vec<SourceFile>) -> LintReport {
     analyze(files, None).0
 }
 
-/// Deep analysis of an in-memory workspace: shallow findings, contract
-/// findings, and the graph. Suppressions apply to deep findings exactly
-/// as to shallow ones (artifact-anchored findings have no source line to
-/// carry an allow, so they always gate).
+/// Deep analysis of an in-memory workspace: token-level findings,
+/// contract findings, and the graph.
 pub fn analyze_files_deep(files: Vec<SourceFile>, arts: &Artifacts) -> (LintReport, ContractGraph) {
     let (report, graph) = analyze(files, Some(arts));
     (report, graph.unwrap_or_default())
@@ -72,46 +70,18 @@ fn analyze(
     files: Vec<SourceFile>,
     deep: Option<&Artifacts>,
 ) -> (LintReport, Option<ContractGraph>) {
-    let idx = rules::build_index(&files);
-    let known = rules::known_rule_ids();
-    let checked = match deep {
-        Some(_) => rules::known_rule_ids(),
-        None => rules::shallow_rule_ids(),
-    };
-    let (mut deep_findings, graph) = match deep {
-        Some(arts) => {
-            let (d, g) = contracts::check_workspace(&files, arts);
-            (d, Some(g))
-        }
-        None => (Vec::new(), None),
-    };
     let mut report = LintReport {
         files_scanned: files.len(),
         ..LintReport::default()
     };
     for f in &files {
-        let mut findings = rules::check_file(f, &idx);
-        // Deep findings anchored to this file join its shallow findings
-        // before suppressions so a lint:allow covers both alike.
-        let mut i = 0;
-        while i < deep_findings.len() {
-            if deep_findings[i].file == f.rel_path {
-                findings.push(deep_findings.remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        let (sups, mut sup_errors) = suppress::parse_suppressions(f);
-        let (mut kept, mut suppressed) =
-            suppress::apply_suppressions(f, sups, findings, &known, &checked);
-        report.diagnostics.append(&mut kept);
-        report.diagnostics.append(&mut sup_errors);
-        report.suppressed.append(&mut suppressed);
+        report.diagnostics.append(&mut rules::check_file(f));
     }
-    // Remaining deep findings are anchored to non-.rs artifacts
-    // (Cargo.toml, ci.yml, a BENCH_*.json name) — nothing can suppress
-    // them, they gate directly.
-    report.diagnostics.append(&mut deep_findings);
+    let graph = deep.map(|arts| {
+        let (mut findings, graph) = contracts::check_workspace(&files, arts);
+        report.diagnostics.append(&mut findings);
+        graph
+    });
     // Deterministic output order: path, then position, then rule.
     report
         .diagnostics
@@ -135,20 +105,10 @@ mod tests {
     }
 
     #[test]
-    fn suppressed_finding_moves_to_suppressed() {
-        let r = analyze_one(
-            "crates/sim/src/x.rs",
-            "fn f(x: Option<u8>) -> u8 {\n    // lint:allow(panic-free): caller checked is_some\n    x.unwrap()\n}\n",
-        );
-        assert!(r.is_clean(), "{:?}", r.diagnostics);
-        assert_eq!(r.suppressed.len(), 1);
-    }
-
-    #[test]
     fn output_order_is_deterministic() {
-        let src = "fn f(a: Option<u8>, b: Option<u8>) -> u8 { a.unwrap() + b.unwrap() }\n";
-        let a = analyze_one("crates/sim/src/x.rs", src);
-        let b = analyze_one("crates/sim/src/x.rs", src);
+        let src = "pub fn f(port: usize, link: usize) -> usize { port + link }\n";
+        let a = analyze_one("crates/fabric/src/x.rs", src);
+        let b = analyze_one("crates/fabric/src/x.rs", src);
         assert_eq!(a.render_json(), b.render_json());
         assert_eq!(a.diagnostics.len(), 2);
     }

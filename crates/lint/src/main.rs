@@ -10,7 +10,7 @@
 //! cargo run -p osmosis-lint -- --root ../..   # lint another checkout
 //! ```
 //!
-//! Exit codes: 0 clean, 1 unsuppressed findings, 2 usage or IO error.
+//! Exit codes: 0 clean, 1 findings, 2 usage or IO error.
 #![expect(clippy::print_stdout, reason = "the linter reports on stdout")]
 #![expect(
     clippy::disallowed_methods,
@@ -62,12 +62,12 @@ fn main() -> ExitCode {
                     "osmosis-lint — static analysis for the OSMOSIS workspace\n\n\
                      USAGE: osmosis-lint [--format=json|human] [--root PATH] [--deep]\n\
                             [--graph PATH] [--bench] [--list-rules] [-q]\n\n\
-                     Enforces the determinism / panic-safety / zero-cost-plane contracts.\n\
+                     Enforces the zero-cost-plane and typed-ids contracts; rustc and clippy\n\
+                     carry the rest (the root Cargo.toml's [workspace.lints]).\n\
                      --deep adds the contract-graph rules (fault coverage, JSONL schema\n\
-                     sync, extras registry, bench gates, MODEL_CRATES sync, hot-loop\n\
-                     allocation); --graph writes the cross-artifact graph as JSON;\n\
+                     sync, extras registry, bench gates, MODEL_CRATES and lint-table sync,\n\
+                     hot-loop allocation); --graph writes the cross-artifact graph as JSON;\n\
                      --bench times the deep pass and writes BENCH_lint.json.\n\
-                     Suppress a finding with `// lint:allow(rule-id): reason` (reason required).\n\
                      Exit codes: 0 clean, 1 findings, 2 usage or IO error."
                 );
                 return ExitCode::SUCCESS;
@@ -123,13 +123,12 @@ fn main() -> ExitCode {
         if let Some(graph) = &graph {
             let json = format!(
                 "{{\"bench\":\"lint-deep\",\"elapsed_ms\":{:.3},\"files_scanned\":{},\
-                 \"rules\":{},\"findings\":{},\"suppressed\":{},\"fault_kinds\":{},\
+                 \"rules\":{},\"findings\":{},\"fault_kinds\":{},\
                  \"record_types\":{},\"extras\":{},\"bench_bins\":{},\"hot_fns\":{}}}\n",
                 elapsed_ms,
                 report.files_scanned,
                 osmosis_lint::rules::RULES.len(),
                 report.diagnostics.len(),
-                report.suppressed.len(),
                 graph.fault_kinds.len(),
                 graph.record_types.len(),
                 graph.extras.len(),

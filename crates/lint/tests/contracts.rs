@@ -10,9 +10,8 @@
 use osmosis_lint::analyze_files_deep;
 use osmosis_lint::artifacts::Artifacts;
 use osmosis_lint::context::SourceFile;
-use osmosis_lint::contracts::ContractGraph;
+use osmosis_lint::contracts::{ContractGraph, MODEL_CRATES};
 use osmosis_lint::diag::LintReport;
-use osmosis_lint::rules::MODEL_CRATES;
 
 fn fixture(rule: &str, name: &str) -> String {
     let path = format!("{}/fixtures/{rule}/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -350,6 +349,50 @@ fn model_crate_sync_fires_on_all_three_drifts() {
     );
 }
 
+#[test]
+fn model_crate_sync_fires_on_a_manifest_outside_the_lint_table() {
+    // A member manifest without `[lints] workspace = true` escapes every
+    // rustc/clippy contract, `unsafe_code = "forbid"` included.
+    let manifest = |name: &str, lints: &str| {
+        format!("[package]\nname = \"osmosis-{name}\"\nversion.workspace = true\n{lints}")
+    };
+    let inherits = "\n[lints]\nworkspace = true\n";
+    let workspace = |traffic_lints: &str| Artifacts {
+        manifests: vec![
+            ("crates/sim/Cargo.toml".into(), manifest("sim", inherits)),
+            (
+                "crates/traffic/Cargo.toml".into(),
+                manifest("traffic", traffic_lints),
+            ),
+        ],
+        ..Artifacts::default()
+    };
+    let stub = || {
+        vec![(
+            "crates/sim/src/lib.rs",
+            fixture("model-crate-sync", "stub.rs"),
+        )]
+    };
+
+    let (bad, _) = deep(stub(), &workspace("\n[dependencies]\n"));
+    let hits: Vec<_> = bad
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "model-crate-sync")
+        .collect();
+    assert_eq!(hits.len(), 1, "{:#?}", bad.diagnostics);
+    assert_eq!(hits[0].file, "crates/traffic/Cargo.toml");
+    assert!(hits[0].message.contains("[lints] workspace = true"));
+
+    let (good, _) = deep(stub(), &workspace(inherits));
+    assert_eq!(
+        count(&good, "model-crate-sync"),
+        0,
+        "{:#?}",
+        good.diagnostics
+    );
+}
+
 // --- hot-loop-alloc ------------------------------------------------------
 
 #[test]
@@ -471,27 +514,4 @@ fn hot_loop_alloc_audits_the_flow_table_probes_not_the_cold_grow() {
     assert_eq!(allocations(&graph, "stamp"), Some(0));
     assert_eq!(allocations(&graph, "record"), Some(0));
     assert_eq!(allocations(&graph, "grow"), None);
-}
-
-#[test]
-fn deep_findings_honor_file_suppressions() {
-    // A `lint:allow(hot-loop-alloc)` above an allocation suppresses that
-    // one finding through the merged deep pipeline; the rest still fire.
-    let src = fixture("hot-loop-alloc", "bad.rs").replace(
-        "        let mut matched = vec![false; self.n];",
-        "        // lint:allow(hot-loop-alloc): fixture exercises deep suppression\n        \
-         let mut matched = vec![false; self.n];",
-    );
-    let (report, _) = deep(
-        vec![("crates/switch/src/xbar.rs", src)],
-        &Artifacts::default(),
-    );
-    assert_eq!(
-        count(&report, "hot-loop-alloc"),
-        3,
-        "{:#?}",
-        report.diagnostics
-    );
-    assert_eq!(report.suppressed.len(), 1);
-    assert_eq!(report.suppressed[0].rule, "hot-loop-alloc");
 }

@@ -14,7 +14,7 @@
 
 use std::path::Path;
 
-use osmosis_lint::artifacts::Artifacts;
+use osmosis_lint::artifacts::{inherits_workspace_lints, Artifacts};
 use osmosis_lint::context::{walk_workspace, SourceFile};
 use osmosis_lint::{analyze_files_deep, analyze_workspace_deep};
 
@@ -113,6 +113,23 @@ fn live_bench_gate_contract_is_not_vacuous() {
     assert!(!graph.bench_jsons.is_empty());
     for b in &graph.bench_jsons {
         assert!(b.referenced, "baseline {} is a stale artifact", b.name);
+    }
+}
+
+#[test]
+fn live_member_manifests_all_inherit_the_lint_table() {
+    let arts = Artifacts::load(repo_root());
+    assert!(
+        arts.manifests.len() >= 19,
+        "expected the root package, 17 crates and the vendored stand-in, saw {}",
+        arts.manifests.len()
+    );
+    assert!(arts.manifests.iter().any(|(p, _)| p == "Cargo.toml"));
+    for (path, text) in &arts.manifests {
+        assert!(
+            inherits_workspace_lints(text),
+            "{path} escapes the lint table"
+        );
     }
 }
 

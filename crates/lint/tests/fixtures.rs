@@ -1,14 +1,13 @@
-//! The lint engine tested against its fixture corpus: for every rule,
-//! one known-bad file that must fire and one known-clean file that must
-//! not. The fixtures live in `crates/lint/fixtures/` (skipped by the
+//! The token-level rules tested against their fixture corpus: for each
+//! rule, one known-bad file that must fire and one known-clean file that
+//! must not. The fixtures live in `crates/lint/fixtures/` (skipped by the
 //! workspace walker — they are bad on purpose) and are analyzed under
 //! synthetic workspace paths so each rule's crate/file scoping applies
 //! exactly as it would live.
 #![expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 
-use osmosis_lint::context::SourceFile;
+use osmosis_lint::analyze_one;
 use osmosis_lint::diag::LintReport;
-use osmosis_lint::{analyze_files, analyze_one};
 
 fn fixture(rule: &str, name: &str) -> String {
     let path = format!("{}/fixtures/{rule}/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -22,23 +21,11 @@ fn count(report: &LintReport, rule: &str) -> usize {
     report.diagnostics.iter().filter(|d| d.rule == rule).count()
 }
 
-/// Rules whose fixtures are a single (bad, good) pair analyzed under one
-/// synthetic path: (rule, path, expected bad-findings of that rule).
+/// Each rule's (bad, good) pair analyzed under one synthetic path:
+/// (rule, path, expected bad-findings of that rule).
 const SINGLE_FILE_RULES: &[(&str, &str, usize)] = &[
-    // 2 idents in the use plus 2 field types.
-    ("hash-order", "crates/switch/src/fixture.rs", 4),
-    // unwrap, expect, panic!, todo!.
-    ("panic-free", "crates/sim/src/fixture.rs", 4),
-    // Instant (use + call), SystemTime (use + call), env::var.
-    ("determinism", "crates/faults/src/fixture.rs", 5),
-    // One missing attribute.
-    ("forbid-unsafe", "crates/sim/src/lib.rs", 1),
     // Vec::new, push, format!.
     ("zero-cost-plane", "crates/audit/src/fixture.rs", 3),
-    // == and !=.
-    ("float-eq", "crates/analysis/src/fixture.rs", 2),
-    // println!, print!, dbg!.
-    ("no-debug-output", "crates/telemetry/src/fixture.rs", 3),
     // spine, port, switch params.
     ("typed-ids", "crates/fabric/src/fixture.rs", 3),
 ];
@@ -66,114 +53,23 @@ fn every_single_file_rule_fires_on_bad_and_stays_quiet_on_good() {
 #[test]
 fn diagnostics_carry_position_and_snippet() {
     let bad = analyze_one(
-        "crates/sim/src/fixture.rs",
-        &fixture("panic-free", "bad.rs"),
+        "crates/fabric/src/fixture.rs",
+        &fixture("typed-ids", "bad.rs"),
     );
     let d = &bad.diagnostics[0];
-    assert_eq!(d.file, "crates/sim/src/fixture.rs");
-    assert!(d.line > 0 && d.col > 0);
+    assert_eq!(d.file, "crates/fabric/src/fixture.rs");
+    assert_eq!((d.line, d.col), (3, 16));
     assert!(
-        d.snippet.contains("unwrap"),
+        d.snippet.contains("spine: usize"),
         "snippet shows the offending line: {:?}",
         d.snippet
     );
 }
 
 #[test]
-fn cross_crate_unwrap_fires_only_across_crates() {
-    let def = || {
-        SourceFile::new(
-            "crates/fec/src/def.rs",
-            &fixture("cross-crate-unwrap", "def.rs"),
-        )
-    };
-    let bad = analyze_files(vec![
-        def(),
-        SourceFile::new(
-            "crates/sim/src/bad.rs",
-            &fixture("cross-crate-unwrap", "bad.rs"),
-        ),
-    ]);
-    assert_eq!(
-        count(&bad, "cross-crate-unwrap"),
-        1,
-        "{:#?}",
-        bad.diagnostics
-    );
-
-    let good = analyze_files(vec![
-        def(),
-        SourceFile::new(
-            "crates/sim/src/good.rs",
-            &fixture("cross-crate-unwrap", "good.rs"),
-        ),
-    ]);
-    assert_eq!(
-        count(&good, "cross-crate-unwrap"),
-        0,
-        "{:#?}",
-        good.diagnostics
-    );
-
-    // Same crate: the plain panic-free rule governs, not this one.
-    let same = analyze_files(vec![
-        def(),
-        SourceFile::new(
-            "crates/fec/src/caller.rs",
-            &fixture("cross-crate-unwrap", "bad.rs"),
-        ),
-    ]);
-    assert_eq!(
-        count(&same, "cross-crate-unwrap"),
-        0,
-        "{:#?}",
-        same.diagnostics
-    );
-}
-
-#[test]
-fn suppression_fixture_rejects_all_three_abuses() {
-    let bad = analyze_one(
-        "crates/sim/src/fixture.rs",
-        &fixture("suppression", "bad.rs"),
-    );
-    let msgs: Vec<&str> = bad
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule == "suppression")
-        .map(|d| d.message.as_str())
-        .collect();
-    assert!(
-        msgs.iter().any(|m| m.contains("missing its reason")),
-        "{msgs:?}"
-    );
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("unknown rule `no-such-rule`")),
-        "{msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("unused suppression")),
-        "{msgs:?}"
-    );
-    // The unwraps the broken suppressions failed to cover still surface.
-    assert_eq!(count(&bad, "panic-free"), 2, "{:#?}", bad.diagnostics);
-}
-
-#[test]
-fn suppression_fixture_good_is_fully_clean() {
-    let good = analyze_one(
-        "crates/sim/src/fixture.rs",
-        &fixture("suppression", "good.rs"),
-    );
-    assert!(good.is_clean(), "{:#?}", good.diagnostics);
-    assert_eq!(good.suppressed.len(), 2, "both allows silence one finding");
-}
-
-#[test]
-fn bad_fixtures_do_not_leak_into_other_rules_unsuppressed() {
+fn bad_fixtures_do_not_leak_into_other_rules() {
     // Each bad fixture is crafted to violate its own rule; any finding it
-    // raises must belong to that rule (or `suppression` for that corpus).
+    // raises must belong to that rule.
     for &(rule, path, _) in SINGLE_FILE_RULES {
         let bad = analyze_one(path, &fixture(rule, "bad.rs"));
         for d in &bad.diagnostics {
@@ -184,121 +80,6 @@ fn bad_fixtures_do_not_leak_into_other_rules_unsuppressed() {
             );
         }
     }
-}
-
-#[test]
-fn ocs_is_scoped_as_a_model_crate() {
-    // The circuit-mode crate feeds engine fingerprints like any other
-    // model crate: the model-only rules must fire under its paths and
-    // stay quiet under a harness path for the very same source.
-    let bad = fixture("hash-order", "bad.rs");
-    let in_ocs = analyze_one("crates/ocs/src/fixture.rs", &bad);
-    assert!(
-        count(&in_ocs, "hash-order") > 0,
-        "hash-order must fire inside crates/ocs: {:#?}",
-        in_ocs.diagnostics
-    );
-    let in_bench = analyze_one("crates/bench/src/fixture.rs", &bad);
-    assert_eq!(
-        count(&in_bench, "hash-order"),
-        0,
-        "hash-order is model-crate-scoped: {:#?}",
-        in_bench.diagnostics
-    );
-    let nondet = fixture("determinism", "bad.rs");
-    let det_in_ocs = analyze_one("crates/ocs/src/fixture.rs", &nondet);
-    assert!(
-        count(&det_in_ocs, "determinism") > 0,
-        "determinism must fire inside crates/ocs: {:#?}",
-        det_in_ocs.diagnostics
-    );
-}
-
-#[test]
-fn campaign_is_scoped_as_a_model_crate() {
-    // The campaign crate folds per-shard results into campaign
-    // fingerprints, so iteration order and wall clock are
-    // results-affecting there: the model-only and determinism rules
-    // must fire under its paths on the badly-written quarantine ledger
-    // and stay quiet on the deterministic rewrite (whose one wall-clock
-    // read — watchdog pacing — carries a reasoned allow).
-    let bad = fixture("campaign", "bad.rs");
-    let in_campaign = analyze_one("crates/campaign/src/fixture.rs", &bad);
-    assert_eq!(
-        count(&in_campaign, "hash-order"),
-        2,
-        "HashMap use + field type: {:#?}",
-        in_campaign.diagnostics
-    );
-    assert_eq!(
-        count(&in_campaign, "determinism"),
-        2,
-        "Instant use + call: {:#?}",
-        in_campaign.diagnostics
-    );
-    assert_eq!(
-        count(&in_campaign, "panic-free"),
-        1,
-        "unwrap on the recovery path: {:#?}",
-        in_campaign.diagnostics
-    );
-    let in_bench = analyze_one("crates/bench/src/fixture.rs", &bad);
-    assert_eq!(
-        count(&in_bench, "hash-order"),
-        0,
-        "hash-order is model-crate-scoped: {:#?}",
-        in_bench.diagnostics
-    );
-    let good = analyze_one(
-        "crates/campaign/src/fixture.rs",
-        &fixture("campaign", "good.rs"),
-    );
-    assert!(
-        good.diagnostics.is_empty(),
-        "the deterministic quarantine ledger must be clean: {:#?}",
-        good.diagnostics
-    );
-}
-
-#[test]
-fn fdl_is_scoped_as_a_model_crate() {
-    // The delay-line crate sits inside every FDL-buffered fabric's slot
-    // loop, so its state feeds engine fingerprints directly: hash-ordered
-    // line maps, wall-clock emergence stamps and unwrap-on-overflow must
-    // all fire under its paths and stay quiet under a harness path.
-    let bad = fixture("fdl", "bad.rs");
-    let in_fdl = analyze_one("crates/fdl/src/fixture.rs", &bad);
-    assert_eq!(
-        count(&in_fdl, "hash-order"),
-        2,
-        "HashMap use + field type: {:#?}",
-        in_fdl.diagnostics
-    );
-    assert_eq!(
-        count(&in_fdl, "determinism"),
-        2,
-        "Instant use + call: {:#?}",
-        in_fdl.diagnostics
-    );
-    assert_eq!(
-        count(&in_fdl, "panic-free"),
-        1,
-        "unwrap on the overflow path: {:#?}",
-        in_fdl.diagnostics
-    );
-    let in_bench = analyze_one("crates/bench/src/fixture.rs", &bad);
-    assert_eq!(
-        count(&in_bench, "hash-order"),
-        0,
-        "hash-order is model-crate-scoped: {:#?}",
-        in_bench.diagnostics
-    );
-    let good = analyze_one("crates/fdl/src/fixture.rs", &fixture("fdl", "good.rs"));
-    assert!(
-        good.diagnostics.is_empty(),
-        "the slot-clocked delay-line bank must be clean: {:#?}",
-        good.diagnostics
-    );
 }
 
 #[test]

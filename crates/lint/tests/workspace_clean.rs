@@ -1,12 +1,11 @@
 //! Meta-test: `osmosis-lint` runs clean on the live workspace. This is
-//! the same pass CI runs as a hard gate — if this test fails, a
-//! determinism / panic-safety / zero-cost-plane contract was broken (or
-//! a suppression lost its justification).
+//! the same token-level pass CI runs as a hard gate — if this test
+//! fails, the zero-cost-plane or typed-ids contract was broken.
 
 use std::path::Path;
 
 #[test]
-fn live_workspace_has_zero_unsuppressed_diagnostics() {
+fn live_workspace_has_zero_diagnostics() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
     let report = match osmosis_lint::analyze_workspace(&root) {
         Ok(r) => r,
@@ -21,11 +20,6 @@ fn live_workspace_has_zero_unsuppressed_diagnostics() {
         report.is_clean(),
         "workspace must lint clean; findings:\n{}",
         report.render_human()
-    );
-    assert!(
-        !report.suppressed.is_empty(),
-        "the workspace carries reasoned allows; zero suppressed findings \
-         means suppression matching silently broke"
     );
 }
 

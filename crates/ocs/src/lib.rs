@@ -29,7 +29,6 @@
 //! packet-mode fingerprint bit-identical (pinned in
 //! `tests/fingerprint_pins.rs`).
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod bvn;

@@ -27,7 +27,6 @@
 //! let _ = GuardBudget::osmosis_default();
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod burst;

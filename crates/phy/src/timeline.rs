@@ -98,8 +98,6 @@ impl Timeline {
             .iter()
             .find(|(_, s)| *s == step)
             .map(|(t, _)| *t)
-            // lint:allow(panic-free): documented panic contract — a
-            // timeline is always built with every step recorded
             .expect("step missing from timeline")
     }
 

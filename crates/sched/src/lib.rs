@@ -37,7 +37,6 @@
 //! assert_eq!(waited, 6);                          // log2(64) cycles
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod arbiter;

@@ -114,11 +114,7 @@ impl CellSwitch for CioqSwitch {
                     clippy::expect_used,
                     reason = "the request masks track the VOQs, so a granted VOQ still holds its cell"
                 )]
-                let mut cell = q
-                    .pop_front()
-                    // lint:allow(panic-free): the request masks track the
-                    // VOQs, so a granted VOQ still holds its cell
-                    .expect("accepted grant with an empty VOQ");
+                let mut cell = q.pop_front().expect("accepted grant with an empty VOQ");
                 if q.is_empty() {
                     let col = o * words;
                     self.requests[col + i / 64] &= !(1 << (i % 64));

@@ -92,8 +92,6 @@ impl CellSwitch for DeflectionSwitch {
             )]
             let cell = self.loops[winner]
                 .pop_front()
-                // lint:allow(panic-free): contenders are collected from
-                // non-empty ring slots this same arbitration pass
                 .expect("contender with an empty loop queue");
             obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             // Losers: rotate to the back of their loop — they lost a slot

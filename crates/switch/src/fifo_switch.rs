@@ -81,9 +81,6 @@ impl CellSwitch for FifoSwitch {
                 )]
                 let mut cell = self.fifos[i]
                     .pop_front()
-                    // lint:allow(panic-free): the output arbiter only
-                    // considers inputs whose FIFO head requests this
-                    // output, so a winner's FIFO is never empty
                     .expect("arbitration winner with an empty FIFO");
                 cell.grant_slot = slot;
                 obs.cell_granted(i, o, cell.inject_slot);

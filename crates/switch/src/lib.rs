@@ -23,7 +23,6 @@
 //! stalls, receiver conflicts) are available through any
 //! [`TraceSink`](osmosis_sim::TraceSink) via [`run_switch_traced`].
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod burst_switch;

@@ -139,8 +139,6 @@ impl MulticastSwitch {
             )]
             let head = self.queues[i]
                 .front_mut()
-                // lint:allow(panic-free): `served` only lists inputs whose
-                // head cell won at least one output this slot
                 .expect("served input with an empty queue");
             for &o in &self.served[i] {
                 head.residue[o] = false;

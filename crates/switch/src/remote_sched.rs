@@ -119,9 +119,6 @@ impl CellSwitch for RemoteSchedulerSwitch {
             )]
             let mut cell = self.voq[i * n + o]
                 .pop_front()
-                // lint:allow(panic-free): a grant is only issued for a
-                // request filed by a queued cell, and grant-loss re-queues
-                // the request rather than dropping the cell
                 .expect("grant for missing cell");
             cell.grant_slot = t;
             obs.cell_granted(i, o, cell.inject_slot);

@@ -123,8 +123,6 @@ impl CellSwitch for VoqSwitch {
             )]
             let mut cell = q
                 .pop_front()
-                // lint:allow(panic-free): FLPPR validates every matching
-                // against the occupancy snapshot before it is applied
                 .expect("scheduler granted a cell the VOQ does not hold");
             cell.grant_slot = slot;
             obs.cell_granted(i, o, cell.inject_slot);

@@ -32,7 +32,6 @@
 //! <path.jsonl>` on the bench bins), validated by
 //! [`validate_jsonl`](export::validate_jsonl).
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod export;

@@ -300,8 +300,6 @@ impl SpanPlane {
                     )]
                     let (_, wait) = q
                         .remove(pos)
-                        // lint:allow(panic-free): `pos` comes from
-                        // `position` over this same queue a line above
                         .expect("position() returned an out-of-range index");
                     self.reordered += 1;
                     (wait, true)

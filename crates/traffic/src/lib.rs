@@ -7,7 +7,6 @@
 //! evaluates throughput under uniform and adversarial (hotspot,
 //! permutation, bursty) patterns, as its references [10][17][22] do.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod generators;

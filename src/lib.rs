@@ -1,6 +1,5 @@
 //! Umbrella crate: re-exports the OSMOSIS workspace crates for integration
 //! tests and examples. See `osmosis-core` for the main public API.
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub use osmosis_analysis as analysis;
