@@ -13,7 +13,7 @@ use osmosis_phy::datapath::{BroadcastSelectCrossbar, CrossbarConfig};
 use osmosis_phy::guard::{CellEfficiency, GuardBudget};
 use osmosis_phy::units::Db;
 use osmosis_sched::{CellScheduler, Flppr};
-use osmosis_sim::{SlotClock, TimeDelta};
+use osmosis_sim::TimeDelta;
 use osmosis_switch::{EngineConfig, EngineReport, VoqSwitch};
 use osmosis_traffic::TrafficGen;
 
@@ -82,11 +82,6 @@ impl Demonstrator {
         self.efficiency.cycle()
     }
 
-    /// The slot clock anchoring slotted simulations to real time.
-    pub fn slot_clock(&self) -> SlotClock {
-        SlotClock::new(self.cell_cycle())
-    }
-
     /// Effective user bandwidth as a fraction of the raw port rate.
     pub fn user_bandwidth_fraction(&self) -> f64 {
         self.efficiency.user_fraction()
@@ -100,11 +95,6 @@ impl Demonstrator {
     /// A fresh FLPPR scheduler at the demonstrator's parameters.
     pub fn scheduler(&self) -> Flppr {
         Flppr::osmosis(self.config.ports, self.config.receivers)
-    }
-
-    /// A fresh single-receiver FLPPR (the Fig. 7 comparison arm).
-    pub fn scheduler_single_receiver(&self) -> Flppr {
-        Flppr::osmosis(self.config.ports, 1)
     }
 
     /// A fresh switch simulation around a scheduler.

@@ -203,13 +203,6 @@ impl OsmosisCode {
         }
     }
 
-    /// Extract the data part of a (decoded) block.
-    pub fn data_of(block: &[u8; BLOCK_SYMBOLS]) -> [u8; DATA_SYMBOLS] {
-        let mut d = [0u8; DATA_SYMBOLS];
-        d.copy_from_slice(&block[..DATA_SYMBOLS]);
-        d
-    }
-
     /// True if the block is a codeword.
     pub fn is_codeword(&self, block: &[u8; BLOCK_SYMBOLS]) -> bool {
         self.syndrome(block) == (0, 0)

@@ -46,11 +46,6 @@ impl LinkConfig {
             seed,
         }
     }
-
-    /// Minimum window that keeps the link busy: one RTT of cells plus one.
-    pub fn min_full_rate_window(&self) -> u64 {
-        2 * self.delay_slots + 1
-    }
 }
 
 /// Result of a reliable-link run.

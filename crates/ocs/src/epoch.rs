@@ -53,24 +53,6 @@ impl EpochConfig {
         )
     }
 
-    /// Override the epoch length.
-    pub fn with_epoch_slots(mut self, epoch_slots: u64) -> Self {
-        self.epoch_slots = epoch_slots.max(1);
-        self
-    }
-
-    /// Override the per-reconfiguration guard charge.
-    pub fn with_guard_slots(mut self, guard_slots: u64) -> Self {
-        self.guard_slots = guard_slots;
-        self
-    }
-
-    /// Override the frame length.
-    pub fn with_frame_epochs(mut self, frame_epochs: usize) -> Self {
-        self.frame_epochs = frame_epochs.max(1);
-        self
-    }
-
     /// Fraction of an epoch that can carry payload when the epoch paid a
     /// reconfiguration (the OCS duty cycle).
     pub fn duty_cycle(&self) -> f64 {

@@ -819,20 +819,6 @@ impl<'a, T: TraceSink> Observer<'a, T> {
         }
     }
 
-    /// A cell was permanently lost to a fault at `port` (counted both as
-    /// a drop and in the fault-loss tally).
-    #[inline]
-    pub fn cell_lost_to_fault(&mut self, port: usize) {
-        if self.measuring {
-            self.dropped += 1;
-            self.fault_cells_lost += 1;
-        }
-        if let Some(a) = self.audit.as_mut() {
-            a.cell_dropped(self.slot, port, DropReason::FaultLoss);
-        }
-        self.trace(TraceEvent::Drop { port: port as u32 });
-    }
-
     /// A corrupted cell was re-sent over `port`'s hop-by-hop recovery
     /// path this slot.
     #[inline]

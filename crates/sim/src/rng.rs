@@ -4,14 +4,11 @@
 //! [`SimRng`] stream, derived from a single experiment seed through
 //! [`SeedSequence`]. This keeps runs bit-reproducible regardless of
 //! component construction order or thread scheduling, and independent of
-//! the `rand` crate's generator choices across versions.
+//! any external crate's generator choices across versions.
 //!
 //! The generator is xoshiro256\*\* (Blackman & Vigna), seeded through
 //! SplitMix64 as its authors recommend. Both are implemented here so the
-//! streams are stable forever; [`rand::RngCore`] is implemented so the
-//! generator composes with `rand`'s distributions.
-
-use rand::RngCore;
+//! streams are stable forever.
 
 /// SplitMix64: a tiny, well-distributed 64-bit generator used only to expand
 /// seeds for xoshiro state and to derive child seeds.
@@ -144,28 +141,6 @@ impl SimRng {
         let mut p: Vec<usize> = (0..n).collect();
         self.shuffle(&mut p);
         p
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        SimRng::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
     }
 }
 
@@ -334,16 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_bytes_covers_remainder() {
-        let mut r = SimRng::seed_from_u64(29);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        // All-zero tail would indicate the remainder path was skipped;
-        // probability of legitimately drawing five zero bytes is ~2^-40.
-        assert!(buf[8..].iter().any(|&b| b != 0));
-    }
-
-    #[test]
     fn seed_sequence_streams_are_stable_and_independent() {
         let seq = SeedSequence::new(99);
         assert_eq!(seq.child_seed("voq", 0), seq.child_seed("voq", 0));
@@ -351,14 +316,5 @@ mod tests {
         assert_ne!(seq.child_seed("voq", 0), seq.child_seed("egress", 0));
         let sub = seq.subsequence("switch", 3);
         assert_ne!(sub.child_seed("voq", 0), seq.child_seed("voq", 0));
-    }
-
-    #[test]
-    fn rngcore_next_u32_uses_high_bits() {
-        let mut a = SimRng::seed_from_u64(31);
-        let mut b = SimRng::seed_from_u64(31);
-        let x = RngCore::next_u64(&mut a);
-        let y = RngCore::next_u32(&mut b);
-        assert_eq!((x >> 32) as u32, y);
     }
 }

@@ -359,12 +359,6 @@ impl SweepOptions {
         self
     }
 
-    /// Pin the worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
     /// Attach a live progress observer.
     pub fn with_progress(mut self, hook: ProgressHook) -> Self {
         self.progress = Some(hook);

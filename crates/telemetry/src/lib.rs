@@ -90,12 +90,6 @@ impl TelemetryConfig {
         }
     }
 
-    /// Set the span sampling period (clamped to ≥ 1).
-    pub fn with_sample_every(mut self, k: u64) -> Self {
-        self.sample_every = k.max(1);
-        self
-    }
-
     /// Set the snapshot cadence in slots (0 disables).
     pub fn with_snapshot_every(mut self, slots: u64) -> Self {
         self.snapshot_every = slots;
@@ -214,14 +208,6 @@ pub mod metrics {
     pub const MAX_QUEUE_DEPTH: MetricId = MetricId::new(Component::Voq, "max_queue_depth");
     /// Deepest egress queue gauge.
     pub const MAX_EGRESS_DEPTH: MetricId = MetricId::new(Component::Egress, "max_egress_depth");
-    /// Epochs opened by the circuit scheduler.
-    pub const OCS_EPOCHS: MetricId = MetricId::new(Component::Ocs, "epochs");
-    /// Circuit reconfigurations performed.
-    pub const OCS_RECONFIGURATIONS: MetricId = MetricId::new(Component::Ocs, "reconfigurations");
-    /// Guard slots paid across all reconfigurations.
-    pub const OCS_GUARD_SLOTS: MetricId = MetricId::new(Component::Ocs, "guard_slots");
-    /// Mean per-epoch circuit utilization gauge.
-    pub const OCS_UTILIZATION: MetricId = MetricId::new(Component::Ocs, "utilization");
 }
 
 /// The telemetry sink: a [`TraceSink`] that populates the registry,
