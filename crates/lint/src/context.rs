@@ -32,8 +32,7 @@ pub struct SourceFile {
     pub kind: FileKind,
     /// Raw source lines, for diagnostics snippets.
     pub lines: Vec<String>,
-    /// Lexed code tokens.
-    pub tokens: Vec<Tok>,
+    tokens: Vec<Tok>,
     /// Inclusive line ranges covered by `#[cfg(test)]` / `#[test]` items.
     pub test_regions: Vec<(u32, u32)>,
 }
