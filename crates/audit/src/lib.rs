@@ -55,8 +55,9 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditMode {
     /// Panic (with the violation's display form) the moment any auditor
-    /// records one. The sweep supervisor catches the panic, so a
-    /// violating job fails loudly without aborting its siblings.
+    /// records one. The panic propagates out of the run, and out of a
+    /// sweep once its other workers stop, so a violating job fails
+    /// loudly; a checkpointed sweep keeps every point finished before it.
     FailFast,
     /// Record violations and keep running; totals surface in the
     /// [`AuditReport`] and the run's `audit_violations` report extra.
@@ -861,7 +862,7 @@ impl AuditSet {
     /// In fail-fast mode, panic with the first newly recorded violation.
     #[expect(
         clippy::panic,
-        reason = "FailFast mode panics by contract, also for auditors that count but do not store violations: the sweep supervisor catches it, so one violating job fails loudly without killing siblings"
+        reason = "FailFast mode panics by contract, also for auditors that count but do not store violations: a violating run fails loudly instead of reporting numbers"
     )]
     fn bark(&mut self) {
         let total = self.total_violations();

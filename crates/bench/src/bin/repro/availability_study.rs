@@ -28,7 +28,6 @@ pub fn run(args: &Args) {
         telemetry: args.telemetry.clone(),
         progress: args.progress,
         topology,
-        ..Default::default()
     };
     let run = availability::run_with(args.scale(), 0xFA11, &opts);
     let r = or_exit(run, 1, "availability sweep failed");

@@ -20,8 +20,8 @@
 //!
 //! All fault timelines derive from the run seed, so every number here is
 //! exactly reproducible — including across a crash: the sweeps run under
-//! the supervised sweep runner ([`osmosis_sim::supervised_sweep`]), and
-//! with [`AvailabilityOptions::checkpoint_dir`] set they checkpoint each
+//! [`osmosis_sim::checkpointed_sweep`], and with
+//! [`AvailabilityOptions::checkpoint_dir`] set they checkpoint each
 //! completed point to disk and resume bit-identically after an
 //! interruption. [`AvailabilityOptions::audit`] attaches the invariant
 //! auditors (`osmosis-audit`) to every run; a clean audit leaves each
@@ -34,8 +34,8 @@ use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis_sim::engine::{Engine, TraceEvent, TraceSink};
 use osmosis_sim::json::Value;
 use osmosis_sim::{
-    checkpointed_sweep, supervised_sweep, Auditor, CheckpointLog, FaultView, SeedSequence,
-    SweepError, SweepOptions, SweepState, SweepSummary,
+    checkpointed_sweep, Auditor, CheckpointLog, FaultView, SeedSequence, SweepError, SweepProgress,
+    SweepState,
 };
 use osmosis_switch::driven::Driven;
 use osmosis_telemetry::TelemetrySink;
@@ -141,8 +141,8 @@ pub struct AvailabilityResult {
     pub audit_violations: u64,
 }
 
-/// Knobs for [`run_with`]: audit plane, crash-safe checkpointing, and
-/// the sweep supervisor's retry/budget policy.
+/// Knobs for [`run_with`]: audit plane, crash-safe checkpointing,
+/// telemetry, live progress and the topology.
 #[derive(Debug, Clone, Default)]
 pub struct AvailabilityOptions {
     /// Attach the full invariant-audit battery to every run. Clean runs
@@ -151,10 +151,6 @@ pub struct AvailabilityOptions {
     /// Directory for sweep checkpoint files. When set, interrupted
     /// experiments resume from completed points with identical results.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Per-job slot budget for the supervisor's watchdog (`None`: off).
-    pub slot_budget: Option<u64>,
-    /// Supervisor retry attempts per job (`None`: the default, 3).
-    pub max_attempts: Option<u32>,
     /// Stream telemetry (metrics registry, spans, snapshots) from the
     /// nominal and stochastic legs to this JSONL file. Telemetry only
     /// observes: every report stays bit-identical to an unobserved run.
@@ -296,27 +292,6 @@ fn ckpt_key(tag: u64, spec: &TopologySpec, seed: u64) -> u64 {
     h
 }
 
-/// Run a sweep under the supervisor, checkpointing when a directory is
-/// configured, and unwrap the outputs (propagating the first job that
-/// failed all its retries).
-fn sweep<I, O, F>(
-    inputs: Vec<I>,
-    sweep_opts: &SweepOptions,
-    ckpt: Option<CheckpointLog>,
-    f: F,
-) -> Result<Vec<O>, SweepError>
-where
-    I: Send,
-    O: Send + SweepState,
-    F: Fn(&I) -> O + Sync,
-{
-    let summary: SweepSummary<O> = match ckpt {
-        Some(ckpt) => checkpointed_sweep(inputs, sweep_opts, &ckpt, f)?,
-        None => supervised_sweep(inputs, sweep_opts, f),
-    };
-    summary.into_outputs()
-}
-
 /// Run the experiment with default options (no audit, no checkpoints).
 pub fn run(scale: Scale, seed: u64) -> AvailabilityResult {
     match run_with(scale, seed, &AvailabilityOptions::default()) {
@@ -329,7 +304,7 @@ pub fn run(scale: Scale, seed: u64) -> AvailabilityResult {
     }
 }
 
-/// Run the experiment under explicit supervisor/audit/checkpoint options.
+/// Run the experiment under explicit audit/checkpoint/telemetry options.
 pub fn run_with(
     scale: Scale,
     seed: u64,
@@ -340,16 +315,10 @@ pub fn run_with(
     let planes = spec.wavelength_planes();
     let cfg = EngineConfig::new(500, scale.measure().min(12_000)).with_seed(seed);
 
-    let mut sweep_opts = SweepOptions::seeded(seed).with_backoff_base_ms(0);
-    if let Some(b) = opts.slot_budget {
-        sweep_opts = sweep_opts.with_slot_budget(b);
-    }
-    if let Some(a) = opts.max_attempts {
-        sweep_opts = sweep_opts.with_max_attempts(a);
-    }
-    if opts.progress {
-        sweep_opts = sweep_opts.with_progress(osmosis_telemetry::stderr_progress("availability"));
-    }
+    let stderr_progress = osmosis_telemetry::stderr_progress("availability");
+    let progress = opts
+        .progress
+        .then_some(&stderr_progress as &(dyn Fn(SweepProgress) + Sync));
 
     // One telemetry sink observes both sequential legs (nominal +
     // stochastic), streaming a two-run JSONL document. The parallel
@@ -388,14 +357,12 @@ pub fn run_with(
 
     // 1. Throughput vs permanently failed planes. k = 0 runs through an
     // empty FaultPlan: the report must be bit-identical to `nominal`.
-    // Each point is one supervised job; a panicking or budget-exceeding
-    // point is retried and reported without aborting its siblings.
     let failed_counts: Vec<u64> = (0..=planes as u64 / 2).collect();
-    let reports = sweep(
+    let reports = checkpointed_sweep(
         failed_counts,
-        &sweep_opts,
-        ckpt(1, "plane_sweep.jsonl"),
-        |&failed| {
+        ckpt(1, "plane_sweep.jsonl").as_ref(),
+        progress,
+        |failed| {
             let mut plan = FaultPlan::new();
             for plane in 0..failed as usize {
                 plan = plan.permanent(FaultKind::WavelengthLoss { plane }, 0);
@@ -431,45 +398,50 @@ pub fn run_with(
         Scale::Quick => vec![600, 1_200],
         Scale::Full => vec![1_500, 3_000],
     };
-    let mttr_sweep = sweep(mttrs, &sweep_opts, ckpt(2, "mttr_sweep.jsonl"), |&mttr| {
-        let mut plan = FaultPlan::new();
-        for plane in 0..outage_planes {
-            plan = plan.one_shot(FaultKind::WavelengthLoss { plane }, fault_at, Some(mttr));
-        }
-        let horizon = fault_at + mttr + 2_000;
-        let run_cfg = EngineConfig::new(0, horizon).with_seed(seed);
-        let mut windows = DeliveryWindows::new(WINDOW);
-        let (_, audit_violations) = run_leg(
-            &spec,
-            seed,
-            &run_cfg,
-            &mut windows,
-            Some(plan),
-            opts.audit,
-            false,
-        );
+    let mttr_sweep = checkpointed_sweep(
+        mttrs,
+        ckpt(2, "mttr_sweep.jsonl").as_ref(),
+        progress,
+        |mttr| {
+            let mut plan = FaultPlan::new();
+            for plane in 0..outage_planes {
+                plan = plan.one_shot(FaultKind::WavelengthLoss { plane }, fault_at, Some(mttr));
+            }
+            let horizon = fault_at + mttr + 2_000;
+            let run_cfg = EngineConfig::new(0, horizon).with_seed(seed);
+            let mut windows = DeliveryWindows::new(WINDOW);
+            let (_, audit_violations) = run_leg(
+                &spec,
+                seed,
+                &run_cfg,
+                &mut windows,
+                Some(plan),
+                opts.audit,
+                false,
+            );
 
-        // Skip the pipe-fill ramp when averaging the nominal phase, and
-        // the transition window when averaging the outage.
-        let nominal_per_window = windows.mean_over(300, fault_at);
-        let repair = fault_at + mttr;
-        let degraded_per_window = windows.mean_over(fault_at + WINDOW, repair);
-        let per_host = WINDOW as f64 * hosts as f64;
+            // Skip the pipe-fill ramp when averaging the nominal phase, and
+            // the transition window when averaging the outage.
+            let nominal_per_window = windows.mean_over(300, fault_at);
+            let repair = fault_at + mttr;
+            let degraded_per_window = windows.mean_over(fault_at + WINDOW, repair);
+            let per_host = WINDOW as f64 * hosts as f64;
 
-        let first = repair.div_ceil(WINDOW);
-        let last = horizon / WINDOW;
-        let recovery_slots = (first..last)
-            .find(|&w| windows.count(w as usize) as f64 >= 0.95 * nominal_per_window)
-            .map(|w| (w + 1) * WINDOW - repair);
+            let first = repair.div_ceil(WINDOW);
+            let last = horizon / WINDOW;
+            let recovery_slots = (first..last)
+                .find(|&w| windows.count(w as usize) as f64 >= 0.95 * nominal_per_window)
+                .map(|w| (w + 1) * WINDOW - repair);
 
-        MttrPoint {
-            mttr,
-            nominal_windowed: nominal_per_window / per_host,
-            degraded_windowed: degraded_per_window / per_host,
-            recovery_slots,
-            audit_violations,
-        }
-    })?;
+            MttrPoint {
+                mttr,
+                nominal_windowed: nominal_per_window / per_host,
+                degraded_windowed: degraded_per_window / per_host,
+                recovery_slots,
+                audit_violations,
+            }
+        },
+    )?;
     violations += mttr_sweep.iter().map(|m| m.audit_violations).sum::<u64>();
 
     // 3. Stochastic availability of one plane under MTBF/MTTR repair.
@@ -687,7 +659,7 @@ mod tests {
             ..Default::default()
         };
         // First pass populates the checkpoints; the second restores every
-        // point from disk. Both must match an unsupervised reference.
+        // point from disk. Both must match a run without checkpoints.
         let first = run_with(Scale::Quick, 31, &opts).expect("first pass");
         let resumed = run_with(Scale::Quick, 31, &opts).expect("resumed pass");
         let reference = run(Scale::Quick, 31);

@@ -1075,9 +1075,6 @@ impl<'a, T: TraceSink> Engine<'a, T> {
         });
         model.configure(&cfg);
         let total_slots = cfg.warmup_slots + cfg.measure_slots;
-        // Supervised sweeps bound each job by a slot budget; an over-budget
-        // window aborts deterministically before the first slot runs.
-        crate::sweep::watchdog::charge(total_slots);
         if T::ENABLED {
             sink.run_begin(&cfg, ports);
         }
@@ -1091,7 +1088,6 @@ impl<'a, T: TraceSink> Engine<'a, T> {
             model.deliver(t, &mut obs);
             model.inject(t, &mut obs);
         }
-        crate::sweep::watchdog::consume(total_slots);
         let resident = model.resident_cells();
         let fault_cells_lost = obs.fault_cells_lost;
         let fault_retransmits = obs.fault_retransmits;

@@ -40,8 +40,7 @@ pub use fault::{FaultView, NullFaults};
 pub use rng::{SeedSequence, SimRng};
 pub use stats::{Counter, Histogram, SimSummary, Welford};
 pub use sweep::{
-    checkpointed_sweep, linspace, logspace, parallel_sweep, supervised_sweep, watchdog,
-    CheckpointLog, JobOutcome, JobRecord, ProgressHook, ProgressOutcome, SweepError, SweepOptions,
-    SweepProgress, SweepState, SweepSummary,
+    checkpointed_sweep, linspace, logspace, parallel_sweep, CheckpointLog, ProgressOutcome,
+    SweepError, SweepProgress, SweepState,
 };
 pub use time::{SlotClock, Time, TimeDelta};

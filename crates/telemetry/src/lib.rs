@@ -47,7 +47,7 @@ pub use registry::{Component, LogHistogram, MetricId, MetricsRegistry, LOG_BUCKE
 pub use spans::{CellSpan, Decomposition, SpanConfig, SpanPlane, SEGMENTS};
 
 use osmosis_sim::engine::{EngineConfig, EngineReport, TraceEvent, TraceSink};
-use osmosis_sim::sweep::{ProgressHook, ProgressOutcome};
+use osmosis_sim::sweep::{ProgressOutcome, SweepProgress};
 use std::io::Write;
 use std::path::Path;
 
@@ -551,27 +551,23 @@ impl TraceSink for NullTelemetry {
     fn event(&mut self, _slot: u64, _event: TraceEvent) {}
 }
 
-/// A live progress reporter for supervised/checkpointed sweeps: prints
-/// one stderr line per finished job. Pass to
-/// `SweepOptions::with_progress`.
-pub fn stderr_progress(label: &str) -> ProgressHook {
+/// A live progress reporter for checkpointed sweeps: prints one stderr
+/// line per finished or restored job. Pass a reference to it as
+/// `checkpointed_sweep`'s progress observer.
+pub fn stderr_progress(label: &str) -> impl Fn(SweepProgress) + Send + Sync {
     let label = label.to_string();
-    ProgressHook::new(move |p| {
+    move |p| {
         let what = match p.outcome {
             ProgressOutcome::Completed => "done",
             ProgressOutcome::Restored => "restored from checkpoint",
-            ProgressOutcome::Failed => "FAILED",
         };
         eprintln!(
-            "[{label}] job {}/{} {} (attempt {}, {} finished, {} failed)",
+            "[{label}] job {}/{} {what} ({} finished)",
             p.job + 1,
             p.total,
-            what,
-            p.attempts,
-            p.finished,
-            p.failed
+            p.finished
         );
-    })
+    }
 }
 
 #[cfg(test)]
