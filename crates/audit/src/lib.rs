@@ -1347,4 +1347,39 @@ mod tests {
         set.configure(&cfg(), 4);
         set.flow_regressed(1, 0, 1, 2, 2);
     }
+
+    #[test]
+    fn unordered_ignores_a_regression_standard_records() {
+        for (mut set, expected) in [
+            (AuditSet::standard(AuditMode::Accumulate), 1),
+            (AuditSet::unordered(AuditMode::Accumulate), 0),
+        ] {
+            set.configure(&cfg(), 4);
+            set.flow_regressed(1, 0, 1, 2, 2);
+            assert_eq!(set.total_violations(), expected);
+        }
+    }
+
+    #[test]
+    fn totals_stay_exact_past_the_stored_sample() {
+        let mut set = AuditSet::standard(AuditMode::Accumulate);
+        set.configure(&cfg(), 4);
+        let short = CreditLedger {
+            held: 1,
+            in_flight: 0,
+            occupancy: 0,
+            capacity: 4,
+        };
+        for slot in 0..100 {
+            set.credit_link(slot, 0, 1, short);
+        }
+        assert_eq!(set.total_violations(), 100);
+        let report = set.report();
+        let stored: usize = report.entries.iter().map(|e| e.sample.len()).sum();
+        assert!(stored <= 64, "{stored} stored");
+        assert!(
+            report.to_string().contains("... 36 more not stored"),
+            "{report}"
+        );
+    }
 }
