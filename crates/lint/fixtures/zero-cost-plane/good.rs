@@ -1,14 +1,14 @@
 // Fixture: the null impl stays empty; a *real* plane may allocate freely.
-pub struct NoAudit;
+pub struct NullFaults;
 
-impl Auditor for NoAudit {}
+impl FaultView for NullFaults {}
 
-pub struct RecordingAudit {
-    events: Vec<(u64, usize)>,
+pub struct RecordingFaults {
+    slots: Vec<u64>,
 }
 
-impl Auditor for RecordingAudit {
-    fn flow_regressed(&mut self, slot: u64, src: usize, _dst: usize, _seq: u64, _last_seq: u64) {
-        self.events.push((slot, src));
+impl FaultView for RecordingFaults {
+    fn begin_slot(&mut self, slot: u64) {
+        self.slots.push(slot);
     }
 }

@@ -13,16 +13,10 @@ use crate::context::{FileKind, SourceFile};
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{Tok, TokKind};
 
-/// Null-object types of the observation and circuit planes plus the
-/// engine's built-in no-op sink. Their impls are the zero-cost claim:
+/// Null-object types of the fault and circuit planes plus the engine's
+/// built-in no-op sink. Their impls are the zero-cost claim:
 /// nothing in them may allocate.
-pub const NULL_PLANE_TYPES: &[&str] = &[
-    "NullTelemetry",
-    "NullTrace",
-    "NoAudit",
-    "NullFaults",
-    "NullCircuits",
-];
+pub const NULL_PLANE_TYPES: &[&str] = &["NullTrace", "NullFaults", "NullCircuits"];
 
 /// Static description of one rule, for `--list-rules` and the docs.
 pub struct RuleInfo {
@@ -42,7 +36,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "zero-cost-plane",
         severity: Severity::Error,
-        summary: "no allocation in NullTelemetry/NullTrace/NoAudit/NullFaults impls — the disabled planes must stay free",
+        summary: "no allocation in NullTrace/NullFaults/NullCircuits impls — the disabled planes must stay free",
         deep: false,
     },
     RuleInfo {
@@ -109,8 +103,8 @@ pub fn check_file(file: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
-/// Rule `zero-cost-plane`: inside any `impl … for NullTelemetry /
-/// NullTrace / NoAudit / NullFaults` block, allocation-constructing
+/// Rule `zero-cost-plane`: inside any `impl … for NullTrace /
+/// NullFaults / NullCircuits` block, allocation-constructing
 /// calls are banned. These impls *are* the zero-cost claim — PR 2–4
 /// prove "disabled plane ⇒ bit-identical fingerprints" dynamically;
 /// this keeps the "and free" half visible statically.

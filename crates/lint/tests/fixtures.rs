@@ -25,7 +25,7 @@ fn count(report: &LintReport, rule: &str) -> usize {
 /// (rule, path, expected bad-findings of that rule).
 const SINGLE_FILE_RULES: &[(&str, &str, usize)] = &[
     // Vec::new, push, format!.
-    ("zero-cost-plane", "crates/audit/src/fixture.rs", 3),
+    ("zero-cost-plane", "crates/sim/src/fixture.rs", 3),
     // spine, port, switch params.
     ("typed-ids", "crates/fabric/src/fixture.rs", 3),
 ];

@@ -13,20 +13,20 @@
 //! included — plus model-reported state snapshots (scheduler capacities,
 //! per-link credit ledgers), and checks invariants as the run progresses.
 //!
-//! The hook follows the exact zero-cost pattern of
+//! The hook follows the pattern of
 //! [`FaultView`](crate::fault::FaultView): every method has an empty
-//! default, [`NoAudit`] is the null object, and the engine stores the
-//! auditor as an `Option` that is `None` on un-audited runs — so a plain
-//! run pays one predictable branch per event and its report fingerprint
-//! is bit-identical to a build without the hook. The concrete invariant
-//! auditors (conservation, ordering, capacity legality, liveness) live in
-//! the `osmosis-audit` crate; this module only defines the interface so
-//! the simulation kernel stays dependency-free.
+//! default, and the engine stores the auditor as an `Option` whose
+//! `None` is the disabled plane — so a plain run pays one predictable
+//! branch per event and its report fingerprint is bit-identical to a
+//! build without the hook. The invariant battery (conservation,
+//! ordering, capacity legality, liveness) is `AuditSet` in the
+//! `osmosis-audit` crate; this module only defines the interface so the
+//! simulation kernel stays dependency-free.
 
 use crate::engine::{EngineConfig, EngineReport};
 
 /// Why a cell was dropped — the attribution the cell-conservation
-/// auditor needs to close its ledger.
+/// check needs to close its ledger.
 ///
 /// The distinction that matters is *admission*: a [`Rejected`] arrival
 /// was never injected (the host must retry — deflection's full
@@ -84,7 +84,7 @@ impl CreditLedger {
 /// warm-up cells that drain during measurement. Implementations must not
 /// perturb the run: auditors observe, models never read them back, so an
 /// audited run's report differs from an un-audited one only in extras an
-/// auditor explicitly adds (the `osmosis-audit` auditors add extras only
+/// auditor explicitly adds (`osmosis-audit`'s `AuditSet` adds one only
 /// when violations exist, keeping clean audited runs bit-identical).
 pub trait Auditor {
     /// Reset per-run state. Called once before the first slot with the
@@ -114,9 +114,6 @@ pub trait Auditor {
 
     /// A cell was dropped at `port` for `reason`.
     fn cell_dropped(&mut self, _slot: u64, _port: usize, _reason: DropReason) {}
-
-    /// A corrupted cell was re-sent over `port`'s recovery path.
-    fn cell_retransmitted(&mut self, _slot: u64, _port: usize) {}
 
     /// The scheduler's legal grant capacity for `output` this slot (as
     /// degraded by `set_output_capacity` under faults). Grants beyond
@@ -152,47 +149,9 @@ pub trait Auditor {
     fn end_run(&mut self, _resident_cells: Option<u64>, _report: &mut EngineReport) {}
 }
 
-/// The disabled auditor: every hook is the empty default. Never attached
-/// by the engine entry points (audited runs pass a real auditor), it
-/// exists as the explicit null object for generic call sites.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoAudit;
-
-impl Auditor for NoAudit {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn no_audit_accepts_every_event() {
-        let mut a = NoAudit;
-        let cfg = EngineConfig::new(0, 1);
-        a.configure(&cfg, 4);
-        a.begin_slot(0);
-        a.cell_injected(0, 1, 2);
-        a.cell_granted(0, 1, 2, 3);
-        a.cell_delivered(0, 2, 0);
-        a.flow_regressed(0, 1, 2, 0, 0);
-        a.cell_dropped(0, 1, DropReason::Rejected);
-        a.cell_retransmitted(0, 1);
-        a.output_capacity(0, 2, 1);
-        a.fdl_ledger(0, 1, 3, 1, 0, 2);
-        a.credit_link(
-            0,
-            0,
-            1,
-            CreditLedger {
-                held: 4,
-                in_flight: 0,
-                occupancy: 0,
-                capacity: 4,
-            },
-        );
-        let mut r = EngineReport::default();
-        a.end_run(Some(0), &mut r);
-        assert!(r.extra.is_empty(), "NoAudit must not touch the report");
-    }
 
     #[test]
     fn credit_ledger_balance() {

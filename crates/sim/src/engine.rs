@@ -826,9 +826,6 @@ impl<'a, T: TraceSink> Observer<'a, T> {
         if self.measuring {
             self.fault_retransmits += 1;
         }
-        if let Some(a) = self.audit.as_mut() {
-            a.cell_retransmitted(self.slot, port);
-        }
         self.trace(TraceEvent::Retransmit { port: port as u32 });
     }
 

@@ -29,7 +29,7 @@ pub mod stats;
 pub mod sweep;
 pub mod time;
 
-pub use audit::{Auditor, CreditLedger, DropReason, NoAudit};
+pub use audit::{Auditor, CreditLedger, DropReason};
 pub use buffer::{BufferLoss, BufferLossReason, BufferPlane, BufferStats};
 pub use circuit::{CircuitView, NullCircuits};
 pub use engine::{

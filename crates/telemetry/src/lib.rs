@@ -14,9 +14,9 @@
 //! run — the determinism contract `tests/telemetry_determinism.rs`
 //! enforces for all ten simulators.
 //!
-//! [`NullTelemetry`] is the zero-sized default: its `ENABLED = false`
-//! constant folds every hook away at compile time, so simulators pay
-//! nothing when unobserved.
+//! The disabled plane is the engine's own `NullTrace`: its
+//! `ENABLED = false` constant folds every hook away at compile time, so
+//! simulators pay nothing when unobserved.
 //!
 //! Three views of a run:
 //!
@@ -540,17 +540,6 @@ impl TraceSink for TelemetrySink {
     }
 }
 
-/// The zero-cost default: a ZST whose `ENABLED = false` lets the
-/// compiler erase every telemetry call site. Runs driven with
-/// `NullTelemetry` are bit-identical to runs with no sink at all.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullTelemetry;
-
-impl TraceSink for NullTelemetry {
-    const ENABLED: bool = false;
-    fn event(&mut self, _slot: u64, _event: TraceEvent) {}
-}
-
 /// A live progress reporter for checkpointed sweeps: prints one stderr
 /// line per finished or restored job. Pass a reference to it as
 /// `checkpointed_sweep`'s progress observer.
@@ -717,11 +706,5 @@ mod tests {
         assert!(sink.stream_error().is_some());
         assert!(sink.finish_stream().is_err());
         assert!(sink.finish_stream().is_ok(), "error is taken once");
-    }
-
-    #[test]
-    fn null_telemetry_is_disabled_and_zero_sized() {
-        assert_eq!(std::mem::size_of::<NullTelemetry>(), 0);
-        const { assert!(!<NullTelemetry as TraceSink>::ENABLED) };
     }
 }

@@ -230,7 +230,7 @@ fn liveness_watchdog_fires_on_a_blocked_output() {
     let mut tr = BernoulliUniform::new(16, 0.6, &SeedSequence::new(46));
     let plan = FaultPlan::new().one_shot(FaultKind::SoaStuckOff { output: 3 }, 300, Some(800));
     let mut inj = FaultInjector::new(plan);
-    let mut set = AuditSet::new(AuditMode::Accumulate).with_liveness(100);
+    let mut set = AuditSet::standard(AuditMode::Accumulate).with_liveness(100);
     run_switch_instrumented(&mut sw, &mut tr, &cfg(46), Some(&mut inj), Some(&mut set));
     assert!(
         set.total_violations() > 0,
@@ -238,9 +238,8 @@ fn liveness_watchdog_fires_on_a_blocked_output() {
     );
     let report = set.report();
     let starved = report
-        .entries
+        .sample
         .iter()
-        .flat_map(|e| e.sample.iter())
         .any(|v| matches!(v.kind, ViolationKind::Starvation { output: 3, .. }));
     assert!(starved, "the starved output must be named: {report}");
 }

@@ -1,5 +1,5 @@
 //! Telemetry-plane transparency: attaching a [`TelemetrySink`] (or the
-//! zero-cost [`NullTelemetry`] default) to any simulator on the shared
+//! zero-cost [`NullTrace`]) to any simulator on the shared
 //! engine leaves the report — fingerprint included — bit-identical to
 //! the uninstrumented run, for all ten simulators. The sink itself is
 //! deterministic too: two identically-seeded observed runs export
@@ -14,14 +14,14 @@
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::CompiledFabric;
 use osmosis::sched::Flppr;
-use osmosis::sim::{Engine, EngineConfig, SeedSequence};
+use osmosis::sim::{Engine, EngineConfig, NullTrace, SeedSequence};
 use osmosis::switch::driven::CellSwitch;
 use osmosis::switch::{
     run_switch, run_switch_traced, BurstSwitch, BvnSwitch, CioqSwitch, DeflectionSwitch, Driven,
     FifoSwitch, OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
 };
 use osmosis::telemetry::{
-    metrics, validate_jsonl, MetricsRegistry, NullTelemetry, TelemetryConfig, TelemetrySink,
+    metrics, validate_jsonl, MetricsRegistry, TelemetryConfig, TelemetrySink,
 };
 use osmosis::traffic::BernoulliUniform;
 
@@ -37,7 +37,7 @@ fn sink() -> TelemetrySink {
 ///
 /// 1. a full [`TelemetrySink`] does not perturb the run: bit-identical
 ///    report fingerprint vs. the plain run;
-/// 2. [`NullTelemetry`] (the zero-cost default) is equally invisible;
+/// 2. [`NullTrace`] (the disabled sink) is equally invisible;
 /// 3. the sink actually observed the run (cells counted, spans
 ///    accounted, span delay population == delivered measured cells);
 /// 4. two identically-seeded observed runs export byte-identical JSONL
@@ -73,13 +73,13 @@ fn assert_telemetry_transparent<S: CellSwitch>(
         let mut sw = mk();
         let mut tr = BernoulliUniform::new(hosts, load, &SeedSequence::new(1234));
         Engine::new(&cfg(1234))
-            .trace(&mut NullTelemetry)
+            .trace(&mut NullTrace)
             .run(&mut Driven::new(&mut sw, &mut tr))
     };
     assert_eq!(
         plain.fingerprint(),
         nulled.fingerprint(),
-        "{name}: NullTelemetry must be bit-identical to no sink at all"
+        "{name}: NullTrace must be bit-identical to no sink at all"
     );
 
     // The sink really watched: injections counted, and the span plane's
