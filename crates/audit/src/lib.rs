@@ -56,6 +56,7 @@
 
 use osmosis_sim::audit::{Auditor, CreditLedger, DropReason};
 use osmosis_sim::engine::{EngineConfig, EngineReport};
+use osmosis_sim::Extra;
 use std::collections::BTreeMap;
 
 /// How an [`AuditSet`] reacts to a violation.
@@ -539,7 +540,7 @@ impl Auditor for AuditSet {
         }
         self.check_capacities();
         if self.total > 0 {
-            report.set_extra("audit_violations", self.total as f64);
+            report.set_extra(Extra::AuditViolations, self.total as f64);
         }
     }
 }
@@ -871,7 +872,7 @@ mod tests {
         let mut r = EngineReport::default();
         set.end_run(Some(0), &mut r);
         assert_eq!(set.total_violations(), 1);
-        assert_eq!(r.extra("audit_violations"), Some(1.0));
+        assert_eq!(r.extra(Extra::AuditViolations), Some(1.0));
         let report = set.report();
         assert!(!report.is_clean());
         assert!(report.to_string().contains("order-preservation"));
@@ -885,7 +886,7 @@ mod tests {
         set.cell_delivered(1, 1, 0);
         let mut r = EngineReport::default();
         set.end_run(Some(0), &mut r);
-        assert_eq!(r.extra("audit_violations"), None);
+        assert_eq!(r.extra(Extra::AuditViolations), None);
         assert!(set.report().is_clean());
     }
 

@@ -28,10 +28,9 @@ use osmosis_core::Scale;
 use osmosis_fabric::BufferTech;
 use osmosis_fabric::TopologySpec;
 use osmosis_sim::json::Value;
-use osmosis_telemetry::export::{meta_record, summary_record};
+use osmosis_sim::{BufferLossReason, Extra};
 use osmosis_telemetry::{
-    fdl_drop_record, fdl_occupancy_record, fdl_recirculation_record, validate_jsonl, Decomposition,
-    MetricsRegistry, RunMeta,
+    validate_jsonl, Decomposition, MetricsRegistry, Record, ReportDigest, RunMeta, SCHEMA_VERSION,
 };
 
 /// Wall-clock budget for the whole smoke battery on a loaded runner.
@@ -46,9 +45,9 @@ fn study_rows(study: &FdlStudy) -> Vec<Vec<String>> {
         .points
         .iter()
         .map(|p| {
-            let fdl = |name: &str| {
+            let fdl = |key: Extra| {
                 p.report
-                    .extra(name)
+                    .extra(key)
                     .map_or_else(|| "-".to_string(), |v| format!("{v:.0}"))
             };
             vec![
@@ -59,8 +58,8 @@ fn study_rows(study: &FdlStudy) -> Vec<Vec<String>> {
                 format!("{:.3}", p.report.throughput),
                 format!("{:.2}", p.report.mean_delay),
                 format!("{}", p.report.dropped),
-                fdl("fdl_drops_dead_line"),
-                fdl("fdl_recirculations"),
+                fdl(Extra::FdlDropsDeadLine),
+                fdl(Extra::FdlRecirculations),
                 format!("{:016x}", p.report.fingerprint()),
             ]
         })
@@ -82,14 +81,14 @@ fn snapshot(study: &FdlStudy, scale: Scale) -> String {
                 ("mean_delay".into(), Value::f64(p.report.mean_delay)),
                 ("dropped".into(), Value::u64(p.report.dropped)),
             ];
-            for name in [
-                "fdl_drops_total",
-                "fdl_drops_dead_line",
-                "fdl_recirculations",
-                "fdl_underflow_stalls",
+            for key in [
+                Extra::FdlDropsTotal,
+                Extra::FdlDropsDeadLine,
+                Extra::FdlRecirculations,
+                Extra::FdlUnderflowStalls,
             ] {
-                if let Some(v) = p.report.extra(name) {
-                    fields.push((name.into(), Value::f64(v)));
+                if let Some(v) = p.report.extra(key) {
+                    fields.push((key.name().into(), Value::f64(v)));
                 }
             }
             Value::Obj(fields)
@@ -169,7 +168,7 @@ fn smoke(audit: bool, topology: Option<TopologySpec>) {
     let fdl_hit = a.points.iter().any(|p| {
         p.option.tech == BufferTech::Fdl
             && p.fault == StudyFault::DelayLinesDead
-            && p.report.extra("fdl_drops_dead_line").unwrap_or(0.0) > 0.0
+            && p.report.extra(Extra::FdlDropsDeadLine).unwrap_or(0.0) > 0.0
     });
     let electronic_clean = a.points.iter().all(|p| {
         p.option.tech == BufferTech::Electronic
@@ -198,34 +197,45 @@ fn smoke(audit: bool, topology: Option<TopologySpec>) {
         sample_every: 0,
         snapshot_every: 0,
     };
+    let drops = leg.report.extra(Extra::FdlDropsDeadLine).unwrap_or(0.0) as u64;
+    let recirc = leg.report.extra(Extra::FdlRecirculations).unwrap_or(0.0) as u64;
+    let mut records = vec![
+        Record::Meta {
+            version: SCHEMA_VERSION,
+            run: 0,
+            label: "fdl_study".into(),
+            meta,
+        },
+        Record::FdlOccupancy {
+            run: 0,
+            slot: 0,
+            queue: 0,
+            occupancy: 0,
+            capacity: leg.buffer_cells as u64,
+        },
+    ];
+    records.extend((0..drops.min(3)).map(|i| Record::FdlDrop {
+        run: 0,
+        slot: i,
+        queue: 0,
+        reason: BufferLossReason::DeadLine,
+    }));
+    records.push(Record::FdlRecirculation {
+        run: 0,
+        slot: 0,
+        queue: 0,
+        count: recirc.min(9),
+    });
+    records.push(Record::Summary {
+        run: 0,
+        report: ReportDigest::of(&leg.report),
+        registry: MetricsRegistry::new(),
+        spans: Decomposition::default(),
+    });
     let mut doc = String::new();
-    let _ = writeln!(doc, "{}", meta_record(0, "fdl_study", &meta).encode());
-    let _ = writeln!(
-        doc,
-        "{}",
-        fdl_occupancy_record(0, 0, 0, 0, leg.buffer_cells as u64).encode()
-    );
-    let drops = leg.report.extra("fdl_drops_dead_line").unwrap_or(0.0) as u64;
-    for i in 0..drops.min(3) {
-        let _ = writeln!(doc, "{}", fdl_drop_record(0, i, 0, "dead_line").encode());
+    for record in &records {
+        let _ = writeln!(doc, "{}", record.encode());
     }
-    let recirc = leg.report.extra("fdl_recirculations").unwrap_or(0.0) as u64;
-    let _ = writeln!(
-        doc,
-        "{}",
-        fdl_recirculation_record(0, 0, 0, recirc.min(9)).encode()
-    );
-    let _ = writeln!(
-        doc,
-        "{}",
-        summary_record(
-            0,
-            &leg.report,
-            &MetricsRegistry::new(),
-            &Decomposition::default()
-        )
-        .encode()
-    );
     match validate_jsonl(&doc) {
         Ok(stats) => check(
             "FDL records validate as JSONL",

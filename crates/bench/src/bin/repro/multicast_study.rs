@@ -4,6 +4,7 @@
 //! scheduling side (fanout splitting) across fanouts.
 
 use osmosis_bench::{print_table, Args};
+use osmosis_sim::Extra;
 use osmosis_switch::multicast::run_multicast;
 
 pub fn run(_: &Args) {
@@ -19,7 +20,7 @@ pub fn run(_: &Args) {
             format!("{rate:.4}"),
             format!("{:.3}", r.throughput),
             format!("{:.2}", r.mean_delay),
-            format!("{:.2}", r.extra("mean_transmissions").unwrap_or(0.0)),
+            format!("{:.2}", r.extra(Extra::MeanTransmissions).unwrap_or(0.0)),
             format!(
                 "{:.1}%",
                 100.0 * r.delivered as f64 / r.injected.max(1) as f64

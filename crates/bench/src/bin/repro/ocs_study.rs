@@ -29,9 +29,8 @@ use osmosis_sim::engine::EngineConfig;
 use osmosis_sim::json::Value;
 use osmosis_sim::NullCircuits;
 use osmosis_switch::{run_switch_circuit, run_switch_instrumented, VoqSwitch};
-use osmosis_telemetry::export::{meta_record, summary_record};
 use osmosis_telemetry::{
-    epoch_record, reconfig_record, validate_jsonl, Decomposition, MetricsRegistry, RunMeta,
+    validate_jsonl, Decomposition, MetricsRegistry, Record, ReportDigest, RunMeta, SCHEMA_VERSION,
 };
 
 /// Wall-clock budget for the whole smoke battery on a loaded runner.
@@ -223,43 +222,42 @@ fn smoke(audit: bool, topologies: &[TopologySpec]) {
         sample_every: 0,
         snapshot_every: 0,
     };
-    let mut doc = String::new();
-    let _ = writeln!(doc, "{}", meta_record(0, "ocs_study", &meta).encode());
+    let mut records = vec![Record::Meta {
+        version: SCHEMA_VERSION,
+        run: 0,
+        label: "ocs_study".into(),
+        meta,
+    }];
     for e in log {
-        let _ = writeln!(
-            doc,
-            "{}",
-            epoch_record(
-                0,
-                e.epoch,
-                e.start_slot,
-                e.reconfigured,
-                e.guard_slots,
-                e.transfers,
-                e.utilization,
-            )
-            .encode()
-        );
+        records.push(Record::Epoch {
+            run: 0,
+            epoch: e.epoch,
+            start_slot: e.start_slot,
+            reconfigured: e.reconfigured,
+            guard_slots: e.guard_slots,
+            transfers: e.transfers,
+            utilization: e.utilization,
+        });
         if e.reconfigured {
-            let _ = writeln!(
-                doc,
-                "{}",
-                reconfig_record(0, e.epoch, e.start_slot, e.changed_circuits, e.guard_slots)
-                    .encode()
-            );
+            records.push(Record::Reconfig {
+                run: 0,
+                epoch: e.epoch,
+                slot: e.start_slot,
+                changed_circuits: e.changed_circuits,
+                guard_slots: e.guard_slots,
+            });
         }
     }
-    let _ = writeln!(
-        doc,
-        "{}",
-        summary_record(
-            0,
-            &report,
-            &MetricsRegistry::new(),
-            &Decomposition::default()
-        )
-        .encode()
-    );
+    records.push(Record::Summary {
+        run: 0,
+        report: ReportDigest::of(&report),
+        registry: MetricsRegistry::new(),
+        spans: Decomposition::default(),
+    });
+    let mut doc = String::new();
+    for record in &records {
+        let _ = writeln!(doc, "{}", record.encode());
+    }
     match validate_jsonl(&doc) {
         Ok(stats) => check(
             "epoch log validates as JSONL",

@@ -3,7 +3,7 @@
 
 use osmosis_bench::{print_table, Args};
 use osmosis_fabric::{CompiledFabric, TopologySpec};
-use osmosis_sim::SeedSequence;
+use osmosis_sim::{Extra, SeedSequence};
 use osmosis_traffic::BernoulliUniform;
 
 pub fn run(_: &Args) {
@@ -29,7 +29,7 @@ pub fn run(_: &Args) {
         rows.push(vec![
             name.to_string(),
             hosts.to_string(),
-            format!("{}", r.extra("stages").unwrap_or(0.0) as u32),
+            format!("{}", r.extra(Extra::Stages).unwrap_or(0.0) as u32),
             format!("{:.2}", r.mean_delay),
             format!("{:.3}", r.throughput),
             r.reordered.to_string(),

@@ -2,7 +2,7 @@
 //! limited output buffers vs. internal speedup.
 
 use osmosis_bench::{print_table, Args};
-use osmosis_sim::SeedSequence;
+use osmosis_sim::{Extra, SeedSequence};
 use osmosis_switch::{CioqSwitch, EngineConfig};
 use osmosis_traffic::BernoulliUniform;
 
@@ -19,7 +19,7 @@ pub fn run(_: &Args) {
                 speedup.to_string(),
                 cap.to_string(),
                 format!("{:.3}", r.throughput),
-                format!("{:.4}", r.extra("violation_fraction").unwrap_or(0.0)),
+                format!("{:.4}", r.extra(Extra::ViolationFraction).unwrap_or(0.0)),
                 format!("{:.2}", r.mean_delay),
             ]);
         }

@@ -22,7 +22,7 @@ use crate::shard::{load_shard_summary, paths, write_atomic};
 use crate::spec::CampaignSpec;
 use crate::{fnv_words, CampaignError};
 use osmosis_sim::json::Value;
-use osmosis_telemetry::{campaign_record, campaign_summary_record, shard_record, MetricsRegistry};
+use osmosis_telemetry::{MetricsRegistry, Record, ShardStatus, SCHEMA_VERSION};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Child;
@@ -649,59 +649,60 @@ fn finalize(dir: &Path, slots: &[Slot], report: &CampaignReport) -> Result<(), C
     write_atomic(&paths::summary(dir), &doc)?;
 
     let stream_path = paths::stream(dir);
-    let mut out = Vec::new();
-    let mut emit = |v: Value| {
-        out.extend_from_slice(v.encode().as_bytes());
-        out.push(b'\n');
-    };
-    emit(campaign_record(
-        report.key,
-        "campaign",
-        report.shards as u64,
-        report.points,
-    ));
-    for (shard, slot) in slots.iter().enumerate() {
-        match slot {
+    let mut records = vec![Record::Campaign {
+        version: SCHEMA_VERSION,
+        key: report.key,
+        label: "campaign".into(),
+        shards: report.shards as u64,
+        points: report.points,
+    }];
+    // Finalizing runs once no shard is pending or running.
+    records.extend(slots.iter().enumerate().filter_map(|(shard, slot)| {
+        let (status, points, attempts, fingerprint, reason) = match slot {
             Slot::Done {
+                restored,
                 points,
                 fingerprint,
                 attempts,
-                restored,
-            } => emit(shard_record(
-                shard as u64,
-                if *restored { "restored" } else { "completed" },
-                *points,
-                (*attempts).max(1) as u64,
-                *fingerprint,
-                None,
-            )),
-            Slot::Quarantined { attempts, reason } => emit(shard_record(
-                shard as u64,
-                "quarantined",
+            } => {
+                let status = if *restored {
+                    ShardStatus::Restored
+                } else {
+                    ShardStatus::Completed
+                };
+                (status, *points, (*attempts).max(1), *fingerprint, None)
+            }
+            Slot::Quarantined { attempts, reason } => (
+                ShardStatus::Quarantined,
                 0,
-                *attempts as u64,
+                *attempts,
                 0,
-                Some(reason),
-            )),
-            // Unreachable on the finalize path; recorded defensively.
-            other => emit(shard_record(
-                shard as u64,
-                other.status_str(),
-                0,
-                0,
-                0,
-                None,
-            )),
-        }
+                Some(reason.clone()),
+            ),
+            Slot::Pending { .. } | Slot::Running { .. } => return None,
+        };
+        Some(Record::Shard {
+            shard: shard as u64,
+            status,
+            points,
+            attempts: attempts as u64,
+            fingerprint,
+            reason,
+        })
+    }));
+    records.push(Record::CampaignSummary {
+        key: report.key,
+        completed: (report.completed.len() + report.restored.len()) as u64,
+        quarantined: quarantined_idx.iter().map(|&s| s as u64).collect(),
+        points_done: report.points_done,
+        fingerprint: report.fingerprint,
+        registry: report.registry.clone(),
+    });
+    let mut out = Vec::new();
+    for record in &records {
+        out.extend_from_slice(record.encode().as_bytes());
+        out.push(b'\n');
     }
-    emit(campaign_summary_record(
-        report.key,
-        (report.completed.len() + report.restored.len()) as u64,
-        &quarantined_idx,
-        report.points_done,
-        report.fingerprint,
-        &report.registry,
-    ));
     let mut file =
         std::fs::File::create(&stream_path).map_err(|e| io_err("create", &stream_path, e))?;
     file.write_all(&out)

@@ -19,10 +19,7 @@ use osmosis_sim::engine::{Engine, EngineConfig};
 use osmosis_sim::json::Value;
 use osmosis_sim::{CheckpointLog, FaultView, SeedSequence};
 use osmosis_switch::{CellSwitch, Driven, VoqSwitch};
-use osmosis_telemetry::{
-    campaign_record, campaign_summary_record, shard_point_record, shard_record, MetricsRegistry,
-    TelemetrySink,
-};
+use osmosis_telemetry::{MetricsRegistry, Record, ShardStatus, TelemetrySink, SCHEMA_VERSION};
 use osmosis_traffic::{BernoulliUniform, Bursty, TrafficGen};
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -342,19 +339,20 @@ pub fn run_shard(dir: &Path, shard: usize, shards: usize) -> Result<ShardSummary
     let mut stream = std::io::BufWriter::new(
         std::fs::File::create(&stream_path).map_err(|e| io_err("create", &stream_path, e))?,
     );
-    let mut emit = |v: Value| -> Result<(), CampaignError> {
-        let mut line = v.encode();
+    let mut emit = |record: Record| -> Result<(), CampaignError> {
+        let mut line = record.encode();
         line.push('\n');
         stream
             .write_all(line.as_bytes())
             .map_err(|e| io_err("write", &stream_path, e))
     };
-    emit(campaign_record(
+    emit(Record::Campaign {
+        version: SCHEMA_VERSION,
         key,
-        &format!("shard-{shard}/{shards}"),
-        shards as u64,
-        spec.total_points(),
-    ))?;
+        label: format!("shard-{shard}/{shards}"),
+        shards: shards as u64,
+        points: spec.total_points(),
+    })?;
 
     let mut restored = 0u64;
     let mut fold: Vec<u64> = vec![key, shard as u64, shards as u64];
@@ -379,15 +377,15 @@ pub fn run_shard(dir: &Path, shard: usize, shards: usize) -> Result<ShardSummary
                 d
             }
         };
-        emit(shard_point_record(
-            shard as u64,
-            idx,
-            digest.fingerprint,
-            digest.throughput,
-            digest.mean_delay,
-            digest.delivered,
-            digest.dropped,
-        ))?;
+        emit(Record::ShardPoint {
+            shard: shard as u64,
+            index: idx,
+            fingerprint: digest.fingerprint,
+            throughput: digest.throughput,
+            mean_delay: digest.mean_delay,
+            delivered: digest.delivered,
+            dropped: digest.dropped,
+        })?;
         fold.push(idx);
         fold.push(digest.fingerprint);
         delivered += digest.delivered;
@@ -423,22 +421,22 @@ pub fn run_shard(dir: &Path, shard: usize, shards: usize) -> Result<ShardSummary
     // Always "completed" here — the worker stream must be byte-stable
     // across interruptions, so restore history cannot appear in it. The
     // supervisor's campaign stream is where restored is distinguished.
-    emit(shard_record(
-        shard as u64,
-        "completed",
-        summary.points,
-        1,
-        summary.fingerprint,
-        None,
-    ))?;
-    emit(campaign_summary_record(
+    emit(Record::Shard {
+        shard: shard as u64,
+        status: ShardStatus::Completed,
+        points: summary.points,
+        attempts: 1,
+        fingerprint: summary.fingerprint,
+        reason: None,
+    })?;
+    emit(Record::CampaignSummary {
         key,
-        1,
-        &[],
-        summary.points,
-        summary.fingerprint,
-        &summary.registry,
-    ))?;
+        completed: 1,
+        quarantined: Vec::new(),
+        points_done: summary.points,
+        fingerprint: summary.fingerprint,
+        registry: summary.registry.clone(),
+    })?;
     stream
         .flush()
         .map_err(|e| io_err("flush", &stream_path, e))?;

@@ -34,8 +34,8 @@ use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis_sim::engine::{Engine, TraceEvent, TraceSink};
 use osmosis_sim::json::Value;
 use osmosis_sim::{
-    checkpointed_sweep, Auditor, CheckpointLog, FaultView, SeedSequence, SweepError, SweepProgress,
-    SweepState,
+    checkpointed_sweep, Auditor, CheckpointLog, Extra, FaultView, SeedSequence, SweepError,
+    SweepProgress, SweepState,
 };
 use osmosis_switch::driven::Driven;
 use osmosis_telemetry::TelemetrySink;
@@ -381,7 +381,7 @@ pub fn run_with(
     )?;
     let mut plane_sweep = Vec::new();
     for (failed, report) in reports.into_iter().enumerate() {
-        violations += report.extra("audit_violations").unwrap_or(0.0) as u64;
+        violations += report.extra(Extra::AuditViolations).unwrap_or(0.0) as u64;
         plane_sweep.push(PlanePoint {
             failed_planes: failed,
             relative_throughput: report.throughput / nominal.throughput,
@@ -464,10 +464,10 @@ pub fn run_with(
         ),
     };
     violations += v;
-    let active = r.extra("fault_active_slots").unwrap_or(0.0);
+    let active = r.extra(Extra::FaultActiveSlots).unwrap_or(0.0);
     let stochastic = StochasticSummary {
-        faults_injected: r.extra("faults_injected").unwrap_or(0.0) as u64,
-        faults_healed: r.extra("faults_healed").unwrap_or(0.0) as u64,
+        faults_injected: r.extra(Extra::FaultsInjected).unwrap_or(0.0) as u64,
+        faults_healed: r.extra(Extra::FaultsHealed).unwrap_or(0.0) as u64,
         availability: 1.0 - active / slots as f64,
         throughput: r.throughput,
     };

@@ -310,6 +310,7 @@ pub fn run_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osmosis_sim::Extra;
 
     fn grid(scale: Scale) -> usize {
         OPTIONS.len() * loads(scale).len() * bursts(scale).len() * faults(scale).len()
@@ -357,7 +358,7 @@ mod tests {
             .filter(|p| p.option.tech == BufferTech::Fdl && p.fault == StudyFault::None)
         {
             assert_eq!(p.report.dropped, 0, "clean FDL run must be lossless");
-            assert_eq!(p.report.extra("fdl_drops_total"), Some(0.0));
+            assert_eq!(p.report.extra(Extra::FdlDropsTotal), Some(0.0));
         }
 
         // Dead delay lines hurt only the FDL option, as typed dead-line
@@ -370,7 +371,7 @@ mod tests {
         assert!(
             dead_fdl
                 .iter()
-                .any(|p| p.report.extra("fdl_drops_dead_line").unwrap_or(0.0) > 0.0),
+                .any(|p| p.report.extra(Extra::FdlDropsDeadLine).unwrap_or(0.0) > 0.0),
             "dead delay lines must surface as typed dead-line losses somewhere in the grid"
         );
         for p in s
@@ -379,7 +380,7 @@ mod tests {
             .filter(|p| p.option.tech == BufferTech::Electronic)
         {
             assert_eq!(
-                p.report.extra("fdl_drops_total"),
+                p.report.extra(Extra::FdlDropsTotal),
                 None,
                 "electronic legs must stay free of FDL extras"
             );

@@ -33,7 +33,7 @@ use osmosis_fabric::{CompiledFabric, ExpandedFabric, TopologyError, TopologySpec
 use osmosis_ocs::{EpochConfig, OcsScheduler, OcsSwitch};
 use osmosis_sched::Flppr;
 use osmosis_sim::engine::{EngineConfig, EngineReport};
-use osmosis_sim::SeedSequence;
+use osmosis_sim::{Extra, SeedSequence};
 use osmosis_switch::{run_switch_circuit, run_switch_instrumented, VoqSwitch};
 use osmosis_traffic::{
     AllreduceRing, AllreduceTree, BernoulliUniform, Diurnal, HotspotSkew, Incast, TrafficGen,
@@ -144,7 +144,7 @@ pub fn workload(
 }
 
 fn point(workload: &'static str, mode: &'static str, r: &EngineReport) -> OcsPoint {
-    let get = |k: &str| r.extra(k).unwrap_or(0.0);
+    let get = |k: Extra| r.extra(k).unwrap_or(0.0);
     OcsPoint {
         workload,
         mode,
@@ -153,10 +153,10 @@ fn point(workload: &'static str, mode: &'static str, r: &EngineReport) -> OcsPoi
         mean_delay: r.mean_delay,
         p99_delay: r.p99_delay,
         dropped: r.dropped,
-        epochs: get("ocs_epochs") as u64,
-        reconfigurations: get("ocs_reconfigurations") as u64,
-        guard_slots: get("ocs_guard_slots_paid") as u64,
-        utilization: get("ocs_mean_utilization"),
+        epochs: get(Extra::OcsEpochs) as u64,
+        reconfigurations: get(Extra::OcsReconfigurations) as u64,
+        guard_slots: get(Extra::OcsGuardSlotsPaid) as u64,
+        utilization: get(Extra::OcsMeanUtilization),
         fingerprint: r.fingerprint(),
     }
 }

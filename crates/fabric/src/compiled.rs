@@ -95,6 +95,7 @@ use osmosis_sched::matching::Matcher;
 use osmosis_sim::audit::{CreditLedger, DropReason};
 use osmosis_sim::buffer::{BufferLossReason, BufferPlane, BufferStats};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
+use osmosis_sim::Extra;
 use osmosis_switch::driven::{run_switch, CellSwitch};
 use osmosis_traffic::{Arrival, TrafficGen};
 use std::collections::VecDeque;
@@ -851,8 +852,8 @@ impl CellSwitch for CompiledFabric {
         // re-freeze: its pins hold these two extras on the `rg=0` fabric
         // workloads and their absence from the campaign's `rg=1` points.
         if self.spec.request_grant == 0 {
-            report.set_extra("stages", self.spec.stages() as f64);
-            report.set_extra("switches", self.fab.switches.len() as f64);
+            report.set_extra(Extra::Stages, self.spec.stages() as f64);
+            report.set_extra(Extra::Switches, self.fab.switches.len() as f64);
         }
         if self.fdl {
             let mut total = BufferStats::default();
@@ -863,11 +864,11 @@ impl CellSwitch for CompiledFabric {
                 total.recirculations += stats.recirculations;
                 total.underflow_stalls += stats.underflow_stalls;
             }
-            report.set_extra("fdl_drops_total", total.dropped as f64);
-            report.set_extra("fdl_drops_admission", total.dropped_admission as f64);
-            report.set_extra("fdl_drops_dead_line", total.dropped_dead_line as f64);
-            report.set_extra("fdl_recirculations", total.recirculations as f64);
-            report.set_extra("fdl_underflow_stalls", total.underflow_stalls as f64);
+            report.set_extra(Extra::FdlDropsTotal, total.dropped as f64);
+            report.set_extra(Extra::FdlDropsAdmission, total.dropped_admission as f64);
+            report.set_extra(Extra::FdlDropsDeadLine, total.dropped_dead_line as f64);
+            report.set_extra(Extra::FdlRecirculations, total.recirculations as f64);
+            report.set_extra(Extra::FdlUnderflowStalls, total.underflow_stalls as f64);
         }
     }
 
@@ -929,7 +930,7 @@ mod tests {
     }
 
     fn stages(r: &EngineReport) -> u32 {
-        r.extra("stages").unwrap() as u32
+        r.extra(Extra::Stages).unwrap() as u32
     }
 
     #[test]
@@ -982,7 +983,7 @@ mod tests {
             let r = run_spec(spec, 0.3, 7);
             assert_eq!(r.reordered, 0, "{spec}");
             assert!(r.throughput > 0.2, "{spec}: {}", r.throughput);
-            assert_eq!(r.extra("stages"), Some(spec.stages() as f64));
+            assert_eq!(r.extra(Extra::Stages), Some(spec.stages() as f64));
         }
     }
 
@@ -1000,7 +1001,10 @@ mod tests {
         // `benchmark/pins.json` holds them on the rg=0 workloads and
         // their absence from the campaign's rg=1 points.
         let r = run_spec(TopologySpec::two_level(8).with_request_grant(1), 0.3, 7);
-        assert_eq!((r.extra("stages"), r.extra("switches")), (None, None));
+        assert_eq!(
+            (r.extra(Extra::Stages), r.extra(Extra::Switches)),
+            (None, None)
+        );
     }
 
     #[test]
@@ -1155,10 +1159,10 @@ mod tests {
         assert_eq!(r.dropped, 0, "clean FDL runs are lossless");
         assert_eq!(r.reordered, 0);
         assert!((r.throughput - 0.4).abs() < 0.04, "thr {}", r.throughput);
-        assert_eq!(r.extra("fdl_drops_total"), Some(0.0));
-        assert_eq!(r.extra("fdl_underflow_stalls"), Some(0.0));
+        assert_eq!(r.extra(Extra::FdlDropsTotal), Some(0.0));
+        assert_eq!(r.extra(Extra::FdlUnderflowStalls), Some(0.0));
         assert!(
-            r.extra("fdl_recirculations").unwrap() > 0.0,
+            r.extra(Extra::FdlRecirculations).unwrap() > 0.0,
             "unserved emerged cells re-enter the delay lines"
         );
     }
@@ -1264,17 +1268,17 @@ mod tests {
         );
         assert!(tr.is_done() && fab.resident_cells() == Some(0), "drained");
         assert!(faulted.dropped > 20, "dead lines lose cells");
-        let drops = faulted.extra("fdl_drops_total");
+        let drops = faulted.extra(Extra::FdlDropsTotal);
         assert_eq!(drops, Some(faulted.dropped as f64));
-        assert!(faulted.extra("fdl_recirculations").unwrap() > 100.0);
+        assert!(faulted.extra(Extra::FdlRecirculations).unwrap() > 100.0);
         let mut idle = uniform(&fab, 0.0, 9);
         let after = fab.run(&mut idle, &EngineConfig::new(0, 50));
         for key in [
-            "fdl_drops_total",
-            "fdl_drops_dead_line",
-            "fdl_recirculations",
+            Extra::FdlDropsTotal,
+            Extra::FdlDropsDeadLine,
+            Extra::FdlRecirculations,
         ] {
-            assert_eq!(after.extra(key), Some(0.0), "{key}");
+            assert_eq!(after.extra(key), Some(0.0), "{key:?}");
         }
     }
 
@@ -1331,8 +1335,8 @@ mod tests {
             degraded.throughput,
             nominal.throughput
         );
-        assert_eq!(degraded.extra("faults_injected"), Some(1.0));
-        assert_eq!(degraded.extra("faults_healed"), Some(1.0));
+        assert_eq!(degraded.extra(Extra::FaultsInjected), Some(1.0));
+        assert_eq!(degraded.extra(Extra::FaultsHealed), Some(1.0));
     }
 
     #[test]
@@ -1345,7 +1349,7 @@ mod tests {
         let plan = FaultPlan::new().permanent(ber, 0);
         let (r, resident) = run_under_faults(paper_tree(2), 0.4, &e, plan);
         assert!(
-            r.extra("fault_retransmits").unwrap() > 100.0,
+            r.extra(Extra::FaultRetransmits).unwrap() > 100.0,
             "corrupted hops were re-sent"
         );
         assert_eq!(r.dropped, 0);
@@ -1366,7 +1370,7 @@ mod tests {
         let drop = FaultKind::CreditDrop { prob: 0.3 };
         let plan = FaultPlan::new().one_shot(drop, 1_000, Some(4_000));
         let (faulted, resident) = run_under_faults(paper_tree(2), 0.5, &e, plan);
-        assert!(faulted.extra("fault_credits_dropped").unwrap() > 100.0);
+        assert!(faulted.extra(Extra::FaultCreditsDropped).unwrap() > 100.0);
         assert_eq!(faulted.dropped, 0, "lost credits never lose cells");
         assert_eq!(
             faulted.injected,

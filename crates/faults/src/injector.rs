@@ -1,6 +1,6 @@
 //! The seeded fault injector: plays a [`FaultPlan`] against an engine run.
 
-use osmosis_sim::{EngineConfig, EngineReport, FaultView, SeedSequence, SimRng};
+use osmosis_sim::{EngineConfig, EngineReport, Extra, FaultView, SeedSequence, SimRng};
 
 use crate::plan::{FaultKind, FaultPlan, FaultSchedule, LINK_ANY};
 
@@ -345,13 +345,13 @@ impl FaultView for FaultInjector {
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        report.set_extra("faults_injected", self.injected as f64);
-        report.set_extra("faults_healed", self.healed as f64);
-        report.set_extra("fault_active_slots", self.active_slots as f64);
-        report.set_extra("fault_repair_slots_total", self.repair_slots_total as f64);
-        report.set_extra("fault_grants_lost", self.grants_lost as f64);
-        report.set_extra("fault_credits_dropped", self.credits_dropped as f64);
-        report.set_extra("fault_cells_corrupted", self.cells_corrupted as f64);
+        report.set_extra(Extra::FaultsInjected, self.injected as f64);
+        report.set_extra(Extra::FaultsHealed, self.healed as f64);
+        report.set_extra(Extra::FaultActiveSlots, self.active_slots as f64);
+        report.set_extra(Extra::FaultRepairSlotsTotal, self.repair_slots_total as f64);
+        report.set_extra(Extra::FaultGrantsLost, self.grants_lost as f64);
+        report.set_extra(Extra::FaultCreditsDropped, self.credits_dropped as f64);
+        report.set_extra(Extra::FaultCellsCorrupted, self.cells_corrupted as f64);
     }
 }
 
@@ -571,10 +571,10 @@ mod tests {
         inj.begin_slot(10);
         let mut report = EngineReport::default();
         inj.finish(&mut report);
-        assert_eq!(report.extra("faults_injected"), Some(1.0));
-        assert_eq!(report.extra("faults_healed"), Some(1.0));
-        assert_eq!(report.extra("fault_grants_lost"), Some(1.0));
-        assert_eq!(report.extra("fault_repair_slots_total"), Some(10.0));
-        assert_eq!(report.extra("fault_active_slots"), Some(1.0));
+        assert_eq!(report.extra(Extra::FaultsInjected), Some(1.0));
+        assert_eq!(report.extra(Extra::FaultsHealed), Some(1.0));
+        assert_eq!(report.extra(Extra::FaultGrantsLost), Some(1.0));
+        assert_eq!(report.extra(Extra::FaultRepairSlotsTotal), Some(10.0));
+        assert_eq!(report.extra(Extra::FaultActiveSlots), Some(1.0));
     }
 }

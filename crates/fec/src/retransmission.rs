@@ -16,6 +16,7 @@
 use crate::channel::BitErrorChannel;
 use crate::code::{self, OsmosisCode};
 use osmosis_sim::engine::EngineReport;
+use osmosis_sim::Extra;
 use std::collections::VecDeque;
 
 /// Configuration of a reliable link simulation.
@@ -90,12 +91,15 @@ impl LinkReport {
             measured_slots: self.slots,
             ..EngineReport::default()
         };
-        r.set_extra("link_offered", self.offered as f64);
-        r.set_extra("link_corrupted_arrivals", self.corrupted_arrivals as f64);
-        r.set_extra("link_retransmissions", self.retransmissions as f64);
-        r.set_extra("link_fec_corrected_cells", self.fec_corrected_cells as f64);
+        r.set_extra(Extra::LinkOffered, self.offered as f64);
+        r.set_extra(Extra::LinkCorruptedArrivals, self.corrupted_arrivals as f64);
+        r.set_extra(Extra::LinkRetransmissions, self.retransmissions as f64);
         r.set_extra(
-            "link_undetected_corruptions",
+            Extra::LinkFecCorrectedCells,
+            self.fec_corrected_cells as f64,
+        );
+        r.set_extra(
+            Extra::LinkUndetectedCorruptions,
             self.undetected_corruptions as f64,
         );
         r
@@ -326,8 +330,8 @@ mod tests {
         let clean = run(0.0).to_engine_report();
         assert_eq!(clean.injected, 600);
         assert_eq!(clean.delivered, 600);
-        assert_eq!(clean.extra("link_retransmissions"), Some(0.0));
-        assert_eq!(clean.extra("link_undetected_corruptions"), Some(0.0));
+        assert_eq!(clean.extra(Extra::LinkRetransmissions), Some(0.0));
+        assert_eq!(clean.extra(Extra::LinkUndetectedCorruptions), Some(0.0));
         assert!(
             (clean.throughput - clean.delivered as f64 / clean.measured_slots as f64).abs() < 1e-12
         );
@@ -340,7 +344,7 @@ mod tests {
 
         // A noisy link changes the protocol counters, hence the digest.
         let noisy = run(3e-4).to_engine_report();
-        assert!(noisy.extra("link_retransmissions").unwrap() > 0.0);
+        assert!(noisy.extra(Extra::LinkRetransmissions).unwrap() > 0.0);
         assert!(noisy.throughput < clean.throughput);
         assert_ne!(clean.fingerprint(), noisy.fingerprint());
     }

@@ -1,9 +1,7 @@
 //! Layer 2 of the analyzer: the workspace contract graph.
 //!
 //! The repo's validity rests on contracts no compiler checks — every
-//! `FaultKind` replays under test, every telemetry record type
-//! round-trips through `validate_jsonl`, every `--smoke` harness
-//! experiment is a CI gate, the hand-kept `MODEL_CRATES` list matches the
+//! `--smoke` harness experiment is a CI gate, the hand-kept `MODEL_CRATES` list matches the
 //! workspace, every member manifest inherits the workspace lint table, and
 //! the per-slot hot path stays allocation-free ahead of ROADMAP item 1's
 //! bit-parallel rewrite. This module builds an explicit graph of those
@@ -13,12 +11,12 @@
 //!
 //! Every check that reads a non-code artifact is gated on that artifact
 //! being present (see [`crate::artifacts`]), which keeps single-rule
-//! fixture workspaces from tripping the other five rules.
+//! fixture workspaces from tripping the other two rules.
 
 use crate::artifacts::{inherits_workspace_lints, Artifacts};
 use crate::context::{FileKind, SourceFile};
 use crate::diag::{json_str, Diagnostic, Severity};
-use crate::itemtree::{match_arm_strings, ItemKind, ItemTree};
+use crate::itemtree::{ItemKind, ItemTree};
 use crate::lexer::{Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -90,39 +88,6 @@ pub const HOT_FN_NAMES: &[&str] = &[
 /// The file [`HOT_FN_NAMES`] is declared in, workspace-relative.
 const HOT_FN_NAMES_HOME: &str = "crates/lint/src/contracts.rs";
 
-/// One `FaultKind` variant and the test files that exercise it.
-#[derive(Debug)]
-pub struct FaultNode {
-    /// Variant name.
-    pub name: String,
-    /// Declaration line in the faults crate.
-    pub line: u32,
-    /// Test files referencing the variant, sorted.
-    pub covered_by: Vec<String>,
-}
-
-/// One telemetry record type and which side of the schema knows it.
-#[derive(Debug)]
-pub struct RecordNode {
-    /// Record `"type"` string.
-    pub name: String,
-    /// Some emitter writes it.
-    pub emitted: bool,
-    /// `validate_jsonl` has an arm for it.
-    pub validated: bool,
-}
-
-/// One engine report-extras key.
-#[derive(Debug)]
-pub struct ExtraNode {
-    /// The key string.
-    pub key: String,
-    /// Crates that set it, sorted.
-    pub crates: Vec<String>,
-    /// Some test file mentions the key string.
-    pub asserted: bool,
-}
-
 /// One experiment of the harness's `repro` binary.
 #[derive(Debug)]
 pub struct BenchBinNode {
@@ -160,12 +125,6 @@ pub struct HotFnNode {
 /// JSON by `--graph`; the meta-tests assert it is non-vacuous.
 #[derive(Debug, Default)]
 pub struct ContractGraph {
-    /// `FaultKind` variants with their test coverage.
-    pub fault_kinds: Vec<FaultNode>,
-    /// Telemetry record types, emit side vs validate side.
-    pub record_types: Vec<RecordNode>,
-    /// Report-extras keys with setters and assertion status.
-    pub extras: Vec<ExtraNode>,
     /// Bench binaries with their smoke/CI wiring.
     pub bench_bins: Vec<BenchBinNode>,
     /// Committed bench baselines with their referencing bins.
@@ -179,42 +138,7 @@ pub struct ContractGraph {
 impl ContractGraph {
     /// Hand-rolled JSON rendering (the workspace is offline, no serde).
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"fault_kinds\": [");
-        for (i, n) in self.fault_kinds.iter().enumerate() {
-            let covered: Vec<String> = n.covered_by.iter().map(|f| json_str(f)).collect();
-            let _ = write!(
-                out,
-                "{}\n    {{\"name\": {}, \"line\": {}, \"covered_by\": [{}]}}",
-                comma(i),
-                json_str(&n.name),
-                n.line,
-                covered.join(", ")
-            );
-        }
-        out.push_str("\n  ],\n  \"record_types\": [");
-        for (i, n) in self.record_types.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"name\": {}, \"emitted\": {}, \"validated\": {}}}",
-                comma(i),
-                json_str(&n.name),
-                n.emitted,
-                n.validated
-            );
-        }
-        out.push_str("\n  ],\n  \"extras\": [");
-        for (i, n) in self.extras.iter().enumerate() {
-            let crates: Vec<String> = n.crates.iter().map(|c| json_str(c)).collect();
-            let _ = write!(
-                out,
-                "{}\n    {{\"key\": {}, \"crates\": [{}], \"asserted\": {}}}",
-                comma(i),
-                json_str(&n.key),
-                crates.join(", "),
-                n.asserted
-            );
-        }
-        out.push_str("\n  ],\n  \"bench_bins\": [");
+        let mut out = String::from("{\n  \"bench_bins\": [");
         for (i, n) in self.bench_bins.iter().enumerate() {
             let _ = write!(
                 out,
@@ -264,7 +188,7 @@ fn comma(i: usize) -> &'static str {
     }
 }
 
-/// Run the six contract rules over the workspace and return their
+/// Run the three contract rules over the workspace and return their
 /// findings plus the graph they were computed from. Findings may be
 /// anchored to non-`.rs` artifacts (`Cargo.toml`, ci.yml, a
 /// `BENCH_*.json` name) — those carry an empty snippet.
@@ -278,9 +202,6 @@ pub fn check_workspace(files: &[SourceFile], arts: &Artifacts) -> (Vec<Diagnosti
                 .then(|| ItemTree::parse(f.tokens()))
         })
         .collect();
-    rule_fault_coverage(files, &trees, &mut out, &mut graph);
-    rule_jsonl_schema_sync(files, &trees, &mut out, &mut graph);
-    rule_extras_registry(files, &mut out, &mut graph);
     rule_bench_gate(files, arts, &mut out, &mut graph);
     rule_model_crate_sync(files, &trees, arts, &mut out, &mut graph);
     rule_hot_loop_alloc(files, &trees, &mut out, &mut graph);
@@ -314,246 +235,6 @@ fn mk_artifact(
         col: 1,
         message,
         snippet,
-    }
-}
-
-/// Rule `fault-coverage`: every variant of the faults crate's
-/// `FaultKind` enum must be referenced by at least one test file —
-/// an uninjected fault kind has an unproven replay contract.
-fn rule_fault_coverage(
-    files: &[SourceFile],
-    trees: &[Option<ItemTree>],
-    out: &mut Vec<Diagnostic>,
-    graph: &mut ContractGraph,
-) {
-    for (f, tree) in files.iter().zip(trees) {
-        if f.crate_name != "faults" || f.kind != FileKind::Lib {
-            continue;
-        }
-        let Some(tree) = tree else { continue };
-        for e in tree.enums() {
-            if e.name != "FaultKind" {
-                continue;
-            }
-            for v in &e.variants {
-                let covered_by: Vec<String> = files
-                    .iter()
-                    .filter(|t| t.kind == FileKind::Test)
-                    .filter(|t| {
-                        t.tokens()
-                            .iter()
-                            .any(|tok| tok.kind == TokKind::Ident && tok.text == v.name)
-                    })
-                    .map(|t| t.rel_path.clone())
-                    .collect();
-                if covered_by.is_empty() {
-                    out.push(mk(
-                        f,
-                        "fault-coverage",
-                        v.line,
-                        1,
-                        format!(
-                            "`FaultKind::{}` is never referenced by any test — its \
-                             injection/replay contract is unproven; add it to a \
-                             determinism or pin test",
-                            v.name
-                        ),
-                    ));
-                }
-                graph.fault_kinds.push(FaultNode {
-                    name: v.name.clone(),
-                    line: v.line,
-                    covered_by,
-                });
-            }
-        }
-    }
-}
-
-/// Rule `jsonl-schema-sync`: the telemetry crate's emit side (every
-/// `("type", "X")` record field written outside tests) and validate side
-/// (the string arms of the `match`es inside `fn validate_jsonl`) must
-/// name the same set of record types.
-fn rule_jsonl_schema_sync(
-    files: &[SourceFile],
-    trees: &[Option<ItemTree>],
-    out: &mut Vec<Diagnostic>,
-    graph: &mut ContractGraph,
-) {
-    // name → first emit site (file index, line).
-    let mut emitted: BTreeMap<String, (usize, u32)> = BTreeMap::new();
-    // name → first validate arm (file index, line).
-    let mut validated: BTreeMap<String, (usize, u32)> = BTreeMap::new();
-    for (fi, (f, tree)) in files.iter().zip(trees).enumerate() {
-        if f.crate_name != "telemetry" || f.kind != FileKind::Lib {
-            continue;
-        }
-        let toks = f.tokens();
-        for (i, t) in toks.iter().enumerate() {
-            if t.kind != TokKind::Str || f.in_test_code(t.line) {
-                continue;
-            }
-            if t.str_content().as_deref() != Some("type")
-                || i == 0
-                || toks[i - 1].text != "("
-                || toks.get(i + 1).map(|n| n.text.as_str()) != Some(",")
-            {
-                continue;
-            }
-            // The record-type literal follows within a few tokens
-            // (`("type", Value::Str("meta".into()))`).
-            if let Some(name_tok) = toks[i + 2..toks.len().min(i + 10)]
-                .iter()
-                .find(|n| n.kind == TokKind::Str)
-            {
-                if let Some(name) = name_tok.str_content() {
-                    emitted.entry(name).or_insert((fi, name_tok.line));
-                }
-            }
-        }
-        let Some(tree) = tree else { continue };
-        for fr in tree.fns() {
-            if fr.item.name != "validate_jsonl" || f.in_test_code(fr.item.line) {
-                continue;
-            }
-            let Some((lo, hi)) = fr.item.body else {
-                continue;
-            };
-            // Scrutinee names of every `match IDENT {` in the body.
-            let mut scrutinees = BTreeSet::new();
-            for w in toks[lo..=hi].windows(3) {
-                if w[0].text == "match" && w[1].kind == TokKind::Ident && w[2].text == "{" {
-                    scrutinees.insert(w[1].text.clone());
-                }
-            }
-            for s in scrutinees {
-                for (name, line) in match_arm_strings(toks, lo, hi + 1, &s) {
-                    validated.entry(name).or_insert((fi, line));
-                }
-            }
-        }
-    }
-    for (name, &(fi, line)) in &emitted {
-        if !validated.contains_key(name) {
-            out.push(mk(
-                &files[fi],
-                "jsonl-schema-sync",
-                line,
-                1,
-                format!(
-                    "record type \"{name}\" is emitted but `validate_jsonl` has no \
-                     arm for it — exported JSONL would fail its own validator"
-                ),
-            ));
-        }
-    }
-    for (name, &(fi, line)) in &validated {
-        if !emitted.contains_key(name) {
-            out.push(mk(
-                &files[fi],
-                "jsonl-schema-sync",
-                line,
-                1,
-                format!(
-                    "`validate_jsonl` accepts record type \"{name}\" that no \
-                     exporter emits — dead schema arm, delete it or wire the emitter"
-                ),
-            ));
-        }
-    }
-    let all: BTreeSet<&String> = emitted.keys().chain(validated.keys()).collect();
-    for name in all {
-        graph.record_types.push(RecordNode {
-            name: name.clone(),
-            emitted: emitted.contains_key(name),
-            validated: validated.contains_key(name),
-        });
-    }
-}
-
-/// Rule `extras-registry`: `set_extra("key", …)` keys are the engine's
-/// ad-hoc metric namespace. Each key must be set by only one crate
-/// (cross-crate collisions silently shadow) and asserted by some test
-/// (an unasserted metric can silently go wrong — the PR-2 audit lesson).
-fn rule_extras_registry(
-    files: &[SourceFile],
-    out: &mut Vec<Diagnostic>,
-    graph: &mut ContractGraph,
-) {
-    // key → sites (file index, line), in scan order (files are sorted).
-    let mut sites: BTreeMap<String, Vec<(usize, u32)>> = BTreeMap::new();
-    for (fi, f) in files.iter().enumerate() {
-        if f.kind != FileKind::Lib {
-            continue;
-        }
-        let toks = f.tokens();
-        for (i, t) in toks.iter().enumerate() {
-            if t.kind != TokKind::Ident || t.text != "set_extra" || f.in_test_code(t.line) {
-                continue;
-            }
-            if toks.get(i + 1).map(|n| n.text.as_str()) != Some("(") {
-                continue;
-            }
-            let Some(key_tok) = toks.get(i + 2).filter(|n| n.kind == TokKind::Str) else {
-                continue;
-            };
-            if let Some(key) = key_tok.str_content() {
-                sites.entry(key).or_default().push((fi, key_tok.line));
-            }
-        }
-    }
-    let asserted = |key: &str| {
-        files.iter().any(|t| {
-            t.kind == FileKind::Test
-                && t.tokens().iter().any(|tok| {
-                    tok.kind == TokKind::Str && tok.str_content().as_deref() == Some(key)
-                })
-        })
-    };
-    for (key, sites) in &sites {
-        let (fi0, line0) = sites[0];
-        let canonical = &files[fi0].crate_name;
-        let mut foreign: BTreeSet<&str> = BTreeSet::new();
-        for &(fi, line) in &sites[1..] {
-            let f = &files[fi];
-            if f.crate_name != *canonical && foreign.insert(&f.crate_name) {
-                out.push(mk(
-                    f,
-                    "extras-registry",
-                    line,
-                    1,
-                    format!(
-                        "extras key \"{key}\" is also set by crate `{}` (first set in \
-                         {}:{}) — report-extras keys must be workspace-unique",
-                        f.crate_name, files[fi0].rel_path, line0
-                    ),
-                ));
-            }
-        }
-        let is_asserted = asserted(key);
-        if !is_asserted {
-            out.push(mk(
-                &files[fi0],
-                "extras-registry",
-                line0,
-                1,
-                format!(
-                    "extras key \"{key}\" is never asserted by any test — the metric \
-                     can silently go wrong; assert it in an integration test"
-                ),
-            ));
-        }
-        let mut crates: Vec<String> = sites
-            .iter()
-            .map(|&(fi, _)| files[fi].crate_name.clone())
-            .collect();
-        crates.sort();
-        crates.dedup();
-        graph.extras.push(ExtraNode {
-            key: key.clone(),
-            crates,
-            asserted: is_asserted,
-        });
     }
 }
 
@@ -893,68 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_coverage_requires_a_test_reference() {
-        let plan = "pub enum FaultKind {\n    SoaStuckOff,\n    CreditDrop,\n}\n";
-        let test = "#[test]\nfn replays() { inject(FaultKind::SoaStuckOff); }\n";
-        let (diags, graph) = deep(
-            &[
-                ("crates/faults/src/plan.rs", plan),
-                ("tests/fault_determinism.rs", test),
-            ],
-            &Artifacts::default(),
-        );
-        let hits: Vec<_> = diags
-            .iter()
-            .filter(|d| d.rule == "fault-coverage")
-            .collect();
-        assert_eq!(hits.len(), 1, "{diags:#?}");
-        assert!(hits[0].message.contains("CreditDrop"));
-        assert_eq!(graph.fault_kinds.len(), 2);
-        assert_eq!(graph.fault_kinds[0].covered_by.len(), 1);
-    }
-
-    #[test]
-    fn jsonl_sync_flags_both_directions() {
-        let export = "fn emit() {\n    w(&[(\"type\", Value::Str(\"meta\".into()))]);\n    w(&[(\"type\", Value::Str(\"span\".into()))]);\n}\n\
-                      pub fn validate_jsonl(text: &str) -> Result<(), String> {\n    match ty {\n        \"meta\" => {}\n        \"ghost\" => {}\n        _ => {}\n    }\n    Ok(())\n}\n";
-        let (diags, graph) = deep(
-            &[("crates/telemetry/src/export.rs", export)],
-            &Artifacts::default(),
-        );
-        let hits: Vec<_> = diags
-            .iter()
-            .filter(|d| d.rule == "jsonl-schema-sync")
-            .collect();
-        assert_eq!(hits.len(), 2, "{diags:#?}");
-        assert!(hits.iter().any(|d| d.message.contains("\"span\"")));
-        assert!(hits.iter().any(|d| d.message.contains("\"ghost\"")));
-        assert_eq!(graph.record_types.len(), 3);
-    }
-
-    #[test]
-    fn extras_registry_wants_unique_asserted_keys() {
-        let a = "fn f(r: &mut R) { r.set_extra(\"shared\", 1); r.set_extra(\"mine\", 2); }\n";
-        let b = "fn g(r: &mut R) { r.set_extra(\"shared\", 3); }\n";
-        let test = "#[test]\nfn t() { assert!(rep.extras[\"shared\"] > 0); assert!(rep.extras[\"mine\"] > 0); }\n";
-        let (diags, graph) = deep(
-            &[
-                ("crates/sim/src/a.rs", a),
-                ("crates/switch/src/b.rs", b),
-                ("tests/extras.rs", test),
-            ],
-            &Artifacts::default(),
-        );
-        let hits: Vec<_> = diags
-            .iter()
-            .filter(|d| d.rule == "extras-registry")
-            .collect();
-        assert_eq!(hits.len(), 1, "{diags:#?}");
-        assert!(hits[0].message.contains("also set by crate `switch`"));
-        assert_eq!(graph.extras.len(), 2);
-        assert!(graph.extras.iter().all(|e| e.asserted));
-    }
-
-    #[test]
     fn bench_gate_cross_references_ci_and_baselines() {
         let wired = "pub fn run(args: &Args) { let quick = args.smoke; }\n";
         let unwired = "pub fn run(args: &Args) { if args.smoke {} write(\"BENCH_x.json\"); }\n";
@@ -1141,12 +760,16 @@ mod tests {
     #[test]
     fn graph_renders_deterministic_json() {
         let (_, graph) = deep(
-            &[("crates/faults/src/plan.rs", "pub enum FaultKind { A, }\n")],
+            &[(
+                "crates/bench/src/bin/repro/lat_study.rs",
+                "pub fn run(args: &Args) { let quick = args.smoke; }\n",
+            )],
             &Artifacts::default(),
         );
         let j = graph.render_json();
-        assert!(j.contains("\"fault_kinds\""));
-        assert!(j.contains("\"name\": \"A\""));
-        assert!(j.contains("\"workspace_crates\": [\"faults\"]"));
+        assert_eq!(j, graph.render_json());
+        assert!(j.contains("\"bench_bins\""));
+        assert!(j.contains("\"name\": \"lat_study\""));
+        assert!(j.contains("\"workspace_crates\": [\"bench\"]"));
     }
 }

@@ -1,12 +1,10 @@
 //! Layer 1 of the analyzer: a brace-matched item tree over the token
 //! stream.
 //!
-//! The token-level rules of PR 5 ask "does this token appear?"; the
+//! The token-level rules ask "does this token appear?"; the
 //! contract-graph rules of [`crate::contracts`] ask structural questions
-//! — "which variants does this enum declare?", "what are the string
-//! patterns of the `match` inside `fn validate_jsonl`?", "is this
-//! allocation inside the body of `fn arbitrate` in a `SlottedModel`
-//! impl?". This module answers them without `syn` (the build is
+//! — "which crate implements `SlottedModel`?", "is this allocation
+//! inside the body of `fn arbitrate` in a `SlottedModel` impl?". This module answers them without `syn` (the build is
 //! offline): a forgiving recursive-descent pass that brace-matches the
 //! lexed tokens into items. It is an approximation, like every rule
 //! here — exotic shapes (const-generic default expressions, macro
@@ -33,15 +31,6 @@ pub enum ItemKind {
     Mod,
 }
 
-/// One enum variant.
-#[derive(Debug, Clone)]
-pub struct Variant {
-    /// Variant name.
-    pub name: String,
-    /// 1-based line of the name token.
-    pub line: u32,
-}
-
 /// One parsed item. Spans are *token indices* into the stream the tree
 /// was parsed from, so rules can re-scan exactly the tokens they care
 /// about.
@@ -62,8 +51,6 @@ pub struct Item {
     /// matching `}`). `None` for braceless items (trait method
     /// signatures, unit structs).
     pub body: Option<(usize, usize)>,
-    /// Enum variants (empty for non-enums).
-    pub variants: Vec<Variant>,
     /// Child items of `impl` / `trait` / `mod` bodies. Fn bodies are
     /// opaque — statements are not items.
     pub children: Vec<Item>,
@@ -128,86 +115,6 @@ impl ItemTree {
         }
         walk(&self.items, None, &mut out);
         out
-    }
-
-    /// Every `enum` in the tree (any nesting depth), in source order.
-    pub fn enums(&self) -> Vec<&Item> {
-        let mut out = Vec::new();
-        fn walk<'a>(items: &'a [Item], out: &mut Vec<&'a Item>) {
-            for it in items {
-                if it.kind == ItemKind::Enum {
-                    out.push(it);
-                }
-                walk(&it.children, out);
-            }
-        }
-        walk(&self.items, &mut out);
-        out
-    }
-}
-
-/// String-literal patterns of every `match <scrutinee> { … }` inside the
-/// token range `[lo, hi)`, with their lines. Collects only top-level arm
-/// *patterns* (including `|` alternatives) — strings inside guards, arm
-/// bodies, or nested matches are excluded. This is how the
-/// `jsonl-schema-sync` rule reads `validate_jsonl`'s accepted record
-/// types out of its `match ty { … }`.
-pub fn match_arm_strings(
-    toks: &[Tok],
-    lo: usize,
-    hi: usize,
-    scrutinee: &str,
-) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    let mut i = lo;
-    while i + 2 < hi {
-        if toks[i].text == "match"
-            && toks[i].kind == TokKind::Ident
-            && toks[i + 1].text == scrutinee
-            && toks[i + 2].text == "{"
-        {
-            let close = matching_close(toks, i + 2, hi);
-            collect_arm_strings(toks, i + 3, close, &mut out);
-            i = close + 1;
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// State machine over one match body: patterns → optional guard → body,
-/// with `,` / block-close returning to pattern position.
-fn collect_arm_strings(toks: &[Tok], lo: usize, hi: usize, out: &mut Vec<(String, u32)>) {
-    #[derive(PartialEq)]
-    enum St {
-        Pattern,
-        Guard,
-        Body,
-    }
-    let mut st = St::Pattern;
-    let mut depth = 0i32;
-    for t in toks.iter().take(hi.min(toks.len())).skip(lo) {
-        match t.text.as_str() {
-            "{" | "(" | "[" => depth += 1,
-            "}" | ")" | "]" => {
-                depth -= 1;
-                // A block arm body closing back to arm level starts the
-                // next pattern (its trailing comma is optional).
-                if depth == 0 && t.text == "}" && st == St::Body {
-                    st = St::Pattern;
-                }
-            }
-            "if" if depth == 0 && st == St::Pattern => st = St::Guard,
-            "=>" if depth == 0 => st = St::Body,
-            "," if depth == 0 && st == St::Body => st = St::Pattern,
-            _ => {}
-        }
-        if st == St::Pattern && depth == 0 && t.kind == TokKind::Str {
-            if let Some(c) = t.str_content() {
-                out.push((c, t.line));
-            }
-        }
     }
 }
 
@@ -300,8 +207,8 @@ impl<'a> Parser<'a> {
         match self.text(i) {
             "fn" => self.parse_fn(i, hi, is_pub, out),
             "impl" => self.parse_impl(i, hi, out),
-            "enum" => self.parse_enum(i, hi, is_pub, out),
-            "struct" | "union" => self.parse_struct(i, hi, is_pub, out),
+            "enum" => self.parse_struct(i, hi, ItemKind::Enum, is_pub, out),
+            "struct" | "union" => self.parse_struct(i, hi, ItemKind::Struct, is_pub, out),
             "trait" => self.parse_trait(i, hi, is_pub, out),
             "mod" => self.parse_mod(i, hi, is_pub, out),
             "macro_rules" => {
@@ -353,7 +260,6 @@ impl<'a> Parser<'a> {
             is_pub,
             line: name_tok.line,
             body,
-            variants: Vec::new(),
             children: Vec::new(),
         });
         next
@@ -436,79 +342,20 @@ impl<'a> Parser<'a> {
             is_pub: false,
             line: anchor.line,
             body,
-            variants: Vec::new(),
             children,
         });
         next
     }
 
-    fn parse_enum(&self, kw: usize, hi: usize, is_pub: bool, out: &mut Vec<Item>) -> usize {
-        let Some(name_tok) = self.toks.get(kw + 1).filter(|t| t.kind == TokKind::Ident) else {
-            return kw + 1;
-        };
-        let mut depth = 0i32;
-        let mut j = kw + 2;
-        while j < hi {
-            match self.text(j) {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => break,
-                ";" if depth == 0 => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        let (body, variants, next) = if self.text(j) == "{" {
-            let close = matching_close(self.toks, j, hi);
-            (
-                Some((j, close)),
-                self.parse_variants(j + 1, close),
-                close + 1,
-            )
-        } else {
-            (None, Vec::new(), (j + 1).min(hi))
-        };
-        out.push(Item {
-            kind: ItemKind::Enum,
-            name: name_tok.text.clone(),
-            trait_name: None,
-            is_pub,
-            line: name_tok.line,
-            body,
-            variants,
-            children: Vec::new(),
-        });
-        next
-    }
-
-    /// Variant names inside an enum body: the first ident after the
-    /// opening brace or a top-level `,`. Payloads `(…)` / `{…}`,
-    /// discriminants `= expr`, and `#[attr]` contents sit at depth > 0
-    /// or after the name, so they never register.
-    fn parse_variants(&self, lo: usize, hi: usize) -> Vec<Variant> {
-        let mut out = Vec::new();
-        let mut depth = 0i32;
-        let mut expecting = true;
-        for t in self.toks.iter().take(hi.min(self.toks.len())).skip(lo) {
-            match t.text.as_str() {
-                "{" | "(" | "[" => depth += 1,
-                "}" | ")" | "]" => depth -= 1,
-                "," if depth == 0 => expecting = true,
-                "=" if depth == 0 => expecting = false,
-                _ if expecting && depth == 0 && t.kind == TokKind::Ident => {
-                    out.push(Variant {
-                        name: t.text.clone(),
-                        line: t.line,
-                    });
-                    expecting = false;
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
-    fn parse_struct(&self, kw: usize, hi: usize, is_pub: bool, out: &mut Vec<Item>) -> usize {
+    /// An `enum`, `struct` or `union`: a name and an opaque body.
+    fn parse_struct(
+        &self,
+        kw: usize,
+        hi: usize,
+        kind: ItemKind,
+        is_pub: bool,
+        out: &mut Vec<Item>,
+    ) -> usize {
         let Some(name_tok) = self.toks.get(kw + 1).filter(|t| t.kind == TokKind::Ident) else {
             return kw + 1;
         };
@@ -531,13 +378,12 @@ impl<'a> Parser<'a> {
             (None, (j + 1).min(hi))
         };
         out.push(Item {
-            kind: ItemKind::Struct,
+            kind,
             name: name_tok.text.clone(),
             trait_name: None,
             is_pub,
             line: name_tok.line,
             body,
-            variants: Vec::new(),
             children: Vec::new(),
         });
         next
@@ -572,7 +418,6 @@ impl<'a> Parser<'a> {
             is_pub,
             line: name_tok.line,
             body,
-            variants: Vec::new(),
             children,
         });
         next
@@ -599,7 +444,6 @@ impl<'a> Parser<'a> {
             is_pub,
             line: name_tok.line,
             body,
-            variants: Vec::new(),
             children,
         });
         next
@@ -685,21 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn enum_variants_with_payloads_and_attrs() {
-        let t = tree(
-            "pub enum FaultKind {\n    SoaStuckOff { output: usize },\n    LinkBerBurst(u8, f64),\n    #[doc = \"weird\"]\n    GrantLoss = 4,\n    CreditDrop,\n}\n",
-        );
-        let e = &t.items[0];
-        assert_eq!(e.kind, ItemKind::Enum);
-        assert_eq!(e.name, "FaultKind");
-        let names: Vec<&str> = e.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["SoaStuckOff", "LinkBerBurst", "GrantLoss", "CreditDrop"]
-        );
-    }
-
-    #[test]
     fn skipped_items_do_not_desync_the_walker() {
         let t = tree(
             "use std::fmt::{self, Write};\n\
@@ -738,26 +567,6 @@ mod tests {
         assert_eq!(fns[0].impl_type(), Some("Engine"));
         assert_eq!(fns[1].item.name, "free");
         assert_eq!(fns[1].impl_trait(), None);
-    }
-
-    #[test]
-    fn match_arm_strings_sees_patterns_only() {
-        let src = "fn v(ty: &str) {\n    match ty {\n        \"meta\" => { emit(\"not-a-pattern\"); }\n        \"a\" | \"b\" => x(\"nope\"),\n        s if s == \"guarded\" => {}\n        _ => other(\"also-no\"),\n    }\n}\n";
-        let l = lex(src);
-        let arms = match_arm_strings(&l, 0, l.len(), "ty");
-        let names: Vec<&str> = arms.iter().map(|(s, _)| s.as_str()).collect();
-        assert_eq!(names, ["meta", "a", "b"]);
-    }
-
-    #[test]
-    fn match_arm_strings_ignores_other_scrutinees_and_nested() {
-        let src = "fn v(ty: &str, k: &str) {\n    match k {\n        \"other\" => {}\n        _ => {}\n    }\n    match ty {\n        \"outer\" => {\n            match ty { \"inner\" => {} _ => {} }\n        }\n        _ => {}\n    }\n}\n";
-        let l = lex(src);
-        let arms = match_arm_strings(&l, 0, l.len(), "ty");
-        let names: Vec<&str> = arms.iter().map(|(s, _)| s.as_str()).collect();
-        // The nested match sits inside an arm body (depth > 0), so its
-        // patterns never register as arms of the outer match.
-        assert_eq!(names, ["outer"]);
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl Tok {
     /// Decoded contents of a string/char literal: strips the `b`/`r`/`br`
     /// prefix, hash guards, and quotes, and resolves simple escapes in
     /// cooked literals. The contract-graph rules compare literal
-    /// *contents* (record type names, report-extra keys, CLI flags), so
+    /// *contents* (CLI flags, `BENCH_*.json` names), so
     /// `r#"--smoke"#` and `"--smoke"` must decode identically. Returns
     /// `None` for non-`Str` tokens.
     pub fn str_content(&self) -> Option<String> {

@@ -6,9 +6,11 @@
 //! observation planes that are provably free when disabled. The
 //! compiler-checkable half of that (no hash-order iteration, no wall
 //! clock, no panics in library code, no unsafe) is the root
-//! `Cargo.toml`'s `[workspace.lints]` table. This crate checks the rest:
+//! `Cargo.toml`'s `[workspace.lints]` table, and the types and tests
+//! carry the report extras, the JSONL record schema and fault coverage.
+//! This crate checks the rest:
 //! two token-level rules (the disabled planes do not allocate, fabric
-//! APIs take typed ids) and six contract-graph rules across code, tests,
+//! APIs take typed ids) and three contract-graph rules across code, tests,
 //! ci.yml, the manifests and DESIGN.md. It is a dependency-free analyzer
 //! (hand-rolled lexer — the build is offline, so no `syn`) with
 //! `file:line:col` diagnostics in human and JSON form, and it has no

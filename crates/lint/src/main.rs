@@ -64,9 +64,9 @@ fn main() -> ExitCode {
                             [--graph PATH] [--bench] [--list-rules] [-q]\n\n\
                      Enforces the zero-cost-plane and typed-ids contracts; rustc and clippy\n\
                      carry the rest (the root Cargo.toml's [workspace.lints]).\n\
-                     --deep adds the contract-graph rules (fault coverage, JSONL schema\n\
-                     sync, extras registry, bench gates, MODEL_CRATES and lint-table sync,\n\
-                     hot-loop allocation); --graph writes the cross-artifact graph as JSON;\n\
+                     --deep adds the contract-graph rules (bench gates, MODEL_CRATES and\n\
+                     lint-table sync, hot-loop allocation); --graph writes the\n\
+                     cross-artifact graph as JSON;\n\
                      --bench times the deep pass and writes BENCH_lint.json.\n\
                      Exit codes: 0 clean, 1 findings, 2 usage or IO error."
                 );
@@ -123,15 +123,11 @@ fn main() -> ExitCode {
         if let Some(graph) = &graph {
             let json = format!(
                 "{{\"bench\":\"lint-deep\",\"elapsed_ms\":{:.3},\"files_scanned\":{},\
-                 \"rules\":{},\"findings\":{},\"fault_kinds\":{},\
-                 \"record_types\":{},\"extras\":{},\"bench_bins\":{},\"hot_fns\":{}}}\n",
+                 \"rules\":{},\"findings\":{},\"bench_bins\":{},\"hot_fns\":{}}}\n",
                 elapsed_ms,
                 report.files_scanned,
                 osmosis_lint::rules::RULES.len(),
                 report.diagnostics.len(),
-                graph.fault_kinds.len(),
-                graph.record_types.len(),
-                graph.extras.len(),
                 graph.bench_bins.len(),
                 graph.hot_fns.len(),
             );

@@ -46,24 +46,6 @@ pub const RULES: &[RuleInfo] = &[
         deep: false,
     },
     RuleInfo {
-        id: "fault-coverage",
-        severity: Severity::Error,
-        summary: "every FaultKind variant must be exercised by at least one test file",
-        deep: true,
-    },
-    RuleInfo {
-        id: "jsonl-schema-sync",
-        severity: Severity::Error,
-        summary: "telemetry record types emitted and validate_jsonl match arms must be the same set",
-        deep: true,
-    },
-    RuleInfo {
-        id: "extras-registry",
-        severity: Severity::Error,
-        summary: "set_extra keys must be workspace-unique and asserted by some test",
-        deep: true,
-    },
-    RuleInfo {
         id: "bench-gate",
         severity: Severity::Error,
         summary: "--smoke harness experiments must be ci.yml gates; committed BENCH_*.json must map to live bins",

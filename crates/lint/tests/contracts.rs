@@ -1,4 +1,4 @@
-//! The six contract-graph rules tested against their fixture corpus:
+//! The three contract-graph rules tested against their fixture corpus:
 //! each rule gets a known-broken mini-workspace that must fire and a
 //! known-clean twin that must not, assembled from
 //! `crates/lint/fixtures/<rule>/` under synthetic workspace paths (the
@@ -31,154 +31,6 @@ fn deep(files: Vec<(&str, String)>, arts: &Artifacts) -> (LintReport, ContractGr
 
 fn count(report: &LintReport, rule: &str) -> usize {
     report.diagnostics.iter().filter(|d| d.rule == rule).count()
-}
-
-// --- fault-coverage ------------------------------------------------------
-
-#[test]
-fn fault_coverage_fires_on_the_untested_variant() {
-    let plan = fixture("fault-coverage", "plan.rs");
-    let (bad, graph) = deep(
-        vec![
-            ("crates/faults/src/plan.rs", plan.clone()),
-            ("tests/replay.rs", fixture("fault-coverage", "bad.rs")),
-        ],
-        &Artifacts::default(),
-    );
-    assert_eq!(count(&bad, "fault-coverage"), 1, "{:#?}", bad.diagnostics);
-    let d = bad
-        .diagnostics
-        .iter()
-        .find(|d| d.rule == "fault-coverage")
-        .unwrap();
-    assert!(d.message.contains("ReceiverDeath"), "{}", d.message);
-    assert_eq!(d.file, "crates/faults/src/plan.rs");
-    assert!(
-        d.snippet.contains("ReceiverDeath"),
-        "anchored at the variant"
-    );
-    assert_eq!(graph.fault_kinds.len(), 3);
-
-    let (good, graph) = deep(
-        vec![
-            ("crates/faults/src/plan.rs", plan),
-            ("tests/replay.rs", fixture("fault-coverage", "good.rs")),
-        ],
-        &Artifacts::default(),
-    );
-    assert_eq!(count(&good, "fault-coverage"), 0, "{:#?}", good.diagnostics);
-    assert!(graph.fault_kinds.iter().all(|k| !k.covered_by.is_empty()));
-}
-
-// --- jsonl-schema-sync ---------------------------------------------------
-
-#[test]
-fn jsonl_sync_fires_in_both_directions() {
-    let (bad, graph) = deep(
-        vec![(
-            "crates/telemetry/src/export.rs",
-            fixture("jsonl-schema-sync", "bad.rs"),
-        )],
-        &Artifacts::default(),
-    );
-    assert_eq!(
-        count(&bad, "jsonl-schema-sync"),
-        2,
-        "{:#?}",
-        bad.diagnostics
-    );
-    let msgs: Vec<&str> = bad
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule == "jsonl-schema-sync")
-        .map(|d| d.message.as_str())
-        .collect();
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("\"cell\"") && m.contains("no arm")),
-        "emitted-but-unvalidated direction: {msgs:?}"
-    );
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("\"ghost\"") && m.contains("no exporter")),
-        "validated-but-unemitted direction: {msgs:?}"
-    );
-    assert_eq!(graph.record_types.len(), 3);
-
-    let (good, graph) = deep(
-        vec![(
-            "crates/telemetry/src/export.rs",
-            fixture("jsonl-schema-sync", "good.rs"),
-        )],
-        &Artifacts::default(),
-    );
-    assert_eq!(
-        count(&good, "jsonl-schema-sync"),
-        0,
-        "{:#?}",
-        good.diagnostics
-    );
-    assert!(graph.record_types.iter().all(|r| r.emitted && r.validated));
-}
-
-// --- extras-registry -----------------------------------------------------
-
-#[test]
-fn extras_registry_fires_on_collision_and_orphan() {
-    let def = (
-        "crates/sim/src/engine.rs",
-        fixture("extras-registry", "def.rs"),
-    );
-    let test = ("tests/extras.rs", fixture("extras-registry", "test.rs"));
-    let (bad, graph) = deep(
-        vec![
-            def.clone(),
-            (
-                "crates/switch/src/xbar.rs",
-                fixture("extras-registry", "bad.rs"),
-            ),
-            test.clone(),
-        ],
-        &Artifacts::default(),
-    );
-    assert_eq!(count(&bad, "extras-registry"), 2, "{:#?}", bad.diagnostics);
-    let msgs: Vec<&str> = bad
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule == "extras-registry")
-        .map(|d| d.message.as_str())
-        .collect();
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("\"shared_key\"") && m.contains("also set")),
-        "cross-crate collision: {msgs:?}"
-    );
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("\"orphan_key\"") && m.contains("never asserted")),
-        "unasserted key: {msgs:?}"
-    );
-    // Nodes exist for set keys only; the assert-only "switch_key" is not one.
-    assert_eq!(graph.extras.len(), 3);
-
-    let (good, graph) = deep(
-        vec![
-            def,
-            (
-                "crates/switch/src/xbar.rs",
-                fixture("extras-registry", "good.rs"),
-            ),
-            test,
-        ],
-        &Artifacts::default(),
-    );
-    assert_eq!(
-        count(&good, "extras-registry"),
-        0,
-        "{:#?}",
-        good.diagnostics
-    );
-    assert!(graph.extras.iter().all(|e| e.asserted));
 }
 
 // --- bench-gate ----------------------------------------------------------

@@ -2,8 +2,8 @@
 //!
 //! Two families:
 //!  * invariants — the live contract graph is non-vacuous (the rules are
-//!    actually connected to real faults/records/bins, not matching
-//!    nothing) and the tree is currently clean;
+//!    actually connected to real bins, manifests and hot fns, not
+//!    matching nothing) and the tree is currently clean;
 //!  * flips — each headline drift the deep rules exist to catch is
 //!    introduced in-memory (never on disk) and must turn the report
 //!    non-clean, i.e. flip the CLI to a non-zero exit.
@@ -43,10 +43,6 @@ fn edited_workspace(path: &str, edit: impl Fn(&str) -> String) -> Vec<SourceFile
     files
 }
 
-fn rule_count(report: &osmosis_lint::diag::LintReport, rule: &str) -> usize {
-    report.diagnostics.iter().filter(|d| d.rule == rule).count()
-}
-
 // --- invariants ----------------------------------------------------------
 
 #[test]
@@ -57,40 +53,6 @@ fn live_workspace_is_deep_clean() {
         "workspace must pass its own deep lint:\n{:#?}",
         report.diagnostics
     );
-}
-
-#[test]
-fn live_fault_contract_is_not_vacuous() {
-    let (_, graph) = analyze_workspace_deep(repo_root()).expect("deep run");
-    assert!(
-        graph.fault_kinds.len() >= 8,
-        "fault plan should model >=8 kinds, saw {}",
-        graph.fault_kinds.len()
-    );
-    for k in &graph.fault_kinds {
-        assert!(
-            !k.covered_by.is_empty(),
-            "fault kind {} has no exercising test",
-            k.name
-        );
-    }
-}
-
-#[test]
-fn live_record_and_extras_contracts_are_not_vacuous() {
-    let (_, graph) = analyze_workspace_deep(repo_root()).expect("deep run");
-    assert!(
-        graph.record_types.len() >= 10,
-        "telemetry should round-trip >=10 record types, saw {}",
-        graph.record_types.len()
-    );
-    for r in &graph.record_types {
-        assert!(r.emitted && r.validated, "record {} is one-sided", r.name);
-    }
-    assert!(!graph.extras.is_empty());
-    for e in &graph.extras {
-        assert!(e.asserted, "extras key {} never asserted by a test", e.key);
-    }
 }
 
 #[test]
@@ -151,23 +113,6 @@ fn live_hot_paths_are_allocation_free() {
 }
 
 // --- flips ---------------------------------------------------------------
-
-#[test]
-fn deleting_a_validate_arm_flips_the_exit() {
-    let files = edited_workspace("crates/telemetry/src/export.rs", |text| {
-        // Retire the "meta" arm of validate_jsonl: the record is still
-        // emitted, so the emit<->validate contract is now one-sided.
-        text.replace("\"meta\" => {", "\"meta_gone\" => {")
-    });
-    let arts = Artifacts::load(repo_root());
-    let (report, _) = analyze_files_deep(files, &arts);
-    assert!(!report.is_clean(), "validate drift must exit non-zero");
-    assert!(
-        rule_count(&report, "jsonl-schema-sync") >= 1,
-        "{:#?}",
-        report.diagnostics
-    );
-}
 
 #[test]
 fn unwiring_a_smoke_gate_flips_the_exit() {

@@ -48,7 +48,7 @@ pub use tm::{TmEstimator, TmRecorder};
 mod tests {
     use super::*;
     use osmosis_sim::engine::{Engine, EngineConfig};
-    use osmosis_sim::SeedSequence;
+    use osmosis_sim::{Extra, SeedSequence};
     use osmosis_switch::Driven;
     use osmosis_traffic::BernoulliUniform;
 
@@ -59,11 +59,11 @@ mod tests {
         let r = Engine::new(&EngineConfig::new(500, 5_000).with_seed(2))
             .circuits(Some(&mut sched))
             .run(&mut Driven::new(&mut OcsSwitch::new(8), &mut tr));
-        let epochs = r.extra("ocs_epochs").unwrap_or(0.0);
+        let epochs = r.extra(Extra::OcsEpochs).unwrap_or(0.0);
         // 5500 slots / 64-slot epochs ⇒ 86 epochs.
         assert!(epochs > 80.0, "epochs {epochs}");
-        assert!(r.extra("ocs_reconfigurations").is_some());
-        assert!(r.extra("ocs_mean_utilization").is_some());
+        assert!(r.extra(Extra::OcsReconfigurations).is_some());
+        assert!(r.extra(Extra::OcsMeanUtilization).is_some());
         assert_eq!(sched.epoch_log().len() as f64, epochs);
     }
 }

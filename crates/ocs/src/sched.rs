@@ -31,7 +31,7 @@ use crate::bvn;
 use crate::epoch::EpochConfig;
 use crate::tm::TmEstimator;
 use osmosis_sim::engine::{EngineConfig, EngineReport};
-use osmosis_sim::CircuitView;
+use osmosis_sim::{CircuitView, Extra};
 use std::collections::VecDeque;
 
 /// An input whose circuit is dark (not connected this epoch).
@@ -329,20 +329,20 @@ impl CircuitView for OcsScheduler {
 
     fn finish(&mut self, report: &mut EngineReport) {
         self.close_epoch_record();
-        report.set_extra("ocs_epochs", self.epoch_index as f64);
-        report.set_extra("ocs_reconfigurations", self.reconfigurations as f64);
-        report.set_extra("ocs_changed_circuits", self.changed_total as f64);
-        report.set_extra("ocs_guard_slots_paid", self.guard_paid as f64);
-        report.set_extra("ocs_bvn_terms", self.bvn_terms_total as f64);
-        report.set_extra("ocs_decompositions", self.decompositions as f64);
-        report.set_extra("ocs_rotor_frames", self.rotor_frames as f64);
-        report.set_extra("ocs_transfers", self.total_transfers as f64);
+        report.set_extra(Extra::OcsEpochs, self.epoch_index as f64);
+        report.set_extra(Extra::OcsReconfigurations, self.reconfigurations as f64);
+        report.set_extra(Extra::OcsChangedCircuits, self.changed_total as f64);
+        report.set_extra(Extra::OcsGuardSlotsPaid, self.guard_paid as f64);
+        report.set_extra(Extra::OcsBvnTerms, self.bvn_terms_total as f64);
+        report.set_extra(Extra::OcsDecompositions, self.decompositions as f64);
+        report.set_extra(Extra::OcsRotorFrames, self.rotor_frames as f64);
+        report.set_extra(Extra::OcsTransfers, self.total_transfers as f64);
         let mean_util = if self.log.is_empty() {
             0.0
         } else {
             self.log.iter().map(|r| r.utilization).sum::<f64>() / self.log.len() as f64
         };
-        report.set_extra("ocs_mean_utilization", mean_util);
+        report.set_extra(Extra::OcsMeanUtilization, mean_util);
     }
 }
 
@@ -421,8 +421,8 @@ mod tests {
         assert!(s.reconfigurations() < s.epochs());
         let mut r = EngineReport::default();
         s.finish(&mut r);
-        assert_eq!(r.extra("ocs_epochs"), Some(s.epochs() as f64));
-        assert!(r.extra("ocs_guard_slots_paid").is_some());
+        assert_eq!(r.extra(Extra::OcsEpochs), Some(s.epochs() as f64));
+        assert!(r.extra(Extra::OcsGuardSlotsPaid).is_some());
     }
 
     #[test]

@@ -172,7 +172,7 @@ mod tests {
     use super::*;
     use crate::epoch::EpochConfig;
     use crate::sched::OcsScheduler;
-    use osmosis_sim::SeedSequence;
+    use osmosis_sim::{Extra, SeedSequence};
     use osmosis_switch::run_switch_circuit;
     use osmosis_traffic::{BernoulliUniform, Permutation};
 
@@ -206,7 +206,7 @@ mod tests {
         let r = run_switch_circuit(&mut sw, &mut tr, &cfg(), &mut sched, None, None);
         assert!(r.throughput > 0.25, "throughput {}", r.throughput);
         assert_eq!(r.reordered, 0);
-        assert!(r.extra("ocs_epochs").is_some());
+        assert!(r.extra(Extra::OcsEpochs).is_some());
     }
 
     #[test]
@@ -223,7 +223,7 @@ mod tests {
             None,
         );
         assert!(r.dropped > 0, "overload must overflow an 8-cell buffer");
-        assert_eq!(r.extra("drops_buffer_full"), Some(r.dropped as f64));
+        assert_eq!(r.extra(Extra::DropsBufferFull), Some(r.dropped as f64));
     }
 
     #[test]

@@ -53,6 +53,13 @@ impl BufferLossReason {
             BufferLossReason::DeadLine => "dead_line",
         }
     }
+
+    /// The reason labelled `name`, if any.
+    pub fn from_name(name: &str) -> Option<Self> {
+        [Self::AdmissionFull, Self::NoFeasibleLine, Self::DeadLine]
+            .into_iter()
+            .find(|r| r.name() == name)
+    }
 }
 
 /// One cell a buffer plane could not keep, surfaced by

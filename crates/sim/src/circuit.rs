@@ -97,6 +97,7 @@ impl CircuitView for NullCircuits {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extra::Extra;
 
     #[test]
     fn null_circuits_is_vacuous_and_benign() {
@@ -109,6 +110,6 @@ mod tests {
         c.begin_slot(42);
         let mut report = EngineReport::default();
         c.finish(&mut report);
-        assert!(report.extra("ocs_epochs").is_none());
+        assert!(report.extra(Extra::OcsEpochs).is_none());
     }
 }

@@ -43,6 +43,7 @@
 
 use crate::audit::{Auditor, CreditLedger, DropReason};
 use crate::circuit::CircuitView;
+use crate::extra::Extra;
 use crate::fault::FaultView;
 use crate::order::FlowOrder;
 use crate::stats::Histogram;
@@ -345,8 +346,8 @@ pub struct EngineReport {
     /// Full request-to-grant histogram (slots).
     pub grant_hist: Histogram,
     /// Model-specific metrics (CIOQ work-conservation violation fraction,
-    /// multicast copy counts, ...), as `(name, value)` pairs.
-    pub extra: Vec<(&'static str, f64)>,
+    /// multicast copy counts, ...), in the order the run set them.
+    pub extra: Vec<(Extra, f64)>,
 }
 
 impl Default for EngineReport {
@@ -375,17 +376,17 @@ impl Default for EngineReport {
 }
 
 impl EngineReport {
-    /// Look up a model-specific metric by name.
-    pub fn extra(&self, name: &str) -> Option<f64> {
-        self.extra.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+    /// Look up a model-specific metric.
+    pub fn extra(&self, key: Extra) -> Option<f64> {
+        self.extra.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
     }
 
     /// Add (or overwrite) a model-specific metric.
-    pub fn set_extra(&mut self, name: &'static str, value: f64) {
-        if let Some(slot) = self.extra.iter_mut().find(|(n, _)| *n == name) {
+    pub fn set_extra(&mut self, key: Extra, value: f64) {
+        if let Some(slot) = self.extra.iter_mut().find(|(k, _)| *k == key) {
             slot.1 = value;
         } else {
-            self.extra.push((name, value));
+            self.extra.push((key, value));
         }
     }
 
@@ -422,8 +423,8 @@ impl EngineReport {
                 h.write_u64(c);
             }
         }
-        for (name, value) in &self.extra {
-            for b in name.bytes() {
+        for (key, value) in &self.extra {
+            for b in key.name().bytes() {
                 h.write_u64(b as u64);
             }
             h.write_u64(value.to_bits());
@@ -920,14 +921,14 @@ impl<'a, T: TraceSink> Observer<'a, T> {
         // Full tail quantiles as extras (the `p99_delay` field predates
         // them and stays). Derived purely from the delay histogram, so
         // they are identical across plain/faulted/audited/traced runs.
-        for (name, q) in [
-            ("delay_p50", 0.5),
-            ("delay_p95", 0.95),
-            ("delay_p99", 0.99),
-            ("delay_p999", 0.999),
+        for (key, q) in [
+            (Extra::DelayP50, 0.5),
+            (Extra::DelayP95, 0.95),
+            (Extra::DelayP99, 0.99),
+            (Extra::DelayP999, 0.999),
         ] {
             if let Some(v) = report.delay_hist.quantile(q) {
-                report.set_extra(name, v);
+                report.set_extra(key, v);
             }
         }
         (report, self.sink)
@@ -1099,14 +1100,14 @@ impl<'a, T: TraceSink> Engine<'a, T> {
         // from model behaviour), so audited and un-audited runs fingerprint
         // identically.
         if drops_rejected > 0 {
-            report.set_extra("drops_rejected", drops_rejected as f64);
+            report.set_extra(Extra::DropsRejected, drops_rejected as f64);
         }
         if drops_buffer_full > 0 {
-            report.set_extra("drops_buffer_full", drops_buffer_full as f64);
+            report.set_extra(Extra::DropsBufferFull, drops_buffer_full as f64);
         }
         if let Some(f) = faults {
-            report.set_extra("fault_cells_lost", fault_cells_lost as f64);
-            report.set_extra("fault_retransmits", fault_retransmits as f64);
+            report.set_extra(Extra::FaultCellsLost, fault_cells_lost as f64);
+            report.set_extra(Extra::FaultRetransmits, fault_retransmits as f64);
             f.finish(&mut report);
         }
         if let Some(c) = circuits {
@@ -1173,7 +1174,7 @@ mod tests {
         }
 
         fn finish(&mut self, report: &mut EngineReport) {
-            report.set_extra("served_total", self.served as f64);
+            report.set_extra(Extra::CopiesDelivered, self.served as f64);
         }
     }
 
@@ -1191,8 +1192,11 @@ mod tests {
         // Injection is the last phase of a slot, so a cell is served in
         // the following slot: delay is exactly 1.
         assert!((r.mean_delay - 1.0).abs() < 1e-12, "{}", r.mean_delay);
-        assert_eq!(r.extra("served_total"), Some(r.delivered as f64 + 5.0));
-        assert_eq!(r.extra("missing"), None);
+        assert_eq!(
+            r.extra(Extra::CopiesDelivered),
+            Some(r.delivered as f64 + 5.0)
+        );
+        assert_eq!(r.extra(Extra::AuditViolations), None);
     }
 
     #[test]
@@ -1218,7 +1222,7 @@ mod tests {
         assert_ne!(a.fingerprint(), c.fingerprint());
         // The fingerprint covers extras too.
         let mut d = Engine::new(&cfg).run(&mut ToyQueue::new(3, 2));
-        d.set_extra("tweak", 1.0);
+        d.set_extra(Extra::Stages, 1.0);
         assert_ne!(a.fingerprint(), d.fingerprint());
     }
 
@@ -1260,7 +1264,11 @@ mod tests {
             .faults(Some(&mut NullFaults))
             .run(&mut ToyQueue::new(3, 2));
         assert_eq!(plain.fingerprint(), faulted.fingerprint());
-        assert_eq!(faulted.extra("fault_cells_lost"), None, "no fault extras");
+        assert_eq!(
+            faulted.extra(Extra::FaultCellsLost),
+            None,
+            "no fault extras"
+        );
     }
 
     #[test]
@@ -1285,7 +1293,7 @@ mod tests {
                 true
             }
             fn finish(&mut self, report: &mut EngineReport) {
-                report.set_extra("probe_finished", 1.0);
+                report.set_extra(Extra::FaultsInjected, 1.0);
                 self.finished = true;
             }
         }
@@ -1322,9 +1330,9 @@ mod tests {
         assert!(probe.finished);
         let _ = probe.queries;
         assert_eq!(r.delivered, 0, "output stayed blocked");
-        assert_eq!(r.extra("probe_finished"), Some(1.0));
-        assert_eq!(r.extra("fault_cells_lost"), Some(0.0));
-        assert_eq!(r.extra("fault_retransmits"), Some(0.0));
+        assert_eq!(r.extra(Extra::FaultsInjected), Some(1.0));
+        assert_eq!(r.extra(Extra::FaultCellsLost), Some(0.0));
+        assert_eq!(r.extra(Extra::FaultRetransmits), Some(0.0));
     }
 
     /// Each slot admits two cells of flow 0 → 0 and delivers the two of
@@ -1472,10 +1480,15 @@ mod tests {
         let r = Engine::new(&cfg).run(&mut ToyQueue::new(2, 1));
         // Constant delay 1: every quantile of the distribution sits in
         // the first bucket above it.
-        for name in ["delay_p50", "delay_p95", "delay_p99", "delay_p999"] {
-            let v = r.extra(name).unwrap_or_else(|| panic!("{name} missing"));
-            assert!((1.0..=2.0).contains(&v), "{name} = {v}");
+        for key in [
+            Extra::DelayP50,
+            Extra::DelayP95,
+            Extra::DelayP99,
+            Extra::DelayP999,
+        ] {
+            let v = r.extra(key).unwrap_or_else(|| panic!("{key:?} missing"));
+            assert!((1.0..=2.0).contains(&v), "{key:?} = {v}");
         }
-        assert_eq!(r.extra("delay_p99"), r.p99_delay, "extra matches field");
+        assert_eq!(r.extra(Extra::DelayP99), r.p99_delay, "extra matches field");
     }
 }

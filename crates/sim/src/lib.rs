@@ -21,6 +21,7 @@ pub mod audit;
 pub mod buffer;
 pub mod circuit;
 pub mod engine;
+pub mod extra;
 pub mod fault;
 pub mod json;
 mod order;
@@ -36,6 +37,7 @@ pub use engine::{
     CountingTrace, Engine, EngineConfig, EngineReport, NullTrace, Observer, RingTrace,
     SlottedModel, TraceEvent, TraceSink, VecTrace,
 };
+pub use extra::Extra;
 pub use fault::{FaultView, NullFaults};
 pub use rng::{SeedSequence, SimRng};
 pub use stats::{Counter, Histogram, SimSummary, Welford};

@@ -22,6 +22,7 @@
 //! propagates, and once the cause is fixed the run resumes from the log.
 
 use crate::engine::EngineReport;
+use crate::extra::Extra;
 use crate::json::Value;
 use crate::stats::Histogram;
 use std::panic::resume_unwind;
@@ -170,22 +171,6 @@ impl SweepState for u64 {
     }
 }
 
-/// Intern an extra-metric name loaded from a checkpoint into the
-/// `&'static str` the report schema requires. Known engine-produced
-/// names resolve without allocating; genuinely new names leak once per
-/// distinct string per process (checkpoints carry a handful of names,
-/// so the leak is bounded and intentional).
-fn intern_extra_name(name: &str) -> &'static str {
-    static CACHE: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut cache = CACHE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(known) = cache.iter().find(|k| **k == name) {
-        return known;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    cache.push(leaked);
-    leaked
-}
-
 fn hist_to_json(h: &Histogram) -> Value {
     Value::Obj(vec![
         ("width".into(), Value::f64(h.width())),
@@ -250,13 +235,17 @@ impl SweepState for EngineReport {
                 Value::Arr(
                     self.extra
                         .iter()
-                        .map(|&(name, value)| Value::Arr(vec![Value::str(name), Value::f64(value)]))
+                        .map(|&(key, value)| {
+                            Value::Arr(vec![Value::str(key.name()), Value::f64(value)])
+                        })
                         .collect(),
                 ),
             ),
         ])
     }
 
+    /// An extra name no [`Extra`] variant carries makes the record
+    /// malformed, so its job is recomputed.
     fn from_json(v: &Value) -> Option<Self> {
         let fu = |k: &str| v.get(k).and_then(Value::as_u64);
         let ff = |k: &str| v.get(k).and_then(Value::as_f64);
@@ -266,9 +255,9 @@ impl SweepState for EngineReport {
             .iter()
             .map(|pair| {
                 let items = pair.items()?;
-                let name = items.first()?.as_str()?;
+                let key = Extra::from_name(items.first()?.as_str()?)?;
                 let value = items.get(1)?.as_f64()?;
-                Some((intern_extra_name(name), value))
+                Some((key, value))
             })
             .collect::<Option<Vec<_>>>()?;
         Some(EngineReport {
@@ -667,11 +656,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn engine_report_json_round_trip_is_bit_exact() {
-        use crate::engine::{Engine, EngineConfig, EngineReport};
+    /// A run with real histogram contents and an extra.
+    fn loopy_run(measure: u64) -> EngineReport {
+        use crate::engine::{Engine, EngineConfig};
         use crate::SlottedModel;
-        // A run with real histogram contents and extras.
         struct Loopy(std::collections::VecDeque<u64>);
         impl SlottedModel for Loopy {
             fn ports(&self) -> usize {
@@ -694,13 +682,46 @@ mod tests {
                 }
             }
             fn finish(&mut self, report: &mut EngineReport) {
-                report.set_extra("loopy_marker", 0.125);
+                report.set_extra(Extra::MeanTransmissions, 0.125);
             }
         }
-        let r = Engine::new(&EngineConfig::new(10, 500)).run(&mut Loopy(Default::default()));
+        Engine::new(&EngineConfig::new(10, measure)).run(&mut Loopy(Default::default()))
+    }
+
+    #[test]
+    fn engine_report_json_round_trip_is_bit_exact() {
+        let r = loopy_run(500);
         let back = EngineReport::from_json(&Value::parse(&r.to_json().encode()).unwrap()).unwrap();
         assert_eq!(r.fingerprint(), back.fingerprint());
-        assert_eq!(back.extra("loopy_marker"), Some(0.125));
+        assert_eq!(back.extra(Extra::MeanTransmissions), Some(0.125));
+    }
+
+    #[test]
+    fn a_checkpointed_extra_no_variant_names_recomputes_its_job() {
+        let path = tmp_path("unknown-extra.jsonl");
+        std::fs::remove_file(&path).ok();
+        let ckpt = CheckpointLog::new(&path, 0xE7);
+        let inputs = vec![100u64, 200, 300];
+        checkpointed_sweep(inputs.clone(), Some(&ckpt), None, loopy_run).unwrap();
+        // One record of a foreign or tampered log names a metric no
+        // `Extra` carries: that record is malformed, not a new name.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let known = "[\"mean_transmissions\",0.125]";
+        assert_eq!(text.matches(known).count(), 3);
+        std::fs::write(&path, text.replacen(known, "[\"no_such_extra\",1.0]", 1)).unwrap();
+
+        let restored = AtomicUsize::new(0);
+        let count = |p: SweepProgress| {
+            if p.outcome == ProgressOutcome::Restored {
+                restored.fetch_add(1, Ordering::SeqCst);
+            }
+        };
+        let resumed = checkpointed_sweep(inputs.clone(), Some(&ckpt), Some(&count), loopy_run);
+        assert_eq!(restored.into_inner(), 2, "the tampered job is recomputed");
+        let fresh = parallel_sweep(inputs, loopy_run);
+        let digests = |rs: &[EngineReport]| rs.iter().map(|r| r.fingerprint()).collect::<Vec<_>>();
+        assert_eq!(digests(&resumed.unwrap()), digests(&fresh));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! be work-conserving; with S = 2 and enough egress buffer it (almost)
 //! is. This model measures work conservation directly: a slot where an
 //! output idles while a cell for it sits anywhere in the switch is a
-//! violation, reported as `extra("violation_fraction")`.
+//! violation, reported as [`Extra::ViolationFraction`].
 
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
 use osmosis_sched::matching::Matcher;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
+use osmosis_sim::Extra;
 use osmosis_traffic::{Arrival, TrafficGen};
 use std::collections::VecDeque;
 
@@ -70,7 +71,7 @@ impl CioqSwitch {
     }
 
     /// Run traffic and report. The work-conservation violation rate is in
-    /// `extra("violation_fraction")`.
+    /// [`Extra::ViolationFraction`].
     pub fn run(&mut self, traffic: &mut dyn TrafficGen, cfg: &EngineConfig) -> EngineReport {
         run_switch(self, traffic, cfg)
     }
@@ -174,7 +175,7 @@ impl CellSwitch for CioqSwitch {
         } else {
             self.violations as f64 / self.busy_slots as f64
         };
-        report.set_extra("violation_fraction", fraction);
+        report.set_extra(Extra::ViolationFraction, fraction);
     }
 
     fn resident_cells(&self) -> Option<u64> {
@@ -201,7 +202,7 @@ mod tests {
     }
 
     fn violation_fraction(r: &EngineReport) -> f64 {
-        r.extra("violation_fraction").unwrap()
+        r.extra(Extra::ViolationFraction).unwrap()
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //! so it runs on the same engine as every other simulator. In its
 //! [`EngineReport`]: `delivered`/`mean_delay` are completions and
 //! completion latency, `throughput` is overridden to the output-line
-//! utilization (copies per output per slot), and
-//! `extra("copies_delivered")` / `extra("mean_transmissions")` carry the
+//! utilization (copies per output per slot), and the extras
+//! [`Extra::CopiesDelivered`] / [`Extra::MeanTransmissions`] carry the
 //! multicast-specific counters.
 
 use osmosis_sched::arbiter::{BitSet, RoundRobinArbiter};
 use osmosis_sim::engine::{Engine, EngineConfig, EngineReport, Observer, SlottedModel, TraceSink};
-use osmosis_sim::{SeedSequence, SimRng};
+use osmosis_sim::{Extra, SeedSequence, SimRng};
 use std::collections::VecDeque;
 
 /// A multicast cell: one source, a set of destinations.
@@ -231,9 +231,9 @@ impl SlottedModel for MulticastWorkload {
         // copies (not completions) per output per slot.
         let denom = (report.measured_slots as f64 * self.sw.n as f64).max(1.0);
         report.throughput = self.copies as f64 / denom;
-        report.set_extra("copies_delivered", self.copies as f64);
+        report.set_extra(Extra::CopiesDelivered, self.copies as f64);
         report.set_extra(
-            "mean_transmissions",
+            Extra::MeanTransmissions,
             if report.delivered == 0 {
                 0.0
             } else {
@@ -284,7 +284,7 @@ mod tests {
     fn unicast_degenerates_to_crossbar() {
         let r = run_multicast(8, 1, 0.5, 5_000, 1);
         assert!(r.delivered > 0);
-        assert!((r.extra("mean_transmissions").unwrap() - 1.0).abs() < 0.05);
+        assert!((r.extra(Extra::MeanTransmissions).unwrap() - 1.0).abs() < 0.05);
         // Unicast load 0.5: copies/output/slot ≈ 0.5.
         assert!((r.throughput - 0.5).abs() < 0.05);
     }
@@ -295,9 +295,9 @@ mod tests {
         let r = run_multicast(8, 4, 0.1, 10_000, 2);
         assert!((r.throughput - 0.4).abs() < 0.05, "{}", r.throughput);
         assert!(
-            r.extra("mean_transmissions").unwrap() < 2.5,
+            r.extra(Extra::MeanTransmissions).unwrap() < 2.5,
             "broadcast serves most copies in few transmissions: {}",
-            r.extra("mean_transmissions").unwrap()
+            r.extra(Extra::MeanTransmissions).unwrap()
         );
     }
 
@@ -315,7 +315,7 @@ mod tests {
         // Copy accounting: completed cells account for exactly 3 copies
         // each; cells still in flight may have delivered a partial
         // residue.
-        let copies = r.extra("copies_delivered").unwrap() as u64;
+        let copies = r.extra(Extra::CopiesDelivered).unwrap() as u64;
         assert!(copies >= r.delivered * 3);
         assert!(copies <= r.injected * 3);
     }

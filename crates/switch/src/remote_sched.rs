@@ -172,7 +172,7 @@ impl CellSwitch for RemoteSchedulerSwitch {
 mod tests {
     use super::*;
     use osmosis_sched::Flppr;
-    use osmosis_sim::SeedSequence;
+    use osmosis_sim::{Extra, SeedSequence};
     use osmosis_traffic::BernoulliUniform;
 
     fn cfg() -> EngineConfig {
@@ -232,7 +232,7 @@ mod tests {
         let plan = FaultPlan::new().permanent(FaultKind::GrantLoss { prob: 0.15 }, 0);
         let mut inj = FaultInjector::new(plan);
         let r = run_switch_instrumented(&mut sw, &mut tr, &c, Some(&mut inj), None);
-        assert!(r.extra("fault_grants_lost").unwrap() > 50.0);
+        assert!(r.extra(Extra::FaultGrantsLost).unwrap() > 50.0);
         assert_eq!(r.dropped, 0, "lost grants re-request, cells stay queued");
         assert_eq!(r.reordered, 0);
         assert!(

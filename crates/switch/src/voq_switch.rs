@@ -204,7 +204,7 @@ pub fn run_uniform_traced<T: osmosis_sim::TraceSink>(
 mod tests {
     use super::*;
     use osmosis_sched::{Flppr, Islip, PipelinedArbiter};
-    use osmosis_sim::SeedSequence;
+    use osmosis_sim::{Extra, SeedSequence};
     use osmosis_traffic::{BernoulliUniform, Bursty, Hotspot, Permutation};
 
     fn small_cfg() -> EngineConfig {
@@ -421,8 +421,8 @@ mod tests {
         );
         assert_eq!(r.dropped, 0, "masking is lossless");
         assert_eq!(r.reordered, 0);
-        assert_eq!(r.extra("faults_injected"), Some(1.0));
-        assert_eq!(r.extra("faults_healed"), Some(1.0));
+        assert_eq!(r.extra(Extra::FaultsInjected), Some(1.0));
+        assert_eq!(r.extra(Extra::FaultsHealed), Some(1.0));
     }
 
     #[test]
@@ -472,7 +472,7 @@ mod tests {
         let mut inj = FaultInjector::new(plan);
         let r = run_switch_instrumented(&mut sw, &mut tr, &cfg, Some(&mut inj), None);
         assert!(
-            r.extra("fault_grants_lost").unwrap() > 100.0,
+            r.extra(Extra::FaultGrantsLost).unwrap() > 100.0,
             "the fault actually fired"
         );
         assert_eq!(r.dropped, 0, "every lost grant is re-requested");
@@ -502,7 +502,7 @@ mod tests {
         let mut inj = FaultInjector::new(plan);
         let r = run_switch_instrumented(&mut sw, &mut tr, &cfg, Some(&mut inj), None);
         assert!(
-            r.extra("fault_retransmits").unwrap() > 100.0,
+            r.extra(Extra::FaultRetransmits).unwrap() > 100.0,
             "corrupted egress transmissions were re-sent"
         );
         assert_eq!(r.dropped, 0, "retransmission recovers every corruption");

@@ -38,11 +38,7 @@ pub mod export;
 pub mod registry;
 pub mod spans;
 
-pub use export::{
-    campaign_record, campaign_summary_record, epoch_record, fdl_drop_record, fdl_occupancy_record,
-    fdl_recirculation_record, reconfig_record, shard_point_record, shard_record, validate_jsonl,
-    JsonlStats, SCHEMA_VERSION,
-};
+pub use export::{validate_jsonl, JsonlStats, Record, ReportDigest, ShardStatus, SCHEMA_VERSION};
 pub use registry::{Component, LogHistogram, MetricId, MetricsRegistry, LOG_BUCKETS};
 pub use spans::{CellSpan, Decomposition, SpanConfig, SpanPlane, SEGMENTS};
 
@@ -356,30 +352,38 @@ impl TelemetrySink {
     ) -> std::io::Result<()> {
         let last_run = self.run;
         for (i, m) in self.metas.iter().enumerate() {
-            writeln!(
-                out,
-                "{}",
-                export::meta_record(i as u64, &self.label, m).encode()
-            )?;
+            writeln!(out, "{}", self.meta(i as u64, m).encode())?;
         }
         for s in &self.snapshots {
-            writeln!(out, "{}", export::snapshot_record(s).encode())?;
+            writeln!(out, "{}", Record::Snapshot { snapshot: *s }.encode())?;
         }
         for sp in self.spans.recent() {
-            writeln!(out, "{}", export::span_record(last_run, sp).encode())?;
+            let span = Record::Span {
+                run: last_run,
+                span: *sp,
+            };
+            writeln!(out, "{}", span.encode())?;
         }
-        writeln!(
-            out,
-            "{}",
-            export::summary_record(
-                last_run,
-                final_report,
-                &self.registry,
-                &self.decomposition()
-            )
-            .encode()
-        )?;
+        writeln!(out, "{}", self.summary(last_run, final_report).encode())?;
         Ok(())
+    }
+
+    fn meta(&self, run: u64, meta: &RunMeta) -> Record {
+        Record::Meta {
+            version: SCHEMA_VERSION,
+            run,
+            label: self.label.clone(),
+            meta: *meta,
+        }
+    }
+
+    fn summary(&self, run: u64, report: &EngineReport) -> Record {
+        Record::Summary {
+            run,
+            report: ReportDigest::of(report),
+            registry: self.registry.clone(),
+            spans: self.decomposition(),
+        }
     }
 
     fn note_stream_error(&mut self, e: &std::io::Error) {
@@ -388,9 +392,9 @@ impl TelemetrySink {
         }
     }
 
-    fn stream_record(&mut self, v: &osmosis_sim::json::Value) {
+    fn stream_record(&mut self, record: &Record) {
         if let Some(w) = self.stream.as_mut() {
-            if let Err(e) = writeln!(w, "{}", v.encode()) {
+            if let Err(e) = writeln!(w, "{}", record.encode()) {
                 let err = e;
                 self.note_stream_error(&err);
             }
@@ -417,7 +421,7 @@ impl TelemetrySink {
         self.interval_base_slot = slot;
         self.snapshots.push(snap);
         if self.stream.is_some() {
-            self.stream_record(&export::snapshot_record(&snap));
+            self.stream_record(&Record::Snapshot { snapshot: snap });
         }
     }
 }
@@ -443,8 +447,7 @@ impl TraceSink for TelemetrySink {
         };
         self.metas.push(meta);
         if self.stream.is_some() {
-            let rec = export::meta_record(self.run, &self.label, &meta);
-            self.stream_record(&rec);
+            self.stream_record(&self.meta(self.run, &meta));
         }
     }
 
@@ -481,8 +484,8 @@ impl TraceSink for TelemetrySink {
                 self.registry.observe(metrics::DELIVERY_DELAY, delay_slots);
                 if let Some(span) = self.spans.on_deliver(slot, output, delay_slots) {
                     if self.cfg.stream_spans && self.stream.is_some() {
-                        let rec = export::span_record(self.run, &span);
-                        self.stream_record(&rec);
+                        let run = self.run;
+                        self.stream_record(&Record::Span { run, span });
                     }
                 }
             }
@@ -527,9 +530,7 @@ impl TraceSink for TelemetrySink {
         self.registry
             .gauge_max(metrics::MAX_EGRESS_DEPTH, report.max_egress_depth as f64);
         if self.stream.is_some() {
-            let rec =
-                export::summary_record(self.run, report, &self.registry, &self.decomposition());
-            self.stream_record(&rec);
+            self.stream_record(&self.summary(self.run, report));
             if let Some(w) = self.stream.as_mut() {
                 if let Err(e) = w.flush() {
                     let err = e;

@@ -143,9 +143,8 @@ const KNOWN_NAMES: &[&str] = &[
 
 /// Intern a metric name into the `&'static str` the id requires. Known
 /// sink-emitted names resolve without allocating; genuinely new names
-/// leak once per distinct string per process (imports carry a handful of
-/// names, so the leak is bounded and intentional — same policy as the
-/// sweep checkpoint loader).
+/// leak once per distinct string per process (the streams this workspace
+/// writes carry a handful of names, so for them the leak is bounded).
 fn intern_name(name: &str) -> &'static str {
     if let Some(known) = KNOWN_NAMES.iter().find(|k| **k == name) {
         return known;
@@ -349,7 +348,7 @@ impl LogHistogram {
 }
 
 /// Named counters, gauges, and log₂ histograms keyed by [`MetricId`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<MetricId, u64>,
     gauges: BTreeMap<MetricId, f64>,

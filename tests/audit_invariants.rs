@@ -23,7 +23,7 @@ use osmosis::fabric::{BufferTech, CompiledFabric, TopologySpec};
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
 use osmosis::ocs::{EpochConfig, OcsScheduler, OcsSwitch};
 use osmosis::sched::Flppr;
-use osmosis::sim::{Engine, EngineConfig, EngineReport, SeedSequence};
+use osmosis::sim::{Engine, EngineConfig, EngineReport, Extra, SeedSequence};
 use osmosis::switch::driven::CellSwitch;
 use osmosis::switch::{
     run_switch, run_switch_audited, run_switch_instrumented, BurstSwitch, BvnSwitch, CioqSwitch,
@@ -71,7 +71,7 @@ fn assert_clean_under<S: CellSwitch>(
         "{name}: a clean audit must not perturb the faulted run"
     );
     assert_eq!(
-        audited.extra("audit_violations"),
+        audited.extra(Extra::AuditViolations),
         None,
         "{name}: a clean run must not grow an audit extra"
     );
@@ -171,9 +171,12 @@ fn fault_reactions_hold_on_a_three_level_tree_and_a_dragonfly() {
         );
         let spec: TopologySpec = text.parse().expect("a valid spec");
         let (r, resident) = audited_fabric_run(spec, BufferTech::Electronic, 0.3, plan);
-        assert!(r.extra("fault_retransmits").unwrap_or(0.0) > 20.0, "{text}");
         assert!(
-            r.extra("fault_credits_dropped").unwrap_or(0.0) > 20.0,
+            r.extra(Extra::FaultRetransmits).unwrap_or(0.0) > 20.0,
+            "{text}"
+        );
+        assert!(
+            r.extra(Extra::FaultCreditsDropped).unwrap_or(0.0) > 20.0,
             "{text}"
         );
         assert_eq!((r.dropped, r.reordered), (0, 0), "{text}");
@@ -194,7 +197,7 @@ fn a_three_level_tree_routes_around_a_dead_plane_and_recovers() {
     let loss = FaultKind::WavelengthLoss { plane: 1 };
     let plan = FaultPlan::new().one_shot(loss, 0, Some(1_500));
     let (r, resident) = audited_fabric_run(spec, BufferTech::Electronic, 0.2, plan);
-    assert_eq!(r.extra("faults_healed"), Some(1.0));
+    assert_eq!(r.extra(Extra::FaultsHealed), Some(1.0));
     assert_eq!((r.dropped, r.reordered), (0, 0));
     assert_eq!(r.injected, r.delivered + resident);
     assert!((r.throughput - 0.2).abs() < 0.02, "thr {}", r.throughput);
@@ -214,9 +217,9 @@ fn fdl_stages_on_a_three_level_tree_lose_cells_to_dead_lines_by_type() {
         }
     }
     let (r, resident) = audited_fabric_run(spec, BufferTech::Fdl, 0.5, plan);
-    let dead_line = r.extra("fdl_drops_dead_line").unwrap_or(0.0);
+    let dead_line = r.extra(Extra::FdlDropsDeadLine).unwrap_or(0.0);
     assert!(dead_line > 0.0, "dead lines lose cells: {:?}", r.extra);
-    assert_eq!(r.extra("fdl_drops_total"), Some(r.dropped as f64));
+    assert_eq!(r.extra(Extra::FdlDropsTotal), Some(r.dropped as f64));
     assert_eq!(r.reordered, 0);
     assert_eq!(r.injected, r.delivered + r.dropped + resident);
 }

@@ -1,14 +1,19 @@
-//! Every model-specific `set_extra` key has at least one integration
-//! test that asserts its value — the contract the `extras-registry`
-//! deep lint rule enforces (`cargo run -p osmosis-lint -- --deep`).
+//! The report extras are alive: every [`Extra`] variant is non-zero in
+//! at least one run of this file's battery, and each scenario checks a
+//! semantic property of the values it produces.
 //!
-//! Each test here runs a real scenario that produces the metric and
-//! checks a semantic property of the value, not just its presence: a
-//! key that merely *exists* can still silently report garbage. The
-//! string literals double as the registry the lint rule greps for, so
-//! renaming a key in a model without updating its test breaks both this
-//! file and the lint gate.
-#![expect(clippy::panic, reason = "a test helper fails its test by panicking")]
+//! A metric that merely exists can still report garbage, and one whose
+//! every reader expects 0 may have lost its incrementer without anyone
+//! noticing. [`every_extra_is_live_in_the_battery`] walks `Extra::ALL`
+//! against every run below. A variant that is always zero fails the law
+//! unless [`ALWAYS_ZERO`] names it with the reason; an excused variant
+//! that turns non-zero fails too, so the exception leaves the list with
+//! the fix.
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
 #![expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 
 use osmosis::fabric::spec::TopologySpec;
@@ -16,12 +21,14 @@ use osmosis::fabric::{BufferTech, CompiledFabric};
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
 use osmosis::fec::{run_reliable_link, LinkConfig};
 use osmosis::ocs::{EpochConfig, OcsScheduler, OcsSwitch};
-use osmosis::sim::{EngineConfig, EngineReport, SeedSequence};
+use osmosis::sched::Flppr;
+use osmosis::sim::{EngineConfig, EngineReport, Extra, SeedSequence};
 use osmosis::switch::{
     run_multicast, run_switch_circuit, run_switch_instrumented, CellSwitch, CioqSwitch,
-    DeflectionSwitch,
+    DeflectionSwitch, VoqSwitch,
 };
 use osmosis::traffic::BernoulliUniform;
+use osmosis_audit::{AuditMode, AuditSet};
 
 const SEED: u64 = 1234;
 
@@ -33,26 +40,94 @@ fn uniform(n: usize, load: f64) -> BernoulliUniform {
     BernoulliUniform::new(n, load, &SeedSequence::new(SEED))
 }
 
-/// `extra` lookup that names the missing key on failure, so a renamed
-/// or dropped metric fails with the key in the message.
-fn extra(r: &EngineReport, key: &str) -> f64 {
+/// `extra` lookup that names the missing key on failure, so a dropped
+/// metric fails with the key in the message.
+fn extra(r: &EngineReport, key: Extra) -> f64 {
     match r.extra(key) {
         Some(v) => v,
         None => panic!("report is missing extras key {key:?}: {:?}", r.extra),
     }
 }
 
+// --- The liveness law ----------------------------------------------------
+
+/// Variants that are zero in every run of the battery, each with the
+/// reason. Anything listed here is a finding, not a choice of scenario.
+const ALWAYS_ZERO: &[(Extra, &str)] = &[
+    (
+        Extra::FaultCellsLost,
+        "dead since its one incrementer was deleted; ROADMAP item 5(a) either \
+         counts DropReason::FaultLoss into it or deletes it",
+    ),
+    (
+        Extra::FdlDropsAdmission,
+        "credit flow control never offers a cell to a full delay-line bank: \
+         zero at every point of BENCH_fdl.json as well; only the fdl crate's \
+         unit tests, which drive a bank directly, reach it",
+    ),
+    (
+        Extra::FdlUnderflowStalls,
+        "no fabric run has granted a cell still in the fiber: zero at every \
+         point of BENCH_fdl.json as well; only the fdl crate's unit tests, \
+         which force long placements after line deaths, reach it",
+    ),
+    (
+        Extra::LinkUndetectedCorruptions,
+        "an integrity counter whose claim is zero: a corrupted cell must never \
+         pass both the FEC and the CRC",
+    ),
+];
+
+/// Every scenario below.
+fn battery() -> Vec<EngineReport> {
+    vec![
+        fabric_shape_run(),
+        fdl_dead_lines_run(),
+        outages_run(),
+        wire_faults_run(),
+        grant_loss_run(),
+        starved_output_run(),
+        reliable_link_run(),
+        ocs_run("hotspot_skew", cfg()),
+        ocs_run("incast", cfg().with_buffer_cells(8)),
+        deflection_run(),
+        cioq_run(),
+        run_multicast(16, 3, 0.2, 3_000, SEED),
+    ]
+}
+
+#[test]
+fn every_extra_is_live_in_the_battery() {
+    let runs = battery();
+    let mut findings = Vec::new();
+    for &key in Extra::ALL {
+        let live = runs.iter().any(|r| r.extra(key).is_some_and(|v| v != 0.0));
+        match (live, ALWAYS_ZERO.iter().find(|(k, _)| *k == key)) {
+            (false, None) => findings.push(format!("{key:?} is zero in every run")),
+            (true, Some(_)) => {
+                findings.push(format!("{key:?} is live: take it off ALWAYS_ZERO"));
+            }
+            _ => {}
+        }
+    }
+    assert!(findings.is_empty(), "{findings:#?}");
+}
+
 // --- Topology compiler ---------------------------------------------------
+
+fn fabric_shape_run() -> EngineReport {
+    let mut fab = CompiledFabric::new(TopologySpec::two_level(8));
+    let hosts = fab.ports();
+    fab.run(&mut uniform(hosts, 0.3), &cfg())
+}
 
 #[test]
 fn compiled_fabric_reports_its_expanded_shape() {
-    let mut fab = CompiledFabric::new(TopologySpec::two_level(8));
-    let hosts = fab.ports();
-    let r = fab.run(&mut uniform(hosts, 0.3), &cfg());
+    let r = fabric_shape_run();
     // A radix-8 two-level fat tree: 8 leaves + 4 spines, and the §VI.C
     // stage count is switch hops on the longest minimal route (2L−1).
-    assert_eq!(extra(&r, "stages"), 3.0);
-    assert_eq!(extra(&r, "switches"), 12.0, "8 leaves + 4 spines");
+    assert_eq!(extra(&r, Extra::Stages), 3.0);
+    assert_eq!(extra(&r, Extra::Switches), 12.0, "8 leaves + 4 spines");
 }
 
 // --- FDL buffering plane -------------------------------------------------
@@ -71,8 +146,7 @@ fn dead_line_plan(radix: usize, lines_per_queue: usize) -> FaultPlan {
     plan
 }
 
-#[test]
-fn fdl_fabric_reports_buffer_plane_counters() {
+fn fdl_dead_lines_run() -> EngineReport {
     const RADIX: usize = 8;
     let spec = TopologySpec::two_level(RADIX).with_request_grant(1);
     let lines_per_queue = spec.buffer_cells();
@@ -81,34 +155,37 @@ fn fdl_fabric_reports_buffer_plane_counters() {
         .expect("input-only at rg=1");
     let hosts = fab.ports();
     let mut inj = FaultInjector::new(dead_line_plan(RADIX, lines_per_queue));
-    let r = run_switch_instrumented(
+    run_switch_instrumented(
         &mut fab,
         &mut uniform(hosts, 0.5),
         &cfg(),
         Some(&mut inj),
         None,
-    );
+    )
+}
 
+#[test]
+fn fdl_fabric_reports_buffer_plane_counters() {
+    let r = fdl_dead_lines_run();
     // Emulated fiber loops recirculate cells that cannot depart on
     // their first pass; at 50% load there are always some.
-    assert!(extra(&r, "fdl_recirculations") > 0.0);
+    assert!(extra(&r, Extra::FdlRecirculations) > 0.0);
     // The drop taxonomy is complete: every dropped cell carries exactly
     // one reason.
-    let total = extra(&r, "fdl_drops_total");
-    let admission = extra(&r, "fdl_drops_admission");
-    let dead_line = extra(&r, "fdl_drops_dead_line");
+    let total = extra(&r, Extra::FdlDropsTotal);
+    let admission = extra(&r, Extra::FdlDropsAdmission);
+    let dead_line = extra(&r, Extra::FdlDropsDeadLine);
     assert!(dead_line > 0.0, "dead-line plan must cause typed losses");
     assert!(admission >= 0.0);
     assert!(total >= admission + dead_line);
     // Underflow stalls (cell still in the fiber when granted) are
     // counted, never negative.
-    assert!(extra(&r, "fdl_underflow_stalls") >= 0.0);
+    assert!(extra(&r, Extra::FdlUnderflowStalls) >= 0.0);
 }
 
 // --- Fault plane ---------------------------------------------------------
 
-#[test]
-fn deterministic_outages_report_injection_accounting() {
+fn outages_run() -> EngineReport {
     // Two overlapping hard outages in the fat tree: an SOA gate stuck
     // off 400–700 and spine 1 dark 600–1400 (`WavelengthLoss` re-routes
     // ascending cells around the dead plane).
@@ -118,29 +195,32 @@ fn deterministic_outages_report_injection_accounting() {
     let mut fab = CompiledFabric::new(TopologySpec::two_level(8).with_request_grant(1));
     let hosts = fab.ports();
     let mut inj = FaultInjector::new(plan);
-    let r = run_switch_instrumented(
+    run_switch_instrumented(
         &mut fab,
         &mut uniform(hosts, 0.5),
         &cfg(),
         Some(&mut inj),
         None,
-    );
-
-    assert_eq!(extra(&r, "faults_injected"), 2.0);
-    assert_eq!(extra(&r, "faults_healed"), 2.0);
-    // Active slots count the union of the outage windows (400–1400);
-    // repair slots sum per fault (300 + 800).
-    assert_eq!(extra(&r, "fault_active_slots"), 1_000.0);
-    assert_eq!(extra(&r, "fault_repair_slots_total"), 1_100.0);
-    // Hard outages stall and re-route — they never corrupt or lose
-    // cells, so the wire-level tallies must stay exactly zero.
-    assert_eq!(extra(&r, "fault_cells_corrupted"), 0.0);
-    assert_eq!(extra(&r, "fault_retransmits"), 0.0);
-    assert_eq!(extra(&r, "fault_cells_lost"), 0.0);
+    )
 }
 
 #[test]
-fn probabilistic_wire_faults_report_event_tallies() {
+fn deterministic_outages_report_injection_accounting() {
+    let r = outages_run();
+    assert_eq!(extra(&r, Extra::FaultsInjected), 2.0);
+    assert_eq!(extra(&r, Extra::FaultsHealed), 2.0);
+    // Active slots count the union of the outage windows (400–1400);
+    // repair slots sum per fault (300 + 800).
+    assert_eq!(extra(&r, Extra::FaultActiveSlots), 1_000.0);
+    assert_eq!(extra(&r, Extra::FaultRepairSlotsTotal), 1_100.0);
+    // Hard outages stall and re-route — they never corrupt or lose
+    // cells, so the wire-level tallies must stay exactly zero.
+    assert_eq!(extra(&r, Extra::FaultCellsCorrupted), 0.0);
+    assert_eq!(extra(&r, Extra::FaultRetransmits), 0.0);
+    assert_eq!(extra(&r, Extra::FaultCellsLost), 0.0);
+}
+
+fn wire_faults_run() -> EngineReport {
     // A credit-drop window with a BER burst inside it: the fabric loses
     // credit returns (recovered by the periodic audit) and corrupted
     // cells take the hop-by-hop retransmission path.
@@ -157,56 +237,91 @@ fn probabilistic_wire_faults_report_event_tallies() {
     let mut fab = CompiledFabric::new(TopologySpec::two_level(8).with_request_grant(1));
     let hosts = fab.ports();
     let mut inj = FaultInjector::new(plan);
-    let r = run_switch_instrumented(
+    run_switch_instrumented(
         &mut fab,
         &mut uniform(hosts, 0.5),
         &cfg(),
         Some(&mut inj),
         None,
-    );
-
-    assert!(extra(&r, "fault_credits_dropped") > 0.0);
-    let corrupted = extra(&r, "fault_cells_corrupted");
-    assert!(corrupted > 0.0);
-    assert!(
-        extra(&r, "fault_retransmits") >= corrupted,
-        "every corrupted cell is resent at least once"
-    );
-    // Retransmission + credit resync deliver everything eventually.
-    assert_eq!(extra(&r, "fault_cells_lost"), 0.0);
+    )
 }
 
 #[test]
-fn grant_loss_reports_lost_grant_tally() {
-    use osmosis::sched::Flppr;
-    use osmosis::switch::VoqSwitch;
+fn probabilistic_wire_faults_report_event_tallies() {
+    let r = wire_faults_run();
+    assert!(extra(&r, Extra::FaultCreditsDropped) > 0.0);
+    let corrupted = extra(&r, Extra::FaultCellsCorrupted);
+    assert!(corrupted > 0.0);
+    assert!(
+        extra(&r, Extra::FaultRetransmits) >= corrupted,
+        "every corrupted cell is resent at least once"
+    );
+    // Retransmission + credit resync deliver everything eventually.
+    assert_eq!(extra(&r, Extra::FaultCellsLost), 0.0);
+}
+
+fn grant_loss_run() -> EngineReport {
     // Only the request/grant models consult `GrantLoss`; drive the VOQ
     // crossbar through three periodic loss windows.
     let plan = FaultPlan::new().periodic(FaultKind::GrantLoss { prob: 0.2 }, 200, 900, 250);
     let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(16, 2)));
     let mut inj = FaultInjector::new(plan);
-    let r = run_switch_instrumented(&mut sw, &mut uniform(16, 0.7), &cfg(), Some(&mut inj), None);
+    run_switch_instrumented(&mut sw, &mut uniform(16, 0.7), &cfg(), Some(&mut inj), None)
+}
+
+#[test]
+fn grant_loss_reports_lost_grant_tally() {
+    let r = grant_loss_run();
     assert!(
-        extra(&r, "faults_injected") >= 3.0,
+        extra(&r, Extra::FaultsInjected) >= 3.0,
         "one per periodic window"
     );
-    assert!(extra(&r, "fault_grants_lost") > 0.0);
+    assert!(extra(&r, Extra::FaultGrantsLost) > 0.0);
     // Lost grants delay cells; they never destroy them.
-    assert_eq!(extra(&r, "fault_cells_lost"), 0.0);
+    assert_eq!(extra(&r, Extra::FaultCellsLost), 0.0);
+}
+
+// --- Audit plane ---------------------------------------------------------
+
+fn starved_output_run() -> EngineReport {
+    // An SOA gate stuck off for 800 slots starves the VOQs behind it,
+    // and the audit battery's 100-slot wait bound reports it.
+    let plan = FaultPlan::new().one_shot(FaultKind::SoaStuckOff { output: 3 }, 300, Some(800));
+    let mut sw = VoqSwitch::new(Box::new(Flppr::osmosis(16, 2)));
+    let mut inj = FaultInjector::new(plan);
+    let mut set = AuditSet::standard(AuditMode::Accumulate).with_liveness(100);
+    run_switch_instrumented(
+        &mut sw,
+        &mut uniform(16, 0.6),
+        &cfg(),
+        Some(&mut inj),
+        Some(&mut set),
+    )
+}
+
+#[test]
+fn audited_starvation_reports_its_violation_count() {
+    let r = starved_output_run();
+    assert!(extra(&r, Extra::AuditViolations) > 0.0);
+    // A clean run carries no audit extra at all.
+    assert_eq!(fabric_shape_run().extra(Extra::AuditViolations), None);
 }
 
 // --- Reliable link (FEC + go-back-N) -------------------------------------
 
-#[test]
-fn reliable_link_reports_protocol_counters() {
+fn reliable_link_run() -> EngineReport {
     // A BER high enough that both tiers do real work: the FEC corrects
     // most blocks, go-back-N mops up detected-uncorrectable cells.
-    let report = run_reliable_link(&LinkConfig::osmosis(4, 2e-4, SEED), 4_000);
-    let r = report.to_engine_report();
-    assert_eq!(extra(&r, "link_offered"), 4_000.0);
-    assert!(extra(&r, "link_fec_corrected_cells") > 0.0);
-    let corrupted = extra(&r, "link_corrupted_arrivals");
-    let retx = extra(&r, "link_retransmissions");
+    run_reliable_link(&LinkConfig::osmosis(4, 2e-4, SEED), 4_000).to_engine_report()
+}
+
+#[test]
+fn reliable_link_reports_protocol_counters() {
+    let r = reliable_link_run();
+    assert_eq!(extra(&r, Extra::LinkOffered), 4_000.0);
+    assert!(extra(&r, Extra::LinkFecCorrectedCells) > 0.0);
+    let corrupted = extra(&r, Extra::LinkCorruptedArrivals);
+    let retx = extra(&r, Extra::LinkRetransmissions);
     assert!(
         corrupted > 0.0,
         "2e-4 raw BER must defeat the FEC sometimes"
@@ -215,43 +330,46 @@ fn reliable_link_reports_protocol_counters() {
         retx >= corrupted,
         "go-back-N resends at least one cell per detected corruption"
     );
-    // The end-to-end integrity claim of PR 3: nothing slips through.
-    assert_eq!(extra(&r, "link_undetected_corruptions"), 0.0);
+    // The end-to-end integrity claim: nothing slips through.
+    assert_eq!(extra(&r, Extra::LinkUndetectedCorruptions), 0.0);
 }
 
 // --- Circuit-switched mode -----------------------------------------------
 
-#[test]
-fn ocs_run_reports_scheduler_counters() {
-    use osmosis::core::experiments::ocs_study::workload;
-    let mut tr = workload("hotspot_skew", 16, 3_000, SEED).expect("known workload");
-    let r = run_switch_circuit(
+fn ocs_run(workload: &str, cfg: EngineConfig) -> EngineReport {
+    use osmosis::core::experiments::ocs_study::workload as ml_workload;
+    let mut tr = ml_workload(workload, 16, 3_000, SEED).expect("known workload");
+    run_switch_circuit(
         &mut OcsSwitch::new(tr.ports()),
         tr.as_mut(),
-        &cfg(),
+        &cfg,
         &mut OcsScheduler::new(EpochConfig::osmosis_default()),
         None,
         None,
-    );
+    )
+}
 
-    let epochs = extra(&r, "ocs_epochs");
+#[test]
+fn ocs_run_reports_scheduler_counters() {
+    let r = ocs_run("hotspot_skew", cfg());
+    let epochs = extra(&r, Extra::OcsEpochs);
     assert!(epochs >= 50.0, "3300 slots / 64-slot epochs");
     // Every reconfiguration changes at least one circuit and pays the
     // guard time on each changed input.
-    let reconfs = extra(&r, "ocs_reconfigurations");
-    let changed = extra(&r, "ocs_changed_circuits");
+    let reconfs = extra(&r, Extra::OcsReconfigurations);
+    let changed = extra(&r, Extra::OcsChangedCircuits);
     assert!(reconfs > 0.0 && reconfs <= epochs);
     assert!(changed >= reconfs);
     // Guard time is paid once per reconfiguration epoch.
-    assert!(extra(&r, "ocs_guard_slots_paid") >= reconfs);
+    assert!(extra(&r, Extra::OcsGuardSlotsPaid) >= reconfs);
     // The BvN path actually decomposed demand into permutations.
-    assert!(extra(&r, "ocs_decompositions") > 0.0);
-    assert!(extra(&r, "ocs_bvn_terms") >= extra(&r, "ocs_decompositions"));
+    assert!(extra(&r, Extra::OcsDecompositions) > 0.0);
+    assert!(extra(&r, Extra::OcsBvnTerms) >= extra(&r, Extra::OcsDecompositions));
     // Round-robin frames barely tick when the BvN scheduler drives.
-    assert!(extra(&r, "ocs_rotor_frames") <= epochs);
-    let transfers = extra(&r, "ocs_transfers");
+    assert!(extra(&r, Extra::OcsRotorFrames) <= epochs);
+    let transfers = extra(&r, Extra::OcsTransfers);
     assert!(transfers > 0.0);
-    let util = extra(&r, "ocs_mean_utilization");
+    let util = extra(&r, Extra::OcsMeanUtilization);
     assert!(
         (0.0..=1.0).contains(&util),
         "utilization is a fraction: {util}"
@@ -260,12 +378,16 @@ fn ocs_run_reports_scheduler_counters() {
 
 // --- Typed drop attribution ----------------------------------------------
 
-#[test]
-fn deflection_switch_attributes_rejected_drops() {
+fn deflection_run() -> EngineReport {
     // Overloaded deflection routing runs out of alternate ports and
     // rejects admissions; the engine attributes each one.
-    let r = DeflectionSwitch::new(16, 4, SEED).run(&mut uniform(16, 0.95), &cfg());
-    let rejected = extra(&r, "drops_rejected");
+    DeflectionSwitch::new(16, 4, SEED).run(&mut uniform(16, 0.95), &cfg())
+}
+
+#[test]
+fn deflection_switch_attributes_rejected_drops() {
+    let r = deflection_run();
+    let rejected = extra(&r, Extra::DropsRejected);
     assert!(rejected > 0.0);
     // Rejections happen at admission, so nothing rejected was counted
     // injected: everything injected is eventually delivered or resident.
@@ -274,30 +396,25 @@ fn deflection_switch_attributes_rejected_drops() {
 
 #[test]
 fn ocs_incast_attributes_buffer_full_drops() {
-    use osmosis::core::experiments::ocs_study::workload;
     // Incast into finite 8-cell ingress VOQs: queues toward the one hot
     // sink overflow and every discarded cell is attributed.
-    let mut tr = workload("incast", 16, 3_000, SEED).expect("known workload");
-    let r = run_switch_circuit(
-        &mut OcsSwitch::new(tr.ports()),
-        tr.as_mut(),
-        &cfg().with_buffer_cells(8),
-        &mut OcsScheduler::new(EpochConfig::osmosis_default()),
-        None,
-        None,
-    );
-    assert!(extra(&r, "drops_buffer_full") > 0.0);
+    let r = ocs_run("incast", cfg().with_buffer_cells(8));
+    assert!(extra(&r, Extra::DropsBufferFull) > 0.0);
 }
 
 // --- Per-model scalar extras ---------------------------------------------
 
+fn cioq_run() -> EngineReport {
+    // Speedup 2 at 80% uniform load.
+    CioqSwitch::new(16, 2, 8).run(&mut uniform(16, 0.8), &cfg())
+}
+
 #[test]
 fn cioq_reports_its_speedup_violation_fraction() {
-    // Speedup 2 at 80% uniform load: the CIOQ emulation contract says
-    // violations (output idles while work exists) stay a small fraction
-    // of busy slots.
-    let r = CioqSwitch::new(16, 2, 8).run(&mut uniform(16, 0.8), &cfg());
-    let fraction = extra(&r, "violation_fraction");
+    // The CIOQ emulation contract says violations (output idles while
+    // work exists) stay a small fraction of busy slots.
+    let r = cioq_run();
+    let fraction = extra(&r, Extra::ViolationFraction);
     assert!((0.0..=1.0).contains(&fraction));
     assert!(
         fraction < 0.1,
@@ -308,7 +425,7 @@ fn cioq_reports_its_speedup_violation_fraction() {
 #[test]
 fn multicast_reports_copy_and_transmission_counters() {
     let r = run_multicast(16, 3, 0.2, 3_000, SEED);
-    let copies = extra(&r, "copies_delivered");
+    let copies = extra(&r, Extra::CopiesDelivered);
     // Fanout 3: three copies per completion, plus the partial fanouts of
     // cells still in flight when the measure window closed.
     assert!(copies >= 3.0 * r.delivered as f64);
@@ -316,7 +433,7 @@ fn multicast_reports_copy_and_transmission_counters() {
     // Per-output queueing means a cell needs at least one transmission
     // per copy on average, and tree-assisted forwarding keeps the mean
     // bounded.
-    let mean_tx = extra(&r, "mean_transmissions");
+    let mean_tx = extra(&r, Extra::MeanTransmissions);
     assert!(
         (1.0..=3.0).contains(&mean_tx),
         "mean transmissions {mean_tx}"

@@ -4,16 +4,21 @@
 //! report are bit-identical across reruns, and an *empty* plan leaves
 //! every simulator's report bit-identical to the plain, unfaulted run
 //! (the hook costs nothing when unused).
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
 
 use osmosis::fabric::spec::TopologySpec;
-use osmosis::fabric::CompiledFabric;
-use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
+use osmosis::fabric::{BufferTech, CompiledFabric};
+use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, FaultTransition, LINK_ANY};
+use osmosis::ocs::{EpochConfig, OcsScheduler, OcsSwitch};
 use osmosis::sched::Flppr;
 use osmosis::sim::{EngineConfig, SeedSequence};
 use osmosis::switch::driven::CellSwitch;
 use osmosis::switch::{
-    run_switch, run_switch_instrumented, BurstSwitch, BvnSwitch, CioqSwitch, DeflectionSwitch,
-    FifoSwitch, OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
+    run_switch, run_switch_circuit, run_switch_instrumented, BurstSwitch, BvnSwitch, CioqSwitch,
+    DeflectionSwitch, FifoSwitch, OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
 };
 use osmosis::traffic::BernoulliUniform;
 use osmosis_audit::{AuditMode, AuditSet};
@@ -235,4 +240,80 @@ fn stochastic_fault_timeline_depends_only_on_the_seed() {
         events_for(32, 0.8),
         "fault timeline must not depend on the model or its traffic"
     );
+}
+
+/// Run `kind` as a one-shot fault (slots 300–700) on a simulator that
+/// reacts to it, or with no fault at all, and return the report's
+/// fingerprint and the injector's transitions. The `match` has no `_`
+/// arm: a new `FaultKind` variant does not compile here until it has a
+/// simulator, and so a replay test.
+fn replay(kind: FaultKind, faulted: bool) -> (u64, Vec<FaultTransition>) {
+    let plan = FaultPlan::new().one_shot(kind, 300, Some(400));
+    let mut inj = FaultInjector::new(if faulted { plan } else { FaultPlan::new() });
+    let cfg = cfg(77);
+    let uniform = |hosts| BernoulliUniform::new(hosts, 0.6, &SeedSequence::new(77));
+    let fabric = |spec: TopologySpec| {
+        let fab = CompiledFabric::new(spec);
+        let hosts = fab.ports();
+        (fab, hosts)
+    };
+    let r = match kind {
+        FaultKind::SoaStuckOff { .. }
+        | FaultKind::ReceiverDeath { .. }
+        | FaultKind::GrantLoss { .. } => run_switch_instrumented(
+            &mut VoqSwitch::new(Box::new(Flppr::osmosis(16, 2))),
+            &mut uniform(16),
+            &cfg,
+            Some(&mut inj),
+            None,
+        ),
+        FaultKind::WavelengthLoss { .. }
+        | FaultKind::LinkBerBurst { .. }
+        | FaultKind::CreditDrop { .. } => {
+            let (mut fab, hosts) = fabric(TopologySpec::two_level(8).with_request_grant(1));
+            run_switch_instrumented(&mut fab, &mut uniform(hosts), &cfg, Some(&mut inj), None)
+        }
+        FaultKind::DelayLineDead { .. } => {
+            let (fab, hosts) = fabric(TopologySpec::two_level(8).with_request_grant(1));
+            let mut fab = fab
+                .with_buffer_tech(BufferTech::Fdl)
+                .expect("input-only at rg=1");
+            run_switch_instrumented(&mut fab, &mut uniform(hosts), &cfg, Some(&mut inj), None)
+        }
+        FaultKind::CircuitStuck { .. } => run_switch_circuit(
+            &mut OcsSwitch::new(16),
+            &mut uniform(16),
+            &cfg,
+            &mut OcsScheduler::new(EpochConfig::osmosis_default()),
+            Some(&mut inj),
+            None,
+        ),
+    };
+    (r.fingerprint(), inj.events().to_vec())
+}
+
+#[test]
+fn every_fault_kind_replays_bit_identically() {
+    for kind in [
+        FaultKind::SoaStuckOff { output: 1 },
+        FaultKind::WavelengthLoss { plane: 1 },
+        FaultKind::ReceiverDeath { output: 2 },
+        FaultKind::LinkBerBurst {
+            link: LINK_ANY,
+            cell_error_prob: 0.05,
+        },
+        FaultKind::CircuitStuck { input: 3 },
+        FaultKind::DelayLineDead { line: 0 },
+        FaultKind::GrantLoss { prob: 0.2 },
+        FaultKind::CreditDrop { prob: 0.3 },
+    ] {
+        let (a, events) = replay(kind, true);
+        assert_eq!(events.len(), 2, "{kind:?}: one injection, one heal");
+        assert_eq!(replay(kind, true), (a, events), "{kind:?}: replay moved");
+        assert_ne!(
+            replay(kind, false).0,
+            a,
+            "{kind:?}: the fault changed nothing"
+        );
+    }
 }

@@ -24,7 +24,7 @@ mod common;
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::{BufferTech, CompiledFabric};
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan};
-use osmosis::sim::{EngineConfig, SeedSequence};
+use osmosis::sim::{EngineConfig, Extra, SeedSequence};
 use osmosis::switch::{run_switch_instrumented, CellSwitch};
 use osmosis::traffic::{BernoulliUniform, Bursty, TrafficGen};
 
@@ -269,11 +269,11 @@ fn fdl_under_every_fault_reaction_matches_pin() {
     let mut inj = FaultInjector::new(every_reaction_plan());
     let r = run_switch_instrumented(&mut fab, &mut tr, &cfg(), Some(&mut inj), None);
     for key in [
-        "fault_retransmits",
-        "fault_credits_dropped",
-        "fdl_drops_dead_line",
+        Extra::FaultRetransmits,
+        Extra::FaultCreditsDropped,
+        Extra::FdlDropsDeadLine,
     ] {
-        assert!(r.extra(key).unwrap_or(0.0) > 20.0, "{key}: {:?}", r.extra);
+        assert!(r.extra(key).unwrap_or(0.0) > 20.0, "{key:?}: {:?}", r.extra);
     }
     assert_eq!(
         r.fingerprint(),

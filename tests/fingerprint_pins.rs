@@ -11,7 +11,7 @@ mod common;
 use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::{BufferTech, CompiledFabric, Placement};
 use osmosis::sched::{Flppr, Islip};
-use osmosis::sim::{EngineConfig, EngineReport, SeedSequence};
+use osmosis::sim::{EngineConfig, EngineReport, Extra, SeedSequence};
 use osmosis::switch::{
     run_multicast, run_uniform, BurstSwitch, BvnSwitch, CioqSwitch, DeflectionSwitch, FifoSwitch,
     OqSwitch, RemoteSchedulerSwitch,
@@ -46,7 +46,7 @@ fn run_m_ary(radix: usize, levels: u32, load: f64) -> EngineReport {
     let spec = TopologySpec::m_ary_fat_tree(radix, levels).with_link_delay(2);
     let mut fab = CompiledFabric::new(spec);
     let mut r = fab.run(&mut uniform(spec.hosts() as usize, load, 1234), &cfg());
-    r.extra.retain(|(key, _)| *key != "switches");
+    r.extra.retain(|(key, _)| *key != Extra::Switches);
     r
 }
 
@@ -796,9 +796,9 @@ fn fat_tree_trace_event_order_matches_pin() {
         .trace(&mut sink)
         .faults(Some(&mut inj))
         .run(&mut Driven::new(&mut fab, &mut tr));
-    let retransmits = r.extra("fault_retransmits").unwrap_or(0.0);
+    let retransmits = r.extra(Extra::FaultRetransmits).unwrap_or(0.0);
     assert!(
-        retransmits > 50.0 && r.extra("fault_credits_dropped").unwrap_or(0.0) > 50.0,
+        retransmits > 50.0 && r.extra(Extra::FaultCreditsDropped).unwrap_or(0.0) > 50.0,
         "the run must exercise the reactions it pins: {:?}",
         r.extra
     );

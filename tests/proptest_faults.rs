@@ -8,7 +8,7 @@ use osmosis::fabric::spec::TopologySpec;
 use osmosis::fabric::CompiledFabric;
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
 use osmosis::sched::Flppr;
-use osmosis::sim::{EngineConfig, SeedSequence};
+use osmosis::sim::{EngineConfig, Extra, SeedSequence};
 use osmosis::switch::driven::CellSwitch;
 use osmosis::switch::{
     run_switch_instrumented, BurstSwitch, BvnSwitch, CioqSwitch, DeflectionSwitch, FifoSwitch,
@@ -108,7 +108,7 @@ proptest! {
         prop_assert_eq!(r.reordered, 0);
         prop_assert_eq!(r.injected, r.delivered + fab.resident_cells().unwrap_or(0));
         // The engine's loss ledger agrees: nothing was charged to faults.
-        prop_assert_eq!(r.extra("fault_cells_lost").unwrap_or(0.0), 0.0);
+        prop_assert_eq!(r.extra(Extra::FaultCellsLost).unwrap_or(0.0), 0.0);
     }
 
     /// The invariant battery holds for *every* simulator in the workspace

@@ -3,8 +3,8 @@
 //! engine leaves the report — fingerprint included — bit-identical to
 //! the uninstrumented run, for all ten simulators. The sink itself is
 //! deterministic too: two identically-seeded observed runs export
-//! byte-identical JSONL, and the exported registry survives a JSON
-//! round trip exactly.
+//! byte-identical JSONL, every exported line re-encodes byte for byte,
+//! and the exported registry survives a JSON round trip exactly.
 #![expect(
     clippy::expect_used,
     reason = "a test helper fails its test by panicking"
@@ -21,7 +21,7 @@ use osmosis::switch::{
     FifoSwitch, OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
 };
 use osmosis::telemetry::{
-    metrics, validate_jsonl, MetricsRegistry, TelemetryConfig, TelemetrySink,
+    metrics, validate_jsonl, MetricsRegistry, Record, TelemetryConfig, TelemetrySink,
 };
 use osmosis::traffic::BernoulliUniform;
 
@@ -122,6 +122,11 @@ fn assert_telemetry_transparent<S: CellSwitch>(
         .unwrap_or_else(|e| panic!("{name}: exported JSONL failed validation: {e}"));
     assert_eq!(stats.metas, 1);
     assert_eq!(stats.summaries, 1);
+    // Every exported line is one typed record that re-encodes to itself.
+    for line in text.lines() {
+        let record = Record::decode(line).unwrap_or_else(|e| panic!("{name}: {e}: {line}"));
+        assert_eq!(record.encode(), line, "{name}: re-encoding moved a byte");
+    }
 
     // The registry survives its JSON round trip bit-exactly.
     let reg_json = tel.registry().to_json();
