@@ -57,7 +57,6 @@
 use osmosis_sim::audit::{Auditor, CreditLedger, DropReason};
 use osmosis_sim::engine::{EngineConfig, EngineReport};
 use osmosis_sim::Extra;
-use std::collections::BTreeMap;
 
 /// How an [`AuditSet`] reacts to a violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,6 +245,10 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// The capacity of an output whose capacity was not reported this slot:
+/// its grants are exempt from the capacity check.
+const UNREPORTED: u64 = u64::MAX;
+
 /// Cap on *stored* violations; the count beyond the cap stays exact so
 /// a pathological run cannot exhaust memory recording them.
 const MAX_STORED: usize = 64;
@@ -304,10 +307,14 @@ pub struct AuditSet {
     port_flagged: Vec<bool>,
     global_flagged: bool,
     // Capacity legality: the slot being collected, its reported
-    // capacities and its grants, checked when the next slot begins.
+    // capacities ([`UNREPORTED`] where none was) and its grants per
+    // output, checked when the next slot begins. `touched` lists the
+    // outputs either was written for, so the check and its reset visit
+    // only those.
     slot: u64,
-    caps: BTreeMap<usize, u64>,
-    grants: BTreeMap<usize, u64>,
+    caps: Vec<u64>,
+    grants: Vec<u64>,
+    touched: Vec<usize>,
     total: u64,
     sample: Vec<Violation>,
 }
@@ -326,8 +333,9 @@ impl AuditSet {
             port_flagged: Vec::new(),
             global_flagged: false,
             slot: 0,
-            caps: BTreeMap::new(),
-            grants: BTreeMap::new(),
+            caps: Vec::new(),
+            grants: Vec::new(),
+            touched: Vec::new(),
             total: 0,
             sample: Vec::new(),
         }
@@ -414,20 +422,40 @@ impl AuditSet {
         }
     }
 
-    /// Check the collected slot's grants against its reported capacities.
+    /// Note that `output` is written this slot, growing the per-output
+    /// tables for an output past the configured port count.
+    fn touch(&mut self, output: usize) {
+        if output >= self.caps.len() {
+            self.caps.resize(output + 1, UNREPORTED);
+            self.grants.resize(output + 1, 0);
+        }
+        if self.caps[output] == UNREPORTED && self.grants[output] == 0 {
+            self.touched.push(output);
+        }
+    }
+
+    /// Check the collected slot's grants against its reported
+    /// capacities, in ascending output order, and reset the slot's
+    /// tables.
     fn check_capacities(&mut self) {
-        let grants = std::mem::take(&mut self.grants);
-        for (output, capacity) in std::mem::take(&mut self.caps) {
-            let granted = grants.get(&output).copied().unwrap_or(0);
-            if granted > capacity {
+        let over = |set: &Self, o: usize| set.caps[o] != UNREPORTED && set.grants[o] > set.caps[o];
+        if self.touched.iter().any(|&o| over(self, o)) {
+            self.touched.sort_unstable();
+        }
+        for k in 0..self.touched.len() {
+            let output = self.touched[k];
+            if over(self, output) {
                 let kind = ViolationKind::CapacityExceeded {
                     output,
-                    granted,
-                    capacity,
+                    granted: self.grants[output],
+                    capacity: self.caps[output],
                 };
                 self.record(self.slot, "capacity-legality", kind);
             }
+            self.caps[output] = UNREPORTED;
+            self.grants[output] = 0;
         }
+        self.touched.clear();
     }
 }
 
@@ -437,6 +465,9 @@ impl Auditor for AuditSet {
             injected_to: vec![0; ports],
             delivered_from: vec![0; ports],
             port_flagged: vec![false; ports],
+            caps: vec![UNREPORTED; ports],
+            grants: vec![0; ports],
+            touched: Vec::with_capacity(ports),
             ..AuditSet::new(self.mode, self.ordered, self.liveness)
         };
     }
@@ -455,7 +486,8 @@ impl Auditor for AuditSet {
     }
 
     fn cell_granted(&mut self, slot: u64, input: usize, output: usize, wait: u64) {
-        *self.grants.entry(output).or_insert(0) += 1;
+        self.touch(output);
+        self.grants[output] += 1;
         if let Some(bound) = self.liveness.filter(|&bound| wait > bound) {
             let kind = ViolationKind::Starvation {
                 input,
@@ -493,7 +525,8 @@ impl Auditor for AuditSet {
     }
 
     fn output_capacity(&mut self, _slot: u64, output: usize, capacity: usize) {
-        self.caps.insert(output, capacity as u64);
+        self.touch(output);
+        self.caps[output] = capacity as u64;
     }
 
     fn credit_link(&mut self, slot: u64, node: usize, port: usize, ledger: CreditLedger) {
@@ -549,6 +582,7 @@ impl Auditor for AuditSet {
 mod tests {
     use super::*;
     use osmosis_sim::engine::{Engine, Observer, SlottedModel, TraceSink};
+    use std::collections::BTreeMap;
 
     fn cfg() -> EngineConfig {
         EngineConfig::new(0, 100)
@@ -849,6 +883,35 @@ mod tests {
         let mut r = EngineReport::default();
         a.end_run(None, &mut r);
         assert_eq!(a.total_violations(), 1);
+    }
+
+    #[test]
+    fn capacity_violations_are_recorded_in_ascending_output_order() {
+        let mut a = battery();
+        for output in [3, 0, 2] {
+            a.output_capacity(0, output, 0);
+            a.cell_granted(0, 1, output, 0);
+        }
+        // An output past the configured ports grows the tables.
+        a.output_capacity(0, 9, 1);
+        a.cell_granted(0, 1, 9, 0);
+        a.cell_granted(0, 2, 9, 0);
+        a.begin_slot(1);
+        let outputs: Vec<usize> = a
+            .report()
+            .sample
+            .iter()
+            .map(|v| match v.kind {
+                ViolationKind::CapacityExceeded { output, .. } => output,
+                _ => usize::MAX,
+            })
+            .collect();
+        assert_eq!(outputs, [0, 2, 3, 9]);
+        // The slot's tables were reset: the same grants without a
+        // report in the next slot are exempt.
+        a.cell_granted(1, 1, 3, 0);
+        a.begin_slot(2);
+        assert_eq!(a.total_violations(), 4);
     }
 
     #[test]

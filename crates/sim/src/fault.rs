@@ -16,9 +16,8 @@
 //!   their recovery paths (re-request, credit resync, hop-by-hop
 //!   retransmission).
 //!
-//! Every method has a benign default, so the trait doubles as the null
-//! object: [`NullFaults`] is an empty `impl`. The engine only attaches a
-//! non-vacuous view (see
+//! Every method has a benign default. The disabled plane is no view at
+//! all (`None`), and the engine only attaches a non-vacuous one (see
 //! [`Engine::faults`](crate::engine::Engine::faults)); with no faults attached
 //! the per-slot cost is a single `Option` check and every model-side
 //! query short-circuits on [`Observer::faults_attached`] — runs without a
@@ -124,30 +123,4 @@ pub trait FaultView {
     /// repair times, lost control messages) as report extras so they
     /// land in the fingerprint.
     fn finish(&mut self, _report: &mut EngineReport) {}
-}
-
-/// The no-fault view: every query returns the benign default.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullFaults;
-
-impl FaultView for NullFaults {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn null_faults_is_vacuous_and_benign() {
-        let mut f = NullFaults;
-        assert!(f.is_vacuous());
-        assert!(!f.output_blocked(0));
-        assert_eq!(f.receivers_down(3), 0);
-        assert!(!f.plane_down(1));
-        assert!(!f.grant_lost(0, 1));
-        assert!(!f.credit_dropped(2, 3));
-        assert!(!f.cell_corrupted(usize::MAX));
-        assert!(!f.circuit_stuck(0));
-        assert!(!f.delay_line_dead(0));
-        assert!(f.state_changed(), "untracked views are always re-read");
-    }
 }

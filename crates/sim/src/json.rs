@@ -174,11 +174,13 @@ impl Value {
         }
     }
 
-    /// Parse a JSON document (must consume the whole input).
+    /// Parse a JSON document (must consume the whole input). Arrays and
+    /// objects nested more than 128 deep are an error.
     pub fn parse(input: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -208,9 +210,17 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Value::parse`] accepts. The
+/// parser recurses once per level, so without a bound a hostile line of
+/// `[`s would overflow the stack. The documents this workspace writes
+/// nest a few levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -256,12 +266,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object a level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Value, ParseError> {
@@ -447,6 +469,20 @@ mod tests {
             assert!(Value::parse(bad).is_err(), "{bad:?} must not parse");
         }
         assert!(Value::parse("[1] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let err = Value::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!((err.pos, err.msg), (MAX_DEPTH, "nesting too deep"));
+        let deepest = format!(
+            "{}0{}",
+            "[{\"k\":".repeat(MAX_DEPTH / 2),
+            "}]".repeat(MAX_DEPTH / 2)
+        );
+        assert!(Value::parse(&deepest).is_ok());
+        let one_more = format!("[{deepest}]");
+        assert!(Value::parse(&one_more).is_err());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use engine::{
     SlottedModel, TraceEvent, TraceSink, VecTrace,
 };
 pub use extra::Extra;
-pub use fault::{FaultView, NullFaults};
+pub use fault::FaultView;
 pub use rng::{SeedSequence, SimRng};
 pub use stats::{Counter, Histogram, SimSummary, Welford};
 pub use sweep::{

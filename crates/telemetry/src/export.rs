@@ -685,4 +685,14 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn unknown_metric_names_are_errors_not_interned() {
+        for k in 0..10_000 {
+            let line = RUN[8].replace("voq/cells_injected", &format!("voq/metric_{k}"));
+            let e = Record::decode(&line).expect_err("an unknown metric name decoded");
+            assert!(e.contains("`registry`"), "{line}: {e}");
+        }
+        assert!(Record::decode(RUN[8]).is_ok());
+    }
 }

@@ -10,7 +10,6 @@
 
 use osmosis_sim::json::Value;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// The fabric component a metric is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -104,7 +103,9 @@ impl MetricId {
     }
 
     /// Parse an export key back into an id (inverse of
-    /// [`key`](MetricId::key)); names are interned.
+    /// [`key`](MetricId::key)). A name the sink never emits (one outside
+    /// `KNOWN_NAMES`) is `None`, so reading a stream allocates nothing
+    /// per distinct name.
     pub fn parse(key: &str) -> Option<Self> {
         let (comp, rest) = key.split_once('/')?;
         let component = Component::from_name(comp)?;
@@ -114,14 +115,14 @@ impl MetricId {
         };
         Some(MetricId {
             component,
-            name: intern_name(name),
+            name: KNOWN_NAMES.iter().find(|k| **k == name)?,
             instance,
         })
     }
 }
 
-/// Metric names the sink emits, resolved without leaking when a registry
-/// is parsed back from an export.
+/// Metric names the sink emits: the only names [`MetricId::parse`]
+/// accepts.
 const KNOWN_NAMES: &[&str] = &[
     "cells_injected",
     "grants",
@@ -140,24 +141,6 @@ const KNOWN_NAMES: &[&str] = &[
     "max_queue_depth",
     "max_egress_depth",
 ];
-
-/// Intern a metric name into the `&'static str` the id requires. Known
-/// sink-emitted names resolve without allocating; genuinely new names
-/// leak once per distinct string per process (the streams this workspace
-/// writes carry a handful of names, so for them the leak is bounded).
-fn intern_name(name: &str) -> &'static str {
-    if let Some(known) = KNOWN_NAMES.iter().find(|k| **k == name) {
-        return known;
-    }
-    static CACHE: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut cache = CACHE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(known) = cache.iter().find(|k| **k == name) {
-        return known;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    cache.push(leaked);
-    leaked
-}
 
 /// Buckets in a [`LogHistogram`]: one for zero plus one per power of
 /// two, covering the full `u64` range.
@@ -619,7 +602,7 @@ mod tests {
         for id in [
             MetricId::new(Component::Scheduler, "grants"),
             MetricId::at(Component::LinkFc, "credit_stalls", 17),
-            MetricId::new(Component::Engine, "some_custom_metric"),
+            MetricId::new(Component::Engine, "max_queue_depth"),
         ] {
             let back = MetricId::parse(&id.key()).unwrap();
             assert_eq!(back.component, id.component);
@@ -628,6 +611,7 @@ mod tests {
         }
         assert!(MetricId::parse("nope").is_none());
         assert!(MetricId::parse("martian/grants").is_none());
+        assert!(MetricId::parse("engine/some_custom_metric").is_none());
     }
 
     #[test]
@@ -658,7 +642,7 @@ mod tests {
                 0.5 + seed as f64 * 0.1,
             );
             for v in [seed + 1, seed * 3 + 2, 1 << 20] {
-                reg.observe(MetricId::new(Component::Egress, "delay"), v);
+                reg.observe(MetricId::new(Component::Egress, "delivery_delay"), v);
             }
             reg
         };

@@ -14,7 +14,7 @@ use osmosis::fabric::{BufferTech, CompiledFabric};
 use osmosis::faults::{FaultInjector, FaultKind, FaultPlan, FaultTransition, LINK_ANY};
 use osmosis::ocs::{EpochConfig, OcsScheduler, OcsSwitch};
 use osmosis::sched::Flppr;
-use osmosis::sim::{EngineConfig, SeedSequence};
+use osmosis::sim::{EngineConfig, Extra, SeedSequence};
 use osmosis::switch::driven::CellSwitch;
 use osmosis::switch::{
     run_switch, run_switch_circuit, run_switch_instrumented, BurstSwitch, BvnSwitch, CioqSwitch,
@@ -49,8 +49,9 @@ fn plan() -> FaultPlan {
 ///
 /// 1. same seed ⇒ bit-identical fault trace *and* bit-identical report;
 /// 2. a different seed changes the run (traffic and/or fault timeline);
-/// 3. an empty plan is invisible: the run equals a plain one, bit for
-///    bit;
+/// 3. an empty plan is invisible (the metamorphic law of the fault
+///    plane, whose disabled form is `None`): the run equals a plain one,
+///    bit for bit, and reports no fault extras;
 /// 4. the full invariant battery on the clean run finds nothing and
 ///    leaves the report bit-identical to the plain run;
 /// 5. (`audit_faulted` models) the battery also passes on the *faulted*
@@ -115,6 +116,13 @@ fn assert_fault_determinism<S: CellSwitch>(
         empty.fingerprint(),
         "{name}: an empty fault plan must be bit-identical to the plain run"
     );
+    for extra in [Extra::FaultsInjected, Extra::FaultCellsLost] {
+        assert_eq!(
+            empty.extra(extra),
+            None,
+            "{name}: an empty plan sets {extra:?}"
+        );
+    }
 
     // 4. Audited clean run: zero violations (fail-fast would panic), and
     // the report — fingerprint included — matches the plain run exactly.
