@@ -94,6 +94,7 @@ mod battery {
         BurstSwitch, BvnSwitch, CioqSwitch, DeflectionSwitch, FifoSwitch, MulticastWorkload,
         OqSwitch, RemoteSchedulerSwitch, VoqSwitch,
     };
+    use osmosis_telemetry::TelemetrySink;
     use osmosis_traffic::BernoulliUniform;
 
     /// `CellScheduler::tick` returns an owned `Matching`, built with
@@ -110,11 +111,6 @@ mod battery {
     /// on 16 ports at load 0.9. It is the oracle the heuristic schedulers
     /// are checked against, not a model of hardware.
     const MAX_SIZE_REBUILD: f64 = 31.0;
-
-    /// Two per injected multicast cell: its destination set (`dsts` in
-    /// `MulticastWorkload::inject`) and the switch's per-cell `residue`
-    /// mask (`MulticastSwitch::inject`).
-    const MULTICAST_PER_CELL: f64 = 2.0;
 
     /// The OCS scheduler plans once per 64-slot epoch, as PULSE does:
     /// `bvn::decompose` builds its terms and `plan_frame` its frame. This
@@ -301,6 +297,18 @@ mod battery {
                     .run(&mut Driven::new(&mut sw, &mut tr))
             }),
             Row::switch(
+                "VoqSwitch × Flppr::osmosis(64, 2) + TelemetrySink",
+                TICK_MATCHING,
+                |cfg| {
+                    let mut sw = voq(Flppr::osmosis(64, 2));
+                    let mut tr = uniform(64, 0.95, cfg);
+                    let mut sink = TelemetrySink::new();
+                    Engine::new(cfg)
+                        .trace(&mut sink)
+                        .run(&mut Driven::new(&mut sw, &mut tr))
+                },
+            ),
+            Row::switch(
                 "VoqSwitch × MaxSizeScheduler(16)",
                 MAX_SIZE_REBUILD,
                 |cfg| driven(voq(MaxSizeScheduler::new(16, 1)), 0.9, cfg),
@@ -333,11 +341,11 @@ mod battery {
     }
 
     #[test]
-    fn workload_and_circuit_models_allocate_per_cell_and_per_epoch() {
+    fn multicast_and_circuit_models_stay_within_their_budgets() {
         check(&[
             Row {
                 name: "MulticastWorkload(16, fanout 3, rate 0.2)",
-                budget: MULTICAST_PER_CELL,
+                budget: 0.0,
                 per: Per::InjectedCell,
                 window: SWITCH_WINDOW,
                 run: |cfg| Engine::new(cfg).run(&mut MulticastWorkload::new(16, 3, 0.2)),
@@ -411,6 +419,14 @@ mod battery {
             Row::fabric("CompiledFabric two_level(8), plane 1 lost", |cfg| {
                 let plane = FaultKind::WavelengthLoss { plane: 1 };
                 faulted_tree(FaultPlan::new().permanent(plane, 0), cfg)
+            }),
+            Row::fabric("CompiledFabric two_level(8) + TelemetrySink", |cfg| {
+                let mut fab = tree(TopologySpec::two_level(8));
+                let mut tr = uniform(32, 0.6, cfg);
+                let mut sink = TelemetrySink::new();
+                Engine::new(cfg)
+                    .trace(&mut sink)
+                    .run(&mut Driven::new(&mut fab, &mut tr))
             }),
             Row::fabric("CompiledFabric two_level(8) + AuditSet::standard", |cfg| {
                 let mut fab = tree(TopologySpec::two_level(8));

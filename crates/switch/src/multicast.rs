@@ -30,8 +30,8 @@ use std::collections::VecDeque;
 pub struct McCell {
     /// Source port.
     pub src: usize,
-    /// Remaining (unserved) destinations.
-    pub residue: Vec<bool>,
+    /// Remaining (unserved) destinations: bit `o` is output `o`.
+    pub residue: u64,
     /// Injection slot.
     pub inject_slot: u64,
     /// Original fanout.
@@ -51,9 +51,10 @@ pub struct MulticastSwitch {
 }
 
 impl MulticastSwitch {
-    /// An `n`-port multicast switch.
+    /// An `n`-port multicast switch, `n` ≤ 64 (a cell's residue is one
+    /// `u64` mask).
     pub fn new(n: usize) -> Self {
-        assert!(n > 0);
+        assert!(n > 0 && n <= 64, "multicast switch of {n} ports (1..=64)");
         MulticastSwitch {
             n,
             queues: (0..n).map(|_| VecDeque::new()).collect(),
@@ -68,15 +69,12 @@ impl MulticastSwitch {
     /// Inject a multicast cell at `src` toward the destination set.
     pub fn inject(&mut self, src: usize, dsts: &[usize], slot: u64) {
         assert!(src < self.n);
-        let mut residue = vec![false; self.n];
-        let mut fanout = 0;
+        let mut residue = 0u64;
         for &d in dsts {
             assert!(d < self.n);
-            if !residue[d] {
-                residue[d] = true;
-                fanout += 1;
-            }
+            residue |= 1 << d;
         }
+        let fanout = residue.count_ones() as usize;
         assert!(fanout > 0, "empty destination set");
         self.queues[src].push_back(McCell {
             src,
@@ -101,11 +99,11 @@ impl MulticastSwitch {
         let mut any = false;
         for (i, q) in self.queues.iter().enumerate() {
             if let Some(head) = q.front() {
-                for (o, req) in self.requesters_per_output.iter_mut().enumerate() {
-                    if head.residue[o] {
-                        req.set(i);
-                        any = true;
-                    }
+                let mut owed = head.residue;
+                while owed != 0 {
+                    self.requesters_per_output[owed.trailing_zeros() as usize].set(i);
+                    owed &= owed - 1;
+                    any = true;
                 }
             }
         }
@@ -141,10 +139,10 @@ impl MulticastSwitch {
                 .front_mut()
                 .expect("served input with an empty queue");
             for &o in &self.served[i] {
-                head.residue[o] = false;
+                head.residue &= !(1 << o);
             }
             self.tx_count[i] += 1;
-            if head.residue.iter().all(|&r| !r) {
+            if head.residue == 0 {
                 if let Some(done) = self.queues[i].pop_front() {
                     self.completions.push(done);
                 }
@@ -164,6 +162,8 @@ pub struct MulticastWorkload {
     rate: f64,
     copies: u64,
     total_tx: u64,
+    /// Scratch: the destination set being drawn.
+    dsts: Vec<usize>,
 }
 
 impl MulticastWorkload {
@@ -178,6 +178,7 @@ impl MulticastWorkload {
             rate,
             copies: 0,
             total_tx: 0,
+            dsts: Vec::with_capacity(fanout),
         }
     }
 }
@@ -212,15 +213,15 @@ impl SlottedModel for MulticastWorkload {
         for i in 0..n {
             if self.rngs[i].coin(self.rate) {
                 // A random fanout-sized destination set.
-                let mut dsts = Vec::with_capacity(self.fanout);
-                while dsts.len() < self.fanout {
+                self.dsts.clear();
+                while self.dsts.len() < self.fanout {
                     let d = self.rngs[i].index(n);
-                    if !dsts.contains(&d) {
-                        dsts.push(d);
+                    if !self.dsts.contains(&d) {
+                        self.dsts.push(d);
                     }
                 }
-                self.sw.inject(i, &dsts, slot);
-                obs.cell_injected(i, dsts[0]);
+                self.sw.inject(i, &self.dsts, slot);
+                obs.cell_injected(i, self.dsts[0]);
                 obs.note_queue_depth(self.sw.queues[i].len());
             }
         }
@@ -327,6 +328,21 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         let c = run_multicast(8, 2, 0.3, 3_000, 12);
         assert_ne!(a.delivered, c.delivered);
+    }
+
+    #[test]
+    fn repeated_destinations_count_once() {
+        let mut sw = MulticastSwitch::new(64);
+        sw.inject(0, &[63, 5, 63, 0], 0);
+        assert_eq!(sw.tick(1), 3);
+        assert_eq!(sw.completions[0].fanout, 3);
+        assert_eq!(sw.completions[0].residue, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "multicast switch of 65 ports")]
+    fn more_ports_than_a_residue_mask_holds_rejected() {
+        MulticastSwitch::new(65);
     }
 
     #[test]

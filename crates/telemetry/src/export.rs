@@ -670,6 +670,16 @@ mod tests {
                 "`reason`",
             ),
             (edit(CAMPAIGN[4], "[3]", "[\"3\"]"), "`quarantined`"),
+            // Bucket counts short of `count`: this parsed, and the
+            // histogram's `quantile` then reached `unreachable!`.
+            (
+                edit(
+                    RUN[8],
+                    "\"histograms\":[]",
+                    r#""histograms":[["egress/delivery_delay",{"count":5,"sum":0,"min":0,"max":0,"buckets":[]}]]"#,
+                ),
+                "`registry`",
+            ),
             (
                 "{\"type\":\"bogus\",\"run\":0}".into(),
                 "unknown record type `bogus`",

@@ -42,7 +42,7 @@ pub use export::{validate_jsonl, JsonlStats, Record, ReportDigest, ShardStatus, 
 pub use registry::{Component, LogHistogram, MetricId, MetricsRegistry, LOG_BUCKETS};
 pub use spans::{CellSpan, Decomposition, SpanConfig, SpanPlane, SEGMENTS};
 
-use osmosis_sim::engine::{EngineConfig, EngineReport, TraceEvent, TraceSink};
+use osmosis_sim::engine::{CountingTrace, EngineConfig, EngineReport, TraceEvent, TraceSink};
 use osmosis_sim::sweep::{ProgressOutcome, SweepProgress};
 use std::io::Write;
 use std::path::Path;
@@ -116,26 +116,6 @@ pub struct RunMeta {
     pub sample_every: u64,
     /// Snapshot cadence in effect.
     pub snapshot_every: u64,
-}
-
-/// Cumulative event totals, used to compute snapshot interval deltas.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Totals {
-    injected: u64,
-    delivered: u64,
-    dropped: u64,
-    grants: u64,
-    credit_stalls: u64,
-    retransmits: u64,
-    receiver_conflicts: u64,
-}
-
-impl Totals {
-    fn in_flight(&self) -> u64 {
-        self.injected
-            .saturating_sub(self.delivered)
-            .saturating_sub(self.dropped)
-    }
 }
 
 /// One periodic time-series sample: interval deltas plus the
@@ -215,14 +195,28 @@ pub mod metrics {
 /// and span aggregates accumulate across runs, snapshots and spans are
 /// tagged with a run index, and each run appends its own `meta` /
 /// `summary` record pair to the stream.
+///
+/// Per event the sink touches plain fields only: the seven counts, three
+/// histograms and the per-node credit stalls below. `run_end` folds them
+/// into the registry once per run.
 pub struct TelemetrySink {
     cfg: TelemetryConfig,
     label: String,
     registry: MetricsRegistry,
     spans: SpanPlane,
     snapshots: Vec<Snapshot>,
-    totals: Totals,
-    interval_base: Totals,
+    /// Event counts, cumulative across runs.
+    counts: CountingTrace,
+    /// `counts` at `run_begin`: `run_end` folds the difference.
+    run_base: CountingTrace,
+    interval_base: CountingTrace,
+    /// This run's histograms, folded and emptied at `run_end`.
+    request_grant_wait: LogHistogram,
+    delivery_delay: LogHistogram,
+    conflict_contenders: LogHistogram,
+    /// This run's credit stalls by node, grown on first touch and zeroed
+    /// at `run_end`.
+    node_credit_stalls: Vec<u64>,
     interval_base_slot: u64,
     slot: u64,
     run: u64,
@@ -263,8 +257,13 @@ impl TelemetrySink {
             registry: MetricsRegistry::new(),
             spans: SpanPlane::new(cfg.span_config(), cfg.recent_spans),
             snapshots: Vec::new(),
-            totals: Totals::default(),
-            interval_base: Totals::default(),
+            counts: CountingTrace::default(),
+            run_base: CountingTrace::default(),
+            interval_base: CountingTrace::default(),
+            request_grant_wait: LogHistogram::new(),
+            delivery_delay: LogHistogram::new(),
+            conflict_contenders: LogHistogram::new(),
+            node_credit_stalls: Vec::new(),
             interval_base_slot: 0,
             slot: 0,
             run: 0,
@@ -293,7 +292,9 @@ impl TelemetrySink {
         Ok(self.with_stream(Box::new(std::io::BufWriter::new(f))))
     }
 
-    /// The metrics registry accumulated so far.
+    /// The metrics registry accumulated so far. It is complete after
+    /// every `run_end`: events fold into it once per run, so during a run
+    /// it holds only the runs already ended.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
@@ -402,26 +403,69 @@ impl TelemetrySink {
     }
 
     fn take_snapshot(&mut self, slot: u64) {
-        let t = self.totals;
+        let t = self.counts;
         let b = self.interval_base;
         let snap = Snapshot {
             run: self.run,
             slot,
             interval_slots: slot - self.interval_base_slot,
-            injected: t.injected - b.injected,
-            delivered: t.delivered - b.delivered,
-            dropped: t.dropped - b.dropped,
+            injected: t.injects - b.injects,
+            delivered: t.delivers - b.delivers,
+            dropped: t.drops - b.drops,
             grants: t.grants - b.grants,
             credit_stalls: t.credit_stalls - b.credit_stalls,
             retransmits: t.retransmits - b.retransmits,
             receiver_conflicts: t.receiver_conflicts - b.receiver_conflicts,
-            in_flight: t.in_flight(),
+            in_flight: t.injects.saturating_sub(t.delivers).saturating_sub(t.drops),
         };
         self.interval_base = t;
         self.interval_base_slot = slot;
         self.snapshots.push(snap);
         if self.stream.is_some() {
             self.stream_record(&Record::Snapshot { snapshot: snap });
+        }
+    }
+
+    /// Fold this run's counts, histograms and per-node stalls into the
+    /// registry and reset them. Only non-zero counts and non-empty
+    /// histograms are folded, so the registry gains exactly the keys the
+    /// run's events name.
+    fn fold_run(&mut self) {
+        let (c, b) = (self.counts, self.run_base);
+        for (id, n) in [
+            (metrics::CELLS_INJECTED, c.injects - b.injects),
+            (metrics::GRANTS, c.grants - b.grants),
+            (metrics::CELLS_TRANSFERRED, c.grants - b.grants),
+            (metrics::CELLS_DELIVERED, c.delivers - b.delivers),
+            (metrics::CELLS_DROPPED, c.drops - b.drops),
+            (metrics::CREDIT_STALLS, c.credit_stalls - b.credit_stalls),
+            (
+                metrics::RECEIVER_CONFLICTS,
+                c.receiver_conflicts - b.receiver_conflicts,
+            ),
+            (metrics::RETRANSMITS, c.retransmits - b.retransmits),
+        ] {
+            if n > 0 {
+                self.registry.inc(id, n);
+            }
+        }
+        self.run_base = c;
+        for (node, n) in self.node_credit_stalls.iter_mut().enumerate() {
+            if *n > 0 {
+                let id = MetricId::at(Component::LinkFc, "credit_stalls", node as u32);
+                self.registry.inc(id, *n);
+                *n = 0;
+            }
+        }
+        for (id, h) in [
+            (metrics::REQUEST_GRANT_WAIT, &mut self.request_grant_wait),
+            (metrics::DELIVERY_DELAY, &mut self.delivery_delay),
+            (metrics::CONFLICT_CONTENDERS, &mut self.conflict_contenders),
+        ] {
+            if h.count() > 0 {
+                self.registry.merge_histogram(id, h);
+                *h = LogHistogram::new();
+            }
         }
     }
 }
@@ -434,7 +478,8 @@ impl TraceSink for TelemetrySink {
             self.started = true;
         }
         self.slot = 0;
-        self.interval_base = self.totals;
+        self.run_base = self.counts;
+        self.interval_base = self.counts;
         self.interval_base_slot = 0;
         self.spans.run_begin(cfg.warmup_slots, ports);
         let meta = RunMeta {
@@ -460,28 +505,19 @@ impl TraceSink for TelemetrySink {
     }
 
     fn event(&mut self, slot: u64, event: TraceEvent) {
+        self.counts.event(slot, event);
         match event {
-            TraceEvent::Inject { .. } => {
-                self.totals.injected += 1;
-                self.registry.inc(metrics::CELLS_INJECTED, 1);
-            }
             TraceEvent::Grant {
                 output, wait_slots, ..
             } => {
-                self.totals.grants += 1;
-                self.registry.inc(metrics::GRANTS, 1);
-                self.registry
-                    .observe(metrics::REQUEST_GRANT_WAIT, wait_slots);
-                self.registry.inc(metrics::CELLS_TRANSFERRED, 1);
+                self.request_grant_wait.record(wait_slots);
                 self.spans.on_grant(slot, output, wait_slots);
             }
             TraceEvent::Deliver {
                 output,
                 delay_slots,
             } => {
-                self.totals.delivered += 1;
-                self.registry.inc(metrics::CELLS_DELIVERED, 1);
-                self.registry.observe(metrics::DELIVERY_DELAY, delay_slots);
+                self.delivery_delay.record(delay_slots);
                 if let Some(span) = self.spans.on_deliver(slot, output, delay_slots) {
                     if self.cfg.stream_spans && self.stream.is_some() {
                         let run = self.run;
@@ -489,25 +525,17 @@ impl TraceSink for TelemetrySink {
                     }
                 }
             }
-            TraceEvent::Drop { .. } => {
-                self.totals.dropped += 1;
-                self.registry.inc(metrics::CELLS_DROPPED, 1);
-            }
             TraceEvent::CreditStall { node, .. } => {
-                self.totals.credit_stalls += 1;
-                self.registry.inc(metrics::CREDIT_STALLS, 1);
-                self.registry
-                    .inc(MetricId::at(Component::LinkFc, "credit_stalls", node), 1);
+                let node = node as usize;
+                if node >= self.node_credit_stalls.len() {
+                    self.node_credit_stalls.resize(node + 1, 0);
+                }
+                self.node_credit_stalls[node] += 1;
             }
             TraceEvent::ReceiverConflict { contenders, .. } => {
-                self.totals.receiver_conflicts += 1;
-                self.registry.inc(metrics::RECEIVER_CONFLICTS, 1);
-                self.registry
-                    .observe(metrics::CONFLICT_CONTENDERS, contenders as u64);
+                self.conflict_contenders.record(contenders as u64);
             }
-            TraceEvent::Retransmit { .. } => {
-                self.totals.retransmits += 1;
-                self.registry.inc(metrics::RETRANSMITS, 1);
+            TraceEvent::Inject { .. } | TraceEvent::Drop { .. } | TraceEvent::Retransmit { .. } => {
             }
         }
     }
@@ -515,10 +543,11 @@ impl TraceSink for TelemetrySink {
     fn run_end(&mut self, report: &EngineReport) {
         // Close the time series with a final partial interval.
         if self.cfg.snapshot_every > 0
-            && (self.totals != self.interval_base || self.slot + 1 > self.interval_base_slot)
+            && (self.counts != self.interval_base || self.slot + 1 > self.interval_base_slot)
         {
             self.take_snapshot(self.slot + 1);
         }
+        self.fold_run();
         self.registry
             .set_gauge(metrics::THROUGHPUT, report.throughput);
         self.registry

@@ -2,8 +2,9 @@
 //! histograms keyed by fabric component.
 //!
 //! The registry is a plain data structure — it knows nothing about the
-//! engine. The [`TelemetrySink`](crate::TelemetrySink) populates it from
-//! the `TraceEvent` stream; sweeps populate one registry per job and
+//! engine. The [`TelemetrySink`](crate::TelemetrySink) tallies the
+//! `TraceEvent` stream in plain fields and folds them into it once per
+//! run; sweeps populate one registry per job and
 //! [`merge`](MetricsRegistry::merge) them afterwards. `BTreeMap` keys
 //! give deterministic iteration order everywhere, so exports are
 //! byte-stable across reruns.
@@ -306,7 +307,9 @@ impl LogHistogram {
         ])
     }
 
-    /// Deserialize; `None` on a malformed document.
+    /// Deserialize; `None` on a malformed document, or on one no run can
+    /// record: bucket counts that do not sum to `count`, or a `min` /
+    /// `max` outside the lowest / highest non-empty bucket.
     pub fn from_json(v: &Value) -> Option<Self> {
         let mut h = LogHistogram::new();
         h.count = v.get("count")?.as_u64()?;
@@ -322,9 +325,21 @@ impl LogHistogram {
             }
             h.counts[b] = pair.get(1)?.as_u64()?;
         }
-        if h.count > 0 {
+        let total = h.counts.iter().try_fold(0u64, |t, &c| t.checked_add(c))?;
+        if total != h.count {
+            return None;
+        }
+        let lowest = h.buckets().next().map(|(b, _)| b);
+        let highest = h.buckets().last().map(|(b, _)| b);
+        if let (Some(lowest), Some(highest)) = (lowest, highest) {
             h.min = v.get("min")?.as_u64()?;
             h.max = v.get("max")?.as_u64()?;
+            if Self::bucket_of(h.min) != lowest
+                || Self::bucket_of(h.max) != highest
+                || h.min > h.max
+            {
+                return None;
+            }
         }
         Some(h)
     }
@@ -376,6 +391,13 @@ impl MetricsRegistry {
         self.histograms.entry(id).or_default().record(v);
     }
 
+    /// Merge a whole histogram into one id (creating it empty): what
+    /// [`observe`](MetricsRegistry::observe) of each of its observations
+    /// would leave.
+    pub fn merge_histogram(&mut self, id: MetricId, h: &LogHistogram) {
+        self.histograms.entry(id).or_default().merge(h);
+    }
+
     /// A counter's value (0 if never incremented).
     pub fn counter(&self, id: MetricId) -> u64 {
         self.counters.get(&id).copied().unwrap_or(0)
@@ -417,7 +439,7 @@ impl MetricsRegistry {
             self.gauge_max(id, v);
         }
         for (&id, h) in &other.histograms {
-            self.histograms.entry(id).or_default().merge(h);
+            self.merge_histogram(id, h);
         }
     }
 
@@ -480,10 +502,7 @@ impl MetricsRegistry {
         for entry in v.get("histograms")?.items()? {
             let pair = entry.items()?;
             let id = MetricId::parse(pair.first()?.as_str()?)?;
-            self.histograms
-                .entry(id)
-                .or_default()
-                .merge(&LogHistogram::from_json(pair.get(1)?)?);
+            self.merge_histogram(id, &LogHistogram::from_json(pair.get(1)?)?);
         }
         Some(())
     }
@@ -660,5 +679,37 @@ mod tests {
         assert_eq!(by_json.to_json().encode(), by_merge.to_json().encode());
         // Malformed input is rejected.
         assert!(MetricsRegistry::new().merge_json(&Value::Null).is_none());
+    }
+
+    /// Histogram documents no run can record, all of which used to
+    /// parse. `quantile` then reached `unreachable!` on the first (bucket
+    /// counts short of `count`) and panicked in `clamp` on the fourth
+    /// (`min` above `max`); on the others it answered from counts or
+    /// bounds that contradict each other.
+    const HOSTILE_HISTOGRAMS: [&str; 6] = [
+        r#"{"count":5,"sum":0,"min":0,"max":0,"buckets":[]}"#,
+        r#"{"count":2,"sum":3,"min":1,"max":2,"buckets":[[1,1],[2,2]]}"#,
+        r#"{"count":2,"sum":3,"min":1,"max":2,"buckets":[[1,18446744073709551615],[2,3]]}"#,
+        r#"{"count":2,"sum":5,"min":3,"max":2,"buckets":[[2,2]]}"#,
+        r#"{"count":2,"sum":3,"min":0,"max":2,"buckets":[[1,1],[2,1]]}"#,
+        r#"{"count":2,"sum":3,"min":1,"max":9,"buckets":[[1,1],[2,1]]}"#,
+    ];
+
+    #[test]
+    fn inconsistent_histograms_are_rejected() {
+        let good = r#"{"count":2,"sum":3,"min":1,"max":2,"buckets":[[1,1],[2,1]]}"#;
+        let h = LogHistogram::from_json(&Value::parse(good).unwrap()).unwrap();
+        assert_eq!(h.to_json().encode(), good);
+        assert_eq!(h.quantile(1.0), Some(2.0));
+        for doc in HOSTILE_HISTOGRAMS {
+            let v = Value::parse(doc).unwrap();
+            assert!(LogHistogram::from_json(&v).is_none(), "{doc} parsed");
+            let reg = format!(
+                r#"{{"counters":[],"gauges":[],"histograms":[["egress/delivery_delay",{doc}]]}}"#
+            );
+            let reg = Value::parse(&reg).unwrap();
+            assert!(MetricsRegistry::from_json(&reg).is_none(), "{doc}");
+            assert!(MetricsRegistry::new().merge_json(&reg).is_none(), "{doc}");
+        }
     }
 }
