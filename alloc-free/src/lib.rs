@@ -11,8 +11,9 @@
 //! run allocates once (construction, `configure`, tables sized to the
 //! port count, the report) cancels in the difference. The difference
 //! divided by `w` is the row's steady-state allocations per slot (per
-//! epoch or per injected cell for the rows budgeted that way). It must
-//! stay within the row's budget plus `GROWTH_EPSILON`.
+//! epoch, per injected cell or per whole window for the rows budgeted
+//! that way). It must stay within the row's budget plus `GROWTH_EPSILON`
+//! (`WINDOW_GROWTH` for a row counted per window).
 //!
 //! Every budget above 0 is a named constant below with its source.
 //! `CellScheduler` and `CellSwitch` implementors, every
@@ -127,6 +128,13 @@ mod battery {
     /// above it.
     const GROWTH_EPSILON: f64 = 0.03;
 
+    /// The same allowance for a row counted per window, where 0.03 would
+    /// forbid a single allocation: the 512 host queues of
+    /// `two_level(32)` at load 0.6 grew once in its 1 024-slot window.
+    /// A flow table allocated at each of the window's six compactions
+    /// is well above it.
+    const WINDOW_GROWTH: f64 = 2.0;
+
     const SEED: u64 = 1234;
     const WARMUP: u64 = 2_000;
     const SWITCH_WINDOW: u64 = 4_096;
@@ -139,6 +147,9 @@ mod battery {
         Slot,
         Epoch,
         InjectedCell,
+        /// The whole window, for a row whose allocations would come
+        /// too seldom to show per slot.
+        Window,
     }
 
     struct Row {
@@ -189,6 +200,7 @@ mod battery {
                 Per::Slot => self.window,
                 Per::Epoch => self.window / EPOCH_SLOTS,
                 Per::InjectedCell => cells,
+                Per::Window => 1,
             };
             extra as f64 / units.max(1) as f64
         }
@@ -203,19 +215,24 @@ mod battery {
                 Per::Slot => "slot",
                 Per::Epoch => "epoch",
                 Per::InjectedCell => "injected cell",
+                Per::Window => "window",
             };
             let line = format!(
                 "{:<58} {measured:>8.4} per {unit} (budget {})",
                 row.name, row.budget
             );
             println!("{line}");
-            if measured > row.budget + GROWTH_EPSILON {
+            let epsilon = match row.per {
+                Per::Window => WINDOW_GROWTH,
+                Per::Slot | Per::Epoch | Per::InjectedCell => GROWTH_EPSILON,
+            };
+            if measured > row.budget + epsilon {
                 over.push(line);
             }
         }
         assert!(
             over.is_empty(),
-            "rows over budget + ε ({GROWTH_EPSILON}):\n{}",
+            "rows over budget + ε ({GROWTH_EPSILON}, {WINDOW_GROWTH} per window):\n{}",
             over.join("\n")
         );
     }
@@ -420,6 +437,18 @@ mod battery {
                 let plane = FaultKind::WavelengthLoss { plane: 1 };
                 faulted_tree(FaultPlan::new().permanent(plane, 0), cfg)
             }),
+            // 512 hosts at load 0.6 touch 300 flows a slot, so the flow
+            // table, at 2¹⁶ entries, first drops its drained flows 160
+            // slots into the warm-up and then every 170 slots or so,
+            // into the spare table it keeps. Counted per slot, a table
+            // allocated at each compaction would hide under ε.
+            Row {
+                name: "CompiledFabric two_level(32), flow table compacting",
+                budget: 0.0,
+                per: Per::Window,
+                window: FABRIC_WINDOW,
+                run: |cfg| driven(tree(TopologySpec::two_level(32)), 0.6, cfg),
+            },
             Row::fabric("CompiledFabric two_level(8) + TelemetrySink", |cfg| {
                 let mut fab = tree(TopologySpec::two_level(8));
                 let mut tr = uniform(32, 0.6, cfg);

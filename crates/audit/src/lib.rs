@@ -127,9 +127,12 @@ pub enum ViolationKind {
         src: usize,
         /// Flow destination.
         dst: usize,
-        /// The offending sequence number.
+        /// The offending sequence number, in the flow's current
+        /// numbering, which restarts at 0 each time the engine forgets
+        /// the flow after it drained in order.
         seq: u64,
-        /// The highest sequence previously delivered for the flow.
+        /// The highest sequence previously delivered for the flow, in
+        /// the same numbering.
         last_seq: u64,
     },
     /// An output received more grants in one slot than its reported

@@ -35,11 +35,8 @@
 //! cells and credits on links sit in wheels of d + 1 buckets indexed
 //! `slot % (d + 1)`: a slot drains its own bucket in the order it was
 //! filled and appends to the bucket d ahead, the one drained the slot
-//! before. The engine's flow-order table is the one table a run does
-//! not keep in cache, so `admit` stamps in a loop of its own and
-//! `arbitrate` delivers to hosts ahead of the switch landings, where the
-//! misses overlap. A hop reads no graph table: the port a cell lands on
-//! is `switch * radix + local` by construction, so both come out of its
+//! before. A hop reads no graph table: the port a cell lands on is
+//! `switch * radix + local` by construction, so both come out of its
 //! `at` word by a division, and [`ExpandedFabric::route`] is closed-form
 //! arithmetic.
 //!
@@ -707,25 +704,12 @@ impl CellSwitch for CompiledFabric {
 
         // Cell arrivals from links, in the order they were sent — resent
         // cells first: each is older than anything still in flight on
-        // its link. Where no fault plane can turn a cell back, the host
-        // deliveries go ahead of the rest: each order check is a likely
-        // cache miss, and back to back they overlap. A switch landing
-        // shows the observer nothing but its queue depth, so the trace is
-        // the same either way.
+        // its link.
         let mut landed = std::mem::take(&mut self.cell_wheel[now]);
         let due = self.retransmit.iter().take_while(|&&(at, _)| at == slot);
         let due = due.count();
         landed.splice(0..0, self.retransmit.drain(..due).map(|(_, flit)| flit));
-        if !faults_on {
-            for flit in landed.iter().filter(|flit| flit.at & HOST != 0) {
-                let (src, dst) = (flit.src as usize, flit.dst as usize);
-                obs.cell_delivered_flow(dst, flit.inject, src, flit.seq.into());
-            }
-        }
-        for &flit in landed
-            .iter()
-            .filter(|flit| faults_on || flit.at & HOST == 0)
-        {
+        for &flit in &landed {
             self.land(slot, flit, faults_on, obs);
         }
         landed.clear();
@@ -831,7 +815,6 @@ impl CellSwitch for CompiledFabric {
     }
 
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
-        // Stamps first, as `arbitrate`'s checks are: the misses overlap.
         for a in arrivals {
             self.host_queues[a.src].push_back(Flit {
                 inject: slot,
@@ -841,8 +824,6 @@ impl CellSwitch for CompiledFabric {
                 at: 0,
             });
             self.queued[a.src / 64] |= 1 << (a.src % 64);
-        }
-        for a in arrivals {
             obs.cell_injected(a.src, a.dst);
         }
     }

@@ -551,6 +551,10 @@ impl<'a, T: TraceSink> Observer<'a, T> {
     /// the model admits. Stamp only cells that stay in the model: a cell
     /// counted injected and then dropped at admission must not use up a
     /// number, or the flow's next delivery reads as early.
+    ///
+    /// Only the order between one flow's stamps means anything. A large
+    /// run forgets a flow once every cell it stamped was delivered in
+    /// turn, and the flow's numbering then restarts at 0.
     #[inline]
     pub fn stamp(&mut self, src: usize, dst: usize) -> u64 {
         self.order.stamp(src, dst)

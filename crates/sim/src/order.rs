@@ -7,11 +7,31 @@
 //! entry of one table, so a delivery lands on the cache line its stamp
 //! touched a few slots earlier. The observer holds a fresh table for
 //! each run.
+//!
+//! Once the table is large it forgets the flows that drained in order,
+//! so its memory follows the flows with a cell in flight rather than
+//! every flow the run has touched: on a 2048-host fat tree at load 0.6
+//! that is about 15k flows in flight against 676k touched.
+
+/// `Flow::key`'s top bit, set by the flow's first out-of-order delivery
+/// and never cleared. Sources stay below 2³¹, so no packed flow id
+/// reaches it.
+const DISORDERED: u64 = 1 << 63;
+
+/// The table length from which a full table drops its drained flows
+/// instead of only doubling: 2¹⁶ entries, 1 MiB. Smaller tables are the
+/// 64-port switches' and the campaign's, where flows recur, so a
+/// compaction throws away entries that soon come back: in a replay of
+/// uniform arrivals at 64 ports, compacting at every size made stamping
+/// and recording 2–2.5× slower, while on the 2048- and 8192-host trees
+/// compacting from this floor made them about 1.6× faster.
+const COMPACT_FROM: usize = 1 << 16;
 
 /// One flow's entry, four to a cache line.
 #[derive(Debug, Default, Clone, Copy)]
 struct Flow {
-    /// `(src << 32 | dst) + 1`, 0 marking a free slot.
+    /// `(src << 32 | dst) + 1`, 0 marking a free slot, with
+    /// [`DISORDERED`] or-ed in.
     key: u64,
     /// The sequence number the flow's next injected cell takes.
     next: u32,
@@ -19,25 +39,57 @@ struct Flow {
     expected: u32,
 }
 
+impl Flow {
+    /// Every cell the flow stamped was delivered, each exactly in turn:
+    /// no delivery of it was out of order, so each carried the
+    /// expectation and raised it by one, and the expectation has caught
+    /// up with the stamps.
+    fn drained(&self) -> bool {
+        self.key & DISORDERED == 0 && self.next == self.expected
+    }
+}
+
 /// Stamps cells per (src, dst) flow at injection and verifies FIFO
 /// delivery per flow at the egress, counting violations.
 ///
 /// Open addressing with linear probing on a fixed multiplicative hash of
-/// the packed flow id, doubling at three quarters full. Memory follows
-/// the flows a simulator touches, not ports² — a uniform run over 8192
-/// ports touches one flow in two hundred, and a dense table there is a
-/// gigabyte of zeros. Point lookups only: nothing outside a rehash walks
-/// the slots, the hash is a fixed function, and a counter's value never
-/// depends on where its slot landed, so no order can leak into
+/// the packed flow id. Point lookups only: nothing outside a rebuild
+/// walks the slots, the hash is a fixed function, and a counter's value
+/// never depends on where its slot landed, so no order can leak into
 /// fingerprints. This sits on the per-cell hot path of every simulator
 /// (one stamp at injection, one check at delivery); at 64 ports the
 /// whole table stays cache-resident, and a lookup is a multiply, a shift
 /// and on average under two adjacent probes.
+///
+/// A table that is three quarters full is rebuilt. Below
+/// [`COMPACT_FROM`] entries it doubles, and memory follows the flows a
+/// simulator touches, not ports² — a uniform run over 8192 ports touches
+/// one flow in two hundred, and a dense table there is a gigabyte of
+/// zeros. From there on the rebuild leaves out the drained flows, into a
+/// spare table of the same length kept for the purpose, and doubles only
+/// when the flows that survive fill more than 3/8 of it; memory then
+/// follows the flows with a cell in flight.
+///
+/// Forgetting a drained flow is exact. Its entry `(n, n)` is a fresh
+/// `(0, 0)` with every number shifted up by n: no cell of it is in
+/// flight, so each later delivery carries a number stamped after the
+/// entry was dropped, and every comparison [`record`](FlowOrder::record)
+/// and its caller make is between two numbers of the same flow, both
+/// shifted alike. Verdicts, the violation count and whether a delivery
+/// regressed stay those of a table that never forgets; what changes is
+/// the numbers themselves, which restart at 0. This holds as long as
+/// each stamped cell is delivered at most once, as the engine's cell
+/// conservation requires. A flow with an out-of-order delivery is kept
+/// for the rest of the run: it may reach `next == expected` while a late
+/// cell of it is still in flight.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FlowOrder {
     /// The length is zero or a power of two, and at least a quarter of
     /// it is free.
     slots: Vec<Flow>,
+    /// What the last compacting rebuild read from, reused by the next
+    /// one; empty below [`COMPACT_FROM`].
+    spare: Vec<Flow>,
     used: usize,
     reordered: u64,
 }
@@ -77,7 +129,9 @@ impl FlowOrder {
             // Stamps stay below 2³², so this fits.
             flow.expected = seq as u32 + 1;
         }
-        self.reordered += u64::from(seq != expected);
+        let disorder = seq != expected;
+        flow.key |= DISORDERED * u64::from(disorder);
+        self.reordered += u64::from(disorder);
         expected
     }
 
@@ -88,14 +142,14 @@ impl FlowOrder {
 
     #[inline]
     fn flow(&mut self, src: usize, dst: usize) -> &mut Flow {
-        debug_assert!(src < u32::MAX as usize && dst < u32::MAX as usize);
+        debug_assert!(src < 1 << 31 && dst < u32::MAX as usize);
         if self.used * 4 >= self.slots.len() * 3 {
             self.grow();
         }
         let key = ((src as u64) << 32 | dst as u64) + 1;
         let mask = self.slots.len() - 1;
         let mut i = Self::home(key, self.slots.len());
-        while self.slots[i].key != key {
+        while self.slots[i].key & !DISORDERED != key {
             if self.slots[i].key == 0 {
                 self.slots[i].key = key;
                 self.used += 1;
@@ -112,18 +166,38 @@ impl FlowOrder {
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - len.trailing_zeros())) as usize
     }
 
+    /// Put `flow` in the first free slot from its home on.
+    fn place(slots: &mut [Flow], flow: Flow) {
+        let mask = slots.len() - 1;
+        let mut i = Self::home(flow.key & !DISORDERED, slots.len());
+        while slots[i].key != 0 {
+            i = (i + 1) & mask;
+        }
+        slots[i] = flow;
+    }
+
     #[cold]
     fn grow(&mut self) {
-        let len = (self.slots.len() * 2).max(64);
-        let old = std::mem::replace(&mut self.slots, vec![Flow::default(); len]);
-        for flow in old {
-            if flow.key != 0 {
-                let mut i = Self::home(flow.key, len);
-                while self.slots[i].key != 0 {
-                    i = (i + 1) & (len - 1);
-                }
-                self.slots[i] = flow;
+        let len = self.slots.len();
+        if len < COMPACT_FROM {
+            let old = std::mem::replace(&mut self.slots, vec![Flow::default(); (len * 2).max(64)]);
+            for flow in old.into_iter().filter(|flow| flow.key != 0) {
+                Self::place(&mut self.slots, flow);
             }
+            return;
+        }
+        let keep = |flow: &Flow| flow.key != 0 && !flow.drained();
+        self.used = self.slots.iter().filter(|flow| keep(flow)).count();
+        let len = if self.used * 8 <= len * 3 {
+            len
+        } else {
+            len * 2
+        };
+        self.spare.clear();
+        self.spare.resize(len, Flow::default());
+        std::mem::swap(&mut self.slots, &mut self.spare);
+        for flow in self.spare.iter().filter(|flow| keep(flow)) {
+            Self::place(&mut self.slots, *flow);
         }
     }
 }
@@ -132,6 +206,7 @@ impl FlowOrder {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+    use std::collections::{BTreeMap, VecDeque};
 
     /// The stamper/checker pair `FlowOrder` replaced — two tables of
     /// `(key, u64)` — kept as the reference the differential test runs
@@ -411,5 +486,135 @@ mod tests {
                 "{ports} ports: no violation scripted"
             );
         }
+    }
+
+    /// One flow as the oracle pair sees it, next to where `FlowOrder`'s
+    /// numbering of it starts.
+    #[derive(Debug, Default)]
+    struct Ledger {
+        stamped: u64,
+        delivered: u64,
+        /// A delivery of the flow was out of turn.
+        disordered: bool,
+        /// The highest oracle number delivered.
+        top: Option<u64>,
+        /// The oracle's number of `FlowOrder`'s 0.
+        base: u64,
+    }
+
+    impl Ledger {
+        /// Every stamped cell was delivered, each in turn.
+        fn drained(&self) -> bool {
+            !self.disordered && self.delivered == self.stamped
+        }
+    }
+
+    /// The differential test above, run far enough past [`COMPACT_FROM`]
+    /// that the table compacts again and again: verdicts and the
+    /// violation count after every step are the oracle pair's, every
+    /// stamp is the oracle's minus the flow's base, and the base moves
+    /// only where the oracle shows the flow drained in turn. Every
+    /// expectation, shifted by the base, is the oracle's, so the
+    /// observer's regression test and the numbers it reports agree too.
+    #[test]
+    fn agrees_with_the_pair_across_compactions() {
+        let mut rng = SimRng::seed_from_u64(41);
+        let mut order = FlowOrder::new();
+        let (mut stamper, mut checker) = (
+            oracle::SequenceStamper::default(),
+            oracle::SequenceChecker::default(),
+        );
+        // (src, dst, oracle's number, `FlowOrder`'s), oldest first.
+        let mut flying: VecDeque<(usize, usize, u64, u64)> = VecDeque::new();
+        let mut known: Vec<(usize, usize)> = Vec::new();
+        let mut flows: BTreeMap<(usize, usize), Ledger> = BTreeMap::new();
+        let (mut renumbered, mut compactions) = (0, 0);
+        for step in 0..600_000 {
+            let used = order.used;
+            let delivery = match rng.index(32) {
+                0..=15 => {
+                    // A quarter of the stamps revisit one of the last 64
+                    // flows, so cells of a flow overtake each other, and
+                    // a quarter any known flow, forgotten ones included.
+                    let (src, dst) = match rng.index(4) {
+                        0 if !known.is_empty() => {
+                            known[known.len() - 1 - rng.index(known.len().min(64))]
+                        }
+                        1 if !known.is_empty() => known[rng.index(known.len())],
+                        _ => (rng.index(2_048), rng.index(2_048)),
+                    };
+                    known.push((src, dst));
+                    let want = stamper.stamp(src, dst);
+                    let seq = order.stamp(src, dst);
+                    let flow = flows.entry((src, dst)).or_default();
+                    if seq + flow.base != want {
+                        assert!(
+                            seq == 0 && flow.drained(),
+                            "step {step}: {src}->{dst} renumbered from {want} to {seq} \
+                             though not drained in turn: {flow:?}"
+                        );
+                        flow.base = want;
+                        renumbered += 1;
+                    }
+                    flow.stamped += 1;
+                    flying.push_back((src, dst, want, seq));
+                    None
+                }
+                16..=28 => flying.pop_front(),
+                29 | 30 if !flying.is_empty() => flying.remove(rng.index(flying.len())),
+                31 if !flying.is_empty() => {
+                    // Lost: the flow never drains again.
+                    flying.remove(rng.index(flying.len()));
+                    None
+                }
+                _ => None,
+            };
+            if let Some((src, dst, want, seq)) = delivery {
+                let flow = flows.get_mut(&(src, dst)).unwrap();
+                let expected = order.record(src, dst, seq);
+                let verdict = checker.record(src, dst, want);
+                assert_eq!(expected == seq, verdict, "step {step}");
+                assert_eq!(
+                    expected + flow.base,
+                    flow.top.map_or(0, |top| top + 1),
+                    "step {step}: the expectation is not the oracle's"
+                );
+                flow.delivered += 1;
+                flow.disordered |= !verdict;
+                flow.top = flow.top.max(Some(want));
+            }
+            assert_eq!(order.reordered(), checker.reordered(), "step {step}");
+            compactions += usize::from(order.used < used);
+        }
+        assert!(compactions >= 3, "only {compactions} compactions");
+        assert!(renumbered > 0, "no forgotten flow came back");
+        assert!(order.reordered() > 0, "no violation scripted");
+        assert_eq!(order.slots.len(), COMPACT_FROM, "drained flows were kept");
+        assert!(flows.len() > 2 * COMPACT_FROM, "{} flows", flows.len());
+    }
+
+    /// A flow whose early cell brought `next` and `expected` level while
+    /// a late one was still in flight is not drained: it outlives every
+    /// compaction, and its late cell still counts.
+    #[test]
+    fn a_late_cell_counts_after_compactions() {
+        let mut order = FlowOrder::new();
+        let (first, second) = (order.stamp(5, 6), order.stamp(5, 6));
+        assert_eq!(order.record(5, 6, second), 0, "early");
+        let mut compactions = 0;
+        for flow in 0.. {
+            let used = order.used;
+            let (src, dst) = (1_000 + flow / 4_096, flow % 4_096);
+            let seq = order.stamp(src, dst);
+            assert!(in_order(&mut order, src, dst, seq));
+            compactions += usize::from(order.used < used);
+            if compactions == 3 {
+                break;
+            }
+        }
+        assert_eq!(order.slots.len(), COMPACT_FROM, "drained flows were kept");
+        assert_eq!(order.record(5, 6, first), 2, "late");
+        assert_eq!(order.reordered(), 2);
+        assert_eq!(order.stamp(5, 6), 2, "the flow's numbering was kept");
     }
 }
