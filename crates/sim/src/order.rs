@@ -393,50 +393,235 @@ mod tests {
         order.stamp(7, 9);
     }
 
+    /// A delivered number: its flow, `FlowOrder`'s number and, for a
+    /// stamped cell, the oracle pair's.
+    #[derive(Debug, Clone, Copy)]
+    struct Cell {
+        src: usize,
+        dst: usize,
+        seq: u64,
+        want: Option<u64>,
+    }
+
+    /// One flow as the oracle pair numbers it.
+    #[derive(Debug, Default)]
+    struct Ledger {
+        next: u64,
+        expected: u64,
+        /// A delivery of the flow was out of turn.
+        disordered: bool,
+        /// The oracle's number of `FlowOrder`'s 0.
+        base: u64,
+    }
+
+    impl Ledger {
+        /// [`Flow::drained`] on the oracle's numbers.
+        fn drained(&self) -> bool {
+            !self.disordered && self.next == self.expected
+        }
+    }
+
+    /// `FlowOrder` beside the stamper/checker pair, each flow's numbers
+    /// shifted by its base: the oracle's number of `FlowOrder`'s 0.
+    ///
+    /// Before every stamp and delivery, a flow the table holds must have
+    /// the oracle's counters and disorder, shifted by the base, and a
+    /// flow it does not hold must have drained in turn — only then does
+    /// the base move, to the oracle's next number. After it, the stamp,
+    /// the verdict, the expectation and the violation count must be the
+    /// oracle's, shifted alike. So only numbers of a forgotten flow may
+    /// differ from the oracle's, and only by the flow's base.
+    #[derive(Default)]
+    struct Shifted {
+        order: FlowOrder,
+        stamper: oracle::SequenceStamper,
+        checker: oracle::SequenceChecker,
+        flows: BTreeMap<(usize, usize), Ledger>,
+        /// Flows of `flows` not drained in turn.
+        undrained: usize,
+        /// Forgotten flows that came back, numbered from 0 again.
+        renumbered: usize,
+        ops: usize,
+    }
+
+    impl Shifted {
+        /// The flow's entry, if the table holds it.
+        fn held(&self, src: usize, dst: usize) -> Option<Flow> {
+            let slots = &self.order.slots;
+            if slots.is_empty() {
+                return None;
+            }
+            let key = ((src as u64) << 32 | dst as u64) + 1;
+            let mut i = FlowOrder::home(key, slots.len());
+            while let Some(flow) = slots.get(i).filter(|flow| flow.key != 0) {
+                if flow.key & !DISORDERED == key {
+                    return Some(*flow);
+                }
+                i = (i + 1) & (slots.len() - 1);
+            }
+            None
+        }
+
+        /// Check the flow against the oracle, and move its base if the
+        /// table forgot it; whether it was drained in turn.
+        fn sync(&mut self, src: usize, dst: usize) -> bool {
+            self.ops += 1;
+            let held = self.held(src, dst);
+            let flow = self.flows.entry((src, dst)).or_default();
+            match held {
+                Some(entry) => assert_eq!(
+                    (
+                        u64::from(entry.next) + flow.base,
+                        u64::from(entry.expected) + flow.base,
+                        entry.key & DISORDERED != 0,
+                    ),
+                    (flow.next, flow.expected, flow.disordered),
+                    "op {}: {src}->{dst} holds other numbers than the oracle's",
+                    self.ops
+                ),
+                None => {
+                    assert!(
+                        flow.drained(),
+                        "op {}: {src}->{dst} forgotten though not drained in turn: {flow:?}",
+                        self.ops
+                    );
+                    if flow.base != flow.next {
+                        flow.base = flow.next;
+                        self.renumbered += 1;
+                    }
+                }
+            }
+            flow.drained()
+        }
+
+        /// Keep `undrained` and check the violation count after an
+        /// action on the flow.
+        fn settle(&mut self, src: usize, dst: usize, was_drained: bool) {
+            match (was_drained, self.flows[&(src, dst)].drained()) {
+                (true, false) => self.undrained += 1,
+                (false, true) => self.undrained -= 1,
+                _ => {}
+            }
+            assert_eq!(
+                self.order.reordered(),
+                self.checker.reordered(),
+                "op {}",
+                self.ops
+            );
+        }
+
+        fn stamp(&mut self, src: usize, dst: usize) -> Cell {
+            let was_drained = self.sync(src, dst);
+            let want = self.stamper.stamp(src, dst);
+            let seq = self.order.stamp(src, dst);
+            let flow = self.flows.get_mut(&(src, dst)).unwrap();
+            let op = self.ops;
+            if seq + flow.base != want {
+                // A rebuild inside `stamp` forgot the flow first.
+                assert!(
+                    seq == 0 && was_drained,
+                    "op {op}: {src}->{dst} renumbered from {want} to {seq} though not \
+                     drained in turn: {flow:?}"
+                );
+                flow.base = want;
+                self.renumbered += 1;
+            }
+            assert_eq!(want, flow.next, "op {op}");
+            flow.next += 1;
+            self.settle(src, dst, was_drained);
+            Cell {
+                src,
+                dst,
+                seq,
+                want: Some(want),
+            }
+        }
+
+        /// Deliver `cell`; `FlowOrder`'s expectation.
+        fn deliver(&mut self, cell: Cell) -> u64 {
+            let Cell { src, dst, seq, .. } = cell;
+            let was_drained = self.sync(src, dst);
+            let expected = self.order.record(src, dst, seq);
+            let held = self.held(src, dst);
+            let flow = self.flows.get_mut(&(src, dst)).unwrap();
+            let op = self.ops;
+            match held {
+                // A rebuild inside `record` forgot the flow first; only a
+                // number it never stamped can be delivered to it.
+                Some(entry) if u64::from(entry.next) + flow.base != flow.next => {
+                    assert!(
+                        entry.next == 0 && was_drained && cell.want.is_none(),
+                        "op {op}: {src}->{dst} renumbered on delivery: {flow:?}"
+                    );
+                    flow.base = flow.next;
+                    self.renumbered += 1;
+                }
+                _ => {}
+            }
+            let want = cell.want.unwrap_or(seq + flow.base);
+            let verdict = self.checker.record(src, dst, want);
+            assert_eq!(
+                seq + flow.base,
+                want,
+                "op {op}: {src}->{dst} renumbered with a cell in flight"
+            );
+            assert_eq!(expected == seq, verdict, "op {op}: {src}->{dst} {seq}");
+            assert_eq!(
+                expected + flow.base,
+                flow.expected,
+                "op {op}: {src}->{dst}: the expectation is not the oracle's"
+            );
+            flow.expected = flow.expected.max(want + 1);
+            flow.disordered |= !verdict;
+            self.settle(src, dst, was_drained);
+            expected
+        }
+    }
+
     #[test]
     fn table_memory_follows_touched_flows_not_ports_squared() {
         // 10 000 random flows over 32 768 ports: a dense table would hold
         // up to 2³⁰ counters.
         let mut rng = SimRng::seed_from_u64(1);
-        let mut order = FlowOrder::new();
+        let mut pair = Shifted::default();
         let mut flows: Vec<(usize, usize)> = (0..10_000)
             .map(|_| (rng.index(32_768), rng.index(32_768)))
             .collect();
-        for round in 0..3 {
+        for _ in 0..3 {
             for &(src, dst) in &flows {
-                let seq = order.stamp(src, dst);
-                assert!(seq >= round, "a flow lost its counter in a rehash");
-                assert!(in_order(&mut order, src, dst, seq));
+                let cell = pair.stamp(src, dst);
+                assert_eq!(pair.deliver(cell), cell.seq);
             }
         }
-        assert_eq!(order.reordered(), 0);
+        assert_eq!(pair.order.reordered(), 0);
         flows.sort_unstable();
         flows.dedup();
-        assert_eq!(order.used, flows.len());
-        let len = order.slots.len();
+        assert_eq!(pair.flows.len(), flows.len());
+        let (used, len) = (pair.order.used, pair.order.slots.len());
+        assert!(
+            used <= flows.len(),
+            "{used} entries for {} flows",
+            flows.len()
+        );
         assert!(len < 64 * flows.len(), "{len}");
-        assert!(len * 3 >= order.used * 4, "over-full");
+        assert!(len * 3 >= used * 4, "over-full");
     }
 
     /// Random scripts of stamps, in-order deliveries, cells that are
     /// stamped and never delivered (the deflection and OCS drop case),
-    /// deliveries out of turn and jumps ahead: every sequence number,
-    /// every verdict and the violation count after every step must be
-    /// the old pair's.
+    /// deliveries out of turn and numbers drawn at random: every
+    /// sequence number, every verdict and the violation count after
+    /// every step must be the old pair's, shifted by the flow's base.
     #[test]
     fn agrees_with_the_stamper_checker_pair_step_for_step() {
         for (ports, steps) in [(64usize, 20_000), (2_048, 20_000), (32_768, 20_000)] {
             let mut rng = SimRng::seed_from_u64(ports as u64);
-            let mut order = FlowOrder::new();
-            let (mut stamper, mut checker) = (
-                oracle::SequenceStamper::default(),
-                oracle::SequenceChecker::default(),
-            );
+            let mut pair = Shifted::default();
             // Stamped and not yet delivered, oldest first.
-            let mut flying: Vec<(usize, usize, u64)> = Vec::new();
+            let mut flying: Vec<Cell> = Vec::new();
             // Half the stamps revisit a known flow so flows grow long.
             let mut known: Vec<(usize, usize)> = Vec::new();
-            for step in 0..steps {
+            for _ in 0..steps {
                 match rng.index(16) {
                     0..=7 => {
                         let (src, dst) = if !known.is_empty() && rng.coin(0.5) {
@@ -445,21 +630,15 @@ mod tests {
                             (rng.index(ports), rng.index(ports))
                         };
                         known.push((src, dst));
-                        let seq = order.stamp(src, dst);
-                        assert_eq!(seq, stamper.stamp(src, dst), "step {step}");
-                        flying.push((src, dst, seq));
+                        flying.push(pair.stamp(src, dst));
                     }
                     8..=12 if !flying.is_empty() => {
-                        let (src, dst, seq) = flying.remove(0);
-                        let verdict = in_order(&mut order, src, dst, seq);
-                        assert_eq!(verdict, checker.record(src, dst, seq), "step {step}");
+                        pair.deliver(flying.remove(0));
                     }
                     13 if !flying.is_empty() => {
                         // Out of turn: early for its flow if an older
                         // cell of it is still flying, which then is late.
-                        let (src, dst, seq) = flying.remove(rng.index(flying.len()));
-                        let verdict = in_order(&mut order, src, dst, seq);
-                        assert_eq!(verdict, checker.record(src, dst, seq), "step {step}");
+                        pair.deliver(flying.remove(rng.index(flying.len())));
                     }
                     14 if !flying.is_empty() => {
                         // Lost in the fabric: the flow's next delivery
@@ -467,75 +646,52 @@ mod tests {
                         flying.remove(rng.index(flying.len()));
                     }
                     15 if !known.is_empty() => {
+                        // A number drawn at random: a cell of the flow
+                        // still flying is delivered now, any other
+                        // number is a jump ahead or a duplicate.
                         let (src, dst) = known[rng.index(known.len())];
                         let seq = rng.below(1_000);
-                        let verdict = in_order(&mut order, src, dst, seq);
-                        assert_eq!(verdict, checker.record(src, dst, seq), "step {step}");
+                        let cell = match (flying.iter())
+                            .position(|c| (c.src, c.dst, c.seq) == (src, dst, seq))
+                        {
+                            Some(i) => flying.remove(i),
+                            None => Cell {
+                                src,
+                                dst,
+                                seq,
+                                want: None,
+                            },
+                        };
+                        pair.deliver(cell);
                     }
                     _ => {}
                 }
-                assert_eq!(order.reordered(), checker.reordered(), "step {step}");
             }
             assert!(
-                order.slots.len() >= 64 << 4,
+                pair.order.slots.len() >= 64 << 4,
                 "{ports} ports: only {} slots, fewer than four doublings",
-                order.slots.len()
+                pair.order.slots.len()
             );
             assert!(
-                order.reordered() > 0,
+                pair.order.reordered() > 0,
                 "{ports} ports: no violation scripted"
             );
         }
     }
 
-    /// One flow as the oracle pair sees it, next to where `FlowOrder`'s
-    /// numbering of it starts.
-    #[derive(Debug, Default)]
-    struct Ledger {
-        stamped: u64,
-        delivered: u64,
-        /// A delivery of the flow was out of turn.
-        disordered: bool,
-        /// The highest oracle number delivered.
-        top: Option<u64>,
-        /// The oracle's number of `FlowOrder`'s 0.
-        base: u64,
-    }
-
-    impl Ledger {
-        /// Every stamped cell was delivered, each in turn.
-        fn drained(&self) -> bool {
-            !self.disordered && self.delivered == self.stamped
-        }
-    }
-
-    /// The differential test above, run far enough past [`COMPACT_FROM`]
-    /// that the table compacts again and again: verdicts and the
-    /// violation count after every step are the oracle pair's, every
-    /// stamp is the oracle's minus the flow's base, and the base moves
-    /// only where the oracle shows the flow drained in turn. Every
-    /// expectation, shifted by the base, is the oracle's, so the
-    /// observer's regression test and the numbers it reports agree too.
+    /// The differential test above, run far past [`COMPACT_FROM`] with
+    /// most flows forgotten and many coming back: a quarter of the stamps
+    /// revisit one of the last 64 flows, so cells of a flow overtake each
+    /// other, and a quarter any known flow, forgotten ones included.
     #[test]
-    fn agrees_with_the_pair_across_compactions() {
+    fn agrees_with_the_pair_past_the_floor() {
         let mut rng = SimRng::seed_from_u64(41);
-        let mut order = FlowOrder::new();
-        let (mut stamper, mut checker) = (
-            oracle::SequenceStamper::default(),
-            oracle::SequenceChecker::default(),
-        );
-        // (src, dst, oracle's number, `FlowOrder`'s), oldest first.
-        let mut flying: VecDeque<(usize, usize, u64, u64)> = VecDeque::new();
+        let mut pair = Shifted::default();
+        let mut flying: VecDeque<Cell> = VecDeque::new();
         let mut known: Vec<(usize, usize)> = Vec::new();
-        let mut flows: BTreeMap<(usize, usize), Ledger> = BTreeMap::new();
-        let (mut renumbered, mut compactions) = (0, 0);
-        for step in 0..600_000 {
-            let used = order.used;
+        for _ in 0..600_000 {
             let delivery = match rng.index(32) {
                 0..=15 => {
-                    // A quarter of the stamps revisit one of the last 64
-                    // flows, so cells of a flow overtake each other, and
-                    // a quarter any known flow, forgotten ones included.
                     let (src, dst) = match rng.index(4) {
                         0 if !known.is_empty() => {
                             known[known.len() - 1 - rng.index(known.len().min(64))]
@@ -544,20 +700,7 @@ mod tests {
                         _ => (rng.index(2_048), rng.index(2_048)),
                     };
                     known.push((src, dst));
-                    let want = stamper.stamp(src, dst);
-                    let seq = order.stamp(src, dst);
-                    let flow = flows.entry((src, dst)).or_default();
-                    if seq + flow.base != want {
-                        assert!(
-                            seq == 0 && flow.drained(),
-                            "step {step}: {src}->{dst} renumbered from {want} to {seq} \
-                             though not drained in turn: {flow:?}"
-                        );
-                        flow.base = want;
-                        renumbered += 1;
-                    }
-                    flow.stamped += 1;
-                    flying.push_back((src, dst, want, seq));
+                    flying.push_back(pair.stamp(src, dst));
                     None
                 }
                 16..=28 => flying.pop_front(),
@@ -569,52 +712,40 @@ mod tests {
                 }
                 _ => None,
             };
-            if let Some((src, dst, want, seq)) = delivery {
-                let flow = flows.get_mut(&(src, dst)).unwrap();
-                let expected = order.record(src, dst, seq);
-                let verdict = checker.record(src, dst, want);
-                assert_eq!(expected == seq, verdict, "step {step}");
-                assert_eq!(
-                    expected + flow.base,
-                    flow.top.map_or(0, |top| top + 1),
-                    "step {step}: the expectation is not the oracle's"
-                );
-                flow.delivered += 1;
-                flow.disordered |= !verdict;
-                flow.top = flow.top.max(Some(want));
+            if let Some(cell) = delivery {
+                pair.deliver(cell);
             }
-            assert_eq!(order.reordered(), checker.reordered(), "step {step}");
-            compactions += usize::from(order.used < used);
         }
-        assert!(compactions >= 3, "only {compactions} compactions");
-        assert!(renumbered > 0, "no forgotten flow came back");
-        assert!(order.reordered() > 0, "no violation scripted");
-        assert_eq!(order.slots.len(), COMPACT_FROM, "drained flows were kept");
-        assert!(flows.len() > 2 * COMPACT_FROM, "{} flows", flows.len());
+        assert!(pair.renumbered > 0, "no forgotten flow came back");
+        assert!(pair.order.reordered() > 0, "no violation scripted");
+        let (len, touched) = (pair.order.slots.len(), pair.flows.len());
+        assert!(touched > 2 * COMPACT_FROM, "{touched} flows");
+        assert!(
+            len < touched,
+            "{len} slots for {touched} flows: drained flows were kept"
+        );
     }
 
     /// A flow whose early cell brought `next` and `expected` level while
     /// a late one was still in flight is not drained: it outlives every
-    /// compaction, and its late cell still counts.
+    /// flow forgotten around it, and its late cell still counts.
     #[test]
-    fn a_late_cell_counts_after_compactions() {
-        let mut order = FlowOrder::new();
-        let (first, second) = (order.stamp(5, 6), order.stamp(5, 6));
-        assert_eq!(order.record(5, 6, second), 0, "early");
-        let mut compactions = 0;
-        for flow in 0.. {
-            let used = order.used;
+    fn a_late_cell_counts_past_the_floor() {
+        let mut pair = Shifted::default();
+        let (first, second) = (pair.stamp(5, 6), pair.stamp(5, 6));
+        assert_eq!(pair.deliver(second), 0, "early");
+        for flow in 0..4 * COMPACT_FROM {
             let (src, dst) = (1_000 + flow / 4_096, flow % 4_096);
-            let seq = order.stamp(src, dst);
-            assert!(in_order(&mut order, src, dst, seq));
-            compactions += usize::from(order.used < used);
-            if compactions == 3 {
-                break;
-            }
+            let cell = pair.stamp(src, dst);
+            assert_eq!(pair.deliver(cell), cell.seq);
         }
-        assert_eq!(order.slots.len(), COMPACT_FROM, "drained flows were kept");
-        assert_eq!(order.record(5, 6, first), 2, "late");
-        assert_eq!(order.reordered(), 2);
-        assert_eq!(order.stamp(5, 6), 2, "the flow's numbering was kept");
+        assert_eq!(
+            pair.order.slots.len(),
+            COMPACT_FROM,
+            "drained flows were kept"
+        );
+        assert_eq!(pair.deliver(first), 2, "late");
+        assert_eq!(pair.order.reordered(), 2);
+        assert_eq!(pair.stamp(5, 6).seq, 2, "the flow's numbering was kept");
     }
 }
