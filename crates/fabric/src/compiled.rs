@@ -27,18 +27,18 @@
 //! global port number, `switch * radix + local`: credits outstanding,
 //! round-robin pointers, the far end of the port's cable, and one
 //! arrival-ordered input buffer of `buffer_cells` flits — a `Flit` being
-//! the 20 bytes of a cell this simulator reads plus a word for where it
-//! is headed. The credit loop bounds every buffer, so a switch costs
-//! `radix × buffer_cells` flits; `configure` sizes the tables once, where
-//! the run's buffer depth is known, and construction keeps only the
-//! graph and the host queues. Every link has the spec's one delay d, so
-//! cells and credits on links sit in wheels of d + 1 buckets indexed
-//! `slot % (d + 1)`: a slot drains its own bucket in the order it was
-//! filled and appends to the bucket d ahead, the one drained the slot
-//! before. A hop reads no graph table: the port a cell lands on is
-//! `switch * radix + local` by construction, so both come out of its
-//! `at` word by a division, and [`ExpandedFabric::route`] is closed-form
-//! arithmetic.
+//! the 16 bytes of a cell this simulator reads plus a word for where it
+//! is headed, 20 bytes in all. The credit loop bounds every buffer, so a
+//! switch costs `radix × buffer_cells` flits; `configure` sizes the
+//! tables once, where the run's buffer depth is known, and construction
+//! keeps only the graph and the host queues. Every link has the spec's
+//! one delay d, so cells and credits on links sit in wheels of d + 1
+//! buckets indexed `slot % (d + 1)`: a slot drains its own bucket in the
+//! order it was filled and appends to the bucket d ahead, the one
+//! drained the slot before. A hop reads no graph table: the port a cell
+//! lands on is `switch * radix + local` by construction, so both come
+//! out of its `at` word by a division, and [`ExpandedFabric::route`] is
+//! closed-form arithmetic.
 //!
 //! The host edge is one FIFO per host plus one bit per host, set by
 //! `admit` when it queues a cell and cleared by `deliver` when it takes
@@ -106,7 +106,9 @@ const UNCONNECTED: u32 = u32::MAX;
 /// What this simulator reads of a cell, and where the cell is headed.
 #[derive(Default, Clone, Copy)]
 struct Flit {
-    inject: u64,
+    /// The injection slot: `configure` refuses a run of 2³² slots or
+    /// more.
+    inject: u32,
     src: u32,
     dst: u32,
     seq: u32,
@@ -471,7 +473,7 @@ impl CompiledFabric {
         }
         if to_host {
             debug_assert_eq!(flit.at, HOST | flit.dst);
-            obs.cell_delivered_flow(dst, flit.inject, src, flit.seq.into());
+            obs.cell_delivered_flow(dst, flit.inject.into(), src, flit.seq.into());
             return;
         }
         let (radix, at) = (self.spec.radix, flit.at as usize);
@@ -601,6 +603,12 @@ impl CellSwitch for CompiledFabric {
             credits,
             "a fabric is run again, or given a buffer_cells override, only once it has \
              drained: credits are still inside this one"
+        );
+        let slots = cfg.warmup_slots.saturating_add(cfg.measure_slots);
+        assert!(
+            slots <= u32::MAX.into(),
+            "a fabric run of {slots} slots: a flit keeps its injection slot in 32 bits, so a \
+             run must be shorter than 2^32 slots"
         );
         self.link_stall.clear();
         self.plane_ok.clear();
@@ -817,7 +825,7 @@ impl CellSwitch for CompiledFabric {
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         for a in arrivals {
             self.host_queues[a.src].push_back(Flit {
-                inject: slot,
+                inject: slot as u32,
                 src: a.src as u32,
                 dst: a.dst as u32,
                 seq: obs.stamp(a.src, a.dst) as u32,
@@ -1442,8 +1450,17 @@ mod tests {
     }
 
     #[test]
-    fn a_flit_is_twenty_four_bytes() {
-        assert_eq!(std::mem::size_of::<Flit>(), 24);
+    fn a_flit_is_twenty_bytes() {
+        assert_eq!(std::mem::size_of::<Flit>(), 20);
+    }
+
+    /// The engine configures a model before its first slot, so a run
+    /// too long for a flit's injection slot is refused before it starts.
+    #[test]
+    #[should_panic(expected = "a flit keeps its injection slot in 32 bits")]
+    fn a_run_of_two_to_the_thirty_two_slots_is_refused() {
+        let mut fab = CompiledFabric::new(paper_tree(2));
+        fab.configure(&EngineConfig::new(1 << 31, 1 << 31));
     }
 
     /// Every request bit is set exactly when a *ripe* entry of its VOQ

@@ -8,24 +8,24 @@
 //! touched a few slots earlier. The observer holds a fresh table for
 //! each run.
 //!
-//! Once the table is large it forgets the flows that drained in order,
-//! so its memory follows the flows with a cell in flight rather than
-//! every flow the run has touched: on a 2048-host fat tree at load 0.6
-//! that is about 15k flows in flight against 676k touched.
+//! Once the table is large, a delivery that drains its flow in order
+//! deletes the flow's entry, so the table holds exactly the flows with a
+//! cell in flight rather than every flow the run has touched: on a
+//! 2048-host fat tree at load 0.6 that is about 15k flows in flight
+//! against 676k touched.
 
 /// `Flow::key`'s top bit, set by the flow's first out-of-order delivery
 /// and never cleared. Sources stay below 2³¹, so no packed flow id
 /// reaches it.
 const DISORDERED: u64 = 1 << 63;
 
-/// The table length from which a full table drops its drained flows
-/// instead of only doubling: 2¹⁶ entries, 1 MiB. Smaller tables are the
-/// 64-port switches' and the campaign's, where flows recur, so a
-/// compaction throws away entries that soon come back: in a replay of
-/// uniform arrivals at 64 ports, compacting at every size made stamping
-/// and recording 2–2.5× slower, while on the 2048- and 8192-host trees
-/// compacting from this floor made them about 1.6× faster.
-const COMPACT_FROM: usize = 1 << 16;
+/// The table length from which a flow is forgotten the moment it drains
+/// in order: 2¹⁴ entries, 256 KiB. A 64-port switch has 4 096 flows, so
+/// its table stops at 2¹³ entries and keeps every flow: there flows
+/// recur, and deleting each as it drains only to insert it again a few
+/// slots later made stamping and recording 1.9× slower in a replay of
+/// uniform arrivals at 64 ports and load 0.95 (on a 2-vCPU Xeon).
+const FORGET_FROM: usize = 1 << 14;
 
 /// One flow's entry, four to a cache line.
 #[derive(Debug, Default, Clone, Copy)]
@@ -61,14 +61,19 @@ impl Flow {
 /// whole table stays cache-resident, and a lookup is a multiply, a shift
 /// and on average under two adjacent probes.
 ///
-/// A table that is three quarters full is rebuilt. Below
-/// [`COMPACT_FROM`] entries it doubles, and memory follows the flows a
-/// simulator touches, not ports² — a uniform run over 8192 ports touches
-/// one flow in two hundred, and a dense table there is a gigabyte of
-/// zeros. From there on the rebuild leaves out the drained flows, into a
-/// spare table of the same length kept for the purpose, and doubles only
-/// when the flows that survive fill more than 3/8 of it; memory then
-/// follows the flows with a cell in flight.
+/// Below [`FORGET_FROM`] entries the table keeps every flow it has
+/// seen and doubles at three quarters full, and memory follows the flows
+/// a simulator touches, not ports² — a uniform run over 8192 ports
+/// touches one flow in two hundred, and a dense table there is a
+/// gigabyte of zeros. From there on a delivery that drains its flow in
+/// order deletes the flow's entry at once, by backward-shift deletion:
+/// the entries behind it in its probe run move up into the hole, so no
+/// tombstone is left and a lookup still ends at the first free slot. The
+/// doubling that reaches the floor leaves out the flows that drained
+/// before it. The table then holds exactly the flows with a cell in
+/// flight, and its memory follows them; it doubles at five eighths full,
+/// because every new flow is an insert and every drain a delete, and
+/// both walk the probe runs, which grow long as a table fills.
 ///
 /// Forgetting a drained flow is exact. Its entry `(n, n)` is a fresh
 /// `(0, 0)` with every number shifted up by n: no cell of it is in
@@ -84,13 +89,13 @@ impl Flow {
 /// cell of it is still in flight.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FlowOrder {
-    /// The length is zero or a power of two, and at least a quarter of
-    /// it is free.
+    /// The length is zero or a power of two.
     slots: Vec<Flow>,
-    /// What the last compacting rebuild read from, reused by the next
-    /// one; empty below [`COMPACT_FROM`].
-    spare: Vec<Flow>,
     used: usize,
+    /// The `used` at which the next lookup doubles the table: three
+    /// quarters of its length below [`FORGET_FROM`], five eighths from
+    /// there on.
+    grow_at: usize,
     reordered: u64,
 }
 
@@ -103,7 +108,8 @@ impl FlowOrder {
     /// Next sequence number for the (src, dst) flow.
     #[inline]
     pub fn stamp(&mut self, src: usize, dst: usize) -> u64 {
-        let flow = self.flow(src, dst);
+        let i = self.find(src, dst);
+        let flow = &mut self.slots[i];
         let seq = flow.next;
         assert!(
             seq < u32::MAX,
@@ -123,7 +129,8 @@ impl FlowOrder {
     /// leaves it alone, having been counted when its successor was early.
     #[inline]
     pub fn record(&mut self, src: usize, dst: usize, seq: u64) -> u64 {
-        let flow = self.flow(src, dst);
+        let i = self.find(src, dst);
+        let flow = &mut self.slots[i];
         let expected = u64::from(flow.expected);
         if seq >= expected {
             // Stamps stay below 2³², so this fits.
@@ -132,6 +139,9 @@ impl FlowOrder {
         let disorder = seq != expected;
         flow.key |= DISORDERED * u64::from(disorder);
         self.reordered += u64::from(disorder);
+        if flow.drained() && self.slots.len() >= FORGET_FROM {
+            self.remove(i);
+        }
         expected
     }
 
@@ -140,10 +150,12 @@ impl FlowOrder {
         self.reordered
     }
 
+    /// The slot of the (src, dst) flow; a flow not in the table takes the
+    /// first free slot from its home on, at `(0, 0)`.
     #[inline]
-    fn flow(&mut self, src: usize, dst: usize) -> &mut Flow {
+    fn find(&mut self, src: usize, dst: usize) -> usize {
         debug_assert!(src < 1 << 31 && dst < u32::MAX as usize);
-        if self.used * 4 >= self.slots.len() * 3 {
+        if self.used >= self.grow_at {
             self.grow();
         }
         let key = ((src as u64) << 32 | dst as u64) + 1;
@@ -157,7 +169,7 @@ impl FlowOrder {
             }
             i = (i + 1) & mask;
         }
-        &mut self.slots[i]
+        i
     }
 
     /// Fibonacci hashing: the top `log2(len)` bits of `key × 2⁶⁴/φ`.
@@ -166,38 +178,47 @@ impl FlowOrder {
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - len.trailing_zeros())) as usize
     }
 
-    /// Put `flow` in the first free slot from its home on.
-    fn place(slots: &mut [Flow], flow: Flow) {
-        let mask = slots.len() - 1;
-        let mut i = Self::home(flow.key & !DISORDERED, slots.len());
-        while slots[i].key != 0 {
+    /// Free slot `hole`. Each entry of the probe run behind it that may
+    /// sit there — its home is not after the hole, counting from the
+    /// hole round the end of the table — moves up, leaving its own slot
+    /// as the hole, until the run ends at a free slot.
+    fn remove(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
             i = (i + 1) & mask;
+            let flow = self.slots[i];
+            if flow.key == 0 {
+                break;
+            }
+            let home = Self::home(flow.key & !DISORDERED, self.slots.len());
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = flow;
+                hole = i;
+            }
         }
-        slots[i] = flow;
+        self.slots[hole] = Flow::default();
+        self.used -= 1;
     }
 
+    /// Double the table; from [`FORGET_FROM`] entries on, without the
+    /// flows that drained in order.
     #[cold]
     fn grow(&mut self) {
-        let len = self.slots.len();
-        if len < COMPACT_FROM {
-            let old = std::mem::replace(&mut self.slots, vec![Flow::default(); (len * 2).max(64)]);
-            for flow in old.into_iter().filter(|flow| flow.key != 0) {
-                Self::place(&mut self.slots, flow);
+        let len = (self.slots.len() * 2).max(64);
+        let forget = len >= FORGET_FROM;
+        self.grow_at = if forget { len / 8 * 5 } else { len / 4 * 3 };
+        let old = std::mem::replace(&mut self.slots, vec![Flow::default(); len]);
+        self.used = 0;
+        for flow in old {
+            if flow.key != 0 && !(forget && flow.drained()) {
+                let mut i = Self::home(flow.key & !DISORDERED, len);
+                while self.slots[i].key != 0 {
+                    i = (i + 1) & (len - 1);
+                }
+                self.slots[i] = flow;
+                self.used += 1;
             }
-            return;
-        }
-        let keep = |flow: &Flow| flow.key != 0 && !flow.drained();
-        self.used = self.slots.iter().filter(|flow| keep(flow)).count();
-        let len = if self.used * 8 <= len * 3 {
-            len
-        } else {
-            len * 2
-        };
-        self.spare.clear();
-        self.spare.resize(len, Flow::default());
-        std::mem::swap(&mut self.slots, &mut self.spare);
-        for flow in self.spare.iter().filter(|flow| keep(flow)) {
-            Self::place(&mut self.slots, *flow);
         }
     }
 }
@@ -206,7 +227,7 @@ impl FlowOrder {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
-    use std::collections::{BTreeMap, VecDeque};
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
     /// The stamper/checker pair `FlowOrder` replaced — two tables of
     /// `(key, u64)` — kept as the reference the differential test runs
@@ -462,6 +483,31 @@ mod tests {
             None
         }
 
+        /// Every entry is reachable: no free slot lies between its home
+        /// and it, no flow is held twice, and `used` counts them.
+        fn check_table(&self) {
+            let slots = &self.order.slots;
+            let mut keys = BTreeSet::new();
+            for (i, flow) in slots.iter().enumerate().filter(|(_, f)| f.key != 0) {
+                let key = flow.key & !DISORDERED;
+                assert!(
+                    keys.insert(key),
+                    "op {}: flow {key:#x} held twice",
+                    self.ops
+                );
+                let mut j = FlowOrder::home(key, slots.len());
+                while j != i {
+                    assert!(
+                        slots[j].key != 0,
+                        "op {}: slot {i} is out of reach of its home",
+                        self.ops
+                    );
+                    j = (j + 1) & (slots.len() - 1);
+                }
+            }
+            assert_eq!(keys.len(), self.order.used, "op {}", self.ops);
+        }
+
         /// Check the flow against the oracle, and move its base if the
         /// table forgot it; whether it was drained in turn.
         fn sync(&mut self, src: usize, dst: usize) -> bool {
@@ -537,6 +583,24 @@ mod tests {
             }
         }
 
+        /// A delivery of `FlowOrder`'s number `seq` with no cell of the
+        /// flow in flight: a duplicate, or a jump ahead to a number the
+        /// flow never stamped. `None` for a number that would land in
+        /// turn before the flow stamped it, which no fabric can deliver:
+        /// the stamp that later takes it would leave the flow looking
+        /// drained with that cell in flight.
+        fn stray(&mut self, src: usize, dst: usize, seq: u64) -> Option<Cell> {
+            self.sync(src, dst);
+            let flow = &self.flows[&(src, dst)];
+            let want = seq + flow.base;
+            (want < flow.next || want != flow.expected).then_some(Cell {
+                src,
+                dst,
+                seq,
+                want: None,
+            })
+        }
+
         /// Deliver `cell`; `FlowOrder`'s expectation.
         fn deliver(&mut self, cell: Cell) -> u64 {
             let Cell { src, dst, seq, .. } = cell;
@@ -607,6 +671,63 @@ mod tests {
         assert!(len * 3 >= used * 4, "over-full");
     }
 
+    /// Below the floor the table keeps every flow it has seen; from the
+    /// floor on it holds exactly the flows not drained in turn, after
+    /// every stamp, delivery and loss. A 64-port table never reaches the
+    /// floor.
+    #[test]
+    fn past_the_floor_the_table_holds_exactly_the_undrained_flows() {
+        for ports in [64usize, 2_048, 32_768] {
+            let mut rng = SimRng::seed_from_u64(ports as u64 + 1);
+            let mut pair = Shifted::default();
+            let mut flying: VecDeque<Cell> = VecDeque::new();
+            let mut known: Vec<(usize, usize)> = Vec::new();
+            let mut past = 0;
+            for step in 0..60_000 {
+                match rng.index(16) {
+                    0..=7 => {
+                        let (src, dst) = if !known.is_empty() && rng.coin(0.5) {
+                            known[known.len() - 1 - rng.index(known.len().min(64))]
+                        } else {
+                            (rng.index(ports), rng.index(ports))
+                        };
+                        known.push((src, dst));
+                        flying.push_back(pair.stamp(src, dst));
+                    }
+                    8..=12 if !flying.is_empty() => {
+                        let cell = flying.pop_front().unwrap();
+                        pair.deliver(cell);
+                    }
+                    13 if !flying.is_empty() => {
+                        let cell = flying.remove(rng.index(flying.len())).unwrap();
+                        pair.deliver(cell);
+                    }
+                    14 if !flying.is_empty() => {
+                        flying.remove(rng.index(flying.len()));
+                    }
+                    _ => {}
+                }
+                if step % 2_000 == 0 {
+                    pair.check_table();
+                }
+                let (used, len) = (pair.order.used, pair.order.slots.len());
+                if len >= FORGET_FROM {
+                    assert_eq!(used, pair.undrained, "{ports} ports, step {step}");
+                    assert!(len * 5 >= used * 8, "{ports} ports, step {step}: over-full");
+                    past += 1;
+                } else {
+                    assert_eq!(used, pair.flows.len(), "{ports} ports, step {step}");
+                }
+            }
+            pair.check_table();
+            assert_eq!(
+                past > 0,
+                ports > 64,
+                "{ports} ports: {past} steps past the floor"
+            );
+        }
+    }
+
     /// Random scripts of stamps, in-order deliveries, cells that are
     /// stamped and never delivered (the deflection and OCS drop case),
     /// deliveries out of turn and numbers drawn at random: every
@@ -614,7 +735,7 @@ mod tests {
     /// every step must be the old pair's, shifted by the flow's base.
     #[test]
     fn agrees_with_the_stamper_checker_pair_step_for_step() {
-        for (ports, steps) in [(64usize, 20_000), (2_048, 20_000), (32_768, 20_000)] {
+        for (ports, steps) in [(64usize, 20_000), (2_048, 40_000), (32_768, 40_000)] {
             let mut rng = SimRng::seed_from_u64(ports as u64);
             let mut pair = Shifted::default();
             // Stamped and not yet delivered, oldest first.
@@ -647,31 +768,29 @@ mod tests {
                     }
                     15 if !known.is_empty() => {
                         // A number drawn at random: a cell of the flow
-                        // still flying is delivered now, any other
-                        // number is a jump ahead or a duplicate.
+                        // still flying is delivered now.
                         let (src, dst) = known[rng.index(known.len())];
                         let seq = rng.below(1_000);
                         let cell = match (flying.iter())
                             .position(|c| (c.src, c.dst, c.seq) == (src, dst, seq))
                         {
-                            Some(i) => flying.remove(i),
-                            None => Cell {
-                                src,
-                                dst,
-                                seq,
-                                want: None,
-                            },
+                            Some(i) => Some(flying.remove(i)),
+                            None => pair.stray(src, dst, seq),
                         };
-                        pair.deliver(cell);
+                        if let Some(cell) = cell {
+                            pair.deliver(cell);
+                        }
                     }
                     _ => {}
                 }
             }
+            pair.check_table();
+            let len = pair.order.slots.len();
             assert!(
-                pair.order.slots.len() >= 64 << 4,
-                "{ports} ports: only {} slots, fewer than four doublings",
-                pair.order.slots.len()
+                len >= 64 << 4,
+                "{ports} ports: only {len} slots, fewer than four doublings"
             );
+            assert_eq!(len >= FORGET_FROM, ports > 64, "{ports} ports: {len} slots");
             assert!(
                 pair.order.reordered() > 0,
                 "{ports} ports: no violation scripted"
@@ -679,7 +798,7 @@ mod tests {
         }
     }
 
-    /// The differential test above, run far past [`COMPACT_FROM`] with
+    /// The differential test above, run far past [`FORGET_FROM`] with
     /// most flows forgotten and many coming back: a quarter of the stamps
     /// revisit one of the last 64 flows, so cells of a flow overtake each
     /// other, and a quarter any known flow, forgotten ones included.
@@ -689,7 +808,10 @@ mod tests {
         let mut pair = Shifted::default();
         let mut flying: VecDeque<Cell> = VecDeque::new();
         let mut known: Vec<(usize, usize)> = Vec::new();
-        for _ in 0..600_000 {
+        for step in 0..600_000 {
+            if step % 20_000 == 0 {
+                pair.check_table();
+            }
             let delivery = match rng.index(32) {
                 0..=15 => {
                     let (src, dst) = match rng.index(4) {
@@ -716,12 +838,12 @@ mod tests {
                 pair.deliver(cell);
             }
         }
+        pair.check_table();
         assert!(pair.renumbered > 0, "no forgotten flow came back");
         assert!(pair.order.reordered() > 0, "no violation scripted");
         let (len, touched) = (pair.order.slots.len(), pair.flows.len());
-        assert!(touched > 2 * COMPACT_FROM, "{touched} flows");
         assert!(
-            len < touched,
+            2 * len < touched,
             "{len} slots for {touched} flows: drained flows were kept"
         );
     }
@@ -734,14 +856,14 @@ mod tests {
         let mut pair = Shifted::default();
         let (first, second) = (pair.stamp(5, 6), pair.stamp(5, 6));
         assert_eq!(pair.deliver(second), 0, "early");
-        for flow in 0..4 * COMPACT_FROM {
+        for flow in 0..4 * FORGET_FROM {
             let (src, dst) = (1_000 + flow / 4_096, flow % 4_096);
             let cell = pair.stamp(src, dst);
             assert_eq!(pair.deliver(cell), cell.seq);
         }
         assert_eq!(
             pair.order.slots.len(),
-            COMPACT_FROM,
+            FORGET_FROM,
             "drained flows were kept"
         );
         assert_eq!(pair.deliver(first), 2, "late");
