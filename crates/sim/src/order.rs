@@ -15,8 +15,8 @@
 //! against 676k touched.
 
 /// `Flow::key`'s top bit, set by the flow's first out-of-order delivery
-/// and never cleared. Sources stay below 2³¹, so no packed flow id
-/// reaches it.
+/// or delivery of a number it has not stamped, and never cleared.
+/// Sources stay below 2³¹, so no packed flow id reaches it.
 const DISORDERED: u64 = 1 << 63;
 
 /// The table length from which a flow is forgotten the moment it drains
@@ -41,9 +41,9 @@ struct Flow {
 
 impl Flow {
     /// Every cell the flow stamped was delivered, each exactly in turn:
-    /// no delivery of it was out of order, so each carried the
-    /// expectation and raised it by one, and the expectation has caught
-    /// up with the stamps.
+    /// no delivery of it was out of order or carried a number not yet
+    /// stamped, so each carried the expectation and raised it by one,
+    /// and the expectation has caught up with the stamps.
     fn drained(&self) -> bool {
         self.key & DISORDERED == 0 && self.next == self.expected
     }
@@ -84,9 +84,10 @@ impl Flow {
 /// regressed stay those of a table that never forgets; what changes is
 /// the numbers themselves, which restart at 0. This holds as long as
 /// each stamped cell is delivered at most once, as the engine's cell
-/// conservation requires. A flow with an out-of-order delivery is kept
-/// for the rest of the run: it may reach `next == expected` while a late
-/// cell of it is still in flight.
+/// conservation requires. A flow with an out-of-order delivery, or a
+/// delivery of a number it had not stamped, is kept for the rest of the
+/// run: either may leave it at `next == expected` with a cell of it
+/// still in flight.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FlowOrder {
     /// The length is zero or a power of two.
@@ -130,6 +131,7 @@ impl FlowOrder {
     #[inline]
     pub fn record(&mut self, src: usize, dst: usize, seq: u64) -> u64 {
         let i = self.find(src, dst);
+        let forget = self.slots.len() >= FORGET_FROM;
         let flow = &mut self.slots[i];
         let expected = u64::from(flow.expected);
         if seq >= expected {
@@ -137,9 +139,12 @@ impl FlowOrder {
             flow.expected = seq as u32 + 1;
         }
         let disorder = seq != expected;
-        flow.key |= DISORDERED * u64::from(disorder);
+        // A number the flow never stamped marks it too: if it landed in
+        // turn, the stamp that later takes it would leave the flow
+        // looking drained with that cell in flight.
+        flow.key |= DISORDERED * u64::from(disorder || seq >= u64::from(flow.next));
         self.reordered += u64::from(disorder);
-        if flow.drained() && self.slots.len() >= FORGET_FROM {
+        if forget && flow.drained() {
             self.remove(i);
         }
         expected
@@ -429,7 +434,8 @@ mod tests {
     struct Ledger {
         next: u64,
         expected: u64,
-        /// A delivery of the flow was out of turn.
+        /// A delivery of the flow was out of turn or carried a number
+        /// the flow had not stamped.
         disordered: bool,
         /// The oracle's number of `FlowOrder`'s 0.
         base: u64,
@@ -583,24 +589,6 @@ mod tests {
             }
         }
 
-        /// A delivery of `FlowOrder`'s number `seq` with no cell of the
-        /// flow in flight: a duplicate, or a jump ahead to a number the
-        /// flow never stamped. `None` for a number that would land in
-        /// turn before the flow stamped it, which no fabric can deliver:
-        /// the stamp that later takes it would leave the flow looking
-        /// drained with that cell in flight.
-        fn stray(&mut self, src: usize, dst: usize, seq: u64) -> Option<Cell> {
-            self.sync(src, dst);
-            let flow = &self.flows[&(src, dst)];
-            let want = seq + flow.base;
-            (want < flow.next || want != flow.expected).then_some(Cell {
-                src,
-                dst,
-                seq,
-                want: None,
-            })
-        }
-
         /// Deliver `cell`; `FlowOrder`'s expectation.
         fn deliver(&mut self, cell: Cell) -> u64 {
             let Cell { src, dst, seq, .. } = cell;
@@ -636,16 +624,18 @@ mod tests {
                 "op {op}: {src}->{dst}: the expectation is not the oracle's"
             );
             flow.expected = flow.expected.max(want + 1);
-            flow.disordered |= !verdict;
+            flow.disordered |= !verdict || want >= flow.next;
             self.settle(src, dst, was_drained);
             expected
         }
     }
 
+    /// Below the floor the table holds every flow touched, and past it
+    /// only the flows in flight: 10 000 random flows over 32 768 ports,
+    /// each drained as soon as it is stamped, fill it to the floor and
+    /// no further. A dense table would hold up to 2³⁰ counters.
     #[test]
     fn table_memory_follows_touched_flows_not_ports_squared() {
-        // 10 000 random flows over 32 768 ports: a dense table would hold
-        // up to 2³⁰ counters.
         let mut rng = SimRng::seed_from_u64(1);
         let mut pair = Shifted::default();
         let mut flows: Vec<(usize, usize)> = (0..10_000)
@@ -655,20 +645,21 @@ mod tests {
             for &(src, dst) in &flows {
                 let cell = pair.stamp(src, dst);
                 assert_eq!(pair.deliver(cell), cell.seq);
+                let (used, len) = (pair.order.used, pair.order.slots.len());
+                if len < FORGET_FROM {
+                    assert_eq!(used, pair.flows.len(), "{len} slots");
+                    assert!(len * 3 >= used * 4, "over-full");
+                } else {
+                    assert_eq!(used, pair.undrained, "{len} slots");
+                }
             }
         }
         assert_eq!(pair.order.reordered(), 0);
+        assert_eq!(pair.order.used, 0);
         flows.sort_unstable();
         flows.dedup();
         assert_eq!(pair.flows.len(), flows.len());
-        let (used, len) = (pair.order.used, pair.order.slots.len());
-        assert!(
-            used <= flows.len(),
-            "{used} entries for {} flows",
-            flows.len()
-        );
-        assert!(len < 64 * flows.len(), "{len}");
-        assert!(len * 3 >= used * 4, "over-full");
+        assert_eq!(pair.order.slots.len(), FORGET_FROM);
     }
 
     /// Below the floor the table keeps every flow it has seen; from the
@@ -768,18 +759,22 @@ mod tests {
                     }
                     15 if !known.is_empty() => {
                         // A number drawn at random: a cell of the flow
-                        // still flying is delivered now.
+                        // still flying is delivered now; any other number
+                        // is a duplicate or one the flow has not stamped.
                         let (src, dst) = known[rng.index(known.len())];
                         let seq = rng.below(1_000);
                         let cell = match (flying.iter())
                             .position(|c| (c.src, c.dst, c.seq) == (src, dst, seq))
                         {
-                            Some(i) => Some(flying.remove(i)),
-                            None => pair.stray(src, dst, seq),
+                            Some(i) => flying.remove(i),
+                            None => Cell {
+                                src,
+                                dst,
+                                seq,
+                                want: None,
+                            },
                         };
-                        if let Some(cell) = cell {
-                            pair.deliver(cell);
-                        }
+                        pair.deliver(cell);
                     }
                     _ => {}
                 }
