@@ -3,7 +3,7 @@
 //! accepts (names of rows of `osmosis_bench::FLAGS`) and runs it. An
 //! unknown experiment or a rejected flag exits 2 with the accepted set
 //! on stderr before anything runs; an experiment's own exit codes (0
-//! ok, 1 a failed bar, and `campaign`'s 3 and 124) pass through.
+//! ok, 1 a failed bar) pass through.
 #![expect(
     clippy::print_stdout,
     reason = "every experiment prints its table or figure to stdout"
@@ -120,8 +120,7 @@ registry! {
     fdl_study: "Fig. 2 with an FDL buffer option (writes a snapshot)",
         &["--quick", "--smoke", "--audit", "--topology"];
     campaign: "sharded crash-safe campaign runner (writes a snapshot)",
-        &["--quick", "--smoke", "--topology", "--progress", "--dir", "--shards", "--workers",
-          "--shard", "--resume", "--kill-after", "--poison", "--worker"];
+        &["--quick", "--topology", "--dir", "--shards", "--resume"];
 }
 
 fn list() {

@@ -17,12 +17,10 @@ pub enum Kind {
     Path(&'static str, fn(&mut Args) -> &mut Option<PathBuf>),
     /// A non-negative integer.
     Count(fn(&mut Args) -> &mut Option<usize>),
-    /// A real number.
-    Fraction(fn(&mut Args) -> &mut Option<f64>),
     /// A topology spec; the one flag that may repeat.
     Topology,
 }
-use Kind::{Count, Fraction, Path, Switch, Topology};
+use Kind::{Count, Path, Switch, Topology};
 
 /// Every flag the harness accepts.
 pub const FLAGS: &[(&str, Kind)] = &[
@@ -35,12 +33,7 @@ pub const FLAGS: &[(&str, Kind)] = &[
     ("--progress", Switch(|a| &mut a.progress)),
     ("--dir", Path("<dir>", |a| &mut a.dir)),
     ("--shards", Count(|a| &mut a.shards)),
-    ("--workers", Count(|a| &mut a.workers)),
-    ("--shard", Count(|a| &mut a.shard)),
     ("--resume", Switch(|a| &mut a.resume)),
-    ("--kill-after", Fraction(|a| &mut a.kill_after)),
-    ("--poison", Count(|a| &mut a.poison)),
-    ("--worker", Switch(|a| &mut a.worker)),
 ];
 
 /// The flags of one run, typed. A flag the experiment does not accept
@@ -65,18 +58,8 @@ pub struct Args {
     pub dir: Option<PathBuf>,
     /// `--shards`: how many shards the campaign splits into.
     pub shards: Option<usize>,
-    /// `--workers`: how many worker processes run at once.
-    pub workers: Option<usize>,
-    /// `--shard`: with `--worker`, the shard to run.
-    pub shard: Option<usize>,
-    /// `--poison`: a shard made to fail, so that it is quarantined.
-    pub poison: Option<usize>,
-    /// `--kill-after`: abort once this fraction of shards is done.
-    pub kill_after: Option<f64>,
     /// `--resume`: keep the state already in `--dir`.
     pub resume: bool,
-    /// `--worker`: internal — run one shard and exit.
-    pub worker: bool,
 }
 
 /// The rows of [`FLAGS`] named in `accepted`, as a usage string.
@@ -87,7 +70,6 @@ pub fn usage(accepted: &[&str]) -> String {
             Switch(_) => name.to_string(),
             Path(what, _) => format!("{name} {what}"),
             Count(_) => format!("{name} <n>"),
-            Fraction(_) => format!("{name} <fraction>"),
             Topology => format!("{name} <spec>"),
         })
         .collect();
@@ -130,7 +112,6 @@ impl Args {
                 Switch(_) => Ok(()), // set above; takes no value
                 Path(_, field) => once(field(&mut args), value.into()),
                 Count(field) => number(value).and_then(|n| once(field(&mut args), n)),
-                Fraction(field) => number(value).and_then(|x| once(field(&mut args), x)),
                 Topology => match value.parse::<TopologySpec>() {
                     Ok(spec) => {
                         args.topologies.push(spec);
@@ -170,15 +151,15 @@ mod tests {
 
     #[test]
     fn accepted_flags_land_in_typed_fields() {
-        let accepted = ["--quick", "--topology", "--shards", "--kill-after"];
+        let accepted = ["--quick", "--topology", "--shards", "--resume"];
         let argv = "--topology fat-tree:radix=16,levels=2,planes=2 --shards 3 --quick \
-                    --topology dragonfly:radix=8,groups=4 --kill-after 0.5";
+                    --topology dragonfly:radix=8,groups=4 --resume";
         let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
         let a = Args::parse(&accepted, &argv).expect("all accepted");
         assert!(a.quick && !a.smoke);
         assert_eq!(a.scale(), Scale::Quick);
         assert_eq!(a.topologies.len(), 2);
-        assert_eq!((a.shards, a.kill_after), (Some(3), Some(0.5)));
+        assert_eq!((a.shards, a.resume), (Some(3), true));
         assert_eq!(
             usage(&["--telemetry", "--quick"]),
             "--quick --telemetry <path.jsonl>"

@@ -12,23 +12,17 @@
 //! Execution is split across three layers:
 //!
 //! * [`spec`] — the scenario space: axes, point decode, seeds, keys.
-//! * [`shard`] — one worker's share: points `index % shards == shard`,
-//!   run in index order under an append-only [`osmosis_sim::CheckpointLog`]
-//!   (one line per completed point; a SIGKILL mid-append costs at most
-//!   the torn line), folded into a shard summary + telemetry JSONL.
-//! * [`runner`] — the supervisor: spawns one worker **process** per
-//!   shard (a panic, abort, or OOM kill loses one shard attempt, never
-//!   the campaign), watches heartbeats via checkpoint growth, retries
-//!   with seeded backoff, quarantines shards that fail every attempt,
-//!   and folds finished shard registries into one campaign summary with
-//!   bounded memory — one shard summary resident at a time.
+//! * [`shard`] — one shard: points `index % shards == shard`, run in
+//!   index order under an append-only [`osmosis_sim::CheckpointLog`]
+//!   (one line per completed point; a kill mid-append costs at most the
+//!   torn line), folded into a shard summary + telemetry JSONL.
+//! * [`runner`] — the campaign: every shard in this process on
+//!   [`osmosis_sim::sweep::parallel_sweep`], the summaries folded in
+//!   shard order into one campaign summary.
 //!
-//! Graceful degradation is the contract: a campaign always terminates
-//! with a manifest naming exactly which shards completed and which were
-//! quarantined (and why); finished work is never lost; and `--resume`
-//! after any interruption — including SIGKILL and a corrupted
-//! checkpoint file — reproduces the uninterrupted campaign fingerprint
-//! bit for bit.
+//! Finished work is never lost: a run killed at any point, or resumed
+//! over a corrupted checkpoint log, reproduces the uninterrupted
+//! campaign fingerprint bit for bit on the next run.
 
 #![deny(missing_docs)]
 
@@ -36,13 +30,11 @@ pub mod runner;
 pub mod shard;
 pub mod spec;
 
-pub use runner::{run_campaign, CampaignOptions, CampaignReport, QuarantinedShard, WorkerRequest};
+pub use runner::{run_campaign, CampaignReport};
 pub use shard::{run_shard, ShardSummary};
 pub use spec::{BufferSpec, CampaignSpec, FaultSpec, ScenarioPoint};
 
-/// Errors of the campaign plane. Worker-side scenario failures are not
-/// here: a worker that cannot produce its summary simply exits nonzero,
-/// and the supervisor retries or quarantines the shard.
+/// Errors of the campaign plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CampaignError {
     /// Filesystem trouble reading or writing campaign state.
@@ -57,12 +49,6 @@ pub enum CampaignError {
         /// What is wrong with the spec.
         message: String,
     },
-    /// The shard is on the spec's poison list — the deliberate-failure
-    /// hook campaigns use to test their own quarantine path end to end.
-    Poisoned {
-        /// The poisoned shard index.
-        shard: usize,
-    },
 }
 
 impl std::fmt::Display for CampaignError {
@@ -70,9 +56,6 @@ impl std::fmt::Display for CampaignError {
         match self {
             CampaignError::Io { message } => write!(f, "i/o failure: {message}"),
             CampaignError::Spec { message } => write!(f, "campaign spec: {message}"),
-            CampaignError::Poisoned { shard } => {
-                write!(f, "shard {shard} is poisoned (deliberate test failure)")
-            }
         }
     }
 }

@@ -1,14 +1,11 @@
-//! One worker's share of a campaign: run the shard's points in index
-//! order under an append-only checkpoint log, stream per-shard
-//! telemetry JSONL, and fold the results into a shard summary.
+//! One shard of a campaign: run the shard's points in index order
+//! under an append-only checkpoint log, stream per-shard telemetry
+//! JSONL, and fold the results into a shard summary.
 //!
-//! The worker is a pure function of `(spec.json, shard, shards)` plus
-//! whatever intact checkpoint prefix survives on disk — so a worker
+//! A shard is a pure function of `(spec.json, shard, shards)` plus
+//! whatever intact checkpoint prefix survives on disk — so a shard
 //! killed at any instant (including mid-append: the torn trailing line
 //! is truncated away on reload) resumes to a bit-identical summary.
-//! The checkpoint file doubles as the supervisor's heartbeat: it grows
-//! by one line per completed point, and a worker whose log stops
-//! growing is presumed hung and killed.
 
 use crate::spec::{BufferSpec, CampaignSpec, FaultSpec, ScenarioPoint};
 use crate::{fnv_words, CampaignError};
@@ -61,7 +58,7 @@ impl PointDigest {
     }
 }
 
-/// One completed shard: the merge unit the supervisor folds into the
+/// One completed shard: the merge unit the runner folds into the
 /// campaign summary.
 #[derive(Debug, Clone)]
 pub struct ShardSummary {
@@ -85,7 +82,8 @@ pub struct ShardSummary {
     /// The shard's merged metric registry.
     pub registry: MetricsRegistry,
     /// Checkpoint-recovery warnings (torn lines truncated, stale logs
-    /// discarded) surfaced for the supervisor's manifest.
+    /// discarded, undecodable payloads re-run); the campaign report
+    /// carries them. Not written to the summary file.
     pub warnings: Vec<String>,
 }
 
@@ -135,7 +133,7 @@ pub mod paths {
         dir.join("spec.json")
     }
 
-    /// A shard's append-only checkpoint log (also its heartbeat).
+    /// A shard's append-only checkpoint log.
     pub fn shard_log(dir: &Path, shard: usize) -> PathBuf {
         dir.join(format!("shard-{shard}.ckpt.jsonl"))
     }
@@ -151,11 +149,6 @@ pub mod paths {
         dir.join(format!("shard-{shard}.summary.json"))
     }
 
-    /// The campaign manifest (rewritten on every state change).
-    pub fn manifest(dir: &Path) -> PathBuf {
-        dir.join("manifest.json")
-    }
-
     /// The campaign-level summary (written on completion).
     pub fn summary(dir: &Path) -> PathBuf {
         dir.join("summary.json")
@@ -167,7 +160,7 @@ pub mod paths {
     }
 }
 
-fn io_err(what: &str, path: &Path, e: impl std::fmt::Display) -> CampaignError {
+pub(crate) fn io_err(what: &str, path: &Path, e: impl std::fmt::Display) -> CampaignError {
     CampaignError::Io {
         message: format!("{what} {}: {e}", path.display()),
     }
@@ -301,13 +294,9 @@ fn run_point(spec: &CampaignSpec, point: &ScenarioPoint) -> Result<PointDigest, 
 /// shard's checkpoint log (torn trailing lines are truncated away with
 /// a warning), fresh points are appended one line each, and the final
 /// summary file is written atomically — its existence is the done
-/// marker the supervisor trusts. The telemetry stream is rewritten from
-/// scratch each attempt, so its final bytes are identical however many
-/// times the worker was interrupted.
-///
-/// A shard on the spec's poison list completes its first point (so the
-/// quarantine test exercises checkpointed partial work) and then fails
-/// with [`CampaignError::Poisoned`] — on every attempt.
+/// marker [`crate::run_campaign`] trusts. The telemetry stream is
+/// rewritten from scratch each run, so its final bytes are identical
+/// however many times the shard was interrupted.
 pub fn run_shard(dir: &Path, shard: usize, shards: usize) -> Result<ShardSummary, CampaignError> {
     if shards == 0 {
         return Err(CampaignError::Spec {
@@ -333,7 +322,6 @@ pub fn run_shard(dir: &Path, shard: usize, shards: usize) -> Result<ShardSummary
     }
 
     let indices = spec.shard_indices(shard, shards);
-    let poisoned = spec.poison_shards.contains(&shard);
 
     let stream_path = paths::shard_stream(dir, shard);
     let mut stream = std::io::BufWriter::new(
@@ -359,7 +347,7 @@ pub fn run_shard(dir: &Path, shard: usize, shards: usize) -> Result<ShardSummary
     let mut registry = MetricsRegistry::new();
     let mut delivered = 0u64;
     let mut dropped = 0u64;
-    for (n, &idx) in indices.iter().enumerate() {
+    for &idx in &indices {
         let digest = match completed.get(&idx) {
             Some(d) => {
                 restored += 1;
@@ -395,15 +383,6 @@ pub fn run_shard(dir: &Path, shard: usize, shards: usize) -> Result<ShardSummary
                 message: format!("shard {shard}: malformed registry in point {idx} digest"),
             });
         }
-        if poisoned && n == 0 {
-            // Deliberate failure *after* checkpointing real work: the
-            // quarantine test proves partial progress survives.
-            return Err(CampaignError::Poisoned { shard });
-        }
-    }
-    if poisoned {
-        // A poison shard with zero points still fails every attempt.
-        return Err(CampaignError::Poisoned { shard });
     }
 
     let summary = ShardSummary {
@@ -418,16 +397,15 @@ pub fn run_shard(dir: &Path, shard: usize, shards: usize) -> Result<ShardSummary
         registry,
         warnings,
     };
-    // Always "completed" here — the worker stream must be byte-stable
+    // Always "completed" here — the shard stream must be byte-stable
     // across interruptions, so restore history cannot appear in it. The
-    // supervisor's campaign stream is where restored is distinguished.
+    // campaign stream is where restored is distinguished.
     emit(Record::Shard {
         shard: shard as u64,
         status: ShardStatus::Completed,
         points: summary.points,
         attempts: 1,
         fingerprint: summary.fingerprint,
-        reason: None,
     })?;
     emit(Record::CampaignSummary {
         key,
@@ -556,22 +534,22 @@ mod tests {
     }
 
     #[test]
-    fn poison_shard_fails_every_attempt_but_checkpoints_first_point() {
+    fn a_poisoned_spec_is_refused_before_any_file_is_written() {
         let mut spec = quick_spec();
         spec.poison_shards = vec![0];
         let dir = fresh_dir("poison");
         write_spec(&dir, &spec);
-        let err = run_shard(&dir, 0, 2).unwrap_err();
-        assert_eq!(err, CampaignError::Poisoned { shard: 0 });
-        // The first point made it into the log before the failure.
-        let log = CheckpointLog::new(paths::shard_log(&dir, 0), spec.shard_key(0, 2));
-        let (entries, _) = log.load_and_repair().unwrap();
-        assert_eq!(entries.len(), 1);
-        // And it fails again on retry (after restoring that point).
-        let err = run_shard(&dir, 0, 2).unwrap_err();
-        assert_eq!(err, CampaignError::Poisoned { shard: 0 });
-        // The unpoisoned sibling shard is unaffected.
-        assert!(run_shard(&dir, 1, 2).is_ok());
+        let refused = |e: CampaignError| matches!(e, CampaignError::Spec { .. });
+        assert!(refused(run_shard(&dir, 0, 2).unwrap_err()));
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["spec.json"]);
+        let fresh = fresh_dir("poison-campaign");
+        std::fs::remove_dir(&fresh).unwrap();
+        assert!(refused(crate::run_campaign(&fresh, &spec, 2).unwrap_err()));
+        assert!(!fresh.exists(), "a refused campaign creates no directory");
         std::fs::remove_dir_all(&dir).ok();
     }
 

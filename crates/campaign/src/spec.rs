@@ -7,8 +7,8 @@
 //! coordinates, so a point's result is independent of how the campaign
 //! is sharded or scheduled. [`CampaignSpec::key`] hashes the exact JSON
 //! serialization: two specs agree on the key iff they describe the same
-//! campaign, which is what ties checkpoint logs, shard summaries, and
-//! manifests to the campaign that produced them.
+//! campaign, which is what ties checkpoint logs and shard summaries to
+//! the campaign that produced them.
 
 use crate::{fnv_bytes, fnv_words, CampaignError};
 use osmosis_fabric::TopologySpec;
@@ -71,7 +71,7 @@ impl FaultSpec {
         }
     }
 
-    /// A short label for manifests and progress lines.
+    /// A short label for tables and snapshots.
     pub fn label(&self) -> String {
         match self {
             FaultSpec::None => "none".into(),
@@ -112,7 +112,7 @@ impl BufferSpec {
         }
     }
 
-    /// A short label for manifests and progress lines.
+    /// A short label for tables and snapshots.
     pub fn label(&self) -> &'static str {
         match self {
             BufferSpec::Electronic => "electronic",
@@ -148,8 +148,8 @@ pub struct CampaignSpec {
     pub buffers: Vec<BufferSpec>,
     /// Seed replicas per scenario cell (≥ 1).
     pub replicas: usize,
-    /// Shards that must fail deliberately on every attempt — the
-    /// quarantine path's end-to-end test hook. Empty in production.
+    /// Retired: [`CampaignSpec::validate`] refuses any entry. The field
+    /// stays, serialised as `[]`, because the campaign key hashes it.
     pub poison_shards: Vec<usize>,
 }
 
@@ -228,7 +228,7 @@ impl CampaignSpec {
             .collect()
     }
 
-    /// Sanity-check the axes. Returns the spec itself for chaining.
+    /// Sanity-check the axes, and refuse a non-empty `poison_shards`.
     pub fn validate(&self) -> Result<(), CampaignError> {
         let fail = |message: String| Err(CampaignError::Spec { message });
         if self.loads.is_empty()
@@ -241,6 +241,9 @@ impl CampaignSpec {
         }
         if self.replicas == 0 {
             return fail("replicas must be ≥ 1".into());
+        }
+        if !self.poison_shards.is_empty() {
+            return fail("poison_shards is retired and must be empty".into());
         }
         if self.measure == 0 {
             return fail("measure window must be ≥ 1 slot".into());
@@ -375,8 +378,8 @@ impl CampaignSpec {
     }
 
     /// The campaign key: FNV-1a over the exact serialized spec. Shard
-    /// checkpoints, summaries, and manifests all embed it; state from a
-    /// different campaign is discarded, never resumed.
+    /// checkpoints and summaries embed it; state from a different
+    /// campaign is discarded, never resumed.
     pub fn key(&self) -> u64 {
         fnv_bytes(self.to_json().encode().as_bytes())
     }
@@ -425,7 +428,7 @@ mod tests {
     #[test]
     fn a_topology_away_from_its_defaults_survives_spec_json_and_keys_apart() {
         // `spec.json` and the campaign key carry a topology as its spec
-        // string: a key the string dropped would reach the workers at its
+        // string: a key the string dropped would reach the shards at its
         // default, and campaigns differing only there would share
         // checkpoints.
         let over = |topology: TopologySpec| CampaignSpec {
@@ -542,6 +545,9 @@ mod tests {
         let mut s = spec();
         s.bursts = vec![0.5];
         assert!(s.validate().is_err());
+        let mut s = spec();
+        s.poison_shards = vec![1];
+        assert!(matches!(s.validate(), Err(CampaignError::Spec { .. })));
         assert!(spec().validate().is_ok());
     }
 }

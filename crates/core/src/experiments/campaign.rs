@@ -3,12 +3,11 @@
 //! offered load × burstiness × fault plan × topology × seed replica.
 //!
 //! This module only *declares* the campaign; execution lives in
-//! `osmosis_campaign::run_campaign` (supervised worker processes) and
-//! `osmosis_campaign::run_shard` (one worker's share). Keeping the spec
-//! here, next to the other experiments, pins the axes the bench binary,
-//! the CI smoke gate, and the tests all agree on — the campaign key is
-//! a hash of this spec, so any drift is loudly visible as a fingerprint
-//! change.
+//! `osmosis_campaign::run_campaign` (every shard in-process, in
+//! parallel) and `osmosis_campaign::run_shard` (one shard). Keeping the
+//! spec here, next to the other experiments, pins the axes the bench
+//! binary and the tests agree on — the campaign key is a hash of this
+//! spec, so any drift is loudly visible as a fingerprint change.
 
 use super::Scale;
 use osmosis_campaign::{BufferSpec, CampaignSpec, FaultSpec};
@@ -18,7 +17,7 @@ use osmosis_fabric::TopologySpec;
 ///
 /// Quick: 2 loads × 2 burst levels × 2 fault plans × 2 topologies ×
 /// 2 buffer technologies × 2 replicas = 64 points of a few thousand
-/// slots each — seconds of work, sized for tests and the CI smoke gate.
+/// slots each — seconds of work, sized for tests.
 /// Full: 4 × 3 × 3 × 2 × 2 × 3 = 432 points at paper-scale windows.
 pub fn default_spec(scale: Scale, seed: u64) -> CampaignSpec {
     match scale {
@@ -81,9 +80,8 @@ mod tests {
     #[test]
     fn quick_campaign_shards_run_deterministically_in_process() {
         // One shard of the default quick campaign, run twice in fresh
-        // directories: bit-identical summaries. This is the in-process
-        // leg of the determinism story; the process-supervised leg is
-        // tests/campaign_resume.rs.
+        // directories: bit-identical summaries. The whole campaign's
+        // resume story is tests/campaign_resume.rs.
         let spec = default_spec(Scale::Quick, 0xD1CE);
         let mk = |tag: &str| {
             let dir = std::env::temp_dir().join(format!(

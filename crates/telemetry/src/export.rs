@@ -11,8 +11,8 @@
 //! closes with `summary`. A campaign scope opens with `campaign`,
 //! carries no run index, and closes with the `campaign_summary` of the
 //! same `key`. [`validate_jsonl`] decodes every line and enforces that
-//! shape; CI runs it over the output of `telemetry_study --smoke` and
-//! `campaign --smoke`.
+//! shape; CI runs it over the output of `telemetry_study --smoke`, and
+//! the campaign tests over every campaign stream.
 
 use crate::registry::MetricsRegistry;
 use crate::spans::{CellSpan, Decomposition};
@@ -31,8 +31,6 @@ pub enum ShardStatus {
     Completed,
     /// The shard's summary was restored from an earlier pass.
     Restored,
-    /// The shard failed every attempt and was set aside.
-    Quarantined,
 }
 
 impl ShardStatus {
@@ -41,13 +39,12 @@ impl ShardStatus {
         match self {
             ShardStatus::Completed => "completed",
             ShardStatus::Restored => "restored",
-            ShardStatus::Quarantined => "quarantined",
         }
     }
 
     /// The status named `name`, if any.
     fn from_name(name: &str) -> Option<Self> {
-        [Self::Completed, Self::Restored, Self::Quarantined]
+        [Self::Completed, Self::Restored]
             .into_iter()
             .find(|s| s.name() == name)
     }
@@ -159,18 +156,6 @@ scalar!(
     |x| Value::str(x.name()),
     |v| v.as_str().and_then(ShardStatus::from_name)
 );
-
-/// An optional string is left out of the line when `None`.
-impl Field for Option<String> {
-    fn write(&self, key: &str, out: &mut Vec<(String, Value)>) {
-        if let Some(s) = self {
-            s.write(key, out);
-        }
-    }
-    fn read(v: &Value, key: &str) -> Result<Self, String> {
-        v.get(key).map(|_| String::read(v, key)).transpose()
-    }
-}
 
 /// A struct whose fields are written in the line's own object (`flat`),
 /// or in an object of their own under the field's key (`nested`).
@@ -348,20 +333,19 @@ records! {
         delivered: u64,
         dropped: u64,
     }
-    /// `shard`: one shard's fate, its point count, worker attempts and
-    /// fold fingerprint. A quarantined shard carries the failure
-    /// `reason` and a zero fingerprint.
+    /// `shard`: one shard's fate, its point count, its `attempts`
+    /// (always 1) and its fold fingerprint.
     Shard = "shard" {
         shard: u64,
         status: ShardStatus,
         points: u64,
         attempts: u64,
         fingerprint: u64,
-        reason: Option<String>,
     }
     /// `campaign_summary`: closes the campaign scope `key` with the
-    /// completed shard count, the quarantined shards, the points done,
-    /// the campaign fingerprint and the merged registry.
+    /// completed shard count, the `quarantined` shards (always empty),
+    /// the points done, the campaign fingerprint and the merged
+    /// registry.
     CampaignSummary = "campaign_summary" {
         key: u64,
         completed: u64,
@@ -552,7 +536,7 @@ mod tests {
         r#"{"type":"campaign","version":1,"key":51966,"label":"unit-campaign","shards":4,"points":32}"#,
         r#"{"type":"shard_point","shard":1,"index":9,"fingerprint":7,"throughput":0.5,"mean_delay":3.0,"delivered":4000,"dropped":0}"#,
         r#"{"type":"shard","shard":1,"status":"completed","points":8,"attempts":1,"fingerprint":61453}"#,
-        r#"{"type":"shard","shard":3,"status":"quarantined","points":0,"attempts":3,"fingerprint":0,"reason":"worker exited with status 3"}"#,
+        r#"{"type":"shard","shard":3,"status":"restored","points":8,"attempts":1,"fingerprint":3054}"#,
         r#"{"type":"campaign_summary","key":51966,"completed":3,"quarantined":[3],"points_done":24,"fingerprint":48879,"registry":{"counters":[],"gauges":[],"histograms":[]}}"#,
     ];
 
@@ -666,8 +650,8 @@ mod tests {
             ),
             (edit(CAMPAIGN[2], "completed", "lost"), "not a shard status"),
             (
-                edit(CAMPAIGN[3], "\"worker", "3,\"x\":\"worker"),
-                "`reason`",
+                edit(CAMPAIGN[3], "restored", "quarantined"),
+                "not a shard status",
             ),
             (edit(CAMPAIGN[4], "[3]", "[\"3\"]"), "`quarantined`"),
             // Bucket counts short of `count`: this parsed, and the
