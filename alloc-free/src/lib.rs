@@ -115,17 +115,17 @@ mod battery {
 
     /// The OCS scheduler plans once per 64-slot epoch, as PULSE does:
     /// `bvn::decompose` builds its terms and `plan_frame` its frame. This
-    /// measured 45.9 per epoch on 16 ports at load 0.5; the slots between
+    /// measured 44.8 per epoch on 16 ports at load 0.5; the slots between
     /// epoch boundaries allocate nothing.
     const OCS_EPOCH_PLAN: f64 = 47.0;
 
     /// The amortised growth every row may add on top of its budget, in
     /// the row's unit: capacity doublings of the engine's flow table and
     /// of queues that reach a new high-water mark after warm-up. The
-    /// largest measured is 0.016 per slot (`RemoteSchedulerSwitch` at
-    /// w = 4 096; a fabric row under link BER read 0.014 at w = 2 048).
-    /// One allocation more per slot, per switch or per cell is far
-    /// above it.
+    /// largest measured is 0.008 per slot (`VoqSwitch` ×
+    /// `Flppr::osmosis(64, 2)` + `TelemetrySink`; a fabric row under link
+    /// BER read 0.014 at w = 2 048). One allocation more per slot, per
+    /// switch or per cell is far above it.
     const GROWTH_EPSILON: f64 = 0.03;
 
     /// The same allowance for a row counted per window, where 0.03 would

@@ -6,11 +6,12 @@
 //! checkpoint-repair warnings go to stderr.
 //!
 //! Flags: `--quick` (test scale), `--shards N` (default 8), `--dir D`
-//! (campaign directory; default under the system temp dir), `--resume`
-//! (keep the state already in `--dir` instead of wiping it: a run killed
-//! part-way picks up where it stopped and lands on the uninterrupted
-//! fingerprint), and `--topology <spec>` (replace the spec's topology
-//! axis; repeatable).
+//! (campaign directory; without it the run works in a directory under
+//! the system temp dir and removes it once the table is printed),
+//! `--resume` (keep the state already in `--dir` instead of wiping it: a
+//! run killed part-way picks up where it stopped and lands on the
+//! uninterrupted fingerprint; refused without `--dir`), and
+//! `--topology <spec>` (replace the spec's topology axis; repeatable).
 
 use std::time::Instant;
 
@@ -62,6 +63,10 @@ pub fn run(args: &Args) {
         std::process::exit(2);
     }
 
+    if args.resume && args.dir.is_none() {
+        eprintln!("--resume needs --dir: the default directory is named by process id and removed after the run");
+        std::process::exit(2);
+    }
     let dir = args.dir.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("osmosis-campaign-{}", std::process::id()))
     });
@@ -116,6 +121,11 @@ pub fn run(args: &Args) {
         &["metric", "value"],
         &rows,
     );
+    if args.dir.is_none() {
+        if let Err(e) = std::fs::remove_dir_all(&dir) {
+            eprintln!("campaign: cannot remove {}: {e}", dir.display());
+        }
+    }
 
     write_snapshot(
         "BENCH_campaign.json",

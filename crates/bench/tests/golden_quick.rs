@@ -75,7 +75,7 @@ fn rejected_invocations_exit_2_before_anything_runs() {
     let fdl_snapshot = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fdl.json");
     let before = std::fs::read(&fdl_snapshot).expect("committed BENCH_fdl.json");
     // (argv, what stderr must say: the defect, then the accepted set)
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 12] = [
         (
             &["fig6_request_grant", "--quik"],
             "`--quik`; accepted flags: --quick",
@@ -110,6 +110,7 @@ fn rejected_invocations_exit_2_before_anything_runs() {
             &["campaign", "--dir", "a", "--dir", "b"],
             "given more than once",
         ),
+        (&["campaign", "--resume"], "--resume needs --dir"),
         (&["no_such_experiment"], "experiments: table1_requirements"),
     ];
     for (argv, accepted) in cases {

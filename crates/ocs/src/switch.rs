@@ -17,11 +17,13 @@
 //! stays queued and the conflict is reported through
 //! `Observer::receiver_conflict`).
 //!
+//! The N² VOQs are one [`Voqs`] store, as in the packet switch.
+//!
 //! [`CircuitStuck`]: osmosis_sim::FaultView::circuit_stuck
 
 use osmosis_sim::audit::DropReason;
 use osmosis_sim::engine::{EngineConfig, Observer, TraceSink};
-use osmosis_switch::{Cell, CellSwitch};
+use osmosis_switch::{Cell, CellSwitch, Voqs};
 use osmosis_traffic::Arrival;
 use std::collections::VecDeque;
 
@@ -31,14 +33,13 @@ const DARK: usize = usize::MAX;
 /// The circuit-switched edge datapath.
 pub struct OcsSwitch {
     n: usize,
-    voq: Vec<VecDeque<Cell>>, // [input * n + output]
+    voq: Voqs<Cell>, // [input * n + output]
     egress: Vec<VecDeque<Cell>>,
     /// Circuit physically lit per input this slot (stale under a stuck
     /// fault; `DARK` when unconnected).
     applied: Vec<usize>,
     /// Scratch: which outputs already received a cell this slot.
     claimed: Vec<bool>,
-    next_id: u64,
     buffer_cells: Option<usize>,
 }
 
@@ -48,11 +49,10 @@ impl OcsSwitch {
     pub fn new(n: usize) -> Self {
         OcsSwitch {
             n,
-            voq: (0..n * n).map(|_| VecDeque::new()).collect(),
+            voq: Voqs::new(n * n),
             egress: (0..n).map(|_| VecDeque::new()).collect(),
             applied: vec![DARK; n],
             claimed: vec![false; n],
-            next_id: 0,
             buffer_cells: None,
         }
     }
@@ -102,7 +102,7 @@ impl CellSwitch for OcsSwitch {
         if obs.faults_attached() {
             for o in 0..self.n {
                 let contenders = (0..self.n)
-                    .filter(|&i| self.applied[i] == o && !self.voq[i * self.n + o].is_empty())
+                    .filter(|&i| self.applied[i] == o && !self.voq.is_empty(i * self.n + o))
                     .count();
                 if contenders > 1 {
                     obs.receiver_conflict(o, contenders);
@@ -115,7 +115,7 @@ impl CellSwitch for OcsSwitch {
             if o == DARK || self.claimed[o] {
                 continue;
             }
-            if let Some(mut cell) = self.voq[i * self.n + o].pop_front() {
+            if let Some(mut cell) = self.voq.pop(i * self.n + o) {
                 self.claimed[o] = true;
                 cell.grant_slot = slot;
                 obs.cell_granted(i, o, cell.inject_slot);
@@ -143,9 +143,9 @@ impl CellSwitch for OcsSwitch {
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         for a in arrivals {
             obs.cell_injected(a.src, a.dst);
-            let q = &mut self.voq[a.src * self.n + a.dst];
+            let q = a.src * self.n + a.dst;
             if let Some(cap) = self.buffer_cells {
-                if q.len() >= cap {
+                if self.voq.len(q) >= cap {
                     // Finite ingress buffer: the cell is admitted to the
                     // ledger, then discarded (counted as a buffer drop).
                     obs.cell_dropped_for(a.src, DropReason::BufferFull);
@@ -153,16 +153,14 @@ impl CellSwitch for OcsSwitch {
                 }
             }
             let seq = obs.stamp(a.src, a.dst);
-            let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
-            self.next_id += 1;
-            q.push_back(cell);
-            obs.note_queue_depth(q.len());
+            let cell = Cell::new(a.src, a.dst, seq, slot);
+            let depth = self.voq.push(q, cell);
+            obs.note_queue_depth(depth);
         }
     }
 
     fn resident_cells(&self) -> Option<u64> {
-        let queued: usize = self.voq.iter().map(VecDeque::len).sum::<usize>()
-            + self.egress.iter().map(VecDeque::len).sum::<usize>();
+        let queued = self.voq.total() + self.egress.iter().map(VecDeque::len).sum::<usize>();
         Some(queued as u64)
     }
 }

@@ -18,9 +18,13 @@
 //! that is the whole point: log₂N rounds of [`osmosis_sched::matching`])
 //! and a granted container occupies its input and output for the
 //! following `burst` slots.
+//!
+//! The N² VOQs are one [`Voqs`] store; a launched container is up to
+//! `burst` pops off its queue's head.
 
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
+use crate::voqs::Voqs;
 use osmosis_sched::{log2_ceil, matching::Matcher};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_traffic::{Arrival, TrafficGen};
@@ -33,7 +37,7 @@ pub struct BurstSwitch {
     burst: u64,
     /// Assembly timeout in slots.
     timeout: u64,
-    voq: Vec<VecDeque<Cell>>,
+    voq: Voqs<Cell>,
     egress: Vec<VecDeque<Cell>>,
     /// Per output, `n.div_ceil(64)` words, refilled at each burst
     /// boundary: bit i set ⇔ input i is idle and container (i, o) is
@@ -47,7 +51,6 @@ pub struct BurstSwitch {
     /// Remaining busy slots per input / output (container in flight).
     in_busy: Vec<u64>,
     out_busy: Vec<u64>,
-    next_id: u64,
 }
 
 impl BurstSwitch {
@@ -59,7 +62,7 @@ impl BurstSwitch {
             n,
             burst,
             timeout,
-            voq: (0..n * n).map(|_| VecDeque::new()).collect(),
+            voq: Voqs::new(n * n),
             egress: (0..n).map(|_| VecDeque::new()).collect(),
             requests: vec![0; n * n.div_ceil(64)],
             requested: vec![0; n.div_ceil(64)],
@@ -68,14 +71,14 @@ impl BurstSwitch {
             matcher: Matcher::new(n),
             in_busy: vec![0; n],
             out_busy: vec![0; n],
-            next_id: 0,
         }
     }
 
     fn container_eligible(&self, i: usize, o: usize, t: u64) -> bool {
-        let q = &self.voq[i * self.n + o];
-        q.front().is_some_and(|head| {
-            q.len() as u64 >= self.burst || t.saturating_sub(head.inject_slot) >= self.timeout
+        let q = i * self.n + o;
+        self.voq.front(q).is_some_and(|head| {
+            self.voq.len(q) as u64 >= self.burst
+                || t.saturating_sub(head.inject_slot) >= self.timeout
         })
     }
 
@@ -133,9 +136,10 @@ impl CellSwitch for BurstSwitch {
                 let (i, o) = (i as usize, o as usize);
                 // Launch the container: up to `burst` cells leave back
                 // to back over the next slots.
-                let q = &mut self.voq[i * n + o];
-                let take = (q.len() as u64).min(self.burst) as usize;
-                for (at, mut cell) in (t..).zip(q.drain(..take)) {
+                for at in t..t + self.burst {
+                    let Some(mut cell) = self.voq.pop(i * n + o) else {
+                        break;
+                    };
                     cell.grant_slot = at;
                     obs.cell_granted_with_wait(i, o, cell.inject_slot, at - cell.inject_slot);
                     self.egress[o].push_back(cell);
@@ -160,18 +164,15 @@ impl CellSwitch for BurstSwitch {
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         for a in arrivals {
             let seq = obs.stamp(a.src, a.dst);
-            let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
-            self.next_id += 1;
+            let cell = Cell::new(a.src, a.dst, seq, slot);
             obs.cell_injected(a.src, a.dst);
-            let q = &mut self.voq[a.src * self.n + a.dst];
-            q.push_back(cell);
-            obs.note_queue_depth(q.len());
+            let depth = self.voq.push(a.src * self.n + a.dst, cell);
+            obs.note_queue_depth(depth);
         }
     }
 
     fn resident_cells(&self) -> Option<u64> {
-        let queued: usize = self.voq.iter().map(VecDeque::len).sum::<usize>()
-            + self.egress.iter().map(VecDeque::len).sum::<usize>();
+        let queued = self.voq.total() + self.egress.iter().map(VecDeque::len).sum::<usize>();
         Some(queued as u64)
     }
 }
@@ -249,9 +250,9 @@ mod tests {
                     let col = &sw.requests[o * words..(o + 1) * words];
                     let mut any = false;
                     for i in 0..n {
-                        let q = &sw.voq[i * n + o];
-                        let ripe = q.front().is_some_and(|head| {
-                            q.len() as u64 >= burst || t - head.inject_slot >= timeout
+                        let q = i * n + o;
+                        let ripe = sw.voq.front(q).is_some_and(|head| {
+                            sw.voq.len(q) as u64 >= burst || t - head.inject_slot >= timeout
                         });
                         let asks = sw.in_busy[i] == 0 && ripe;
                         assert_eq!(bit(col, i), asks, "n {n} run {run} VOQ({i},{o})");

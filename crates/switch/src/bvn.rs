@@ -10,19 +10,20 @@
 //! switch still averages ≈N/2 packet cycles of latency (a cell must wait
 //! for the rotation to reach its output) and packets of one flow take
 //! different middle ports, arriving out of order.
+//!
+//! The N² middle-stage VOQs are one [`Voqs`] store.
 
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
+use crate::voqs::Voqs;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_traffic::{Arrival, TrafficGen};
-use std::collections::VecDeque;
 
 /// The two-stage load-balanced BvN switch.
 pub struct BvnSwitch {
     n: usize,
     /// Middle-stage VOQs: `mid[m * n + o]`.
-    mid: Vec<VecDeque<Cell>>,
-    next_id: u64,
+    mid: Voqs<Cell>,
 }
 
 impl BvnSwitch {
@@ -31,8 +32,7 @@ impl BvnSwitch {
         assert!(n > 0);
         BvnSwitch {
             n,
-            mid: (0..n * n).map(|_| VecDeque::new()).collect(),
-            next_id: 0,
+            mid: Voqs::new(n * n),
         }
     }
 
@@ -59,9 +59,9 @@ impl CellSwitch for BvnSwitch {
         let n = self.n as u64;
         for m in 0..self.n {
             let o = ((m as u64 + slot) % n) as usize;
-            let q = &mut self.mid[m * self.n + o];
-            obs.note_queue_depth(q.len());
-            if let Some(cell) = q.pop_front() {
+            let q = m * self.n + o;
+            obs.note_queue_depth(self.mid.len(q));
+            if let Some(cell) = self.mid.pop(q) {
                 obs.cell_delivered_flow(o, cell.inject_slot, cell.src, cell.seq);
             }
         }
@@ -73,16 +73,15 @@ impl CellSwitch for BvnSwitch {
         let n = self.n as u64;
         for a in arrivals {
             let seq = obs.stamp(a.src, a.dst);
-            let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
-            self.next_id += 1;
+            let cell = Cell::new(a.src, a.dst, seq, slot);
             obs.cell_injected(a.src, a.dst);
             let m = ((a.src as u64 + slot) % n) as usize;
-            self.mid[m * self.n + a.dst].push_back(cell);
+            self.mid.push(m * self.n + a.dst, cell);
         }
     }
 
     fn resident_cells(&self) -> Option<u64> {
-        Some(self.mid.iter().map(VecDeque::len).sum::<usize>() as u64)
+        Some(self.mid.total() as u64)
     }
 }
 

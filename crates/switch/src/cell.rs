@@ -1,19 +1,13 @@
 //! The fixed-size cell — OSMOSIS's unit of switching (§V: 256-byte cells,
 //! 51.2 ns cycle at 40 Gb/s).
 
-pub use osmosis_traffic::Class;
-
 /// One cell in flight through a switch or fabric simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
-    /// Globally unique id (diagnostics).
-    pub id: u64,
     /// Source port at the fabric edge.
     pub src: usize,
     /// Destination port at the fabric edge.
     pub dst: usize,
-    /// Control or data.
-    pub class: Class,
     /// Per-(src,dst) flow sequence number for ordering verification.
     pub seq: u64,
     /// Slot in which the cell entered the ingress VOQ.
@@ -25,12 +19,10 @@ pub struct Cell {
 
 impl Cell {
     /// A new cell, not yet granted.
-    pub fn new(id: u64, src: usize, dst: usize, class: Class, seq: u64, inject_slot: u64) -> Self {
+    pub fn new(src: usize, dst: usize, seq: u64, inject_slot: u64) -> Self {
         Cell {
-            id,
             src,
             dst,
-            class,
             seq,
             inject_slot,
             grant_slot: u64::MAX,
@@ -44,8 +36,14 @@ mod tests {
 
     #[test]
     fn new_cell_is_ungranted() {
-        let c = Cell::new(1, 2, 3, Class::Data, 0, 10);
+        let c = Cell::new(2, 3, 0, 10);
         assert_eq!(c.grant_slot, u64::MAX);
         assert_eq!(c.inject_slot, 10);
+    }
+
+    #[test]
+    fn a_cell_is_five_words() {
+        // Every VOQ slab slot and egress entry holds one.
+        assert_eq!(std::mem::size_of::<Cell>(), 40);
     }
 }

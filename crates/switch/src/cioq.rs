@@ -13,9 +13,13 @@
 //! is. This model measures work conservation directly: a slot where an
 //! output idles while a cell for it sits anywhere in the switch is a
 //! violation, reported as [`Extra::ViolationFraction`].
+//!
+//! The N² VOQs are one [`Voqs`] store; the egress buffers, one per
+//! output, are `VecDeque`s.
 
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
+use crate::voqs::Voqs;
 use osmosis_sched::matching::Matcher;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_sim::Extra;
@@ -29,7 +33,7 @@ pub struct CioqSwitch {
     speedup: usize,
     /// Egress buffer capacity per output, in cells.
     egress_cap: usize,
-    voq: Vec<VecDeque<Cell>>,
+    voq: Voqs<Cell>,
     egress: Vec<VecDeque<Cell>>,
     /// Per output, `n.div_ceil(64)` words: bit i set ⇔ VOQ (i, o) holds
     /// a cell.
@@ -39,7 +43,6 @@ pub struct CioqSwitch {
     grant_ptr: Vec<u32>,
     accept_ptr: Vec<u32>,
     matcher: Matcher,
-    next_id: u64,
     violations: u64,
     busy_slots: u64,
     /// `requested` at slot start: the outputs work existed for, for the
@@ -56,14 +59,13 @@ impl CioqSwitch {
             n,
             speedup,
             egress_cap,
-            voq: (0..n * n).map(|_| VecDeque::new()).collect(),
+            voq: Voqs::new(n * n),
             egress: (0..n).map(|_| VecDeque::new()).collect(),
             requests: vec![0; n * words],
             requested: vec![0; words],
             grant_ptr: vec![0; n],
             accept_ptr: vec![0; n],
             matcher: Matcher::new(n),
-            next_id: 0,
             violations: 0,
             busy_slots: 0,
             pending: vec![0; words],
@@ -110,13 +112,13 @@ impl CellSwitch for CioqSwitch {
             );
             for &(i, o) in &self.matcher.matched {
                 let (i, o) = (i as usize, o as usize);
-                let q = &mut self.voq[i * n + o];
+                let q = i * n + o;
                 #[expect(
                     clippy::expect_used,
                     reason = "the request masks track the VOQs, so a granted VOQ still holds its cell"
                 )]
-                let mut cell = q.pop_front().expect("accepted grant with an empty VOQ");
-                if q.is_empty() {
+                let mut cell = self.voq.pop(q).expect("accepted grant with an empty VOQ");
+                if self.voq.is_empty(q) {
                     let col = o * words;
                     self.requests[col + i / 64] &= !(1 << (i % 64));
                     if self.requests[col..col + words].iter().all(|&w| w == 0) {
@@ -158,12 +160,10 @@ impl CellSwitch for CioqSwitch {
         let words = self.n.div_ceil(64);
         for a in arrivals {
             let seq = obs.stamp(a.src, a.dst);
-            let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
-            self.next_id += 1;
+            let cell = Cell::new(a.src, a.dst, seq, slot);
             obs.cell_injected(a.src, a.dst);
-            let q = &mut self.voq[a.src * self.n + a.dst];
-            q.push_back(cell);
-            obs.note_queue_depth(q.len());
+            let depth = self.voq.push(a.src * self.n + a.dst, cell);
+            obs.note_queue_depth(depth);
             self.requests[a.dst * words + a.src / 64] |= 1 << (a.src % 64);
             self.requested[a.dst / 64] |= 1 << (a.dst % 64);
         }
@@ -179,8 +179,7 @@ impl CellSwitch for CioqSwitch {
     }
 
     fn resident_cells(&self) -> Option<u64> {
-        let queued: usize = self.voq.iter().map(VecDeque::len).sum::<usize>()
-            + self.egress.iter().map(VecDeque::len).sum::<usize>();
+        let queued = self.voq.total() + self.egress.iter().map(VecDeque::len).sum::<usize>();
         Some(queued as u64)
     }
 }
@@ -269,7 +268,7 @@ mod tests {
                 let bit = |mask: &[u64], k: usize| mask[k / 64] >> (k % 64) & 1 != 0;
                 for o in 0..n {
                     let col = &sw.requests[o * words..(o + 1) * words];
-                    let holding = (0..n).filter(|&i| !sw.voq[i * n + o].is_empty());
+                    let holding = (0..n).filter(|&i| !sw.voq.is_empty(i * n + o));
                     let holding: Vec<usize> = holding.collect();
                     for &i in &holding {
                         assert!(bit(col, i), "n {n} run {run} VOQ({i},{o}) lost its bit");

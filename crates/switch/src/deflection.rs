@@ -31,7 +31,6 @@ pub struct DeflectionSwitch {
     /// Recirculating cells per input.
     loops: Vec<VecDeque<Cell>>,
     rng: SimRng,
-    next_id: u64,
     contenders: Vec<Vec<usize>>,
 }
 
@@ -44,7 +43,6 @@ impl DeflectionSwitch {
             loop_capacity,
             loops: (0..n).map(|_| VecDeque::new()).collect(),
             rng: SimRng::seed_from_u64(seed),
-            next_id: 0,
             contenders: vec![Vec::new(); n],
         }
     }
@@ -120,8 +118,7 @@ impl CellSwitch for DeflectionSwitch {
                 continue;
             }
             let seq = obs.stamp(a.src, a.dst);
-            let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
-            self.next_id += 1;
+            let cell = Cell::new(a.src, a.dst, seq, slot);
             obs.cell_injected(a.src, a.dst);
             self.loops[a.src].push_back(cell);
             obs.note_queue_depth(self.loops[a.src].len());

@@ -20,7 +20,6 @@ pub struct FifoSwitch {
     fifos: Vec<VecDeque<Cell>>,
     egress: Vec<VecDeque<Cell>>,
     out_arb: Vec<RoundRobinArbiter>,
-    next_id: u64,
     input_won: Vec<bool>,
     requesters: BitSet,
 }
@@ -34,7 +33,6 @@ impl FifoSwitch {
             fifos: (0..n).map(|_| VecDeque::new()).collect(),
             egress: (0..n).map(|_| VecDeque::new()).collect(),
             out_arb: (0..n).map(|_| RoundRobinArbiter::new(n)).collect(),
-            next_id: 0,
             input_won: vec![false; n],
             requesters: BitSet::new(n),
         }
@@ -102,8 +100,7 @@ impl CellSwitch for FifoSwitch {
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         for a in arrivals {
             let seq = obs.stamp(a.src, a.dst);
-            let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
-            self.next_id += 1;
+            let cell = Cell::new(a.src, a.dst, seq, slot);
             obs.cell_injected(a.src, a.dst);
             self.fifos[a.src].push_back(cell);
             obs.note_queue_depth(self.fifos[a.src].len());

@@ -22,6 +22,10 @@
 //! rows of Table 1. Cycle-level traces (grants, drops, flow-control
 //! stalls, receiver conflicts) are available through any
 //! [`TraceSink`](osmosis_sim::TraceSink) via [`run_switch_traced`].
+//!
+//! The six simulators with N×N ingress queues (VOQ, remote scheduler,
+//! CIOQ, burst, BvN's middle stage and the OCS datapath) hold them in
+//! one [`Voqs`] store each.
 
 #![deny(missing_docs)]
 
@@ -37,6 +41,7 @@ pub mod multicast;
 pub mod oq_switch;
 pub mod remote_sched;
 pub mod voq_switch;
+pub mod voqs;
 
 pub use burst_switch::BurstSwitch;
 pub use bvn::BvnSwitch;
@@ -53,6 +58,7 @@ pub use multicast::{run_multicast, MulticastSwitch, MulticastWorkload};
 pub use oq_switch::OqSwitch;
 pub use remote_sched::RemoteSchedulerSwitch;
 pub use voq_switch::{run_uniform, run_uniform_traced, VoqSwitch};
+pub use voqs::Voqs;
 
 // The engine types every consumer of this crate needs alongside the
 // simulators.

@@ -18,7 +18,6 @@ use std::collections::VecDeque;
 pub struct OqSwitch {
     n: usize,
     egress: Vec<VecDeque<Cell>>,
-    next_id: u64,
 }
 
 impl OqSwitch {
@@ -28,7 +27,6 @@ impl OqSwitch {
         OqSwitch {
             n,
             egress: (0..n).map(|_| VecDeque::new()).collect(),
-            next_id: 0,
         }
     }
 
@@ -61,9 +59,8 @@ impl CellSwitch for OqSwitch {
         // Arrivals go straight to their output queue (speedup N).
         for a in arrivals {
             let seq = obs.stamp(a.src, a.dst);
-            let mut cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
+            let mut cell = Cell::new(a.src, a.dst, seq, slot);
             cell.grant_slot = slot;
-            self.next_id += 1;
             obs.cell_injected(a.src, a.dst);
             self.egress[a.dst].push_back(cell);
         }

@@ -14,10 +14,12 @@
 //! i.e. **2 RTT plus scheduling** of unloaded latency — which is what
 //! rules the single-stage topology out (§III): with 250 ns of one-way
 //! cable flight the budget of 500 ns is blown by the control loop alone.
-//! This module simulates that timing around any [`CellScheduler`].
+//! This module simulates that timing around any [`CellScheduler`]; the
+//! adapters' N² VOQs are one [`Voqs`] store.
 
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
+use crate::voqs::Voqs;
 use osmosis_sched::CellScheduler;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_traffic::{Arrival, TrafficGen};
@@ -29,7 +31,7 @@ pub struct RemoteSchedulerSwitch {
     n: usize,
     sched: Box<dyn CellScheduler>,
     half_rtt_slots: u64,
-    voq: Vec<VecDeque<Cell>>,
+    voq: Voqs<Cell>,
     egress: Vec<VecDeque<Cell>>,
     /// (due slot, input, output) — requests in flight to the scheduler.
     requests_in_flight: VecDeque<(u64, usize, usize)>,
@@ -37,7 +39,6 @@ pub struct RemoteSchedulerSwitch {
     grants_in_flight: VecDeque<(u64, usize, usize)>,
     /// (arrival slot at egress adapter, cell).
     data_in_flight: VecDeque<(u64, Cell)>,
-    next_id: u64,
 }
 
 impl RemoteSchedulerSwitch {
@@ -49,12 +50,11 @@ impl RemoteSchedulerSwitch {
             n,
             sched,
             half_rtt_slots,
-            voq: (0..n * n).map(|_| VecDeque::new()).collect(),
+            voq: Voqs::new(n * n),
             egress: (0..n).map(|_| VecDeque::new()).collect(),
             requests_in_flight: VecDeque::new(),
             grants_in_flight: VecDeque::new(),
             data_in_flight: VecDeque::new(),
-            next_id: 0,
         }
     }
 
@@ -117,9 +117,7 @@ impl CellSwitch for RemoteSchedulerSwitch {
                 clippy::expect_used,
                 reason = "a grant is only issued for a request filed by a queued cell, and grant-loss re-queues the request rather than dropping the cell"
             )]
-            let mut cell = self.voq[i * n + o]
-                .pop_front()
-                .expect("grant for missing cell");
+            let mut cell = self.voq.pop(i * n + o).expect("grant for missing cell");
             cell.grant_slot = t;
             obs.cell_granted(i, o, cell.inject_slot);
             self.data_in_flight.push_back((t + 2 * d, cell));
@@ -152,16 +150,15 @@ impl CellSwitch for RemoteSchedulerSwitch {
         let d = self.half_rtt_slots;
         for a in arrivals {
             let seq = obs.stamp(a.src, a.dst);
-            let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
-            self.next_id += 1;
+            let cell = Cell::new(a.src, a.dst, seq, slot);
             obs.cell_injected(a.src, a.dst);
-            self.voq[a.src * self.n + a.dst].push_back(cell);
+            self.voq.push(a.src * self.n + a.dst, cell);
             self.requests_in_flight.push_back((slot + d, a.src, a.dst));
         }
     }
 
     fn resident_cells(&self) -> Option<u64> {
-        let queued: usize = self.voq.iter().map(VecDeque::len).sum::<usize>()
+        let queued = self.voq.total()
             + self.egress.iter().map(VecDeque::len).sum::<usize>()
             + self.data_in_flight.len();
         Some(queued as u64)

@@ -16,9 +16,14 @@
 //! The run reports throughput, delay distributions, the request-to-grant
 //! distribution, losslessness and per-flow ordering — every switch-level
 //! row of Table 1 — in the unified [`EngineReport`].
+//!
+//! The N² VOQs are one [`Voqs`] store: a 64-port switch keeps 4 096
+//! queue headers of three words and one slab of the cells actually
+//! resident, not 4 096 heap buffers.
 
 use crate::cell::Cell;
 use crate::driven::{run_switch, CellSwitch};
+use crate::voqs::Voqs;
 use osmosis_sched::CellScheduler;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_traffic::{Arrival, TrafficGen};
@@ -28,9 +33,8 @@ use std::collections::VecDeque;
 pub struct VoqSwitch {
     n: usize,
     sched: Box<dyn CellScheduler>,
-    voq: Vec<VecDeque<Cell>>, // [input * n + output]
+    voq: Voqs<Cell>, // [input * n + output]
     egress: Vec<VecDeque<Cell>>,
-    next_id: u64,
     /// Receivers per egress in the fault-free switch.
     nominal_cap: usize,
     /// Capacity currently applied to the scheduler per output; updated
@@ -47,9 +51,8 @@ impl VoqSwitch {
         VoqSwitch {
             n,
             sched,
-            voq: (0..n * n).map(|_| VecDeque::new()).collect(),
+            voq: Voqs::new(n * n),
             egress: (0..n).map(|_| VecDeque::new()).collect(),
-            next_id: 0,
             nominal_cap,
             applied_cap: vec![nominal_cap; n],
         }
@@ -116,13 +119,13 @@ impl CellSwitch for VoqSwitch {
                 self.sched.note_arrival(i, o);
                 continue;
             }
-            let q = &mut self.voq[i * self.n + o];
             #[expect(
                 clippy::expect_used,
                 reason = "FLPPR validates every matching against the occupancy snapshot before it is applied"
             )]
-            let mut cell = q
-                .pop_front()
+            let mut cell = self
+                .voq
+                .pop(i * self.n + o)
                 .expect("scheduler granted a cell the VOQ does not hold");
             cell.grant_slot = slot;
             obs.cell_granted(i, o, cell.inject_slot);
@@ -150,19 +153,16 @@ impl CellSwitch for VoqSwitch {
     fn admit<T: TraceSink>(&mut self, arrivals: &[Arrival], slot: u64, obs: &mut Observer<'_, T>) {
         for a in arrivals {
             let seq = obs.stamp(a.src, a.dst);
-            let cell = Cell::new(self.next_id, a.src, a.dst, a.class, seq, slot);
-            self.next_id += 1;
+            let cell = Cell::new(a.src, a.dst, seq, slot);
             obs.cell_injected(a.src, a.dst);
-            let q = &mut self.voq[a.src * self.n + a.dst];
-            q.push_back(cell);
-            obs.note_queue_depth(q.len());
+            let depth = self.voq.push(a.src * self.n + a.dst, cell);
+            obs.note_queue_depth(depth);
             self.sched.note_arrival(a.src, a.dst);
         }
     }
 
     fn resident_cells(&self) -> Option<u64> {
-        let queued: usize = self.voq.iter().map(VecDeque::len).sum::<usize>()
-            + self.egress.iter().map(VecDeque::len).sum::<usize>();
+        let queued = self.voq.total() + self.egress.iter().map(VecDeque::len).sum::<usize>();
         Some(queued as u64)
     }
 }

@@ -366,3 +366,49 @@ fn every_simulator_run_again_after_draining_starts_every_flow_afresh() {
         }
     }
 }
+
+#[test]
+fn the_six_voq_simulators_conserve_cells_in_a_window_that_ends_queued() {
+    // Every host but 0 sends a cell to host 0 in each of 40 slots, and
+    // host 0 to host 1: output 0 drains at most two a slot, so the
+    // 30-slot window ends with cells in the VOQs. Only the circuit
+    // switch honours the 16-cell buffer, so its ledger has drops too.
+    let sched = || Box::new(Flppr::osmosis(8, 2));
+    let models: Vec<(&str, Box<dyn Rerun>)> = vec![
+        ("voq", Box::new(VoqSwitch::new(sched()))),
+        ("remote", Box::new(RemoteSchedulerSwitch::new(sched(), 3))),
+        ("bvn", Box::new(BvnSwitch::new(8))),
+        ("burst", Box::new(BurstSwitch::new(8, 4, 8))),
+        ("cioq", Box::new(CioqSwitch::new(8, 2, 4))),
+        ("ocs", Box::new(Circuit(OcsSwitch::new(8)))),
+    ];
+    let cfg = EngineConfig::new(0, 30).with_buffer_cells(16);
+    for (name, mut model) in models {
+        let hot = |src: usize| vec![usize::from(src == 0); 40].into();
+        let mut traffic = Replay::new((0..model.hosts()).map(hot).collect());
+        let mut set = AuditSet::unordered(AuditMode::Accumulate);
+        let r = model.run(&mut traffic, &cfg, &mut set);
+        let resident = model.resident().expect("the model counts its cells");
+        assert!(resident > 0, "{name}: the window ends with cells queued");
+        assert_eq!(r.injected, r.delivered + r.dropped + resident, "{name}");
+        assert_eq!(
+            r.dropped > 0,
+            name == "ocs",
+            "{name}: {} dropped",
+            r.dropped
+        );
+        // A second run would restart the slot count and the flow table
+        // under the cells still queued; the engine refuses it.
+        let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            model.run(&mut traffic, &cfg, &mut set)
+        }));
+        let refusal = again.expect_err("a model still holding cells is run again");
+        let message = refusal
+            .downcast_ref::<String>()
+            .expect("the refusal is a formatted message");
+        assert!(
+            message.contains("only once it has drained"),
+            "{name}: {message}"
+        );
+    }
+}
