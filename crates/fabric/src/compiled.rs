@@ -26,19 +26,22 @@
 //! All switch state lives in flat tables indexed by the expansion's
 //! global port number, `switch * radix + local`: credits outstanding,
 //! round-robin pointers, the far end of the port's cable, and one
-//! arrival-ordered input buffer of `buffer_cells` flits — a `Flit` being
-//! the 16 bytes of a cell this simulator reads plus a word for where it
-//! is headed, 20 bytes in all. The credit loop bounds every buffer, so a
-//! switch costs `radix × buffer_cells` flits; `configure` sizes the
-//! tables once, where the run's buffer depth is known, and construction
-//! keeps only the graph and the host queues. Every link has the spec's
-//! one delay d, so cells and credits on links sit in wheels of d + 1
-//! buckets indexed `slot % (d + 1)`: a slot drains its own bucket in the
-//! order it was filled and appends to the bucket d ahead, the one
-//! drained the slot before. A hop reads no graph table: the port a cell
-//! lands on is `switch * radix + local` by construction, so both come
-//! out of its `at` word by a division, and [`ExpandedFabric::route`] is
-//! closed-form arithmetic.
+//! arrival-ordered input buffer — a `Flit` being the 16 bytes of a cell
+//! this simulator reads plus a word for where it is headed, 20 bytes in
+//! all. The buffers are the queues of one [`Voqs`] store, the one the
+//! N×N switch simulators keep their VOQs in: a queue record per port and
+//! a slab that grows to the most flits ever resident at once, so a
+//! lightly loaded fabric costs the cells in it, not `buffer_cells` slots
+//! per port. The credit loop bounds every queue at `buffer_cells`, which
+//! the run may override. `configure` sizes the tables once, and
+//! construction keeps only the graph and the host queues. Every link
+//! has the spec's one delay d, so cells and credits on links sit in
+//! wheels of d + 1 buckets indexed `slot % (d + 1)`: a slot drains its
+//! own bucket in the order it was filled and appends to the bucket d
+//! ahead, the one drained the slot before. A hop reads no graph table:
+//! the port a cell lands on is `switch * radix + local` by construction,
+//! so both come out of its `at` word by a division, and
+//! [`ExpandedFabric::route`] is closed-form arithmetic.
 //!
 //! The host edge is one FIFO per host plus one bit per host, set by
 //! `admit` when it queues a cell and cleared by `deliver` when it takes
@@ -94,6 +97,7 @@ use osmosis_sim::buffer::{BufferLossReason, BufferPlane, BufferStats};
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_sim::Extra;
 use osmosis_switch::driven::{run_switch, CellSwitch};
+use osmosis_switch::Voqs;
 use osmosis_traffic::{Arrival, TrafficGen};
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -103,7 +107,8 @@ const HOST: u32 = 1 << 31;
 /// The `peer` entry of a port nothing is cabled to.
 const UNCONNECTED: u32 = u32::MAX;
 
-/// What this simulator reads of a cell, and where the cell is headed.
+/// What this simulator reads of a cell, and where the cell is headed: 20
+/// bytes, and 24 in a slab slot of the input buffers with its link.
 #[derive(Default, Clone, Copy)]
 struct Flit {
     /// The injection slot: `configure` refuses a run of 2³² slots or
@@ -139,12 +144,10 @@ pub struct CompiledFabric {
     owed: Vec<u32>,
     grant_ptr: Vec<u32>,
     accept_ptr: Vec<u32>,
-    /// Input buffers, `buffer_cells` entries per port, the first
-    /// `depth[port]` of them live, oldest first, and the first
-    /// `ripe[port]` of those requesting (all of them, and no `ripe`
-    /// table kept, without a request/grant delay).
-    buffers: Vec<Flit>,
-    depth: Vec<u32>,
+    /// Input buffers, one queue per port, oldest first, the first
+    /// `ripe[port]` entries of each requesting (all of them, and no
+    /// `ripe` table kept, without a request/grant delay).
+    buffers: Voqs<Flit>,
     ripe: Vec<u32>,
     /// Per output port, `words` words: the inputs holding a ripe cell for
     /// it. (Under FDL: one switch's worth, refilled by its plane.)
@@ -249,8 +252,7 @@ impl CompiledFabric {
             owed: Vec::new(),
             grant_ptr: Vec::new(),
             accept_ptr: Vec::new(),
-            buffers: Vec::new(),
-            depth: Vec::new(),
+            buffers: Voqs::new(0),
             ripe: Vec::new(),
             requests: Vec::new(),
             peer: Vec::new(),
@@ -322,7 +324,7 @@ impl CompiledFabric {
                 plane.push(slot, in_port, out, slot + 1, flit);
                 plane.occupancy(in_port)
             }
-            None => self.depth[p] as usize + 1,
+            None => self.buffers.len(p) + 1,
         };
         assert!(
             depth <= self.buffer_cells,
@@ -331,8 +333,7 @@ impl CompiledFabric {
         if self.fdl {
             return depth;
         }
-        self.buffers[p * self.buffer_cells + depth - 1] = flit;
-        self.depth[p] = depth as u32;
+        self.buffers.push(p, flit);
         self.resident[sw] += 1;
         match self.ripen_after {
             0 => self.request(sw, in_port, out),
@@ -353,7 +354,13 @@ impl CompiledFabric {
     /// request/grant delay starts requesting.
     fn ripen(&mut self, sw: usize, i: usize) {
         let p = sw * self.spec.radix + i;
-        let o = self.buffers[p * self.buffer_cells + self.ripe[p] as usize].at;
+        #[expect(
+            clippy::panic,
+            reason = "a port goes on the ripening wheel once per cell it buffers, and only ripe cells leave"
+        )]
+        let Some(&Flit { at: o, .. }) = self.buffers.nth(p, self.ripe[p] as usize) else {
+            panic!("a port ripened past its buffered cells")
+        };
         self.ripe[p] += 1;
         self.request(sw, i, o as usize);
     }
@@ -372,21 +379,21 @@ impl CompiledFabric {
         }
         let (radix, words) = (self.spec.radix, self.words);
         let p = sw * radix + i;
-        let start = p * self.buffer_cells;
         let delayed = self.ripen_after > 0;
-        let ripe = if delayed { self.ripe[p] } else { self.depth[p] } as usize;
-        let buf = &mut self.buffers[start..start + self.depth[p] as usize];
-        let Some(k) = buf[..ripe].iter().position(|f| f.at == o as u32) else {
+        let ripe = if delayed {
+            self.ripe[p] as usize
+        } else {
+            self.buffers.len(p)
+        };
+        let tagged = |f: &Flit| f.at == o as u32;
+        let Some((flit, another)) = self.buffers.remove_first(p, ripe, tagged) else {
             unqueued()
         };
-        let flit = buf[k];
-        buf.copy_within(k + 1.., k);
-        self.depth[p] -= 1;
         if delayed {
             self.ripe[p] -= 1;
         }
         self.resident[sw] -= 1;
-        if !buf[k..ripe - 1].iter().any(|f| f.at == o as u32) {
+        if !another {
             let col = (sw * radix + o) * words;
             self.requests[col + i / 64] &= !(1 << (i % 64));
             if self.requests[col..col + words].iter().all(|&w| w == 0) {
@@ -567,7 +574,7 @@ impl CompiledFabric {
             let (sw, input) = (p / radix, p % radix);
             let occupancy = match self.planes.get(sw) {
                 Some(plane) => plane.occupancy(input) as u64,
-                None => self.depth[p].into(),
+                None => self.buffers.len(p) as u64,
             };
             let ledger = CreditLedger {
                 held: capacity - owed as u64,
@@ -595,8 +602,8 @@ impl CellSwitch for CompiledFabric {
     /// A fabric is run again only once the run before has drained. The
     /// engine refuses one still holding cells; credits still on their
     /// way back would land in slots of the new run they were never sent
-    /// for, and under a `buffer_cells` override in buffers re-strided
-    /// under them, so they are refused here.
+    /// for, and under a `buffer_cells` override be counted against a
+    /// depth they were not sent under, so they are refused here.
     fn configure(&mut self, cfg: &EngineConfig) {
         let credits = self.credit_wheel.iter().all(Vec::is_empty) && self.resync.is_empty();
         assert!(
@@ -616,29 +623,19 @@ impl CellSwitch for CompiledFabric {
             assert!(b >= 1);
             self.buffer_cells = b;
         }
-        // The switch tables are sized here, where the run's buffer depth
-        // is known: zeroed on a new fabric, and as the drained run before
-        // left them — empty, pointers where they stopped — on a used one.
+        // The switch tables are sized here: zeroed on a new fabric, and as
+        // the drained run before left them — empty, pointers where they
+        // stopped — on a used one.
         let (ports, switches) = (self.fab.ports.len(), self.fab.switches.len());
         let (radix, words) = (self.spec.radix, self.words);
-        for table in [
-            &mut self.owed,
-            &mut self.grant_ptr,
-            &mut self.accept_ptr,
-            &mut self.depth,
-        ] {
+        for table in [&mut self.owed, &mut self.grant_ptr, &mut self.accept_ptr] {
             table.resize(ports, 0);
         }
         let delayed_ports = if self.ripen_after > 0 { ports } else { 0 };
         self.ripe.resize(delayed_ports, 0);
-        let (mask_rows, slots) = if self.fdl {
-            (1, 0)
-        } else {
-            (switches, ports * self.buffer_cells)
-        };
+        let mask_rows = if self.fdl { 1 } else { switches };
         self.requests.resize(mask_rows * radix * words, 0);
         self.requested.resize(mask_rows * words, 0);
-        self.buffers.resize(slots, Flit::default());
         self.resident.resize(switches, 0);
         let egress_queues = if self.to_egress { ports } else { 0 };
         self.egress.resize_with(egress_queues, VecDeque::new);
@@ -655,7 +652,11 @@ impl CellSwitch for CompiledFabric {
         self.credit_wheel.resize_with(buckets, Vec::new);
         let ripening = (self.ripen_after + 1) as usize;
         self.ripening.resize_with(ripening, Vec::new);
+        // The cabling and the buffers' queue table, once per fabric: a
+        // drained run leaves every queue empty and its slab slots on the
+        // free list for the next run.
         if self.peer.is_empty() {
+            self.buffers = Voqs::new(ports);
             assert!(ports.max(self.host_queues.len()) < HOST as usize);
             self.peer = (self.fab.ports.values())
                 .map(|port| match port.peer {
@@ -1238,6 +1239,36 @@ mod tests {
     }
 
     #[test]
+    fn a_drained_fabric_takes_a_buffer_override_like_a_fresh_one() {
+        // One switch, every cell of the first run bound for host 7 and
+        // host 7 sending the most of them: the last grant of that run is
+        // input 7's for output 7, so every round-robin pointer wraps back
+        // to 0, and the input buffers' slab, its slots now on the free
+        // list in the order the run freed them, is all that is left of
+        // the run. The second run, at a buffer depth of its own, has to
+        // reproduce a fresh fabric bit for bit.
+        for rg in [0, 1] {
+            let spec = TopologySpec::fat_tree(8, 1).with_request_grant(rg);
+            let mut fab = CompiledFabric::new(spec);
+            let hosts = fab.ports();
+            let sends = |src: usize| vec![hosts - 1; if src == hosts - 1 { 40 } else { 20 }];
+            let mut hot = Replay::new((0..hosts).map(|src| sends(src).into()).collect());
+            let first = fab.run(&mut hot, &EngineConfig::new(0, 400));
+            assert_eq!(first.delivered, 20 * (hosts as u64 - 1) + 40, "rg={rg}");
+            assert!(first.max_queue_depth >= 4, "rg={rg}: the cells queued");
+            assert_eq!((fab.resident_cells(), fab.buffers.total()), (Some(0), 0));
+            let wrapped = fab.grant_ptr.iter().chain(&fab.accept_ptr);
+            assert!(wrapped.into_iter().all(|&p| p == 0), "rg={rg}");
+            let cfg = EngineConfig::new(0, 3_000).with_buffer_cells(3);
+            let second = fab.run(&mut uniform(&fab, 0.5, 9), &cfg);
+            let mut fresh = CompiledFabric::new(spec);
+            let fresh = fresh.run(&mut uniform(&fresh, 0.5, 9), &cfg);
+            assert!(second.max_queue_depth <= 3, "rg={rg}");
+            assert_eq!(second.fingerprint(), fresh.fingerprint(), "rg={rg}");
+        }
+    }
+
+    #[test]
     fn a_run_reports_its_own_buffer_plane_counters() {
         // A finite schedule loses cells to dead lines and drains; the
         // idle run after it has nothing to count.
@@ -1434,8 +1465,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "only once it has drained")]
     fn buffer_override_on_a_fabric_holding_cells_is_refused() {
-        // The input buffers are strided by depth: re-striding them under
-        // live cells would hand one port's cells to another.
+        // Credits still in flight would come back into the new run's
+        // credit loops, which never sent them and count them against a
+        // depth of their own.
         let mut fab = CompiledFabric::new(paper_tree(2));
         let mut tr = uniform(&fab, 0.6, 6);
         fab.run(&mut tr, &EngineConfig::new(0, 200));
@@ -1463,27 +1495,36 @@ mod tests {
         fab.configure(&EngineConfig::new(1 << 31, 1 << 31));
     }
 
+    /// Input `p`'s buffer, walked head to tail through the store.
+    fn buffered(fab: &CompiledFabric, p: usize) -> Vec<Flit> {
+        let live: Vec<Flit> = (0..)
+            .map_while(|k| fab.buffers.nth(p, k).copied())
+            .collect();
+        assert_eq!(live.len(), fab.buffers.len(p), "port {p}");
+        live
+    }
+
     /// Every request bit is set exactly when a *ripe* entry of its VOQ
     /// holds a cell, every output-summary bit exactly when its column has
     /// a bit, the ripe entries are a prefix of the live ones, and the
     /// per-switch counts are the buffer depths plus the egress queues.
     fn assert_masks_track_buffers(fab: &CompiledFabric) {
         let (radix, words) = (fab.spec.radix, fab.words);
+        let live: Vec<Vec<Flit>> = (0..fab.peer.len()).map(|p| buffered(fab, p)).collect();
         for (sw, &resident) in fab.resident.iter().enumerate() {
             let ports = sw * radix..(sw + 1) * radix;
-            let queued: usize = fab.egress.iter().map(VecDeque::len).sum();
-            assert_eq!(
-                resident as usize,
-                fab.depth[ports].iter().sum::<u32>() as usize + queued
-            );
+            let egress = fab.egress.get(ports.clone()).unwrap_or_default();
+            let queued: usize = egress.iter().map(VecDeque::len).sum();
+            let depths: usize = live[ports].iter().map(Vec::len).sum();
+            assert_eq!(resident as usize, depths + queued, "switch {sw}");
             for o in 0..radix {
                 let mut any = false;
                 for i in 0..radix {
                     let p = sw * radix + i;
-                    let ripe = fab.ripe.get(p).map_or(fab.depth[p], |&r| r);
-                    assert!(ripe <= fab.depth[p], "switch {sw} input {i}");
-                    let ripe = &fab.buffers[p * fab.buffer_cells..][..ripe as usize];
-                    let queued = ripe.iter().any(|f| f.at == o as u32);
+                    let depth = live[p].len();
+                    let ripe = fab.ripe.get(p).map_or(depth, |&r| r as usize);
+                    assert!(ripe <= depth, "switch {sw} input {i}");
+                    let queued = live[p][..ripe].iter().any(|f| f.at == o as u32);
                     let bit = fab.requests[(sw * radix + o) * words + i / 64] >> (i % 64) & 1;
                     assert_eq!(bit == 1, queued, "switch {sw} voq ({i}, {o})");
                     any |= queued;
@@ -1529,12 +1570,16 @@ mod tests {
                 // both crowded and nearly empty masks are matched.
                 let eagerness = if slot < 30 { 4 } else { 40 };
                 for i in 0..radix {
-                    while (fab.depth[i] as usize) < BUFFER && rnd(eagerness) < 3 {
+                    while fab.buffers.len(i) < BUFFER && rnd(eagerness) < 3 {
                         fab.enqueue(slot, 0, i, rnd(radix), flit(0));
                     }
                 }
                 waited += (0..radix)
-                    .filter(|&i| fab.ripe.get(i).is_some_and(|&r| r < fab.depth[i]))
+                    .filter(|&i| {
+                        fab.ripe
+                            .get(i)
+                            .is_some_and(|&r| (r as usize) < fab.buffers.len(i))
+                    })
                     .count();
                 // Credits: none out, some out, all out.
                 for o in 0..radix {
@@ -1606,7 +1651,8 @@ mod tests {
             assert_eq!(requests(&fab), left);
             assert_masks_track_buffers(&fab);
         }
-        assert_eq!((fab.depth[2], fab.resident[0], fab.requested[0]), (0, 0, 0));
+        let left = (fab.buffers.len(2), fab.resident[0], fab.requested[0]);
+        assert_eq!(left, (0, 0, 0));
     }
 
     #[test]
@@ -1623,7 +1669,7 @@ mod tests {
             let mut fab = CompiledFabric::new(spec);
             let mut tr = uniform(&fab, 1.0, 5);
             fab.run(&mut tr, &EngineConfig::new(0, 400));
-            let buffered: u64 = fab.depth.iter().map(|&d| d as u64).sum();
+            let buffered = fab.buffers.total() as u64;
             let queued: u64 = fab.host_queues.iter().map(|q| q.len() as u64).sum();
             assert!(buffered > 0 && queued > 0, "a saturated fabric holds cells");
             let egress: u64 = fab.egress.iter().map(|q| q.len() as u64).sum();
@@ -1632,9 +1678,7 @@ mod tests {
             in_flight += flying;
             let all = buffered + queued + egress + flying;
             assert_eq!(fab.resident_cells(), Some(all), "{spec}");
-            if !fab.to_egress {
-                assert_masks_track_buffers(&fab);
-            }
+            assert_masks_track_buffers(&fab);
         }
         assert!(in_flight > 0, "no run ended with a cell on a link");
     }

@@ -1,4 +1,5 @@
-//! One store for a switch's N×N virtual output queues.
+//! One store for many sparsely filled FIFO queues: a switch's N×N
+//! virtual output queues, or every input buffer of a fabric.
 //!
 //! A 64-port switch has 4 096 VOQs, and at load 0.1 they hold about six
 //! cells between them. One `VecDeque` per queue made that 4 096 heap
@@ -9,6 +10,13 @@
 //! it in its queue. A popped slot goes onto a free list and the next push
 //! reuses it, so the slab grows only to the high-water mark of resident
 //! items and then stays put: no allocation once a run has warmed up.
+//!
+//! `CompiledFabric` keeps one queue per input port, in arrival order,
+//! and treats the entries of input i tagged for output o as VOQ (i, o).
+//! [`nth`](Voqs::nth) and [`remove_first`](Voqs::remove_first) are for
+//! it: the first reads the oldest cell not yet requesting, and the
+//! second takes the oldest requesting cell bound for a matched output
+//! and says, from the same walk, whether that VOQ still requests.
 //!
 //! `NIL` ends a queue and the free list; an empty queue has `NIL` as both
 //! head and tail.
@@ -114,6 +122,75 @@ impl<T: Copy> Voqs<T> {
         }
     }
 
+    /// Item `k` of queue `q`, counted from its head at 0, if the queue
+    /// holds that many; a walk of `k` links.
+    #[inline]
+    pub fn nth(&self, q: usize, k: usize) -> Option<&T> {
+        let mut at = self.queues[q].head;
+        for _ in 0..k {
+            if at == NIL {
+                return None;
+            }
+            at = self.slab[at as usize].next;
+        }
+        match at {
+            NIL => None,
+            at => Some(&self.slab[at as usize].item),
+        }
+    }
+
+    /// Remove and return the first of queue `q`'s first `within` items
+    /// that `tagged` picks, with whether another of those `within` items
+    /// is picked as well; `None`, and the queue untouched, if none is.
+    /// One walk: the search stops at the item, and the look for another
+    /// goes on from behind it.
+    #[inline]
+    pub fn remove_first(
+        &mut self,
+        q: usize,
+        within: usize,
+        tagged: impl Fn(&T) -> bool,
+    ) -> Option<(T, bool)> {
+        let (mut before, mut at) = (NIL, self.queues[q].head);
+        for seen in 0..within {
+            if at == NIL {
+                return None;
+            }
+            let slot = self.slab[at as usize];
+            if !tagged(&slot.item) {
+                (before, at) = (at, slot.next);
+                continue;
+            }
+            let queue = &mut self.queues[q];
+            match before {
+                NIL => queue.head = slot.next,
+                before => self.slab[before as usize].next = slot.next,
+            }
+            if queue.tail == at {
+                queue.tail = before;
+            }
+            queue.len -= 1;
+            self.slab[at as usize].next = self.free;
+            self.free = at;
+            self.total -= 1;
+            let mut behind = slot.next;
+            let mut another = false;
+            for _ in seen + 1..within {
+                if behind == NIL {
+                    break;
+                }
+                let slot = &self.slab[behind as usize];
+                if tagged(&slot.item) {
+                    another = true;
+                    break;
+                }
+                behind = slot.next;
+            }
+            return Some((slot.item, another));
+        }
+        None
+    }
+
     /// Items in queue `q`.
     pub fn len(&self, q: usize) -> usize {
         self.queues[q].len as usize
@@ -151,19 +228,28 @@ mod tests {
 
     #[derive(Clone, Copy, Debug)]
     enum Op {
-        Push,
+        /// Append an item carrying the tag given, from a three-letter
+        /// alphabet, in its low two bits: tagged searches hit and miss.
+        Push(u64),
         Pop,
         /// Pop until the queue is empty, so that it refills from empty.
         Drain,
+        /// Read item `k`, `k` drawn over `0..=len` from the number given.
+        Nth(usize),
+        /// Remove the first item tagged with the tag given among the
+        /// first `k`, `k` drawn as for `Nth`.
+        Remove(usize, u64),
     }
 
     /// Queues of the oracle and the store, and a script of operations,
     /// each on one of four evenly spaced queues or on any queue.
     fn script() -> impl Strategy<Value = (usize, Vec<(Op, usize)>)> {
-        let op = (0usize..20).prop_map(|k| match k {
-            0..=10 => Op::Push,
-            11..=18 => Op::Pop,
-            _ => Op::Drain,
+        let op = (0usize..26, 0usize..64, 0u64..3).prop_map(|(k, pick, tag)| match k {
+            0..=10 => Op::Push(tag),
+            11..=16 => Op::Pop,
+            17 => Op::Drain,
+            18..=20 => Op::Nth(pick),
+            _ => Op::Remove(pick, tag),
         });
         let target = (0usize..6, 0usize..4_096);
         (
@@ -194,11 +280,26 @@ mod tests {
         let mut oracle: Vec<VecDeque<u64>> = vec![VecDeque::new(); queues];
         let (mut next, mut high_water) = (0u64, 0usize);
         for (op, q) in steps {
+            let drawn = |pick: usize| pick % (oracle[q].len() + 1);
             match op {
-                Op::Push => {
+                Op::Push(tag) => {
                     next += 1;
-                    oracle[q].push_back(next);
-                    prop_assert_eq!(store.push(q, next), oracle[q].len());
+                    let item = next * 4 + tag;
+                    oracle[q].push_back(item);
+                    prop_assert_eq!(store.push(q, item), oracle[q].len());
+                }
+                Op::Nth(pick) => {
+                    let k = drawn(pick);
+                    prop_assert_eq!(store.nth(q, k), oracle[q].get(k), "item {}", k);
+                }
+                Op::Remove(pick, tag) => {
+                    let k = drawn(pick);
+                    let picked = |item: &u64| item % 4 == tag;
+                    let first = oracle[q].iter().take(k).position(picked);
+                    let expect = first
+                        .and_then(|at| oracle[q].remove(at))
+                        .map(|item| (item, oracle[q].iter().take(k - 1).any(picked)));
+                    prop_assert_eq!(store.remove_first(q, k, picked), expect, "within {}", k);
                 }
                 Op::Pop => prop_assert_eq!(store.pop(q), oracle[q].pop_front()),
                 Op::Drain => loop {
