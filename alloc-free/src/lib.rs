@@ -15,6 +15,11 @@
 //! that way). It must stay within the row's budget plus `GROWTH_EPSILON`
 //! (`WINDOW_GROWTH` for a row counted per window).
 //!
+//! One check counts construction instead of slots: expanding and
+//! compiling a fabric, and building its generator, must cost the same
+//! number of allocations at 2K hosts as at 8K, so none is per port,
+//! host or cable.
+//!
 //! Every budget above 0 is a named constant below with its source.
 //! `CellScheduler` and `CellSwitch` implementors, every
 //! `SlottedModel` and the buffer planes (`FdlBufferPlane` behind
@@ -85,7 +90,7 @@ mod battery {
     use super::allocations;
     use osmosis_audit::{AuditMode, AuditSet};
     use osmosis_fabric::spec::TopologySpec;
-    use osmosis_fabric::{BufferTech, CompiledFabric};
+    use osmosis_fabric::{BufferTech, CompiledFabric, ExpandedFabric};
     use osmosis_faults::{FaultInjector, FaultKind, FaultPlan, LINK_ANY};
     use osmosis_ocs::{EpochConfig, OcsScheduler, OcsSwitch};
     use osmosis_sched::{CellScheduler, Flppr, Islip, MaxSizeScheduler, Pim, PipelinedArbiter};
@@ -134,6 +139,22 @@ mod battery {
     /// A flow table that allocated at each of the window's 310k
     /// deletions would be far above it.
     const WINDOW_GROWTH: f64 = 2.0;
+
+    /// `ExpandedFabric::expand` of a fat tree reserves its five arenas
+    /// (stages, switches, ports, links, hosts) once from the spec's
+    /// closed forms and builds the router's two tables (the powers of m
+    /// and each switch's level): seven at any size, none per port, host
+    /// or cable.
+    const FAT_TREE_EXPAND: u64 = 7;
+
+    /// `CompiledFabric::over` builds only the matcher's five scratch
+    /// vectors, sized by the radix; `configure` sizes every per-port,
+    /// per-switch and per-host table.
+    const FABRIC_OVER: u64 = 5;
+
+    /// `BernoulliUniform::new` collects its per-port generators into one
+    /// vector.
+    const BERNOULLI_NEW: u64 = 1;
 
     const SEED: u64 = 1234;
     const WARMUP: u64 = 2_000;
@@ -467,6 +488,31 @@ mod battery {
                     .run(&mut Driven::new(&mut fab, &mut tr))
             }),
         ]);
+    }
+
+    /// Building a fabric costs a fixed number of allocations: the 2K and
+    /// 8K fat trees of the benchmark (6 144 and 40 960 ports) expand,
+    /// compile and get their generator with the same counts. These are
+    /// construction counts, not per-slot rates, so no ε applies.
+    #[test]
+    fn fabric_construction_allocates_nothing_per_port_host_or_cable() {
+        for text in [
+            "fat-tree:radix=64,levels=2,planes=2",
+            "fat-tree:radix=32,levels=3,planes=2",
+        ] {
+            let spec: TopologySpec = text.parse().expect("a valid spec");
+            let (expanded, fab) = allocations(|| ExpandedFabric::expand(spec));
+            let fab = fab.expect("a valid spec expands");
+            let hosts = fab.hosts.len();
+            let (built, _fabric) = allocations(|| CompiledFabric::over(fab));
+            let seeds = SeedSequence::new(SEED);
+            let (traffic, _gen) = allocations(|| BernoulliUniform::new(hosts, 0.1, &seeds));
+            assert_eq!(
+                (expanded, built, traffic),
+                (FAT_TREE_EXPAND, FABRIC_OVER, BERNOULLI_NEW),
+                "{text}: expand, over, BernoulliUniform::new"
+            );
+        }
     }
 
     /// The disabled planes cost nothing: a run with an empty fault plan

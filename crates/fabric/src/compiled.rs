@@ -33,10 +33,11 @@
 //! a slab that grows to the most flits ever resident at once, so a
 //! lightly loaded fabric costs the cells in it, not `buffer_cells` slots
 //! per port. The credit loop bounds every queue at `buffer_cells`, which
-//! the run may override. `configure` sizes the tables once, and
-//! construction keeps only the graph and the host queues. Every link
-//! has the spec's one delay d, so cells and credits on links sit in
-//! wheels of d + 1 buckets indexed `slot % (d + 1)`: a slot drains its
+//! the run may override. `configure` sizes the tables once, the host
+//! queues among them, and construction keeps only the graph, so building
+//! a fabric costs nothing per port, switch or host. Every link has the
+//! spec's one delay d, so cells and credits on links sit in wheels of
+//! d + 1 buckets indexed `slot % (d + 1)`: a slot drains its
 //! own bucket in the order it was filled and appends to the bucket d
 //! ahead, the one drained the slot before. A hop reads no graph table:
 //! the port a cell lands on is `switch * radix + local` by construction,
@@ -223,10 +224,10 @@ impl CompiledFabric {
         Ok(Self::over(ExpandedFabric::expand(spec)?))
     }
 
-    /// Build the simulator over an already-expanded graph.
+    /// Build the simulator over an already-expanded graph. Nothing is
+    /// sized per port, switch or host here: `configure` does that.
     pub fn over(fab: ExpandedFabric) -> Self {
         let spec = *fab.spec();
-        let hosts = fab.hosts.len();
         let (feeders, top_per_plane) = match spec.wavelength_planes() {
             0 => (0..0, 1),
             planes => {
@@ -241,7 +242,8 @@ impl CompiledFabric {
             Placement::OutputOnly => 2 * spec.link_delay,
             Placement::InputAndOutput | Placement::InputOnly => 0,
         };
-        // The per-port and per-switch tables are sized by `configure`.
+        // The per-port, per-switch and per-host tables are sized by
+        // `configure`.
         CompiledFabric {
             spec,
             buffer_cells: spec.buffer_cells(),
@@ -260,9 +262,9 @@ impl CompiledFabric {
             resident: Vec::new(),
             requested: Vec::new(),
             planes: Vec::new(),
-            host_queues: (0..hosts).map(|_| VecDeque::new()).collect(),
-            queued: vec![0; hosts.div_ceil(64)],
-            host_owed: vec![0; hosts],
+            host_queues: Vec::new(),
+            queued: Vec::new(),
+            host_owed: Vec::new(),
             cell_wheel: Vec::new(),
             credit_wheel: Vec::new(),
             ripening: Vec::new(),
@@ -441,7 +443,7 @@ impl CompiledFabric {
         if healthy == 0 {
             return nominal;
         }
-        let pick = top_choice(dst + self.host_queues.len(), src, planes) % healthy;
+        let pick = top_choice(dst + self.fab.hosts.len(), src, planes) % healthy;
         let mut alive = (0..planes).filter(|&p| self.plane_ok[p]);
         alive.nth(pick).unwrap_or(nominal)
     }
@@ -596,7 +598,7 @@ impl CompiledFabric {
 
 impl CellSwitch for CompiledFabric {
     fn ports(&self) -> usize {
-        self.host_queues.len()
+        self.fab.hosts.len()
     }
 
     /// A fabric is run again only once the run before has drained. The
@@ -623,11 +625,11 @@ impl CellSwitch for CompiledFabric {
             assert!(b >= 1);
             self.buffer_cells = b;
         }
-        // The switch tables are sized here: zeroed on a new fabric, and as
-        // the drained run before left them — empty, pointers where they
-        // stopped — on a used one.
+        // The switch and host tables are sized here: zeroed on a new
+        // fabric, and as the drained run before left them — empty,
+        // pointers where they stopped — on a used one.
         let (ports, switches) = (self.fab.ports.len(), self.fab.switches.len());
-        let (radix, words) = (self.spec.radix, self.words);
+        let (radix, words, hosts) = (self.spec.radix, self.words, self.fab.hosts.len());
         for table in [&mut self.owed, &mut self.grant_ptr, &mut self.accept_ptr] {
             table.resize(ports, 0);
         }
@@ -639,6 +641,9 @@ impl CellSwitch for CompiledFabric {
         self.resident.resize(switches, 0);
         let egress_queues = if self.to_egress { ports } else { 0 };
         self.egress.resize_with(egress_queues, VecDeque::new);
+        self.host_queues.resize_with(hosts, VecDeque::new);
+        self.queued.resize(hosts.div_ceil(64), 0);
+        self.host_owed.resize(hosts, 0);
         // Fresh planes: every delay line alive (a fault plane, if one is
         // attached, kills what its plan says), every counter at zero.
         let plane = |_| -> Box<dyn BufferPlane<Flit>> {
@@ -657,7 +662,7 @@ impl CellSwitch for CompiledFabric {
         // free list for the next run.
         if self.peer.is_empty() {
             self.buffers = Voqs::new(ports);
-            assert!(ports.max(self.host_queues.len()) < HOST as usize);
+            assert!(ports.max(hosts) < HOST as usize);
             self.peer = (self.fab.ports.values())
                 .map(|port| match port.peer {
                     Peer::Host(h) => HOST | h.index() as u32,
@@ -683,7 +688,7 @@ impl CellSwitch for CompiledFabric {
             self.plane_ok
                 .extend(planes.map(|p| !obs.fault_plane_down(p)));
             self.link_stall
-                .resize(self.fab.switches.len() + self.host_queues.len(), 0);
+                .resize(self.fab.switches.len() + self.fab.hosts.len(), 0);
             // Delay-line health, re-read only in a slot where the fault
             // plane injected or healed something. It keys lines globally,
             // `(switch · radix + input) · lines_per_queue + local`; a dead
@@ -1239,6 +1244,23 @@ mod tests {
     }
 
     #[test]
+    fn a_fabric_that_has_never_run_reads_its_hosts_off_the_graph() {
+        // Construction sizes no host table; the graph alone answers.
+        for spec in [
+            TopologySpec::two_level(8),
+            TopologySpec::fat_tree(4, 3),
+            TopologySpec::dragonfly(8, 4),
+            TopologySpec::full_mesh(8, 5),
+        ] {
+            let fab = CompiledFabric::new(spec);
+            assert_eq!(fab.ports() as u64, spec.hosts(), "{spec}");
+            assert_eq!(fab.resident_cells(), Some(0), "{spec}");
+            let tables = (fab.host_queues.len(), fab.queued.len(), fab.host_owed.len());
+            assert_eq!(tables, (0, 0, 0), "{spec}");
+        }
+    }
+
+    #[test]
     fn a_drained_fabric_takes_a_buffer_override_like_a_fresh_one() {
         // One switch, every cell of the first run bound for host 7 and
         // host 7 sending the most of them: the last grant of that run is
@@ -1259,8 +1281,26 @@ mod tests {
             assert_eq!((fab.resident_cells(), fab.buffers.total()), (Some(0), 0));
             let wrapped = fab.grant_ptr.iter().chain(&fab.accept_ptr);
             assert!(wrapped.into_iter().all(|&p| p == 0), "rg={rg}");
+            // The first run's `configure` sized the host tables; the
+            // second finds them sized and reuses them as they are.
+            let host_tables = |fab: &CompiledFabric| {
+                let lens = [fab.host_queues.len(), fab.queued.len(), fab.host_owed.len()];
+                let addrs = [
+                    fab.host_queues.as_ptr() as usize,
+                    fab.queued.as_ptr() as usize,
+                    fab.host_owed.as_ptr() as usize,
+                ];
+                (lens, addrs)
+            };
+            let sized = host_tables(&fab);
+            assert_eq!(sized.0, [hosts, 1, hosts], "rg={rg}");
             let cfg = EngineConfig::new(0, 3_000).with_buffer_cells(3);
             let second = fab.run(&mut uniform(&fab, 0.5, 9), &cfg);
+            assert_eq!(
+                host_tables(&fab),
+                sized,
+                "rg={rg}: the host tables were resized"
+            );
             let mut fresh = CompiledFabric::new(spec);
             let fresh = fresh.run(&mut uniform(&fresh, 0.5, 9), &cfg);
             assert!(second.max_queue_depth <= 3, "rg={rg}");

@@ -25,6 +25,15 @@
 //! m-ary Clos whose paths [`crate::multilevel::MultiLevelClos`] gives in
 //! closed form (the unit tests check both, port for port).
 //!
+//! The wiring walks the digit it rewrites rather than computing it: a
+//! level-l switch is w = (hi·m + d)·m^l + lo, so nested loops over hi,
+//! d and lo visit the switches in id order with digit l = d in hand,
+//! and up-port m + p lands on (hi·m + p)·m^l + lo — no power and no
+//! division per cable. The arenas are reserved up front from the spec's
+//! closed forms (switches × radix ports, at most (ports − hosts)/2
+//! cables), so a fat tree's expansion allocates as often at 32K hosts
+//! as at 32.
+//!
 //! ## Dragonfly
 //!
 //! The balanced configuration derived from the radix
@@ -173,29 +182,31 @@ pub struct ExpandedFabric {
     meta: FamilyMeta,
 }
 
-/// Base-m digit `pos` of `index`.
-fn digit(index: usize, pos: u32, m: usize) -> usize {
-    (index / m.pow(pos)) % m
-}
-
-/// Replace base-m digit `pos` of `index` with `value`.
-fn with_digit(index: usize, pos: u32, value: usize, m: usize) -> usize {
-    let p = m.pow(pos);
-    index - digit(index, pos, m) * p + value * p
-}
-
 impl ExpandedFabric {
     /// Expand `spec` into a complete graph. Deterministic: equal specs
     /// produce identical arenas.
+    ///
+    /// Every arena is reserved once from the spec's closed forms, so no
+    /// arena grows while it is filled; a cable takes two ports no host
+    /// holds, which bounds the links. (A dragonfly's route table still
+    /// holds one list per group pair.)
     pub fn expand(spec: TopologySpec) -> Result<Self, TopologyError> {
         spec.validate()?;
+        // validate() bounds the ports, and so the switches and hosts, by
+        // u32::MAX.
+        let switches = spec.switch_count() as usize;
+        let (hosts, ports) = (spec.hosts() as usize, switches * spec.radix);
+        let stages = match spec.family {
+            TopologyFamily::FatTree { levels, .. } => levels as usize,
+            TopologyFamily::Dragonfly { .. } | TopologyFamily::FullMesh { .. } => 1,
+        };
         let mut fab = ExpandedFabric {
             spec,
-            stages: EntityVec::new(),
-            switches: EntityVec::new(),
-            ports: EntityVec::new(),
-            links: EntityVec::new(),
-            hosts: EntityVec::new(),
+            stages: EntityVec::with_capacity(stages),
+            switches: EntityVec::with_capacity(switches),
+            ports: EntityVec::with_capacity(ports),
+            links: EntityVec::with_capacity((ports - hosts) / 2),
+            hosts: EntityVec::with_capacity(hosts),
             meta: FamilyMeta::FullMesh {
                 hosts_per_switch: 0,
             },
@@ -248,13 +259,12 @@ impl ExpandedFabric {
                 stage,
                 pos: pos as u32,
             });
-            for local in 0..self.spec.radix {
-                self.ports.push(PortInfo {
+            self.ports
+                .extend((0..self.spec.radix as u32).map(|local| PortInfo {
                     switch: sw,
-                    local: local as u32,
+                    local,
                     peer: Peer::Unconnected,
-                });
-            }
+                }));
         }
         stage
     }
@@ -288,73 +298,75 @@ impl ExpandedFabric {
         self.wire_fat_tree(levels, planes, m);
         // validate() bounds the hosts, planes·m^L, by u32::MAX, so every
         // power below fits, and 16 levels fit a u8.
+        let mut level = Vec::with_capacity(self.switches.len());
+        for stage in self.stages.values() {
+            level.resize(level.len() + stage.switches as usize, stage.level as u8);
+        }
         self.meta = FamilyMeta::FatTree {
             m: m as u32,
             levels,
             planes,
             pow: (0..levels).map(|l| m.pow(l) as u32).collect(),
-            level: (self.switches.values())
-                .map(|s| self.stages[s.stage].level as u8)
-                .collect(),
+            level,
         };
     }
 
     /// The stages, hosts and cables of a fat tree.
     fn wire_fat_tree(&mut self, levels: u32, planes: u32, m: usize) {
-        let width = m.pow(levels - 1);
+        let (radix, width) = (self.spec.radix, m.pow(levels - 1));
+        let planes = planes as usize;
         if levels == 1 {
             // A single switch; every used port faces a host.
-            let stage = self.push_stage(0, 1);
-            let sw = self.stage_switch(stage, 0);
-            for p in 0..planes as usize * m {
-                let port = self.port_id(sw, p as u32);
-                self.attach_host(port);
+            self.push_stage(0, 1);
+            for p in 0..planes * m {
+                self.attach_host(PortId::from_index(p));
             }
             return;
         }
         // Stages: levels 0..L−2 with planes·width switches (plane-major:
         // pos = π·width + w), then the merged top with `width` switches.
-        let mut stage_ids = Vec::with_capacity(levels as usize);
+        // Level l is stage l, and its first switch is l·planes·width.
         for level in 0..levels - 1 {
-            stage_ids.push(self.push_stage(level, planes as usize * width));
+            self.push_stage(level, planes * width);
         }
-        stage_ids.push(self.push_stage(levels - 1, width));
+        self.push_stage(levels - 1, width);
         // Hosts hang off level 0: leaf pos·m + p.
-        for leaf in 0..planes as usize * width {
-            let sw = self.stage_switch(stage_ids[0], leaf);
+        for leaf in 0..planes * width {
             for p in 0..m {
-                let port = self.port_id(sw, p as u32);
-                self.attach_host(port);
+                self.attach_host(PortId::from_index(leaf * radix + p));
             }
         }
-        // Up edges, level by level.
-        for l in 0..levels - 1 {
-            for pi in 0..planes as usize {
-                for w in 0..width {
-                    let from = self.stage_switch(stage_ids[l as usize], pi * width + w);
-                    for p in 0..m {
-                        let from_port = self.port_id(from, (m + p) as u32);
-                        let (to, to_local) = if l + 1 < levels - 1 {
-                            // Within-plane edge: the digit rule.
-                            let above = pi * width + with_digit(w, l, p, m);
-                            (
-                                self.stage_switch(stage_ids[l as usize + 1], above),
-                                digit(w, l, m) as u32,
-                            )
-                        } else {
-                            // Top step: planes merge; the top input index
-                            // carries the plane.
-                            let top = with_digit(w, levels - 2, p, m);
-                            (
-                                self.stage_switch(stage_ids[levels as usize - 1], top),
-                                (pi * m + digit(w, levels - 2, m)) as u32,
-                            )
-                        };
-                        let to_port = self.port_id(to, to_local);
-                        self.connect(from_port, to_port);
+        // Up edges, level by level, walking digit l of the level-l
+        // switches: with w = (hi·m + d)·m^l + lo, up-port m + p of w lands
+        // on w[digit l := p] = (hi·m + p)·m^l + lo above, at input d —
+        // or, at the top step, where the planes merge, at input π·m + d.
+        let mut step = 1; // m^l
+        for l in 0..levels as usize - 1 {
+            let top = l + 2 == levels as usize;
+            let (below, above) = (l * planes * width, (l + 1) * planes * width);
+            for pi in 0..planes {
+                let from_plane = below + pi * width;
+                let (to_plane, to_input) = match top {
+                    true => (above, pi * m),
+                    false => (above + pi * width, 0),
+                };
+                for hi in 0..width / (step * m) {
+                    for d in 0..m {
+                        for lo in 0..step {
+                            let from = (from_plane + (hi * m + d) * step + lo) * radix + m;
+                            for p in 0..m {
+                                let to = to_plane + (hi * m + p) * step + lo;
+                                let to_port = to * radix + to_input + d;
+                                self.connect(
+                                    PortId::from_index(from + p),
+                                    PortId::from_index(to_port),
+                                );
+                            }
+                        }
                     }
                 }
             }
+            step *= m;
         }
     }
 
@@ -620,6 +632,17 @@ mod tests {
     use super::*;
     use crate::spec::TopologySpec;
 
+    /// Base-m digit `pos` of `index`.
+    fn digit(index: usize, pos: u32, m: usize) -> usize {
+        (index / m.pow(pos)) % m
+    }
+
+    /// Replace base-m digit `pos` of `index` with `value`.
+    fn with_digit(index: usize, pos: u32, value: usize, m: usize) -> usize {
+        let p = m.pow(pos);
+        index - digit(index, pos, m) * p + value * p
+    }
+
     #[test]
     fn two_level_expansion_matches_hand_built_wiring() {
         // The §V instance: k leaves (pos π·m+w), k/2 spines; leaf l's up
@@ -832,6 +855,57 @@ mod tests {
         }
     }
 
+    /// The up-edge cables of a fat tree as the per-cable digit rule of
+    /// the module docs states them, in wiring order: the oracle of the
+    /// nested digit walk.
+    fn cables_by_digits(radix: usize, levels: u32, planes: usize) -> Vec<(usize, usize)> {
+        let (m, top) = (radix / 2, levels as usize - 1);
+        let width = m.pow(top as u32);
+        let first = |level: usize| level * planes * width;
+        let mut cables = Vec::new();
+        for l in 0..top {
+            for pi in 0..planes {
+                for w in 0..width {
+                    for p in 0..m {
+                        let (to, input) = match l + 1 < top {
+                            true => (first(l + 1) + pi * width, digit(w, l as u32, m)),
+                            false => (first(top), pi * m + digit(w, l as u32, m)),
+                        };
+                        let to = to + with_digit(w, l as u32, p, m);
+                        let from = first(l) + pi * width + w;
+                        cables.push((from * radix + m + p, to * radix + input));
+                    }
+                }
+            }
+        }
+        cables
+    }
+
+    #[test]
+    fn digit_walk_wires_what_the_digit_rule_states() {
+        for (radix, levels, planes) in [
+            (4usize, 2u32, 1usize),
+            (4, 2, 2),
+            (6, 3, 2),
+            (8, 3, 1),
+            (4, 5, 2),
+            (6, 4, 1),
+            (10, 3, 2),
+        ] {
+            let spec = match planes {
+                1 => TopologySpec::m_ary_fat_tree(radix, levels),
+                _ => TopologySpec::fat_tree(radix, levels),
+            };
+            let fab = ExpandedFabric::expand(spec).unwrap();
+            let walked: Vec<(usize, usize)> = fab
+                .links
+                .values()
+                .map(|l| (l.a.index(), l.b.index()))
+                .collect();
+            assert_eq!(walked, cables_by_digits(radix, levels, planes), "{spec}");
+        }
+    }
+
     #[test]
     fn one_plane_expansion_matches_multilevel_paths() {
         // planes = 1 is the m-ary Clos of MultiLevelClos: same switch
@@ -930,11 +1004,28 @@ mod tests {
 
     #[test]
     fn large_instances_expand() {
-        // The ≥ 32768-port acceptance instances.
+        // The ≥ 32768-port acceptance instances, and one of each family:
+        // every arena fills the reservation `expand` made from the spec's
+        // closed forms, the cables within their bound.
         let big = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(64, 3)).unwrap();
         assert_eq!(big.hosts.len(), 32_768);
         let df = ExpandedFabric::expand(TopologySpec::dragonfly(64, 64)).unwrap();
         assert_eq!(df.hosts.len(), 32_768);
         assert_eq!(df.switches.len(), 2_048);
+        for fab in [
+            big,
+            df,
+            ExpandedFabric::expand(TopologySpec::fat_tree(32, 3)).unwrap(),
+            ExpandedFabric::expand(TopologySpec::fat_tree(8, 1)).unwrap(),
+            ExpandedFabric::expand(TopologySpec::full_mesh(16, 9)).unwrap(),
+        ] {
+            let spec = *fab.spec();
+            let switches = spec.switch_count() as usize;
+            assert_eq!(fab.switches.len(), switches, "{spec}");
+            assert_eq!(fab.ports.len(), switches * spec.radix, "{spec}");
+            assert_eq!(fab.hosts.len() as u64, spec.hosts(), "{spec}");
+            let free_ports = fab.ports.len() - fab.hosts.len();
+            assert!(fab.links.len() <= free_ports / 2, "{spec}");
+        }
     }
 }

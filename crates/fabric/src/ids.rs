@@ -175,6 +175,13 @@ impl<K: EntityId, V> Default for EntityVec<K, V> {
     }
 }
 
+impl<K: EntityId, V> Extend<V> for EntityVec<K, V> {
+    /// Append every value in order, as repeated [`EntityVec::push`].
+    fn extend<I: IntoIterator<Item = V>>(&mut self, values: I) {
+        self.items.extend(values);
+    }
+}
+
 impl<K: EntityId, V> core::ops::Index<K> for EntityVec<K, V> {
     type Output = V;
 

@@ -144,6 +144,31 @@ impl SimRng {
     }
 }
 
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// `FNV_PRIME^k` for k in 0..=8, wrapping.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// FNV-1a over a stream name's bytes: the first half of a child seed's
+/// hash, which [`SeedSequence::instance_seed`] continues over the
+/// instance number's eight little-endian bytes.
+fn label_hash(name: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in name.as_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
 /// Derives independent child seeds from one experiment seed.
 ///
 /// Components ask for named streams; the name is hashed (FNV-1a) together
@@ -167,15 +192,21 @@ impl SeedSequence {
 
     /// A child seed for the stream named `name` with instance number `idx`.
     pub fn child_seed(&self, name: &str, idx: u64) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in name.as_bytes() {
+        self.instance_seed(label_hash(name), idx)
+    }
+
+    /// The child seed of instance `idx` under a label already hashed by
+    /// [`label_hash`]: the FNV-1a hash continues over `idx`'s bytes.
+    fn instance_seed(&self, label: u64, idx: u64) -> u64 {
+        // A zero byte's xor leaves the hash as it is, so the run of zero
+        // high bytes is one multiply by a power of the prime.
+        let bytes = 8 - idx.leading_zeros() as usize / 8;
+        let mut h = label;
+        for &b in &idx.to_le_bytes()[..bytes] {
             h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
+            h = h.wrapping_mul(FNV_PRIME);
         }
-        for &b in idx.to_le_bytes().iter() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        h = h.wrapping_mul(FNV_PRIME_POW[8 - bytes]);
         // Mix with the parent seed through one SplitMix64 step.
         SplitMix64::new(self.seed ^ h).next_u64()
     }
@@ -183,6 +214,14 @@ impl SeedSequence {
     /// A generator for the stream named `name`, instance `idx`.
     pub fn stream(&self, name: &str, idx: u64) -> SimRng {
         SimRng::seed_from_u64(self.child_seed(name, idx))
+    }
+
+    /// The generators of instances `0..count` of the stream named
+    /// `name`, in order: instance i is exactly `stream(name, i)`, but the
+    /// name is hashed once, not once per instance.
+    pub fn streams(&self, name: &str, count: usize) -> impl ExactSizeIterator<Item = SimRng> + '_ {
+        let label = label_hash(name);
+        (0..count).map(move |idx| SimRng::seed_from_u64(self.instance_seed(label, idx as u64)))
     }
 
     /// A derived sequence for a named subsystem.
@@ -316,5 +355,49 @@ mod tests {
         assert_ne!(seq.child_seed("voq", 0), seq.child_seed("egress", 0));
         let sub = seq.subsequence("switch", 3);
         assert_ne!(sub.child_seed("voq", 0), seq.child_seed("voq", 0));
+    }
+
+    #[test]
+    fn child_seeds_are_fnv_1a_over_name_and_index() {
+        // The byte-by-byte hash the collapsed zero bytes must reproduce.
+        let reference = |seed: u64, name: &str, idx: u64| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for &b in name.as_bytes().iter().chain(&idx.to_le_bytes()) {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+            SplitMix64::new(seed ^ h).next_u64()
+        };
+        let mut idxs: Vec<u64> = (0..600).collect();
+        for k in 1..64 {
+            idxs.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        idxs.extend([u64::MAX, 0x0100_0000_0000_00ff, 0x00ff_0000_0000_0100]);
+        for seed in [0, 7, u64::MAX] {
+            let seq = SeedSequence::new(seed);
+            for name in ["", "bernoulli", "λ"] {
+                for &idx in &idxs {
+                    let want = reference(seed, name, idx);
+                    assert_eq!(seq.child_seed(name, idx), want, "{seed} {name:?} {idx:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streams_are_the_streams_one_by_one() {
+        for seed in [0, 1, 20_051_112, u64::MAX] {
+            let seq = SeedSequence::new(seed);
+            for name in ["", "bernoulli", "mc", "allreduce-ring", "λ"] {
+                for n in [0, 1, 8_192] {
+                    let batch = seq.streams(name, n);
+                    assert_eq!(batch.len(), n);
+                    let states: Vec<[u64; 4]> = batch.map(|r| r.s).collect();
+                    let one_by_one: Vec<[u64; 4]> =
+                        (0..n).map(|i| seq.stream(name, i as u64).s).collect();
+                    assert_eq!(states, one_by_one, "seed {seed} {name:?} n {n}");
+                }
+            }
+        }
     }
 }

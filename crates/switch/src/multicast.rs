@@ -190,9 +190,7 @@ impl SlottedModel for MulticastWorkload {
 
     fn configure(&mut self, cfg: &EngineConfig) {
         let seeds = SeedSequence::new(cfg.seed);
-        self.rngs = (0..self.sw.n)
-            .map(|i| seeds.stream("mc", i as u64))
-            .collect();
+        self.rngs = seeds.streams("mc", self.sw.n).collect();
         self.copies = 0;
         self.total_tx = 0;
     }

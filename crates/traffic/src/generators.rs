@@ -58,9 +58,7 @@ impl BernoulliUniform {
         BernoulliUniform {
             n,
             load,
-            rngs: (0..n)
-                .map(|i| seeds.stream("bernoulli", i as u64))
-                .collect(),
+            rngs: seeds.streams("bernoulli", n).collect(),
         }
     }
 }
@@ -112,7 +110,7 @@ impl Permutation {
         Permutation {
             perm,
             load,
-            rngs: (0..n).map(|i| seeds.stream("perm", i as u64)).collect(),
+            rngs: seeds.streams("perm", n).collect(),
         }
     }
 
@@ -174,7 +172,7 @@ impl Hotspot {
             load,
             hotspot,
             hot_fraction,
-            rngs: (0..n).map(|i| seeds.stream("hotspot", i as u64)).collect(),
+            rngs: seeds.streams("hotspot", n).collect(),
         }
     }
 }
@@ -245,7 +243,7 @@ impl Bursty {
             load,
             mean_burst,
             state: vec![BurstState::Off { remaining: 0 }; n],
-            rngs: (0..n).map(|i| seeds.stream("bursty", i as u64)).collect(),
+            rngs: seeds.streams("bursty", n).collect(),
         }
     }
 
@@ -358,9 +356,7 @@ impl Bimodal {
         Bimodal {
             data: Bursty::new(n, data_load, mean_burst, seeds),
             control_load,
-            rngs: (0..n)
-                .map(|i| seeds.stream("bimodal-ctl", i as u64))
-                .collect(),
+            rngs: seeds.streams("bimodal-ctl", n).collect(),
         }
     }
 }

@@ -51,9 +51,7 @@ impl AllreduceRing {
             n,
             load,
             phase_slots,
-            rngs: (0..n)
-                .map(|i| seeds.stream("allreduce-ring", i as u64))
-                .collect(),
+            rngs: seeds.streams("allreduce-ring", n).collect(),
         }
     }
 }
@@ -111,9 +109,7 @@ impl AllreduceTree {
             n,
             load,
             phase_slots,
-            rngs: (0..n)
-                .map(|i| seeds.stream("allreduce-tree", i as u64))
-                .collect(),
+            rngs: seeds.streams("allreduce-tree", n).collect(),
         }
     }
 }
@@ -251,9 +247,7 @@ impl HotspotSkew {
             n,
             load,
             cdf,
-            rngs: (0..n)
-                .map(|i| seeds.stream("hotspot-skew", i as u64))
-                .collect(),
+            rngs: seeds.streams("hotspot-skew", n).collect(),
         }
     }
 
@@ -326,7 +320,7 @@ impl Diurnal {
             low,
             high,
             period,
-            rngs: (0..n).map(|i| seeds.stream("diurnal", i as u64)).collect(),
+            rngs: seeds.streams("diurnal", n).collect(),
         }
     }
 

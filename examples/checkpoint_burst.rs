@@ -32,7 +32,7 @@ struct CheckpointTraffic {
 impl CheckpointTraffic {
     fn new(hosts: usize, io_nodes: Vec<usize>, load: f64, seeds: &SeedSequence) -> Self {
         CheckpointTraffic {
-            rngs: (0..hosts).map(|i| seeds.stream("ckpt", i as u64)).collect(),
+            rngs: seeds.streams("ckpt", hosts).collect(),
             next_io: vec![0; hosts],
             hosts,
             io_nodes,
