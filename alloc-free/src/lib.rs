@@ -17,8 +17,9 @@
 //!
 //! One check counts construction instead of slots: expanding and
 //! compiling a fabric, and building its generator, must cost the same
-//! number of allocations at 2K hosts as at 8K, so none is per port,
-//! host or cable.
+//! number of allocations at 2K hosts as at 8K (and a dragonfly or a
+//! full mesh as many small as large), so none is per port, host, cable
+//! or group pair.
 //!
 //! Every budget above 0 is a named constant below with its source.
 //! `CellScheduler` and `CellSwitch` implementors, every
@@ -140,12 +141,19 @@ mod battery {
     /// deletions would be far above it.
     const WINDOW_GROWTH: f64 = 2.0;
 
-    /// `ExpandedFabric::expand` of a fat tree reserves its five arenas
-    /// (stages, switches, ports, links, hosts) once from the spec's
-    /// closed forms and builds the router's two tables (the powers of m
-    /// and each switch's level): seven at any size, none per port, host
-    /// or cable.
-    const FAT_TREE_EXPAND: u64 = 7;
+    /// `ExpandedFabric::expand` of a fat tree reserves its three tables
+    /// (stages, switches, hosts) once from the spec's closed forms and
+    /// builds the router's two (the powers of m and each switch's
+    /// level): five at any size. The wiring is a closed form of the port
+    /// id, so nothing is stored per port or cable; the port and cable
+    /// arenas it replaced made this seven.
+    const FAT_TREE_EXPAND: u64 = 5;
+
+    /// A dragonfly's or a full mesh's expansion reserves the same three
+    /// tables and no router table. A dragonfly kept a gateway list per
+    /// ordered group pair before its router took the channel in closed
+    /// form: 8 070 allocations for `dragonfly:radix=64,groups=64`.
+    const FLAT_EXPAND: u64 = 3;
 
     /// `CompiledFabric::over` builds only the matcher's five scratch
     /// vectors, sized by the radix; `configure` sizes every per-port,
@@ -491,14 +499,20 @@ mod battery {
     }
 
     /// Building a fabric costs a fixed number of allocations: the 2K and
-    /// 8K fat trees of the benchmark (6 144 and 40 960 ports) expand,
-    /// compile and get their generator with the same counts. These are
-    /// construction counts, not per-slot rates, so no ε applies.
+    /// 8K fat trees of the benchmark (6 144 and 40 960 ports), the 32K
+    /// dragonfly of `bench_topology` and a small one, and two full
+    /// meshes expand, compile and get their generator with the same
+    /// counts per family. These are construction counts, not per-slot
+    /// rates, so no ε applies.
     #[test]
     fn fabric_construction_allocates_nothing_per_port_host_or_cable() {
-        for text in [
-            "fat-tree:radix=64,levels=2,planes=2",
-            "fat-tree:radix=32,levels=3,planes=2",
+        for (text, expand) in [
+            ("fat-tree:radix=64,levels=2,planes=2", FAT_TREE_EXPAND),
+            ("fat-tree:radix=32,levels=3,planes=2", FAT_TREE_EXPAND),
+            ("dragonfly:radix=8,groups=4", FLAT_EXPAND),
+            ("dragonfly:radix=64,groups=64", FLAT_EXPAND),
+            ("full-mesh:radix=8,switches=5", FLAT_EXPAND),
+            ("full-mesh:radix=64,switches=32", FLAT_EXPAND),
         ] {
             let spec: TopologySpec = text.parse().expect("a valid spec");
             let (expanded, fab) = allocations(|| ExpandedFabric::expand(spec));
@@ -509,7 +523,7 @@ mod battery {
             let (traffic, _gen) = allocations(|| BernoulliUniform::new(hosts, 0.1, &seeds));
             assert_eq!(
                 (expanded, built, traffic),
-                (FAT_TREE_EXPAND, FABRIC_OVER, BERNOULLI_NEW),
+                (expand, FABRIC_OVER, BERNOULLI_NEW),
                 "{text}: expand, over, BernoulliUniform::new"
             );
         }

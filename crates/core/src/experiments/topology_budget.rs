@@ -114,7 +114,7 @@ pub fn run(
                 spec,
                 hosts: spec.hosts(),
                 switches: fab.switches.len() as u64,
-                links: fab.links.len() as u64,
+                links: fab.link_count() as u64,
                 stages,
                 analytic_ns,
                 fits_budget: analytic_ns <= BUDGET_NS,

@@ -24,11 +24,13 @@
 //! rather than measured: a cell landing on a full buffer panics.
 //!
 //! All switch state lives in flat tables indexed by the expansion's
-//! global port number, `switch * radix + local`: credits outstanding,
-//! round-robin pointers, the far end of the port's cable, and one
-//! arrival-ordered input buffer — a `Flit` being the 16 bytes of a cell
-//! this simulator reads plus a word for where it is headed, 20 bytes in
-//! all. The buffers are the queues of one [`Voqs`] store, the one the
+//! global port number, `switch * radix + local`: credits outstanding and
+//! round-robin pointers (16 bits each: `configure` refuses a buffer of
+//! 2¹⁶ cells, the spec a radix above 2¹⁶ − 1), the far end of the
+//! port's cable (copied from [`ExpandedFabric::peer`] once per fabric),
+//! and one arrival-ordered input buffer — a `Flit` being the 16 bytes of
+//! a cell this simulator reads plus a word for where it is headed, 20
+//! bytes in all. The buffers are the queues of one [`Voqs`] store, the one the
 //! N×N switch simulators keep their VOQs in: a queue record per port and
 //! a slab that grows to the most flits ever resident at once, so a
 //! lightly loaded fabric costs the cells in it, not `buffer_cells` slots
@@ -89,7 +91,7 @@
 //! deadlock-freedom claim for dragonflies driven to saturation.
 
 use crate::expand::{ExpandedFabric, Peer};
-use crate::ids::{EntityId, HostId, StageId, SwitchId};
+use crate::ids::{EntityId, HostId, PortId, StageId, SwitchId};
 use crate::spec::{top_choice, BufferTech, Placement, TopologyError, TopologySpec};
 use osmosis_fdl::FdlBufferPlane;
 use osmosis_sched::matching::Matcher;
@@ -140,11 +142,12 @@ pub struct CompiledFabric {
     fdl: bool,
     // Per global port, `switch * radix + local` (sized by `configure`):
     /// Credits out per output: cells sent over the link whose credit has
-    /// not come back. The output may send below `buffer_cells`; host
-    /// sinks drain a cell per slot and never take one.
-    owed: Vec<u32>,
-    grant_ptr: Vec<u32>,
-    accept_ptr: Vec<u32>,
+    /// not come back. The output may send below `buffer_cells`, which
+    /// `configure` holds below 2¹⁶; host sinks drain a cell per slot and
+    /// never take one.
+    owed: Vec<u16>,
+    grant_ptr: Vec<u16>,
+    accept_ptr: Vec<u16>,
     /// Input buffers, one queue per port, oldest first, the first
     /// `ripe[port]` entries of each requesting (all of them, and no
     /// `ripe` table kept, without a request/grant delay).
@@ -559,9 +562,7 @@ impl CompiledFabric {
         let credits = self.credit_wheel.iter().flatten().copied().chain(resynced);
         let fed = credits.map(|to| match to & HOST {
             0 => self.peer[to as usize],
-            _ => self.fab.hosts[HostId::from_index((to ^ HOST) as usize)]
-                .port
-                .index() as u32,
+            _ => self.fab.hosts[HostId::from_index((to ^ HOST) as usize)].index() as u32,
         });
         for input in cells.chain(resent).chain(fed).filter(|at| at & HOST == 0) {
             self.in_flight[input as usize] += 1;
@@ -571,7 +572,7 @@ impl CompiledFabric {
             let owed = match feeder {
                 UNCONNECTED => continue,
                 host if host & HOST != 0 => self.host_owed[(host ^ HOST) as usize],
-                port => self.owed[port as usize],
+                port => self.owed[port as usize].into(),
             };
             let (sw, input) = (p / radix, p % radix);
             let occupancy = match self.planes.get(sw) {
@@ -625,10 +626,16 @@ impl CellSwitch for CompiledFabric {
             assert!(b >= 1);
             self.buffer_cells = b;
         }
+        assert!(
+            self.buffer_cells < 1 << 16,
+            "a fabric buffer of {} cells: an output counts its credits out in 16 bits, so a \
+             buffer must hold fewer than 2^16 cells",
+            self.buffer_cells
+        );
         // The switch and host tables are sized here: zeroed on a new
         // fabric, and as the drained run before left them — empty,
         // pointers where they stopped — on a used one.
-        let (ports, switches) = (self.fab.ports.len(), self.fab.switches.len());
+        let (ports, switches) = (self.fab.port_count(), self.fab.switches.len());
         let (radix, words, hosts) = (self.spec.radix, self.words, self.fab.hosts.len());
         for table in [&mut self.owed, &mut self.grant_ptr, &mut self.accept_ptr] {
             table.resize(ports, 0);
@@ -663,8 +670,8 @@ impl CellSwitch for CompiledFabric {
         if self.peer.is_empty() {
             self.buffers = Voqs::new(ports);
             assert!(ports.max(hosts) < HOST as usize);
-            self.peer = (self.fab.ports.values())
-                .map(|port| match port.peer {
+            self.peer = (0..ports)
+                .map(|p| match self.fab.peer(PortId::from_index(p)) {
                     Peer::Host(h) => HOST | h.index() as u32,
                     Peer::Port(p) => p.index() as u32,
                     Peer::Unconnected => UNCONNECTED,
@@ -810,7 +817,7 @@ impl CellSwitch for CompiledFabric {
             while bits != 0 {
                 let h = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let at = self.fab.hosts[HostId::from_index(h)].port.index();
+                let at = self.fab.hosts[HostId::from_index(h)].index();
                 if (self.host_owed[h] as usize) >= self.buffer_cells {
                     obs.credit_stall(at / radix, at % radix);
                     continue;
@@ -1455,10 +1462,10 @@ mod tests {
                 let port = fab
                     .fab
                     .port_id(crate::ids::SwitchId::from_index(sw), 2 + up);
-                let Peer::Port(far) = fab.fab.ports[port].peer else {
+                let Peer::Port(far) = fab.fab.peer(port) else {
                     panic!("a middle-stage up-port is cabled to the top stage");
                 };
-                let top = fab.fab.ports[far].switch.index() - fab.feeders.end;
+                let top = fab.fab.port_switch(far).index() - fab.feeders.end;
                 assert_eq!(top / fab.top_per_plane, up as usize, "switch {sw} up {up}");
             }
         }
@@ -1533,6 +1540,18 @@ mod tests {
     fn a_run_of_two_to_the_thirty_two_slots_is_refused() {
         let mut fab = CompiledFabric::new(paper_tree(2));
         fab.configure(&EngineConfig::new(1 << 31, 1 << 31));
+    }
+
+    /// An output counts its credits out in 16 bits, so a buffer of 2¹⁶
+    /// cells is refused before slot 0, whether the spec or the run asks
+    /// for it; one cell fewer is taken.
+    #[test]
+    #[should_panic(expected = "a buffer must hold fewer than 2^16 cells")]
+    fn a_buffer_of_two_to_the_sixteen_cells_is_refused() {
+        let largest = EngineConfig::new(0, 1).with_buffer_cells((1 << 16) - 1);
+        CompiledFabric::new(paper_tree(2)).configure(&largest);
+        let spec = paper_tree(2).with_buffer_cells(1 << 16);
+        CompiledFabric::new(spec).configure(&EngineConfig::new(0, 1));
     }
 
     /// Input `p`'s buffer, walked head to tail through the store.
@@ -1623,7 +1642,7 @@ mod tests {
                     .count();
                 // Credits: none out, some out, all out.
                 for o in 0..radix {
-                    fab.owed[o] = [0, 1, BUFFER as u32][rnd(3)];
+                    fab.owed[o] = [0, 1, BUFFER as u16][rnd(3)];
                 }
                 fab.match_switch(0, false);
                 for k in 0..fab.matcher.matched.len() {

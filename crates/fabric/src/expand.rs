@@ -2,12 +2,21 @@
 //! graph.
 //!
 //! The compiler pass of the crate: a compact declarative spec goes in,
-//! a complete [`ExpandedFabric`] comes out — dense typed arenas of
-//! stages, switches, ports, links and hosts, every cable recorded once
-//! with both endpoints, every port's peer resolved. Expansion is a pure
-//! function of the spec: re-expanding yields an identical graph (the
-//! property tests pin this), and a structural fingerprint makes "same
-//! wiring" checkable in one `u64`.
+//! a complete [`ExpandedFabric`] comes out — dense typed tables of its
+//! stages, switches and hosts, and the wiring as a closed form of the
+//! port id: [`ExpandedFabric::peer`] names the far end of any port,
+//! [`ExpandedFabric::links`] walks every cable once, and no port or
+//! cable is stored. Expansion is a pure function of the spec:
+//! re-expanding yields an identical graph (the property tests pin
+//! this), and a structural fingerprint makes "same wiring" checkable in
+//! one `u64`.
+//!
+//! A port id is `switch · radix + local`, so a port's switch and local
+//! index are a division and a remainder by the radix. The tables are
+//! sized from the spec's closed forms, so an expansion allocates as
+//! often at 32K hosts as at 32, whatever the family. The tests keep the
+//! wiring the expansion used to store, one cable at a time, as the
+//! oracle every closed form below is checked against, port for port.
 //!
 //! ## Fat tree (folded Clos)
 //!
@@ -19,29 +28,26 @@
 //! w[digit l := p] at input digit_l(w), and conversely down-port q of a
 //! level-(l+1) switch y reaches y[digit l := q] at input m + digit_l(y).
 //! At the top step the two planes merge: plane π switch w reaches top
-//! switch w[digit L−2 := p] at input π·m + digit_{L−2}(w). With
+//! switch w[digit L−2 := p] at input π·m + digit_{L−2}(w), and top
+//! down-port π·m + q reaches plane π's switch y[digit L−2 := q]. With
 //! planes = 2 and L = 2 this reproduces the hand-built §V leaf–spine
 //! wiring bit for bit (leaf π·m+w ↔ spine p); with planes = 1 it is the
 //! m-ary Clos whose paths [`crate::multilevel::MultiLevelClos`] gives in
-//! closed form (the unit tests check both, port for port).
-//!
-//! The wiring walks the digit it rewrites rather than computing it: a
-//! level-l switch is w = (hi·m + d)·m^l + lo, so nested loops over hi,
-//! d and lo visit the switches in id order with digit l = d in hand,
-//! and up-port m + p lands on (hi·m + p)·m^l + lo — no power and no
-//! division per cable. The arenas are reserved up front from the spec's
-//! closed forms (switches × radix ports, at most (ports − hosts)/2
-//! cables), so a fat tree's expansion allocates as often at 32K hosts
-//! as at 32.
+//! closed form (the unit tests check both, port for port). Level-0
+//! down-port q of leaf w is host w·m + q; a one-level tree is one
+//! switch whose first planes·m ports are the hosts.
 //!
 //! ## Dragonfly
 //!
 //! The balanced configuration derived from the radix
 //! ([`DragonflyShape`]): p = h hosts and h global channels per router,
-//! a = 2h routers per group in a local full mesh. Global channel
-//! c ∈ 0..a·h of group G reaches group (G + 1 + c mod (g−1)) mod g;
-//! the pairing is an involution, so every global cable is created
-//! exactly once, and channels beyond the pairable range stay
+//! a = 2h routers per group in a local full mesh. Router ports are laid
+//! out as 0..p hosts, p..p+a−1 local mesh (slot t reaches router t if
+//! t is below the router's own index, else t + 1), then h global
+//! channels. Global channel c ∈ 0..a·h of group G (router c/h, global
+//! slot c mod h) reaches group (G + d) mod g, d = 1 + c mod (g−1), at
+//! its channel (g−1−d) + i·(g−1), i = c/(g−1); the pairing is an
+//! involution, and a channel whose partner lies beyond a·h stays
 //! unconnected.
 //!
 //! ## Full mesh
@@ -69,8 +75,19 @@
 //! powers m^l and every switch's level are two small tables built at
 //! expansion, and the arithmetic is 32-bit (a validated spec's host ids
 //! fit in a `u32`).
+//!
+//! ## Dragonfly routing in closed form
+//!
+//! A cross-group flow from group G to group D leaves through one of the
+//! global channels between them, picked per flow by the spine hash. With
+//! d = (D − G) mod g those are channels c = d − 1 + i·(g − 1) of G for
+//! i = 0, 1, …: both c and its partner (g − 1 − d) + i·(g − 1) grow by
+//! g − 1 with i, so the valid i are a prefix, as long as the larger of
+//! the two first channels leaves room below a·h. The router reaches the
+//! gateway router c/h over its local mesh and leaves it on global slot
+//! c mod h.
 
-use crate::ids::{EntityId, EntityVec, HostId, LinkId, PortId, StageId, SwitchId};
+use crate::ids::{EntityId, EntityVec, HostId, PortId, StageId, SwitchId};
 pub use crate::spec::TopologySpec;
 use crate::spec::{top_choice, up_choice, DragonflyShape, TopologyError, TopologyFamily};
 
@@ -106,37 +123,7 @@ pub enum Peer {
     Unconnected,
 }
 
-/// One switch port of the expanded graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PortInfo {
-    /// Owning switch.
-    pub switch: SwitchId,
-    /// Port index local to the switch (0..radix).
-    pub local: u32,
-    /// Far end.
-    pub peer: Peer,
-}
-
-/// One switch-to-switch cable, recorded once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkInfo {
-    /// Endpoint on the switch that initiated the wire-up (lower stage /
-    /// lower switch id).
-    pub a: PortId,
-    /// The other endpoint.
-    pub b: PortId,
-}
-
-/// One end host of the expanded graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostInfo {
-    /// The edge switch the host hangs off.
-    pub switch: SwitchId,
-    /// The switch port it is cabled to.
-    pub port: PortId,
-}
-
-/// Family-specific expansion metadata the router needs.
+/// Family-specific expansion metadata the wiring and the router need.
 #[derive(Debug, Clone)]
 enum FamilyMeta {
     FatTree {
@@ -153,11 +140,6 @@ enum FamilyMeta {
     Dragonfly {
         shape: DragonflyShape,
         groups: u32,
-        /// For each ordered group pair (G, D), G ≠ D: the G-side
-        /// endpoints of every global cable between them, as (gateway
-        /// router, local port), ordered by channel instance. Indexed
-        /// `G * groups + D`.
-        routes: Vec<Vec<(SwitchId, u32)>>,
     },
     FullMesh {
         hosts_per_switch: usize,
@@ -172,30 +154,24 @@ pub struct ExpandedFabric {
     pub stages: EntityVec<StageId, StageInfo>,
     /// Switch table.
     pub switches: EntityVec<SwitchId, SwitchInfo>,
-    /// Port table: `switch.index() * radix + local`.
-    pub ports: EntityVec<PortId, PortInfo>,
-    /// Cable table (switch-to-switch only; host attachments live in
-    /// `hosts`).
-    pub links: EntityVec<LinkId, LinkInfo>,
-    /// Host table.
-    pub hosts: EntityVec<HostId, HostInfo>,
+    /// Host table: the switch port each host is cabled to.
+    pub hosts: EntityVec<HostId, PortId>,
     meta: FamilyMeta,
 }
 
 impl ExpandedFabric {
     /// Expand `spec` into a complete graph. Deterministic: equal specs
-    /// produce identical arenas.
+    /// produce identical tables.
     ///
-    /// Every arena is reserved once from the spec's closed forms, so no
-    /// arena grows while it is filled; a cable takes two ports no host
-    /// holds, which bounds the links. (A dragonfly's route table still
-    /// holds one list per group pair.)
+    /// Every table is reserved once from the spec's closed forms, so
+    /// none grows while it is filled, and nothing is stored per port or
+    /// per cable.
     pub fn expand(spec: TopologySpec) -> Result<Self, TopologyError> {
         spec.validate()?;
         // validate() bounds the ports, and so the switches and hosts, by
         // u32::MAX.
-        let switches = spec.switch_count() as usize;
-        let (hosts, ports) = (spec.hosts() as usize, switches * spec.radix);
+        let (switches, hosts) = (spec.switch_count() as usize, spec.hosts() as usize);
+        let radix = spec.radix;
         let stages = match spec.family {
             TopologyFamily::FatTree { levels, .. } => levels as usize,
             TopologyFamily::Dragonfly { .. } | TopologyFamily::FullMesh { .. } => 1,
@@ -204,18 +180,39 @@ impl ExpandedFabric {
             spec,
             stages: EntityVec::with_capacity(stages),
             switches: EntityVec::with_capacity(switches),
-            ports: EntityVec::with_capacity(ports),
-            links: EntityVec::with_capacity((ports - hosts) / 2),
             hosts: EntityVec::with_capacity(hosts),
             meta: FamilyMeta::FullMesh {
                 hosts_per_switch: 0,
             },
         };
-        match spec.family {
+        let (meta, per_edge) = match spec.family {
             TopologyFamily::FatTree { levels, planes } => fab.expand_fat_tree(levels, planes),
-            TopologyFamily::Dragonfly { groups } => fab.expand_dragonfly(groups),
-            TopologyFamily::FullMesh { switches } => fab.expand_full_mesh(switches),
-        }
+            TopologyFamily::Dragonfly { groups } => {
+                // validate() ran above; a bad radix cannot reach here,
+                // but stay panic-free and expand the degenerate empty
+                // shape instead.
+                let shape = DragonflyShape::for_radix(radix).unwrap_or(DragonflyShape {
+                    hosts_per_router: 0,
+                    routers_per_group: 0,
+                    globals_per_router: 0,
+                });
+                fab.push_stage(0, groups as usize * shape.routers_per_group);
+                (
+                    FamilyMeta::Dragonfly { shape, groups },
+                    shape.hosts_per_router,
+                )
+            }
+            TopologyFamily::FullMesh { switches } => {
+                fab.push_stage(0, switches as usize);
+                let hosts_per_switch = radix - (switches as usize - 1);
+                (FamilyMeta::FullMesh { hosts_per_switch }, hosts_per_switch)
+            }
+        };
+        fab.meta = meta;
+        // Every family packs its hosts `per_edge` to a switch onto the
+        // lowest ports of its first switches.
+        let ports = (0..hosts).map(|h| PortId::from_index(h / per_edge * radix + h % per_edge));
+        fab.hosts.extend(ports);
         Ok(fab)
     }
 
@@ -229,15 +226,31 @@ impl ExpandedFabric {
         self.spec.radix
     }
 
+    /// The number of switch ports, every switch's `radix` of them,
+    /// cabled or not: port ids run over `0..port_count()`.
+    pub fn port_count(&self) -> usize {
+        self.switches.len() * self.spec.radix
+    }
+
     /// The port id of `switch`'s local port `local`.
     pub fn port_id(&self, switch: SwitchId, local: u32) -> PortId {
         PortId::from_index(switch.index() * self.spec.radix + local as usize)
     }
 
+    /// The switch that owns `port`.
+    pub fn port_switch(&self, port: PortId) -> SwitchId {
+        SwitchId::from_index(port.index() / self.spec.radix)
+    }
+
+    /// The index of `port` on its switch (0..radix).
+    pub fn port_local(&self, port: PortId) -> u32 {
+        (port.index() % self.spec.radix) as u32
+    }
+
     /// The (edge switch, local port) a host is attached to.
     pub fn host_attach(&self, host: HostId) -> (SwitchId, u32) {
-        let info = self.hosts[host];
-        (info.switch, self.ports[info.port].local)
+        let port = self.hosts[host];
+        (self.port_switch(port), self.port_local(port))
     }
 
     /// The level of a switch (0 at the host edge).
@@ -245,229 +258,184 @@ impl ExpandedFabric {
         self.stages[self.switches[switch].stage].level
     }
 
-    /// Append `count` switches of `radix` ports as a new stage at
-    /// `level`; all ports start unconnected.
-    fn push_stage(&mut self, level: u32, count: usize) -> StageId {
+    /// Append `count` switches as a new stage at `level`.
+    fn push_stage(&mut self, level: u32, count: usize) {
         let first = self.switches.next_id();
         let stage = self.stages.push(StageInfo {
             level,
             first_switch: first,
             switches: count as u32,
         });
-        for pos in 0..count {
-            let sw = self.switches.push(SwitchInfo {
-                stage,
-                pos: pos as u32,
-            });
-            self.ports
-                .extend((0..self.spec.radix as u32).map(|local| PortInfo {
-                    switch: sw,
-                    local,
-                    peer: Peer::Unconnected,
-                }));
-        }
-        stage
+        self.switches
+            .extend((0..count as u32).map(|pos| SwitchInfo { stage, pos }));
     }
 
-    /// The switch at `pos` within `stage`.
-    fn stage_switch(&self, stage: StageId, pos: usize) -> SwitchId {
-        SwitchId::from_index(self.stages[stage].first_switch.index() + pos)
-    }
-
-    /// Cable two ports together, recording the link once. Both ports
-    /// must still be unconnected — a double wire-up is an expansion bug.
-    fn connect(&mut self, a: PortId, b: PortId) {
-        debug_assert_eq!(self.ports[a].peer, Peer::Unconnected);
-        debug_assert_eq!(self.ports[b].peer, Peer::Unconnected);
-        self.ports[a].peer = Peer::Port(b);
-        self.ports[b].peer = Peer::Port(a);
-        self.links.push(LinkInfo { a, b });
-    }
-
-    /// Attach the next host to `port`.
-    fn attach_host(&mut self, port: PortId) -> HostId {
-        debug_assert_eq!(self.ports[port].peer, Peer::Unconnected);
-        let switch = self.ports[port].switch;
-        let host = self.hosts.push(HostInfo { switch, port });
-        self.ports[port].peer = Peer::Host(host);
-        host
-    }
-
-    fn expand_fat_tree(&mut self, levels: u32, planes: u32) {
+    /// The stages of a fat tree, the router's two tables, and the hosts
+    /// per leaf.
+    fn expand_fat_tree(&mut self, levels: u32, planes: u32) -> (FamilyMeta, usize) {
         let m = self.spec.radix / 2;
-        self.wire_fat_tree(levels, planes, m);
         // validate() bounds the hosts, planes·m^L, by u32::MAX, so every
         // power below fits, and 16 levels fit a u8.
+        let width = m.pow(levels - 1);
+        if levels == 1 {
+            // A single switch; its first planes·m ports face hosts.
+            self.push_stage(0, 1);
+        } else {
+            // Levels 0..L−2 with planes·width switches (plane-major: pos
+            // = π·width + w), then the merged top with `width`. Level l
+            // is stage l, and its first switch is l·planes·width.
+            for level in 0..levels - 1 {
+                self.push_stage(level, planes as usize * width);
+            }
+            self.push_stage(levels - 1, width);
+        }
         let mut level = Vec::with_capacity(self.switches.len());
         for stage in self.stages.values() {
             level.resize(level.len() + stage.switches as usize, stage.level as u8);
         }
-        self.meta = FamilyMeta::FatTree {
+        let meta = FamilyMeta::FatTree {
             m: m as u32,
             levels,
             planes,
             pow: (0..levels).map(|l| m.pow(l) as u32).collect(),
             level,
         };
+        let per_leaf = if levels == 1 { planes as usize * m } else { m };
+        (meta, per_leaf)
     }
 
-    /// The stages, hosts and cables of a fat tree.
-    fn wire_fat_tree(&mut self, levels: u32, planes: u32, m: usize) {
-        let (radix, width) = (self.spec.radix, m.pow(levels - 1));
-        let planes = planes as usize;
-        if levels == 1 {
-            // A single switch; every used port faces a host.
-            self.push_stage(0, 1);
-            for p in 0..planes * m {
-                self.attach_host(PortId::from_index(p));
-            }
-            return;
-        }
-        // Stages: levels 0..L−2 with planes·width switches (plane-major:
-        // pos = π·width + w), then the merged top with `width` switches.
-        // Level l is stage l, and its first switch is l·planes·width.
-        for level in 0..levels - 1 {
-            self.push_stage(level, planes * width);
-        }
-        self.push_stage(levels - 1, width);
-        // Hosts hang off level 0: leaf pos·m + p.
-        for leaf in 0..planes * width {
-            for p in 0..m {
-                self.attach_host(PortId::from_index(leaf * radix + p));
-            }
-        }
-        // Up edges, level by level, walking digit l of the level-l
-        // switches: with w = (hi·m + d)·m^l + lo, up-port m + p of w lands
-        // on w[digit l := p] = (hi·m + p)·m^l + lo above, at input d —
-        // or, at the top step, where the planes merge, at input π·m + d.
-        let mut step = 1; // m^l
-        for l in 0..levels as usize - 1 {
-            let top = l + 2 == levels as usize;
-            let (below, above) = (l * planes * width, (l + 1) * planes * width);
-            for pi in 0..planes {
-                let from_plane = below + pi * width;
-                let (to_plane, to_input) = match top {
-                    true => (above, pi * m),
-                    false => (above + pi * width, 0),
+    /// What `port` is cabled to: the wiring rules of the module docs,
+    /// evaluated at one port.
+    pub fn peer(&self, port: PortId) -> Peer {
+        let radix = self.spec.radix;
+        let (sw, q) = (port.index() / radix, port.index() % radix);
+        let at = |sw: usize, local: usize| Peer::Port(PortId::from_index(sw * radix + local));
+        let host = |h: usize| Peer::Host(HostId::from_index(h));
+        match &self.meta {
+            FamilyMeta::FatTree {
+                m,
+                levels,
+                planes,
+                pow,
+                level,
+            } => {
+                let (m, top, planes) = (*m as usize, *levels as usize - 1, *planes as usize);
+                if top == 0 {
+                    return if q < planes * m {
+                        host(q)
+                    } else {
+                        Peer::Unconnected
+                    };
+                }
+                // Switches per level below the top, and per plane there.
+                let width = pow[top] as usize;
+                let stage = planes * width;
+                let l = level[sw] as usize;
+                // Rewrite base-m digit `k` of in-plane position `w` to
+                // `to`; also return the digit it held.
+                let rewrite = |w: usize, k: usize, to: usize| {
+                    let step = pow[k] as usize;
+                    let digit = w / step % m;
+                    (w - digit * step + to * step, digit)
                 };
-                for hi in 0..width / (step * m) {
-                    for d in 0..m {
-                        for lo in 0..step {
-                            let from = (from_plane + (hi * m + d) * step + lo) * radix + m;
-                            for p in 0..m {
-                                let to = to_plane + (hi * m + p) * step + lo;
-                                let to_port = to * radix + to_input + d;
-                                self.connect(
-                                    PortId::from_index(from + p),
-                                    PortId::from_index(to_port),
-                                );
-                            }
+                if l == top {
+                    // Down-port π·m + q reaches plane π's level L−2
+                    // switch y[digit L−2 := q], on the up-port that
+                    // rewrote that digit to y's.
+                    let y = sw - top * stage;
+                    if q >= planes * m {
+                        return Peer::Unconnected;
+                    }
+                    let (below, digit) = rewrite(y, top - 1, q % m);
+                    return at((top - 1) * stage + q / m * width + below, m + digit);
+                }
+                let (plane, w) = ((sw - l * stage) / width, (sw - l * stage) % width);
+                match (q < m, l) {
+                    (true, 0) => host(sw * m + q),
+                    (true, _) => {
+                        let (below, digit) = rewrite(w, l - 1, q);
+                        at((l - 1) * stage + plane * width + below, m + digit)
+                    }
+                    (false, _) => {
+                        let (above, digit) = rewrite(w, l, q - m);
+                        match l + 1 == top {
+                            true => at(top * stage + above, plane * m + digit),
+                            false => at((l + 1) * stage + plane * width + above, digit),
                         }
                     }
                 }
             }
-            step *= m;
+            FamilyMeta::Dragonfly { shape, groups } => {
+                let (p, a, h) = (
+                    shape.hosts_per_router,
+                    shape.routers_per_group,
+                    shape.globals_per_router,
+                );
+                let (g, grp, r) = (*groups as usize, sw / a, sw % a);
+                if q < p {
+                    return host(sw * p + q);
+                }
+                if q < p + a - 1 {
+                    let u = mesh_neighbour(r, q - p);
+                    return at(grp * a + u, p + mesh_slot(u, r));
+                }
+                if q >= p + a - 1 + h || g == 1 {
+                    return Peer::Unconnected;
+                }
+                let c = r * h + (q - (p + a - 1));
+                let (d, i) = (1 + c % (g - 1), c / (g - 1));
+                let back = (g - 1 - d) + i * (g - 1);
+                if back >= a * h {
+                    return Peer::Unconnected;
+                }
+                at((grp + d) % g * a + back / h, p + a - 1 + back % h)
+            }
+            FamilyMeta::FullMesh { hosts_per_switch } => {
+                let hp = *hosts_per_switch;
+                if q < hp {
+                    return host(sw * hp + q);
+                }
+                let u = mesh_neighbour(sw, q - hp);
+                at(u, hp + mesh_slot(u, sw))
+            }
         }
     }
 
-    fn expand_dragonfly(&mut self, groups: u32) {
-        // validate() ran in expand(); a bad radix cannot reach here, but
-        // stay panic-free and expand the degenerate empty shape instead.
-        let shape = DragonflyShape::for_radix(self.spec.radix).unwrap_or(DragonflyShape {
-            hosts_per_router: 0,
-            routers_per_group: 0,
-            globals_per_router: 0,
-        });
-        let (p, a, h) = (
-            shape.hosts_per_router,
-            shape.routers_per_group,
-            shape.globals_per_router,
-        );
-        let g = groups as usize;
-        let mut routes = vec![Vec::new(); g * g];
-        let stage = self.push_stage(0, g * a);
-        // Port layout per router: 0..p hosts, p..p+a−1 local mesh,
-        // p+a−1..p+a−1+h global, remainder unconnected.
-        for router in 0..g * a {
-            let sw = self.stage_switch(stage, router);
-            for j in 0..p {
-                let port = self.port_id(sw, j as u32);
-                self.attach_host(port);
+    /// The number of switch-to-switch cables: as many as
+    /// [`links`](Self::links) yields, in closed form.
+    pub fn link_count(&self) -> usize {
+        match &self.meta {
+            FamilyMeta::FatTree {
+                m,
+                levels,
+                planes,
+                pow,
+                ..
+            } => {
+                // Every up-port below the top level is cabled.
+                let top = *levels as usize - 1;
+                top * *planes as usize * pow[top] as usize * *m as usize
+            }
+            FamilyMeta::Dragonfly { shape, groups } => {
+                let (a, g) = (shape.routers_per_group, *groups as usize);
+                let globals: usize = (1..g).map(|d| global_channels(shape, g, d)).sum();
+                g * a * (a - 1) / 2 + g * globals / 2
+            }
+            FamilyMeta::FullMesh { .. } => {
+                let n = self.switches.len();
+                n * (n - 1) / 2
             }
         }
-        // Local all-to-all within each group: router r's slot t reaches
-        // router t (t < r) or t+1 (t ≥ r); wire from the lower id.
-        for grp in 0..g {
-            for r in 0..a {
-                for u in r + 1..a {
-                    let lo = self.stage_switch(stage, grp * a + r);
-                    let hi = self.stage_switch(stage, grp * a + u);
-                    let lo_port = self.port_id(lo, (p + u - 1) as u32);
-                    let hi_port = self.port_id(hi, (p + r) as u32);
-                    self.connect(lo_port, hi_port);
-                }
-            }
-        }
-        // Global channels: channel c of group G (router c/h, global slot
-        // c%h) pairs with channel (g−1−d) + i·(g−1) of group (G+d) mod g,
-        // d = 1 + c mod (g−1), i = c/(g−1). The pairing is an involution;
-        // wire from the smaller group id. Channels whose partner instance
-        // exceeds a·h stay unconnected.
-        if g > 1 {
-            for grp in 0..g {
-                for c in 0..a * h {
-                    let d = 1 + c % (g - 1);
-                    let i = c / (g - 1);
-                    let dest = (grp + d) % g;
-                    let back = (g - 1 - d) + i * (g - 1);
-                    if back >= a * h {
-                        continue;
-                    }
-                    let from_sw = self.stage_switch(stage, grp * a + c / h);
-                    let from_local = (p + a - 1 + c % h) as u32;
-                    let to_sw = self.stage_switch(stage, dest * a + back / h);
-                    let to_local = (p + a - 1 + back % h) as u32;
-                    if dest > grp {
-                        let from_port = self.port_id(from_sw, from_local);
-                        let to_port = self.port_id(to_sw, to_local);
-                        self.connect(from_port, to_port);
-                    }
-                    routes[grp * g + dest].push((from_sw, from_local));
-                }
-            }
-        }
-        self.meta = FamilyMeta::Dragonfly {
-            shape,
-            groups,
-            routes,
-        };
     }
 
-    fn expand_full_mesh(&mut self, switches: u32) {
-        let n = switches as usize;
-        let hp = self.spec.radix - (n - 1);
-        self.meta = FamilyMeta::FullMesh {
-            hosts_per_switch: hp,
-        };
-        let stage = self.push_stage(0, n);
-        for s in 0..n {
-            let sw = self.stage_switch(stage, s);
-            for j in 0..hp {
-                let port = self.port_id(sw, j as u32);
-                self.attach_host(port);
-            }
-        }
-        // Mesh ports hp..radix: switch i's slot t reaches switch t
-        // (t < i) or t+1 (t ≥ i); wire from the lower id.
-        for i in 0..n {
-            for j in i + 1..n {
-                let lo = self.stage_switch(stage, i);
-                let hi = self.stage_switch(stage, j);
-                let lo_port = self.port_id(lo, (hp + j - 1) as u32);
-                let hi_port = self.port_id(hi, (hp + i) as u32);
-                self.connect(lo_port, hi_port);
-            }
-        }
+    /// Every switch-to-switch cable once, as (lower port, higher port),
+    /// in order of the lower port.
+    pub fn links(&self) -> impl Iterator<Item = (PortId, PortId)> + '_ {
+        let ports = (0..self.port_count()).map(PortId::from_index);
+        ports.filter_map(|a| match self.peer(a) {
+            Peer::Port(b) if b > a => Some((a, b)),
+            _ => None,
+        })
     }
 
     /// The local output port a (src, dst) flow takes at `switch`, given
@@ -506,49 +474,46 @@ impl ExpandedFabric {
                 }
                 d / pow[l as usize] % m
             }
-            FamilyMeta::Dragonfly {
-                shape,
-                groups,
-                routes,
-            } => {
-                let (p, a) = (shape.hosts_per_router, shape.routers_per_group);
+            FamilyMeta::Dragonfly { shape, groups } => {
+                let (p, a, h) = (
+                    shape.hosts_per_router,
+                    shape.routers_per_group,
+                    shape.globals_per_router,
+                );
                 let g = *groups as usize;
                 let _ = in_port;
-                let router = self.switches[switch].pos as usize;
+                let router = switch.index();
                 let (grp, r) = (router / a, router % a);
                 let dst_router = dst.index() / p;
                 let (grp_d, r_d) = (dst_router / a, dst_router % a);
                 if router == dst_router {
                     return (dst.index() % p) as u32;
                 }
-                let local_toward = |target: usize, from: usize| -> u32 {
-                    let t = if target < from { target } else { target - 1 };
-                    (p + t) as u32
-                };
                 if grp == grp_d {
-                    return local_toward(r_d, r);
+                    return (p + mesh_slot(r, r_d)) as u32;
                 }
-                // Cross-group: per-flow stable pick among the g→g_d
-                // channels, then reach the gateway router locally.
-                let list = &routes[grp * g + grp_d];
-                debug_assert!(!list.is_empty(), "validated group counts are connected");
-                let (gw, gw_port) = list[top_choice(src.index(), dst.index(), list.len().max(1))];
-                if gw == switch {
-                    gw_port
+                // Cross-group: a per-flow stable pick among the channels
+                // from grp to grp_d, then reach the gateway router
+                // locally.
+                let d = (grp_d + g - grp) % g;
+                let channels = global_channels(shape, g, d);
+                debug_assert!(channels > 0, "validated group counts are connected");
+                let i = top_choice(src.index(), dst.index(), channels.max(1));
+                let c = d - 1 + i * (g - 1);
+                if c / h == r {
+                    (p + a - 1 + c % h) as u32
                 } else {
-                    local_toward(self.switches[gw].pos as usize % a, r)
+                    (p + mesh_slot(r, c / h)) as u32
                 }
             }
             FamilyMeta::FullMesh { hosts_per_switch } => {
                 let hp = *hosts_per_switch;
                 let _ = in_port;
-                let s = self.switches[switch].pos as usize;
-                let s_d = dst.index() / hp;
+                let (s, s_d) = (switch.index(), dst.index() / hp);
                 if s == s_d {
                     (dst.index() % hp) as u32
                 } else {
-                    let t = if s_d < s { s_d } else { s_d - 1 };
-                    (hp + t) as u32
+                    (hp + mesh_slot(s, s_d)) as u32
                 }
             }
         }
@@ -566,14 +531,14 @@ impl ExpandedFabric {
         loop {
             assert!(out.len() <= limit, "route failed to terminate");
             let out_port = self.route(sw, in_port, src, dst);
-            match self.ports[self.port_id(sw, out_port)].peer {
+            match self.peer(self.port_id(sw, out_port)) {
                 Peer::Host(h) => {
                     assert_eq!(h, dst, "route delivered to the wrong host");
                     return out;
                 }
                 Peer::Port(far) => {
-                    sw = self.ports[far].switch;
-                    in_port = self.ports[far].local;
+                    sw = self.port_switch(far);
+                    in_port = self.port_local(far);
                     out.push(sw);
                 }
                 #[expect(
@@ -600,14 +565,14 @@ impl ExpandedFabric {
         eat(self.spec.radix as u64);
         eat(self.stages.len() as u64);
         eat(self.switches.len() as u64);
-        eat(self.links.len() as u64);
+        eat(self.link_count() as u64);
         eat(self.hosts.len() as u64);
         for (_, s) in self.stages.iter() {
             eat(s.level as u64);
             eat(s.switches as u64);
         }
-        for (_, p) in self.ports.iter() {
-            match p.peer {
+        for port in (0..self.port_count()).map(PortId::from_index) {
+            match self.peer(port) {
                 Peer::Unconnected => eat(u64::MAX),
                 Peer::Host(host) => {
                     eat(1);
@@ -627,6 +592,35 @@ impl ExpandedFabric {
     }
 }
 
+/// The member a mesh member `from` reaches on its mesh slot `slot`, in a
+/// full mesh or a dragonfly group's local mesh: the slots skip `from`
+/// itself.
+fn mesh_neighbour(from: usize, slot: usize) -> usize {
+    if slot < from {
+        slot
+    } else {
+        slot + 1
+    }
+}
+
+/// The mesh slot of member `from` that reaches member `to` ≠ `from`.
+fn mesh_slot(from: usize, to: usize) -> usize {
+    if to < from {
+        to
+    } else {
+        to - 1
+    }
+}
+
+/// How many global cables join a dragonfly group of `g` to the group
+/// `d` ∈ 1..g ahead of it: the valid i of channel d − 1 + i·(g − 1),
+/// whose partner is (g − 1 − d) + i·(g − 1). Both must lie below a·h.
+fn global_channels(shape: &DragonflyShape, g: usize, d: usize) -> usize {
+    let channels = shape.routers_per_group * shape.globals_per_router;
+    let first = (d - 1).max(g - 1 - d);
+    channels.saturating_sub(first).div_ceil(g - 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,6 +637,315 @@ mod tests {
         index - digit(index, pos, m) * p + value * p
     }
 
+    /// The wiring the expansion stored before its closed forms, kept as
+    /// their oracle: every port's peer, every cable in wiring order and
+    /// every host's port, wired one cable at a time, and a dragonfly's
+    /// gateway table.
+    struct Arena {
+        peers: Vec<Peer>,
+        links: Vec<(PortId, PortId)>,
+        hosts: Vec<PortId>,
+        /// Dragonfly: for each ordered group pair (G, D), G ≠ D, the
+        /// G-side ends of every global cable between them, as (gateway
+        /// router, local port), ordered by channel. Indexed
+        /// `G * groups + D`.
+        routes: Vec<Vec<(SwitchId, u32)>>,
+    }
+
+    impl Arena {
+        fn wire(spec: TopologySpec) -> Arena {
+            let ports = spec.switch_count() as usize * spec.radix;
+            let mut arena = Arena {
+                peers: vec![Peer::Unconnected; ports],
+                links: Vec::new(),
+                hosts: Vec::new(),
+                routes: Vec::new(),
+            };
+            match spec.family {
+                TopologyFamily::FatTree { levels, planes } => {
+                    arena.wire_fat_tree(spec.radix, levels, planes as usize)
+                }
+                TopologyFamily::Dragonfly { groups } => {
+                    arena.wire_dragonfly(spec.radix, groups as usize)
+                }
+                TopologyFamily::FullMesh { switches } => {
+                    arena.wire_full_mesh(spec.radix, switches as usize)
+                }
+            }
+            arena
+        }
+
+        /// Cable two ports together, recording the link once. Both ports
+        /// must still be unconnected.
+        fn connect(&mut self, a: usize, b: usize) {
+            assert_eq!(self.peers[a], Peer::Unconnected);
+            assert_eq!(self.peers[b], Peer::Unconnected);
+            let (a, b) = (PortId::from_index(a), PortId::from_index(b));
+            self.peers[a.index()] = Peer::Port(b);
+            self.peers[b.index()] = Peer::Port(a);
+            self.links.push((a, b));
+        }
+
+        /// Attach the next host to `port`.
+        fn attach_host(&mut self, port: usize) {
+            assert_eq!(self.peers[port], Peer::Unconnected);
+            self.peers[port] = Peer::Host(HostId::from_index(self.hosts.len()));
+            self.hosts.push(PortId::from_index(port));
+        }
+
+        /// Up edges, level by level, walking digit l of the level-l
+        /// switches: with w = (hi·m + d)·m^l + lo, up-port m + p of w
+        /// lands on w[digit l := p] = (hi·m + p)·m^l + lo above, at input
+        /// d — or, at the top step, where the planes merge, at input
+        /// π·m + d.
+        fn wire_fat_tree(&mut self, radix: usize, levels: u32, planes: usize) {
+            let m = radix / 2;
+            let width = m.pow(levels - 1);
+            if levels == 1 {
+                for p in 0..planes * m {
+                    self.attach_host(p);
+                }
+                return;
+            }
+            for leaf in 0..planes * width {
+                for p in 0..m {
+                    self.attach_host(leaf * radix + p);
+                }
+            }
+            let mut step = 1; // m^l
+            for l in 0..levels as usize - 1 {
+                let top = l + 2 == levels as usize;
+                let (below, above) = (l * planes * width, (l + 1) * planes * width);
+                for pi in 0..planes {
+                    let from_plane = below + pi * width;
+                    let (to_plane, to_input) = match top {
+                        true => (above, pi * m),
+                        false => (above + pi * width, 0),
+                    };
+                    for hi in 0..width / (step * m) {
+                        for d in 0..m {
+                            for lo in 0..step {
+                                let from = (from_plane + (hi * m + d) * step + lo) * radix + m;
+                                for p in 0..m {
+                                    let to = to_plane + (hi * m + p) * step + lo;
+                                    self.connect(from + p, to * radix + to_input + d);
+                                }
+                            }
+                        }
+                    }
+                }
+                step *= m;
+            }
+        }
+
+        fn wire_dragonfly(&mut self, radix: usize, g: usize) {
+            let shape = DragonflyShape::for_radix(radix).unwrap();
+            let (p, a, h) = (
+                shape.hosts_per_router,
+                shape.routers_per_group,
+                shape.globals_per_router,
+            );
+            self.routes = vec![Vec::new(); g * g];
+            for router in 0..g * a {
+                for j in 0..p {
+                    self.attach_host(router * radix + j);
+                }
+            }
+            // Local all-to-all within each group: router r's slot t
+            // reaches router t (t < r) or t+1 (t ≥ r); wire from the lower
+            // id.
+            for grp in 0..g {
+                for r in 0..a {
+                    for u in r + 1..a {
+                        let (lo, hi) = (grp * a + r, grp * a + u);
+                        self.connect(lo * radix + p + u - 1, hi * radix + p + r);
+                    }
+                }
+            }
+            // Global channels, wired from the smaller group id.
+            if g > 1 {
+                for grp in 0..g {
+                    for c in 0..a * h {
+                        let d = 1 + c % (g - 1);
+                        let i = c / (g - 1);
+                        let dest = (grp + d) % g;
+                        let back = (g - 1 - d) + i * (g - 1);
+                        if back >= a * h {
+                            continue;
+                        }
+                        let from_sw = grp * a + c / h;
+                        let from_local = p + a - 1 + c % h;
+                        let to_sw = dest * a + back / h;
+                        let to_local = p + a - 1 + back % h;
+                        if dest > grp {
+                            self.connect(from_sw * radix + from_local, to_sw * radix + to_local);
+                        }
+                        let gateway = (SwitchId::from_index(from_sw), from_local as u32);
+                        self.routes[grp * g + dest].push(gateway);
+                    }
+                }
+            }
+        }
+
+        fn wire_full_mesh(&mut self, radix: usize, n: usize) {
+            let hp = radix - (n - 1);
+            for s in 0..n {
+                for j in 0..hp {
+                    self.attach_host(s * radix + j);
+                }
+            }
+            for i in 0..n {
+                for j in i + 1..n {
+                    self.connect(i * radix + hp + j - 1, j * radix + hp + i);
+                }
+            }
+        }
+    }
+
+    /// A spec grid over all three families: every fat tree of radix
+    /// 4–64, 1–5 levels and both plane counts up to 2¹⁷ ports, the 32K
+    /// dragonfly and small ones from one group to the global-channel
+    /// limit, and every full mesh up to radix 16.
+    fn spec_grid() -> Vec<TopologySpec> {
+        let mut specs = Vec::new();
+        for radix in (4..=64).step_by(2) {
+            for levels in 1..=5 {
+                for spec in [
+                    TopologySpec::m_ary_fat_tree(radix, levels),
+                    TopologySpec::fat_tree(radix, levels),
+                ] {
+                    if spec.switch_count() * radix as u64 <= 1 << 17 {
+                        specs.push(spec);
+                    }
+                }
+            }
+        }
+        for radix in 3..=24 {
+            let max = DragonflyShape::for_radix(radix).unwrap().max_groups();
+            for groups in [1, 2, 3, max / 2, max - 1, max] {
+                specs.push(TopologySpec::dragonfly(radix, groups.max(1)));
+            }
+        }
+        specs.push(TopologySpec::dragonfly(64, 64));
+        for radix in 1..=16 {
+            for switches in 1..=radix as u32 {
+                specs.push(TopologySpec::full_mesh(radix, switches));
+            }
+        }
+        specs
+    }
+
+    #[test]
+    fn closed_form_peer_matches_the_arena_oracle() {
+        let mut checked = 0usize;
+        for spec in spec_grid() {
+            let fab = ExpandedFabric::expand(spec).unwrap();
+            let arena = Arena::wire(spec);
+            assert_eq!(fab.port_count(), arena.peers.len(), "{spec}");
+            for (p, &want) in arena.peers.iter().enumerate() {
+                assert_eq!(fab.peer(PortId::from_index(p)), want, "{spec}: port {p}");
+            }
+            assert_eq!(fab.hosts.values().copied().collect::<Vec<_>>(), arena.hosts);
+            let mut cables = arena.links.clone();
+            cables.sort();
+            assert_eq!(fab.links().collect::<Vec<_>>(), cables, "{spec}");
+            assert_eq!(fab.link_count(), arena.links.len(), "{spec}");
+            checked += arena.peers.len();
+        }
+        assert!(checked > 2_800_000, "{checked} ports");
+    }
+
+    /// The dragonfly router of the gateway table, kept as the oracle of
+    /// the closed-form channel pick.
+    fn route_by_table(
+        fab: &ExpandedFabric,
+        routes: &[Vec<(SwitchId, u32)>],
+        sw: SwitchId,
+        src: HostId,
+        dst: HostId,
+    ) -> u32 {
+        let FamilyMeta::Dragonfly { shape, groups } = fab.meta else {
+            panic!("not a dragonfly");
+        };
+        let (p, a, g) = (
+            shape.hosts_per_router,
+            shape.routers_per_group,
+            groups as usize,
+        );
+        let (grp, grp_d) = (sw.index() / a, dst.index() / p / a);
+        if grp == grp_d {
+            return fab.route(sw, 0, src, dst);
+        }
+        let list = &routes[grp * g + grp_d];
+        let (gw, gw_port) = list[top_choice(src.index(), dst.index(), list.len())];
+        if gw == sw {
+            gw_port
+        } else {
+            (p + mesh_slot(sw.index() % a, gw.index() % a)) as u32
+        }
+    }
+
+    #[test]
+    fn closed_form_gateways_match_the_route_table() {
+        let mut rng = osmosis_sim::SimRng::seed_from_u64(0xd4a6);
+        for (radix, groups) in [
+            (3, 3),
+            (8, 4),
+            (8, 9),
+            (11, 7),
+            (11, 19),
+            (16, 8),
+            (16, 33),
+            (64, 64),
+        ] {
+            let spec = TopologySpec::dragonfly(radix, groups);
+            let fab = ExpandedFabric::expand(spec).unwrap();
+            let routes = Arena::wire(spec).routes;
+            let shape = DragonflyShape::for_radix(radix).unwrap();
+            let (p, a, h) = (
+                shape.hosts_per_router,
+                shape.routers_per_group,
+                shape.globals_per_router,
+            );
+            let g = groups as usize;
+            // Every (group, group) pair: the table's list is the closed
+            // form's channels d − 1 + i·(g − 1), in order.
+            for grp in 0..g {
+                for dest in (0..g).filter(|&dest| dest != grp) {
+                    let d = (dest + g - grp) % g;
+                    let closed: Vec<(SwitchId, u32)> = (0..global_channels(&shape, g, d))
+                        .map(|i| d - 1 + i * (g - 1))
+                        .map(|c| {
+                            (
+                                SwitchId::from_index(grp * a + c / h),
+                                (p + a - 1 + c % h) as u32,
+                            )
+                        })
+                        .collect();
+                    assert_eq!(closed, routes[grp * g + dest], "{spec}: {grp} -> {dest}");
+                }
+            }
+            // And the router picks what the table's router picked, at
+            // every switch.
+            let hosts = fab.hosts.len();
+            for sw in fab.switches.ids() {
+                for _ in 0..8 {
+                    let src = HostId::from_index(rng.index(hosts));
+                    let dst = HostId::from_index(rng.index(hosts));
+                    if fab.host_attach(dst).0 == sw {
+                        continue;
+                    }
+                    let want = route_by_table(&fab, &routes, sw, src, dst);
+                    assert_eq!(
+                        fab.route(sw, 0, src, dst),
+                        want,
+                        "{spec}: {sw} {src} -> {dst}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn two_level_expansion_matches_hand_built_wiring() {
         // The §V instance: k leaves (pos π·m+w), k/2 spines; leaf l's up
@@ -653,16 +956,16 @@ mod tests {
             let (hosts, leaves, spines) = (radix * m, radix, m);
             assert_eq!(fab.hosts.len(), hosts);
             assert_eq!(fab.switches.len(), leaves + spines);
-            assert_eq!(fab.links.len(), leaves * spines);
+            assert_eq!(fab.link_count(), leaves * spines);
             for leaf in 0..leaves {
                 let sw = SwitchId::from_index(leaf);
                 for s in 0..spines {
                     let up = fab.port_id(sw, (m + s) as u32);
-                    let Peer::Port(far) = fab.ports[up].peer else {
+                    let Peer::Port(far) = fab.peer(up) else {
                         panic!("unwired up port");
                     };
-                    assert_eq!(fab.ports[far].switch.index(), leaves + s);
-                    assert_eq!(fab.ports[far].local as usize, leaf);
+                    assert_eq!(fab.port_switch(far).index(), leaves + s);
+                    assert_eq!(fab.port_local(far) as usize, leaf);
                 }
             }
             for h in 0..hosts {
@@ -845,7 +1148,7 @@ mod tests {
                     let sw = SwitchId::from_index(level as usize * width + pos);
                     for port in 0..radix {
                         assert_eq!(
-                            fab.ports[fab.port_id(sw, port as u32)].peer,
+                            fab.peer(fab.port_id(sw, port as u32)),
                             m_ary_peer(radix, levels, level, pos, port),
                             "r{radix} L{levels} ({level},{pos},{port})"
                         );
@@ -881,6 +1184,8 @@ mod tests {
         cables
     }
 
+    /// The oracle's digit walk wires exactly the cables the per-cable
+    /// digit rule states, in its order.
     #[test]
     fn digit_walk_wires_what_the_digit_rule_states() {
         for (radix, levels, planes) in [
@@ -896,11 +1201,10 @@ mod tests {
                 1 => TopologySpec::m_ary_fat_tree(radix, levels),
                 _ => TopologySpec::fat_tree(radix, levels),
             };
-            let fab = ExpandedFabric::expand(spec).unwrap();
-            let walked: Vec<(usize, usize)> = fab
+            let walked: Vec<(usize, usize)> = Arena::wire(spec)
                 .links
-                .values()
-                .map(|l| (l.a.index(), l.b.index()))
+                .iter()
+                .map(|&(a, b)| (a.index(), b.index()))
                 .collect();
             assert_eq!(walked, cables_by_digits(radix, levels, planes), "{spec}");
         }
@@ -942,11 +1246,11 @@ mod tests {
             TopologySpec::full_mesh(8, 5),
         ] {
             let fab = ExpandedFabric::expand(spec).unwrap();
-            for (id, port) in fab.ports.iter() {
-                match port.peer {
+            for id in (0..fab.port_count()).map(PortId::from_index) {
+                match fab.peer(id) {
                     Peer::Unconnected => {}
-                    Peer::Host(h) => assert_eq!(fab.hosts[h].port, id),
-                    Peer::Port(far) => assert_eq!(fab.ports[far].peer, Peer::Port(id)),
+                    Peer::Host(h) => assert_eq!(fab.hosts[h], id),
+                    Peer::Port(far) => assert_eq!(fab.peer(far), Peer::Port(id)),
                 }
             }
             assert_eq!(fab.hosts.len() as u64, spec.hosts());
@@ -976,7 +1280,7 @@ mod tests {
     fn full_mesh_is_single_hop() {
         let fab = ExpandedFabric::expand(TopologySpec::full_mesh(8, 5)).unwrap();
         assert_eq!(fab.hosts.len(), 5 * 4);
-        assert_eq!(fab.links.len(), 5 * 4 / 2);
+        assert_eq!(fab.link_count(), 5 * 4 / 2);
         for src in 0..20 {
             for dst in 0..20 {
                 let path = fab.path(HostId::from_index(src), HostId::from_index(dst));
@@ -995,18 +1299,20 @@ mod tests {
             let a = ExpandedFabric::expand(spec).unwrap();
             let b = ExpandedFabric::expand(spec).unwrap();
             assert_eq!(a.structural_fingerprint(), b.structural_fingerprint());
-            assert_eq!(
-                a.ports.iter().collect::<Vec<_>>(),
-                b.ports.iter().collect::<Vec<_>>()
-            );
+            let peers = |fab: &ExpandedFabric| -> Vec<Peer> {
+                (0..fab.port_count())
+                    .map(|p| fab.peer(PortId::from_index(p)))
+                    .collect()
+            };
+            assert_eq!(peers(&a), peers(&b));
         }
     }
 
     #[test]
     fn large_instances_expand() {
         // The ≥ 32768-port acceptance instances, and one of each family:
-        // every arena fills the reservation `expand` made from the spec's
-        // closed forms, the cables within their bound.
+        // every table holds what the spec's closed forms promise, the
+        // cables within their bound.
         let big = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(64, 3)).unwrap();
         assert_eq!(big.hosts.len(), 32_768);
         let df = ExpandedFabric::expand(TopologySpec::dragonfly(64, 64)).unwrap();
@@ -1022,10 +1328,10 @@ mod tests {
             let spec = *fab.spec();
             let switches = spec.switch_count() as usize;
             assert_eq!(fab.switches.len(), switches, "{spec}");
-            assert_eq!(fab.ports.len(), switches * spec.radix, "{spec}");
+            assert_eq!(fab.port_count(), switches * spec.radix, "{spec}");
             assert_eq!(fab.hosts.len() as u64, spec.hosts(), "{spec}");
-            let free_ports = fab.ports.len() - fab.hosts.len();
-            assert!(fab.links.len() <= free_ports / 2, "{spec}");
+            let free_ports = fab.port_count() - fab.hosts.len();
+            assert!(fab.link_count() <= free_ports / 2, "{spec}");
         }
     }
 }

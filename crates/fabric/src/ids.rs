@@ -1,8 +1,9 @@
 //! Typed entity identifiers and dense arenas for expanded fabrics.
 //!
-//! The topology compiler ([`crate::expand`]) produces graphs with five
-//! kinds of entities — stages, switches, ports, links and hosts — each
-//! numbered densely from zero. Raw `usize` indices invite cross-kind
+//! The topology compiler ([`crate::expand`]) produces graphs with four
+//! kinds of entities — stages, switches, ports and hosts — each
+//! numbered densely from zero (a port as `switch * radix + local`, with
+//! no table of its own: its far end is a closed form of the id). Raw `usize` indices invite cross-kind
 //! mix-ups (a port index silently used as a switch index); the newtypes
 //! here make every table lookup kind-checked at compile time while
 //! keeping the underlying representation a plain `u32`, small enough
@@ -84,11 +85,6 @@ entity_id!(
     /// A switch port: `switch.index() * radix + local`.
     PortId,
     "port"
-);
-entity_id!(
-    /// A switch-to-switch cable of an expanded fabric.
-    LinkId,
-    "link"
 );
 entity_id!(
     /// An end host attached to a leaf-facing port.
@@ -226,7 +222,7 @@ mod tests {
 
     #[test]
     fn entity_vec_iteration_is_in_id_order() {
-        let mut v: EntityVec<LinkId, char> = EntityVec::with_capacity(3);
+        let mut v: EntityVec<StageId, char> = EntityVec::with_capacity(3);
         for c in ['a', 'b', 'c'] {
             v.push(c);
         }

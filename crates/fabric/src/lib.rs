@@ -6,8 +6,8 @@
 //!   (fat tree, dragonfly, full mesh; link, buffer, placement and
 //!   request/grant parameters) and the shared flow hashes;
 //! * [`expand`] — the compiler pass: a spec into a typed graph of
-//!   stages, switches, ports, links and hosts ([`ids`]) with minimal
-//!   per-flow-stable routing;
+//!   stages, switches and hosts ([`ids`]), its wiring and minimal
+//!   per-flow-stable routing closed forms of the port id;
 //! * [`compiled`] — the fabric simulator: buffered crossbar stages behind
 //!   credit loops over any expansion, covering the Fig. 2 placement
 //!   options, FDL input stages, the fault reactions and the
@@ -52,7 +52,7 @@ pub use baselines::{compare, section_6c_table, FabricAlternative, FabricComparis
 pub use compiled::CompiledFabric;
 pub use expand::{ExpandedFabric, Peer};
 pub use flow_control::{required_buffer_cells, run_relay_loop, RelayConfig, RelayReport};
-pub use ids::{EntityId, EntityVec, HostId, LinkId, PortId, StageId, SwitchId};
+pub use ids::{EntityId, EntityVec, HostId, PortId, StageId, SwitchId};
 pub use loadmap::{expanded_uniform_load_map, ExpandedLoadMap};
 pub use multilevel::MultiLevelClos;
 pub use spec::{

@@ -74,14 +74,14 @@ pub fn expanded_uniform_load_map(fab: &ExpandedFabric, offered: f64) -> Expanded
             loop {
                 let out = fab.route(sw, in_port, s, d);
                 let pid = fab.port_id(sw, out);
-                match fab.ports[pid].peer {
+                match fab.peer(pid) {
                     // Host delivery is the NIC's own link, not fabric
                     // cabling.
                     Peer::Host(_) | Peer::Unconnected => break,
                     Peer::Port(far) => {
                         *loads.entry(pid).or_insert(0.0) += per_flow;
-                        sw = fab.ports[far].switch;
-                        in_port = fab.ports[far].local;
+                        sw = fab.port_switch(far);
+                        in_port = fab.port_local(far);
                     }
                 }
             }

@@ -180,7 +180,8 @@ pub enum TopologyError {
         /// The unreachable port target.
         ports: u64,
     },
-    /// The expansion would overflow the dense `u32` id space.
+    /// The expansion would overflow the dense `u32` id space, or its
+    /// radix the 16-bit per-port pointers.
     TooLarge {
         /// Which entity table overflowed.
         entity: &'static str,
@@ -234,6 +235,12 @@ impl fmt::Display for TopologyError {
             }
             TopologyError::UnreachablePortCount { radix, ports } => {
                 write!(f, "no radix-{radix} fat tree reaches {ports} ports")
+            }
+            TopologyError::TooLarge {
+                entity: "radix",
+                count,
+            } => {
+                write!(f, "radix {count} overflows the 16-bit port pointers")
             }
             TopologyError::TooLarge { entity, count } => {
                 write!(f, "{count} {entity} overflow the dense u32 id space")
@@ -491,6 +498,13 @@ impl TopologySpec {
                     });
                 }
             }
+        }
+        // A switch's round-robin pointers are 16-bit.
+        if self.radix > u16::MAX as usize {
+            return Err(TopologyError::TooLarge {
+                entity: "radix",
+                count: self.radix as u64,
+            });
         }
         let hosts = self.hosts();
         if hosts > u32::MAX as u64 {
@@ -929,6 +943,24 @@ mod tests {
             TopologySpec::fat_tree(1 << 20, 3).validate(),
             Err(TopologyError::TooLarge { .. })
         ));
+        // The radix bound is its own: a two-switch mesh has few ports
+        // and hosts, but 2¹⁶ of them on a switch overflow its pointers.
+        for spec in [
+            TopologySpec::full_mesh(1 << 16, 2),
+            TopologySpec::fat_tree(1 << 16, 1),
+        ] {
+            assert_eq!(
+                spec.validate(),
+                Err(TopologyError::TooLarge {
+                    entity: "radix",
+                    count: 1 << 16
+                }),
+                "{spec}"
+            );
+        }
+        assert!(TopologySpec::full_mesh(u16::MAX as usize, 2)
+            .validate()
+            .is_ok());
         assert!(TopologySpec::two_level(64).validate().is_ok());
     }
 

@@ -78,8 +78,13 @@ pub struct Matcher {
 }
 
 impl Matcher {
-    /// Scratch for switches of `radix` ports.
+    /// Scratch for switches of `radix` ports. The pointers are 16-bit,
+    /// so `radix` is at most 2¹⁶ − 1.
     pub fn new(radix: usize) -> Self {
+        assert!(
+            radix <= u16::MAX as usize,
+            "a {radix}-port switch: matching pointers are 16-bit"
+        );
         let words = radix.div_ceil(64);
         Matcher {
             radix,
@@ -105,8 +110,8 @@ impl Matcher {
         iterations: usize,
         requests: &[u64],
         requested: &[u64],
-        grant_ptr: &mut [u32],
-        accept_ptr: &mut [u32],
+        grant_ptr: &mut [u16],
+        accept_ptr: &mut [u16],
         eligible: impl Fn(usize) -> bool,
     ) {
         let (radix, words) = (self.radix, self.words);
@@ -148,8 +153,8 @@ impl Matcher {
                     self.grants[row..row + words].fill(0);
                     self.in_matched[i / 64] |= 1 << (i % 64);
                     self.out_matched[o / 64] |= 1 << (o % 64);
-                    grant_ptr[o] = if i + 1 == radix { 0 } else { i as u32 + 1 };
-                    accept_ptr[i] = if o + 1 == radix { 0 } else { o as u32 + 1 };
+                    grant_ptr[o] = if i + 1 == radix { 0 } else { i as u16 + 1 };
+                    accept_ptr[i] = if o + 1 == radix { 0 } else { o as u16 + 1 };
                     self.matched.push((i as u32, o as u32));
                 }
             }
@@ -212,8 +217,8 @@ mod tests {
             let mut matcher = Matcher::new(radix);
             let mut gp: Vec<usize> = (0..radix).map(|_| rnd(radix)).collect();
             let mut ap: Vec<usize> = (0..radix).map(|_| rnd(radix)).collect();
-            let mut grant_ptr: Vec<u32> = gp.iter().map(|&p| p as u32).collect();
-            let mut accept_ptr: Vec<u32> = ap.iter().map(|&p| p as u32).collect();
+            let mut grant_ptr: Vec<u16> = gp.iter().map(|&p| p as u16).collect();
+            let mut accept_ptr: Vec<u16> = ap.iter().map(|&p| p as u16).collect();
             let mut occupancy = vec![vec![0u32; radix]; radix];
             let mut matches = 0;
             for slot in 0..40 {

@@ -45,8 +45,8 @@ pub struct BurstSwitch {
     requests: Vec<u64>,
     /// Bit o set ⇔ output o has any request.
     requested: Vec<u64>,
-    grant_ptr: Vec<u32>,
-    accept_ptr: Vec<u32>,
+    grant_ptr: Vec<u16>,
+    accept_ptr: Vec<u16>,
     matcher: Matcher,
     /// Remaining busy slots per input / output (container in flight).
     in_busy: Vec<u64>,
@@ -55,9 +55,10 @@ pub struct BurstSwitch {
 
 impl BurstSwitch {
     /// An `n`-port burst switch with `burst` cells per container and the
-    /// given assembly timeout.
+    /// given assembly timeout; `n` < 2¹⁶, the matching pointers being
+    /// 16-bit.
     pub fn new(n: usize, burst: u64, timeout: u64) -> Self {
-        assert!(n > 0 && burst >= 1);
+        assert!(n > 0 && n <= u16::MAX as usize && burst >= 1);
         BurstSwitch {
             n,
             burst,

@@ -40,8 +40,8 @@ pub struct CioqSwitch {
     requests: Vec<u64>,
     /// Bit o set ⇔ some VOQ for output o holds a cell.
     requested: Vec<u64>,
-    grant_ptr: Vec<u32>,
-    accept_ptr: Vec<u32>,
+    grant_ptr: Vec<u16>,
+    accept_ptr: Vec<u16>,
     matcher: Matcher,
     violations: u64,
     busy_slots: u64,
@@ -51,9 +51,10 @@ pub struct CioqSwitch {
 }
 
 impl CioqSwitch {
-    /// An `n`-port CIOQ switch with the given speedup and egress cap.
+    /// An `n`-port CIOQ switch with the given speedup and egress cap;
+    /// `n` < 2¹⁶, the matching pointers being 16-bit.
     pub fn new(n: usize, speedup: usize, egress_cap: usize) -> Self {
-        assert!(n > 0 && speedup >= 1 && egress_cap >= 1);
+        assert!(n > 0 && n <= u16::MAX as usize && speedup >= 1 && egress_cap >= 1);
         let words = n.div_ceil(64);
         CioqSwitch {
             n,

@@ -8,7 +8,7 @@
 )]
 
 use osmosis::fabric::expand::{ExpandedFabric, Peer};
-use osmosis::fabric::ids::{EntityId, HostId};
+use osmosis::fabric::ids::{EntityId, HostId, PortId};
 use osmosis::fabric::spec::{DragonflyShape, TopologySpec};
 use proptest::prelude::*;
 
@@ -44,7 +44,7 @@ proptest! {
         let fab = ExpandedFabric::expand(spec).unwrap();
         prop_assert_eq!(fab.hosts.len() as u64, spec.hosts(), "{}", spec);
         prop_assert_eq!(fab.switches.len() as u64, spec.switch_count(), "{}", spec);
-        prop_assert_eq!(fab.ports.len(), fab.switches.len() * spec.radix);
+        prop_assert_eq!(fab.port_count(), fab.switches.len() * spec.radix);
     }
 
     /// Minimal routes visit at most `stages()` switches — ≤ 2L−1 for an
@@ -66,26 +66,26 @@ proptest! {
         prop_assert_eq!(*path.last().unwrap(), fab.host_attach(dst).0);
     }
 
-    /// Every cable is recorded once and its two endpoints point back at
-    /// each other; every host attachment is mutual too.
+    /// Every cable is walked once and its two endpoints point back at
+    /// each other, as many as the closed-form count; every host
+    /// attachment is mutual too.
     #[test]
     fn links_are_mutual(spec in spec_strategy()) {
         let fab = ExpandedFabric::expand(spec).unwrap();
-        for link in fab.links.values() {
-            prop_assert_ne!(link.a, link.b);
-            prop_assert_eq!(fab.ports[link.a].peer, Peer::Port(link.b));
-            prop_assert_eq!(fab.ports[link.b].peer, Peer::Port(link.a));
+        for (a, b) in fab.links() {
+            prop_assert_ne!(a, b);
+            prop_assert_eq!(fab.peer(a), Peer::Port(b));
+            prop_assert_eq!(fab.peer(b), Peer::Port(a));
         }
         // Each switch-to-switch peer pair appears as exactly one link.
-        let cabled = fab
-            .ports
-            .values()
-            .filter(|p| matches!(p.peer, Peer::Port(_)))
+        let cabled = (0..fab.port_count())
+            .filter(|&p| matches!(fab.peer(PortId::from_index(p)), Peer::Port(_)))
             .count();
-        prop_assert_eq!(cabled, 2 * fab.links.len());
-        for (h, info) in fab.hosts.iter() {
-            prop_assert_eq!(fab.ports[info.port].peer, Peer::Host(h));
-            prop_assert_eq!(fab.ports[info.port].switch, info.switch);
+        prop_assert_eq!(cabled, 2 * fab.links().count());
+        prop_assert_eq!(fab.link_count(), fab.links().count());
+        for (h, &port) in fab.hosts.iter() {
+            prop_assert_eq!(fab.peer(port), Peer::Host(h));
+            prop_assert_eq!(fab.host_attach(h), (fab.port_switch(port), fab.port_local(port)));
         }
     }
 
@@ -97,7 +97,7 @@ proptest! {
         let b = ExpandedFabric::expand(spec).unwrap();
         prop_assert_eq!(a.structural_fingerprint(), b.structural_fingerprint());
         prop_assert_eq!(a.hosts.len(), b.hosts.len());
-        prop_assert_eq!(a.links.len(), b.links.len());
+        prop_assert_eq!(a.link_count(), b.link_count());
     }
 
     /// Routing is total: walking `route()` from any source delivers to
@@ -114,7 +114,7 @@ proptest! {
         prop_assert!((out as usize) < spec.radix);
         if fab.host_attach(dst).0 == sw {
             // Same edge switch: the route must exit straight to the host.
-            prop_assert_eq!(fab.ports[fab.port_id(sw, out)].peer, Peer::Host(dst));
+            prop_assert_eq!(fab.peer(fab.port_id(sw, out)), Peer::Host(dst));
         }
     }
 }
