@@ -1210,30 +1210,53 @@ mod tests {
         }
     }
 
+    /// The switch path of a src→dst flow in the m-ary Clos, as (level,
+    /// position) pairs, from the digit rule alone: the flow ascends to
+    /// one above the highest leaf digit in which source and destination
+    /// differ, step l rewriting digit l to the flow's `up_choice`, then
+    /// descends, rewriting digit l−1 to the destination leaf's.
+    fn m_ary_path(m: usize, levels: u32, src: usize, dst: usize) -> Vec<(u32, usize)> {
+        let (ls, ld) = (src / m, dst / m);
+        let ascent = (0..levels - 1)
+            .rfind(|&pos| digit(ls, pos, m) != digit(ld, pos, m))
+            .map_or(0, |pos| pos + 1);
+        let mut sw = ls;
+        let mut out = vec![(0, sw)];
+        for level in 0..ascent {
+            sw = with_digit(sw, level, up_choice(src, dst, level, m), m);
+            out.push((level + 1, sw));
+        }
+        for level in (1..=ascent).rev() {
+            sw = with_digit(sw, level - 1, digit(ld, level - 1, m), m);
+            out.push((level - 1, sw));
+        }
+        out
+    }
+
     #[test]
-    fn one_plane_expansion_matches_multilevel_paths() {
-        // planes = 1 is the m-ary Clos of MultiLevelClos: same switch
-        // counts, same paths (per level, per position).
-        let (radix, levels) = (6usize, 3u32);
-        let fab = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(radix, levels)).unwrap();
-        let clos = crate::multilevel::MultiLevelClos::new(radix, levels);
-        assert_eq!(fab.hosts.len(), clos.hosts());
-        assert_eq!(
-            fab.switches.len(),
-            clos.switches_per_level() * levels as usize
-        );
-        let width = clos.switches_per_level();
-        for src in 0..clos.hosts() {
-            let dst = (src * 13 + 7) % clos.hosts();
-            let expanded: Vec<(u32, usize)> = fab
-                .path(HostId::from_index(src), HostId::from_index(dst))
-                .into_iter()
-                .map(|sw| {
-                    let level = fab.level_of(sw);
-                    (level, sw.index() - level as usize * width)
-                })
-                .collect();
-            assert_eq!(expanded, clos.path(src, dst), "src {src} dst {dst}");
+    fn one_plane_expansion_matches_the_digit_paths() {
+        // planes = 1 is the m-ary Clos: m^L hosts, m^(L−1) switches in
+        // each of the L levels, and every flow on its digit-rule path
+        // (per level, per position).
+        for (radix, levels) in [(6usize, 3u32), (4, 4), (8, 2)] {
+            let fab = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(radix, levels)).unwrap();
+            let m = radix / 2;
+            let (hosts, width) = (m.pow(levels), m.pow(levels - 1));
+            assert_eq!(fab.hosts.len(), hosts);
+            assert_eq!(fab.switches.len(), width * levels as usize);
+            for src in 0..hosts {
+                let dst = (src * 13 + 7) % hosts;
+                let expanded: Vec<(u32, usize)> = fab
+                    .path(HostId::from_index(src), HostId::from_index(dst))
+                    .into_iter()
+                    .map(|sw| {
+                        let level = fab.level_of(sw);
+                        (level, sw.index() - level as usize * width)
+                    })
+                    .collect();
+                let digits = m_ary_path(m, levels, src, dst);
+                assert_eq!(expanded, digits, "r{radix} L{levels} src {src} dst {dst}");
+            }
         }
     }
 

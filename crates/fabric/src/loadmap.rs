@@ -112,8 +112,7 @@ pub fn expanded_uniform_load_map(fab: &ExpandedFabric, offered: f64) -> Expanded
 #[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
-    use crate::multilevel::MultiLevelClos;
-    use crate::spec::TopologySpec;
+    use crate::spec::{up_choice, TopologySpec};
 
     fn m_ary_map(radix: usize, levels: u32) -> ExpandedLoadMap {
         let fab = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(radix, levels)).unwrap();
@@ -161,19 +160,46 @@ mod tests {
         );
     }
 
+    /// The switch path of a src→dst flow in the m-ary Clos, as (level,
+    /// position) pairs: up to one above the highest leaf digit in which
+    /// source and destination differ, step l rewriting digit l to the
+    /// flow's `up_choice`, then down, rewriting digit l−1 to the
+    /// destination leaf's.
+    fn m_ary_path(m: usize, levels: u32, src: usize, dst: usize) -> Vec<(u32, usize)> {
+        let digit = |index: usize, pos: u32| index / m.pow(pos) % m;
+        let rewrite = |index: usize, pos: u32, value: usize| {
+            index - digit(index, pos) * m.pow(pos) + value * m.pow(pos)
+        };
+        let (ls, ld) = (src / m, dst / m);
+        let ascent = (0..levels - 1)
+            .rfind(|&pos| digit(ls, pos) != digit(ld, pos))
+            .map_or(0, |pos| pos + 1);
+        let mut sw = ls;
+        let mut out = vec![(0, sw)];
+        for level in 0..ascent {
+            sw = rewrite(sw, level, up_choice(src, dst, level, m));
+            out.push((level + 1, sw));
+        }
+        for level in (1..=ascent).rev() {
+            sw = rewrite(sw, level - 1, digit(ld, level - 1));
+            out.push((level - 1, sw));
+        }
+        out
+    }
+
     #[test]
     fn expanded_map_agrees_with_the_closed_form_paths() {
-        // planes = 1 expansion routes exactly like MultiLevelClos, so
-        // the per-direction load profile must match the one read off the
-        // closed-form switch paths.
+        // A planes = 1 expansion routes every flow on its digit-rule
+        // path, so the per-direction load profile must match the one
+        // read off the closed-form switch paths.
         let (radix, levels) = (4usize, 3u32);
-        let topo = MultiLevelClos::new(radix, levels);
-        let hosts = topo.hosts();
+        let m = radix / 2;
+        let hosts = m.pow(levels);
         let per_flow = 1.0 / (hosts - 1) as f64;
         let mut reference = BTreeMap::new();
         for src in 0..hosts {
             for dst in (0..hosts).filter(|&dst| dst != src) {
-                for w in topo.path(src, dst).windows(2) {
+                for w in m_ary_path(m, levels, src, dst).windows(2) {
                     *reference.entry((w[0], w[1])).or_insert(0.0) += per_flow;
                 }
             }

@@ -852,16 +852,27 @@ mod tests {
 
     #[test]
     fn flow_hashes_match_the_closed_form_clos() {
-        // The ascent hash must equal MultiLevelClos::up_choice — the
-        // pinned m-ary fingerprints rest on this.
-        let c = crate::multilevel::MultiLevelClos::new(6, 3);
-        for src in 0..c.hosts() {
-            let dst = (src * 5 + 1) % c.hosts();
+        // The ascent hash stated from its constants: FNV-1a over
+        // (src, dst, level), one SplitMix64 round, the high word mod m.
+        // The pinned m-ary fingerprints rest on it.
+        let mixed = |words: [u64; 3]| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for v in words {
+                h = (h ^ v).wrapping_mul(0x100_0000_01b3);
+            }
+            h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            h ^ (h >> 31)
+        };
+        // Radix 6, three levels: m = 3, 27 hosts.
+        let (m, hosts) = (3, 27);
+        for src in 0..hosts {
+            let dst = (src * 5 + 1) % hosts;
             for level in 0..2 {
-                assert_eq!(
-                    up_choice(src, dst, level, c.m()),
-                    c.up_choice(src, dst, level)
-                );
+                let h = mixed([src as u64, dst as u64, level as u64]);
+                let closed_form = ((h >> 32) % m as u64) as usize;
+                assert_eq!(up_choice(src, dst, level, m), closed_form);
             }
         }
     }
