@@ -22,10 +22,11 @@
 //! or group pair.
 //!
 //! Every budget above 0 is a named constant below with its source.
-//! `CellScheduler` and `CellSwitch` implementors, every
-//! `SlottedModel` and the buffer planes (`FdlBufferPlane` behind
-//! `BufferTech::Fdl`) each have a row; `tests/repo_contracts.rs` fails
-//! an implementor whose type this file does not name.
+//! `CellScheduler` and `CellSwitch` implementors and every
+//! `SlottedModel` each have a row; `tests/repo_contracts.rs` fails an
+//! implementor whose type this file does not name. The fabric's FDL
+//! input stages (`FdlBufferPlane` behind `BufferTech::Fdl`) have a row
+//! of their own.
 //!
 //! The counter is per thread, so the test harness's parallel test
 //! threads do not see each other's allocations.

@@ -18,8 +18,7 @@
 
 use crate::experiments::fig1::CELL_NS;
 use osmosis_fabric::{
-    try_levels_for_ports, CompiledFabric, DragonflyShape, EngineConfig, ExpandedFabric,
-    TopologyError, TopologySpec,
+    CompiledFabric, DragonflyShape, EngineConfig, ExpandedFabric, TopologyError, TopologySpec,
 };
 use osmosis_sim::{SeedSequence, TimeDelta};
 use osmosis_traffic::BernoulliUniform;
@@ -55,13 +54,12 @@ pub struct BudgetPoint {
 
 /// The §VI.C comparison ladder at a target port count: fat trees of the
 /// paper's switch classes (OSMOSIS 64-port, high-end electronic 32-port,
-/// commodity 8-port) sized by [`try_levels_for_ports`], plus a radix-64
-/// dragonfly with just enough groups.
+/// commodity 8-port) sized by [`TopologySpec::fat_tree_for_hosts`],
+/// plus a radix-64 dragonfly with just enough groups.
 pub fn ladder(ports: u64) -> Result<Vec<TopologySpec>, TopologyError> {
     let mut specs = Vec::new();
     for radix in [64usize, 32, 8] {
-        let levels = try_levels_for_ports(radix, ports)?;
-        specs.push(TopologySpec::fat_tree(radix, levels));
+        specs.push(TopologySpec::fat_tree_for_hosts(radix, ports)?);
     }
     let shape = DragonflyShape::for_radix(64)?;
     let per_group = (shape.routers_per_group * shape.hosts_per_router) as u64;

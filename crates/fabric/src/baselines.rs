@@ -6,7 +6,7 @@
 //! the high-end electronic solution, OSMOSIS saves two layers of OEO
 //! conversions in the fat tree."
 
-use crate::topology::{levels_for_ports, stages_for_levels};
+use crate::spec::{TopologyError, TopologySpec};
 
 /// The switch technology a fabric is built from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +86,8 @@ impl FabricAlternative {
 pub struct FabricComparison {
     /// The alternative evaluated.
     pub alt: FabricAlternative,
-    /// Fat-tree levels.
-    pub levels: u32,
+    /// The fewest-level fat tree of its switches that reaches the hosts.
+    pub spec: TopologySpec,
     /// Switch stages a packet traverses (2·levels − 1).
     pub stages: u32,
     /// Total switch chips/boxes in the fabric: (2L−1)·N/k.
@@ -102,26 +102,27 @@ pub struct FabricComparison {
 }
 
 /// Evaluate an alternative for `ports` hosts.
-pub fn compare(alt: FabricAlternative, ports: u64) -> FabricComparison {
-    let levels = levels_for_ports(alt.radix, ports);
-    let stages = stages_for_levels(levels);
+pub fn compare(alt: FabricAlternative, ports: u64) -> Result<FabricComparison, TopologyError> {
+    let spec = TopologySpec::fat_tree_for_hosts(alt.radix, ports)?;
+    let stages = spec.stages();
     let switch_count = stages as u64 * ports / alt.radix as u64;
-    FabricComparison {
+    Ok(FabricComparison {
         alt,
-        levels,
+        spec,
         stages,
         switch_count,
         oeo_layers: stages,
         path_latency_ns: stages as f64 * alt.stage_latency_ns,
         fabric_power_w: switch_count as f64 * alt.radix as f64 * alt.power_per_port_w,
-    }
+    })
 }
 
 /// The full §VI.C table for the paper's 2048-port target.
 pub fn section_6c_table() -> Vec<FabricComparison> {
     FabricAlternative::contenders()
         .into_iter()
-        .map(|a| compare(a, 2048))
+        // Every contender's radix is even and reaches 2048 hosts.
+        .filter_map(|a| compare(a, 2048).ok())
         .collect()
 }
 
@@ -180,10 +181,11 @@ mod tests {
 
     #[test]
     fn comparison_scales_with_ports() {
-        let small = compare(FabricAlternative::osmosis(), 64);
+        let small = compare(FabricAlternative::osmosis(), 64).unwrap();
         assert_eq!(small.stages, 1, "one switch suffices for 64 hosts");
         assert_eq!(small.switch_count, 1);
-        let big = compare(FabricAlternative::osmosis(), 8192);
+        let big = compare(FabricAlternative::osmosis(), 8192).unwrap();
         assert_eq!(big.stages, 5);
+        assert_eq!(big.spec, TopologySpec::fat_tree(64, 3));
     }
 }

@@ -68,10 +68,10 @@
 //! and inputs ascending in each accept pass, so the matchings are those
 //! of a dense VOQ array scanned in index order.
 //!
-//! Behind the [`BufferPlane`] seam the input stages can instead be
-//! emulated fiber delay lines ([`BufferTech::Fdl`]): one plane per
-//! switch holds the cells, fills one switch's worth of request masks
-//! each slot, and surfaces the cells it could not keep as typed losses.
+//! The input stages can instead be emulated fiber delay lines
+//! ([`BufferTech::Fdl`]): one [`FdlBufferPlane`] per switch holds the
+//! cells, fills one switch's worth of request masks each slot, and
+//! surfaces the cells it could not keep as typed losses.
 //!
 //! Under an attached fault plane the reactions are written against the
 //! expansion. In a fat tree of two or more levels the top-stage switches
@@ -93,10 +93,10 @@
 use crate::expand::{ExpandedFabric, Peer};
 use crate::ids::{EntityId, HostId, PortId, StageId, SwitchId};
 use crate::spec::{top_choice, BufferTech, Placement, TopologyError, TopologySpec};
-use osmosis_fdl::FdlBufferPlane;
+use osmosis_fdl::{BufferStats, FdlBufferPlane};
 use osmosis_sched::matching::Matcher;
 use osmosis_sim::audit::{CreditLedger, DropReason};
-use osmosis_sim::buffer::{BufferLossReason, BufferPlane, BufferStats};
+use osmosis_sim::buffer::BufferLossReason;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_sim::Extra;
 use osmosis_switch::driven::{run_switch, CellSwitch};
@@ -168,7 +168,7 @@ pub struct CompiledFabric {
     /// `words` words: the outputs with any request.
     requested: Vec<u64>,
     /// The FDL input stages, one plane per switch.
-    planes: Vec<Box<dyn BufferPlane<Flit>>>,
+    planes: Vec<FdlBufferPlane<Flit>>,
     host_queues: Vec<VecDeque<Flit>>,
     /// One bit per host, set exactly while its queue holds a cell: the
     /// hosts `deliver` visits.
@@ -326,7 +326,7 @@ impl CompiledFabric {
         let p = sw * self.spec.radix + in_port;
         let depth = match self.planes.get_mut(sw) {
             Some(plane) => {
-                plane.push(slot, in_port, out, slot + 1, flit);
+                plane.push(in_port, out, flit);
                 plane.occupancy(in_port)
             }
             None => self.buffers.len(p) + 1,
@@ -373,14 +373,14 @@ impl CompiledFabric {
     /// Remove the oldest cell input `i` holds for output `o` at `sw`,
     /// and drop the request bit if no other ripe cell shares it.
     #[inline]
-    fn dequeue(&mut self, slot: u64, sw: usize, i: usize, o: usize) -> Flit {
+    fn dequeue(&mut self, sw: usize, i: usize, o: usize) -> Flit {
         #[expect(
             clippy::panic,
             reason = "the matching only pairs ports whose request bit is set, and the bit tracks the buffer"
         )]
         let unqueued = || -> ! { panic!("matched pair without a queued cell") };
         if let Some(plane) = self.planes.get_mut(sw) {
-            return plane.pop(slot, i, o).unwrap_or_else(|| unqueued());
+            return plane.pop(i, o).unwrap_or_else(|| unqueued());
         }
         let (radix, words) = (self.spec.radix, self.words);
         let p = sw * radix + i;
@@ -653,11 +653,8 @@ impl CellSwitch for CompiledFabric {
         self.host_owed.resize(hosts, 0);
         // Fresh planes: every delay line alive (a fault plane, if one is
         // attached, kills what its plan says), every counter at zero.
-        let plane = |_| -> Box<dyn BufferPlane<Flit>> {
-            Box::new(FdlBufferPlane::new(radix, self.buffer_cells))
-        };
         self.planes = (0..if self.fdl { switches } else { 0 })
-            .map(plane)
+            .map(|_| FdlBufferPlane::new(radix, self.buffer_cells))
             .collect();
         let buckets = self.spec.link_delay as usize + 1;
         self.cell_wheel.resize_with(buckets, Vec::new);
@@ -773,12 +770,12 @@ impl CellSwitch for CompiledFabric {
                 }
             }
             if let Some(plane) = self.planes.get(sw) {
-                plane.fill_requests(slot, &mut self.requests, &mut self.requested);
+                plane.fill_requests(&mut self.requests, &mut self.requested);
             }
             self.match_switch(sw, faults_on);
             for k in 0..self.matcher.matched.len() {
                 let (i, o) = self.matcher.matched[k];
-                let flit = self.dequeue(slot, sw, i as usize, o as usize);
+                let flit = self.dequeue(sw, i as usize, o as usize);
                 self.return_credit((slot, next), sw, i as usize, obs);
                 let p_out = sw * radix + o as usize;
                 if self.to_egress {
@@ -858,14 +855,7 @@ impl CellSwitch for CompiledFabric {
             report.set_extra(Extra::Switches, self.fab.switches.len() as f64);
         }
         if self.fdl {
-            let mut total = BufferStats::default();
-            for stats in self.planes.iter().map(|plane| plane.stats()) {
-                total.dropped += stats.dropped;
-                total.dropped_admission += stats.dropped_admission;
-                total.dropped_dead_line += stats.dropped_dead_line;
-                total.recirculations += stats.recirculations;
-                total.underflow_stalls += stats.underflow_stalls;
-            }
+            let total: BufferStats = self.planes.iter().map(FdlBufferPlane::stats).sum();
             report.set_extra(Extra::FdlDropsTotal, total.dropped as f64);
             report.set_extra(Extra::FdlDropsAdmission, total.dropped_admission as f64);
             report.set_extra(Extra::FdlDropsDeadLine, total.dropped_dead_line as f64);
@@ -1180,6 +1170,19 @@ mod tests {
             e.fingerprint(),
             "per-input FIFO semantics differ from per-pair VOQs"
         );
+    }
+
+    #[test]
+    fn fdl_masks_of_two_words_carry_load_losslessly_and_in_order() {
+        // One 66-port switch: its planes fill request masks two words
+        // wide, where the other FDL runs here fit in one.
+        let spec: TopologySpec = "fat-tree:radix=66,levels=1,rg=1".parse().unwrap();
+        let a = run_tree(spec, BufferTech::Fdl, 0.5, 13);
+        assert_eq!((a.dropped, a.reordered), (0, 0));
+        assert_eq!(a.extra(Extra::FdlDropsTotal), Some(0.0));
+        assert!((a.throughput - 0.5).abs() < 0.04, "thr {}", a.throughput);
+        let b = run_tree(spec, BufferTech::Fdl, 0.5, 13);
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
@@ -1649,7 +1652,7 @@ mod tests {
                     let (i, o) = fab.matcher.matched[k];
                     assert!((fab.owed[o as usize] as usize) < BUFFER, "uncredited grant");
                     // Panics on a pair whose request bit outlived its cell.
-                    fab.dequeue(slot, 0, i as usize, o as usize);
+                    fab.dequeue(0, i as usize, o as usize);
                     matches += 1;
                 }
                 assert_masks_track_buffers(&fab);
@@ -1706,7 +1709,7 @@ mod tests {
             (5, 5, &[]),
         ];
         for (out, seq, left) in script {
-            assert_eq!(fab.dequeue(0, 0, 2, out).seq, seq);
+            assert_eq!(fab.dequeue(0, 2, out).seq, seq);
             assert_eq!(requests(&fab), left);
             assert_masks_track_buffers(&fab);
         }

@@ -32,8 +32,8 @@
 //! down-port π·m + q reaches plane π's switch y[digit L−2 := q]. With
 //! planes = 2 and L = 2 this reproduces the hand-built §V leaf–spine
 //! wiring bit for bit (leaf π·m+w ↔ spine p); with planes = 1 it is the
-//! m-ary Clos whose paths [`crate::multilevel::MultiLevelClos`] gives in
-//! closed form (the unit tests check both, port for port). Level-0
+//! m-ary Clos, whose switch paths follow from the digits alone (the unit
+//! tests check both, port for port and path for path). Level-0
 //! down-port q of leaf w is host w·m + q; a one-level tree is one
 //! switch whose first planes·m ports are the hosts.
 //!
@@ -1210,34 +1210,14 @@ mod tests {
         }
     }
 
-    /// The switch path of a src→dst flow in the m-ary Clos, as (level,
-    /// position) pairs, from the digit rule alone: the flow ascends to
-    /// one above the highest leaf digit in which source and destination
-    /// differ, step l rewriting digit l to the flow's `up_choice`, then
-    /// descends, rewriting digit l−1 to the destination leaf's.
-    fn m_ary_path(m: usize, levels: u32, src: usize, dst: usize) -> Vec<(u32, usize)> {
-        let (ls, ld) = (src / m, dst / m);
-        let ascent = (0..levels - 1)
-            .rfind(|&pos| digit(ls, pos, m) != digit(ld, pos, m))
-            .map_or(0, |pos| pos + 1);
-        let mut sw = ls;
-        let mut out = vec![(0, sw)];
-        for level in 0..ascent {
-            sw = with_digit(sw, level, up_choice(src, dst, level, m), m);
-            out.push((level + 1, sw));
-        }
-        for level in (1..=ascent).rev() {
-            sw = with_digit(sw, level - 1, digit(ld, level - 1, m), m);
-            out.push((level - 1, sw));
-        }
-        out
-    }
-
     #[test]
     fn one_plane_expansion_matches_the_digit_paths() {
         // planes = 1 is the m-ary Clos: m^L hosts, m^(L−1) switches in
-        // each of the L levels, and every flow on its digit-rule path
-        // (per level, per position).
+        // each of the L levels, and every flow on its digit-rule path.
+        // It climbs to one above the highest leaf digit in which source
+        // and destination differ, step l rewriting digit l to the flow's
+        // `up_choice`, then descends, rewriting digit l−1 to the
+        // destination leaf's.
         for (radix, levels) in [(6usize, 3u32), (4, 4), (8, 2)] {
             let fab = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(radix, levels)).unwrap();
             let m = radix / 2;
@@ -1246,6 +1226,21 @@ mod tests {
             assert_eq!(fab.switches.len(), width * levels as usize);
             for src in 0..hosts {
                 let dst = (src * 13 + 7) % hosts;
+                let (ls, ld) = (src / m, dst / m);
+                let differ = |pos| digit(ls, pos, m) != digit(ld, pos, m);
+                let ascent = (0..levels - 1)
+                    .rfind(|&pos| differ(pos))
+                    .map_or(0, |pos| pos + 1);
+                let mut sw = ls;
+                let mut digits = vec![(0, sw)];
+                for l in 0..ascent {
+                    sw = with_digit(sw, l, up_choice(src, dst, l, m), m);
+                    digits.push((l + 1, sw));
+                }
+                for l in (1..=ascent).rev() {
+                    sw = with_digit(sw, l - 1, digit(ld, l - 1, m), m);
+                    digits.push((l - 1, sw));
+                }
                 let expanded: Vec<(u32, usize)> = fab
                     .path(HostId::from_index(src), HostId::from_index(dst))
                     .into_iter()
@@ -1254,7 +1249,6 @@ mod tests {
                         (level, sw.index() - level as usize * width)
                     })
                     .collect();
-                let digits = m_ary_path(m, levels, src, dst);
                 assert_eq!(expanded, digits, "r{radix} L{levels} src {src} dst {dst}");
             }
         }

@@ -161,30 +161,20 @@ mod tests {
     }
 
     /// The switch path of a src→dst flow in the m-ary Clos, as (level,
-    /// position) pairs: up to one above the highest leaf digit in which
-    /// source and destination differ, step l rewriting digit l to the
-    /// flow's `up_choice`, then down, rewriting digit l−1 to the
-    /// destination leaf's.
+    /// position) pairs. It climbs to the ascent (one above the highest
+    /// leaf digit in which source and destination differ) and back down;
+    /// a level-l switch on it keeps its leaf's base-m digits from l up
+    /// and holds the flow's `up_choice` of step k in each digit k < l.
     fn m_ary_path(m: usize, levels: u32, src: usize, dst: usize) -> Vec<(u32, usize)> {
-        let digit = |index: usize, pos: u32| index / m.pow(pos) % m;
-        let rewrite = |index: usize, pos: u32, value: usize| {
-            index - digit(index, pos) * m.pow(pos) + value * m.pow(pos)
-        };
         let (ls, ld) = (src / m, dst / m);
-        let ascent = (0..levels - 1)
-            .rfind(|&pos| digit(ls, pos) != digit(ld, pos))
-            .map_or(0, |pos| pos + 1);
-        let mut sw = ls;
-        let mut out = vec![(0, sw)];
-        for level in 0..ascent {
-            sw = rewrite(sw, level, up_choice(src, dst, level, m));
-            out.push((level + 1, sw));
-        }
-        for level in (1..=ascent).rev() {
-            sw = rewrite(sw, level - 1, digit(ld, level - 1));
-            out.push((level - 1, sw));
-        }
-        out
+        let differ = |k: u32| ls / m.pow(k) % m != ld / m.pow(k) % m;
+        let ascent = (0..levels - 1).rfind(|&k| differ(k)).map_or(0, |k| k + 1);
+        let at = |leaf: usize, l: u32| {
+            let ups: usize = (0..l).map(|k| up_choice(src, dst, k, m) * m.pow(k)).sum();
+            (l, leaf / m.pow(l) * m.pow(l) + ups)
+        };
+        let up = (0..=ascent).map(|l| at(ls, l));
+        up.chain((0..ascent).rev().map(|l| at(ld, l))).collect()
     }
 
     #[test]

@@ -277,8 +277,7 @@ pub enum TopologyFamily {
     /// A folded Clos of `levels` levels. With `planes == 2` this is the
     /// full fat tree (2·(k/2)^L hosts; at L = 2 exactly the §V
     /// leaf–spine instance); with `planes == 1` the m-ary variant
-    /// ((k/2)^L hosts, the top level's up-side unused) whose closed-form
-    /// arithmetic is [`crate::multilevel::MultiLevelClos`].
+    /// ((k/2)^L hosts, the top level's up-side unused).
     FatTree {
         /// Switch levels (≥ 1).
         levels: u32,
@@ -384,6 +383,22 @@ impl TopologySpec {
             placement: Placement::InputOnly,
             request_grant: 0,
         }
+    }
+
+    /// The fewest-level full fat tree of radix-`radix` switches with at
+    /// least `hosts` hosts: the §VI.C sizing question (2048 hosts take 2
+    /// levels of 64-port, 3 of 32-port and 5 of 8-port switches).
+    pub fn fat_tree_for_hosts(radix: usize, hosts: u64) -> Result<Self, TopologyError> {
+        let unreachable = TopologyError::UnreachablePortCount {
+            radix,
+            ports: hosts,
+        };
+        let spec = (1..=16)
+            .map(|levels| Self::fat_tree(radix, levels))
+            .find(|spec| spec.hosts() >= hosts)
+            .ok_or(unreachable)?;
+        spec.validate()?;
+        Ok(spec)
     }
 
     /// This family, radix and scale as its constructor builds them: every
@@ -852,25 +867,14 @@ mod tests {
 
     #[test]
     fn flow_hashes_match_the_closed_form_clos() {
-        // The ascent hash stated from its constants: FNV-1a over
-        // (src, dst, level), one SplitMix64 round, the high word mod m.
-        // The pinned m-ary fingerprints rest on it.
-        let mixed = |words: [u64; 3]| {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for v in words {
-                h = (h ^ v).wrapping_mul(0x100_0000_01b3);
-            }
-            h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            h ^ (h >> 31)
-        };
-        // Radix 6, three levels: m = 3, 27 hosts.
+        // The ascent hash is the high word of the flow hash of
+        // (src, dst, level), mod m: the pinned m-ary fingerprints rest
+        // on it. Radix 6, three levels: m = 3, 27 hosts.
         let (m, hosts) = (3, 27);
         for src in 0..hosts {
             let dst = (src * 5 + 1) % hosts;
             for level in 0..2 {
-                let h = mixed([src as u64, dst as u64, level as u64]);
+                let h = flow_hash(&[src as u64, dst as u64, level as u64]);
                 let closed_form = ((h >> 32) % m as u64) as usize;
                 assert_eq!(up_choice(src, dst, level, m), closed_form);
             }
@@ -922,6 +926,40 @@ mod tests {
         assert_eq!(TopologySpec::dragonfly(64, 64).stages(), 4);
         assert_eq!(TopologySpec::dragonfly(64, 1).stages(), 2);
         assert_eq!(TopologySpec::full_mesh(64, 32).stages(), 2);
+    }
+
+    #[test]
+    fn paper_claim_stage_counts_for_2048_ports() {
+        // §VI.C: "A 2048-port fabric needs 3 OSMOSIS stages, 5 high-end
+        // electronic switch stages and 9 stages of commodity switch chips."
+        let stages = |radix| TopologySpec::fat_tree_for_hosts(radix, 2048).map(|s| s.stages());
+        assert_eq!(stages(64), Ok(3), "OSMOSIS 64-port switches");
+        assert_eq!(stages(32), Ok(5), "high-end electronic 32-port");
+        assert_eq!(stages(8), Ok(9), "commodity 8-port");
+        // The paper quotes the 8-port end of its "8 to 12 ports" range;
+        // 12-port parts would need 2·6^4 = 2592 ≥ 2048 → 7 stages.
+        assert_eq!(stages(12), Ok(7), "commodity 12-port");
+    }
+
+    #[test]
+    fn a_fat_tree_for_n_hosts_has_the_fewest_levels_that_reach_n() {
+        // 2·(k/2)^L hosts: 64 at one 64-port level, 2048 at two.
+        let tree = |hosts| TopologySpec::fat_tree_for_hosts(64, hosts);
+        for (hosts, levels) in [(1, 1), (64, 1), (65, 2), (2_048, 2), (2_049, 3)] {
+            assert_eq!(
+                tree(hosts),
+                Ok(TopologySpec::fat_tree(64, levels)),
+                "{hosts}"
+            );
+        }
+        assert_eq!(TopologySpec::fat_tree(32, 3).hosts(), 8_192);
+        let too_many = TopologySpec::fat_tree_for_hosts(4, 1 << 20);
+        assert!(matches!(
+            too_many,
+            Err(TopologyError::UnreachablePortCount { .. })
+        ));
+        let odd = TopologySpec::fat_tree_for_hosts(7, 64);
+        assert!(matches!(odd, Err(TopologyError::InvalidRadix { .. })));
     }
 
     #[test]

@@ -57,12 +57,12 @@
 //! `pushed == popped + dropped + resident`.
 //!
 //! [`FdlBufferPlane`] packages one FIFO-mode [`FdlQueue`] per input port
-//! as a [`BufferPlane`], the drop-in replacement for a multistage
-//! fabric's electronic per-stage input buffers.
+//! as the switch input stage a multistage fabric holds in place of its
+//! electronic per-stage input buffers.
 
 #![deny(missing_docs)]
 
-use osmosis_sim::buffer::{set_request, BufferLoss, BufferLossReason, BufferPlane, BufferStats};
+use osmosis_sim::buffer::BufferLossReason;
 
 /// A cell's key: `(priority, arrival sequence)`. Lower sorts first, so
 /// priority 0 is the most urgent and ties serve in arrival order. FIFO
@@ -171,6 +171,44 @@ impl FdlLines {
             b += 1;
         }
         b
+    }
+}
+
+/// Cumulative counters an [`FdlQueue`] (and, summed, an
+/// [`FdlBufferPlane`]) keeps across a run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BufferStats {
+    /// Cells accepted into the queue.
+    pub pushed: u64,
+    /// Cells served.
+    pub popped: u64,
+    /// Cells lost, all reasons combined.
+    pub dropped: u64,
+    /// Cells lost at admission ([`BufferLossReason::AdmissionFull`]).
+    pub dropped_admission: u64,
+    /// Cells lost to infeasible placement
+    /// ([`BufferLossReason::NoFeasibleLine`]).
+    pub dropped_infeasible: u64,
+    /// Cells lost to dead delay lines ([`BufferLossReason::DeadLine`]).
+    pub dropped_dead_line: u64,
+    /// Emerged-but-unserved cells re-entered into a delay line.
+    pub recirculations: u64,
+    /// Slots in which the next cell due for service was still in fiber.
+    pub underflow_stalls: u64,
+}
+
+impl std::iter::Sum for BufferStats {
+    fn sum<I: Iterator<Item = Self>>(stats: I) -> Self {
+        stats.fold(BufferStats::default(), |a, b| BufferStats {
+            pushed: a.pushed + b.pushed,
+            popped: a.popped + b.popped,
+            dropped: a.dropped + b.dropped,
+            dropped_admission: a.dropped_admission + b.dropped_admission,
+            dropped_infeasible: a.dropped_infeasible + b.dropped_infeasible,
+            dropped_dead_line: a.dropped_dead_line + b.dropped_dead_line,
+            recirculations: a.recirculations + b.recirculations,
+            underflow_stalls: a.underflow_stalls + b.underflow_stalls,
+        })
     }
 }
 
@@ -470,8 +508,22 @@ impl<T> FdlQueue<T> {
     }
 }
 
-/// A bank of FIFO-mode [`FdlQueue`]s — one per input port — packaged as
-/// the [`BufferPlane`] a multistage fabric can swap in for its
+/// One cell an [`FdlBufferPlane`] could not keep: the fabric drops it and
+/// returns its credit upstream (the cell *was* admitted into the stage).
+#[derive(Debug, Clone)]
+pub struct BufferLoss<C> {
+    /// Input port of the queue that lost the cell.
+    pub input: usize,
+    /// Output port the cell was routed toward.
+    pub output: usize,
+    /// Why it was lost.
+    pub reason: BufferLossReason,
+    /// The cell itself, for attribution (source, flow) at the drop site.
+    pub cell: C,
+}
+
+/// A bank of FIFO-mode [`FdlQueue`]s — one per input port — that a
+/// multistage fabric uses as a switch's input stage in place of its
 /// electronic VOQs.
 ///
 /// Each input's arrivals share one physical delay-line queue in arrival
@@ -479,11 +531,14 @@ impl<T> FdlQueue<T> {
 /// payload: the head cell blocks the inputs behind it until its output
 /// is served (head-of-line blocking — the physical price of buffering
 /// in fiber instead of per-output electronic queues), so an input
-/// requests at most one output per slot. The `ready`
-/// request latency passed by the model is subsumed by the FDL's own
-/// one-slot insertion latency: an arrival in slot `t` first emerges at
-/// `t + 1`, which matches an input-buffered fabric's `t + 1` grant
-/// eligibility exactly.
+/// requests at most one output per slot. An arrival in slot `t` first
+/// emerges at `t + 1`, which matches an input-buffered fabric's `t + 1`
+/// grant eligibility exactly.
+///
+/// Per slot the fabric calls [`tick`](Self::tick), a [`push`](Self::push)
+/// per arriving cell, [`fill_requests`](Self::fill_requests) and a
+/// [`pop`](Self::pop) per matched pair, [`settle`](Self::settle), and
+/// [`take_losses`](Self::take_losses), in that order.
 #[derive(Debug, Clone)]
 pub struct FdlBufferPlane<C> {
     lines_per_queue: usize,
@@ -507,32 +562,44 @@ impl<C> FdlBufferPlane<C> {
     pub fn queue(&self, input: usize) -> Option<&FdlQueue<(usize, C)>> {
         self.queues.get(input)
     }
-}
 
-impl<C> BufferPlane<C> for FdlBufferPlane<C> {
-    fn tick(&mut self, slot: u64) {
+    /// Start slot `slot`: make delay-line emergences visible.
+    pub fn tick(&mut self, slot: u64) {
         for q in &mut self.queues {
             q.tick(slot);
         }
     }
 
-    fn push(&mut self, _slot: u64, input: usize, output: usize, _ready: u64, cell: C) {
+    /// A cell routed to `output` arrives at `input`.
+    pub fn push(&mut self, input: usize, output: usize, cell: C) {
         if let Some(q) = self.queues.get_mut(input) {
             q.push(0, (output, cell));
         }
     }
 
-    fn fill_requests(&self, _slot: u64, requests: &mut [u64], requested: &mut [u64]) {
+    /// Overwrite the matching's request masks with the pairs that can
+    /// offer a cell this slot: each input's head cell, if it has
+    /// emerged. With `words = requested.len()` (the port count in 64-bit
+    /// words), bit `i` of `requests[o * words + i / 64]` says input `i`
+    /// requests output `o`, and bit `o` of `requested` says output `o`
+    /// has any request. The masks hold until the slot's first
+    /// [`pop`](Self::pop).
+    pub fn fill_requests(&self, requests: &mut [u64], requested: &mut [u64]) {
         requests.fill(0);
         requested.fill(0);
+        let words = requested.len();
         for (input, q) in self.queues.iter().enumerate() {
             if let Some((_, &(output, _))) = q.peek() {
-                set_request(requests, requested, input, output);
+                requests[output * words + input / 64] |= 1 << (input % 64);
+                requested[output / 64] |= 1 << (output % 64);
             }
         }
     }
 
-    fn pop(&mut self, _slot: u64, input: usize, output: usize) -> Option<C> {
+    /// Remove and return the cell `(input, output)` offered this slot.
+    /// Returns `None` when [`fill_requests`](Self::fill_requests) did not
+    /// offer the pair.
+    pub fn pop(&mut self, input: usize, output: usize) -> Option<C> {
         let q = self.queues.get_mut(input)?;
         let (_, &(head, _)) = q.peek()?;
         if head != output {
@@ -542,21 +609,27 @@ impl<C> BufferPlane<C> for FdlBufferPlane<C> {
         Some(cell)
     }
 
-    fn settle(&mut self, slot: u64) {
+    /// End slot `slot`: commit unserved emerged cells and new arrivals
+    /// back into the delay lines.
+    pub fn settle(&mut self, slot: u64) {
         for q in &mut self.queues {
             q.settle(slot);
         }
     }
 
-    fn occupancy(&self, input: usize) -> usize {
+    /// Cells currently stored at `input` (the occupancy the credit loop
+    /// protects).
+    pub fn occupancy(&self, input: usize) -> usize {
         self.queues.get(input).map_or(0, |q| q.len())
     }
 
-    fn total(&self) -> usize {
+    /// Cells currently stored across all inputs.
+    pub fn total(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()
     }
 
-    fn take_losses(&mut self) -> Vec<BufferLoss<C>> {
+    /// Drain the losses recorded since the last call.
+    pub fn take_losses(&mut self) -> Vec<BufferLoss<C>> {
         let mut out = Vec::new();
         for (input, q) in self.queues.iter_mut().enumerate() {
             for loss in q.take_losses() {
@@ -572,23 +645,15 @@ impl<C> BufferPlane<C> for FdlBufferPlane<C> {
         out
     }
 
-    fn stats(&self) -> BufferStats {
-        let mut total = BufferStats::default();
-        for q in &self.queues {
-            let s = q.stats();
-            total.pushed += s.pushed;
-            total.popped += s.popped;
-            total.dropped += s.dropped;
-            total.dropped_admission += s.dropped_admission;
-            total.dropped_infeasible += s.dropped_infeasible;
-            total.dropped_dead_line += s.dropped_dead_line;
-            total.recirculations += s.recirculations;
-            total.underflow_stalls += s.underflow_stalls;
-        }
-        total
+    /// Cumulative counters, summed over the inputs.
+    pub fn stats(&self) -> BufferStats {
+        self.queues.iter().map(FdlQueue::stats).sum()
     }
 
-    fn set_line_dead(&mut self, line: usize, dead: bool) {
+    /// Mark delay line `line` (plane-local index:
+    /// `input * lines_per_queue() + local`) dead or alive. Dead lines
+    /// accept no new cells; cells already in the fiber still emerge.
+    pub fn set_line_dead(&mut self, line: usize, dead: bool) {
         if self.lines_per_queue == 0 {
             return;
         }
@@ -599,11 +664,14 @@ impl<C> BufferPlane<C> for FdlBufferPlane<C> {
         }
     }
 
-    fn lines_per_queue(&self) -> usize {
+    /// Delay lines per input queue.
+    pub fn lines_per_queue(&self) -> usize {
         self.lines_per_queue
     }
 
-    fn queue_ledger(&self, input: usize) -> Option<(u64, u64, u64, u64)> {
+    /// The conservation ledger `(pushed, popped, dropped, resident)` of
+    /// `input`'s queue, if it exists.
+    pub fn queue_ledger(&self, input: usize) -> Option<(u64, u64, u64, u64)> {
         self.queues.get(input).map(|q| q.ledger())
     }
 }
@@ -812,14 +880,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The `(input, output)` pairs `plane` offers in slot `slot`, read
-    /// back from the masks one `fill_requests` call wrote over stale
-    /// bits.
-    fn offered(plane: &FdlBufferPlane<u32>, slot: u64, ports: usize) -> Vec<(usize, usize)> {
+    /// The `(input, output)` pairs `plane` offers, read back from the
+    /// masks one `fill_requests` call wrote over stale bits.
+    fn offered(plane: &FdlBufferPlane<u32>, ports: usize) -> Vec<(usize, usize)> {
         let words = ports.div_ceil(64);
         let mut requests = vec![u64::MAX; ports * words];
         let mut requested = vec![u64::MAX; words];
-        plane.fill_requests(slot, &mut requests, &mut requested);
+        plane.fill_requests(&mut requests, &mut requested);
         let bit = |mask: &[u64], b: usize| mask[b / 64] >> (b % 64) & 1 == 1;
         let mut pairs = Vec::new();
         for o in 0..ports {
@@ -1020,21 +1087,21 @@ mod tests {
     fn plane_gates_on_head_output_and_keeps_ledgers() {
         let mut plane: FdlBufferPlane<u32> = FdlBufferPlane::new(2, 4);
         plane.tick(0);
-        plane.push(0, 0, 1, 1, 100); // input 0 -> output 1
-        plane.push(0, 0, 0, 1, 101); // input 0 -> output 0, behind it
+        plane.push(0, 1, 100); // input 0 -> output 1
+        plane.push(0, 0, 101); // input 0 -> output 0, behind it
         plane.settle(0);
         plane.tick(1);
         assert_eq!(
-            offered(&plane, 1, 2),
+            offered(&plane, 2),
             [(0, 1)],
             "head-of-line: output 0 blocked behind the output-1 head"
         );
-        assert_eq!(plane.pop(1, 0, 0), None);
-        assert_eq!(plane.pop(1, 0, 1), Some(100));
+        assert_eq!(plane.pop(0, 0), None);
+        assert_eq!(plane.pop(0, 1), Some(100));
         plane.settle(1);
         plane.tick(2);
-        assert_eq!(offered(&plane, 2, 2), [(0, 0)]);
-        assert_eq!(plane.pop(2, 0, 0), Some(101));
+        assert_eq!(offered(&plane, 2), [(0, 0)]);
+        assert_eq!(plane.pop(0, 0), Some(101));
         plane.settle(2);
         assert_eq!(plane.total(), 0);
         assert_eq!(plane.queue_ledger(0), Some((2, 2, 0, 0)));
@@ -1052,6 +1119,26 @@ mod tests {
         assert!(q1.is_some_and(|q| q.lines().is_dead(2)));
         assert!(plane.queue(0).is_some_and(|q| q.capacity() == 5));
         assert!(plane.queue(1).is_some_and(|q| q.capacity() < 5));
+    }
+
+    #[test]
+    fn request_masks_are_laid_out_per_output_in_words_of_inputs() {
+        // 70 ports: two words per mask. Input 65 holds a cell for output 3,
+        // input 2 one for output 69.
+        let mut plane: FdlBufferPlane<u32> = FdlBufferPlane::new(70, 2);
+        plane.tick(0);
+        plane.push(65, 3, 7);
+        plane.push(2, 69, 9);
+        plane.settle(0);
+        plane.tick(1);
+        // Stale bits everywhere: the fill must overwrite, not accumulate.
+        let (mut requests, mut requested) = (vec![u64::MAX; 70 * 2], vec![u64::MAX; 2]);
+        plane.fill_requests(&mut requests, &mut requested);
+        assert_eq!(requested, [1 << 3, 1 << (69 - 64)]);
+        assert_eq!(requests[3 * 2..3 * 2 + 2], [0, 1 << (65 - 64)]);
+        assert_eq!(requests[69 * 2..69 * 2 + 2], [1 << 2, 0]);
+        assert_eq!(requests.iter().filter(|&&w| w != 0).count(), 2);
+        assert_eq!((plane.pop(65, 3), plane.pop(2, 69)), (Some(7), Some(9)));
     }
 
     #[test]
@@ -1253,7 +1340,7 @@ mod tests {
                 for (i, q) in truth.iter_mut().enumerate() {
                     while rng.index(4) < 2 {
                         let o = rng.index(ports);
-                        plane.push(slot, i, o, slot + 1, slot as u32);
+                        plane.push(i, o, slot as u32);
                         q.push(0, (o, slot as u32));
                     }
                 }
@@ -1267,16 +1354,12 @@ mod tests {
                     );
                 }
                 ready.sort_unstable();
-                assert_eq!(
-                    offered(&plane, slot, ports),
-                    ready,
-                    "{ports} ports, slot {slot}"
-                );
+                assert_eq!(offered(&plane, ports), ready, "{ports} ports, slot {slot}");
                 for (i, o) in ready.into_iter().filter(|_| rng.index(2) == 0) {
                     let other = (o + 1) % ports;
-                    assert_eq!(plane.pop(slot, i, other), None, "not the head's output");
+                    assert_eq!(plane.pop(i, other), None, "not the head's output");
                     let served = truth[i].pop().map(|(_, (_, cell))| cell);
-                    assert_eq!(plane.pop(slot, i, o), served);
+                    assert_eq!(plane.pop(i, o), served);
                     pops += 1;
                 }
                 plane.settle(slot);

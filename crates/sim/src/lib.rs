@@ -7,9 +7,9 @@
 //! The paper's own performance results (Figs. 6-7) came from an Omnet++
 //! simulation environment; this crate is the Rust substitute for that
 //! substrate. The switch/fabric simulations advance in fixed cell cycles
-//! (51.2 ns in the demonstrator, [`time::SlotClock`]) on the one slot loop
-//! of [`engine`]; sub-cycle physics is composed in [`time::Time`]
-//! arithmetic at picosecond resolution.
+//! (51.2 ns in the demonstrator) on the one slot loop of [`engine`];
+//! sub-cycle physics is composed in [`time::Time`] arithmetic at
+//! picosecond resolution.
 //!
 //! All randomness flows from a single experiment seed through
 //! [`rng::SeedSequence`], so every figure in `EXPERIMENTS.md` is exactly
@@ -31,7 +31,7 @@ pub mod sweep;
 pub mod time;
 
 pub use audit::{Auditor, CreditLedger, DropReason};
-pub use buffer::{BufferLoss, BufferLossReason, BufferPlane, BufferStats};
+pub use buffer::BufferLossReason;
 pub use circuit::{CircuitView, NullCircuits};
 pub use engine::{
     CountingTrace, Engine, EngineConfig, EngineReport, NullTrace, Observer, RingTrace,
@@ -40,9 +40,9 @@ pub use engine::{
 pub use extra::Extra;
 pub use fault::FaultView;
 pub use rng::{SeedSequence, SimRng};
-pub use stats::{Counter, Histogram, SimSummary, Welford};
+pub use stats::{Histogram, Welford};
 pub use sweep::{
     checkpointed_sweep, linspace, logspace, parallel_sweep, CheckpointLog, ProgressOutcome,
     SweepError, SweepProgress, SweepState,
 };
-pub use time::{SlotClock, Time, TimeDelta};
+pub use time::{Time, TimeDelta};

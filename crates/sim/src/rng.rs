@@ -125,7 +125,8 @@ impl SimRng {
             return 0;
         }
         let u = 1.0 - self.next_f64();
-        (u.ln() / (1.0 - p).ln()).floor() as u64
+        // The ratio is ≥ 0 (or −0.0), where the truncating cast is floor.
+        (u.ln() / (1.0 - p).ln()) as u64
     }
 
     /// Fisher-Yates shuffle of a slice.

@@ -124,18 +124,18 @@ impl Histogram {
         }
     }
 
-    /// Record one observation (negative values clamp into bucket 0).
+    /// Record one observation (negative values and NaN clamp into bucket
+    /// 0).
     #[inline]
     pub fn record(&mut self, x: f64) {
         self.total += 1;
         self.sum += x;
-        let idx = (x / self.width).floor();
-        if idx < 0.0 {
-            self.counts[0] += 1;
-        } else if (idx as usize) < self.counts.len() {
-            self.counts[idx as usize] += 1;
-        } else {
-            self.overflow += 1;
+        // The cast truncates toward zero and saturates (NaN becomes 0),
+        // so it is `floor` on every index that names a bucket, with no
+        // libm call on a per-cell path.
+        match self.counts.get_mut((x / self.width) as usize) {
+            Some(count) => *count += 1,
+            None => self.overflow += 1,
         }
     }
 
@@ -229,71 +229,6 @@ impl Histogram {
         self.overflow += other.overflow;
         self.total += other.total;
         self.sum += other.sum;
-    }
-}
-
-/// Simple monotonically increasing event counter with rate reporting.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Count divided by an interval (e.g. slots) → rate.
-    pub fn rate(&self, interval: u64) -> f64 {
-        if interval == 0 {
-            0.0
-        } else {
-            self.0 as f64 / interval as f64
-        }
-    }
-}
-
-/// Throughput/latency summary produced by switch and fabric simulations.
-#[derive(Debug, Clone)]
-pub struct SimSummary {
-    /// Offered load (fraction of line rate presented at the inputs).
-    pub offered_load: f64,
-    /// Carried throughput (fraction of line rate delivered at the outputs).
-    pub throughput: f64,
-    /// Mean end-to-end latency in slots.
-    pub mean_latency_slots: f64,
-    /// 99th-percentile latency in slots, if resolvable.
-    pub p99_latency_slots: Option<f64>,
-    /// Packets injected during the measurement window.
-    pub injected: u64,
-    /// Packets delivered during the measurement window.
-    pub delivered: u64,
-    /// Packets dropped (must be zero for lossless configurations).
-    pub dropped: u64,
-    /// Packets delivered out of order w.r.t. their (input, output) flow.
-    pub reordered: u64,
-}
-
-impl SimSummary {
-    /// True when no packet was dropped.
-    pub fn lossless(&self) -> bool {
-        self.dropped == 0
-    }
-
-    /// True when per-flow FIFO order was preserved.
-    pub fn in_order(&self) -> bool {
-        self.reordered == 0
     }
 }
 
@@ -403,6 +338,31 @@ mod tests {
     }
 
     #[test]
+    fn histogram_buckets_match_the_floor_formula() {
+        // The bucket rule the cast replaced: floor, negatives into 0.
+        let floored = |x: f64, width: f64, buckets: usize| {
+            let idx = (x / width).floor();
+            if idx < 0.0 {
+                Some(0)
+            } else {
+                Some(idx as usize).filter(|&i| i < buckets)
+            }
+        };
+        let width = 0.5;
+        let edges = (0..=9).map(|i| i as f64 * width);
+        let nudged = edges.clone().flat_map(|e| [e.next_down(), e.next_up()]);
+        let odd = [-0.0, -0.3, -7.5, f64::NAN];
+        let past = [4.2, 1e300, f64::MAX, f64::INFINITY, f64::NEG_INFINITY];
+        for x in edges.chain(nudged).chain(odd).chain(past) {
+            let mut h = Histogram::new(width, 8);
+            h.record(x);
+            let bucket = h.bucket_counts().iter().position(|&c| c == 1);
+            assert_eq!(bucket, floored(x, width, 8), "{x}");
+            assert_eq!(h.overflow_count(), u64::from(bucket.is_none()), "{x}");
+        }
+    }
+
+    #[test]
     fn histogram_merge() {
         let mut a = Histogram::new(2.0, 8);
         let mut b = Histogram::new(2.0, 8);
@@ -420,31 +380,5 @@ mod tests {
         let mut a = Histogram::new(1.0, 8);
         let b = Histogram::new(2.0, 8);
         a.merge(&b);
-    }
-
-    #[test]
-    fn counter_rate() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.rate(100), 0.1);
-        assert_eq!(c.rate(0), 0.0);
-    }
-
-    #[test]
-    fn summary_flags() {
-        let s = SimSummary {
-            offered_load: 0.9,
-            throughput: 0.9,
-            mean_latency_slots: 3.0,
-            p99_latency_slots: Some(10.0),
-            injected: 100,
-            delivered: 100,
-            dropped: 0,
-            reordered: 0,
-        };
-        assert!(s.lossless());
-        assert!(s.in_order());
     }
 }

@@ -257,49 +257,6 @@ impl fmt::Display for TimeDelta {
     }
 }
 
-/// A slotted clock converting between cell-cycle counts and absolute time.
-///
-/// OSMOSIS is a synchronous system: every port transmits fixed-size cells on
-/// a global cadence (51.2 ns in the demonstrator). Simulations of the switch
-/// run in units of slots; this clock anchors them back to wall (simulated)
-/// time for latency reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotClock {
-    slot: TimeDelta,
-}
-
-impl SlotClock {
-    /// A clock whose slot length is `slot`. Panics on a zero-length slot.
-    pub fn new(slot: TimeDelta) -> Self {
-        assert!(slot.0 > 0, "zero slot length");
-        SlotClock { slot }
-    }
-
-    /// Slot duration.
-    #[inline]
-    pub fn slot(self) -> TimeDelta {
-        self.slot
-    }
-
-    /// Start time of slot `n`.
-    #[inline]
-    pub fn slot_start(self, n: u64) -> Time {
-        Time(self.slot.0 * n)
-    }
-
-    /// The slot containing time `t`.
-    #[inline]
-    pub fn slot_of(self, t: Time) -> u64 {
-        t.0 / self.slot.0
-    }
-
-    /// Convert a latency measured in whole slots to a time span.
-    #[inline]
-    pub fn slots_to_delta(self, slots: u64) -> TimeDelta {
-        TimeDelta(self.slot.0 * slots)
-    }
-}
-
 #[cfg(test)]
 #[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
@@ -354,16 +311,6 @@ mod tests {
         // 256 bytes at 40 Gb/s = 51.2 ns: the demonstrator cell cycle.
         let d = TimeDelta::serialization(256, 40.0);
         assert_eq!(d, TimeDelta::from_ps(51_200));
-    }
-
-    #[test]
-    fn slot_clock_maps_slots_to_time() {
-        let clk = SlotClock::new(TimeDelta::from_ps(51_200));
-        assert_eq!(clk.slot_start(0), Time::ZERO);
-        assert_eq!(clk.slot_start(100).as_ns_f64(), 5_120.0);
-        assert_eq!(clk.slot_of(Time::from_ps(51_199)), 0);
-        assert_eq!(clk.slot_of(Time::from_ps(51_200)), 1);
-        assert_eq!(clk.slots_to_delta(10), TimeDelta::from_ps(512_000));
     }
 
     #[test]

@@ -40,28 +40,21 @@ pub mod spans;
 
 pub use export::{validate_jsonl, JsonlStats, Record, ReportDigest, ShardStatus, SCHEMA_VERSION};
 pub use registry::{Component, LogHistogram, MetricId, MetricsRegistry, LOG_BUCKETS};
-pub use spans::{CellSpan, Decomposition, SpanConfig, SpanPlane, SEGMENTS};
+pub use spans::{CellSpan, Decomposition, SpanPlane, SEGMENTS};
 
 use osmosis_sim::engine::{CountingTrace, EngineConfig, EngineReport, TraceEvent, TraceSink};
 use osmosis_sim::sweep::{ProgressOutcome, SweepProgress};
 use std::io::Write;
 use std::path::Path;
 
-/// Cadences and floors for a [`TelemetrySink`].
+/// Cadences for a [`TelemetrySink`]. The span plane's floors and window
+/// are constants of [`spans`]; sampled spans always stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Record every K-th completed span (1 = exhaustive).
     pub sample_every: u64,
     /// Slots between time-series snapshots (0 disables snapshots).
     pub snapshot_every: u64,
-    /// Slots charged to the request→grant control path per cell.
-    pub grant_floor: u64,
-    /// Slots charged to the crossbar transfer per cell.
-    pub crossbar_floor: u64,
-    /// Sampled spans retained in memory (streaming writes all of them).
-    pub recent_spans: usize,
-    /// Whether sampled spans are written to the stream as they occur.
-    pub stream_spans: bool,
 }
 
 impl Default for TelemetryConfig {
@@ -69,10 +62,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             sample_every: 16,
             snapshot_every: 1000,
-            grant_floor: 1,
-            crossbar_floor: 1,
-            recent_spans: 256,
-            stream_spans: true,
         }
     }
 }
@@ -90,14 +79,6 @@ impl TelemetryConfig {
     pub fn with_snapshot_every(mut self, slots: u64) -> Self {
         self.snapshot_every = slots;
         self
-    }
-
-    fn span_config(&self) -> SpanConfig {
-        SpanConfig {
-            sample_every: self.sample_every,
-            grant_floor: self.grant_floor,
-            crossbar_floor: self.crossbar_floor,
-        }
     }
 }
 
@@ -255,7 +236,7 @@ impl TelemetrySink {
             cfg,
             label: String::from("run"),
             registry: MetricsRegistry::new(),
-            spans: SpanPlane::new(cfg.span_config(), cfg.recent_spans),
+            spans: SpanPlane::new(cfg.sample_every),
             snapshots: Vec::new(),
             counts: CountingTrace::default(),
             run_base: CountingTrace::default(),
@@ -519,7 +500,7 @@ impl TraceSink for TelemetrySink {
             } => {
                 self.delivery_delay.record(delay_slots);
                 if let Some(span) = self.spans.on_deliver(slot, output, delay_slots) {
-                    if self.cfg.stream_spans && self.stream.is_some() {
+                    if self.stream.is_some() {
                         let run = self.run;
                         self.stream_record(&Record::Span { run, span });
                     }

@@ -8,9 +8,8 @@
 //! * **queueing** — slots spent in the ingress VOQ before the arbiter
 //!   considered the cell (wait minus the request→grant floor),
 //! * **request_grant** — the control-path round trip itself (bounded by
-//!   [`SpanConfig::grant_floor`], one slot in the demonstrator),
-//! * **crossbar** — the bufferless transfer
-//!   ([`SpanConfig::crossbar_floor`] slots),
+//!   [`GRANT_FLOOR`], one slot in the demonstrator),
+//! * **crossbar** — the bufferless transfer ([`CROSSBAR_FLOOR`] slots),
 //! * **egress** — residence in the egress queue until transmission.
 //!
 //! The four segments always sum exactly to the engine's delay for that
@@ -41,42 +40,18 @@ const SCAN_LIMIT: usize = 128;
 /// dead (its cell dropped after grant) and evicted.
 const PENDING_CAP: usize = 65_536;
 
-/// Configuration for the span plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanConfig {
-    /// Record every K-th completed span (1 = exhaustive). Matching and
-    /// segment accounting always run; sampling only gates which
-    /// individual [`CellSpan`] records are kept/streamed.
-    pub sample_every: u64,
-    /// Slots charged to the request→grant control path (the rest of the
-    /// pre-grant wait is queueing). One slot in the demonstrator.
-    pub grant_floor: u64,
-    /// Slots charged to the crossbar transfer (the rest of the
-    /// post-grant delay is egress residence).
-    pub crossbar_floor: u64,
-}
+/// Slots charged to the request→grant control path per granted cell
+/// (the rest of the pre-grant wait is queueing). One slot in the
+/// demonstrator.
+pub const GRANT_FLOOR: u64 = 1;
 
-impl Default for SpanConfig {
-    fn default() -> Self {
-        SpanConfig {
-            sample_every: 16,
-            grant_floor: 1,
-            crossbar_floor: 1,
-        }
-    }
-}
+/// Slots charged to the crossbar transfer per granted cell (the rest of
+/// the post-grant delay is egress residence).
+pub const CROSSBAR_FLOOR: u64 = 1;
 
-impl SpanConfig {
-    /// Exhaustive sampling — every span recorded. Use for
-    /// reconciliation studies where segment means must equal the
-    /// engine's mean delay exactly.
-    pub fn exact() -> Self {
-        SpanConfig {
-            sample_every: 1,
-            ..SpanConfig::default()
-        }
-    }
-}
+/// Sampled spans a plane keeps in its [`recent`](SpanPlane::recent)
+/// window.
+const RECENT_SPANS: usize = 256;
 
 /// One sampled cell lifecycle, fully decomposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,7 +121,10 @@ impl Decomposition {
 /// keeps per-segment histograms plus a bounded window of sampled spans.
 #[derive(Debug)]
 pub struct SpanPlane {
-    cfg: SpanConfig,
+    /// Record every K-th completed span (1 = exhaustive). Matching and
+    /// segment accounting always run; sampling only gates which
+    /// individual [`CellSpan`] records are kept/streamed.
+    sample_every: u64,
     measure_from: u64,
     /// Per-output FIFO of outstanding grants as `(inject_slot, wait)`.
     pending: Vec<VecDeque<(u64, u64)>>,
@@ -159,16 +137,17 @@ pub struct SpanPlane {
     delay_sum: u64,
     seg_hists: [LogHistogram; 4],
     recent: VecDeque<CellSpan>,
-    recent_cap: usize,
 }
 
 impl SpanPlane {
-    /// A fresh plane; call [`run_begin`](SpanPlane::run_begin) before
-    /// feeding events.
-    pub fn new(cfg: SpanConfig, recent_cap: usize) -> Self {
-        assert!(cfg.sample_every >= 1, "sample_every must be at least 1");
+    /// A fresh plane recording every `sample_every`-th completed span
+    /// (1 = exhaustive, which reconciliation studies need: segment means
+    /// then equal the engine's mean delay exactly); call
+    /// [`run_begin`](SpanPlane::run_begin) before feeding events.
+    pub fn new(sample_every: u64) -> Self {
+        assert!(sample_every >= 1, "sample_every must be at least 1");
         SpanPlane {
-            cfg,
+            sample_every,
             measure_from: 0,
             pending: Vec::new(),
             completed: 0,
@@ -185,7 +164,6 @@ impl SpanPlane {
                 LogHistogram::new(),
             ],
             recent: VecDeque::new(),
-            recent_cap,
         }
     }
 
@@ -228,9 +206,9 @@ impl SpanPlane {
         let delay = delay_slots;
         let (queueing, request_grant, crossbar, egress) = if granted {
             let wait = wait.min(delay);
-            let rg = wait.min(self.cfg.grant_floor);
+            let rg = wait.min(GRANT_FLOOR);
             let post = delay - wait;
-            let xbar = post.min(self.cfg.crossbar_floor);
+            let xbar = post.min(CROSSBAR_FLOOR);
             (wait - rg, rg, xbar, post - xbar)
         } else {
             (delay, 0, 0, 0)
@@ -253,7 +231,7 @@ impl SpanPlane {
             hist.record(seg);
         }
 
-        if !(self.completed - 1).is_multiple_of(self.cfg.sample_every) {
+        if !(self.completed - 1).is_multiple_of(self.sample_every) {
             return None;
         }
         self.sampled += 1;
@@ -267,12 +245,10 @@ impl SpanPlane {
             egress,
             granted,
         };
-        if self.recent_cap > 0 {
-            if self.recent.len() >= self.recent_cap {
-                self.recent.pop_front();
-            }
-            self.recent.push_back(span);
+        if self.recent.len() >= RECENT_SPANS {
+            self.recent.pop_front();
         }
+        self.recent.push_back(span);
         Some(span)
     }
 
@@ -367,13 +343,7 @@ mod tests {
     use super::*;
 
     fn plane(sample_every: u64) -> SpanPlane {
-        let mut p = SpanPlane::new(
-            SpanConfig {
-                sample_every,
-                ..SpanConfig::default()
-            },
-            64,
-        );
+        let mut p = SpanPlane::new(sample_every);
         p.run_begin(0, 4);
         p
     }
@@ -456,7 +426,7 @@ mod tests {
 
     #[test]
     fn warmup_cells_consume_pairings_but_not_stats() {
-        let mut p = SpanPlane::new(SpanConfig::exact(), 8);
+        let mut p = SpanPlane::new(1);
         p.run_begin(100, 2);
         p.on_grant(50, 0, 10); // warmup cell (inject 40)
         assert!(p.on_deliver(55, 0, 15).is_none());

@@ -116,8 +116,6 @@ fn analysis_and_fabric_agree_on_stage_counts() {
     // The fabric-level OSMOSIS config and the baselines table must agree.
     let f = OsmosisFabricConfig::full_size();
     assert_eq!(f.ports() as u64, 2048);
-    assert_eq!(
-        osmosis::fabric::stages_for_ports(64, f.ports() as u64),
-        table[0].stages
-    );
+    let spec = osmosis::fabric::TopologySpec::fat_tree_for_hosts(64, f.ports() as u64);
+    assert_eq!(spec.map(|s| s.stages()), Ok(table[0].stages));
 }

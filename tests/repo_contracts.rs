@@ -27,7 +27,7 @@ use std::path::Path;
 const OUTSIDE_WORKSPACE: &[&str] = &["benchmark", "alloc-free"];
 
 /// The traits whose implementors run in the engine's slot loop.
-const SLOT_LOOP_TRAITS: &[&str] = &["CellScheduler", "CellSwitch", "SlottedModel", "BufferPlane"];
+const SLOT_LOOP_TRAITS: &[&str] = &["CellScheduler", "CellSwitch", "SlottedModel"];
 
 /// Parameter names that index a fabric entity, which the topology
 /// compiler gives a typed id.
@@ -268,12 +268,15 @@ fn fabric_public_functions_take_typed_ids() {
     let mut problems = Vec::new();
     let mut signatures = 0;
     for (path, text) in rust_files("crates/fabric/src") {
-        if path.ends_with("/expand.rs") || path.ends_with("/ids.rs") {
-            continue;
-        }
+        // The id builders: the reader counts their signatures, and the
+        // rule leaves them their raw indices.
+        let builds_ids = path.ends_with("/expand.rs") || path.ends_with("/ids.rs");
         let code = non_test(&text);
         for (at, sig) in pub_fn_signatures(code) {
             signatures += 1;
+            if builds_ids {
+                continue;
+            }
             for name in ENTITY_PARAMS {
                 let raw = format!("{name}: usize");
                 if has_word(sig, &raw) {
