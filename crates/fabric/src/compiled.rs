@@ -93,7 +93,7 @@
 use crate::expand::{ExpandedFabric, Peer};
 use crate::ids::{EntityId, HostId, PortId, StageId, SwitchId};
 use crate::spec::{top_choice, BufferTech, Placement, TopologyError, TopologySpec};
-use osmosis_fdl::{BufferStats, FdlBufferPlane};
+use osmosis_fdl::{BufferStats, FdlBufferPlane, FdlQueue};
 use osmosis_sched::matching::Matcher;
 use osmosis_sim::audit::{CreditLedger, DropReason};
 use osmosis_sim::buffer::BufferLossReason;
@@ -589,7 +589,9 @@ impl CompiledFabric {
         }
         for (sw, plane) in self.planes.iter().enumerate() {
             for input in 0..radix {
-                if let Some((pushed, popped, dropped, resident)) = plane.queue_ledger(input) {
+                if let Some((pushed, popped, dropped, resident)) =
+                    plane.queue(input).map(FdlQueue::ledger)
+                {
                     obs.audit_fdl_ledger(sw * radix + input, pushed, popped, dropped, resident);
                 }
             }

@@ -622,7 +622,7 @@ fn global_channels(shape: &DragonflyShape, g: usize, d: usize) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::TopologySpec;
 
@@ -635,6 +635,31 @@ mod tests {
     fn with_digit(index: usize, pos: u32, value: usize, m: usize) -> usize {
         let p = m.pow(pos);
         index - digit(index, pos, m) * p + value * p
+    }
+
+    /// The switch path of a src→dst flow in the m-ary Clos of `levels`
+    /// levels, as (level, position in level) pairs: the closed form the
+    /// `planes = 1` expansion must route by. It climbs to one above the
+    /// highest leaf digit in which source and destination differ, step l
+    /// rewriting digit l to the flow's `up_choice`, then descends,
+    /// rewriting digit l−1 to the destination leaf's.
+    pub(crate) fn m_ary_path(m: usize, levels: u32, src: usize, dst: usize) -> Vec<(u32, usize)> {
+        let (ls, ld) = (src / m, dst / m);
+        let differ = |pos| digit(ls, pos, m) != digit(ld, pos, m);
+        let ascent = (0..levels - 1)
+            .rfind(|&pos| differ(pos))
+            .map_or(0, |pos| pos + 1);
+        let mut sw = ls;
+        let mut path = vec![(0, sw)];
+        for l in 0..ascent {
+            sw = with_digit(sw, l, up_choice(src, dst, l, m), m);
+            path.push((l + 1, sw));
+        }
+        for l in (1..=ascent).rev() {
+            sw = with_digit(sw, l - 1, digit(ld, l - 1, m), m);
+            path.push((l - 1, sw));
+        }
+        path
     }
 
     /// The wiring the expansion stored before its closed forms, kept as
@@ -1214,10 +1239,6 @@ mod tests {
     fn one_plane_expansion_matches_the_digit_paths() {
         // planes = 1 is the m-ary Clos: m^L hosts, m^(L−1) switches in
         // each of the L levels, and every flow on its digit-rule path.
-        // It climbs to one above the highest leaf digit in which source
-        // and destination differ, step l rewriting digit l to the flow's
-        // `up_choice`, then descends, rewriting digit l−1 to the
-        // destination leaf's.
         for (radix, levels) in [(6usize, 3u32), (4, 4), (8, 2)] {
             let fab = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(radix, levels)).unwrap();
             let m = radix / 2;
@@ -1226,21 +1247,6 @@ mod tests {
             assert_eq!(fab.switches.len(), width * levels as usize);
             for src in 0..hosts {
                 let dst = (src * 13 + 7) % hosts;
-                let (ls, ld) = (src / m, dst / m);
-                let differ = |pos| digit(ls, pos, m) != digit(ld, pos, m);
-                let ascent = (0..levels - 1)
-                    .rfind(|&pos| differ(pos))
-                    .map_or(0, |pos| pos + 1);
-                let mut sw = ls;
-                let mut digits = vec![(0, sw)];
-                for l in 0..ascent {
-                    sw = with_digit(sw, l, up_choice(src, dst, l, m), m);
-                    digits.push((l + 1, sw));
-                }
-                for l in (1..=ascent).rev() {
-                    sw = with_digit(sw, l - 1, digit(ld, l - 1, m), m);
-                    digits.push((l - 1, sw));
-                }
                 let expanded: Vec<(u32, usize)> = fab
                     .path(HostId::from_index(src), HostId::from_index(dst))
                     .into_iter()
@@ -1249,7 +1255,11 @@ mod tests {
                         (level, sw.index() - level as usize * width)
                     })
                     .collect();
-                assert_eq!(expanded, digits, "r{radix} L{levels} src {src} dst {dst}");
+                assert_eq!(
+                    expanded,
+                    m_ary_path(m, levels, src, dst),
+                    "r{radix} L{levels} src {src} dst {dst}"
+                );
             }
         }
     }

@@ -112,7 +112,8 @@ pub fn expanded_uniform_load_map(fab: &ExpandedFabric, offered: f64) -> Expanded
 #[expect(clippy::float_cmp, reason = "tests pin values exact to the bit")]
 mod tests {
     use super::*;
-    use crate::spec::{up_choice, TopologySpec};
+    use crate::expand::tests::m_ary_path;
+    use crate::spec::TopologySpec;
 
     fn m_ary_map(radix: usize, levels: u32) -> ExpandedLoadMap {
         let fab = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(radix, levels)).unwrap();
@@ -158,23 +159,6 @@ mod tests {
             "simulated {} vs analytic ceiling {est}",
             r.throughput
         );
-    }
-
-    /// The switch path of a src→dst flow in the m-ary Clos, as (level,
-    /// position) pairs. It climbs to the ascent (one above the highest
-    /// leaf digit in which source and destination differ) and back down;
-    /// a level-l switch on it keeps its leaf's base-m digits from l up
-    /// and holds the flow's `up_choice` of step k in each digit k < l.
-    fn m_ary_path(m: usize, levels: u32, src: usize, dst: usize) -> Vec<(u32, usize)> {
-        let (ls, ld) = (src / m, dst / m);
-        let differ = |k: u32| ls / m.pow(k) % m != ld / m.pow(k) % m;
-        let ascent = (0..levels - 1).rfind(|&k| differ(k)).map_or(0, |k| k + 1);
-        let at = |leaf: usize, l: u32| {
-            let ups: usize = (0..l).map(|k| up_choice(src, dst, k, m) * m.pow(k)).sum();
-            (l, leaf / m.pow(l) * m.pow(l) + ups)
-        };
-        let up = (0..=ascent).map(|l| at(ls, l));
-        up.chain((0..ascent).rev().map(|l| at(ld, l))).collect()
     }
 
     #[test]

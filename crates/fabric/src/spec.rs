@@ -387,18 +387,31 @@ impl TopologySpec {
 
     /// The fewest-level full fat tree of radix-`radix` switches with at
     /// least `hosts` hosts: the §VI.C sizing question (2048 hosts take 2
-    /// levels of 64-port, 3 of 32-port and 5 of 8-port switches).
+    /// levels of 64-port, 3 of 32-port and 5 of 8-port switches). The
+    /// answer is closed-form, so only the radix is checked: a tree past
+    /// the `u32` id space still sizes, and [`validate`](Self::validate)
+    /// refuses it only for expansion.
     pub fn fat_tree_for_hosts(radix: usize, hosts: u64) -> Result<Self, TopologyError> {
-        let unreachable = TopologyError::UnreachablePortCount {
-            radix,
-            ports: hosts,
-        };
-        let spec = (1..=16)
+        Self::check_fat_tree_radix(radix)?;
+        (1..=16)
             .map(|levels| Self::fat_tree(radix, levels))
             .find(|spec| spec.hosts() >= hosts)
-            .ok_or(unreachable)?;
-        spec.validate()?;
-        Ok(spec)
+            .ok_or(TopologyError::UnreachablePortCount {
+                radix,
+                ports: hosts,
+            })
+    }
+
+    /// A fat tree's switches have an even radix of at least 4.
+    fn check_fat_tree_radix(radix: usize) -> Result<(), TopologyError> {
+        if radix < 4 || !radix.is_multiple_of(2) {
+            return Err(TopologyError::InvalidRadix {
+                radix,
+                min: 4,
+                even: true,
+            });
+        }
+        Ok(())
     }
 
     /// This family, radix and scale as its constructor builds them: every
@@ -475,13 +488,7 @@ impl TopologySpec {
     pub fn validate(&self) -> Result<(), TopologyError> {
         match self.family {
             TopologyFamily::FatTree { levels, planes } => {
-                if self.radix < 4 || !self.radix.is_multiple_of(2) {
-                    return Err(TopologyError::InvalidRadix {
-                        radix: self.radix,
-                        min: 4,
-                        even: true,
-                    });
-                }
+                Self::check_fat_tree_radix(self.radix)?;
                 if !(1..=16).contains(&levels) {
                     return Err(TopologyError::InvalidLevels { levels });
                 }
@@ -960,6 +967,14 @@ mod tests {
         ));
         let odd = TopologySpec::fat_tree_for_hosts(7, 64);
         assert!(matches!(odd, Err(TopologyError::InvalidRadix { .. })));
+        // Sizing is closed-form: 2·32^8 = 2^41 hosts reach 2^40, past
+        // the u32 id space that only expansion needs.
+        let huge = TopologySpec::fat_tree_for_hosts(64, 1 << 40).unwrap();
+        assert_eq!(huge, TopologySpec::fat_tree(64, 8));
+        assert!(matches!(
+            huge.validate(),
+            Err(TopologyError::TooLarge { .. })
+        ));
     }
 
     #[test]

@@ -668,12 +668,6 @@ impl<C> FdlBufferPlane<C> {
     pub fn lines_per_queue(&self) -> usize {
         self.lines_per_queue
     }
-
-    /// The conservation ledger `(pushed, popped, dropped, resident)` of
-    /// `input`'s queue, if it exists.
-    pub fn queue_ledger(&self, input: usize) -> Option<(u64, u64, u64, u64)> {
-        self.queues.get(input).map(|q| q.ledger())
-    }
 }
 
 /// The `BTreeMap`-backed [`FdlQueue`] the flat one replaced, statement
@@ -1104,7 +1098,7 @@ mod tests {
         assert_eq!(plane.pop(0, 0), Some(101));
         plane.settle(2);
         assert_eq!(plane.total(), 0);
-        assert_eq!(plane.queue_ledger(0), Some((2, 2, 0, 0)));
+        assert_eq!(plane.queue(0).map(FdlQueue::ledger), Some((2, 2, 0, 0)));
         assert_eq!(plane.lines_per_queue(), 4);
         assert!(plane.take_losses().is_empty());
     }
@@ -1379,7 +1373,7 @@ mod tests {
                 }
                 assert_eq!(lost, expect);
                 for (i, q) in truth.iter().enumerate() {
-                    assert_eq!(plane.queue_ledger(i), Some(q.ledger()));
+                    assert_eq!(plane.queue(i).map(FdlQueue::ledger), Some(q.ledger()));
                 }
             }
             assert!(pops > 5 * ports, "{ports} ports: only {pops} pops");

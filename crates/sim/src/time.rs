@@ -52,12 +52,6 @@ impl Time {
         self.0 as f64 / 1e3
     }
 
-    /// Microseconds since the epoch (fractional).
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Elapsed span since `earlier`. Panics in debug builds if `earlier`
     /// is in the future.
     #[inline]
@@ -112,12 +106,6 @@ impl TimeDelta {
     #[inline]
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1e3
-    }
-
-    /// Microseconds in this span (fractional).
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Seconds in this span (fractional).
@@ -267,7 +255,7 @@ mod tests {
         assert_eq!(Time::from_ns(51).as_ps(), 51_000);
         assert_eq!(Time::from_us(1).as_ps(), 1_000_000);
         assert_eq!(TimeDelta::from_ns(250).as_ns_f64(), 250.0);
-        assert_eq!(TimeDelta::from_us(2).as_us_f64(), 2.0);
+        assert_eq!(TimeDelta::from_us(2).as_ps(), 2_000_000);
     }
 
     #[test]
