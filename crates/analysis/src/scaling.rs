@@ -95,7 +95,7 @@ impl OpticalEnvelope {
 pub const ELECTRONIC_SINGLE_STAGE_TBPS: f64 = 8.0;
 
 /// FLPPR parallelism check: an N-port switch needs log₂N iterations per
-/// matching (ref. [17]); with one iteration per cell cycle, the scheduler
+/// matching (ref. \[17\]); with one iteration per cell cycle, the scheduler
 /// needs `depth = log₂N` parallel sub-schedulers. Returns the depth.
 pub fn flppr_depth_for(ports: u32) -> u32 {
     (ports.max(2) as f64).log2().ceil() as u32

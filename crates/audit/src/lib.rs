@@ -14,7 +14,7 @@
 //!
 //! This crate turns those properties into one battery of machine-checked
 //! invariants, [`AuditSet`]. It implements the kernel's
-//! [`Auditor`](osmosis_sim::audit::Auditor) hook and watches the full
+//! [`Auditor`] hook and watches the full
 //! event stream of a run — warm-up included, because conservation
 //! ledgers must see warm-up cells drain during measurement. Each
 //! [`Violation`] carries the name of the invariant it breaks:

@@ -1,17 +1,20 @@
 //! Availability study: degraded-mode throughput and recovery latency of
 //! the multistage fabric under the deterministic fault plane.
 //!
-//! Flags: `--quick` runs at test scale; `--smoke` is `--quick` plus a
-//! hard pass/fail on the resilience acceptance bars (for CI);
-//! `--audit` attaches the invariant auditors to every run and fails on
-//! any violation; `--checkpoint <dir>` checkpoints each completed sweep
-//! point to `<dir>` so an interrupted study resumes bit-identically;
-//! `--telemetry <path.jsonl>` streams the telemetry plane (metrics
-//! registry, spans, snapshots — see DESIGN.md for the record schema)
-//! from the nominal and stochastic legs; `--progress` reports live
-//! per-job sweep progress on stderr; `--topology <spec>` routes every
-//! leg through a declared topology (one with wavelength planes to fail:
-//! a fat tree of two or more levels, e.g. `fat-tree:radix=8,levels=3`).
+//! Flags:
+//!
+//! * `--quick` runs at test scale;
+//! * `--audit` attaches the invariant auditors to every run and fails on
+//!   any violation;
+//! * `--checkpoint <dir>` checkpoints each completed sweep point to
+//!   `<dir>`, so an interrupted study resumes bit-identically;
+//! * `--telemetry <path.jsonl>` streams the telemetry plane (metrics
+//!   registry, spans, snapshots — see DESIGN.md for the record schema)
+//!   from the nominal and stochastic legs;
+//! * `--progress` reports live per-job sweep progress on stderr;
+//! * `--topology <spec>` routes every leg through a declared topology
+//!   (one with wavelength planes to fail: a fat tree of two or more
+//!   levels, e.g. `fat-tree:radix=8,levels=3`).
 
 use osmosis_bench::{or_exit, print_table, report_stream, Args};
 use osmosis_core::experiments::availability::{self, AvailabilityOptions};
@@ -98,8 +101,8 @@ pub fn run(args: &Args) {
         ],
     );
 
-    // Acceptance bars — always checked; --smoke exists so CI runs them at
-    // quick scale.
+    // Acceptance bars, checked on every run; `crates/bench/tests` runs
+    // them at `--quick`.
     assert!(
         r.plane_sweep[1].relative_throughput >= 0.8,
         "1 dead plane must keep >= 80% of nominal throughput, got {:.1}%",
@@ -125,13 +128,10 @@ pub fn run(args: &Args) {
         // The stream was already flushed and error-checked inside
         // run_with; validate the document end to end before telling the
         // user it is trustworthy.
-        report_stream(path);
+        report_stream(path, path.display());
     }
 
     println!("\nOne dead wavelength plane costs almost nothing: surviving planes absorb the");
     println!("re-hashed flows losslessly. A majority outage throttles the fabric for the");
     println!("outage duration, and the backlog drains back to nominal within the MTTR.");
-    if args.smoke {
-        println!("smoke: all availability acceptance checks passed");
-    }
 }

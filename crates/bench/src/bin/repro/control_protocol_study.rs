@@ -1,4 +1,4 @@
-//! Extension study (ref. [19]): reliable control channels for crossbar
+//! Extension study (ref. \[19\]): reliable control channels for crossbar
 //! arbitration - naive incremental updates vs. the protected protocol
 //! with periodic absolute refresh.
 

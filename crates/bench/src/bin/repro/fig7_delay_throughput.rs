@@ -63,7 +63,7 @@ pub fn run(args: &Args) {
         &rows,
     );
     if let Some(path) = telemetry {
-        report_stream(path);
+        report_stream(path, path.display());
     }
     println!("\nDelays in cell cycles (51.2 ns each). The dual-receiver curve stays nearly");
     println!("flat over a wide load range and rises only near saturation - the paper's");

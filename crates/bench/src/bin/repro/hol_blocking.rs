@@ -35,7 +35,7 @@ pub fn run(args: &Args) {
         ],
     );
     if let Some(path) = telemetry {
-        report_stream(path);
+        report_stream(path, path.display());
     }
     println!("\nFIFO input queues saturate near 58.6%; VOQ restores full throughput -");
     println!("the well-known result the paper builds on (ref. [17]).");

@@ -3,7 +3,7 @@
 //! accepts (names of rows of `osmosis_bench::FLAGS`) and runs it. An
 //! unknown experiment or a rejected flag exits 2 with the accepted set
 //! on stderr before anything runs; an experiment's own exit codes (0
-//! ok, 1 a failed bar) pass through.
+//! ok, 1 a run that failed) pass through.
 #![expect(
     clippy::print_stdout,
     reason = "every experiment prints its table or figure to stdout"
@@ -109,16 +109,15 @@ registry! {
     topology_budget: "Fig. 1 rerun at 8K/32K ports on declared topologies",
         &["--quick", "--topology"];
     availability_study: "fault plane: degraded throughput and recovery",
-        &["--quick", "--smoke", "--audit", "--checkpoint", "--telemetry", "--progress",
-          "--topology"];
+        &["--quick", "--audit", "--checkpoint", "--telemetry", "--progress", "--topology"];
     telemetry_study: "Fig. 7 delay split into per-component segments",
-        &["--quick", "--smoke", "--telemetry"];
+        &["--quick", "--telemetry"];
     bench_topology: "topology compiler speed at 2K/8K/32K ports (writes a snapshot)",
-        &["--smoke"];
+        &[];
     ocs_study: "OCS vs. FLPPR on ML workloads (writes a snapshot)",
-        &["--quick", "--smoke", "--audit", "--topology"];
+        &["--quick", "--audit", "--topology"];
     fdl_study: "Fig. 2 with an FDL buffer option (writes a snapshot)",
-        &["--quick", "--smoke", "--audit", "--topology"];
+        &["--quick", "--audit", "--topology"];
     campaign: "sharded crash-safe campaign runner (writes a snapshot)",
         &["--quick", "--topology", "--dir", "--shards", "--resume"];
 }

@@ -9,32 +9,19 @@
 //!   snapshot;
 //! * `--quick` — test scale (16 ports);
 //! * `--audit` — attach the invariant-audit battery to every run;
-//! * `--smoke` — the CI gate: reproducibility, zero-cost-mode equality,
-//!   faulted determinism and telemetry-schema assertions under a time
-//!   budget; exit 1 on failure, writes nothing;
 //! * repeatable `--topology <spec>` — run the packet side through the
 //!   compiled fabric of the given spec (exit 2 on a bad spec).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use osmosis_bench::{or_exit, print_table, write_snapshot, Args};
 use osmosis_core::experiments::ocs_study::{self, workload, OcsOptions, OcsStudy, WORKLOADS};
 use osmosis_core::Scale;
 use osmosis_fabric::TopologySpec;
-use osmosis_faults::{FaultInjector, FaultKind, FaultPlan};
 use osmosis_ocs::{EpochConfig, OcsScheduler, OcsSwitch};
-use osmosis_sched::Flppr;
 use osmosis_sim::engine::EngineConfig;
 use osmosis_sim::json::Value;
-use osmosis_sim::NullCircuits;
-use osmosis_switch::{run_switch_circuit, run_switch_instrumented, VoqSwitch};
-use osmosis_telemetry::{
-    validate_jsonl, Decomposition, MetricsRegistry, Record, ReportDigest, RunMeta, SCHEMA_VERSION,
-};
-
-/// Wall-clock budget for the whole smoke battery on a loaded runner.
-const SMOKE_BUDGET_S: f64 = 120.0;
+use osmosis_switch::run_switch_circuit;
 
 struct Perf {
     workload: &'static str,
@@ -133,158 +120,8 @@ fn run_study(scale: Scale, opts: &OcsOptions) -> OcsStudy {
     or_exit(ocs_study::run(scale, opts), 1, "study failed")
 }
 
-/// The CI smoke battery. Every check prints a line; any failure exits 1.
-fn smoke(audit: bool, topologies: &[TopologySpec]) {
-    let t0 = Instant::now();
-    let mut failed = false;
-    let mut check = |name: &str, ok: bool| {
-        println!("smoke: {name} ({})", if ok { "ok" } else { "FAILED" });
-        failed |= !ok;
-    };
-    let epoch = EpochConfig::osmosis_default();
-    let cfg = EngineConfig::new(500, 5_000).with_seed(0x0C5);
-    let n = Scale::Quick.ports();
-
-    // 1. Same-seed OCS study is bit-identical, and audited runs are
-    //    clean, across every workload and both modes.
-    let opts = OcsOptions {
-        audit,
-        topology: topologies.first().copied(),
-        ..OcsOptions::default()
-    };
-    let a = run_study(Scale::Quick, &opts);
-    let b = run_study(Scale::Quick, &opts);
-    check(
-        "same-seed study bit-identical",
-        a.points.len() == 2 * WORKLOADS.len()
-            && a.points
-                .iter()
-                .zip(b.points.iter())
-                .all(|(x, y)| x.fingerprint == y.fingerprint),
-    );
-    if audit {
-        check(
-            "audit battery clean",
-            a.audit_violations == 0 && b.audit_violations == 0,
-        );
-    }
-
-    // 2. Zero-cost mode hook: a packet run through the circuit entry
-    //    point with the null plane equals the plain engine run.
-    let mut tr1 = workload("uniform", n, 5_000, 0x0C5).expect("uniform");
-    let mut sw1 = VoqSwitch::new(Box::new(Flppr::osmosis(n, 1)));
-    let plain = run_switch_instrumented(&mut sw1, tr1.as_mut(), &cfg, None, None);
-    let mut tr2 = workload("uniform", n, 5_000, 0x0C5).expect("uniform");
-    let mut sw2 = VoqSwitch::new(Box::new(Flppr::osmosis(n, 1)));
-    let mut null = NullCircuits;
-    let hooked = run_switch_circuit(&mut sw2, tr2.as_mut(), &cfg, &mut null, None, None);
-    check(
-        "null circuit plane bit-identical to plain run",
-        plain.fingerprint() == hooked.fingerprint(),
-    );
-
-    // 3. Reconfiguration faults stay deterministic: two same-seed OCS
-    //    runs under a stuck-circuit schedule match bit for bit.
-    let faulted = || {
-        let plan = FaultPlan::new()
-            .one_shot(FaultKind::CircuitStuck { input: 2 }, 1_000, Some(800))
-            .one_shot(FaultKind::CircuitStuck { input: 5 }, 2_500, None);
-        let mut inj = FaultInjector::new(plan);
-        let mut tr = workload("hotspot_skew", n, 5_000, 0x0C5).expect("skew");
-        let mut sched = OcsScheduler::new(epoch);
-        let mut sw = OcsSwitch::new(n);
-        run_switch_circuit(&mut sw, tr.as_mut(), &cfg, &mut sched, Some(&mut inj), None)
-    };
-    let f1 = faulted();
-    let f2 = faulted();
-    check(
-        "stuck-circuit runs reproducible",
-        f1.fingerprint() == f2.fingerprint() && f1.fingerprint() != plain.fingerprint(),
-    );
-
-    // 4. Telemetry: the epoch log exports as schema-valid JSONL.
-    let mut tr = workload("allreduce_ring", n, 5_000, 0x0C5).expect("ring");
-    let mut sched = OcsScheduler::new(epoch);
-    let report = run_switch_circuit(
-        &mut OcsSwitch::new(n),
-        tr.as_mut(),
-        &cfg,
-        &mut sched,
-        None,
-        None,
-    );
-    let log = sched.epoch_log();
-    let meta = RunMeta {
-        seed: 0x0C5,
-        ports: n,
-        warmup_slots: 500,
-        measure_slots: 5_000,
-        sample_every: 0,
-        snapshot_every: 0,
-    };
-    let mut records = vec![Record::Meta {
-        version: SCHEMA_VERSION,
-        run: 0,
-        label: "ocs_study".into(),
-        meta,
-    }];
-    for e in log {
-        records.push(Record::Epoch {
-            run: 0,
-            epoch: e.epoch,
-            start_slot: e.start_slot,
-            reconfigured: e.reconfigured,
-            guard_slots: e.guard_slots,
-            transfers: e.transfers,
-            utilization: e.utilization,
-        });
-        if e.reconfigured {
-            records.push(Record::Reconfig {
-                run: 0,
-                epoch: e.epoch,
-                slot: e.start_slot,
-                changed_circuits: e.changed_circuits,
-                guard_slots: e.guard_slots,
-            });
-        }
-    }
-    records.push(Record::Summary {
-        run: 0,
-        report: ReportDigest::of(&report),
-        registry: MetricsRegistry::new(),
-        spans: Decomposition::default(),
-    });
-    let mut doc = String::new();
-    for record in &records {
-        let _ = writeln!(doc, "{}", record.encode());
-    }
-    match validate_jsonl(&doc) {
-        Ok(stats) => check(
-            "epoch log validates as JSONL",
-            stats.epochs == log.len() as u64
-                && stats.reconfigs == log.iter().filter(|e| e.reconfigured).count() as u64
-                && stats.epochs > 0,
-        ),
-        Err(e) => check(&format!("epoch log validates as JSONL: {e}"), false),
-    }
-
-    let elapsed = t0.elapsed().as_secs_f64();
-    check(
-        &format!("within {SMOKE_BUDGET_S} s budget ({elapsed:.1} s)"),
-        elapsed <= SMOKE_BUDGET_S,
-    );
-    if failed {
-        std::process::exit(1);
-    }
-}
-
 pub fn run(args: &Args) {
     let (audit, topologies) = (args.audit, &args.topologies);
-    if args.smoke {
-        smoke(audit, topologies);
-        return;
-    }
-
     let scale = args.scale();
     let header = [
         "workload",

@@ -3,13 +3,13 @@
 //! queueing, request→grant control path, crossbar transfer, and egress
 //! residence — measured by the telemetry plane's cell-lifecycle spans.
 //!
-//! Flags: `--quick` runs at test scale; `--smoke` is `--quick` plus hard
-//! pass/fail acceptance bars (segment sums must reconcile with the
-//! engine's mean delay to 1e-9, and the emitted JSONL must pass schema
-//! validation — this is the CI entry point); `--telemetry <path.jsonl>`
-//! writes the stream to `path` instead of a temporary file.
+//! Every run checks its acceptance bars: segment sums must reconcile
+//! with the engine's mean delay to 1e-9, and the emitted JSONL must pass
+//! schema validation. Flags: `--quick` runs at test scale;
+//! `--telemetry <path.jsonl>` keeps the stream at `path`; without it the
+//! stream goes to a temporary file, removed once validated.
 
-use osmosis_bench::{close_stream, open_stream, print_table, report_stream, Args};
+use osmosis_bench::{close_stream, open_stream, or_exit, print_table, report_stream, Args};
 use osmosis_core::experiments::latency_decomposition::{self, DecompositionPoint};
 
 fn bar(fraction: f64, width: usize) -> String {
@@ -68,14 +68,13 @@ fn print_arm(points: &[DecompositionPoint], receivers: usize) {
 pub fn run(args: &Args) {
     let scale = args.scale();
     let seed = 0x7E1E;
-    let path = args.telemetry.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!(
-            "osmosis-telemetry-study-{}.jsonl",
-            std::process::id()
-        ))
-    });
+    let scratch = std::env::temp_dir().join(format!(
+        "osmosis-telemetry-study-{}.jsonl",
+        std::process::id()
+    ));
+    let path = args.telemetry.as_ref().unwrap_or(&scratch);
 
-    let mut sink = open_stream("telemetry_study", &path);
+    let mut sink = open_stream("telemetry_study", path);
     let single = latency_decomposition::run_with_sink(scale, seed, 1, &mut sink);
     let dual = latency_decomposition::run_with_sink(scale, seed, 2, &mut sink);
     close_stream(&mut sink);
@@ -86,10 +85,17 @@ pub fn run(args: &Args) {
 
     // Validate the emitted stream end to end — the study's own output is
     // its first consumer.
-    let stats = report_stream(&path);
+    let stats = match &args.telemetry {
+        Some(path) => report_stream(path, path.display()),
+        None => {
+            let stats = report_stream(&scratch, "temporary file, removed");
+            let what = format!("cannot remove {}", scratch.display());
+            or_exit(std::fs::remove_file(&scratch), 1, &what);
+            stats
+        }
+    };
 
-    // Acceptance bars — always checked; --smoke exists so CI runs them
-    // at quick scale.
+    // Acceptance bars; `crates/bench/tests` runs them at `--quick`.
     let runs = (single.len() + dual.len()) as u64;
     assert_eq!(stats.metas, runs, "one meta record per engine run");
     assert_eq!(stats.summaries, runs, "one summary record per engine run");
@@ -118,7 +124,4 @@ pub fn run(args: &Args) {
     println!("\nThe fixed floors (request-grant, crossbar) are load-independent; all delay");
     println!("growth with load lands in VOQ queueing and egress residence - with the dual");
     println!("receiver draining egress contention, exactly the paper's Fig. 7 argument.");
-    if args.smoke {
-        println!("smoke: all telemetry acceptance checks passed");
-    }
 }

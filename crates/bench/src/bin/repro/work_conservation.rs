@@ -1,4 +1,4 @@
-//! Extension study (ref. [11]): work conservation of CIOQ switches with
+//! Extension study (ref. \[11\]): work conservation of CIOQ switches with
 //! limited output buffers vs. internal speedup.
 
 use osmosis_bench::{print_table, Args};

@@ -25,7 +25,6 @@ use Kind::{Count, Path, Switch, Topology};
 /// Every flag the harness accepts.
 pub const FLAGS: &[(&str, Kind)] = &[
     ("--quick", Switch(|a| &mut a.quick)),
-    ("--smoke", Switch(|a| &mut a.smoke)),
     ("--audit", Switch(|a| &mut a.audit)),
     ("--telemetry", Path("<path.jsonl>", |a| &mut a.telemetry)),
     ("--topology", Topology),
@@ -42,8 +41,6 @@ pub const FLAGS: &[(&str, Kind)] = &[
 pub struct Args {
     /// `--quick`: run at test scale.
     pub quick: bool,
-    /// `--smoke`: the CI gate — test scale plus hard pass/fail bars.
-    pub smoke: bool,
     /// `--audit`: attach the invariant-audit battery to every run.
     pub audit: bool,
     /// `--progress`: report live progress on stderr.
@@ -125,9 +122,9 @@ impl Args {
         Ok(args)
     }
 
-    /// Test scale under `--quick` or `--smoke`, else the paper's.
+    /// Test scale under `--quick`, else the paper's.
     pub fn scale(&self) -> Scale {
-        if self.quick || self.smoke {
+        if self.quick {
             Scale::Quick
         } else {
             Scale::Full
@@ -156,7 +153,7 @@ mod tests {
                     --topology dragonfly:radix=8,groups=4 --resume";
         let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
         let a = Args::parse(&accepted, &argv).expect("all accepted");
-        assert!(a.quick && !a.smoke);
+        assert!(a.quick && !a.audit);
         assert_eq!(a.scale(), Scale::Quick);
         assert_eq!(a.topologies.len(), 2);
         assert_eq!((a.shards, a.resume), (Some(3), true));

@@ -79,19 +79,16 @@ pub fn close_stream(sink: &mut TelemetrySink) {
 }
 
 /// Read the finished stream at `path` back, validate it against the
-/// JSONL schema and print the one-line summary; exits 1 when the file
-/// is unreadable or invalid.
-pub fn report_stream(path: &Path) -> JsonlStats {
+/// JSONL schema and print the one-line summary, which calls the stream
+/// `name`; exits 1 when the file is unreadable or invalid.
+pub fn report_stream(path: &Path, name: impl std::fmt::Display) -> JsonlStats {
     let what = format!("cannot read back telemetry file {}", path.display());
     let text = or_exit(std::fs::read_to_string(path), 1, &what);
     let stats = osmosis_telemetry::validate_jsonl(&text);
     let stats = or_exit(stats, 1, "telemetry file failed schema validation");
     println!(
-        "\ntelemetry: {} -> {} runs, {} snapshots, {} spans (schema valid)",
-        path.display(),
-        stats.metas,
-        stats.snapshots,
-        stats.spans
+        "\ntelemetry: {name} -> {} runs, {} snapshots, {} spans (schema valid)",
+        stats.metas, stats.snapshots, stats.spans
     );
     stats
 }

@@ -1,12 +1,13 @@
-//! Drives the `repro` binary the way a user does. Every figure
-//! experiment (one without a `--smoke` mode that writes no snapshot)
-//! must print, at `--quick`, exactly the bytes committed under
-//! `tests/golden/`; and an invocation the flag table rejects must exit 2
-//! before anything runs.
+//! Drives the `repro` binary the way a user does. Every experiment that
+//! writes no snapshot must print, at `--quick`, exactly the bytes
+//! committed under `tests/golden/`; and an invocation the flag table
+//! rejects must exit 2 before anything runs.
 //!
 //! The golden files were captured from the 26 stand-alone binaries that
-//! `repro` replaced. Regenerate one only in a commit whose message says
-//! which model change moved which table.
+//! `repro` replaced, and the availability and telemetry studies' from
+//! the `repro` that first printed them the same on every run.
+//! Regenerate one only in a commit whose message says which model
+//! change moved which table.
 #![expect(
     clippy::expect_used,
     reason = "a test helper fails its test by panicking"
@@ -26,24 +27,21 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// `(name and description line, flags line)` of every row `repro list`
-/// prints.
-fn registry() -> Vec<(String, String)> {
+/// The name and description line of every row `repro list` prints
+/// (each is followed by its flags line).
+fn registry() -> Vec<String> {
     let out = repro(&["list"]);
     assert!(out.status.success(), "repro list failed");
     let text = String::from_utf8(out.stdout).expect("utf-8 listing");
-    let rows: Vec<&str> = text.lines().take_while(|l| !l.is_empty()).collect();
-    rows.chunks(2)
-        .map(|pair| (pair[0].to_string(), pair[1].trim().to_string()))
-        .collect()
+    text.lines().step_by(2).map(String::from).collect()
 }
 
 #[test]
 fn every_figure_prints_its_golden_table() {
     let figures: Vec<String> = registry()
         .into_iter()
-        .filter(|(row, flags)| !flags.contains("--smoke") && !row.contains("(writes a snapshot)"))
-        .map(|(row, _)| row.split_whitespace().next().expect("name").to_string())
+        .filter(|row| !row.contains("(writes a snapshot)"))
+        .map(|row| row.split_whitespace().next().expect("name").to_string())
         .collect();
     assert!(!figures.is_empty(), "repro list named no figure experiment");
     for name in &figures {
@@ -97,7 +95,10 @@ fn rejected_invocations_exit_2_before_anything_runs() {
             &["topology_budget", "--topology", "nonsense"],
             "--quick --topology <spec>",
         ),
-        (&["fdl_study", "--smoek"], "accepted flags: --quick --smoke"),
+        (
+            &["fdl_study", "--smoke"],
+            "`--smoke`; accepted flags: --quick --audit --topology <spec>",
+        ),
         (
             &["campaign", "--shards", "many"],
             "bad --shards many: not a number",

@@ -93,10 +93,9 @@
 use crate::expand::{ExpandedFabric, Peer};
 use crate::ids::{EntityId, HostId, PortId, StageId, SwitchId};
 use crate::spec::{top_choice, BufferTech, Placement, TopologyError, TopologySpec};
-use osmosis_fdl::{BufferStats, FdlBufferPlane, FdlQueue};
+use osmosis_fdl::{BufferLossReason, BufferStats, FdlBufferPlane, FdlQueue};
 use osmosis_sched::matching::Matcher;
 use osmosis_sim::audit::{CreditLedger, DropReason};
-use osmosis_sim::buffer::BufferLossReason;
 use osmosis_sim::engine::{EngineConfig, EngineReport, Observer, TraceSink};
 use osmosis_sim::Extra;
 use osmosis_switch::driven::{run_switch, CellSwitch};
@@ -987,6 +986,28 @@ mod tests {
             let r = run_spec(spec, 0.2, 11);
             assert_eq!(r.reordered, 0, "{spec}");
             assert!(r.throughput > 0.1, "{spec}: {}", r.throughput);
+        }
+    }
+
+    #[test]
+    fn both_32k_port_families_run_from_empty() {
+        // The ≥ 32768-port instances, the fat tree's 13 stages the
+        // deepest route: 20 slots at load 0.1 touch ~65 000 flows, so
+        // per-run state that grew with ports² would not fit.
+        for spec in [
+            TopologySpec::fat_tree(8, 7),
+            TopologySpec::dragonfly(64, 64),
+        ] {
+            let mut fab = CompiledFabric::new(spec);
+            assert_eq!(fab.ports(), 32_768, "{spec}");
+            let mut tr = uniform(&fab, 0.1, 0xBE2C);
+            let r = fab.run(&mut tr, &EngineConfig::new(0, 20));
+            assert!(
+                (r.offered_load - 0.1).abs() < 0.01,
+                "{spec}: {}",
+                r.offered_load
+            );
+            assert_eq!((r.dropped, r.reordered), (0, 0), "{spec}");
         }
     }
 

@@ -1342,11 +1342,15 @@ pub(crate) mod tests {
         // cables within their bound.
         let big = ExpandedFabric::expand(TopologySpec::m_ary_fat_tree(64, 3)).unwrap();
         assert_eq!(big.hosts.len(), 32_768);
+        let deep = ExpandedFabric::expand(TopologySpec::fat_tree(8, 7)).unwrap();
+        assert_eq!(deep.hosts.len(), 32_768);
+        assert_eq!(deep.switches.len(), 53_248);
         let df = ExpandedFabric::expand(TopologySpec::dragonfly(64, 64)).unwrap();
         assert_eq!(df.hosts.len(), 32_768);
         assert_eq!(df.switches.len(), 2_048);
         for fab in [
             big,
+            deep,
             df,
             ExpandedFabric::expand(TopologySpec::fat_tree(32, 3)).unwrap(),
             ExpandedFabric::expand(TopologySpec::fat_tree(8, 1)).unwrap(),

@@ -10,7 +10,7 @@
 //! 2. the scheduler pairs the FC information with a transmission grant for
 //!    the reverse-direction link, so the granted cell carries it back;
 //! 3. when no data cell flows in the reverse direction, an idle cell
-//!    carries it (the control channels are made reliable per ref. [19]);
+//!    carries it (the control channels are made reliable per ref. \[19\]);
 //! 4. the ingress adapter on the far side hands the FC information to its
 //!    scheduler, closing the loop.
 //!

@@ -18,7 +18,7 @@ use core::marker::PhantomData;
 
 /// A dense `u32`-backed entity identifier.
 ///
-/// Implemented by the id newtypes generated with [`entity_id!`]; used as
+/// Implemented by the id newtypes generated with `entity_id!`; used as
 /// the key bound of [`EntityVec`].
 pub trait EntityId: Copy + Ord {
     /// Construct the id with position `idx` in its arena.

@@ -62,8 +62,6 @@
 
 #![deny(missing_docs)]
 
-use osmosis_sim::buffer::BufferLossReason;
-
 /// A cell's key: `(priority, arrival sequence)`. Lower sorts first, so
 /// priority 0 is the most urgent and ties serve in arrival order. FIFO
 /// emulation is the degenerate case where every cell has priority 0.
@@ -172,6 +170,27 @@ impl FdlLines {
         }
         b
     }
+}
+
+/// Why an emulated optical buffer lost a cell it was asked to store.
+///
+/// Electronic buffers never lose cells (credit flow control upstream of
+/// them guarantees space); these reasons exist for emulated optical
+/// buffers, where storage is a bank of fixed-length delay lines and a
+/// cell that cannot be scheduled onto any legal line has nowhere
+/// physical to exist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BufferLossReason {
+    /// The arrival was refused because the queue already holds its
+    /// guaranteed capacity (the provable emulation bound).
+    AdmissionFull,
+    /// A stored cell emerged from its delay line, was not served, and no
+    /// alive delay line of legal length could accept it this slot.
+    NoFeasibleLine,
+    /// As [`NoFeasibleLine`](BufferLossReason::NoFeasibleLine), but a
+    /// currently *dead* line would have been legal — the loss is
+    /// attributable to the delay-line fault.
+    DeadLine,
 }
 
 /// Cumulative counters an [`FdlQueue`] (and, summed, an

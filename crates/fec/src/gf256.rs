@@ -48,7 +48,7 @@ const fn build_log() -> [u8; 256] {
 
 /// α^i for i in 0..510 (doubled table).
 pub static EXP: [u8; 512] = build_exp();
-/// log_α of each nonzero element (log[0] is unused and set to 0).
+/// log_α of each nonzero element (log\[0\] is unused and set to 0).
 pub static LOG: [u8; 256] = build_log();
 
 /// Addition in GF(2⁸) (= XOR).

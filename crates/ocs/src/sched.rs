@@ -9,14 +9,14 @@
 //!
 //! 1. if the frame queue is empty, rolls the TM estimator, decomposes
 //!    the (diagonal-free) estimate with
-//!    [`bvn::decompose`](crate::bvn::decompose), and apportions the
+//!    [`bvn::decompose`], and apportions the
 //!    frame's epochs over the terms by largest-remainder — a term
 //!    carrying half the demand holds its circuits for half the frame;
 //! 2. pops the next epoch's permutation; if it differs from the one
 //!    currently lit, the epoch opens with `guard_slots` dark slots
 //!    (the reconfiguration tax) — an unchanged permutation pays nothing;
-//! 3. appends an [`EpochRecord`] to the in-memory log, later exported
-//!    as telemetry `epoch`/`reconfig` JSONL records.
+//! 3. appends an [`EpochRecord`] to the in-memory log
+//!    ([`OcsScheduler::epoch_log`]).
 //!
 //! With an empty estimate (cold start, or genuinely idle traffic) the
 //! frame falls back to a *rotor* schedule: round-robin permutations
@@ -37,7 +37,7 @@ use std::collections::VecDeque;
 /// An input whose circuit is dark (not connected this epoch).
 const DARK: usize = usize::MAX;
 
-/// One epoch as the scheduler saw it — the telemetry export unit.
+/// One epoch as the scheduler saw it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochRecord {
     /// Epoch ordinal within the run (0-based).

@@ -67,7 +67,7 @@ impl BurstReceiver {
     }
 }
 
-/// Arrival-jitter model (ref. [20]): cells from all 64 ingress adapters
+/// Arrival-jitter model (ref. \[20\]): cells from all 64 ingress adapters
 /// must hit the crossbar aligned within the guard window. The jitter
 /// budget is dominated by cable-length mismatch plus residual clock skew.
 #[derive(Debug, Clone, Copy)]
@@ -93,7 +93,7 @@ impl ArrivalJitter {
         TimeDelta::fiber_flight(self.cable_mismatch_m) + self.clock_skew
     }
 
-    /// Hierarchical synchronization (ref. [20]) compensates static cable
+    /// Hierarchical synchronization (ref. \[20\]) compensates static cable
     /// mismatch by per-port launch-time offsets, leaving only the skew.
     pub fn with_launch_compensation(&self) -> TimeDelta {
         self.clock_skew

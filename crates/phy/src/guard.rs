@@ -25,7 +25,7 @@ pub struct GuardBudget {
     /// removes the frequency search; phase still must lock).
     pub phase_reacquisition: TimeDelta,
     /// Packet arrival jitter absorbed at the switch (all cells must arrive
-    /// aligned while the crossbar reconfigures; see ref. [20]).
+    /// aligned while the crossbar reconfigures; see ref. \[20\]).
     pub arrival_jitter: TimeDelta,
 }
 

@@ -1,8 +1,8 @@
-//! Hierarchical system synchronization (§IV.C, ref. [20]).
+//! Hierarchical system synchronization (§IV.C, ref. \[20\]).
 //!
 //! "All packets need to arrive at the optical switching elements at the
 //! same time, while the switch reconfigures. A solution for this timing
-//! issue is proposed in [20]" — hierarchical synchronization and
+//! issue is proposed in \[20\]" — hierarchical synchronization and
 //! signaling: a central reference clock distributed through a tree, plus
 //! per-port *launch-time offsets* that pre-compensate each adapter's
 //! individual cable length, so cells from all 64 ingress adapters hit
@@ -57,7 +57,7 @@ pub struct SyncPlan {
 impl SyncPlan {
     /// Build a plan for the given cable lengths, calibrated so every
     /// port's (flight + offset) equals the longest port's flight — the
-    /// ref. [20] launch-time compensation.
+    /// ref. \[20\] launch-time compensation.
     pub fn calibrate(clock: ClockTree, cable_lengths_m: &[f64]) -> Self {
         assert!(!cable_lengths_m.is_empty());
         let max_flight = cable_lengths_m

@@ -1,4 +1,4 @@
-//! FLPPR — Fast Low-latency Parallel Pipelined aRbitration (ref. [22],
+//! FLPPR — Fast Low-latency Parallel Pipelined aRbitration (ref. \[22\],
 //! the paper's key scheduler novelty).
 //!
 //! The problem: good matchings need ≈log₂N grant/accept iterations, but at
@@ -81,7 +81,7 @@ impl Flppr {
 
     /// The demonstrator configuration: depth log₂N (6 for 64 ports), so
     /// each issued matching accumulated log₂N iterations — the iteration
-    /// count ref. [17] calls for.
+    /// count ref. \[17\] calls for.
     pub fn osmosis(n: usize, out_capacity: usize) -> Self {
         Self::new(n, crate::log2_ceil(n), out_capacity)
     }

@@ -1,4 +1,4 @@
-//! iSLIP — the classic iterative round-robin matcher (McKeown, ref. [17]).
+//! iSLIP — the classic iterative round-robin matcher (McKeown, ref. \[17\]).
 //!
 //! The *non-pipelined* reference scheduler: it computes a complete
 //! i-iteration matching within a single cell slot, which is exactly what
@@ -41,7 +41,7 @@ impl Islip {
         }
     }
 
-    /// The canonical configuration from ref. [17]: log₂N iterations.
+    /// The canonical configuration from ref. \[17\]: log₂N iterations.
     pub fn log2n(n: usize, out_capacity: usize) -> Self {
         Self::new(n, crate::log2_ceil(n), out_capacity)
     }

@@ -3,7 +3,7 @@
 //! Crossbar schedulers for the OSMOSIS reproduction: round-robin arbiters,
 //! the classic iSLIP and PIM iterative matchers, the prior-art pipelined
 //! arbiter, and FLPPR — the paper's novel Fast Low-latency Parallel
-//! Pipelined aRbitration (ref. [22]) — plus a maximum-size-matching oracle
+//! Pipelined aRbitration (ref. \[22\]) — plus a maximum-size-matching oracle
 //! for ablations.
 //!
 //! All schedulers implement [`CellScheduler`] and can drive both the
@@ -59,7 +59,7 @@ pub use pipelined::PipelinedArbiter;
 pub use requests::{Matching, Requests};
 pub use traits::CellScheduler;
 
-/// ⌈log₂ n⌉, at least 1: the iteration count ref. [17] calls for, and so
+/// ⌈log₂ n⌉, at least 1: the iteration count ref. \[17\] calls for, and so
 /// the depth of every log₂N scheduler here.
 pub fn log2_ceil(n: usize) -> usize {
     (usize::BITS - (n.max(2) - 1).leading_zeros()) as usize

@@ -20,7 +20,7 @@
 //! all (`None`), and the engine only attaches a non-vacuous one (see
 //! [`Engine::faults`](crate::engine::Engine::faults)); with no faults attached
 //! the per-slot cost is a single `Option` check and every model-side
-//! query short-circuits on [`Observer::faults_attached`] — runs without a
+//! query short-circuits on [`Observer::faults_attached`](crate::engine::Observer::faults_attached) — runs without a
 //! fault plan are bit-identical to runs on an engine without the hook.
 //!
 //! The concrete scheduled/stochastic injector lives in the

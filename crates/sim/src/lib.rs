@@ -18,7 +18,6 @@
 #![deny(missing_docs)]
 
 pub mod audit;
-pub mod buffer;
 pub mod circuit;
 pub mod engine;
 pub mod extra;
@@ -31,7 +30,6 @@ pub mod sweep;
 pub mod time;
 
 pub use audit::{Auditor, CreditLedger, DropReason};
-pub use buffer::BufferLossReason;
 pub use circuit::{CircuitView, NullCircuits};
 pub use engine::{
     CountingTrace, Engine, EngineConfig, EngineReport, NullTrace, Observer, RingTrace,

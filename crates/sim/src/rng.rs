@@ -76,7 +76,7 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli trial with success probability `p` (clamped to [0,1]).
+    /// Bernoulli trial with success probability `p` (clamped to \[0,1\]).
     #[inline]
     pub fn coin(&mut self, p: f64) -> bool {
         self.next_f64() < p

@@ -3,7 +3,7 @@
 //!
 //! High-port-count centrally scheduled crossbars have been built by
 //! aggregating packets into multi-cell bursts so the scheduler only has
-//! to produce a matching every B cell cycles (refs. [5][6]). The price is
+//! to produce a matching every B cell cycles (refs. \[5\]\[6\]). The price is
 //! exactly what §VI.D states: *"Owing to the packet burst size, these
 //! architectures exhibit latencies on the order of the packet burst time
 //! for unloaded switches, which is not attractive for HPC interconnect

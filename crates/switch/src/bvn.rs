@@ -1,4 +1,4 @@
-//! The load-balanced Birkhoff–von Neumann switch (§VI.D, ref. [24]) —
+//! The load-balanced Birkhoff–von Neumann switch (§VI.D, ref. \[24\]) —
 //! the scalable-but-unsuitable baseline.
 //!
 //! A space-time-space architecture with *distributed* scheduling: the

@@ -1,5 +1,5 @@
 //! Combined input/output-queued (CIOQ) switch with internal speedup and
-//! *limited* output buffers — the subject of the paper's ref. [11]
+//! *limited* output buffers — the subject of the paper's ref. \[11\]
 //! (Minkenberg, "Work-conservingness of CIOQ packet switches with limited
 //! output buffers") and the basis of §III's requirement that "the
 //! switches must be work-conserving".

@@ -1,5 +1,5 @@
 //! Reliable control channel for crossbar arbitration (the paper's
-//! ref. [19]: Minkenberg, Abel, Gusat, "Reliable control protocol for
+//! ref. \[19\]: Minkenberg, Abel, Gusat, "Reliable control protocol for
 //! crossbar arbitration"; §IV.B: "we have shown how to make these
 //! control channels reliable").
 //!
@@ -11,7 +11,7 @@
 //! issues grants for cells that were already counted out (phantoms) —
 //! or the adapter misses the grant and the cell stalls.
 //!
-//! The protected protocol used here (after ref. [19]): CRC-protected
+//! The protected protocol used here (after ref. \[19\]): CRC-protected
 //! control cells (corruption = erasure, never silent corruption) plus a
 //! **periodic absolute refresh** — every `refresh_period` slots the
 //! adapter transmits its true VOQ occupancy vector, which overwrites the
@@ -27,7 +27,7 @@ use osmosis_sim::SimRng;
 pub enum ControlProtocol {
     /// Incremental updates only; a lost message desynchronizes forever.
     Naive,
-    /// Incremental updates + periodic absolute refresh (ref. [19]).
+    /// Incremental updates + periodic absolute refresh (ref. \[19\]).
     Protected {
         /// Slots between absolute refreshes.
         refresh_period: u64,

@@ -1,4 +1,4 @@
-//! Deflection routing — the Data Vortex approach (§II, ref. [10]).
+//! Deflection routing — the Data Vortex approach (§II, ref. \[10\]).
 //!
 //! "The Data Vortex project specifically targets HPC interconnect and
 //! uses SOA technology. Switch contention is resolved by deflection

@@ -1,7 +1,7 @@
 //! The bridge between traffic-driven simulators and the shared engine.
 //!
 //! `osmosis-sim`'s [`SlottedModel`] cannot mention
-//! [`TrafficGen`](osmosis_traffic::TrafficGen) — the traffic crate sits
+//! [`TrafficGen`] — the traffic crate sits
 //! *above* the simulation kernel. Simulators that are fed by an external
 //! traffic generator therefore implement the [`CellSwitch`] trait from
 //! this module instead; the [`Driven`] adapter pairs a `CellSwitch` with

@@ -2,7 +2,7 @@
 //!
 //! §III: "Achieving high throughput requires the use of the well-known
 //! Virtual Output Queuing (VOQ) method to resolve head-of-line blocking in
-//! bufferless crossbars [17]." This model quantifies what VOQ buys: with
+//! bufferless crossbars \[17\]." This model quantifies what VOQ buys: with
 //! one FIFO per input only the head cell is eligible, and the classic
 //! result (Karol et al.) caps saturated uniform throughput at 2−√2 ≈
 //! 0.586.

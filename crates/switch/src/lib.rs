@@ -7,7 +7,7 @@
 //! * [`RemoteSchedulerSwitch`] — the Fig. 1 thought experiment: a distant
 //!   scheduler costs 2 RTT of unloaded latency;
 //! * [`FifoSwitch`] — head-of-line-blocked baseline (the 58.6% limit);
-//! * [`OqSwitch`] — ideal output-queued electronic baseline (ref. [16]);
+//! * [`OqSwitch`] — ideal output-queued electronic baseline (ref. \[16\]);
 //! * [`BvnSwitch`] — load-balanced Birkhoff-von Neumann baseline (§VI.D);
 //! * [`BurstSwitch`] — container/envelope switching baseline (§II, §VI.D);
 //! * [`DeflectionSwitch`] — Data-Vortex-style deflection routing (§II);

@@ -1,7 +1,7 @@
 //! Ideal output-queued switch — the classic electronic baseline.
 //!
 //! §III: "Traditional supercomputing interconnect fabrics have typically
-//! used output-queued electronic switches with integrated buffers [16]."
+//! used output-queued electronic switches with integrated buffers \[16\]."
 //! An OQ switch moves every arriving cell into its output buffer within
 //! the same slot (internal speedup N), making it trivially
 //! work-conserving — the delay lower bound every input-queued design is

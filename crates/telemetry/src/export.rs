@@ -11,13 +11,12 @@
 //! closes with `summary`. A campaign scope opens with `campaign`,
 //! carries no run index, and closes with the `campaign_summary` of the
 //! same `key`. [`validate_jsonl`] decodes every line and enforces that
-//! shape; CI runs it over the output of `telemetry_study --smoke`, and
-//! the campaign tests over every campaign stream.
+//! shape; the `telemetry_study` run validates its own stream with it,
+//! and the campaign tests every campaign stream.
 
 use crate::registry::MetricsRegistry;
 use crate::spans::{CellSpan, Decomposition};
 use crate::{RunMeta, Snapshot};
-use osmosis_sim::buffer::BufferLossReason;
 use osmosis_sim::engine::EngineReport;
 use osmosis_sim::json::Value;
 
@@ -145,12 +144,6 @@ scalar!(
     MetricsRegistry::from_json
 );
 scalar!(
-    BufferLossReason,
-    "an fdl_drop reason",
-    |x| Value::str(x.name()),
-    |v| v.as_str().and_then(BufferLossReason::from_name)
-);
-scalar!(
     ShardStatus,
     "a shard status",
     |x| Value::str(x.name()),
@@ -253,8 +246,8 @@ macro_rules! records {
 
             /// Read one line back. Every malformed line is an `Err` naming
             /// what is wrong: unparsable JSON, an unknown `type`, or a
-            /// missing or wrong-typed field, an unknown `fdl_drop` reason
-            /// or `shard` status among them.
+            /// missing or wrong-typed field, an unknown `shard` status
+            /// among them.
             pub fn decode(line: &str) -> Result<Record, String> {
                 let v = Value::parse(line).map_err(|e| format!("parse error: {e}"))?;
                 match String::read(&v, "type")?.as_str() {
@@ -284,41 +277,6 @@ records! {
         registry: MetricsRegistry,
         spans: Decomposition,
     }
-    /// `epoch` (circuit-switched runs): one scheduler epoch, whether it
-    /// opened with a reconfiguration, the guard slots it charged, the
-    /// cells it moved and its circuit utilization.
-    Epoch = "epoch" {
-        run: u64,
-        epoch: u64,
-        start_slot: u64,
-        reconfigured: bool,
-        guard_slots: u64,
-        transfers: u64,
-        utilization: f64,
-    }
-    /// `reconfig` (circuit-switched runs): one actual reconfiguration at
-    /// `slot`, the circuits it changed and the guard slots it paid.
-    Reconfig = "reconfig" {
-        run: u64,
-        epoch: u64,
-        slot: u64,
-        changed_circuits: u64,
-        guard_slots: u64,
-    }
-    /// `fdl_occupancy` (FDL-buffered runs): one sampled delay-line queue
-    /// occupancy against its guaranteed capacity.
-    FdlOccupancy = "fdl_occupancy" {
-        run: u64,
-        slot: u64,
-        queue: u64,
-        occupancy: u64,
-        capacity: u64,
-    }
-    /// `fdl_drop` (FDL-buffered runs): one delay-line loss and its reason.
-    FdlDrop = "fdl_drop" { run: u64, slot: u64, queue: u64, reason: BufferLossReason }
-    /// `fdl_recirculation` (FDL-buffered runs): `count` emerged but
-    /// unserved cells re-entered into delay lines at `queue` this slot.
-    FdlRecirculation = "fdl_recirculation" { run: u64, slot: u64, queue: u64, count: u64 }
     /// `campaign`: opens the campaign scope `key` with the schema
     /// version, a label, and the shard and scenario-point counts.
     Campaign = "campaign" { version: u64, key: u64, label: String, shards: u64, points: u64 }
@@ -361,14 +319,9 @@ impl Record {
     /// scope.
     fn run(&self) -> Option<u64> {
         match self {
-            Record::Meta { run, .. }
-            | Record::Span { run, .. }
-            | Record::Summary { run, .. }
-            | Record::Epoch { run, .. }
-            | Record::Reconfig { run, .. }
-            | Record::FdlOccupancy { run, .. }
-            | Record::FdlDrop { run, .. }
-            | Record::FdlRecirculation { run, .. } => Some(*run),
+            Record::Meta { run, .. } | Record::Span { run, .. } | Record::Summary { run, .. } => {
+                Some(*run)
+            }
             Record::Snapshot { snapshot } => Some(snapshot.run),
             Record::Campaign { .. }
             | Record::ShardPoint { .. }
@@ -389,16 +342,6 @@ pub struct JsonlStats {
     pub spans: u64,
     /// `summary` records.
     pub summaries: u64,
-    /// `epoch` records (circuit-switched runs).
-    pub epochs: u64,
-    /// `reconfig` records (circuit-switched runs).
-    pub reconfigs: u64,
-    /// `fdl_occupancy` records (FDL-buffered runs).
-    pub fdl_occupancies: u64,
-    /// `fdl_drop` records (FDL-buffered runs).
-    pub fdl_drops: u64,
-    /// `fdl_recirculation` records (FDL-buffered runs).
-    pub fdl_recirculations: u64,
     /// `campaign` records (one per campaign scope).
     pub campaigns: u64,
     /// `shard_point` records.
@@ -416,11 +359,6 @@ impl JsonlStats {
             Record::Snapshot { .. } => &mut self.snapshots,
             Record::Span { .. } => &mut self.spans,
             Record::Summary { .. } => &mut self.summaries,
-            Record::Epoch { .. } => &mut self.epochs,
-            Record::Reconfig { .. } => &mut self.reconfigs,
-            Record::FdlOccupancy { .. } => &mut self.fdl_occupancies,
-            Record::FdlDrop { .. } => &mut self.fdl_drops,
-            Record::FdlRecirculation { .. } => &mut self.fdl_recirculations,
             Record::Campaign { .. } => &mut self.campaigns,
             Record::ShardPoint { .. } => &mut self.shard_points,
             Record::Shard { .. } => &mut self.shards,
@@ -519,15 +457,10 @@ mod tests {
     use super::*;
 
     /// One line of each run-scope record type, in stream order.
-    const RUN: [&str; 9] = [
+    const RUN: [&str; 4] = [
         r#"{"type":"meta","version":1,"run":0,"label":"unit","seed":42,"ports":16,"warmup_slots":100,"measure_slots":1000,"sample_every":4,"snapshot_every":250}"#,
         r#"{"type":"snapshot","run":0,"slot":250,"interval_slots":250,"injected":900,"delivered":880,"dropped":2,"grants":885,"credit_stalls":0,"retransmits":0,"receiver_conflicts":3,"in_flight":18}"#,
         r#"{"type":"span","run":0,"output":3,"inject_slot":400,"deliver_slot":407,"queueing":4,"request_grant":1,"crossbar":1,"egress":1,"granted":true}"#,
-        r#"{"type":"epoch","run":0,"epoch":0,"start_slot":0,"reconfigured":true,"guard_slots":1,"transfers":60,"utilization":0.94}"#,
-        r#"{"type":"reconfig","run":0,"epoch":0,"slot":0,"changed_circuits":16,"guard_slots":1}"#,
-        r#"{"type":"fdl_occupancy","run":0,"slot":410,"queue":5,"occupancy":3,"capacity":8}"#,
-        r#"{"type":"fdl_drop","run":0,"slot":411,"queue":5,"reason":"dead_line"}"#,
-        r#"{"type":"fdl_recirculation","run":0,"slot":412,"queue":5,"count":2}"#,
         r#"{"type":"summary","run":0,"report":{"throughput":0.5,"offered_load":0.5,"mean_delay":3.0,"p99_delay":null,"delivered":4000,"dropped":0},"registry":{"counters":[["voq/cells_injected",9]],"gauges":[],"histograms":[]},"spans":{"completed":0,"sampled":0,"matched":0,"reordered":0,"ungranted":0,"mean_queueing":0.0,"mean_request_grant":0.0,"mean_crossbar":0.0,"mean_egress":0.0,"mean_total":0.0}}"#,
     ];
 
@@ -555,7 +488,7 @@ mod tests {
                 r.type_name()
             })
             .collect();
-        assert_eq!(names.len() - 1, 13, "all 13 types, `shard` twice");
+        assert_eq!(names.len() - 1, 8, "all 8 types, `shard` twice");
     }
 
     #[test]
@@ -565,11 +498,6 @@ mod tests {
             snapshots: n,
             spans: n,
             summaries: n,
-            epochs: n,
-            reconfigs: n,
-            fdl_occupancies: n,
-            fdl_drops: n,
-            fdl_recirculations: n,
             ..JsonlStats::default()
         };
         assert_eq!(validate_jsonl(&RUN.join("\n")), Ok(all(1)));
@@ -631,22 +559,18 @@ mod tests {
                 edit(RUN[2], "\"output\":3", "\"output\":4294967296"),
                 "`output`",
             ),
-            (edit(RUN[3], "true", "1"), "`reconfigured` is not a bool"),
+            (edit(RUN[2], "true", "1"), "`granted` is not a bool"),
             (
-                edit(RUN[8], "\"delivered\":4000", "\"delivered\":0.5"),
+                edit(RUN[3], "\"delivered\":4000", "\"delivered\":0.5"),
                 "`delivered`",
             ),
             (
-                edit(RUN[8], ",\"p99_delay\":null", ""),
+                edit(RUN[3], ",\"p99_delay\":null", ""),
                 "missing field `p99_delay`",
             ),
             (
-                edit(RUN[8], "\"counters\":[", "\"counters\":[7,"),
+                edit(RUN[3], "\"counters\":[", "\"counters\":[7,"),
                 "`registry`",
-            ),
-            (
-                edit(RUN[6], "dead_line", "cosmic_ray"),
-                "not an fdl_drop reason",
             ),
             (edit(CAMPAIGN[2], "completed", "lost"), "not a shard status"),
             (
@@ -658,7 +582,7 @@ mod tests {
             // histogram's `quantile` then reached `unreachable!`.
             (
                 edit(
-                    RUN[8],
+                    RUN[3],
                     "\"histograms\":[]",
                     r#""histograms":[["egress/delivery_delay",{"count":5,"sum":0,"min":0,"max":0,"buckets":[]}]]"#,
                 ),
@@ -683,10 +607,10 @@ mod tests {
     #[test]
     fn unknown_metric_names_are_errors_not_interned() {
         for k in 0..10_000 {
-            let line = RUN[8].replace("voq/cells_injected", &format!("voq/metric_{k}"));
+            let line = RUN[3].replace("voq/cells_injected", &format!("voq/metric_{k}"));
             let e = Record::decode(&line).expect_err("an unknown metric name decoded");
             assert!(e.contains("`registry`"), "{line}: {e}");
         }
-        assert!(Record::decode(RUN[8]).is_ok());
+        assert!(Record::decode(RUN[3]).is_ok());
     }
 }

@@ -30,7 +30,7 @@
 //!
 //! All three stream through [`export`] as JSONL (`--telemetry
 //! <path.jsonl>` on the bench bins), validated by
-//! [`validate_jsonl`](export::validate_jsonl).
+//! [`validate_jsonl`].
 
 #![deny(missing_docs)]
 

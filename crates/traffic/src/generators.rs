@@ -51,7 +51,7 @@ pub struct BernoulliUniform {
 }
 
 impl BernoulliUniform {
-    /// `n`-port generator at `load` ∈ [0,1].
+    /// `n`-port generator at `load` ∈ \[0,1\].
     pub fn new(n: usize, load: f64, seeds: &SeedSequence) -> Self {
         assert!(n > 0);
         assert!((0.0..=1.0).contains(&load), "load {load}");

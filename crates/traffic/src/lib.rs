@@ -5,7 +5,7 @@
 //! The paper assumes bimodal traffic — short control packets needing low
 //! latency plus long data packets needing high utilization (§III) — and
 //! evaluates throughput under uniform and adversarial (hotspot,
-//! permutation, bursty) patterns, as its references [10][17][22] do.
+//! permutation, bursty) patterns, as its references \[10\]\[17\]\[22\] do.
 
 #![deny(missing_docs)]
 

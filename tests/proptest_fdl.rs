@@ -8,8 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use osmosis::fdl::{FdlLines, FdlQueue};
-use osmosis::sim::BufferLossReason;
+use osmosis::fdl::{BufferLossReason, FdlLines, FdlQueue};
 use proptest::prelude::*;
 
 /// One slot of the driving script: up to three prioritized arrivals and

@@ -1,8 +1,7 @@
 //! The telemetry record codec is exact: every record of every one of the
-//! thirteen types reads back from its line as the record that wrote it,
+//! eight types reads back from its line as the record that wrote it,
 //! `Record::decode(&r.encode()) == Ok(r)`.
 
-use osmosis::sim::BufferLossReason;
 use osmosis::telemetry::{
     metrics, CellSpan, Decomposition, MetricsRegistry, Record, ReportDigest, RunMeta, ShardStatus,
     Snapshot, SCHEMA_VERSION,
@@ -30,7 +29,7 @@ fn registry(w: &[u64; 11], gauge: f64) -> MetricsRegistry {
     reg
 }
 
-/// Record type `variant` (0..13), its fields drawn from `w`, `f`, `flag`
+/// Record type `variant` (0..8), its fields drawn from `w`, `f`, `flag`
 /// and `text`.
 fn record(variant: usize, w: [u64; 11], f: [f64; 5], flag: bool, text: &str) -> Record {
     let [a, b, c, d, e, g, h, i, j, k, l] = w;
@@ -100,53 +99,14 @@ fn record(variant: usize, w: [u64; 11], f: [f64; 5], flag: bool, text: &str) -> 
                 mean_total: f[0],
             },
         },
-        4 => Record::Epoch {
-            run: a,
-            epoch: b,
-            start_slot: c,
-            reconfigured: flag,
-            guard_slots: d,
-            transfers: e,
-            utilization: f[0],
-        },
-        5 => Record::Reconfig {
-            run: a,
-            epoch: b,
-            slot: c,
-            changed_circuits: d,
-            guard_slots: e,
-        },
-        6 => Record::FdlOccupancy {
-            run: a,
-            slot: b,
-            queue: c,
-            occupancy: d,
-            capacity: e,
-        },
-        7 => Record::FdlDrop {
-            run: a,
-            slot: b,
-            queue: c,
-            reason: [
-                BufferLossReason::AdmissionFull,
-                BufferLossReason::NoFeasibleLine,
-                BufferLossReason::DeadLine,
-            ][(d % 3) as usize],
-        },
-        8 => Record::FdlRecirculation {
-            run: a,
-            slot: b,
-            queue: c,
-            count: d,
-        },
-        9 => Record::Campaign {
+        4 => Record::Campaign {
             version: SCHEMA_VERSION,
             key: a,
             label: text.into(),
             shards: b,
             points: c,
         },
-        10 => Record::ShardPoint {
+        5 => Record::ShardPoint {
             shard: a,
             index: b,
             fingerprint: c,
@@ -155,7 +115,7 @@ fn record(variant: usize, w: [u64; 11], f: [f64; 5], flag: bool, text: &str) -> 
             delivered: d,
             dropped: e,
         },
-        11 => Record::Shard {
+        6 => Record::Shard {
             shard: a,
             status: [ShardStatus::Completed, ShardStatus::Restored][(b % 2) as usize],
             points: c,
@@ -174,11 +134,11 @@ fn record(variant: usize, w: [u64; 11], f: [f64; 5], flag: bool, text: &str) -> 
 }
 
 #[test]
-fn the_generator_covers_all_thirteen_record_types() {
-    let types: BTreeSet<&str> = (0..13)
+fn the_generator_covers_all_eight_record_types() {
+    let types: BTreeSet<&str> = (0..8)
         .map(|v| record(v, [0; 11], [0.0; 5], false, "").type_name())
         .collect();
-    assert_eq!(types.len(), 13, "{types:?}");
+    assert_eq!(types.len(), 8, "{types:?}");
 }
 
 proptest! {
@@ -186,7 +146,7 @@ proptest! {
 
     #[test]
     fn every_record_decodes_to_itself(
-        variant in 0usize..13,
+        variant in 0usize..8,
         w in prop::array::uniform(any::<u64>()),
         f in prop::array::uniform(any::<f64>()),
         flag in any::<bool>(),
