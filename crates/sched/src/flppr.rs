@@ -367,11 +367,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn matches_the_scalar_flppr_pair_for_pair() {
-        for n in [5usize, 8, 16, 64, 70, 130] {
+    /// [`Flppr`] against [`ScalarFlppr`] at each of `sizes`, with one and
+    /// two receivers and depths 1, 3, log₂N and 8.
+    fn agrees_with_the_scalar_flppr(sizes: &[usize]) {
+        for &n in sizes {
             for receivers in [1usize, 2] {
-                for depth in [1, 3, crate::log2_ceil(n)] {
+                let mut depths = vec![1, 3, crate::log2_ceil(n), 8];
+                depths.dedup();
+                for depth in depths {
                     for seed in 0..20u64 {
                         let mut rng = SimRng::seed_from_u64(seed * 1_000 + n as u64);
                         let mut fast = Flppr::new(n, depth, receivers);
@@ -396,12 +399,12 @@ mod tests {
                                 slow.set_output_capacity(o, cap);
                             }
                             let got = fast.tick(slot);
-                            let at = format!(
+                            let want = slow.tick(slot);
+                            assert_eq!(
+                                (got.pairs(), fast.stale_grants, fast.masked_grants),
+                                (&want[..], slow.stale_grants, slow.masked_grants),
                                 "n {n} receivers {receivers} depth {depth} seed {seed} slot {slot}"
                             );
-                            assert_eq!(got.pairs(), slow.tick(slot), "{at}");
-                            assert_eq!(fast.stale_grants, slow.stale_grants, "{at}");
-                            assert_eq!(fast.masked_grants, slow.masked_grants, "{at}");
                             granted += got.len();
                         }
                         assert!(granted > 20 * n, "n {n} seed {seed}: {granted} grants");
@@ -409,6 +412,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn matches_the_scalar_flppr_pair_for_pair() {
+        agrees_with_the_scalar_flppr(&[5, 8, 16, 64, 70, 130]);
+    }
+
+    /// 63/65 and 127/129 ports, beside 64 and 130 above: one and two
+    /// receivers' grant and accept rows end on every word edge up to five
+    /// words. A test of its own so the two halves run in parallel.
+    #[test]
+    fn matches_the_scalar_flppr_at_the_word_edges() {
+        agrees_with_the_scalar_flppr(&[63, 65, 127, 129]);
     }
 
     /// Single cell into an idle switch: granted at the very next tick —

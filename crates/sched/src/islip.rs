@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn matches_the_scalar_islip_loop_pair_for_pair() {
-        for n in [5usize, 8, 16, 64, 70] {
+        for n in [5usize, 8, 16, 63, 64, 65, 70, 129, 130] {
             for receivers in [1usize, 2] {
                 for seed in 0..20u64 {
                     let mut rng = SimRng::seed_from_u64(seed * 1_000 + n as u64);
