@@ -15,8 +15,8 @@
 //! 2. pops the next epoch's permutation; if it differs from the one
 //!    currently lit, the epoch opens with `guard_slots` dark slots
 //!    (the reconfiguration tax) — an unchanged permutation pays nothing;
-//! 3. appends an [`EpochRecord`] to the in-memory log
-//!    ([`OcsScheduler::epoch_log`]).
+//! 3. closes the previous epoch into the running utilisation sum that
+//!    `finish` reports as [`Extra::OcsMeanUtilization`].
 //!
 //! With an empty estimate (cold start, or genuinely idle traffic) the
 //! frame falls back to a *rotor* schedule: round-robin permutations
@@ -37,25 +37,6 @@ use std::collections::VecDeque;
 /// An input whose circuit is dark (not connected this epoch).
 const DARK: usize = usize::MAX;
 
-/// One epoch as the scheduler saw it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochRecord {
-    /// Epoch ordinal within the run (0-based).
-    pub epoch: u64,
-    /// Slot at which the epoch opened.
-    pub start_slot: u64,
-    /// Whether the configuration changed at this boundary.
-    pub reconfigured: bool,
-    /// Inputs whose circuit changed (0 when not reconfigured).
-    pub changed_circuits: u64,
-    /// Guard slots charged at this boundary.
-    pub guard_slots: u64,
-    /// Cells transferred over the epoch's circuits.
-    pub transfers: u64,
-    /// `transfers / (n × payload slots)` — circuit utilization.
-    pub utilization: f64,
-}
-
 /// The frame-planning circuit scheduler.
 pub struct OcsScheduler {
     cfg: EpochConfig,
@@ -68,7 +49,12 @@ pub struct OcsScheduler {
     slot_in_epoch: u64,
     epoch_index: u64,
     rotor_offset: usize,
-    log: Vec<EpochRecord>,
+    /// Guard slots charged at the open epoch's boundary.
+    epoch_guard: u64,
+    /// Sum over the closed epochs of `transfers / (n × payload slots)`,
+    /// the circuit utilisation, and how many epochs it holds.
+    util_sum: f64,
+    epochs_closed: u64,
     epoch_transfers: u64,
     total_transfers: u64,
     reconfigurations: u64,
@@ -94,7 +80,9 @@ impl OcsScheduler {
             slot_in_epoch: 0,
             epoch_index: 0,
             rotor_offset: 1,
-            log: Vec::new(),
+            epoch_guard: 0,
+            util_sum: 0.0,
+            epochs_closed: 0,
             epoch_transfers: 0,
             total_transfers: 0,
             reconfigurations: 0,
@@ -109,12 +97,6 @@ impl OcsScheduler {
     /// The cadence this scheduler runs.
     pub fn config(&self) -> &EpochConfig {
         &self.cfg
-    }
-
-    /// The per-epoch log (closed epochs have final transfer counts; the
-    /// last entry is finalized by `finish`).
-    pub fn epoch_log(&self) -> &[EpochRecord] {
-        &self.log
     }
 
     /// Epochs opened so far.
@@ -132,19 +114,17 @@ impl OcsScheduler {
         &self.tm
     }
 
-    /// Close the open epoch record with its transfer count.
-    fn close_epoch_record(&mut self) {
-        let n = self.n;
-        let epoch_slots = self.cfg.epoch_slots;
-        if let Some(rec) = self.log.last_mut() {
-            rec.transfers = self.epoch_transfers;
-            let payload = epoch_slots.saturating_sub(rec.guard_slots);
-            let capacity = (n as u64) * payload;
-            rec.utilization = if capacity > 0 {
-                rec.transfers as f64 / capacity as f64
+    /// Add the open epoch's utilisation to the running sum, once.
+    fn close_epoch(&mut self) {
+        if self.epochs_closed < self.epoch_index {
+            let payload = self.cfg.epoch_slots.saturating_sub(self.epoch_guard);
+            let capacity = (self.n as u64) * payload;
+            self.util_sum += if capacity > 0 {
+                self.epoch_transfers as f64 / capacity as f64
             } else {
                 0.0
             };
+            self.epochs_closed += 1;
         }
         self.epoch_transfers = 0;
     }
@@ -219,10 +199,10 @@ impl OcsScheduler {
         }
     }
 
-    /// Open a new epoch at `slot`.
-    fn start_epoch(&mut self, slot: u64) {
+    /// Open a new epoch.
+    fn start_epoch(&mut self) {
         if self.epoch_index > 0 {
-            self.close_epoch_record();
+            self.close_epoch();
         }
         if self.frame.is_empty() {
             self.plan_frame();
@@ -248,15 +228,7 @@ impl OcsScheduler {
             self.changed_total += changed;
         }
         self.current = next;
-        self.log.push(EpochRecord {
-            epoch: self.epoch_index,
-            start_slot: slot,
-            reconfigured,
-            changed_circuits: changed,
-            guard_slots: guard,
-            transfers: 0,
-            utilization: 0.0,
-        });
+        self.epoch_guard = guard;
         self.epoch_index += 1;
     }
 }
@@ -272,7 +244,9 @@ impl CircuitView for OcsScheduler {
         self.slot_in_epoch = 0;
         self.epoch_index = 0;
         self.rotor_offset = 1;
-        self.log.clear();
+        self.epoch_guard = 0;
+        self.util_sum = 0.0;
+        self.epochs_closed = 0;
         self.epoch_transfers = 0;
         self.total_transfers = 0;
         self.reconfigurations = 0;
@@ -283,12 +257,12 @@ impl CircuitView for OcsScheduler {
         self.rotor_frames = 0;
     }
 
-    fn begin_slot(&mut self, slot: u64) {
+    fn begin_slot(&mut self, _slot: u64) {
         if self.n == 0 {
             return;
         }
         if self.slot_in_epoch == 0 {
-            self.start_epoch(slot);
+            self.start_epoch();
         }
         self.in_guard_now = self.guard_left > 0;
         if self.guard_left > 0 {
@@ -328,7 +302,7 @@ impl CircuitView for OcsScheduler {
     }
 
     fn finish(&mut self, report: &mut EngineReport) {
-        self.close_epoch_record();
+        self.close_epoch();
         report.set_extra(Extra::OcsEpochs, self.epoch_index as f64);
         report.set_extra(Extra::OcsReconfigurations, self.reconfigurations as f64);
         report.set_extra(Extra::OcsChangedCircuits, self.changed_total as f64);
@@ -337,10 +311,10 @@ impl CircuitView for OcsScheduler {
         report.set_extra(Extra::OcsDecompositions, self.decompositions as f64);
         report.set_extra(Extra::OcsRotorFrames, self.rotor_frames as f64);
         report.set_extra(Extra::OcsTransfers, self.total_transfers as f64);
-        let mean_util = if self.log.is_empty() {
+        let mean_util = if self.epochs_closed == 0 {
             0.0
         } else {
-            self.log.iter().map(|r| r.utilization).sum::<f64>() / self.log.len() as f64
+            self.util_sum / self.epochs_closed as f64
         };
         report.set_extra(Extra::OcsMeanUtilization, mean_util);
     }
@@ -426,19 +400,25 @@ mod tests {
     }
 
     #[test]
-    fn log_records_transfers_and_utilization() {
+    fn mean_utilization_folds_every_epoch_once() {
         let mut s = configured(2, EpochConfig::new(4, 0, 1));
+        // Epoch 0 full (2 transfers × 4 slots on 2 circuits), epoch 1
+        // half full.
         for slot in 0..8 {
             s.begin_slot(slot);
             s.note_transfer(0, 1);
-            s.note_transfer(1, 0);
+            if slot < 4 {
+                s.note_transfer(1, 0);
+            }
         }
         let mut r = EngineReport::default();
         s.finish(&mut r);
-        let log = s.epoch_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].transfers, 8); // 2 transfers × 4 slots
-        assert!((log[0].utilization - 1.0).abs() < 1e-12);
+        assert_eq!(r.extra(Extra::OcsEpochs), Some(2.0));
+        let mean = r.extra(Extra::OcsMeanUtilization).unwrap_or(f64::NAN);
+        assert!((mean - 0.75).abs() < 1e-12, "mean {mean}");
+        // Closing the last epoch again adds nothing.
+        s.finish(&mut r);
+        assert_eq!(r.extra(Extra::OcsMeanUtilization), Some(mean));
     }
 
     #[test]

@@ -50,6 +50,9 @@ pub struct Flppr {
     /// unmasked tick does zero extra work).
     masked: bool,
     scratch: Matching,
+    /// The issued pairs that emptied their VOQ in this tick, in issue
+    /// order.
+    emptied: Vec<(usize, usize)>,
     /// Grants dropped at validation because another sub-scheduler already
     /// served the cell (diagnostic).
     pub stale_grants: u64,
@@ -74,6 +77,7 @@ impl Flppr {
             out_issued: vec![0; n],
             masked: false,
             scratch: Matching::new(),
+            emptied: Vec::with_capacity(n),
             stale_grants: 0,
             masked_grants: 0,
         }
@@ -119,8 +123,9 @@ impl CellScheduler for Flppr {
     fn tick(&mut self, slot: u64) -> Matching {
         // Every sub-scheduler advances its matching by one iteration —
         // this is the per-cycle hardware work.
+        SubScheduler::grant(&mut self.subs, &self.master);
         for s in &mut self.subs {
-            s.iterate(&self.master, true);
+            s.accept(true);
         }
         // The sub-scheduler owning this slot issues its matching.
         let k = (slot % self.subs.len() as u64) as usize;
@@ -129,6 +134,7 @@ impl CellScheduler for Flppr {
         if self.masked {
             self.out_issued.iter_mut().for_each(|c| *c = 0);
         }
+        self.emptied.clear();
         for &(i, o) in self.scratch.pairs() {
             // Under fault masking, re-check the effective capacity at
             // issue time: the sub-scheduler may have accumulated this
@@ -145,15 +151,22 @@ impl CellScheduler for Flppr {
                     self.out_issued[o] += 1;
                 }
                 issued.push(i, o);
-                // Remove the duplicate request everywhere: a claim on
-                // the VOQ's last cell is now stale.
                 if self.master.get(i, o) == 0 {
-                    for s in &mut self.subs {
-                        s.note_departure(i, o);
-                    }
+                    self.emptied.push((i, o));
                 }
             } else {
                 self.stale_grants += 1;
+            }
+        }
+        // Remove the duplicate requests: a claim on an emptied VOQ is
+        // stale. Validation reads only `master` and this only the
+        // engines, so each engine still hears of the departures in issue
+        // order; `take` left the issuing one with no pair to lose.
+        for (e, s) in self.subs.iter_mut().enumerate() {
+            if e != k {
+                for &(i, o) in &self.emptied {
+                    s.note_departure(i, o);
+                }
             }
         }
         issued

@@ -13,15 +13,16 @@
 /// behind every grant and accept arbiter. `from < 64 * words`.
 ///
 /// Whether a requester sits at or after the pointer is a coin toss the
-/// branch predictor loses, and a scheduler tick asks it over a thousand
-/// times (one `Flppr::osmosis(64, 2)` tick at load 0.95: 374 output
-/// visits, 493 grant picks, 181 accepts, 346 departure fan-outs for 61
-/// issued grants) — the tick is misprediction-bound, not
-/// instruction-bound. So a mask of one or two words (every grant row up
-/// to 64 ports, every accept row of the 64-port dual-receiver
-/// demonstrator) is encoded without a data-dependent branch: "the bits
-/// at or after `from`, else all bits" is a conditional move, and one
-/// `trailing_zeros` finishes it.
+/// branch predictor loses, and a scheduler tick asks it about a thousand
+/// times (one `Flppr::osmosis(64, 2)` tick at load 0.95: 318 engine
+/// visits to an output with an unmatched requester, each picking for
+/// both sub-ports, 181 accepts, ≈ 288 departure fan-outs for 61 issued
+/// grants) — the tick is misprediction-bound, not instruction-bound. So
+/// a mask of one or two words (every grant row up to 64 ports, every
+/// accept row of the 64-port dual-receiver demonstrator) is encoded
+/// without a data-dependent branch: "the bits at or after `from`, else
+/// all bits" is a conditional move, and one `trailing_zeros` finishes
+/// it.
 #[inline]
 pub fn pick(words: usize, from: usize, word: impl Fn(usize) -> u64) -> Option<usize> {
     match words {

@@ -10,6 +10,15 @@
 //! [`SubScheduler::take`] harvests the accumulated matching and starts a
 //! fresh one.
 //!
+//! An iteration is two halves. The grant half is written over a slice of
+//! engines that share one occupancy, so FLPPR's K engines take one pass
+//! over the requested outputs between them; `iterate` runs it over a
+//! one-engine slice, so iSLIP and the pipelined arbiter run the same
+//! code with K = 1. The accept half is per engine. Neither half branches
+//! on data it can avoid: a used sub-port of an output that still has an
+//! unmatched requester masks its grant bit out, and an accept clears
+//! its grant row in place.
+//!
 //! The state is what the hardware holds — matched masks, pointers and a
 //! partial matching — as flat word tables on the one priority encoder
 //! ([`pick`]). The counts and their requester mask stay with the owner,
@@ -157,46 +166,74 @@ impl SubScheduler {
     /// cycle); iSLIP sets it on the first iteration of a slot only, so
     /// later iterations cannot starve a first-iteration loser.
     pub fn iterate(&mut self, counts: &Requests, move_pointers: bool) {
-        let (n, r, words, sp_words) = (self.n, self.out_capacity, self.words, self.sp_words);
-        // Grant: every free live sub-port of an output with requests
-        // picks one of the output's unmatched requesters. A claimed cell
-        // needs no masking of its own: its input is matched.
+        Self::grant(std::slice::from_mut(self), counts);
+        self.accept(move_pointers);
+    }
+
+    /// The grant half of one iteration of every engine in `engines`, all
+    /// over `counts`: every free live sub-port of an output with requests
+    /// picks one of the output's unmatched requesters. A claimed cell
+    /// needs no masking of its own: its input is matched.
+    ///
+    /// Each requested output is visited once for all engines. An engine
+    /// whose requesters of it are all matched — common once a matching
+    /// has accumulated — is skipped there, and then every one of its
+    /// live sub-ports has a requester to pick, so a used one costs a
+    /// masked-out grant bit, not a branch.
+    pub(crate) fn grant(engines: &mut [SubScheduler], counts: &Requests) {
+        let Some(first) = engines.first() else {
+            return;
+        };
+        let (r, words, sp_words) = (first.out_capacity, first.words, first.sp_words);
         for (w, &asked) in counts.requested().iter().enumerate() {
             let mut outs = asked;
             while outs != 0 {
                 let o = w * 64 + outs.trailing_zeros() as usize;
                 outs &= outs - 1;
-                let (row, taken) = (counts.requesters(o), &self.in_matched);
-                // Every requester already matched: common once a matching
-                // has accumulated, and cheaper to see here than per sub-port.
-                if (0..words).all(|k| row[k] & !taken[k] == 0) {
-                    continue;
-                }
-                for sp in o * r..o * r + self.out_cap[o] as usize {
-                    if self.subport_used[sp / 64] & 1 << (sp % 64) != 0 {
+                let row = counts.requesters(o);
+                for e in engines.iter_mut() {
+                    let taken = &e.in_matched;
+                    if (0..words).all(|k| row[k] & !taken[k] == 0) {
                         continue;
                     }
-                    let from = self.grant_ptr[sp] as usize;
-                    let Some(i) = pick(words, from, |k| row[k] & !taken[k]) else {
-                        break;
-                    };
-                    self.grants[i * sp_words + sp / 64] |= 1 << (sp % 64);
-                    self.granted[i / 64] |= 1 << (i % 64);
+                    for sp in o * r..o * r + e.out_cap[o] as usize {
+                        let from = e.grant_ptr[sp] as usize;
+                        let Some(i) = pick(words, from, |k| row[k] & !taken[k]) else {
+                            break;
+                        };
+                        let free = !e.subport_used[sp / 64] >> (sp % 64) & 1;
+                        e.grants[i * sp_words + sp / 64] |= free << (sp % 64);
+                        e.granted[i / 64] |= free << (i % 64);
+                    }
                 }
             }
         }
-        // Accept: every granted input picks one of its granters.
+    }
+
+    /// The accept half of one iteration: every granted input picks one
+    /// of its granters. `move_pointers` as for [`Self::iterate`].
+    pub(crate) fn accept(&mut self, move_pointers: bool) {
+        let (n, r, words, sp_words) = (self.n, self.out_capacity, self.words, self.sp_words);
         for w in 0..words {
             let mut ins = std::mem::take(&mut self.granted[w]);
             while ins != 0 {
                 let i = w * 64 + ins.trailing_zeros() as usize;
                 ins &= ins - 1;
-                let row = i * sp_words;
-                let (grants, from) = (&self.grants, self.accept_ptr[i] as usize);
-                let Some(sp) = pick(sp_words, from, |k| grants[row + k]) else {
+                let (row, from) = (
+                    &mut self.grants[i * sp_words..][..sp_words],
+                    self.accept_ptr[i],
+                );
+                let Some(sp) = pick(sp_words, from as usize, |k| row[k]) else {
                     continue;
                 };
-                self.grants[row..row + sp_words].fill(0);
+                // A runtime-length `fill` is a `memset` call; a row of
+                // one or two words (up to 128 sub-ports) is cleared in
+                // place.
+                match row {
+                    [a] => *a = 0,
+                    [a, b] => (*a, *b) = (0, 0),
+                    _ => row.fill(0),
+                }
                 let o = (sp as u32 / r as u32) as usize;
                 self.in_matched[i / 64] |= 1 << (i % 64);
                 self.subport_used[sp / 64] |= 1 << (sp % 64);
